@@ -20,59 +20,32 @@ composite s1 s2 s3 s4 sends p to p - k1/q - k2/(q-1) - k3/(q-t), the
 denominator of the alternative parabolic coordinate Q').
 
 Words act left-to-right: apply_word([g, h], s) = h(g(s)).  k0 is always
-recomputed from k1..k4, never carried.
+recomputed from k1..k4, never carried.  States are `PQState`s; every
+formula here needs a finite q and raises DegenerateInput at q = inf.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Sequence
 
-from .connection import KappaParams
+from .connection import PQState
 from .errors import DegenerateInput, NoFiniteIntersection
-from .exact import Dual, Rat, rat_to_str
+from .exact import Dual, Rat, is_inf
 
 ALPHABET = ("s0", "s1", "s2", "s3", "s4", "r12_34", "r13_24", "r14_23")
 
-
-@dataclass(frozen=True)
-class SymState:
-    t: Rat
-    kappa: KappaParams
-    q: Rat
-    p: Rat
-
-    def __post_init__(self):
-        if self.t in (0, 1):
-            raise DegenerateInput("pole position t must avoid 0 and 1")
-
-    @classmethod
-    def make(cls, t, k1234, q, p) -> "SymState":
-        return cls(t=Fraction(t), kappa=KappaParams.from_k1234(*k1234),
-                   q=Fraction(q), p=Fraction(p))
-
-    @property
-    def k0(self) -> Rat:
-        return self.kappa.k0
-
-    def with_kappa(self, k1234, q=None, p=None) -> "SymState":
-        return SymState(t=self.t, kappa=KappaParams.from_k1234(*k1234),
-                        q=self.q if q is None else q,
-                        p=self.p if p is None else p)
-
-    def to_json_dict(self):
-        return {"t": rat_to_str(self.t), "kappa": self.kappa.to_strs(),
-                "q": rat_to_str(self.q), "p": rat_to_str(self.p)}
-
-    @classmethod
-    def from_json_dict(cls, d) -> "SymState":
-        kp = KappaParams.from_strs(d["kappa"])
-        from .exact import rat_from_str
-        return cls(t=rat_from_str(d["t"]), kappa=kp,
-                   q=rat_from_str(d["q"]), p=rat_from_str(d["p"]))
+# The symmetry group acts on the same moduli-state type as every other
+# layer; `SymState` is another name for it.
+SymState = PQState
 
 
-def _s0(s: SymState) -> SymState:
+def _finite_q(s: PQState) -> Rat:
+    if is_inf(s.q):
+        raise DegenerateInput("the symmetry formulas act on finite q only, got q = inf")
+    return s.q
+
+
+def _s0(s: PQState) -> PQState:
     if s.p == 0:
         raise DegenerateInput("s0 needs p != 0")
     k = s.kappa
@@ -80,8 +53,8 @@ def _s0(s: SymState) -> SymState:
     return s.with_kappa((k.k1 + k0, k.k2 + k0, k.k3 + k0, k.k4 + k0), q=s.q + k0 / s.p)
 
 
-def _s_finite(i: int) -> Callable[[SymState], SymState]:
-    def gen(s: SymState) -> SymState:
+def _s_finite(i: int) -> Callable[[PQState], PQState]:
+    def gen(s: PQState) -> PQState:
         k = list(s.kappa.all4)
         ki = k[i - 1]
         pole = (Fraction(0), Fraction(1), s.t)[i - 1]
@@ -92,12 +65,12 @@ def _s_finite(i: int) -> Callable[[SymState], SymState]:
     return gen
 
 
-def _s4(s: SymState) -> SymState:
+def _s4(s: PQState) -> PQState:
     k = s.kappa
     return s.with_kappa((k.k1, k.k2, k.k3, -k.k4))
 
 
-def _r12_34(s: SymState) -> SymState:
+def _r12_34(s: PQState) -> PQState:
     k, t, q, p = s.kappa, s.t, s.q, s.p
     if q == t:
         raise DegenerateInput("r12_34 has a pole at q = t")
@@ -106,7 +79,7 @@ def _r12_34(s: SymState) -> SymState:
                         p=-(q - t) * ((q - t) * p + k.k0) / (t * (t - 1)))
 
 
-def _r13_24(s: SymState) -> SymState:
+def _r13_24(s: PQState) -> PQState:
     k, t, q, p = s.kappa, s.t, s.q, s.p
     if q == 1:
         raise DegenerateInput("r13_24 has a pole at q = 1")
@@ -115,7 +88,7 @@ def _r13_24(s: SymState) -> SymState:
                         p=(q - 1) * ((q - 1) * p + k.k0) / (t - 1))
 
 
-def _r14_23(s: SymState) -> SymState:
+def _r14_23(s: PQState) -> PQState:
     k, t, q, p = s.kappa, s.t, s.q, s.p
     if q == 0:
         raise DegenerateInput("r14_23 has a pole at q = 0")
@@ -124,19 +97,20 @@ def _r14_23(s: SymState) -> SymState:
                         p=-q * (q * p + k.k0) / t)
 
 
-GENERATORS: Dict[str, Callable[[SymState], SymState]] = {
+GENERATORS: Dict[str, Callable[[PQState], PQState]] = {
     "s0": _s0, "s1": _s_finite(1), "s2": _s_finite(2), "s3": _s_finite(3),
     "s4": _s4, "r12_34": _r12_34, "r13_24": _r13_24, "r14_23": _r14_23,
 }
 
 
-def apply_generator(name: str, s: SymState) -> SymState:
+def apply_generator(name: str, s: PQState) -> PQState:
+    _finite_q(s)
     if name not in GENERATORS:
         raise DegenerateInput(f"unknown generator {name!r}; alphabet: {', '.join(ALPHABET)}")
     return GENERATORS[name](s)
 
 
-def apply_word(word: Sequence[str], s: SymState) -> SymState:
+def apply_word(word: Sequence[str], s: PQState) -> PQState:
     """Left-to-right composition; a degenerate step aborts with its index."""
     for step, name in enumerate(word):
         try:
@@ -192,7 +166,7 @@ def full_flip_fibration_word() -> tuple:
     return pair_fibration_word(1, 2) + pair_fibration_word(3, 4)
 
 
-def schlesinger_composite_qp(s: SymState) -> SymState:
+def schlesinger_composite_qp(s: PQState) -> PQState:
     """Closed form of the composite WORD_SCHLESINGER.
 
     kappa goes to (1-k1, 1-k2, k3, k4) and
@@ -201,7 +175,7 @@ def schlesinger_composite_qp(s: SymState) -> SymState:
                            + k0(k0+k4)/((q-1)(q-t))] / D,
         p' = -D / (t(t-1) p),     D = ((q-t)p + k0 + k4)((q-t)p + k0).
     """
-    k, t, q, p = s.kappa, s.t, s.q, s.p
+    k, t, q, p = s.kappa, s.t, _finite_q(s), s.p
     if p == 0 or q in (1, t):
         raise DegenerateInput("composite needs p != 0 and q away from 1, t")
     dd = ((q - t) * p + k.k0 + k.k4) * ((q - t) * p + k.k0)
@@ -218,31 +192,32 @@ def schlesinger_composite_qp(s: SymState) -> SymState:
 # Fibration coordinates
 # ---------------------------------------------------------------------------
 
-def q_of(s: SymState) -> Rat:
-    return s.q
+def q_of(s: PQState) -> Rat:
+    return _finite_q(s)
 
 
-def big_q_of(s: SymState) -> Rat:
+def big_q_of(s: PQState) -> Rat:
     """The parabolic fibration coordinate Q = q + k0/p."""
     if s.p == 0:
         raise DegenerateInput("Q needs p != 0")
-    return s.q + s.k0 / s.p
+    return _finite_q(s) + s.k0 / s.p
 
 
-def big_q_prime_of(s: SymState) -> Rat:
+def big_q_prime_of(s: PQState) -> Rat:
     """The coordinate of the alternative parabolic structure:
     Q' = Q o s1 s2 s3 s4 = q + (1-k0)/(p - k1/q - k2/(q-1) - k3/(q-t))."""
     return big_q_of(apply_word(("s1", "s2", "s3", "s4"), s))
 
 
-def al_chart(s: SymState):
+def al_chart(s: PQState):
     """(x, y) = (q, q + k0/p): the two fibration coordinates as a chart
     on P^1 x P^1; the Okamoto involution becomes (x, y) -> (y, x)."""
     return (q_of(s), big_q_of(s))
 
 
-def symplectic_check(s: SymState) -> bool:
+def symplectic_check(s: PQState) -> bool:
     """Exact check of k0 * det d(x,y)/d(q,p) / (x-y)^2 = -1 via dual numbers."""
+    _finite_q(s)
     if s.p == 0 or s.k0 == 0:
         raise DegenerateInput("symplectic identity needs p != 0 and k0 != 0")
     k0 = s.k0
@@ -297,7 +272,7 @@ for _r, _prs in _R_PAIRS.items():
                                    (_r, f"s{_a}"), (f"s{_b}", _r)))
 
 
-def check_relations(sample: SymState):
+def check_relations(sample: PQState):
     """Evaluate every group relation on the sample; returns a list of
     (relation, holds, witness) with exact states in the witness."""
     out = []

@@ -28,19 +28,10 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _load_state(path: str) -> PQState:
+def _load(cls, path: str):
+    """A PQState or QuasiPar read from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return PQState.from_json_dict(json.load(fh))
-
-
-def _load_sym_state(path: str) -> bk.SymState:
-    with open(path, "r", encoding="utf-8") as fh:
-        return bk.SymState.from_json_dict(json.load(fh))
-
-
-def _load_parabolic(path: str) -> QuasiPar:
-    with open(path, "r", encoding="utf-8") as fh:
-        return QuasiPar.from_json_dict(json.load(fh))
+        return cls.from_json_dict(json.load(fh))
 
 
 def _weights_from_args(args) -> Weights:
@@ -54,7 +45,7 @@ def _weights_from_args(args) -> Weights:
 # ---------------------------------------------------------------------------
 
 def cmd_connection_build(args) -> int:
-    s = _load_state(args.state)
+    s = _load(PQState, args.state)
     conn = build_connection(s)
     k = s.kappa
     report = {
@@ -73,7 +64,7 @@ def cmd_connection_build(args) -> int:
 
 
 def cmd_connection_eigen(args) -> int:
-    s = _load_state(args.state)
+    s = _load(PQState, args.state)
     table = eigen_table(s)
     out = []
     for i, ((rm, vm), (rp, vp)) in enumerate(table, start=1):
@@ -85,14 +76,14 @@ def cmd_connection_eigen(args) -> int:
 
 
 def cmd_parabolic_from_connection(args) -> int:
-    s = _load_state(args.state)
+    s = _load(PQState, args.state)
     qp = parabolic_from_connection(s)
     _emit(qp.to_json_dict())
     return 0
 
 
 def cmd_parabolic_phi(args) -> int:
-    qp = _load_parabolic(args.parabolic)
+    qp = _load(QuasiPar, args.parabolic)
     _emit(phi_map(qp).to_json_dict())
     return 0
 
@@ -118,14 +109,14 @@ def cmd_zone_branch(args) -> int:
 
 
 def cmd_higgs_limit(args) -> int:
-    s = _load_state(args.state)
+    s = _load(PQState, args.state)
     w = _weights_from_args(args)
     _emit(higgs_limit(s, w).to_json_dict())
     return 0
 
 
 def cmd_symmetry_apply(args) -> int:
-    s = _load_sym_state(args.state)
+    s = _load(PQState, args.state)
     word = bk.parse_word(args.word)
     out = bk.apply_word(word, s)
     _emit(out.to_json_dict())
@@ -133,7 +124,7 @@ def cmd_symmetry_apply(args) -> int:
 
 
 def cmd_symmetry_relations(args) -> int:
-    s = _load_sym_state(args.state)
+    s = _load(PQState, args.state)
     results = bk.check_relations(s)
     ok = all(h for _, h, _ in results)
     _emit({"relations": [{"relation": nm, "holds": h, **({"witness": w} if w else {})}
@@ -177,7 +168,7 @@ def cmd_fibration(args) -> int:
                                        rat_from_str(args.kappa0))
         _emit({"q": rat_to_str(q), "p": rat_to_str(p)})
         return 0
-    s = _load_sym_state(args.state)
+    s = _load(PQState, args.state)
     if args.which == "q":
         _emit({"q": rat_to_str(bk.q_of(s))})
     else:

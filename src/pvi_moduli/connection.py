@@ -67,6 +67,8 @@ class KappaParams:
 
     @classmethod
     def from_strs(cls, items) -> "KappaParams":
+        if not isinstance(items, list):
+            raise DegenerateInput("kappa needs a list of 4 or 5 rationals")
         vals = [rat_from_str(s) for s in items]
         if len(vals) == 5:
             kp = cls(*vals)
@@ -155,7 +157,7 @@ def elementary_transform_residues(r: ResidueVector, i: int) -> ResidueVector:
 
 @dataclass(frozen=True)
 class PQState:
-    """(t, kappa, q, p): a point of the moduli space in the (q, p) chart."""
+    """(t, kappa, q, p): a point of the moduli space in the (q, p) chart, q in P^1."""
 
     t: Rat
     kappa: KappaParams
@@ -165,6 +167,22 @@ class PQState:
     def __post_init__(self):
         if self.t in (0, 1):
             raise DegenerateInput("pole position t must avoid 0 and 1")
+
+    @classmethod
+    def make(cls, t, k1234, q, p) -> "PQState":
+        """A state from t, the four exponents k1..k4 (k0 derived), q and p."""
+        return cls(t=Fraction(t), kappa=KappaParams.from_k1234(*k1234),
+                   q=Fraction(q), p=Fraction(p))
+
+    @property
+    def k0(self) -> Rat:
+        return self.kappa.k0
+
+    def with_kappa(self, k1234, q=None, p=None) -> "PQState":
+        """This state with exponents k1..k4 (k0 derived) and, if given, new q and p."""
+        return PQState(t=self.t, kappa=KappaParams.from_k1234(*k1234),
+                       q=self.q if q is None else q,
+                       p=self.p if p is None else p)
 
     @property
     def poles(self):
@@ -182,8 +200,12 @@ class PQState:
 
     @classmethod
     def from_json_dict(cls, d) -> "PQState":
-        return cls(t=rat_from_str(d["t"]), kappa=KappaParams.from_strs(d["kappa"]),
-                   q=proj_from_str(d["q"]), p=rat_from_str(d["p"]))
+        """Parse a state file; malformed input raises DegenerateInput."""
+        try:
+            return cls(t=rat_from_str(d["t"]), kappa=KappaParams.from_strs(d["kappa"]),
+                       q=proj_from_str(d["q"]), p=rat_from_str(d["p"]))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise DegenerateInput(f"malformed state: {exc!r}") from exc
 
 
 class Sheet(Enum):

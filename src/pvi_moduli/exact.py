@@ -1,10 +1,12 @@
-"""Exact scalar arithmetic and small exact linear algebra.
+"""Exact scalar arithmetic, small exact linear algebra and polynomials.
 
 Everything in this package computes over Q.  Rational scalars are
 `fractions.Fraction` (canonical form: reduced, positive denominator),
 re-exported as `Rat`.  Points of the projective line are `Rat | Infinity`.
 `Mat2` is a 2x2 rational matrix and `Dual` a rational dual number
 a + b*delta with delta^2 = 0, used for exact forward-mode derivatives.
+Polynomials are coefficient lists, constant term first; the zero
+polynomial is the empty list.
 """
 from __future__ import annotations
 
@@ -188,6 +190,74 @@ def eig2(m: Mat2):
         return [(lam, (Fraction(1), Fraction(0))),
                 (lam, (Fraction(0), Fraction(1)))]
     return [(lam, v)]
+
+
+# ---------------------------------------------------------------------------
+# Polynomials
+# ---------------------------------------------------------------------------
+
+def poly_trim(p) -> list:
+    """p as a list without trailing zero coefficients."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_add(*ps) -> list:
+    out = []
+    for p in ps:
+        for i in range(min(len(out), len(p))):
+            out[i] += p[i]
+        out.extend(p[len(out):])
+    return out
+
+
+def poly_scale(c, p) -> list:
+    return [c * a for a in p]
+
+
+def poly_mul(f, g) -> list:
+    if not f or not g:
+        return []
+    out = [f[0] * b for b in g]
+    for i, a in enumerate(f[1:], start=1):
+        for j in range(len(g) - 1):
+            out[i + j] += a * g[j]
+        out.append(a * g[-1])
+    return out
+
+
+def poly_deriv(p) -> list:
+    return [i * p[i] for i in range(1, len(p))]
+
+
+def poly_divmod(f, g) -> tuple:
+    """(quotient, remainder) of f by a nonzero g, both trimmed.
+
+    A monic divisor costs no divisions, so dividing by x - r takes one
+    multiplication and one subtraction per coefficient.
+    """
+    g = poly_trim(g)
+    if not g:
+        raise DegenerateInput("polynomial division by zero")
+    f = poly_trim(f)
+    n = len(g) - 1
+    quot = [Fraction(0)] * max(len(f) - n, 0)
+    for k in range(len(f) - n - 1, -1, -1):
+        c = f[k + n] if g[-1] == 1 else f[k + n] / g[-1]
+        quot[k] = c
+        for j in range(n):
+            f[k + j] -= c * g[j]
+    return quot, poly_trim(f[:n])
+
+
+def poly_gcd(f, g) -> list:
+    """Monic greatest common divisor of f and g ([] when both are zero)."""
+    f, g = poly_trim(f), poly_trim(g)
+    while g:
+        f, g = g, poly_divmod(f, g)[1]
+    return [c / f[-1] for c in f]
 
 
 # ---------------------------------------------------------------------------

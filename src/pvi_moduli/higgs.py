@@ -16,19 +16,26 @@ root multiset of the exact "Wronskian" polynomial
 
 where (s1, s2) is the polynomial section spanning L.  The cleared
 polynomial has degree 3 - 2 deg(L) and its roots contain the contact
-poles of L.
+poles of L (a zero at infinity shows as a drop in degree).
+
+No root search is ever needed.  L destabilizes for some weights only if
+deg(L) + sum_{i in S} eps_i - sum_{i not in S} eps_i > 1/2 with every
+eps_i < 1/2, S the contact set; that forces |S| >= 2 - 2 deg(L).  Once the
+contact zeros are divided out, at most 3 - 2 deg(L) - |S| <= 1 zeros are
+left: a linear factor, whose root is read off.  A larger leftover means
+L destabilizes for no weights, which `theta_divisor` rejects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 from typing import Optional
 
 from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connection
 from .errors import DegenerateInput, SpecialWeights
-from .exact import INF, ProjRat, is_inf, proj_to_str, solve_linear
+from .exact import (INF, ProjRat, is_inf, poly_add, poly_deriv, poly_divmod, poly_mul, poly_scale,
+                    poly_trim, proj_to_str, solve_linear)
 from .parabolic import QuasiPar, line_through, line_value, parabolic_from_connection, phi_map
 from .stability import Branch, Subbundle, Weights, ZONE_STABLE, classify_zone, find_destabilizer, stable_subzone_branch
 
@@ -166,106 +173,13 @@ def _solve_chart1(base, poles, frame):
 # Exact theta divisor
 # ---------------------------------------------------------------------------
 
-def _poly_mul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_add(*ps):
-    n = max(len(p) for p in ps)
-    out = [Fraction(0)] * n
-    for p in ps:
-        for i, a in enumerate(p):
-            out[i] += a
-    return out
-
-
-def _poly_scale(c, p):
-    return [c * a for a in p]
-
-
-def _poly_deriv(p):
-    return [i * a for i, a in enumerate(p)][1:] or [Fraction(0)]
-
-
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.update((d, n // d))
-        d += 1
-    return sorted(out)
-
-
-def _synthetic_division(p, root):
-    """(quotient, remainder) of p by (x - root), exact."""
-    q = [Fraction(0)] * (len(p) - 1)
-    carry = Fraction(0)
-    for i in range(len(p) - 1, 0, -1):
-        q[i - 1] = p[i] + carry
-        carry = q[i - 1] * root
-    return q, p[0] + carry
-
-
-def _rational_roots(poly):
-    """Root multiset of an exact polynomial that splits over Q.
-
-    Linear factors are taken directly; higher-degree leftovers go through
-    a rational-root search.  Raises DegenerateInput if an irrational
-    factor remains (cannot happen for the Wronskian polynomials of
-    nonspecial states, whose roots are contact poles plus rational
-    leftovers).
-    """
-    p = [Fraction(c) for c in poly]
-    while p and p[-1] == 0:
-        p.pop()
-    if not p:
-        raise DegenerateInput("zero polynomial has no root divisor")
-    roots = []
-    while len(p) > 1:
-        if len(p) == 2:
-            roots.append(-p[0] / p[1])
-            break
-        den = 1
-        for c in p:
-            den = lcm(den, c.denominator)
-        ip = [int(c * den) for c in p]
-        g = 0
-        for c in ip:
-            g = gcd(g, c)
-        ip = [c // g for c in ip]
-        found = None
-        if ip[0] == 0:
-            found = Fraction(0)
-        else:
-            for num in _divisors(ip[0]):
-                for den2 in _divisors(ip[-1]):
-                    for sgn in (1, -1):
-                        cand = Fraction(sgn * num, den2)
-                        if sum(c * cand ** i for i, c in enumerate(ip)) == 0:
-                            found = cand
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
-        if found is None:
-            raise DegenerateInput("theta divisor has an irrational zero")
-        roots.append(found)
-        p, _ = _synthetic_division(p, found)
-    return roots
-
-
 def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     """Zero divisor of the Higgs field induced on L -> (E/L) x Omega(log D).
 
     The Wronskian W is cleared by x(x-1)(x-t); any degree deficit against
-    3 - 2 deg(L) counts as zeros at infinity.
+    3 - 2 deg(L) counts as zeros at infinity.  Raises DegenerateInput when
+    a quadratic or larger factor is left after the contact zeros, i.e.
+    when L destabilizes for no weights (see the module docstring).
     """
     t = conn.t
     if sub.degree == 1:
@@ -283,44 +197,45 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     def cleared_entry(getter):
         """Entry of A(x) * x(x-1)(x-t) as exact polynomial coefficients."""
         a1, a2, a3 = (getter(m) for m in conn.finite_residues())
-        base = _poly_add(
-            _poly_scale(a1, [t, -(1 + t), Fraction(1)]),                # (x-1)(x-t)
-            _poly_scale(a2, [Fraction(0), -t, Fraction(1)]),            # x(x-t)
-            _poly_scale(a3, [Fraction(0), Fraction(-1), Fraction(1)]),  # x(x-1)
+        base = poly_add(
+            poly_scale(a1, [t, -(1 + t), Fraction(1)]),                # (x-1)(x-t)
+            poly_scale(a2, [Fraction(0), -t, Fraction(1)]),            # x(x-t)
+            poly_scale(a3, [Fraction(0), Fraction(-1), Fraction(1)]),  # x(x-1)
         )
         cc = getter(conn.c)
         if cc != 0:
-            base = _poly_add(base, _poly_scale(cc, pi))
+            base = poly_add(base, poly_scale(cc, pi))
         return base
 
     a11 = cleared_entry(lambda m: m.a11)
     a12 = cleared_entry(lambda m: m.a12)
     a21 = cleared_entry(lambda m: m.a21)
     a22 = cleared_entry(lambda m: m.a22)
-    w_poly = _poly_add(
-        _poly_mul(pi, _poly_add(_poly_mul(s1, _poly_deriv(s2)),
-                                _poly_scale(Fraction(-1), _poly_mul(s2, _poly_deriv(s1))))),
-        _poly_mul(s1, _poly_add(_poly_mul(a21, s1), _poly_mul(a22, s2))),
-        _poly_scale(Fraction(-1), _poly_mul(s2, _poly_add(_poly_mul(a11, s1), _poly_mul(a12, s2)))),
-    )
-    expected = 3 - 2 * sub.degree
-    trimmed = list(w_poly)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-    deficit = expected - (len(trimmed) - 1)
-    # Strict compatibility forces zeros at the finite contact poles:
-    # divide them out first, so only a small leftover needs a root search.
+    w_poly = poly_trim(poly_add(
+        poly_mul(pi, poly_add(poly_mul(s1, poly_deriv(s2)),
+                              poly_scale(Fraction(-1), poly_mul(s2, poly_deriv(s1))))),
+        poly_mul(s1, poly_add(poly_mul(a21, s1), poly_mul(a22, s2))),
+        poly_scale(Fraction(-1), poly_mul(s2, poly_add(poly_mul(a11, s1), poly_mul(a12, s2)))),
+    ))
+    deficit = 3 - 2 * sub.degree - (len(w_poly) - 1)
+    # Strict compatibility forces zeros at the finite contact poles; what
+    # is left after dividing them out is at most linear (module docstring).
     roots = []
     poles = (Fraction(0), Fraction(1), t, INF)
     for i in sorted(sub.contact):
         tv = poles[i - 1]
         if is_inf(tv):
             continue  # accounted for by the degree deficit
-        trimmed, rem = _synthetic_division(trimmed, tv)
-        if rem != 0:
+        w_poly, rem = poly_divmod(w_poly, [-tv, Fraction(1)])
+        if rem:
             raise DegenerateInput(f"Higgs field fails to vanish at contact pole {i}")
         roots.append(tv)
-    roots += _rational_roots(trimmed) if len(trimmed) > 1 else []
+    if len(w_poly) > 2:
+        raise DegenerateInput(
+            f"degree-{sub.degree} subbundle with contact {sorted(sub.contact)} "
+            "destabilizes for no weights")
+    if len(w_poly) == 2:
+        roots.append(-w_poly[0] / w_poly[1])
     roots += [INF] * deficit
     return tuple(sorted(roots, key=_divisor_key))
 

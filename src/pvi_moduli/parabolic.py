@@ -44,8 +44,12 @@ class QuasiPar:
 
     @classmethod
     def from_json_dict(cls, d) -> "QuasiPar":
-        return cls(poles=tuple(proj_from_str(s) for s in d["t"]),
-                   u=tuple(proj_from_str(s) for s in d["u"]))
+        """Parse a parabolic file; malformed input raises DegenerateInput."""
+        try:
+            return cls(poles=tuple(proj_from_str(s) for s in d["t"]),
+                       u=tuple(proj_from_str(s) for s in d["u"]))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise DegenerateInput(f"malformed quasiparabolic structure: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

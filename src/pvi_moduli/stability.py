@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialWeights
-from .exact import Rat, is_inf, rat_from_str, rat_to_str
+from .exact import Rat, is_inf, poly_divmod, poly_gcd, rat_from_str, rat_to_str
 from .parabolic import QuasiPar, conic_subbundle, line_through, line_value
 
 HALF = Fraction(1, 2)
@@ -128,8 +128,8 @@ def classify_zone(w: Weights) -> str:
 def et_pair(w: Weights, i: int, j: int) -> Weights:
     """Elementary transformations at poles i != j (1-based):
     eps -> 1/2 - eps and mu -> mu - 1/2 at both poles."""
-    if i == j:
-        raise DegenerateInput("et_pair needs two distinct poles")
+    if i == j or not {i, j} <= {1, 2, 3, 4}:
+        raise DegenerateInput(f"et_pair needs two distinct pole indices in 1..4, got {i}, {j}")
     mu, eps = list(w.mu), list(w.eps)
     for k in (i - 1, j - 1):
         eps[k] = HALF - eps[k]
@@ -145,6 +145,8 @@ class Branch(Enum):
 def stable_subzone_branch(w: Weights, i: int) -> Branch:
     """Which of the two points over t_i is unstable, for stable-zone weights:
     the origin point (u_i = inf) iff eps_j + eps_k + eps_l - eps_i < 1/2."""
+    if i not in (1, 2, 3, 4):
+        raise DegenerateInput(f"pole index must be in 1..4, got {i}")
     if classify_zone(w) != ZONE_STABLE:
         raise SpecialWeights("branch question only makes sense in the stable zone")
     rest = sum(w.eps) - 2 * w.eps[i - 1]
@@ -197,50 +199,6 @@ def _deg0_contact(qp: QuasiPar, v) -> frozenset:
     return frozenset(out)
 
 
-def _poly_gcd(f, g):
-    """Monic gcd of two rational polynomials given by coefficient tuples."""
-    def norm(p):
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    f, g = norm(f), norm(g)
-    while g:
-        # f mod g
-        f = f[:]
-        while len(f) >= len(g):
-            c = f[-1] / g[-1]
-            shift = len(f) - len(g)
-            for k in range(len(g)):
-                f[shift + k] -= c * g[k]
-            f = norm(f)
-            if not f:
-                break
-        f, g = g, f
-    if not f:
-        return []
-    lead = f[-1]
-    return [c / lead for c in f]
-
-
-def _poly_div(f, g):
-    """Quotient of exact polynomial division (g must divide f)."""
-    f = list(f)
-    out = [Fraction(0)] * (max(len(f) - len(g) + 1, 0))
-    while len(f) >= len(g) and any(x != 0 for x in f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < len(g):
-            break
-        c = f[-1] / g[-1]
-        shift = len(f) - len(g)
-        out[shift] = c
-        for k in range(len(g)):
-            f[shift + k] -= c * g[k]
-    return out
-
-
 def _minus1_candidate(qp: QuasiPar) -> Optional[Subbundle]:
     """The degree-(-1) subbundle through all four directions, reclassified
     at its saturated degree if the defining sections share a factor."""
@@ -252,17 +210,12 @@ def _minus1_candidate(qp: QuasiPar) -> Optional[Subbundle]:
     if v0 == 0 and v1 == 0:
         # lands inside O(1): saturates to the O(1) candidate, handled separately
         return None
-    g = _poly_gcd(v, wpoly)
+    g = poly_gcd(v, wpoly)
     if len(g) == 2:  # common linear factor: saturated subbundle has degree 0
-        vq = _poly_div(v, g)
-        wq = _poly_div(wpoly, g)
-        c = vq[0] if vq else Fraction(0)
-        if c == 0:
-            return None  # saturates into O(1)
-        w_lin = (wq[0] / c if len(wq) > 0 else Fraction(0),
-                 wq[1] / c if len(wq) > 1 else Fraction(0))
-        sub = Subbundle(degree=0, coefficients=w_lin, contact=_deg0_contact(qp, w_lin))
-        return sub
+        (c,), _ = poly_divmod(v, g)  # v is linear here, so v = c * g with c != 0
+        wq = poly_divmod(wpoly, g)[0] + [Fraction(0), Fraction(0)]
+        w_lin = (wq[0] / c, wq[1] / c)
+        return Subbundle(degree=0, coefficients=w_lin, contact=_deg0_contact(qp, w_lin))
     contact = set()
     for i, (tv, uv) in enumerate(zip(qp.poles, qp.u)):
         if is_inf(tv):

@@ -81,13 +81,12 @@ def _mat_json(m: Mat2):
 def suite_connection(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
     checks = []
-    n_states = max(samples, 1)
-    for _ in range(n_states):
+    for _ in range(samples):
         s = rs.pq_state()
         k = s.kappa
         witness_state = s.to_json_dict()
         conn = build_connection(s)
-        alt = build_connection_qp(s.t, k, bk.big_q_of(bk.SymState(t=s.t, kappa=k, q=s.q, p=s.p)), s.p)
+        alt = build_connection_qp(s.t, k, bk.big_q_of(s), s.p)
 
         for label, cn in (("pq", conn), ("alt", alt)):
             fin = cn.finite_residues()
@@ -144,7 +143,6 @@ def suite_connection(seed: int, samples: int, bound: int) -> Report:
         # fibration identities
         qp = parabolic_from_connection(s)
         big_q = q_map_parabolic(qp)
-        sym = bk.SymState(t=s.t, kappa=k, q=s.q, p=s.p)
         _check(checks, "Q of the induced parabolic equals q + k0/p",
                big_q == s.q + k.k0 / s.p,
                {"state": witness_state, "Q": rat_to_str(big_q)})
@@ -152,7 +150,7 @@ def suite_connection(seed: int, samples: int, bound: int) -> Report:
                q_map(qp) == big_q, {"state": witness_state})
         qp_plus = parabolic_from_connection_plus(s)
         _check(checks, "alternative structure computes Q'",
-               q_map(qp_plus) == bk.big_q_prime_of(sym),
+               q_map(qp_plus) == bk.big_q_prime_of(s),
                {"state": witness_state})
 
         # residue bookkeeping
@@ -191,18 +189,12 @@ def _dedup(checks):
 # Backlund suite
 # ---------------------------------------------------------------------------
 
-def _sample_sym_state(rs: RationalSampler) -> bk.SymState:
-    s = rs.pq_state()
-    return bk.SymState(t=s.t, kappa=s.kappa, q=s.q, p=s.p)
-
-
 def suite_backlund(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
     checks = []
-    n = max(samples, 1)
     done = 0
-    while done < n:
-        st = _sample_sym_state(rs)
+    while done < samples:
+        st = rs.pq_state()
         try:
             results = bk.check_relations(st)
             k = st.kappa
@@ -247,7 +239,7 @@ def suite_backlund(seed: int, samples: int, bound: int) -> Report:
 
     # transversality
     n_pairs = 0
-    while n_pairs < n:
+    while n_pairs < samples:
         l1, l2 = rs.rat(), rs.rat()
         k0 = rs.rat(nonzero=True)
         if l1 == l2:
@@ -267,7 +259,7 @@ def suite_backlund(seed: int, samples: int, bound: int) -> Report:
                   checks=_dedup(checks), rejections=rs.rejections)
 
 
-def _slope_identities(st: bk.SymState) -> bool:
+def _slope_identities(st: PQState) -> bool:
     """dy/dx at the four diagonal base points of the chart: 1 + k0/k_i at
     the finite poles and k4/(k0+k4) at infinity, computed with duals."""
     t, k = st.t, st.kappa
@@ -366,12 +358,11 @@ def oracle_destabilizer(qp: QuasiPar, w: Weights):
 def suite_zones(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
     checks = []
-    n = max(samples, 1)
 
     # classification partitions nonspecial weights
     labels_seen = set()
     all_single = True
-    for _ in range(n):
+    for _ in range(samples):
         eps = rs.eps_nonspecial()
         w = Weights.of_eps(eps)
         z = classify_zone(w)
@@ -408,7 +399,7 @@ def suite_zones(seed: int, samples: int, bound: int) -> Report:
     for zone in ALL_ZONE_LABELS:
         ok_type = True
         ok_oracle = True
-        for _ in range(max(n // 8, 3)):
+        for _ in range(max(samples // 8, 3)):
             w = rs.weights_in_zone(zone)
             u = rs.simple_u(poles)
             qp = QuasiPar(poles=poles, u=u)
@@ -433,7 +424,7 @@ def suite_zones(seed: int, samples: int, bound: int) -> Report:
 
     # stable zone: generic structures stable, oracle agrees
     ok_stable = True
-    for _ in range(max(n // 4, 5)):
+    for _ in range(max(samples // 4, 5)):
         w = rs.weights_in_zone(ZONE_STABLE)
         u = rs.simple_u(poles)
         qp = QuasiPar(poles=poles, u=u)
@@ -475,9 +466,8 @@ def _zone_condition_count(eps) -> int:
 def suite_higgs(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
     checks = []
-    n = max(samples, 1)
 
-    for _ in range(n):
+    for _ in range(samples):
         s = rs.pq_state()
         wa = rs.weights_in_zone("A")
         lim = higgs_limit(s, wa)
@@ -492,7 +482,7 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
     # unstable zones never give a vanishing Higgs field
     for zone in ALL_ZONE_LABELS:
         ok = True
-        for _ in range(max(n // 8, 2)):
+        for _ in range(max(samples // 8, 2)):
             s = rs.pq_state()
             w = rs.weights_in_zone(zone)
             lim = higgs_limit(s, w)
@@ -503,7 +493,7 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
     # stable zone: the limit only sees the classifying point
     ok_dep = True
     ok_valpha = True
-    for _ in range(max(n // 2, 3)):
+    for _ in range(max(samples // 2, 3)):
         ws = rs.weights_in_zone(ZONE_STABLE)
         s1 = rs.pq_state()
         k0 = s1.kappa.k0
@@ -526,7 +516,7 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
     # p = -k0/q puts Q at the first pole with the other three directions colinear
     ok_colinear = True
     tried = 0
-    while tried < max(n // 4, 3):
+    while tried < max(samples // 4, 3):
         s0 = rs.pq_state()
         k0 = s0.kappa.k0
         if s0.q == 0 or -k0 / s0.q == 0:
@@ -571,18 +561,17 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
     # the zone <-> fibration dictionary: the free zero of the limiting
     # Higgs field is the q-coordinate of the matching symmetry composite
     ok_dict = True
-    for _ in range(max(n // 8, 2)):
+    for _ in range(max(samples // 8, 2)):
         s = rs.pq_state()
-        sym = bk.SymState(t=s.t, kappa=s.kappa, q=s.q, p=s.p)
         pole_vals = (Fraction(0), Fraction(1), s.t)
         for i, j in ((1, 2), (2, 3), (1, 4)):
             lim = higgs_limit(s, rs.weights_in_zone(czone(i, j)))
             free = [z for z in lim.divisor if z not in pole_vals and not is_inf(z)]
-            if free != [bk.apply_word(bk.pair_fibration_word(i, j), sym).q]:
+            if free != [bk.apply_word(bk.pair_fibration_word(i, j), s).q]:
                 ok_dict = False
         lim_b = higgs_limit(s, rs.weights_in_zone("B"))
         free_b = [z for z in lim_b.divisor if z not in pole_vals and not is_inf(z)]
-        if free_b != [bk.apply_word(bk.full_flip_fibration_word(), sym).q]:
+        if free_b != [bk.apply_word(bk.full_flip_fibration_word(), s).q]:
             ok_dict = False
     _check(checks, "pair/full-flip zones: limit free zero is the composite's q-coordinate",
            ok_dict, {})
@@ -597,8 +586,7 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
 def suite_mc(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
     checks = []
-    n = max(samples, 1)
-    for _ in range(n):
+    for _ in range(samples):
         e = rs.exponent_data_in_zone("A")
         out = mc_exponents(e, sigma="++++")
         wit = {"eps": e.to_json_dict(), "out": out.to_json_dict()}
@@ -633,7 +621,7 @@ def suite_mc(seed: int, samples: int, bound: int) -> Report:
 
     for zone in ALL_ZONE_LABELS:
         oks = True
-        for _ in range(max(n // 8, 2)):
+        for _ in range(max(samples // 8, 2)):
             e = rs.exponent_data_in_zone(zone)
             rep = zone_interchange_check(e)
             if not rep["found_stable"]:
@@ -659,6 +647,8 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 1, samples: int = 50, bound: int = 64):
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if name == "all":
         return [fn(seed, samples, bound) for fn in SUITES.values()]
     if name not in SUITES:

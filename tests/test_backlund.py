@@ -7,7 +7,9 @@ from pvi_moduli.backlund import (SymState, WORD_SCHLESINGER, WORD_SHIFT_12, WORD
                                  big_q_prime_of, check_relations, parse_word, q_of,
                                  schlesinger_composite_qp, symplectic_check,
                                  transversality_solve)
+from pvi_moduli.connection import PQState
 from pvi_moduli.errors import DegenerateInput, NoFiniteIntersection
+from pvi_moduli.exact import INF
 from pvi_moduli.sampling import RationalSampler
 
 
@@ -144,6 +146,16 @@ class TestFibrations:
         s = SymState.make(t=F(2), k1234=(F(1, 8),) * 4, q=F(3), p=F(0))
         with pytest.raises(DegenerateInput):
             big_q_of(s)
+
+    @pytest.mark.parametrize("formula", [
+        lambda s: apply_generator("s4", s), lambda s: apply_word(("s0",), s),
+        check_relations, schlesinger_composite_qp, q_of, big_q_of, symplectic_check,
+    ])
+    def test_infinite_q_rejected(self, formula):
+        assert SymState is PQState
+        s = PQState(t=F(2), kappa=worked_state().kappa, q=INF, p=F(5))
+        with pytest.raises(DegenerateInput, match="q = inf"):
+            formula(s)
 
 
 class TestChart:

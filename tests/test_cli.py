@@ -5,8 +5,10 @@ import sys
 import pytest
 
 from pvi_moduli.cli import main
+from pvi_moduli.verify import run_suite
 
 STATE = {"t": "2/1", "kappa": ["1/4", "1/8", "1/8", "1/8", "1/8"], "q": "3/1", "p": "5/1"}
+QP = {"t": ["0/1", "1/1", "2/1", "inf"], "u": ["-10/1", "-15/1", "-30/1", "1/4"]}
 
 
 @pytest.fixture
@@ -44,6 +46,23 @@ class TestConnectionCommands:
         path.write_text(json.dumps(bad))
         code, _ = run_cli(capsys, "connection", "build", "--state", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("command, payload", [
+        (["connection", "build", "--state"], {k: v for k, v in STATE.items() if k != "p"}),
+        (["connection", "build", "--state"], [STATE]),
+        (["connection", "build", "--state"], dict(STATE, q=3)),
+        (["connection", "build", "--state"],
+         dict(STATE, kappa={"1/4": 0, "1/8": 1, "3/8": 2, "1/16": 3})),
+        (["parabolic", "phi", "--parabolic"], {"t": QP["t"]}),
+        (["parabolic", "phi", "--parabolic"], [QP]),
+        (["parabolic", "phi", "--parabolic"], dict(QP, u=[3] + QP["u"][1:])),
+    ], ids=["state-missing-key", "state-list", "state-number", "state-kappa-object",
+            "parabolic-missing-key", "parabolic-list", "parabolic-number"])
+    def test_malformed_json(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(command + [str(path)]) == 2
+        assert "DegenerateInput" in capsys.readouterr().err
 
     def test_eigen(self, capsys, state_file):
         code, out = run_cli(capsys, "connection", "eigen", "--state", state_file)
@@ -84,6 +103,17 @@ class TestZoneCommands:
         code, out = run_cli(capsys, "zone", "branch", "--eps", "2/5,1/5,1/5,1/5", "--i", "1")
         assert code == 0 and out == {"pole": 1, "branch": "origin_unstable"}
 
+    @pytest.mark.parametrize("argv", [
+        ["etpair", "--i", "0", "--j", "2"],
+        ["etpair", "--i", "1", "--j", "9"],
+        ["branch", "--i", "0"],
+        ["branch", "--i", "7"],
+    ])
+    def test_pole_index_out_of_range(self, capsys, argv):
+        eps = "2/5,1/5,1/5,1/5" if argv[0] == "branch" else "1/10,1/10,1/10,1/10"
+        assert main(["zone", argv[0], "--eps", eps] + argv[1:]) == 2
+        assert "in 1..4, got" in capsys.readouterr().err
+
     def test_special_weights_error(self, capsys):
         code, _ = run_cli(capsys, "zone", "classify", "--eps", "1/8,1/8,1/8,1/8")
         assert code == 2
@@ -108,6 +138,16 @@ class TestSymmetryCommands:
     def test_relations(self, capsys, state_file):
         code, out = run_cli(capsys, "symmetry", "relations", "--state", state_file)
         assert code == 0 and out["passed"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["symmetry", "apply", "--word", "s0"], ["symmetry", "relations"],
+        ["fibration", "q"], ["fibration", "Q"],
+    ])
+    def test_infinite_q_rejected(self, capsys, tmp_path, argv):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(dict(STATE, q="inf")))
+        assert main(argv + ["--state", str(path)]) == 2
+        assert "DegenerateInput" in capsys.readouterr().err
 
 
 class TestLatticeCommands:
@@ -160,6 +200,13 @@ class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "lattice")
         assert code == 0 and out["passed"] is True
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_rejected(self, capsys, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            run_suite("all", samples=samples)
+        assert main(["verify", "--suite", "lattice", "--samples", str(samples)]) == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
 
     def test_deterministic_reports(self, capsys):
         for suite in ("connection", "backlund"):

@@ -1,15 +1,16 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from pvi_moduli.connection import KappaParams, PPoint, PQState, Sheet, apparent_singularity
-from pvi_moduli.errors import SpecialWeights
+from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import INF
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, higgs_limit, representative,
                               theta_divisor, v_alpha_stable, v_alpha_unstable)
 from pvi_moduli.parabolic import parabolic_from_connection, phi_map
 from pvi_moduli.sampling import ALL_ZONE_LABELS, RationalSampler
-from pvi_moduli.stability import Weights, find_destabilizer
+from pvi_moduli.stability import Subbundle, Weights, find_destabilizer
 from pvi_moduli.connection import build_connection
 
 ZONE_A_W = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
@@ -142,6 +143,25 @@ class TestThetaDivisor:
         assert len(div) == 5
         for pole in (F(0), F(1), F(2), INF):
             assert pole in div
+
+    @pytest.mark.parametrize("state, line, contact", [
+        # worked state: the line -10 + x meets only the direction over 0
+        (worked_state(), (F(-10), F(1)), {1}),
+        # heights near 1e9: the verdict must come from degrees alone
+        (PQState.make(t=F(1000000007, 999999937),
+                      k1234=(F(123456791, 1000000009), F(-987654323, 1000000021),
+                             F(555555557, 1000000033), F(222222227, 1000000087)),
+                      q=F(-999999929, 1000000123), p=F(777777781, 1000000181)),
+         (F(999999893, 1000000223), F(-888888901, 1000000241)), set()),
+    ])
+    def test_subbundle_destabilizing_for_no_weights_rejected(self, state, line, contact):
+        # a degree-0 subbundle needs two contact poles to destabilize for
+        # any weights; with fewer, a factor of degree >= 2 is left over
+        sub = Subbundle(degree=0, coefficients=line, contact=frozenset(contact))
+        start = time.perf_counter()
+        with pytest.raises(DegenerateInput, match="destabilizes for no weights"):
+            theta_divisor(build_connection(state), sub)
+        assert time.perf_counter() - start < 2.0
 
     def test_graded_quotient_slope(self):
         rs = RationalSampler(seed=59, bound=14)
