@@ -20,7 +20,7 @@ from .lattice import enumerate_transversal, sigma_label
 from .mconv import ExponentData, mc_exponents, parse_eps_list, zone_interchange_check
 from .parabolic import QuasiPar, parabolic_from_connection, phi_map
 from .stability import Weights, classify_zone, et_pair, stable_subzone_branch
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _emit(obj) -> None:
@@ -161,18 +161,21 @@ def cmd_mc_interchange(args) -> int:
     return 0
 
 
-def cmd_fibration(args) -> int:
-    if args.which == "solve":
-        q, p = bk.transversality_solve(rat_from_str(args.lambda1),
-                                       rat_from_str(args.lambda2),
-                                       rat_from_str(args.kappa0))
-        _emit({"q": rat_to_str(q), "p": rat_to_str(p)})
-        return 0
-    s = _load(PQState, args.state)
-    if args.which == "q":
-        _emit({"q": rat_to_str(bk.q_of(s))})
-    else:
-        _emit({"Q": rat_to_str(bk.big_q_of(s))})
+def cmd_fibration_q(args) -> int:
+    _emit({"q": rat_to_str(bk.q_of(_load(PQState, args.state)))})
+    return 0
+
+
+def cmd_fibration_big_q(args) -> int:
+    _emit({"Q": rat_to_str(bk.big_q_of(_load(PQState, args.state)))})
+    return 0
+
+
+def cmd_fibration_solve(args) -> int:
+    q, p = bk.transversality_solve(rat_from_str(args.lambda1),
+                                   rat_from_str(args.lambda2),
+                                   rat_from_str(args.kappa0))
+    _emit({"q": rat_to_str(q), "p": rat_to_str(p)})
     return 0
 
 
@@ -278,16 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_mc_interchange)
 
     p = sub.add_parser("fibration", help="the two fibration coordinates")
-    p.add_argument("which", choices=("q", "Q", "solve"))
-    p.add_argument("--state")
-    p.add_argument("--lambda1")
-    p.add_argument("--lambda2")
-    p.add_argument("--kappa0")
-    p.set_defaults(fn=cmd_fibration)
+    ps = p.add_subparsers(dest="sub", required=True)
+    b = ps.add_parser("q")
+    b.add_argument("--state", required=True)
+    b.set_defaults(fn=cmd_fibration_q)
+    b = ps.add_parser("Q")
+    b.add_argument("--state", required=True)
+    b.set_defaults(fn=cmd_fibration_big_q)
+    b = ps.add_parser("solve")
+    b.add_argument("--lambda1", required=True)
+    b.add_argument("--lambda2", required=True)
+    b.add_argument("--kappa0", required=True)
+    b.set_defaults(fn=cmd_fibration_solve)
 
     p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", default="all",
-                   choices=("all", "connection", "backlund", "lattice", "zones", "higgs", "mc"))
+    p.add_argument("--suite", default="all", choices=("all", *SUITES))
     add_common(p)
     p.set_defaults(fn=cmd_verify)
     return ap
@@ -296,12 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "fibration":
-        if args.which == "solve":
-            if not (args.lambda1 and args.lambda2 and args.kappa0):
-                ap.error("fibration solve needs --lambda1, --lambda2, --kappa0")
-        elif not args.state:
-            ap.error(f"fibration {args.which} needs --state")
     try:
         return args.fn(args)
     except ModuliError as exc:

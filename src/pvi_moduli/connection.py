@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
-from .exact import INF, Mat2, ProjRat, Rat, is_inf, proj_from_str, proj_to_str, rat_from_str, rat_to_str
+from .exact import (INF, Mat2, ProjRat, Rat, is_inf, pick_sums, proj_from_str, proj_to_str,
+                    rat_from_str, rat_to_str)
 
 HALF = Fraction(1, 2)
 
@@ -87,17 +88,10 @@ class KappaParams:
 
 def kappa_generic(kappa: KappaParams) -> bool:
     """k_i not integers, and no signed sum +-k1+-k2+-k3+-k4 an odd integer."""
-    for k in kappa.all4:
-        if k.denominator == 1:
-            return False
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    v = s1 * kappa.k1 + s2 * kappa.k2 + s3 * kappa.k3 + s4 * kappa.k4
-                    if v.denominator == 1 and v.numerator % 2 == 1:
-                        return False
-    return True
+    if any(k.denominator == 1 for k in kappa.all4):
+        return False
+    return not any(v.denominator == 1 and v.numerator % 2 == 1
+                   for v in pick_sums((k, -k) for k in kappa.all4))
 
 
 @dataclass(frozen=True)
@@ -123,15 +117,7 @@ class ResidueVector:
 
 def kostov_generic(r: ResidueVector) -> bool:
     """No signed sum r_1^{s1} + ... + r_4^{s4} is an integer."""
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            for s3 in (0, 1):
-                for s4 in (0, 1):
-                    picks = (s1, s2, s3, s4)
-                    v = sum((r.r_plus[i] if picks[i] else r.r_minus[i]) for i in range(4))
-                    if v.denominator == 1:
-                        return False
-    return True
+    return all(v.denominator != 1 for v in pick_sums(zip(r.r_plus, r.r_minus)))
 
 
 def nonresonant(r: ResidueVector) -> bool:

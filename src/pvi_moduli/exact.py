@@ -90,6 +90,16 @@ def rat_sqrt(x: Rat):
     return None
 
 
+def pick_sums(pairs) -> list:
+    """The 2^n sums x_1 + ... + x_n that take one entry x_i of each of the
+    n pairs (16 for four pairs), built by doubling with 2^(n+1) - 2
+    additions instead of n - 1 for each sum."""
+    sums = [0]
+    for a, b in pairs:
+        sums = [s + a for s in sums] + [s + b for s in sums]
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # 2x2 matrices
 # ---------------------------------------------------------------------------

@@ -173,10 +173,11 @@ def enumerate_transversal(n_max: int):
         raise DegenerateInput("n_max must be at least 1")
     # L'.Ei+ = a_i >= 0 and L'.Ei- = b_i >= 0 bound the coefficients below;
     # L'.F'_i = 1 - a_i - b_i >= 0 then forces (a_i, b_i) in {(0,0),(1,0),(0,1)}.
-    per_point = [(a, b) for a in range(0, n_max + 2) for b in range(0, n_max + 2)
-                 if a >= 0 and b >= 0 and 1 - a - b >= 0]
+    per_point = [(a, b) for a in range(2) for b in range(2) if 1 - a - b >= 0]
+    # So m = sum(a_i + b_i) <= 4, and L'^2 = 2n + 2 - m = 0 forces n <= 1:
+    # no n above 1 can contribute, whatever n_max is.
     out = []
-    for n in range(0, n_max + 1):
+    for n in range(min(n_max, 1) + 1):
         for choice in product(per_point, repeat=4):
             cand = C1 + n * F
             for i, (a, b) in enumerate(choice, start=1):

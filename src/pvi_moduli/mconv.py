@@ -25,7 +25,7 @@ from itertools import product
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialParameters
-from .exact import Rat, rat_from_str, rat_to_str
+from .exact import Rat, pick_sums, rat_from_str, rat_to_str
 from .stability import Weights, ZONE_STABLE, classify_zone
 
 HALF = Fraction(1, 2)
@@ -108,11 +108,7 @@ class BetaChoice:
 def nonspecial_exponents(e: ExponentData) -> bool:
     """All sixteen signed eps sums avoid the half-integers (equivalently,
     with the -1/2 degree shift they avoid the integers)."""
-    for signs in product((1, -1), repeat=4):
-        v = sum(s * ev for s, ev in zip(signs, e.eps)) - HALF
-        if v.denominator == 1:
-            return False
-    return True
+    return all(v.denominator != 2 for v in pick_sums((ev, -ev) for ev in e.eps))
 
 
 def defect(r: int, n: int, multiplicities) -> int:

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialWeights
-from .exact import Rat, is_inf, poly_divmod, poly_gcd, rat_from_str, rat_to_str
+from .exact import Rat, is_inf, pick_sums, poly_divmod, poly_gcd, rat_from_str, rat_to_str
 from .parabolic import QuasiPar, conic_subbundle, line_through, line_value
 
 HALF = Fraction(1, 2)
@@ -85,15 +85,9 @@ def nonspecial_weights(alpha, d: int) -> bool:
         if not (a < b < a + 1):
             return False
     shift = (d - sum(lo) - sum(hi)) / 2
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            for s3 in (0, 1):
-                for s4 in (0, 1):
-                    picks = (s1, s2, s3, s4)
-                    v = sum((hi[i] if picks[i] else lo[i]) for i in range(4)) + shift
-                    if v.denominator == 1:
-                        return False
-    return True
+    # the first pair carries the shift, so every sum gets it exactly once
+    pairs = [(lo[0] + shift, hi[0] + shift)] + list(zip(lo[1:], hi[1:]))
+    return all(v.denominator != 1 for v in pick_sums(pairs))
 
 
 def weights_nonspecial(w: Weights, d: int = 1) -> bool:

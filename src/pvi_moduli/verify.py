@@ -1,8 +1,8 @@
 """Named verification suites over seeded random samples.
 
-Each suite returns a list of Check records (name, passed, witness); a
-failed check always carries the exact inputs and both sides of the
-identity it tested.  Reports are deterministic functions of
+Each suite returns a Report of Check records (name, passed, witness); a
+failed check always carries the exact inputs of its first failing sample
+and the values it compared.  Reports are deterministic functions of
 (seed, samples, bound).
 """
 from __future__ import annotations
@@ -15,13 +15,13 @@ from typing import Optional
 from . import backlund as bk
 from .connection import (PQState, apparent_singularity, build_connection, build_connection_qp,
                          eigen_table, elementary_transform_residues, kostov_generic, nonresonant)
-from .errors import NoFiniteIntersection
-from .exact import INF, Dual, Mat2, is_inf, rat_to_str
+from .errors import ModuliError, NoFiniteIntersection
+from .exact import INF, Dual, Mat2, is_inf, proj_to_str
 from .higgs import GRADED, higgs_limit, v_alpha_stable, v_alpha_unstable
-from .lattice import (C0, F, L_sigma, Y, Y_RED, anticanonical_check,
+from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
                       singular_fiber_decompositions)
-from .mconv import mc_exponents, zone_interchange_check
+from .mconv import BetaChoice, _mod1, defect, mc_exponents, zone_interchange_check
 from .parabolic import (QuasiPar, line_through, parabolic_from_connection,
                         parabolic_from_connection_plus, phi_map, q_map, q_map_parabolic)
 from .sampling import ALL_ZONE_LABELS, RationalSampler
@@ -30,6 +30,25 @@ from .stability import (Branch, Weights, ZONE_STABLE, classify_zone, czone, et_p
                         stable_subzone_branch)
 
 HALF = Fraction(1, 2)
+
+
+def _json(value):
+    """JSON form of a witness value: rationals and infinity as "n/d" and
+    "inf", matrices and exponent vectors by `to_strs`, other objects by
+    `to_json_dict`, sets sorted."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, Fraction) or is_inf(value):
+        return proj_to_str(value)
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted(_json(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if hasattr(value, "to_strs"):
+        return value.to_strs()
+    return value.to_json_dict()
 
 
 @dataclass
@@ -41,7 +60,7 @@ class Check:
     def to_json_dict(self):
         out = {"name": self.name, "passed": self.passed}
         if self.witness is not None:
-            out["witness"] = self.witness
+            out["witness"] = _json(self.witness)
         return out
 
 
@@ -58,6 +77,18 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def check(self, name: str, passed, witness: Optional[dict] = None) -> None:
+        """Record one evaluation of the check `name`.  Names keep their
+        first-seen order; a name passes only if every evaluation passed,
+        and keeps the witness of its first failing evaluation."""
+        passed = bool(passed)
+        for c in self.checks:
+            if c.name == name:
+                if c.passed and not passed:
+                    c.passed, c.witness = False, witness
+                return
+        self.checks.append(Check(name=name, passed=passed, witness=None if passed else witness))
+
     def to_json_dict(self):
         return {"suite": self.suite, "seed": self.seed, "samples": self.samples,
                 "bound": self.bound, "passed": self.passed,
@@ -65,124 +96,92 @@ class Report:
                 "checks": [c.to_json_dict() for c in self.checks]}
 
 
-def _check(checks, name, passed, witness=None):
-    checks.append(Check(name=name, passed=bool(passed),
-                        witness=None if passed else witness))
-
-
 # ---------------------------------------------------------------------------
 # Connection suite
 # ---------------------------------------------------------------------------
 
-def _mat_json(m: Mat2):
-    return m.to_strs()
-
-
 def suite_connection(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
-    checks = []
+    rep = Report(suite="connection", seed=seed, samples=samples, bound=bound)
     for _ in range(samples):
         s = rs.pq_state()
         k = s.kappa
-        witness_state = s.to_json_dict()
         conn = build_connection(s)
         alt = build_connection_qp(s.t, k, bk.big_q_of(s), s.p)
 
         for label, cn in (("pq", conn), ("alt", alt)):
             fin = cn.finite_residues()
-            _check(checks, f"{label}: trace A_i = 0 (i<=3)",
-                   all(m.trace() == 0 for m in fin),
-                   {"state": witness_state, "traces": [rat_to_str(m.trace()) for m in fin]})
-            want = [-k.k1 ** 2 / 4, -k.k2 ** 2 / 4, -k.k3 ** 2 / 4]
-            _check(checks, f"{label}: det A_i = -k_i^2/4 (i<=3)",
-                   [m.det() for m in fin] == want,
-                   {"state": witness_state, "dets": [rat_to_str(m.det()) for m in fin]})
+            traces = [m.trace() for m in fin]
+            rep.check(f"{label}: trace A_i = 0 (i<=3)", traces == [0, 0, 0],
+                      {"state": s, "traces": traces})
+            dets = [m.det() for m in fin]
+            rep.check(f"{label}: det A_i = -k_i^2/4 (i<=3)",
+                      dets == [-k.k1 ** 2 / 4, -k.k2 ** 2 / 4, -k.k3 ** 2 / 4],
+                      {"state": s, "dets": dets})
             base = cn.apparent_singularity_base()
-            _check(checks, f"{label}: (1,2) entry vanishes exactly at q",
-                   base == s.q, {"state": witness_state, "zero": rat_to_str(base)})
-            _check(checks, f"{label}: p recovered from A(2,2)|x=q",
-                   cn.p_invariant() == s.p,
-                   {"state": witness_state, "recovered": rat_to_str(cn.p_invariant())})
+            rep.check(f"{label}: (1,2) entry vanishes exactly at q", base == s.q,
+                      {"state": s, "zero": base})
+            recovered = cn.p_invariant()
+            rep.check(f"{label}: p recovered from A(2,2)|x=q", recovered == s.p,
+                      {"state": s, "recovered": recovered})
 
         # (q, p) gauge: residue at infinity and its eigenvalues
-        _check(checks, "pq: A4 equals the infinity residue of A(x)",
-               conn.a4 == conn.infinity_residue(),
-               {"state": witness_state, "A4": _mat_json(conn.a4),
-                "residue": _mat_json(conn.infinity_residue())})
-        _check(checks, "pq: det A4 = (1-k4^2)/4",
-               conn.a4.det() == (1 - k.k4 ** 2) / 4,
-               {"state": witness_state, "det": rat_to_str(conn.a4.det())})
+        residue = conn.infinity_residue()
+        rep.check("pq: A4 equals the infinity residue of A(x)", conn.a4 == residue,
+                  {"state": s, "A4": conn.a4, "residue": residue})
+        det4 = conn.a4.det()
+        rep.check("pq: det A4 = (1-k4^2)/4", det4 == (1 - k.k4 ** 2) / 4,
+                  {"state": s, "det": det4})
 
         # alternate gauge: sum-zero shape
         ssum = alt.a1 + alt.a2 + alt.a3 + alt.a4
-        _check(checks, "alt: A1 + A2 + A3 + A4 = 0", ssum == Mat2.zero(),
-               {"state": witness_state, "sum": _mat_json(ssum)})
-        _check(checks, "alt: A4 lower triangular with diagonal {(1-k4)/2, (k4-1)/2}",
-               alt.a4.a12 == 0 and {alt.a4.a11, alt.a4.a22} == {(1 - k.k4) / 2, (k.k4 - 1) / 2},
-               {"state": witness_state, "A4": _mat_json(alt.a4)})
-        _check(checks, "alt: det A4 = -(1-k4)^2/4",
-               alt.a4.det() == -((1 - k.k4) ** 2) / 4,
-               {"state": witness_state, "det": rat_to_str(alt.a4.det())})
+        rep.check("alt: A1 + A2 + A3 + A4 = 0", ssum == Mat2.zero(), {"state": s, "sum": ssum})
+        rep.check("alt: A4 lower triangular with diagonal {(1-k4)/2, (k4-1)/2}",
+                  alt.a4.a12 == 0 and {alt.a4.a11, alt.a4.a22} == {(1 - k.k4) / 2, (k.k4 - 1) / 2},
+                  {"state": s, "A4": alt.a4})
+        det4 = alt.a4.det()
+        rep.check("alt: det A4 = -(1-k4)^2/4", det4 == -((1 - k.k4) ** 2) / 4,
+                  {"state": s, "det": det4})
 
         # eigen table: A_i v = r v for all eight closed-form eigenvectors
         table = eigen_table(s)
         mats = (conn.a1, conn.a2, conn.a3, conn.a4)
-        ok = True
-        for i in range(4):
-            for (lam, vec) in table[i]:
-                got = mats[i].matvec(vec)
-                if got != (lam * vec[0], lam * vec[1]):
-                    ok = False
-        _check(checks, "eigenvector table satisfies A_i v = r v", ok,
-               {"state": witness_state})
+        rep.check("eigenvector table satisfies A_i v = r v",
+                  all(m.matvec(vec) == (lam * vec[0], lam * vec[1])
+                      for m, pairs in zip(mats, table) for lam, vec in pairs),
+                  {"state": s})
         gaps = [table[i][0][0] - table[i][1][0] for i in range(4)]
-        _check(checks, "eigenvalue gaps are k_i",
-               gaps == [k.k1, k.k2, k.k3, k.k4],
-               {"state": witness_state, "gaps": [rat_to_str(g) for g in gaps]})
+        rep.check("eigenvalue gaps are k_i", gaps == [k.k1, k.k2, k.k3, k.k4],
+                  {"state": s, "gaps": gaps})
 
         # fibration identities
         qp = parabolic_from_connection(s)
         big_q = q_map_parabolic(qp)
-        _check(checks, "Q of the induced parabolic equals q + k0/p",
-               big_q == s.q + k.k0 / s.p,
-               {"state": witness_state, "Q": rat_to_str(big_q)})
-        _check(checks, "conic route and closed form agree",
-               q_map(qp) == big_q, {"state": witness_state})
-        qp_plus = parabolic_from_connection_plus(s)
-        _check(checks, "alternative structure computes Q'",
-               q_map(qp_plus) == bk.big_q_prime_of(s),
-               {"state": witness_state})
+        rep.check("Q of the induced parabolic equals q + k0/p", big_q == s.q + k.k0 / s.p,
+                  {"state": s, "Q": big_q})
+        conic = q_map(qp)
+        rep.check("conic route and closed form agree", conic == big_q,
+                  {"state": s, "conic": conic, "Q": big_q})
+        rep.check("alternative structure computes Q'",
+                  q_map(parabolic_from_connection_plus(s)) == bk.big_q_prime_of(s),
+                  {"state": s})
 
         # residue bookkeeping
         res = k.residues()
-        _check(checks, "residues are Kostov-generic and non-resonant",
-               kostov_generic(res) and nonresonant(res), {"state": witness_state})
+        rep.check("residues are Kostov-generic and non-resonant",
+                  kostov_generic(res) and nonresonant(res), {"state": s})
         for i in (1, 2, 3, 4):
             tr = elementary_transform_residues(res, i)
             tr2 = elementary_transform_residues(tr, i)
-            ok = (tr.degree == res.degree - 1
-                  and tr.r_plus[i - 1] == res.r_minus[i - 1]
-                  and tr.r_minus[i - 1] == res.r_plus[i - 1] + res.lam
-                  and tr2.r_plus[i - 1] == res.r_plus[i - 1] + res.lam
-                  and tr2.r_minus[i - 1] == res.r_minus[i - 1] + res.lam)
-            _check(checks, f"elementary transformation at pole {i} shifts residues",
-                   ok, {"state": witness_state, "pole": i})
-    rep = Report(suite="connection", seed=seed, samples=samples, bound=bound,
-                 checks=_dedup(checks), rejections=rs.rejections)
+            rep.check(f"elementary transformation at pole {i} shifts residues",
+                      tr.degree == res.degree - 1
+                      and tr.r_plus[i - 1] == res.r_minus[i - 1]
+                      and tr.r_minus[i - 1] == res.r_plus[i - 1] + res.lam
+                      and tr2.r_plus[i - 1] == res.r_plus[i - 1] + res.lam
+                      and tr2.r_minus[i - 1] == res.r_minus[i - 1] + res.lam,
+                      {"state": s, "pole": i})
+    rep.rejections = rs.rejections
     return rep
-
-
-def _dedup(checks):
-    """Collapse repeated per-sample checks to one line per name (all must pass)."""
-    order = []
-    by_name = {}
-    for c in checks:
-        if c.name not in by_name:
-            order.append(c.name)
-            by_name[c.name] = c
-        elif not c.passed and by_name[c.name].passed:
-            by_name[c.name] = c
-    return [by_name[n] for n in order]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +190,7 @@ def _dedup(checks):
 
 def suite_backlund(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
-    checks = []
+    rep = Report(suite="backlund", seed=seed, samples=samples, bound=bound)
     done = 0
     while done < samples:
         st = rs.pq_state()
@@ -209,54 +208,48 @@ def suite_backlund(seed: int, samples: int, bound: int) -> Report:
             sympl = bk.symplectic_check(st)
             x, y = bk.al_chart(st)
             xs, ys = bk.al_chart(bk.apply_generator("s0", st))
-        except Exception:
+        except ModuliError:
             rs.rejections += 1
             continue
-        witness = st.to_json_dict()
-        for name, holds, wit in results:
-            _check(checks, f"relation {name}", holds, {"state": witness, "detail": wit})
-        _check(checks, "word [r12_34,s1,s2,s0,s3,s4,s0] shifts (k1,k2) by +1",
-               shifted.kappa.all4 == (k.k1 + 1, k.k2 + 1, k.k3, k.k4),
-               {"state": witness, "kappa_out": shifted.kappa.to_strs()})
-        _check(checks, "word [r12_34,s3,s4,s0,s1,s2,s0] shifts (k3,k4) by +1",
-               shifted34.kappa.all4 == (k.k1, k.k2, k.k3 + 1, k.k4 + 1),
-               {"state": witness, "kappa_out": shifted34.kappa.to_strs()})
-        _check(checks, "closed-form composite equals its generator word",
-               closed == word,
-               {"state": witness, "closed": closed.to_json_dict(), "word": word.to_json_dict()})
-        _check(checks, "composite sends (k1,k2) to (1-k1,1-k2)",
-               closed.kappa.all4 == (1 - k.k1, 1 - k.k2, k.k3, k.k4),
-               {"state": witness, "kappa_out": closed.kappa.to_strs()})
-        _check(checks, "s0 s0 = identity on full states", s0s0 == st, {"state": witness})
-        _check(checks, "Q = q after s0", q_after_s0 == qq, {"state": witness})
-        _check(checks, "q = Q after s0", q_back == st.q, {"state": witness})
-        _check(checks, "symplectic identity k0 J/(x-y)^2 = -1", sympl, {"state": witness})
-        _check(checks, "s0 swaps the chart coordinates", (xs, ys) == (y, x), {"state": witness})
+        for name, holds, detail in results:
+            rep.check(f"relation {name}", holds, {"state": st, "detail": detail})
+        rep.check("word [r12_34,s1,s2,s0,s3,s4,s0] shifts (k1,k2) by +1",
+                  shifted.kappa.all4 == (k.k1 + 1, k.k2 + 1, k.k3, k.k4),
+                  {"state": st, "kappa_out": shifted.kappa})
+        rep.check("word [r12_34,s3,s4,s0,s1,s2,s0] shifts (k3,k4) by +1",
+                  shifted34.kappa.all4 == (k.k1, k.k2, k.k3 + 1, k.k4 + 1),
+                  {"state": st, "kappa_out": shifted34.kappa})
+        rep.check("closed-form composite equals its generator word", closed == word,
+                  {"state": st, "closed": closed, "word": word})
+        rep.check("composite sends (k1,k2) to (1-k1,1-k2)",
+                  closed.kappa.all4 == (1 - k.k1, 1 - k.k2, k.k3, k.k4),
+                  {"state": st, "kappa_out": closed.kappa})
+        rep.check("s0 s0 = identity on full states", s0s0 == st, {"state": st, "s0s0": s0s0})
+        rep.check("Q = q after s0", q_after_s0 == qq, {"state": st, "Q": qq, "q_after": q_after_s0})
+        rep.check("q = Q after s0", q_back == st.q, {"state": st, "Q_after": q_back})
+        rep.check("symplectic identity k0 J/(x-y)^2 = -1", sympl, {"state": st})
+        rep.check("s0 swaps the chart coordinates", (xs, ys) == (y, x),
+                  {"state": st, "chart": (x, y), "chart_after": (xs, ys)})
         # blow-up slopes at the four diagonal points, by exact dual numbers
-        slope_ok = _slope_identities(st)
-        _check(checks, "chart slopes at the diagonal points", slope_ok, {"state": witness})
+        rep.check("chart slopes at the diagonal points", _slope_identities(st), {"state": st})
         done += 1
 
     # transversality
-    n_pairs = 0
-    while n_pairs < samples:
-        l1, l2 = rs.rat(), rs.rat()
-        k0 = rs.rat(nonzero=True)
-        if l1 == l2:
-            rs.rejections += 1
-            continue
+    for _ in range(samples):
+        l1, l2, k0 = rs.retry(lambda: (rs.rat(), rs.rat(), rs.rat(nonzero=True)),
+                              lambda v: v[0] != v[1])
         q, p = bk.transversality_solve(l1, l2, k0)
-        ok = (q == l1) and (q + k0 / p == l2)
-        _check(checks, "fiber intersection solves uniquely with q = l1, Q = l2",
-               ok, {"l1": rat_to_str(l1), "l2": rat_to_str(l2), "k0": rat_to_str(k0)})
-        n_pairs += 1
+        rep.check("fiber intersection solves uniquely with q = l1, Q = l2",
+                  q == l1 and q + k0 / p == l2, {"l1": l1, "l2": l2, "k0": k0, "q": q, "p": p})
+    lam, k0 = Fraction(3), Fraction(1, 4)
     try:
-        bk.transversality_solve(Fraction(3), Fraction(3), Fraction(1, 4))
-        _check(checks, "equal fiber values meet only at infinity", False, {})
+        found = bk.transversality_solve(lam, lam, k0)
     except NoFiniteIntersection:
-        _check(checks, "equal fiber values meet only at infinity", True)
-    return Report(suite="backlund", seed=seed, samples=samples, bound=bound,
-                  checks=_dedup(checks), rejections=rs.rejections)
+        found = None
+    rep.check("equal fiber values meet only at infinity", found is None,
+              {"l1": lam, "l2": lam, "k0": k0, "found": found})
+    rep.rejections = rs.rejections
+    return rep
 
 
 def _slope_identities(st: PQState) -> bool:
@@ -284,35 +277,31 @@ def _slope_identities(st: PQState) -> bool:
 # ---------------------------------------------------------------------------
 
 def suite_lattice(seed: int, samples: int, bound: int) -> Report:
-    checks = []
+    rep = Report(suite="lattice", seed=seed, samples=samples, bound=bound)
     found = enumerate_transversal(5)
-    _check(checks, "exactly 16 transversal fiber classes", len(found) == 16,
-           {"count": len(found)})
+    rep.check("exactly 16 transversal fiber classes", len(found) == 16, {"count": len(found)})
     labels = [sigma_label(d) for d in found]
-    _check(checks, "every class is C1 + F - sum E_i^sigma", None not in labels,
-           {"labels": labels})
-    _check(checks, "the 16 sign patterns each occur once",
-           sorted(labels) == sorted("".join(p) for p in product("+-", repeat=4)),
-           {"labels": labels})
-    _check(checks, "each class has L^2 = 0, L.F = 1, L.Y_red = 1",
-           all(intersect(d, d) == 0 and intersect(d, F) == 1 and intersect(d, Y_RED) == 1
-               for d in found), {})
-    _check(checks, "C1.C0 = 0", intersect(C0 + 2 * F, C0) == 0, {})
-    _check(checks, "C1^2 = 2", intersect(C0 + 2 * F, C0 + 2 * F) == 2, {})
-    _check(checks, "F.L = 1 for the all-minus class",
-           intersect(F, L_sigma("----")) == 1, {})
+    rep.check("every class is C1 + F - sum E_i^sigma", None not in labels, {"labels": labels})
+    rep.check("the 16 sign patterns each occur once",
+              sorted(labels) == sorted("".join(p) for p in product("+-", repeat=4)),
+              {"labels": labels})
+    for d in found:
+        rep.check("each class has L^2 = 0, L.F = 1, L.Y_red = 1",
+                  intersect(d, d) == 0 and intersect(d, F) == 1 and intersect(d, Y_RED) == 1,
+                  {"coefficients": d.coeffs})
+    rep.check("C1.C0 = 0", intersect(C1, C0) == 0)
+    rep.check("C1^2 = 2", intersect(C1, C1) == 2)
+    rep.check("F.L = 1 for the all-minus class", intersect(F, L_sigma("----")) == 1)
     for name, holds in singular_fiber_decompositions():
-        _check(checks, name, holds, {})
-    _check(checks, "anticanonical class relations", anticanonical_check(), {})
-    _check(checks, "Y.Y = 0", intersect(Y, Y) == 0, {})
+        rep.check(name, holds)
+    rep.check("anticanonical class relations", anticanonical_check())
+    rep.check("Y.Y = 0", intersect(Y, Y) == 0)
     sig = form_signature()
-    _check(checks, "intersection form has signature (1, 9)", sig == (1, 9, 0),
-           {"signature": sig})
-    base_with_n0 = C0 + 2 * F + F  # the (a,b) = 0 candidate at n = 1
-    _check(checks, "the contactless candidate fails Y_red = 1 (value 5)",
-           intersect(base_with_n0, Y_RED) == 5,
-           {"value": intersect(base_with_n0, Y_RED)})
-    return Report(suite="lattice", seed=seed, samples=samples, bound=bound, checks=checks)
+    rep.check("intersection form has signature (1, 9)", sig == (1, 9, 0), {"signature": sig})
+    value = intersect(C1 + F, Y_RED)  # the (a,b) = 0 candidate at n = 1
+    rep.check("the contactless candidate fails Y_red = 1 (value 5)", value == 5,
+              {"value": value})
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +346,20 @@ def oracle_destabilizer(qp: QuasiPar, w: Weights):
 
 def suite_zones(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
-    checks = []
+    rep = Report(suite="zones", seed=seed, samples=samples, bound=bound)
 
     # classification partitions nonspecial weights
     labels_seen = set()
-    all_single = True
     for _ in range(samples):
         eps = rs.eps_nonspecial()
-        w = Weights.of_eps(eps)
-        z = classify_zone(w)
+        z = classify_zone(Weights.of_eps(eps))
         labels_seen.add(z)
         count = _zone_condition_count(eps)
-        if count > 1 or (count == 0) != (z == ZONE_STABLE):
-            all_single = False
-    _check(checks, "every nonspecial sample gets exactly one zone label", all_single, {})
-    _check(checks, "zone labels form the 9-element set over the sweep",
-           labels_seen <= set(ALL_ZONE_LABELS) | {ZONE_STABLE}, {"seen": sorted(labels_seen)})
+        rep.check("every nonspecial sample gets exactly one zone label",
+                  count <= 1 and (count == 0) == (z == ZONE_STABLE),
+                  {"eps": eps, "zone": z, "conditions": count})
+    rep.check("zone labels form the 9-element set over the sweep",
+              labels_seen <= set(ALL_ZONE_LABELS) | {ZONE_STABLE}, {"seen": labels_seen})
 
     # et-pair orbit from zone A covers the eight unstable zones
     w0 = rs.weights_in_zone("A")
@@ -389,61 +376,50 @@ def suite_zones(seed: int, samples: int, bound: int) -> Report:
                     orbit.add(classify_zone(w2))
                     nxt.append(w2)
         frontier = nxt
-    _check(checks, "et-pair orbit of a zone-A sample covers all 8 unstable zones",
-           orbit == set(ALL_ZONE_LABELS), {"orbit": sorted(orbit)})
-    _check(checks, "et_pair is an involution on eps",
-           et_pair(et_pair(w0, 1, 3), 1, 3).eps == w0.eps, {})
+    rep.check("et-pair orbit of a zone-A sample covers all 8 unstable zones",
+              orbit == set(ALL_ZONE_LABELS), {"weights": w0, "orbit": orbit})
+    back = et_pair(et_pair(w0, 1, 3), 1, 3)
+    rep.check("et_pair is an involution on eps", back.eps == w0.eps,
+              {"weights": w0, "back": back})
 
     # destabilizers per zone + oracle agreement
     poles = (Fraction(0), Fraction(1), Fraction(3), INF)
     for zone in ALL_ZONE_LABELS:
-        ok_type = True
-        ok_oracle = True
+        need = {int(zone[1]), int(zone[2])} if zone.startswith("C") else set()
         for _ in range(max(samples // 8, 3)):
             w = rs.weights_in_zone(zone)
-            u = rs.simple_u(poles)
-            qp = QuasiPar(poles=poles, u=u)
+            qp = QuasiPar(poles=poles, u=rs.simple_u(poles))
             sub = find_destabilizer(qp, w)
-            if sub is None:
-                ok_type = False
-                continue
-            if sub.degree != predicted_destabilizer_degree(zone):
-                ok_type = False
-            if zone.startswith("C"):
-                need = {int(zone[1]), int(zone[2])}
-                if not need <= set(sub.contact):
-                    ok_type = False
+            witness = {"weights": w, "parabolic": qp, "destabilizer": sub}
+            rep.check(f"zone {zone}: destabilizer of the predicted type on all samples",
+                      sub is not None and sub.degree == predicted_destabilizer_degree(zone)
+                      and need <= sub.contact, witness)
             score, deg, contact = oracle_destabilizer(qp, w)
-            if not (score > HALF and score == parabolic_degree(sub, w)
-                    and deg == sub.degree and contact == sub.contact):
-                ok_oracle = False
-        _check(checks, f"zone {zone}: destabilizer of the predicted type on all samples",
-               ok_type, {"zone": zone})
-        _check(checks, f"zone {zone}: verdict and maximizer match the brute-force oracle",
-               ok_oracle, {"zone": zone})
+            rep.check(f"zone {zone}: verdict and maximizer match the brute-force oracle",
+                      sub is not None and score > HALF and score == parabolic_degree(sub, w)
+                      and deg == sub.degree and contact == sub.contact,
+                      dict(witness, oracle=(score, deg, contact)))
 
     # stable zone: generic structures stable, oracle agrees
-    ok_stable = True
     for _ in range(max(samples // 4, 5)):
         w = rs.weights_in_zone(ZONE_STABLE)
-        u = rs.simple_u(poles)
-        qp = QuasiPar(poles=poles, u=u)
+        qp = QuasiPar(poles=poles, u=rs.simple_u(poles))
         sub = find_destabilizer(qp, w)
         score, _, _ = oracle_destabilizer(qp, w)
-        if (sub is None) != (score < HALF):
-            ok_stable = False
-    _check(checks, "stable zone: generic samples stable and oracle agrees", ok_stable, {})
+        rep.check("stable zone: generic samples stable and oracle agrees",
+                  (sub is None) == (score < HALF),
+                  {"weights": w, "parabolic": qp, "destabilizer": sub, "oracle_score": score})
 
     # mu never matters
     w = rs.weights_in_zone("A")
     w_mu = Weights(mu=tuple(rs.rat() for _ in range(4)), eps=w.eps)
-    u = rs.simple_u(poles)
-    qp = QuasiPar(poles=poles, u=u)
-    _check(checks, "zone label and destabilizer ignore mu",
-           classify_zone(w) == classify_zone(w_mu)
-           and find_destabilizer(qp, w) == find_destabilizer(qp, w_mu), {})
-    return Report(suite="zones", seed=seed, samples=samples, bound=bound,
-                  checks=checks, rejections=rs.rejections)
+    qp = QuasiPar(poles=poles, u=rs.simple_u(poles))
+    rep.check("zone label and destabilizer ignore mu",
+              classify_zone(w) == classify_zone(w_mu)
+              and find_destabilizer(qp, w) == find_destabilizer(qp, w_mu),
+              {"weights": w_mu, "parabolic": qp})
+    rep.rejections = rs.rejections
+    return rep
 
 
 def _zone_condition_count(eps) -> int:
@@ -465,34 +441,28 @@ def _zone_condition_count(eps) -> int:
 
 def suite_higgs(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
-    checks = []
+    rep = Report(suite="higgs", seed=seed, samples=samples, bound=bound)
 
     for _ in range(samples):
         s = rs.pq_state()
         wa = rs.weights_in_zone("A")
         lim = higgs_limit(s, wa)
-        point = apparent_singularity(s)
-        _check(checks, "zone A: limit divisor is the apparent singularity",
-               lim.kind == GRADED and lim.divisor == (s.q,) and lim.deg_l == 1,
-               {"state": s.to_json_dict(), "limit": lim.to_json_dict()})
-        _check(checks, "zone A: limit equals the fibration composite",
-               lim == v_alpha_unstable(point, s.poles),
-               {"state": s.to_json_dict()})
+        witness = {"state": s, "weights": wa, "limit": lim}
+        rep.check("zone A: limit divisor is the apparent singularity",
+                  lim.kind == GRADED and lim.divisor == (s.q,) and lim.deg_l == 1, witness)
+        rep.check("zone A: limit equals the fibration composite",
+                  lim == v_alpha_unstable(apparent_singularity(s), s.poles), witness)
 
     # unstable zones never give a vanishing Higgs field
     for zone in ALL_ZONE_LABELS:
-        ok = True
         for _ in range(max(samples // 8, 2)):
             s = rs.pq_state()
             w = rs.weights_in_zone(zone)
             lim = higgs_limit(s, w)
-            if lim.kind != GRADED:
-                ok = False
-        _check(checks, f"zone {zone}: the limit Higgs field never vanishes", ok, {"zone": zone})
+            rep.check(f"zone {zone}: the limit Higgs field never vanishes", lim.kind == GRADED,
+                      {"state": s, "weights": w, "limit": lim})
 
     # stable zone: the limit only sees the classifying point
-    ok_dep = True
-    ok_valpha = True
     for _ in range(max(samples // 2, 3)):
         ws = rs.weights_in_zone(ZONE_STABLE)
         s1 = rs.pq_state()
@@ -503,80 +473,58 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
         s2 = PQState(t=s1.t, kappa=s1.kappa, q=q2, p=k0 / (big_q - q2))
         lim1 = higgs_limit(s1, ws)
         lim2 = higgs_limit(s2, ws)
-        if lim1 != lim2:
-            ok_dep = False
+        rep.check("stable zone: limits agree for states with the same classifying point",
+                  lim1 == lim2, {"weights": ws, "states": (s1, s2), "limits": (lim1, lim2)})
         pt = phi_map(parabolic_from_connection(s1))
-        if lim1 != v_alpha_stable(pt, ws, s1.poles):
-            ok_valpha = False
-    _check(checks, "stable zone: limits agree for states with the same classifying point",
-           ok_dep, {})
-    _check(checks, "stable zone: limit equals the point construction", ok_valpha, {})
+        rep.check("stable zone: limit equals the point construction",
+                  lim1 == v_alpha_stable(pt, ws, s1.poles),
+                  {"weights": ws, "state": s1, "point": pt, "limit": lim1})
 
     # stable zone, colinear-unstable branch reached from a connection:
     # p = -k0/q puts Q at the first pole with the other three directions colinear
-    ok_colinear = True
-    tried = 0
-    while tried < max(samples // 4, 3):
+    for _ in range(max(samples // 4, 3)):
         s0 = rs.pq_state()
-        k0 = s0.kappa.k0
-        if s0.q == 0 or -k0 / s0.q == 0:
-            rs.rejections += 1
-            continue
-        s = PQState(t=s0.t, kappa=s0.kappa, q=s0.q, p=-k0 / s0.q)
+        s = PQState(t=s0.t, kappa=s0.kappa, q=s0.q, p=-s0.kappa.k0 / s0.q)
         w = rs.retry(lambda: rs.weights_in_zone(ZONE_STABLE),
                      lambda wv: stable_subzone_branch(wv, 1) == Branch.COLINEAR_UNSTABLE)
-        qp = parabolic_from_connection(s)
-        pt = phi_map(qp)
-        if not (pt.base == 0 and pt.sheet.value == "plus"):
-            ok_colinear = False
-            tried += 1
-            continue
+        pt = phi_map(parabolic_from_connection(s))
         lim = higgs_limit(s, w)
-        want_div = tuple(sorted((Fraction(1), s.t, INF), key=lambda z: (1, Fraction(0)) if is_inf(z) else (0, z)))
-        if not (lim.kind == GRADED and lim.deg_l == 0
-                and lim.contact == frozenset({2, 3, 4}) and lim.divisor == want_div):
-            ok_colinear = False
-        if lim != v_alpha_stable(pt, w, s.poles):
-            ok_colinear = False
-        tried += 1
-    _check(checks, "stable zone: colinear-unstable limits carry the three forced zeros",
-           ok_colinear, {})
+        rep.check("stable zone: colinear-unstable limits carry the three forced zeros",
+                  pt.base == 0 and pt.sheet.value == "plus"
+                  and lim.kind == GRADED and lim.deg_l == 0
+                  and lim.contact == frozenset({2, 3, 4})
+                  and lim.divisor == (*sorted((Fraction(1), s.t)), INF)
+                  and lim == v_alpha_stable(pt, w, s.poles),
+                  {"state": s, "weights": w, "point": pt, "limit": lim})
 
     # graded limits are stable: the invariant subbundle E/L has slope < 1/2
-    ok_slope = True
     for zone in ("A", "B", czone(1, 2)):
         s = rs.pq_state()
         w = rs.weights_in_zone(zone)
         lim = higgs_limit(s, w)
-        if lim.kind != GRADED:
-            ok_slope = False
-            continue
-        quot_deg = 1 - lim.deg_l
-        score = quot_deg + sum(w.eps[i - 1] for i in lim.quotient_contact) \
-            - sum(w.eps[i - 1] for i in lim.contact)
-        if not score < HALF:
-            ok_slope = False
-    _check(checks, "graded limits: the invariant quotient has slope below 1/2", ok_slope, {})
+        rep.check("graded limits: the invariant quotient has slope below 1/2",
+                  lim.kind == GRADED
+                  and 1 - lim.deg_l + sum(w.eps[i - 1] for i in lim.quotient_contact)
+                  - sum(w.eps[i - 1] for i in lim.contact) < HALF,
+                  {"state": s, "weights": w, "limit": lim})
 
     # the zone <-> fibration dictionary: the free zero of the limiting
     # Higgs field is the q-coordinate of the matching symmetry composite
-    ok_dict = True
+    dictionary = [(czone(i, j), bk.pair_fibration_word(i, j))
+                  for i, j in ((1, 2), (2, 3), (1, 4))] + [("B", bk.full_flip_fibration_word())]
     for _ in range(max(samples // 8, 2)):
         s = rs.pq_state()
         pole_vals = (Fraction(0), Fraction(1), s.t)
-        for i, j in ((1, 2), (2, 3), (1, 4)):
-            lim = higgs_limit(s, rs.weights_in_zone(czone(i, j)))
+        for zone, word in dictionary:
+            w = rs.weights_in_zone(zone)
+            lim = higgs_limit(s, w)
             free = [z for z in lim.divisor if z not in pole_vals and not is_inf(z)]
-            if free != [bk.apply_word(bk.pair_fibration_word(i, j), s).q]:
-                ok_dict = False
-        lim_b = higgs_limit(s, rs.weights_in_zone("B"))
-        free_b = [z for z in lim_b.divisor if z not in pole_vals and not is_inf(z)]
-        if free_b != [bk.apply_word(bk.full_flip_fibration_word(), s).q]:
-            ok_dict = False
-    _check(checks, "pair/full-flip zones: limit free zero is the composite's q-coordinate",
-           ok_dict, {})
-    return Report(suite="higgs", seed=seed, samples=samples, bound=bound,
-                  checks=_dedup(checks), rejections=rs.rejections)
+            composite_q = bk.apply_word(word, s).q
+            rep.check("pair/full-flip zones: limit free zero is the composite's q-coordinate",
+                      free == [composite_q],
+                      {"state": s, "weights": w, "limit": lim, "composite_q": composite_q})
+    rep.rejections = rs.rejections
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -585,55 +533,47 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
 
 def suite_mc(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
-    checks = []
+    rep = Report(suite="mc", seed=seed, samples=samples, bound=bound)
     for _ in range(samples):
         e = rs.exponent_data_in_zone("A")
         out = mc_exponents(e, sigma="++++")
-        wit = {"eps": e.to_json_dict(), "out": out.to_json_dict()}
-        _check(checks, "zone A, all-plus: sum eps' = 1 - sum eps",
-               sum(out.eps) == 1 - sum(e.eps), wit)
-        _check(checks, "zone A, all-plus: image lies in the stable zone",
-               out.zone() == ZONE_STABLE, wit)
-        _check(checks, "zone A, all-plus: 1/2 < sum eps' < 1",
-               HALF < sum(out.eps) < 1, wit)
+        zone = out.zone()
+        total = sum(out.eps)
+        wit = {"eps": e, "out": out}
+        rep.check("zone A, all-plus: sum eps' = 1 - sum eps", total == 1 - sum(e.eps), wit)
+        rep.check("zone A, all-plus: image lies in the stable zone", zone == ZONE_STABLE, wit)
+        rep.check("zone A, all-plus: 1/2 < sum eps' < 1", HALF < total < 1, wit)
         combo_in = e.eps[0] + e.eps[1] - e.eps[2] - e.eps[3]
         combo_out = out.eps[0] + out.eps[1] - out.eps[2] - out.eps[3]
-        _check(checks, "zone A, all-plus: pair combinations preserved",
-               combo_in == combo_out, wit)
-        _check(checks, "zone A, all-plus: all pair combinations below 1/2 in size",
-               all(abs(out.eps[i] + out.eps[j] - (sum(out.eps) - out.eps[i] - out.eps[j])) < HALF
-                   for i, j in combinations(range(4), 2)), wit)
-        _check(checks, "output eps' in (0,1/2), sum mu' odd-normalized",
-               all(0 < ev < HALF for ev in out.eps), wit)
+        rep.check("zone A, all-plus: pair combinations preserved", combo_in == combo_out, wit)
+        rep.check("zone A, all-plus: all pair combinations below 1/2 in size",
+                  all(abs(out.eps[i] + out.eps[j] - (total - out.eps[i] - out.eps[j])) < HALF
+                      for i, j in combinations(range(4), 2)), wit)
+        rep.check("output eps' in (0,1/2), sum mu' odd-normalized",
+                  all(0 < ev < HALF for ev in out.eps), wit)
         # z-independence of the zone
-        from .mconv import BetaChoice, _mod1
         z_alt = (Fraction(1, 3), Fraction(-2, 5), Fraction(4, 7),
                  _mod1(-(sum(e.mu) + sum(e.eps)) - Fraction(1, 3) + Fraction(2, 5) - Fraction(4, 7)))
         out_alt = mc_exponents(e, choice=BetaChoice(sigma=(1, 1, 1, 1), z=z_alt))
-        _check(checks, "zone of the image is twist-independent",
-               out_alt.zone() == out.zone() and out_alt.eps == out.eps, wit)
+        rep.check("zone of the image is twist-independent",
+                  out_alt.zone() == zone and out_alt.eps == out.eps, dict(wit, out_alt=out_alt))
         # the minus-at-last-pole choice: computed honestly; it lands stable
         out_bad = mc_exponents(e, sigma="+++-")
-        _check(checks, "zone A, minus-at-4: computed image zone is Stable",
-               out_bad.zone() == ZONE_STABLE,
-               {"eps": e.to_json_dict(), "out": out_bad.to_json_dict(),
-                "zone": out_bad.zone()})
+        zone_bad = out_bad.zone()
+        rep.check("zone A, minus-at-4: computed image zone is Stable", zone_bad == ZONE_STABLE,
+                  {"eps": e, "out": out_bad, "zone": zone_bad})
 
     for zone in ALL_ZONE_LABELS:
-        oks = True
         for _ in range(max(samples // 8, 2)):
             e = rs.exponent_data_in_zone(zone)
-            rep = zone_interchange_check(e)
-            if not rep["found_stable"]:
-                oks = False
-        _check(checks, f"zone {zone}: some convolver choice reaches the stable zone",
-               oks, {"zone": zone})
+            found = zone_interchange_check(e)
+            rep.check(f"zone {zone}: some convolver choice reaches the stable zone",
+                      found["found_stable"], {"eps": e, "zones": found["zones"]})
 
-    _check(checks, "defect (n-2)r - sum m vanishes for rank 2, four points",
-           all(Fraction((4 - 2) * 2 - m1 - m2 - m3 - m4) == 0
-               for m1, m2, m3, m4 in [(1, 1, 1, 1)]), {})
-    return Report(suite="mc", seed=seed, samples=samples, bound=bound,
-                  checks=_dedup(checks), rejections=rs.rejections)
+    rep.check("defect (n-2)r - sum m vanishes for rank 2, four points",
+              defect(2, 4, (1, 1, 1, 1)) == 0)
+    rep.rejections = rs.rejections
+    return rep
 
 
 SUITES = {
@@ -649,6 +589,8 @@ SUITES = {
 def run_suite(name: str, seed: int = 1, samples: int = 50, bound: int = 64):
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if bound < 2:
+        raise ValueError(f"bound must be at least 2, got {bound}")
     if name == "all":
         return [fn(seed, samples, bound) for fn in SUITES.values()]
     if name not in SUITES:

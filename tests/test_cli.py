@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +164,12 @@ class TestLatticeCommands:
         code, out = run_cli(capsys, "lattice", "check", "--seed", "1", "--samples", "5")
         assert code == 0 and out["passed"] is True
 
+    def test_enumerate_huge_nmax_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "lattice", "enumerate", "--nmax", "100000000")
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out["count"] == 16
+
 
 class TestMcCommands:
     def test_transform(self, capsys):
@@ -195,6 +204,16 @@ class TestFibrationCommands:
                           "--lambda2", "3/1", "--kappa0", "1/4")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        [], ["q"], ["Q"], ["solve"], ["solve", "--lambda1", "3/1", "--lambda2", "61/20"],
+        ["q", "--lambda1", "3/1"],
+    ])
+    def test_missing_arguments(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["fibration"] + argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
@@ -207,6 +226,21 @@ class TestVerifyCommand:
             run_suite("all", samples=samples)
         assert main(["verify", "--suite", "lattice", "--samples", str(samples)]) == 2
         assert "samples must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "lattice"], ["lattice", "check"]])
+    def test_bound_below_two_rejected(self, capsys, argv):
+        assert main(argv + ["--bound", "1"]) == 2
+        assert "bound must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1, 12])
+    def test_output_pinned_to_recorded_digest(self, capsys, seed):
+        expected = json.loads((Path(__file__).resolve().parent.parent
+                               / "perfbench" / "expected.json").read_text())["verify"]
+        code = main(["verify", "--suite", "all", "--seed", str(seed),
+                     "--samples", "50", "--bound", "64"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected[str(seed)]
 
     def test_deterministic_reports(self, capsys):
         for suite in ("connection", "backlund"):

@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pvi_moduli.errors import DegenerateInput, NoSolution, UnsupportedField
-from pvi_moduli.exact import (INF, Dual, Mat2, eig2, is_inf, poly_add, poly_deriv, poly_divmod,
-                              poly_gcd, poly_mul, poly_trim, proj_from_str, proj_to_str,
-                              rat_from_str, rat_to_str, solve_linear)
+from pvi_moduli.exact import (INF, Dual, Mat2, eig2, is_inf, pick_sums, poly_add, poly_deriv,
+                              poly_divmod, poly_gcd, poly_mul, poly_trim, proj_from_str,
+                              proj_to_str, rat_from_str, rat_to_str, solve_linear)
 
 rationals = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -46,6 +48,11 @@ class TestRat:
         assert proj_to_str(INF) == "inf"
         assert is_inf(proj_from_str("inf"))
         assert proj_from_str("3/4") == F(3, 4)
+
+    @given(st.lists(st.tuples(rationals, rationals), max_size=5))
+    def test_pick_sums_takes_one_entry_of_each_pair(self, pairs):
+        brute = [sum(choice) for choice in product(*pairs)]
+        assert Counter(pick_sums(pairs)) == Counter(brute)
 
 
 class TestSolveLinear:

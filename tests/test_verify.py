@@ -1,0 +1,60 @@
+from fractions import Fraction as F
+
+import pytest
+
+from pvi_moduli import backlund as bk
+from pvi_moduli import verify
+from pvi_moduli.exact import INF, Mat2
+from pvi_moduli.parabolic import QuasiPar
+from pvi_moduli.stability import Weights, find_destabilizer
+
+
+class TestReportCheck:
+    def test_one_line_per_name_in_first_seen_order(self):
+        rep = verify.Report(suite="demo", seed=1, samples=2, bound=2)
+        rep.check("a", True, {"v": F(1)})
+        rep.check("b", False, {"v": F(1, 2)})
+        rep.check("a", False, {"v": INF})
+        rep.check("a", False, {"v": F(3)})
+        rep.check("b", True)
+        assert [c.name for c in rep.checks] == ["a", "b"]
+        assert not rep.passed
+        assert [c.to_json_dict() for c in rep.checks] == [
+            {"name": "a", "passed": False, "witness": {"v": "inf"}},
+            {"name": "b", "passed": False, "witness": {"v": "1/2"}},
+        ]
+
+    def test_passing_check_carries_no_witness(self):
+        rep = verify.Report(suite="demo", seed=1, samples=1, bound=2)
+        rep.check("a", True, {"v": F(1)})
+        assert rep.passed and rep.checks[0].to_json_dict() == {"name": "a", "passed": True}
+
+    def test_witness_values_serialized_once(self):
+        rep = verify.Report(suite="demo", seed=1, samples=1, bound=2)
+        weights = Weights.of_eps((F(1, 10),) * 4)
+        rep.check("a", False, {"m": Mat2.identity(), "seen": {"C12", "B"}, "w": weights,
+                               "pair": (F(-1, 3), 2), "none": None})
+        assert rep.checks[0].to_json_dict()["witness"] == {
+            "m": Mat2.identity().to_strs(), "seen": ["B", "C12"], "w": weights.to_json_dict(),
+            "pair": ["-1/3", 2], "none": None}
+
+
+class TestWitnesses:
+    def test_zone_check_witness_holds_the_failing_sample(self, monkeypatch):
+        monkeypatch.setattr(verify, "find_destabilizer", lambda qp, w: None)
+        (rep,) = verify.run_suite("zones", seed=1, samples=8, bound=16)
+        failed = {c.name: c.to_json_dict()["witness"] for c in rep.checks if not c.passed}
+        witness = failed["zone A: destabilizer of the predicted type on all samples"]
+        assert witness["destabilizer"] is None
+        w = Weights.from_json_dict(witness["weights"])
+        qp = QuasiPar.from_json_dict(witness["parabolic"])
+        assert find_destabilizer(qp, w) is not None
+        assert "zone A: verdict and maximizer match the brute-force oracle" in failed
+
+    def test_backlund_does_not_hide_a_formula_bug(self, monkeypatch):
+        def broken(state):
+            raise TypeError("broken formula")
+
+        monkeypatch.setattr(bk, "symplectic_check", broken)
+        with pytest.raises(TypeError, match="broken formula"):
+            verify.run_suite("backlund", samples=3)
