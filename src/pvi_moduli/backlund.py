@@ -2,11 +2,11 @@
 
 Generators: the four parabolic switches s1..s4, the three cross-ratio
 preserving pole permutations r_(ij)(kl), and the extra Okamoto involution
-s0.  On a state with derived k0 = (1 - k1 - k2 - k3 - k4)/2:
+s0.  On a state with k0 = (1 - k1 - k2 - k3 - k4)/2:
 
-    s_i (i = 1, 2, 3): k_i -> -k_i,  p -> p - k_i/(q - t_i)
-    s_4:               k_4 -> -k_4,  (q, p) fixed
-    s_0:               k_i -> k_i + k0,  q -> q + k0/p
+    s_i (i = 1, 2, 3): k_i -> -k_i, k0 -> k0 + k_i,  p -> p - k_i/(q - t_i)
+    s_4:               k_4 -> -k_4, k0 -> k0 + k4,  (q, p) fixed
+    s_0:               k_i -> k_i + k0, k0 -> -k0,  q -> q + k0/p
     r_(12)(34):  kappa -> (k2, k1, k4, k3),  q -> t(q-1)/(q-t),
                  p -> -(q-t)((q-t)p + k0)/(t(t-1))
     r_(13)(24):  kappa -> (k3, k4, k1, k2),  q -> (q-t)/(q-1),
@@ -19,16 +19,21 @@ an involution, and it reproduces the parabolic switch exactly (the
 composite s1 s2 s3 s4 sends p to p - k1/q - k2/(q-1) - k3/(q-t), the
 denominator of the alternative parabolic coordinate Q').
 
-Words act left-to-right: apply_word([g, h], s) = h(g(s)).  k0 is always
-recomputed from k1..k4, never carried.  States are `PQState`s; every
-formula here needs a finite q and raises DegenerateInput at q = inf.
+The permutations r leave k0 unchanged.  Each generator writes the new k0
+in the closed form above instead of re-deriving it from k1..k4, and
+`KappaParams` re-checks 2*k0 + k1 + ... + k4 = 1 on every step, so a
+wrong closed form raises at once.
+
+Words act left-to-right: apply_word([g, h], s) = h(g(s)).  States are
+`PQState`s; every formula here needs a finite q and raises
+DegenerateInput at q = inf.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Dict, Sequence
 
-from .connection import PQState
+from .connection import KappaParams, PQState
 from .errors import DegenerateInput, NoFiniteIntersection
 from .exact import Dual, Rat, is_inf
 
@@ -50,7 +55,8 @@ def _s0(s: PQState) -> PQState:
         raise DegenerateInput("s0 needs p != 0")
     k = s.kappa
     k0 = k.k0
-    return s.with_kappa((k.k1 + k0, k.k2 + k0, k.k3 + k0, k.k4 + k0), q=s.q + k0 / s.p)
+    return s.with_kappa(KappaParams(-k0, k.k1 + k0, k.k2 + k0, k.k3 + k0, k.k4 + k0),
+                        q=s.q + k0 / s.p)
 
 
 def _s_finite(i: int) -> Callable[[PQState], PQState]:
@@ -61,20 +67,20 @@ def _s_finite(i: int) -> Callable[[PQState], PQState]:
         if s.q == pole:
             raise DegenerateInput(f"s{i} has a pole at q = {pole}")
         k[i - 1] = -ki
-        return s.with_kappa(tuple(k), p=s.p - ki / (s.q - pole))
+        return s.with_kappa(KappaParams(s.k0 + ki, *k), p=s.p - ki / (s.q - pole))
     return gen
 
 
 def _s4(s: PQState) -> PQState:
     k = s.kappa
-    return s.with_kappa((k.k1, k.k2, k.k3, -k.k4))
+    return s.with_kappa(KappaParams(k.k0 + k.k4, k.k1, k.k2, k.k3, -k.k4))
 
 
 def _r12_34(s: PQState) -> PQState:
     k, t, q, p = s.kappa, s.t, s.q, s.p
     if q == t:
         raise DegenerateInput("r12_34 has a pole at q = t")
-    return s.with_kappa((k.k2, k.k1, k.k4, k.k3),
+    return s.with_kappa(KappaParams(k.k0, k.k2, k.k1, k.k4, k.k3),
                         q=t * (q - 1) / (q - t),
                         p=-(q - t) * ((q - t) * p + k.k0) / (t * (t - 1)))
 
@@ -83,7 +89,7 @@ def _r13_24(s: PQState) -> PQState:
     k, t, q, p = s.kappa, s.t, s.q, s.p
     if q == 1:
         raise DegenerateInput("r13_24 has a pole at q = 1")
-    return s.with_kappa((k.k3, k.k4, k.k1, k.k2),
+    return s.with_kappa(KappaParams(k.k0, k.k3, k.k4, k.k1, k.k2),
                         q=(q - t) / (q - 1),
                         p=(q - 1) * ((q - 1) * p + k.k0) / (t - 1))
 
@@ -92,7 +98,7 @@ def _r14_23(s: PQState) -> PQState:
     k, t, q, p = s.kappa, s.t, s.q, s.p
     if q == 0:
         raise DegenerateInput("r14_23 has a pole at q = 0")
-    return s.with_kappa((k.k4, k.k3, k.k2, k.k1),
+    return s.with_kappa(KappaParams(k.k0, k.k4, k.k3, k.k2, k.k1),
                         q=t / q,
                         p=-q * (q * p + k.k0) / t)
 
@@ -169,7 +175,7 @@ def full_flip_fibration_word() -> tuple:
 def schlesinger_composite_qp(s: PQState) -> PQState:
     """Closed form of the composite WORD_SCHLESINGER.
 
-    kappa goes to (1-k1, 1-k2, k3, k4) and
+    kappa goes to (1-k1, 1-k2, k3, k4), so k0 goes to k0 + k1 + k2 - 1, and
 
         q' = t (q-1)(q-t) [p^2 + ((1-k1-k2)/(q-1) - k3/(q-t)) p
                            + k0(k0+k4)/((q-1)(q-t))] / D,
@@ -185,7 +191,8 @@ def schlesinger_composite_qp(s: PQState) -> PQState:
         + k.k0 * (k.k0 + k.k4) / ((q - 1) * (q - t))
     q2 = t * (q - 1) * (q - t) * num / dd
     p2 = -dd / (t * (t - 1) * p)
-    return s.with_kappa((1 - k.k1, 1 - k.k2, k.k3, k.k4), q=q2, p=p2)
+    return s.with_kappa(KappaParams(k.k0 + k.k1 + k.k2 - 1, 1 - k.k1, 1 - k.k2, k.k3, k.k4),
+                        q=q2, p=p2)
 
 
 # ---------------------------------------------------------------------------

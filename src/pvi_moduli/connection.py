@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
-from .exact import (INF, Mat2, ProjRat, Rat, is_inf, pick_sums, proj_from_str, proj_to_str,
-                    rat_from_str, rat_to_str)
+from .exact import (INF, Mat2, ProjRat, Rat, is_inf, over_common_denominator, pick_sums,
+                    proj_from_str, proj_to_str, rat_from_str, rat_to_str)
 
 HALF = Fraction(1, 2)
 
@@ -90,8 +90,9 @@ def kappa_generic(kappa: KappaParams) -> bool:
     """k_i not integers, and no signed sum +-k1+-k2+-k3+-k4 an odd integer."""
     if any(k.denominator == 1 for k in kappa.all4):
         return False
-    return not any(v.denominator == 1 and v.numerator % 2 == 1
-                   for v in pick_sums((k, -k) for k in kappa.all4))
+    nums, den = over_common_denominator(kappa.all4)
+    # s/den is an odd integer iff s = den mod 2*den
+    return not any(s % (2 * den) == den for s in pick_sums((n, -n) for n in nums))
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,8 @@ class ResidueVector:
 
 def kostov_generic(r: ResidueVector) -> bool:
     """No signed sum r_1^{s1} + ... + r_4^{s4} is an integer."""
-    return all(v.denominator != 1 for v in pick_sums(zip(r.r_plus, r.r_minus)))
+    nums, den = over_common_denominator(r.r_plus + r.r_minus)
+    return all(s % den != 0 for s in pick_sums(zip(nums[:4], nums[4:])))
 
 
 def nonresonant(r: ResidueVector) -> bool:
@@ -164,9 +166,9 @@ class PQState:
     def k0(self) -> Rat:
         return self.kappa.k0
 
-    def with_kappa(self, k1234, q=None, p=None) -> "PQState":
-        """This state with exponents k1..k4 (k0 derived) and, if given, new q and p."""
-        return PQState(t=self.t, kappa=KappaParams.from_k1234(*k1234),
+    def with_kappa(self, kappa: KappaParams, q=None, p=None) -> "PQState":
+        """This state with new exponents and, if given, new q and p."""
+        return PQState(t=self.t, kappa=kappa,
                        q=self.q if q is None else q,
                        p=self.p if p is None else p)
 

@@ -40,3 +40,8 @@ class NotSimple(ModuliError):
 
 class NoFiniteIntersection(ModuliError):
     """The two requested fibration fibers only meet at infinity."""
+
+
+class SamplerExhausted(ModuliError):
+    """A seeded sampler rejected every candidate it was allowed to draw:
+    at this bound the requested parameters are (nearly) always special."""

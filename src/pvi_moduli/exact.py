@@ -100,6 +100,14 @@ def pick_sums(pairs) -> list:
     return sums
 
 
+def over_common_denominator(values) -> tuple:
+    """(numerators, L) with values[i] = numerators[i] / L, where L is the lcm
+    of the denominators: sums and sign tests then run on integers, with no
+    gcd per operation."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 # ---------------------------------------------------------------------------
 # 2x2 matrices
 # ---------------------------------------------------------------------------
@@ -292,12 +300,21 @@ def solve_linear(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> LinearSol
     Raises NoSolution for an inconsistent system.  Pivoting is
     deterministic (first nonzero entry), so the returned basis is
     reproducible.
+
+    When column c gets its pivot, every row from the pivot row down is
+    already zero left of c (earlier pivot columns were eliminated, and the
+    skipped columns had no nonzero entry left in those rows).  So only
+    columns c+1..n are normalised and eliminated, and only where the pivot
+    row is nonzero; the pivot entry is set to 1 and the eliminated ones to
+    0 directly.  Exact arithmetic makes the result the same as full
+    elimination.
     """
     m = len(rows)
     if m == 0:
         raise DegenerateInput("empty system")
     n = len(rows[0])
     a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    zero, one = Fraction(0), Fraction(1)
     pivots = []
     r = 0
     for c in range(n):
@@ -305,12 +322,19 @@ def solve_linear(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> LinearSol
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
+        prow = a[r]
+        pv = prow[c]
+        live = [j for j in range(c + 1, n + 1) if prow[j] != 0]
+        for j in live:
+            prow[j] = prow[j] / pv
+        prow[c] = one
         for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            f = row[c]
+            if i != r and f != 0:
+                for j in live:
+                    row[j] = row[j] - f * prow[j]
+                row[c] = zero
         pivots.append(c)
         r += 1
         if r == m:

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialParameters
-from .exact import Rat, pick_sums, rat_from_str, rat_to_str
+from .exact import Rat, over_common_denominator, pick_sums, rat_from_str, rat_to_str
 from .stability import Weights, ZONE_STABLE, classify_zone
 
 HALF = Fraction(1, 2)
@@ -108,7 +108,9 @@ class BetaChoice:
 def nonspecial_exponents(e: ExponentData) -> bool:
     """All sixteen signed eps sums avoid the half-integers (equivalently,
     with the -1/2 degree shift they avoid the integers)."""
-    return all(v.denominator != 2 for v in pick_sums((ev, -ev) for ev in e.eps))
+    nums, den = over_common_denominator(e.eps)
+    # s/den is a half-integer iff 2s = 0 but s != 0 mod den
+    return not any(2 * s % den == 0 and s % den != 0 for s in pick_sums((n, -n) for n in nums))
 
 
 def defect(r: int, n: int, multiplicities) -> int:
@@ -128,14 +130,19 @@ def mc_exponents(e: ExponentData, choice: Optional[BetaChoice] = None,
     choice.validate_against(e)
     if not nonspecial_exponents(e):
         raise SpecialParameters("signed eps sums hit a half-integer")
+    return _convolve(e, choice)
+
+
+def _convolve(e: ExponentData, choice: BetaChoice) -> ExponentData:
+    """`mc_exponents` for a validated choice on nonspecial data."""
     sg = choice.sigma
-    s_tot = sum(s * ev for s, ev in zip(sg, e.eps))
+    shifted = sum(s * ev for s, ev in zip(sg, e.eps)) - HALF
     mu_out, eps_out = [], []
     for i in range(4):
-        y = -HALF + s_tot - 2 * sg[i] * e.eps[i]
-        if _mod1(y) == 0:
+        y = _mod1(shifted - 2 * sg[i] * e.eps[i])
+        if y == 0:
             raise SpecialParameters("output eigenvalue gap vanishes")
-        h = _mod1(y) - 1                      # representative in (-1, 0)
+        h = y - 1                             # representative in (-1, 0)
         eps_out.append(-h / 2)
         mu_out.append(_mod1(choice.z[i] + h / 2))
     total = _mod1(sum(mu_out))
@@ -157,10 +164,14 @@ def zone_interchange_check(e: ExponentData):
     zone_in = e.zone()
     if zone_in == ZONE_STABLE:
         raise DegenerateInput("input must lie in an unstable zone")
+    if not nonspecial_exponents(e):
+        raise SpecialParameters("signed eps sums hit a half-integer")
     per_sigma = {}
     stable_sigmas = []
     for signs in product((1, -1), repeat=4):
-        out = mc_exponents(e, sigma=signs)
+        choice = BetaChoice.default(e, signs)
+        choice.validate_against(e)
+        out = _convolve(e, choice)
         label = out.zone()
         per_sigma[sigma_text(signs)] = label
         if label == ZONE_STABLE:

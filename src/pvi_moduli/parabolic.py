@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .connection import PPoint, PQState, Sheet, eigen_table
-from .errors import DegenerateInput, NoSolution, NotSimple
+from .errors import DegenerateInput, NotSimple
 from .exact import INF, ProjRat, Rat, is_inf, proj_from_str, proj_to_str, solve_linear
 
 
@@ -84,28 +84,28 @@ def act(g: AutElement, qp: QuasiPar) -> QuasiPar:
     return QuasiPar(poles=qp.poles, u=tuple(out))
 
 
-def _line_rows(poles, indices, u):
-    """Interpolation rows for v = v0 + v1 x against u_i at the given poles."""
-    rows, rhs = [], []
-    for i in indices:
-        tv = poles[i]
-        if is_inf(tv):
-            rows.append([Fraction(0), Fraction(1)])
-        else:
-            rows.append([Fraction(1), Fraction(tv)])
-        rhs.append(u[i])
-    return rows, rhs
-
-
 def line_through(qp: QuasiPar, indices: Sequence[int]):
     """The degree-1 interpolant v with v(t_i) = u_i over the given indices,
-    or None when no single line fits.  All u_i there must be finite."""
-    rows, rhs = _line_rows(qp.poles, indices, qp.u)
-    try:
-        sol = solve_linear(rows, rhs)
-    except NoSolution:
+    or None when no single line fits.  All u_i there must be finite.
+
+    The poles are pairwise distinct, so the first two indices fix v (a pole
+    at infinity fixes v1 = u there) and each further index only tests it.
+    """
+    if len(indices) < 2:
+        raise DegenerateInput(f"a line needs at least two points, got {len(indices)}")
+    (i, j), rest = indices[:2], indices[2:]
+    poles, u = qp.poles, qp.u
+    if is_inf(poles[j]):
+        i, j = j, i
+    tj = poles[j]
+    if is_inf(poles[i]):
+        v1 = Fraction(u[i])
+    else:
+        v1 = Fraction(u[j] - u[i]) / (tj - poles[i])
+    v = (u[j] - v1 * tj, v1)
+    if any(line_value(v, poles[k]) != u[k] for k in rest):
         return None
-    return (sol.particular[0], sol.particular[1])
+    return v
 
 
 def line_value(v, pole: ProjRat) -> Rat:

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .connection import KappaParams, PQState, kappa_generic
-from .errors import SpecialWeights
+from .errors import SamplerExhausted, SpecialWeights
 from .mconv import ExponentData, nonspecial_exponents
 from .stability import Weights, ZONE_STABLE, classify_zone, czone, et_pair, weights_nonspecial
 
@@ -51,7 +51,8 @@ class RationalSampler:
             if accept(x):
                 return x
             self.rejections += 1
-        raise RuntimeError("sampler failed to find an acceptable value")
+        raise SamplerExhausted(f"sampler found no acceptable value in {limit} draws "
+                               f"at bound {self.bound}; try a larger bound")
 
     # -- structured samples -------------------------------------------------
 

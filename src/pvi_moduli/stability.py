@@ -21,10 +21,12 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialWeights
-from .exact import Rat, is_inf, pick_sums, poly_divmod, poly_gcd, rat_from_str, rat_to_str
+from .exact import (Rat, is_inf, over_common_denominator, pick_sums, poly_divmod, poly_gcd,
+                    rat_from_str, rat_to_str)
 from .parabolic import QuasiPar, conic_subbundle, line_through, line_value
 
 HALF = Fraction(1, 2)
+THREE_HALVES = Fraction(3, 2)
 
 ZONE_A = "A"
 ZONE_B = "B"
@@ -79,15 +81,18 @@ def nonspecial_weights(alpha, d: int) -> bool:
     avoid the integers."""
     if len(alpha) != 8:
         raise DegenerateInput("eight weight values expected")
-    lo = [Fraction(alpha[2 * i]) for i in range(4)]
-    hi = [Fraction(alpha[2 * i + 1]) for i in range(4)]
+    nums, den = over_common_denominator([Fraction(a) for a in alpha])
+    lo, hi = nums[0::2], nums[1::2]
     for a, b in zip(lo, hi):
-        if not (a < b < a + 1):
+        if not (a < b < a + den):
             return False
-    shift = (d - sum(lo) - sum(hi)) / 2
-    # the first pair carries the shift, so every sum gets it exactly once
-    pairs = [(lo[0] + shift, hi[0] + shift)] + list(zip(lo[1:], hi[1:]))
-    return all(v.denominator != 1 for v in pick_sums(pairs))
+    # Over the denominator 2*den each sum is 2*(signed numerators) plus the
+    # shift d*den - sum(nums); the first pair carries the shift, so every
+    # sum gets it exactly once.
+    shift = d * den - sum(nums)
+    pairs = [(2 * lo[0] + shift, 2 * hi[0] + shift)]
+    pairs += [(2 * a, 2 * b) for a, b in zip(lo[1:], hi[1:])]
+    return all(s % (2 * den) != 0 for s in pick_sums(pairs))
 
 
 def weights_nonspecial(w: Weights, d: int = 1) -> bool:
@@ -101,17 +106,17 @@ def classify_zone(w: Weights) -> str:
     """One of A, B, C{ij} or Stable; boundary weights raise SpecialWeights."""
     eps = w.eps
     total = sum(eps)
-    if total == HALF or total == Fraction(3, 2):
+    if total == HALF or total == THREE_HALVES:
         raise SpecialWeights(f"eps sum on a wall: {total}")
     combos = {}
     for i, j in combinations(range(4), 2):
-        c = eps[i] + eps[j] - sum(e for k, e in enumerate(eps) if k not in (i, j))
+        c = 2 * (eps[i] + eps[j]) - total  # eps_i + eps_j - (the other two)
         if c == HALF or c == -HALF:
             raise SpecialWeights(f"pair combination on a wall: eps_{i+1}+eps_{j+1}-rest = {c}")
         combos[(i, j)] = c
     if total < HALF:
         return ZONE_A
-    if total > Fraction(3, 2):
+    if total > THREE_HALVES:
         return ZONE_B
     for (i, j), c in combos.items():
         if c > HALF:

@@ -232,6 +232,16 @@ class TestVerifyCommand:
         assert main(argv + ["--bound", "1"]) == 2
         assert "bound must be at least 2" in capsys.readouterr().err
 
+    def test_exhausted_sampler_is_an_input_error(self):
+        # with denominators in {2} no kappa is generic, so the sampler gives up
+        proc = subprocess.run([sys.executable, "-m", "pvi_moduli.cli", "verify", "--suite", "all",
+                               "--samples", "3", "--bound", "2"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "SamplerExhausted" in proc.stderr and "bound 2" in proc.stderr
+
     @pytest.mark.parametrize("seed", [1, 12])
     def test_output_pinned_to_recorded_digest(self, capsys, seed):
         expected = json.loads((Path(__file__).resolve().parent.parent

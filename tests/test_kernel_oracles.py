@@ -1,0 +1,275 @@
+"""Oracles for the exact kernels that avoid general elimination or Fraction sums.
+
+Each kernel is compared with the straightforward computation it replaces:
+`line_through` with `solve_linear` on the interpolation rows,
+`solve_linear` with sympy's reduced row echelon form, the four signed-sum
+predicates with sums over `itertools.product`, the Baecklund generators'
+closed-form k0 with `KappaParams.from_k1234`, and `classify_zone` with the
+written-out "pair minus the other two" combinations.  Heights go up to 2^64.
+"""
+from fractions import Fraction as F
+from itertools import combinations, product
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from pvi_moduli.backlund import ALPHABET, apply_generator, schlesinger_composite_qp
+from pvi_moduli.connection import (KappaParams, PQState, ResidueVector, kappa_generic,
+                                   kostov_generic)
+from pvi_moduli.errors import DegenerateInput, NoSolution, SpecialWeights
+from pvi_moduli.exact import INF, is_inf, over_common_denominator, solve_linear
+from pvi_moduli.mconv import ExponentData, nonspecial_exponents
+from pvi_moduli.parabolic import QuasiPar, line_through
+from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Weights, classify_zone, czone,
+                                  nonspecial_weights)
+
+H = 2 ** 64
+
+# small denominators hit integers, half-integers and walls; tall ones test height
+tiny = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
+small = st.builds(F, st.integers(-48, 48), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
+tall = st.builds(F, st.integers(-H, H), st.integers(1, H))
+rationals = st.one_of(tiny, small, tall)
+
+
+@st.composite
+def eps_values(draw):
+    """A rational strictly between 0 and 1/2."""
+    den = draw(st.one_of(st.sampled_from([3, 4, 6, 8, 12, 24]), st.integers(2, H)))
+    return F(draw(st.integers(1, den - 1)), 2 * den)
+
+
+class TestOverCommonDenominator:
+    @given(st.lists(rationals, min_size=1, max_size=8))
+    def test_numerators_over_lcm(self, values):
+        nums, den = over_common_denominator(values)
+        assert all(isinstance(n, int) for n in nums) and den >= 1
+        assert [F(n, den) for n in nums] == values
+        assert all(den % v.denominator == 0 for v in values)
+
+
+# ---------------------------------------------------------------------------
+# line_through
+# ---------------------------------------------------------------------------
+
+def _oracle_line(qp, indices):
+    rows = [[F(0), F(1)] if is_inf(qp.poles[i]) else [F(1), qp.poles[i]] for i in indices]
+    try:
+        sol = solve_linear(rows, [qp.u[i] for i in indices])
+    except NoSolution:
+        return None
+    return sol.particular
+
+
+@st.composite
+def line_problems(draw):
+    poles = draw(st.lists(rationals, min_size=3, max_size=4, unique=True))
+    if len(poles) == 3:
+        poles.insert(draw(st.integers(0, 3)), INF)
+    v0, v1 = draw(rationals), draw(rationals)
+    u = [v1 if is_inf(tv) else v0 + v1 * tv for tv in poles]
+    for i in draw(st.sets(st.integers(0, 3))):      # move some points off the line
+        u[i] = draw(rationals)
+    indices = draw(st.permutations(range(4)))[:draw(st.integers(2, 4))]
+    return QuasiPar(poles=tuple(poles), u=tuple(u)), indices
+
+
+class TestLineThrough:
+    @given(line_problems())
+    def test_matches_elimination(self, problem):
+        qp, indices = problem
+        assert line_through(qp, indices) == _oracle_line(qp, indices)
+
+    def test_fitting_and_non_fitting_with_a_pole_at_infinity(self):
+        qp = QuasiPar(poles=(F(0), F(1), F(2), INF), u=(F(1), F(3), F(5), F(2)))
+        assert line_through(qp, [3, 0]) == (F(1), F(2))
+        assert line_through(qp, [0, 1, 2, 3]) == (F(1), F(2))
+        moved = QuasiPar(poles=qp.poles, u=(F(1), F(3), F(5), F(7)))
+        assert line_through(moved, [0, 1, 2]) == (F(1), F(2))
+        assert line_through(moved, [0, 1, 3]) is None
+
+    @pytest.mark.parametrize("indices", [[], [0], [3]])
+    def test_fewer_than_two_points_raise(self, indices):
+        qp = QuasiPar(poles=(F(0), F(1), F(2), INF), u=(F(1), F(3), F(5), F(2)))
+        with pytest.raises(DegenerateInput, match="at least two points"):
+            line_through(qp, indices)
+
+
+# ---------------------------------------------------------------------------
+# solve_linear
+# ---------------------------------------------------------------------------
+
+sparse_entries = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(1)), rationals)
+
+
+@st.composite
+def linear_systems(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [[draw(sparse_entries) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(sparse_entries) for _ in range(m)]
+    if draw(st.booleans()) and m > 1:                # a dependent row
+        c = draw(rationals)
+        rows[-1] = [c * x for x in rows[0]]
+        rhs[-1] = c * rhs[0] if draw(st.booleans()) else draw(rationals)
+    return rows, rhs
+
+
+class TestSolveLinearAgainstSympy:
+    @settings(deadline=None)  # the first example pays for importing sympy
+    @given(linear_systems())
+    def test_matches_reduced_row_echelon_form(self, system):
+        sympy = pytest.importorskip("sympy")
+        rows, rhs = system
+        n = len(rows[0])
+        aug = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row + [b]]
+                            for row, b in zip(rows, rhs)])
+        red, pivots = aug.rref()
+        red = [[F(int(red[i, j].p), int(red[i, j].q)) for j in range(n + 1)]
+               for i in range(red.rows)]
+        if n in pivots:
+            with pytest.raises(NoSolution):
+                solve_linear(rows, rhs)
+            return
+        sol = solve_linear(rows, rhs)
+        assert sol.rank == len(pivots)
+        part = [F(0)] * n
+        for i, c in enumerate(pivots):
+            part[c] = red[i][n]
+        assert sol.particular == tuple(part)
+        basis = []
+        for fc in (c for c in range(n) if c not in pivots):
+            v = [F(0)] * n
+            v[fc] = F(1)
+            for i, c in enumerate(pivots):
+                v[c] = -red[i][fc]
+            basis.append(tuple(v))
+        assert sol.nullspace == tuple(basis)
+
+
+# ---------------------------------------------------------------------------
+# Signed-sum predicates
+# ---------------------------------------------------------------------------
+
+# a+ - a- = 2 * gap: mostly interlaced, sometimes on or past the boundary;
+# twelfths over quarter-integer a- make signed sums hit integers and
+# half-integers often
+twelfths = st.builds(F, st.integers(0, 6), st.just(12))
+half_gaps = st.one_of(eps_values(), st.just(F(1, 2)), rationals)
+
+
+def _signed_sums(pairs):
+    return [sum(choice) for choice in product(*pairs)]
+
+
+class TestSignedSumPredicates:
+    @given(st.lists(rationals, min_size=4, max_size=4))
+    def test_kappa_generic(self, ks):
+        kp = KappaParams.from_k1234(*ks)
+        expected = (all(k.denominator != 1 for k in ks)
+                    and not any(v.denominator == 1 and v.numerator % 2 == 1
+                                for v in _signed_sums((k, -k) for k in ks)))
+        assert kappa_generic(kp) == expected
+
+    @given(st.lists(rationals, min_size=7, max_size=7), rationals, st.integers(-3, 3))
+    def test_kostov_generic(self, vals, lam, degree):
+        r_plus, r_minus = tuple(vals[:4]), tuple(vals[4:])
+        r_minus += (-(sum(vals) + lam * degree),)
+        r = ResidueVector(r_plus=r_plus, r_minus=r_minus, lam=lam, degree=degree)
+        expected = all(v.denominator != 1 for v in _signed_sums(zip(r_plus, r_minus)))
+        assert kostov_generic(r) == expected
+
+    @given(st.one_of(st.lists(st.tuples(tiny, twelfths), min_size=4, max_size=4),
+                     st.lists(st.tuples(rationals, half_gaps), min_size=4, max_size=4)),
+           st.integers(-3, 3))
+    def test_nonspecial_weights(self, lo_gap, d):
+        alpha = []
+        for lo, gap in lo_gap:
+            alpha += [lo, lo + 2 * gap]
+        lo, hi = alpha[0::2], alpha[1::2]
+        shift = (d - sum(alpha)) / 2
+        expected = (all(a < b < a + 1 for a, b in zip(lo, hi))
+                    and all((v + shift).denominator != 1 for v in _signed_sums(zip(lo, hi))))
+        assert nonspecial_weights(alpha, d) == expected
+
+    @given(st.lists(eps_values(), min_size=4, max_size=4))
+    def test_nonspecial_exponents(self, eps):
+        expected = all(v.denominator != 2 for v in _signed_sums((e, -e) for e in eps))
+        assert nonspecial_exponents(ExponentData.of_eps(eps)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Baecklund generators: closed-form k0
+# ---------------------------------------------------------------------------
+
+# the action of each generator on (k1, k2, k3, k4), as in the backlund docstring
+K_ACTION = {
+    "s0": lambda k, k0: tuple(ki + k0 for ki in k),
+    "s1": lambda k, k0: (-k[0], k[1], k[2], k[3]),
+    "s2": lambda k, k0: (k[0], -k[1], k[2], k[3]),
+    "s3": lambda k, k0: (k[0], k[1], -k[2], k[3]),
+    "s4": lambda k, k0: (k[0], k[1], k[2], -k[3]),
+    "r12_34": lambda k, k0: (k[1], k[0], k[3], k[2]),
+    "r13_24": lambda k, k0: (k[2], k[3], k[0], k[1]),
+    "r14_23": lambda k, k0: (k[3], k[2], k[1], k[0]),
+}
+
+
+@st.composite
+def states(draw):
+    t, q, p = draw(rationals), draw(rationals), draw(rationals)
+    assume(t not in (0, 1) and q not in (0, 1, t) and p != 0)
+    return PQState(t=t, kappa=KappaParams.from_k1234(*(draw(rationals) for _ in range(4))),
+                   q=q, p=p)
+
+
+class TestGeneratorKappa:
+    @given(states())
+    def test_every_generator_matches_the_derived_k0(self, s):
+        assert set(K_ACTION) == set(ALPHABET)
+        for g in ALPHABET:
+            out = apply_generator(g, s)
+            assert out.kappa == KappaParams.from_k1234(*K_ACTION[g](s.kappa.all4, s.k0)), g
+
+    @given(states())
+    def test_schlesinger_composite_matches_the_derived_k0(self, s):
+        k = s.kappa
+        try:
+            out = schlesinger_composite_qp(s)
+        except DegenerateInput:
+            assume(False)
+        assert out.kappa == KappaParams.from_k1234(1 - k.k1, 1 - k.k2, k.k3, k.k4)
+
+    def test_wrong_closed_form_is_rejected(self):
+        with pytest.raises(DegenerateInput, match="2\\*k0"):
+            KappaParams(F(1, 4), F(1, 8), F(1, 8), F(1, 8), F(1, 4))
+
+
+# ---------------------------------------------------------------------------
+# classify_zone
+# ---------------------------------------------------------------------------
+
+def _oracle_zone(eps):
+    half = F(1, 2)
+    total = eps[0] + eps[1] + eps[2] + eps[3]
+    combos = []
+    for i, j in combinations(range(4), 2):
+        k, l = (m for m in range(4) if m not in (i, j))
+        combos.append(((i, j), eps[i] + eps[j] - eps[k] - eps[l]))
+    if total in (half, 3 * half) or any(c in (half, -half) for _, c in combos):
+        return None
+    if total < half:
+        return ZONE_A
+    if total > 3 * half:
+        return ZONE_B
+    return next((czone(i + 1, j + 1) for (i, j), c in combos if c > half), ZONE_STABLE)
+
+
+class TestClassifyZone:
+    @given(st.lists(eps_values(), min_size=4, max_size=4))
+    def test_matches_pair_minus_rest(self, eps):
+        expected = _oracle_zone(eps)
+        if expected is None:
+            with pytest.raises(SpecialWeights):
+                classify_zone(Weights.of_eps(eps))
+        else:
+            assert classify_zone(Weights.of_eps(eps)) == expected

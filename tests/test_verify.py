@@ -58,3 +58,11 @@ class TestWitnesses:
         monkeypatch.setattr(bk, "symplectic_check", broken)
         with pytest.raises(TypeError, match="broken formula"):
             verify.run_suite("backlund", samples=3)
+
+    def test_unlabelled_lattice_class_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(verify, "sigma_label", lambda d: None)
+        (rep,) = verify.run_suite("lattice")
+        failed = {c.name: c.to_json_dict()["witness"] for c in rep.checks if not c.passed}
+        assert failed["every class is C1 + F - sum E_i^sigma"] == {"labels": [None] * 16}
+        assert "the 16 sign patterns each occur once" in failed
+        assert not rep.passed
