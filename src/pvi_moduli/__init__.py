@@ -7,21 +7,4 @@ Higgs bundles, the birational symmetry group, the Picard lattice of the
 natural compactification, and middle-convolution exponent calculus.
 """
 
-from .exact import INF, Dual, Infinity, Mat2, ProjRat, Rat, eig2, is_inf, rat, solve_linear
-from .connection import (FourPoleConnection, KappaParams, PPoint, PQState, ResidueVector,
-                         Sheet, apparent_singularity, build_connection, build_connection_qp,
-                         eigen_table, elementary_transform_residues, kappa_generic,
-                         kostov_generic, nonresonant)
-from .parabolic import (AutElement, QuasiPar, act, is_simple, parabolic_from_connection,
-                        parabolic_from_connection_plus, phi_map, q_map, q_map_parabolic)
-from .stability import (Branch, Subbundle, Weights, classify_zone, czone, et_pair,
-                        find_destabilizer, nonspecial_weights, stable_subzone_branch)
-from .higgs import HiggsLimit, higgs_limit, representative, theta_divisor, v_alpha_stable, v_alpha_unstable
-from .backlund import (SymState, al_chart, apply_generator, apply_word, big_q_of,
-                       big_q_prime_of, check_relations, full_flip_fibration_word,
-                       pair_fibration_word, q_of, schlesinger_composite_qp,
-                       symplectic_check, transversality_solve)
-from .lattice import DivClass, anticanonical_check, enumerate_transversal, intersect
-from .mconv import BetaChoice, ExponentData, defect, mc_exponents, zone_interchange_check
-
 __version__ = "0.1.0"

@@ -48,17 +48,17 @@ def cmd_connection_build(args) -> int:
     s = _load(PQState, args.state)
     conn = build_connection(s)
     k = s.kappa
+    q_found, p_found = conn.apparent_singularity_base(), conn.p_invariant()
     report = {
         "trace_zero": all(m.trace() == 0 for m in conn.finite_residues()),
         "det_matches": [m.det() == -kv * kv / 4
                         for m, kv in zip(conn.finite_residues(), k.finite)],
-        "apparent_singularity": proj_to_str(conn.apparent_singularity_base()),
-        "p_recovered": rat_to_str(conn.p_invariant()),
+        "apparent_singularity": proj_to_str(q_found),
+        "p_recovered": rat_to_str(p_found),
         "a4_is_infinity_residue": conn.a4 == conn.infinity_residue(),
     }
-    ok = (report["trace_zero"] and all(report["det_matches"])
-          and conn.apparent_singularity_base() == s.q
-          and conn.p_invariant() == s.p and report["a4_is_infinity_residue"])
+    ok = (report["trace_zero"] and all(report["det_matches"]) and q_found == s.q
+          and p_found == s.p and report["a4_is_infinity_residue"])
     _emit({"connection": conn.to_json_dict(), "invariants": report, "passed": ok})
     return 0 if ok else 1
 

@@ -28,10 +28,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
-from .exact import (INF, Mat2, ProjRat, Rat, is_inf, over_common_denominator, pick_sums,
+from .exact import (HALF, INF, Mat2, ProjRat, Rat, is_inf, over_common_denominator, pick_sums,
                     proj_from_str, proj_to_str, rat_from_str, rat_to_str)
-
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,6 @@ class NoSolution(ModuliError):
     """An inconsistent linear system."""
 
 
-class UnsupportedField(ModuliError):
-    """The answer would leave the rationals (e.g. irrational eigenvalues)."""
-
-
 class NormalFormDegenerate(ModuliError):
     """The normal form of the connection does not exist at this point
     (apparent singularity at a pole, or at infinity in the wrong chart)."""

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DegenerateInput, NoSolution, UnsupportedField
+from .errors import DegenerateInput, NoSolution
 
 Rat = Fraction
+HALF = Fraction(1, 2)
 
 
 class Infinity:
@@ -49,10 +50,6 @@ def is_inf(v: ProjRat) -> bool:
     return isinstance(v, Infinity)
 
 
-def rat(num, den=1) -> Rat:
-    return Fraction(num, den)
-
-
 def rat_from_str(s: str) -> Rat:
     """Parse "num/den" (or "num"); denominator must be nonzero."""
     s = s.strip()
@@ -77,17 +74,6 @@ def proj_from_str(s: str) -> ProjRat:
 
 def proj_to_str(v: ProjRat) -> str:
     return "inf" if is_inf(v) else rat_to_str(v)
-
-
-def rat_sqrt(x: Rat):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 def pick_sums(pairs) -> list:
@@ -163,51 +149,9 @@ class Mat2:
     def trace(self) -> Rat:
         return self.a11 + self.a22
 
-    def rows(self):
-        return ((self.a11, self.a12), (self.a21, self.a22))
-
     def to_strs(self):
         return [[rat_to_str(self.a11), rat_to_str(self.a12)],
                 [rat_to_str(self.a21), rat_to_str(self.a22)]]
-
-    @classmethod
-    def from_strs(cls, rows) -> "Mat2":
-        return cls(rat_from_str(rows[0][0]), rat_from_str(rows[0][1]),
-                   rat_from_str(rows[1][0]), rat_from_str(rows[1][1]))
-
-
-def eig2(m: Mat2):
-    """Exact eigenpairs of a 2x2 rational matrix.
-
-    Returns a list of (eigenvalue, eigenvector) pairs with Mv = lambda v
-    exactly.  Two entries for distinct eigenvalues or a scalar matrix, one
-    entry for a repeated eigenvalue with a one-dimensional eigenspace.
-    Raises UnsupportedField when the characteristic roots are irrational.
-    """
-    tr, dt = m.trace(), m.det()
-    disc = tr * tr - 4 * dt
-    root = rat_sqrt(disc)
-    if root is None:
-        raise UnsupportedField(f"irrational eigenvalues: discriminant {disc}")
-    lams = [(tr + root) / 2, (tr - root) / 2]
-
-    def vector_for(lam):
-        # rows of (M - lam*I) are proportional; any nonzero row gives the kernel
-        r1 = (m.a11 - lam, m.a12)
-        r2 = (m.a21, m.a22 - lam)
-        for (x, y) in (r1, r2):
-            if x != 0 or y != 0:
-                return (y, -x)
-        return None  # scalar matrix
-
-    if root != 0:
-        return [(lam, vector_for(lam)) for lam in lams]
-    lam = lams[0]
-    v = vector_for(lam)
-    if v is None:
-        return [(lam, (Fraction(1), Fraction(0))),
-                (lam, (Fraction(0), Fraction(1)))]
-    return [(lam, v)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +355,6 @@ class Dual:
 
     def __rtruediv__(self, other):
         return Dual._lift(other) / self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise DegenerateInput("dual powers only for nonnegative integers")
-        out = Dual.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         o = Dual._lift(other)

@@ -36,14 +36,8 @@ class DivClass:
     def __sub__(self, other: "DivClass") -> "DivClass":
         return DivClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "DivClass":
-        return DivClass(tuple(-a for a in self.coeffs))
-
     def __rmul__(self, n: int) -> "DivClass":
         return DivClass(tuple(n * a for a in self.coeffs))
-
-    def dot(self, other: "DivClass") -> int:
-        return intersect(self, other)
 
     def __str__(self):
         terms = []
@@ -112,10 +106,6 @@ for _k in range(2, RANK):
 def intersect(d1: DivClass, d2: DivClass) -> int:
     return sum(d1.coeffs[i] * _GRAM[i][j] * d2.coeffs[j]
                for i in range(RANK) for j in range(RANK) if _GRAM[i][j] != 0)
-
-
-def gram_matrix():
-    return [row[:] for row in _GRAM]
 
 
 def form_signature():

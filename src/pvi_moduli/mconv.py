@@ -25,10 +25,8 @@ from itertools import product
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialParameters
-from .exact import Rat, over_common_denominator, pick_sums, rat_from_str, rat_to_str
-from .stability import Weights, ZONE_STABLE, classify_zone
-
-HALF = Fraction(1, 2)
+from .exact import HALF, Rat, rat_from_str, rat_to_str
+from .stability import Weights, ZONE_STABLE, classify_zone, nonspecial_eps
 
 
 def _mod1(x: Rat) -> Rat:
@@ -106,11 +104,8 @@ class BetaChoice:
 
 
 def nonspecial_exponents(e: ExponentData) -> bool:
-    """All sixteen signed eps sums avoid the half-integers (equivalently,
-    with the -1/2 degree shift they avoid the integers)."""
-    nums, den = over_common_denominator(e.eps)
-    # s/den is a half-integer iff 2s = 0 but s != 0 mod den
-    return not any(2 * s % den == 0 and s % den != 0 for s in pick_sums((n, -n) for n in nums))
+    """All sixteen signed eps sums avoid the half-integers."""
+    return nonspecial_eps(e.eps)
 
 
 def defect(r: int, n: int, multiplicities) -> int:
@@ -126,8 +121,10 @@ def mc_exponents(e: ExponentData, choice: Optional[BetaChoice] = None,
     module docstring for the (mu', eps') normalization.
     """
     if choice is None:
+        # the default z4 meets the product constraint by construction
         choice = BetaChoice.default(e, sigma if sigma is not None else "++++")
-    choice.validate_against(e)
+    else:
+        choice.validate_against(e)
     if not nonspecial_exponents(e):
         raise SpecialParameters("signed eps sums hit a half-integer")
     return _convolve(e, choice)
@@ -169,9 +166,7 @@ def zone_interchange_check(e: ExponentData):
     per_sigma = {}
     stable_sigmas = []
     for signs in product((1, -1), repeat=4):
-        choice = BetaChoice.default(e, signs)
-        choice.validate_against(e)
-        out = _convolve(e, choice)
+        out = _convolve(e, BetaChoice.default(e, signs))
         label = out.zone()
         per_sigma[sigma_text(signs)] = label
         if label == ZONE_STABLE:

@@ -8,13 +8,23 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 from .connection import KappaParams, PQState, kappa_generic
 from .errors import SamplerExhausted, SpecialWeights
-from .mconv import ExponentData, nonspecial_exponents
-from .stability import Weights, ZONE_STABLE, classify_zone, czone, et_pair, weights_nonspecial
+from .exact import HALF
+from .mconv import ExponentData
+from .stability import ALL_ZONE_LABELS  # noqa: F401  (re-exported for the sampler's callers)
+from .stability import Weights, ZONE_A, ZONE_STABLE, classify_zone, et_pair, nonspecial_eps
 
-HALF = Fraction(1, 2)
+
+def _zone_of(eps) -> Optional[str]:
+    """The zone label of nonspecial weights with these eps, else None."""
+    try:
+        w = Weights.of_eps(eps)
+        return classify_zone(w) if nonspecial_eps(w.eps) else None
+    except SpecialWeights:
+        return None
 
 
 class RationalSampler:
@@ -34,16 +44,10 @@ class RationalSampler:
                 continue
             return Fraction(num, den)
 
-    def rat_in_unit(self, open_interval=True) -> Fraction:
-        """A rational in (0, 1)."""
-        while True:
-            den = self.rng.randint(2, self.bound)
-            num = self.rng.randint(1, den - 1)
-            v = Fraction(num, den)
-            if open_interval and (v == 0 or v == 1):
-                self.rejections += 1
-                continue
-            return v
+    def rat_in_unit(self) -> Fraction:
+        """A rational in (0, 1): 1 <= num <= den - 1."""
+        den = self.rng.randint(2, self.bound)
+        return Fraction(self.rng.randint(1, den - 1), den)
 
     def retry(self, make, accept, limit: int = 10000):
         for _ in range(limit):
@@ -70,14 +74,13 @@ class RationalSampler:
 
         return self.retry(make, accept)
 
-    def pq_state(self, t=None) -> PQState:
+    def pq_state(self) -> PQState:
         """A state with q, and also Q = q + k0/p, away from the poles, so
         both normal-form gauges and the classifying map are defined."""
         kp = self.kappa()
 
         def make():
-            tv = Fraction(t) if t is not None else self.rat()
-            return (tv, self.rat(), self.rat(nonzero=True))
+            return (self.rat(), self.rat(), self.rat(nonzero=True))
 
         def accept(trip):
             tv, q, p = trip
@@ -92,23 +95,12 @@ class RationalSampler:
         def make():
             return tuple(self.rat_strictly_between_0_half() for _ in range(4))
 
-        def accept(eps):
-            try:
-                classify_zone(Weights.of_eps(eps))
-            except SpecialWeights:
-                return False
-            return weights_nonspecial(Weights.of_eps(eps))
-
-        return self.retry(make, accept)
+        return self.retry(make, lambda eps: _zone_of(eps) is not None)
 
     def rat_strictly_between_0_half(self) -> Fraction:
-        while True:
-            den = self.rng.randint(3, 2 * self.bound)
-            num = self.rng.randint(1, den - 1)
-            v = Fraction(num, 2 * den)
-            if 0 < v < HALF:
-                return v
-            self.rejections += 1
+        """A rational in (0, 1/2): num / (2 den) with 1 <= num <= den - 1."""
+        den = self.rng.randint(3, 2 * self.bound)
+        return Fraction(self.rng.randint(1, den - 1), 2 * den)
 
     def weights_in_zone(self, zone: str) -> Weights:
         """Nonspecial weights with the requested zone label.
@@ -125,19 +117,7 @@ class RationalSampler:
                 eps = tuple(p * target / total for p in parts)
                 return eps
 
-            def accept(eps):
-                try:
-                    w = Weights.of_eps(eps)
-                except SpecialWeights:
-                    return False
-                if not weights_nonspecial(w):
-                    return False
-                try:
-                    return classify_zone(w) == "A"
-                except SpecialWeights:
-                    return False
-
-            eps = self.retry(make, accept)
+            eps = self.retry(make, lambda eps: _zone_of(eps) == ZONE_A)
             w = Weights.of_eps(eps)
             if zone == "A":
                 return w
@@ -147,23 +127,17 @@ class RationalSampler:
             i, j = int(zone[1]), int(zone[2])
             return et_pair(w, i, j)
         if zone == ZONE_STABLE:
-            def accept_stable(eps):
-                try:
-                    w = Weights.of_eps(eps)
-                    return weights_nonspecial(w) and classify_zone(w) == ZONE_STABLE
-                except SpecialWeights:
-                    return False
-
             eps = self.retry(lambda: tuple(self.rat_strictly_between_0_half()
-                                           for _ in range(4)), accept_stable)
+                                           for _ in range(4)),
+                             lambda eps: _zone_of(eps) == ZONE_STABLE)
             return Weights.of_eps(eps)
         raise ValueError(f"unknown zone {zone}")
 
     def exponent_data_in_zone(self, zone: str) -> ExponentData:
-        def make():
-            return ExponentData.of_eps(self.weights_in_zone(zone).eps)
-
-        return self.retry(make, nonspecial_exponents)
+        # No second nonspecial test: weights_in_zone only returns nonspecial
+        # eps (an elementary-transformation pair shifts every signed sum by
+        # an integer), and the test reads nothing but the eps.
+        return ExponentData.of_eps(self.weights_in_zone(zone).eps)
 
     def simple_u(self, poles) -> tuple:
         """Finite parabolic coordinates forming a simple structure."""
@@ -177,6 +151,3 @@ class RationalSampler:
 
         return self.retry(make, accept)
 
-
-ALL_ZONE_LABELS = ("A", "B", czone(1, 2), czone(1, 3), czone(1, 4),
-                   czone(2, 3), czone(2, 4), czone(3, 4))

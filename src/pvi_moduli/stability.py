@@ -21,11 +21,10 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialWeights
-from .exact import (Rat, is_inf, over_common_denominator, pick_sums, poly_divmod, poly_gcd,
-                    rat_from_str, rat_to_str)
+from .exact import (HALF, Rat, is_inf, over_common_denominator, pick_sums, poly_divmod,
+                    poly_gcd, rat_from_str, rat_to_str)
 from .parabolic import QuasiPar, conic_subbundle, line_through, line_value
 
-HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
 
 ZONE_A = "A"
@@ -41,7 +40,8 @@ def czone(i: int, j: int) -> str:
     return f"C{i}{j}"
 
 
-ALL_ZONES = (ZONE_A, ZONE_B) + tuple(czone(i, j) for i, j in combinations(range(1, 5), 2))
+# The eight unstable zones, in the order the verify suites walk them.
+ALL_ZONE_LABELS = (ZONE_A, ZONE_B) + tuple(czone(i, j) for i, j in combinations(range(1, 5), 2))
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,6 @@ class Weights:
     def of_eps(cls, eps) -> "Weights":
         return cls(mu=(Fraction(0),) * 4, eps=tuple(Fraction(e) for e in eps))
 
-    def alpha(self, i: int, sign: int) -> Rat:
-        """alpha_i^± = mu_i ± eps_i, pole index 1-based."""
-        return self.mu[i - 1] + sign * self.eps[i - 1]
-
     def to_json_dict(self):
         return {"eps": [rat_to_str(e) for e in self.eps],
                 "mu": [rat_to_str(m) for m in self.mu]}
@@ -75,31 +71,19 @@ class Weights:
         return cls(mu=mu, eps=eps)
 
 
-def nonspecial_weights(alpha, d: int) -> bool:
-    """alpha = (a1-, a1+, ..., a4-, a4+): strict interlacing a- < a+ < a- + 1
-    and all sixteen signed sums sum_i a_i^{s_i} + (d - sum(a+ + a-))/2
-    avoid the integers."""
-    if len(alpha) != 8:
-        raise DegenerateInput("eight weight values expected")
-    nums, den = over_common_denominator([Fraction(a) for a in alpha])
-    lo, hi = nums[0::2], nums[1::2]
-    for a, b in zip(lo, hi):
-        if not (a < b < a + den):
-            return False
-    # Over the denominator 2*den each sum is 2*(signed numerators) plus the
-    # shift d*den - sum(nums); the first pair carries the shift, so every
-    # sum gets it exactly once.
-    shift = d * den - sum(nums)
-    pairs = [(2 * lo[0] + shift, 2 * hi[0] + shift)]
-    pairs += [(2 * a, 2 * b) for a, b in zip(lo[1:], hi[1:])]
-    return all(s % (2 * den) != 0 for s in pick_sums(pairs))
+def nonspecial_eps(eps) -> bool:
+    """All sixteen signed sums +-eps_1 +- ... +- eps_4 avoid the half-integers.
 
-
-def weights_nonspecial(w: Weights, d: int = 1) -> bool:
-    alpha = []
-    for i in range(4):
-        alpha += [w.mu[i] - w.eps[i], w.mu[i] + w.eps[i]]
-    return nonspecial_weights(alpha, d)
+    This is the nonspecial condition on weights (mu_i, eps_i): for the
+    weight values alpha_i^{+-} = mu_i +- eps_i at parabolic degree 1 the
+    interlacing alpha^- < alpha^+ < alpha^- + 1 is 0 < eps_i < 1/2, which
+    `Weights` enforces, and the mu cancel from every shifted signed sum
+    sum_i alpha_i^{s_i} + (1 - sum alpha)/2 = sum_i s_i eps_i + 1/2, which
+    must avoid the integers.
+    """
+    nums, den = over_common_denominator(eps)
+    # s/den is a half-integer iff 2s = 0 but s != 0 mod den
+    return not any(2 * s % den == 0 and s % den != 0 for s in pick_sums((n, -n) for n in nums))
 
 
 def classify_zone(w: Weights) -> str:

@@ -16,7 +16,7 @@ from . import backlund as bk
 from .connection import (PQState, apparent_singularity, build_connection, build_connection_qp,
                          eigen_table, elementary_transform_residues, kostov_generic, nonresonant)
 from .errors import ModuliError, NoFiniteIntersection
-from .exact import INF, Dual, Mat2, is_inf, proj_to_str
+from .exact import HALF, INF, Dual, Mat2, is_inf, proj_to_str
 from .higgs import GRADED, higgs_limit, v_alpha_stable, v_alpha_unstable
 from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
@@ -24,12 +24,10 @@ from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
 from .mconv import BetaChoice, _mod1, defect, mc_exponents, zone_interchange_check
 from .parabolic import (QuasiPar, line_through, parabolic_from_connection,
                         parabolic_from_connection_plus, phi_map, q_map, q_map_parabolic)
-from .sampling import ALL_ZONE_LABELS, RationalSampler
-from .stability import (Branch, Weights, ZONE_STABLE, classify_zone, czone, et_pair,
-                        find_destabilizer, parabolic_degree, predicted_destabilizer_degree,
-                        stable_subzone_branch)
-
-HALF = Fraction(1, 2)
+from .sampling import RationalSampler
+from .stability import (ALL_ZONE_LABELS, Branch, Weights, ZONE_STABLE, classify_zone, czone,
+                        et_pair, find_destabilizer, parabolic_degree,
+                        predicted_destabilizer_degree, stable_subzone_branch)
 
 
 def _json(value):

@@ -5,10 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from pvi_moduli.errors import DegenerateInput, NoSolution, UnsupportedField
-from pvi_moduli.exact import (INF, Dual, Mat2, eig2, is_inf, pick_sums, poly_add, poly_deriv,
-                              poly_divmod, poly_gcd, poly_mul, poly_trim, proj_from_str,
-                              proj_to_str, rat_from_str, rat_to_str, solve_linear)
+from pvi_moduli.errors import DegenerateInput, NoSolution
+from pvi_moduli.exact import (INF, Dual, is_inf, pick_sums, poly_add, poly_deriv, poly_divmod,
+                              poly_gcd, poly_mul, poly_trim, proj_from_str, proj_to_str,
+                              rat_from_str, rat_to_str, solve_linear)
 
 rationals = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -121,39 +121,6 @@ class TestPolynomials:
     def test_deriv(self):
         assert poly_deriv([F(5), F(1, 2), F(3), F(2)]) == [F(1, 2), F(6), F(6)]
         assert poly_deriv([F(5)]) == []
-
-
-class TestEig2:
-    def test_diagonal(self):
-        pairs = eig2(Mat2.diag(F(1, 8), F(-1, 8)))
-        assert {lam for lam, _ in pairs} == {F(1, 8), F(-1, 8)}
-        for lam, v in pairs:
-            m = Mat2.diag(F(1, 8), F(-1, 8))
-            assert m.matvec(v) == (lam * v[0], lam * v[1])
-
-    def test_residue_matrix_eigenvalues(self):
-        # trace-free residue matrix with det -k^2/4 at k = 1/8 has roots ±1/16
-        pt = F(30)
-        t, q, k1 = F(2), F(3), F(1, 8)
-        m = Mat2(-pt / t + k1 / 2, -q / t, pt * (pt - t * k1) / (t * q), pt / t - k1 / 2)
-        pairs = eig2(m)
-        assert {lam for lam, _ in pairs} == {F(1, 16), F(-1, 16)}
-        for lam, v in pairs:
-            assert m.matvec(v) == (lam * v[0], lam * v[1])
-
-    def test_nilpotent_single_eigenvector(self):
-        pairs = eig2(Mat2(F(0), F(1), F(0), F(0)))
-        assert len(pairs) == 1
-        lam, v = pairs[0]
-        assert lam == 0 and v[1] == 0 and v[0] != 0
-
-    def test_scalar_matrix(self):
-        pairs = eig2(Mat2.diag(F(3), F(3)))
-        assert len(pairs) == 2 and all(lam == 3 for lam, _ in pairs)
-
-    def test_irrational_rejected(self):
-        with pytest.raises(UnsupportedField):
-            eig2(Mat2(F(0), F(1), F(2), F(0)))  # eigenvalues ±sqrt(2)
 
 
 class TestDual:

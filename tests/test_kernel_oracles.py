@@ -21,7 +21,7 @@ from pvi_moduli.exact import INF, is_inf, over_common_denominator, solve_linear
 from pvi_moduli.mconv import ExponentData, nonspecial_exponents
 from pvi_moduli.parabolic import QuasiPar, line_through
 from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Weights, classify_zone, czone,
-                                  nonspecial_weights)
+                                  et_pair, nonspecial_eps)
 
 H = 2 ** 64
 
@@ -150,11 +150,9 @@ class TestSolveLinearAgainstSympy:
 # Signed-sum predicates
 # ---------------------------------------------------------------------------
 
-# a+ - a- = 2 * gap: mostly interlaced, sometimes on or past the boundary;
-# twelfths over quarter-integer a- make signed sums hit integers and
-# half-integers often
-twelfths = st.builds(F, st.integers(0, 6), st.just(12))
-half_gaps = st.one_of(eps_values(), st.just(F(1, 2)), rationals)
+# eps in twelfths make signed sums hit the half-integers often
+twelfths = st.builds(F, st.integers(1, 5), st.just(12))
+nonzero = rationals.filter(lambda x: x != 0)
 
 
 def _signed_sums(pairs):
@@ -178,18 +176,24 @@ class TestSignedSumPredicates:
         expected = all(v.denominator != 1 for v in _signed_sums(zip(r_plus, r_minus)))
         assert kostov_generic(r) == expected
 
-    @given(st.one_of(st.lists(st.tuples(tiny, twelfths), min_size=4, max_size=4),
-                     st.lists(st.tuples(rationals, half_gaps), min_size=4, max_size=4)),
-           st.integers(-3, 3))
-    def test_nonspecial_weights(self, lo_gap, d):
-        alpha = []
-        for lo, gap in lo_gap:
-            alpha += [lo, lo + 2 * gap]
-        lo, hi = alpha[0::2], alpha[1::2]
-        shift = (d - sum(alpha)) / 2
+    @given(st.lists(st.one_of(eps_values(), twelfths), min_size=4, max_size=4),
+           st.lists(nonzero, min_size=4, max_size=4))
+    def test_nonspecial_weights(self, eps, mu):
+        # the definition on the weight values alpha_i^{+-} = mu_i +- eps_i at
+        # parabolic degree 1: interlacing, and every signed sum shifted by
+        # (1 - sum alpha)/2 avoids the integers
+        lo = [m - e for m, e in zip(mu, eps)]
+        hi = [m + e for m, e in zip(mu, eps)]
+        shift = (1 - sum(lo) - sum(hi)) / 2
         expected = (all(a < b < a + 1 for a, b in zip(lo, hi))
                     and all((v + shift).denominator != 1 for v in _signed_sums(zip(lo, hi))))
-        assert nonspecial_weights(alpha, d) == expected
+        assert nonspecial_eps(eps) == expected
+
+    @given(st.lists(st.one_of(eps_values(), twelfths), min_size=4, max_size=4))
+    def test_nonspecial_is_invariant_under_et_pairs(self, eps):
+        w = Weights.of_eps(eps)
+        for i, j in combinations(range(1, 5), 2):
+            assert nonspecial_eps(et_pair(w, i, j).eps) == nonspecial_eps(eps)
 
     @given(st.lists(eps_values(), min_size=4, max_size=4))
     def test_nonspecial_exponents(self, eps):

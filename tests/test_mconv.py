@@ -82,6 +82,17 @@ class TestTransform:
         assert alt.eps == base.eps
         assert alt.zone() == base.zone()
 
+    def test_default_choice_meets_product_constraint(self):
+        # mc_exponents and zone_interchange_check do not re-validate default
+        # choices: z4 absorbs the product constraint for any mu and sigma
+        rs = RationalSampler(seed=127, bound=24)
+        for zone in list(ALL_ZONE_LABELS) + ["Stable"]:
+            eps = rs.exponent_data_in_zone(zone).eps
+            mu = [rs.rat() for _ in range(3)]
+            for e in (ExponentData.of_eps(eps), ExponentData(mu=(*mu, -HALF - sum(mu)), eps=eps)):
+                for signs in product("+-", repeat=4):
+                    BetaChoice.default(e, "".join(signs)).validate_against(e)
+
     def test_bad_twist_rejected(self):
         e = ExponentData.of_eps([F(1, 10)] * 4)
         with pytest.raises(DegenerateInput):

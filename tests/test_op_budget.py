@@ -6,8 +6,9 @@ every run for a given seed, and it is what the pass costs: each call
 reduces its result by a gcd.  `run_suite("all", seed=1, samples=50,
 bound=64)` made 566,099 such calls before the kernels stopped repeating
 work (re-derived k0 in every symmetry step, general elimination for a
-line through two points, Fraction sums in the signed-sum tests); it
-makes fewer than 360,000 now.
+line through two points, Fraction sums in the signed-sum tests), then
+359,163, and 340,283 since default convolver choices are no longer
+re-validated.
 """
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from pvi_moduli.verify import run_suite
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
               "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
-BUDGET = 380_000
+BUDGET = 360_000
 
 
 def test_verify_all_stays_within_its_fraction_budget():

@@ -8,7 +8,7 @@ from pvi_moduli.exact import INF
 from pvi_moduli.parabolic import QuasiPar, line_through
 from pvi_moduli.sampling import ALL_ZONE_LABELS, RationalSampler
 from pvi_moduli.stability import (Branch, Weights, classify_zone, czone, et_pair,
-                                  find_destabilizer, nonspecial_weights, parabolic_degree,
+                                  find_destabilizer, nonspecial_eps, parabolic_degree,
                                   stable_subzone_branch)
 from pvi_moduli.verify import oracle_destabilizer
 
@@ -92,20 +92,16 @@ class TestEtPair:
 
 class TestNonspecialWeights:
     def test_small_eps_with_zero_mu(self):
-        alpha = []
-        for e in (F(1, 10), F(1, 12), F(1, 14), F(1, 16)):
-            alpha += [-e, e]
-        assert nonspecial_weights(alpha, 1)
+        w = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
+        assert nonspecial_eps(w.eps)
 
     def test_sum_half_is_special(self):
-        alpha = []
-        for e in (F(1, 8), F(1, 8), F(1, 8), F(1, 8)):
-            alpha += [-e, e]
-        assert not nonspecial_weights(alpha, 1)
+        assert not nonspecial_eps([F(1, 8)] * 4)
 
     def test_coincident_pair_is_special(self):
-        alpha = [F(0), F(0)] + [-F(1, 10), F(1, 10)] * 3
-        assert not nonspecial_weights(alpha, 1)
+        # alpha^- = alpha^+ at pole 1 means eps_1 = 0, outside the weight range
+        with pytest.raises(SpecialWeights):
+            Weights.of_eps([F(0)] + [F(1, 10)] * 3)
 
 
 class TestBranch:
