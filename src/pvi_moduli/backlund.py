@@ -30,7 +30,6 @@ DegenerateInput at q = inf.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, Sequence
 
 from .connection import KappaParams, PQState
@@ -63,7 +62,7 @@ def _s_finite(i: int) -> Callable[[PQState], PQState]:
     def gen(s: PQState) -> PQState:
         k = list(s.kappa.all4)
         ki = k[i - 1]
-        pole = (Fraction(0), Fraction(1), s.t)[i - 1]
+        pole = (0, 1, s.t)[i - 1]
         if s.q == pole:
             raise DegenerateInput(f"s{i} has a pole at q = {pole}")
         k[i - 1] = -ki
@@ -246,7 +245,6 @@ def transversality_solve(lambda1: Rat, lambda2: Rat, k0: Rat):
 
     Equal fiber values only meet at infinity: NoFiniteIntersection.
     """
-    lambda1, lambda2, k0 = Fraction(lambda1), Fraction(lambda2), Fraction(k0)
     if k0 == 0:
         raise DegenerateInput("k0 must be nonzero")
     if lambda1 == lambda2:

@@ -81,7 +81,7 @@ class KappaParams:
         """Residue eigenvalues of the degree-1 normal form (lambda = 1)."""
         r_minus = (self.k1 / 2, self.k2 / 2, self.k3 / 2, self.k4 / 2 - HALF)
         r_plus = (-self.k1 / 2, -self.k2 / 2, -self.k3 / 2, -self.k4 / 2 - HALF)
-        return ResidueVector(r_plus=r_plus, r_minus=r_minus, lam=Fraction(1), degree=1)
+        return ResidueVector(r_plus=r_plus, r_minus=r_minus, lam=1, degree=1)
 
 
 def kappa_generic(kappa: KappaParams) -> bool:
@@ -172,7 +172,7 @@ class PQState:
 
     @property
     def poles(self):
-        return (Fraction(0), Fraction(1), self.t, INF)
+        return (0, 1, self.t, INF)
 
     def p_tilde(self) -> Rat:
         q = self.q
@@ -235,9 +235,9 @@ class FourPoleConnection:
     def matrix_at(self, x: Rat) -> Mat2:
         if x in (0, 1, self.t):
             raise DegenerateInput(f"A(x) has a pole at x = {x}")
-        return (self.a1.scale(Fraction(1) / x)
-                + self.a2.scale(Fraction(1) / (x - 1))
-                + self.a3.scale(Fraction(1) / (x - self.t))
+        return (self.a1.scale(1 / x)
+                + self.a2.scale(1 / (x - 1))
+                + self.a3.scale(1 / (x - self.t))
                 + self.c)
 
     def a12_numerator(self):
@@ -314,9 +314,9 @@ def build_connection(s: PQState) -> FourPoleConnection:
               -pt * (pt + (t - 1) * k.k2) / ((t - 1) * (q - 1)), -pt / (t - 1) - k.k2 / 2)
     a3 = Mat2(-pt / (t * (t - 1)) + k.k3 / 2, -(q - t) / (t * (t - 1)),
               pt * (pt - t * (t - 1) * k.k3) / (t * (t - 1) * (q - t)), pt / (t * (t - 1)) - k.k3 / 2)
-    a4 = Mat2(k.k0 + k.k4 / 2 - HALF, Fraction(-1),
+    a4 = Mat2(k.k0 + k.k4 / 2 - HALF, -1,
               k.k0 * (k.k0 + k.k4), -k.k0 - k.k4 / 2 - HALF)
-    c = Mat2(Fraction(0), Fraction(0), -k.k0 * (k.k0 + k.k4), Fraction(0))
+    c = Mat2(0, 0, -k.k0 * (k.k0 + k.k4), 0)
     return FourPoleConnection(t=t, kappa=k, a1=a1, a2=a2, a3=a3, a4=a4, c=c)
 
 
@@ -328,7 +328,6 @@ def build_connection_qp(t: Rat, kappa: KappaParams, big_q: Rat, p: Rat) -> FourP
     triangular, diagonal ((k4-1)/2, (1-k4)/2)), and
     A(1,2) = p(Q-t)(x-q)/(x(x-1)(x-t)) with q = Q - k0/p.
     """
-    t, big_q, p = Fraction(t), Fraction(big_q), Fraction(p)
     if t in (0, 1):
         raise DegenerateInput("pole position t must avoid 0 and 1")
     if big_q in (0, 1, t):
@@ -337,12 +336,12 @@ def build_connection_qp(t: Rat, kappa: KappaParams, big_q: Rat, p: Rat) -> FourP
         raise SpecialParameters("kappa parameters are special")
     k = kappa
     u = t * (big_q - 1) / (big_q - t)
-    e12 = Mat2(Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-    m = Mat2(Fraction(1), Fraction(1), Fraction(-1), Fraction(-1))
-    n = Mat2(u, Fraction(1), -u * u, -u)
+    e12 = Mat2(0, 1, 0, 0)
+    m = Mat2(1, 1, -1, -1)
+    n = Mat2(u, 1, -u * u, -u)
     a1 = e12.scale(k.k0 * (big_q - t) / t) + Mat2.diag(k.k1 / 2, -k.k1 / 2)
-    a2 = m.scale(-k.k0 * (big_q - t) / (t - 1)) + Mat2(k.k2 / 2, Fraction(0), -k.k2, -k.k2 / 2)
-    a3 = n.scale(k.k0 * (big_q - t) / (t * (t - 1))) + Mat2(k.k3 / 2, Fraction(0), -k.k3 * u, -k.k3 / 2)
+    a2 = m.scale(-k.k0 * (big_q - t) / (t - 1)) + Mat2(k.k2 / 2, 0, -k.k2, -k.k2 / 2)
+    a3 = n.scale(k.k0 * (big_q - t) / (t * (t - 1))) + Mat2(k.k3 / 2, 0, -k.k3 * u, -k.k3 / 2)
     th1 = e12.scale(-big_q * (big_q - t) / t)
     th2 = m.scale((big_q - 1) * (big_q - t) / (t - 1))
     th3 = n.scale(-(big_q - t) * (big_q - t) / (t * (t - 1)))
@@ -363,12 +362,11 @@ def eigen_table(s: PQState):
     _require_buildable(s)
     t, k, q = s.t, s.kappa, s.q
     pt = s.p_tilde()
-    one = Fraction(1)
     return (
-        ((k.k1 / 2, (one, -pt / q)), (-k.k1 / 2, (one, -(pt - t * k.k1) / q))),
-        ((k.k2 / 2, (one, -pt / (q - 1))), (-k.k2 / 2, (one, -(pt + (t - 1) * k.k2) / (q - 1)))),
-        ((k.k3 / 2, (one, -pt / (q - t))), (-k.k3 / 2, (one, -(pt - t * (t - 1) * k.k3) / (q - t)))),
-        ((k.k4 / 2 - HALF, (one, k.k0)), (-k.k4 / 2 - HALF, (one, k.k0 + k.k4))),
+        ((k.k1 / 2, (1, -pt / q)), (-k.k1 / 2, (1, -(pt - t * k.k1) / q))),
+        ((k.k2 / 2, (1, -pt / (q - 1))), (-k.k2 / 2, (1, -(pt + (t - 1) * k.k2) / (q - 1)))),
+        ((k.k3 / 2, (1, -pt / (q - t))), (-k.k3 / 2, (1, -(pt - t * (t - 1) * k.k3) / (q - t)))),
+        ((k.k4 / 2 - HALF, (1, k.k0)), (-k.k4 / 2 - HALF, (1, k.k0 + k.k4))),
     )
 
 

@@ -1,12 +1,17 @@
 """Exact scalar arithmetic, small exact linear algebra and polynomials.
 
-Everything in this package computes over Q.  Rational scalars are
-`fractions.Fraction` (canonical form: reduced, positive denominator),
-re-exported as `Rat`.  Points of the projective line are `Rat | Infinity`.
-`Mat2` is a 2x2 rational matrix and `Dual` a rational dual number
-a + b*delta with delta^2 = 0, used for exact forward-mode derivatives.
-Polynomials are coefficient lists, constant term first; the zero
-polynomial is the empty list.
+Rational scalars are `fractions.Fraction` (reduced, positive denominator),
+re-exported as `Rat`; points of P^1 are `Rat | Infinity`.  `Mat2` is a
+2x2 matrix, `Dual` a dual number a + b*delta (delta^2 = 0) for exact
+forward-mode derivatives, and polynomials are coefficient lists, constant
+term first ([] is zero).  These kernels, the connection and Baecklund
+formulas and `line_through` never coerce: they compute over the field of
+their inputs (Q, or rational functions in the certificate tests).  Int
+literals may mix in, but every `/` has a field element on one side.
+`Fraction` is coerced only where numbers come in (parsers, `make`/`of_*`
+constructors, the sampler, `solve_linear`).  The predicates that read
+`.denominator` test integrality, a statement about rational numbers, so
+they and the stability, Higgs and lattice layers stay over Q.
 """
 from __future__ import annotations
 
@@ -107,16 +112,15 @@ class Mat2:
 
     @classmethod
     def zero(cls) -> "Mat2":
-        z = Fraction(0)
-        return cls(z, z, z, z)
+        return cls(0, 0, 0, 0)
 
     @classmethod
     def identity(cls) -> "Mat2":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+        return cls(1, 0, 0, 1)
 
     @classmethod
     def diag(cls, a, d) -> "Mat2":
-        return cls(Fraction(a), Fraction(0), Fraction(0), Fraction(d))
+        return cls(a, 0, 0, d)
 
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a11 + other.a11, self.a12 + other.a12,
@@ -130,7 +134,6 @@ class Mat2:
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
 
     def scale(self, s) -> "Mat2":
-        s = Fraction(s)
         return Mat2(s * self.a11, s * self.a12, s * self.a21, s * self.a22)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
@@ -205,7 +208,7 @@ def poly_divmod(f, g) -> tuple:
         raise DegenerateInput("polynomial division by zero")
     f = poly_trim(f)
     n = len(g) - 1
-    quot = [Fraction(0)] * max(len(f) - n, 0)
+    quot = [0] * max(len(f) - n, 0)
     for k in range(len(f) - n - 1, -1, -1):
         c = f[k + n] if g[-1] == 1 else f[k + n] / g[-1]
         quot[k] = c
@@ -313,17 +316,17 @@ class Dual:
 
     @classmethod
     def var(cls, x) -> "Dual":
-        return cls(Fraction(x), Fraction(1))
+        return cls(x, 1)
 
     @classmethod
     def const(cls, x) -> "Dual":
-        return cls(Fraction(x), Fraction(0))
+        return cls(x, 0)
 
     @staticmethod
     def _lift(x) -> "Dual":
         if isinstance(x, Dual):
             return x
-        return Dual(Fraction(x), Fraction(0))
+        return Dual(x, 0)
 
     def __add__(self, other):
         o = Dual._lift(other)

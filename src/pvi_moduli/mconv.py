@@ -30,7 +30,6 @@ from .stability import Weights, ZONE_STABLE, classify_zone, nonspecial_eps
 
 
 def _mod1(x: Rat) -> Rat:
-    x = Fraction(x)
     return x - (x.numerator // x.denominator)
 
 
@@ -183,5 +182,5 @@ def zone_interchange_check(e: ExponentData):
 def parse_eps_list(text: str):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 4:
-        raise DegenerateInput("four eps values required")
+        raise DegenerateInput(f"four comma-separated rationals required, got {len(parts)}")
     return tuple(rat_from_str(p) for p in parts)

@@ -99,9 +99,9 @@ def line_through(qp: QuasiPar, indices: Sequence[int]):
         i, j = j, i
     tj = poles[j]
     if is_inf(poles[i]):
-        v1 = Fraction(u[i])
+        v1 = u[i]
     else:
-        v1 = Fraction(u[j] - u[i]) / (tj - poles[i])
+        v1 = (u[j] - u[i]) / (tj - poles[i])
     v = (u[j] - v1 * tj, v1)
     if any(line_value(v, poles[k]) != u[k] for k in rest):
         return None

@@ -121,6 +121,13 @@ class TestZoneCommands:
         code, _ = run_cli(capsys, "zone", "classify", "--eps", "1/8,1/8,1/8,1/8")
         assert code == 2
 
+    def test_short_mu_list_names_the_count_not_eps(self, capsys):
+        code = main(["zone", "classify", "--eps", "1/8,1/8,1/8,1/8", "--mu", "0,0,0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "four comma-separated rationals required, got 3" in captured.err
+        assert "eps" not in captured.err
+
 
 class TestHiggsCommand:
     def test_zone_a_limit(self, capsys, state_file):

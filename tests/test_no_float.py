@@ -1,0 +1,116 @@
+"""No float can appear: the formulas written against any field stay exact on Q.
+
+The connection, Baecklund and `line_through` formulas and `Dual` compute
+over whatever field their inputs live in and do not coerce.  Integer
+literals may mix with field elements, but an int / int division would
+silently give a float; when that float is dyadic it even serializes
+correctly.  So every scalar of every result is checked to be an int or a
+`Fraction` (or the point at infinity), for rational inputs of height up
+to 2^64.  Each call either returns such a result or raises a ModuliError.
+"""
+import dataclasses
+import operator
+from fractions import Fraction as F
+
+from hypothesis import assume, given, strategies as st
+
+from pvi_moduli.backlund import ALPHABET, apply_word, transversality_solve
+from pvi_moduli.connection import (KappaParams, PQState, build_connection, build_connection_qp,
+                                   eigen_table)
+from pvi_moduli.errors import ModuliError
+from pvi_moduli.exact import INF, Dual, is_inf
+from pvi_moduli.parabolic import QuasiPar, line_through
+
+H = 2 ** 64
+
+tiny = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
+small = st.builds(F, st.integers(-48, 48), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
+tall = st.builds(F, st.integers(-H, H), st.integers(1, H))
+rationals = st.one_of(tiny, small, tall)
+kappas = st.builds(KappaParams.from_k1234, rationals, rationals, rationals, rationals)
+
+
+@st.composite
+def states(draw):
+    t = draw(rationals)
+    assume(t not in (0, 1))
+    return PQState(t=t, kappa=draw(kappas), q=draw(st.one_of(rationals, st.just(INF))),
+                   p=draw(rationals))
+
+
+def scalars(obj):
+    """The scalar leaves of a result: dataclass fields and tuple entries, recursively."""
+    if dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from scalars(getattr(obj, field.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from scalars(item)
+    else:
+        yield obj
+
+
+def exact_or_moduli_error(call):
+    try:
+        result = call()
+    except ModuliError:
+        return
+    for x in scalars(result):
+        assert x is None or is_inf(x) or isinstance(x, (int, F)), f"{type(x).__name__} {x!r}"
+
+
+@given(states())
+def test_build_connection(s):
+    exact_or_moduli_error(lambda: build_connection(s))
+
+
+@given(rationals, kappas, rationals, rationals)
+def test_build_connection_qp(t, kappa, big_q, p):
+    exact_or_moduli_error(lambda: build_connection_qp(t, kappa, big_q, p))
+
+
+@given(states())
+def test_eigen_table(s):
+    exact_or_moduli_error(lambda: eigen_table(s))
+
+
+@given(states(), rationals)
+def test_matrix_at(s, x):
+    exact_or_moduli_error(lambda: build_connection(s).matrix_at(x))
+
+
+@given(states(), st.lists(st.sampled_from(ALPHABET), max_size=8))
+def test_apply_word(s, word):
+    exact_or_moduli_error(lambda: apply_word(word, s))
+
+
+@given(rationals, rationals, rationals)
+def test_transversality_solve(l1, l2, k0):
+    exact_or_moduli_error(lambda: transversality_solve(l1, l2, k0))
+
+
+# a state's poles 0 and 1 are ints
+@given(st.lists(st.one_of(rationals, st.integers(-3, 3)), min_size=3, max_size=4, unique=True),
+       st.lists(rationals, min_size=4, max_size=4), st.permutations(range(4)),
+       st.integers(2, 4), st.integers(0, 3))
+def test_line_through(poles, u, order, n, at):
+    if len(poles) == 3:
+        poles.insert(at, INF)
+    qp = QuasiPar(poles=tuple(poles), u=tuple(u))
+    exact_or_moduli_error(lambda: line_through(qp, order[:n]))
+
+
+operands = st.one_of(rationals, st.integers(-9, 9), rationals.map(Dual.const),
+                     rationals.map(Dual.var))
+steps = st.tuples(st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+                  operands, st.booleans())
+
+
+@given(rationals, st.lists(steps, max_size=8))
+def test_dual_arithmetic(x, program):
+    def run():
+        d = Dual.var(x)
+        for op, operand, reflected in program:
+            d = op(operand, d) if reflected else op(d, operand)
+        return d
+    exact_or_moduli_error(run)

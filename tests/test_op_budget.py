@@ -7,8 +7,14 @@ reduces its result by a gcd.  `run_suite("all", seed=1, samples=50,
 bound=64)` made 566,099 such calls before the kernels stopped repeating
 work (re-derived k0 in every symmetry step, general elimination for a
 line through two points, Fraction sums in the signed-sum tests), then
-359,163, and 340,283 since default convolver choices are no longer
-re-validated.
+359,163, then 340,283 since default convolver choices are no longer
+re-validated, and 338,784 since the formulas stopped coercing their
+inputs and literals to Fraction.
+
+The same pass is also held to a budget of `Fraction.__new__` calls (every
+arithmetic result and every explicit construction): 448,662 while the
+formulas re-wrapped values that were already Fractions or ints, 419,089
+since they no longer do, so a deleted coercion cannot quietly come back.
 """
 from fractions import Fraction
 
@@ -16,12 +22,14 @@ from pvi_moduli.verify import run_suite
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
               "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
-BUDGET = 360_000
+BUDGET = 340_000
+CONSTRUCTION_BUDGET = 420_000
 
 
 def test_verify_all_stays_within_its_fraction_budget():
-    count = 0
-    originals = {name: Fraction.__dict__[name] for name in ARITHMETIC}
+    count = constructions = 0
+    originals = {name: Fraction.__dict__[name] for name in ARITHMETIC + ("__new__",)}
+    new = Fraction.__new__
 
     def counted(op):
         def wrapper(a, b):
@@ -30,12 +38,20 @@ def test_verify_all_stays_within_its_fraction_budget():
             return op(a, b)
         return wrapper
 
+    def counted_new(cls, *args, **kwargs):
+        nonlocal constructions
+        constructions += 1
+        return new(cls, *args, **kwargs)
+
     try:
-        for name, op in originals.items():
-            setattr(Fraction, name, counted(op))
+        for name in ARITHMETIC:
+            setattr(Fraction, name, counted(originals[name]))
+        Fraction.__new__ = counted_new
         reports = run_suite("all", seed=1, samples=50, bound=64)
     finally:
         for name, op in originals.items():
             setattr(Fraction, name, op)
     assert all(r.passed for r in reports)
     assert count <= BUDGET, f"{count} Fraction operations, budget {BUDGET}"
+    assert constructions <= CONSTRUCTION_BUDGET, \
+        f"{constructions} Fraction constructions, budget {CONSTRUCTION_BUDGET}"
