@@ -16,6 +16,7 @@ they and the stability, Higgs and lattice layers stay over Q.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -55,13 +56,19 @@ def is_inf(v: ProjRat) -> bool:
     return isinstance(v, Infinity)
 
 
+# ASCII digits only: Fraction() would also take decimals, exponents (whose
+# expansion takes time exponential in the length of "1e-10000000"),
+# underscores and non-ASCII digits
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat_from_str(s: str) -> Rat:
-    """Parse "num/den" (or "num"); denominator must be nonzero."""
-    s = s.strip()
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DegenerateInput(f"not a rational: {s!r}") from exc
+    """Parse "num/den" (or "num") with ASCII digits, surrounding whitespace
+    ignored; anything else, or a zero denominator, is DegenerateInput."""
+    m = _RATIONAL.fullmatch(s.strip()) if isinstance(s, str) else None
+    if m is None or m[2] is not None and int(m[2]) == 0:
+        raise DegenerateInput(f"not a rational: {s!r}")
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def rat_to_str(x: Rat) -> str:

@@ -16,6 +16,9 @@ sum(mu') lands at 0 instead of -1/2 mod 1 (even degree), the earliest
 point is flipped (eps' -> 1/2 - eps', mu' -> mu' + 1/2) to restore odd
 degree.  The zone of eps' is independent of the z_i and of any residual
 relabeling, which changes eps' only by elementary-transformation pairs.
+The eps' and the parity are computed on integers over the common
+denominator of the eps; `mc_exponents` builds Fractions only for its
+result, and `zone_interchange_check` classifies the integer eps'.
 """
 from __future__ import annotations
 
@@ -25,8 +28,8 @@ from itertools import product
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialParameters
-from .exact import HALF, Rat, rat_from_str, rat_to_str
-from .stability import Weights, ZONE_STABLE, classify_zone, nonspecial_eps
+from .exact import HALF, Rat, over_common_denominator, rat_from_str, rat_to_str
+from .stability import Weights, ZONE_STABLE, classify_numerators, classify_zone, nonspecial_eps
 
 
 def _mod1(x: Rat) -> Rat:
@@ -126,28 +129,41 @@ def mc_exponents(e: ExponentData, choice: Optional[BetaChoice] = None,
         choice.validate_against(e)
     if not nonspecial_exponents(e):
         raise SpecialParameters("signed eps sums hit a half-integer")
-    return _convolve(e, choice)
+    nums, den = over_common_denominator(e.eps)
+    eps_out, flipped = _convolve(nums, den, choice.sigma)
+    unit = 4 * den
+    # z_i = mu'_i + eps'_i, and z_1 = mu'_1 - eps'_1 when the first pole was flipped
+    sides = (1 if flipped else -1, -1, -1, -1)
+    mu_out = tuple(_mod1(z + Fraction(s * n, unit)) for z, s, n in zip(choice.z, sides, eps_out))
+    return ExponentData(mu=mu_out, eps=tuple(Fraction(n, unit) for n in eps_out))
 
 
-def _convolve(e: ExponentData, choice: BetaChoice) -> ExponentData:
-    """`mc_exponents` for a validated choice on nonspecial data."""
-    sg = choice.sigma
-    shifted = sum(s * ev for s, ev in zip(sg, e.eps)) - HALF
-    mu_out, eps_out = [], []
-    for i in range(4):
-        y = _mod1(shifted - 2 * sg[i] * e.eps[i])
+def _convolve(nums, den: int, sigma) -> tuple:
+    """The eps' of the convolution of nonspecial eps_i = nums[i] / den.
+
+    Returns (numerators of eps' over 2D, whether the first pole was
+    flipped), D = 2 den.  Everything runs on integers: y_i and h_i are
+    counted in units of 1/D, eps' = -h/2 and the parities in units of
+    1/(2D).  The parity of sum(mu') = sum(z) + sum(h)/2 needs only sum(z)
+    mod 1, which the product constraint fixes at 1/2 - sum(sigma_i eps_i)
+    for every choice of z that `mc_exponents` accepts.
+    """
+    d = 2 * den                                  # also 1/2 in units of 1/(2D)
+    signed = sum(s * n for s, n in zip(sigma, nums))
+    shifted = 2 * signed - den                   # sum sigma_j eps_j - 1/2, over D
+    eps_out = []
+    for s, n in zip(sigma, nums):
+        y = (shifted - 4 * s * n) % d
         if y == 0:
             raise SpecialParameters("output eigenvalue gap vanishes")
-        h = y - 1                             # representative in (-1, 0)
-        eps_out.append(-h / 2)
-        mu_out.append(_mod1(choice.z[i] + h / 2))
-    total = _mod1(sum(mu_out))
-    if total != HALF:
+        eps_out.append(d - y)                    # -h with h = y - D in (-D, 0)
+    total = (d - 4 * signed - sum(eps_out)) % (2 * d)
+    if total != d:
         if total != 0:
-            raise DegenerateInput(f"parity bookkeeping broke: sum mu' = {total}")
-        eps_out[0] = HALF - eps_out[0]
-        mu_out[0] = _mod1(mu_out[0] + HALF)
-    return ExponentData(mu=tuple(mu_out), eps=tuple(eps_out))
+            raise DegenerateInput(f"parity bookkeeping broke: sum mu' = {Fraction(total, 2 * d)}")
+        eps_out[0] = d - eps_out[0]
+        return eps_out, True
+    return eps_out, False
 
 
 def zone_interchange_check(e: ExponentData):
@@ -155,9 +171,11 @@ def zone_interchange_check(e: ExponentData):
 
     Returns a report dict: the input zone, the zone reached by every
     sigma, the subset of sigma reaching the stable zone, and the result
-    of the all-plus choice.
+    of the all-plus choice.  The zone of an image does not depend on the
+    twists z_i, so the images are classified from their integer eps'.
     """
-    zone_in = e.zone()
+    nums, den = over_common_denominator(e.eps)
+    zone_in = classify_numerators(nums, den)
     if zone_in == ZONE_STABLE:
         raise DegenerateInput("input must lie in an unstable zone")
     if not nonspecial_exponents(e):
@@ -165,8 +183,7 @@ def zone_interchange_check(e: ExponentData):
     per_sigma = {}
     stable_sigmas = []
     for signs in product((1, -1), repeat=4):
-        out = _convolve(e, BetaChoice.default(e, signs))
-        label = out.zone()
+        label = classify_numerators(_convolve(nums, den, signs)[0], 4 * den)
         per_sigma[sigma_text(signs)] = label
         if label == ZONE_STABLE:
             stable_sigmas.append(sigma_text(signs))

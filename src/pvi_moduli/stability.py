@@ -25,8 +25,6 @@ from .exact import (HALF, Rat, is_inf, over_common_denominator, pick_sums, poly_
                     poly_gcd, rat_from_str, rat_to_str)
 from .parabolic import QuasiPar, conic_subbundle, line_through, line_value
 
-THREE_HALVES = Fraction(3, 2)
-
 ZONE_A = "A"
 ZONE_B = "B"
 ZONE_STABLE = "Stable"
@@ -88,22 +86,29 @@ def nonspecial_eps(eps) -> bool:
 
 def classify_zone(w: Weights) -> str:
     """One of A, B, C{ij} or Stable; boundary weights raise SpecialWeights."""
-    eps = w.eps
-    total = sum(eps)
-    if total == HALF or total == THREE_HALVES:
-        raise SpecialWeights(f"eps sum on a wall: {total}")
+    return classify_numerators(*over_common_denominator(w.eps))
+
+
+def classify_numerators(nums, den: int) -> str:
+    """`classify_zone` for eps_i = nums[i] / den, den > 0, on integers:
+    eps sums and pair combinations x/den are compared with 1/2 and 3/2 as
+    2x against den and 3 den."""
+    total = sum(nums)
+    if 2 * total == den or 2 * total == 3 * den:
+        raise SpecialWeights(f"eps sum on a wall: {Fraction(total, den)}")
     combos = {}
     for i, j in combinations(range(4), 2):
-        c = 2 * (eps[i] + eps[j]) - total  # eps_i + eps_j - (the other two)
-        if c == HALF or c == -HALF:
-            raise SpecialWeights(f"pair combination on a wall: eps_{i+1}+eps_{j+1}-rest = {c}")
+        c = 2 * (nums[i] + nums[j]) - total  # eps_i + eps_j - (the other two)
+        if 2 * c == den or 2 * c == -den:
+            raise SpecialWeights(f"pair combination on a wall: eps_{i+1}+eps_{j+1}-rest = "
+                                 f"{Fraction(c, den)}")
         combos[(i, j)] = c
-    if total < HALF:
+    if 2 * total < den:
         return ZONE_A
-    if total > THREE_HALVES:
+    if 2 * total > 3 * den:
         return ZONE_B
     for (i, j), c in combos.items():
-        if c > HALF:
+        if 2 * c > den:
             return czone(i + 1, j + 1)
     return ZONE_STABLE
 
@@ -130,12 +135,13 @@ def stable_subzone_branch(w: Weights, i: int) -> Branch:
     the origin point (u_i = inf) iff eps_j + eps_k + eps_l - eps_i < 1/2."""
     if i not in (1, 2, 3, 4):
         raise DegenerateInput(f"pole index must be in 1..4, got {i}")
-    if classify_zone(w) != ZONE_STABLE:
+    nums, den = over_common_denominator(w.eps)
+    if classify_numerators(nums, den) != ZONE_STABLE:
         raise SpecialWeights("branch question only makes sense in the stable zone")
-    rest = sum(w.eps) - 2 * w.eps[i - 1]
-    if rest == HALF:
+    rest = 2 * (sum(nums) - 2 * nums[i - 1])
+    if rest == den:
         raise SpecialWeights(f"branch wall at pole {i}")
-    return Branch.ORIGIN_UNSTABLE if rest < HALF else Branch.COLINEAR_UNSTABLE
+    return Branch.ORIGIN_UNSTABLE if rest < den else Branch.COLINEAR_UNSTABLE
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +244,22 @@ def find_destabilizer(qp: QuasiPar, w: Weights) -> Optional[Subbundle]:
 
     Enumerates the saturated candidates, scores them against the weights
     and returns the maximizer when its score exceeds 1/2.  A score exactly
-    1/2 anywhere means the weights sit on a wall: SpecialWeights.
+    1/2 anywhere means the weights sit on a wall: SpecialWeights.  With
+    eps_i = nums[i] / L the parabolic degree of a candidate is s / (2L) for
+    the integer score s = 2 (deg L + 2 inside - total), so each candidate
+    is compared with 1/2 as s against L.
     """
-    best = best_key = best_score = None
+    nums, den = over_common_denominator(w.eps)
+    total = sum(nums)
+    best = best_key = None
     for sub in candidate_subbundles(qp):
-        score = parabolic_degree(sub, w)
-        if score == HALF:
+        score = 2 * (sub.degree * den + 2 * sum(nums[i - 1] for i in sub.contact) - total)
+        if score == den:
             raise SpecialWeights(f"candidate of parabolic degree exactly 1/2: {sub}")
         key = (score, sub.degree, tuple(sorted(sub.contact)))
         if best_key is None or key > best_key:
-            best, best_key, best_score = sub, key, score
-    if best_score > HALF:
+            best, best_key = sub, key
+    if best_key[0] > den:
         return best
     return None
 

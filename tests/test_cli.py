@@ -121,6 +121,16 @@ class TestZoneCommands:
         code, _ = run_cli(capsys, "zone", "classify", "--eps", "1/8,1/8,1/8,1/8")
         assert code == 2
 
+    @pytest.mark.parametrize("last", ["1e-10000000", "0.3"])
+    def test_decimal_rationals_are_rejected_at_once(self, capsys, last):
+        # Fraction() would expand the exponent: 10**10000000 took about 14 s
+        start = time.perf_counter()
+        code = main(["zone", "classify", "--eps", f"1/4,1/4,1/4,{last}"])
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"not a rational: {last!r}" in captured.err
+
     def test_short_mu_list_names_the_count_not_eps(self, capsys):
         code = main(["zone", "classify", "--eps", "1/8,1/8,1/8,1/8", "--mu", "0,0,0"])
         captured = capsys.readouterr()

@@ -49,6 +49,29 @@ class TestRat:
         assert is_inf(proj_from_str("inf"))
         assert proj_from_str("3/4") == F(3, 4)
 
+    @pytest.mark.parametrize("text", ["1e5", "1e-10000000", "0.3", ".5", "1_000", "1/2_0",
+                                      "\u0663/4", "\uff11/2", "1/-2", "1 / 2", "/3", "3/",
+                                      "", "inf", "nan", "0x10"])
+    def test_only_the_documented_grammar_parses(self, text):
+        with pytest.raises(DegenerateInput, match="not a rational"):
+            rat_from_str(text)
+
+    @pytest.mark.parametrize("value", [5, None, F(1, 2)])
+    def test_non_strings_are_rejected(self, value):
+        with pytest.raises(DegenerateInput, match="not a rational"):
+            rat_from_str(value)
+
+    def test_signs_padding_and_unreduced_input(self):
+        assert rat_from_str(" -22/7\n") == F(-22, 7)
+        assert rat_from_str("+5") == F(5)
+        assert rat_from_str("006/010") == F(3, 5)
+        assert rat_from_str("-0/3") == 0
+
+    @given(st.fractions())
+    def test_round_trip(self, x):
+        assert rat_from_str(rat_to_str(x)) == x
+        assert rat_from_str(f"{x.numerator}") == x.numerator
+
     @given(st.lists(st.tuples(rationals, rationals), max_size=5))
     def test_pick_sums_takes_one_entry_of_each_pair(self, pairs):
         brute = [sum(choice) for choice in product(*pairs)]

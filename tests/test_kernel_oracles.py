@@ -4,8 +4,11 @@ Each kernel is compared with the straightforward computation it replaces:
 `line_through` with `solve_linear` on the interpolation rows,
 `solve_linear` with sympy's reduced row echelon form, the four signed-sum
 predicates with sums over `itertools.product`, the Baecklund generators'
-closed-form k0 with `KappaParams.from_k1234`, and `classify_zone` with the
-written-out "pair minus the other two" combinations.  Heights go up to 2^64.
+closed-form k0 with `KappaParams.from_k1234`, `classify_zone` with the
+written-out "pair minus the other two" combinations, the integer
+convolution and zone labels of `mc_exponents`/`zone_interchange_check`
+with their former Fraction formulas, and the integer scores of
+`find_destabilizer` with `parabolic_degree`.  Heights go up to 2^64.
 """
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -16,12 +19,16 @@ from hypothesis import assume, given, settings, strategies as st
 from pvi_moduli.backlund import ALPHABET, apply_generator, schlesinger_composite_qp
 from pvi_moduli.connection import (KappaParams, PQState, ResidueVector, kappa_generic,
                                    kostov_generic)
-from pvi_moduli.errors import DegenerateInput, NoSolution, SpecialWeights
-from pvi_moduli.exact import INF, is_inf, over_common_denominator, solve_linear
-from pvi_moduli.mconv import ExponentData, nonspecial_exponents
+from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, SpecialParameters,
+                               SpecialWeights)
+from pvi_moduli.exact import HALF, INF, is_inf, over_common_denominator, solve_linear
+from pvi_moduli.mconv import (BetaChoice, ExponentData, mc_exponents, nonspecial_exponents,
+                              sigma_text, zone_interchange_check)
 from pvi_moduli.parabolic import QuasiPar, line_through
-from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Weights, classify_zone, czone,
-                                  et_pair, nonspecial_eps)
+from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Weights,
+                                  candidate_subbundles, classify_zone, czone, et_pair,
+                                  find_destabilizer, nonspecial_eps, parabolic_degree,
+                                  stable_subzone_branch)
 
 H = 2 ** 64
 
@@ -277,3 +284,173 @@ class TestClassifyZone:
                 classify_zone(Weights.of_eps(eps))
         else:
             assert classify_zone(Weights.of_eps(eps)) == expected
+
+    @given(st.lists(st.one_of(eps_values(), twelfths), min_size=4, max_size=4),
+           st.integers(1, 4))
+    def test_branch_matches_the_rest_sum(self, eps, i):
+        w = Weights.of_eps(eps)
+        rest = sum(eps) - 2 * eps[i - 1]
+        if _oracle_zone(eps) != ZONE_STABLE or rest == HALF:
+            with pytest.raises(SpecialWeights):
+                stable_subzone_branch(w, i)
+        else:
+            expected = Branch.ORIGIN_UNSTABLE if rest < HALF else Branch.COLINEAR_UNSTABLE
+            assert stable_subzone_branch(w, i) == expected
+
+
+# ---------------------------------------------------------------------------
+# Middle convolution on integers
+# ---------------------------------------------------------------------------
+
+# The Fraction formulas the integer kernels replaced, kept as the reference.
+
+def _ref_mod1(x):
+    return x - (x.numerator // x.denominator)
+
+
+def _ref_classify_zone(eps):
+    total = sum(eps)
+    if total == HALF or total == F(3, 2):
+        raise SpecialWeights(f"eps sum on a wall: {total}")
+    combos = {}
+    for i, j in combinations(range(4), 2):
+        c = 2 * (eps[i] + eps[j]) - total  # eps_i + eps_j - (the other two)
+        if c == HALF or c == -HALF:
+            raise SpecialWeights(f"pair combination on a wall: eps_{i+1}+eps_{j+1}-rest = {c}")
+        combos[(i, j)] = c
+    if total < HALF:
+        return ZONE_A
+    if total > F(3, 2):
+        return ZONE_B
+    for (i, j), c in combos.items():
+        if c > HALF:
+            return czone(i + 1, j + 1)
+    return ZONE_STABLE
+
+
+def _ref_convolve(e, choice):
+    sg = choice.sigma
+    shifted = sum(s * ev for s, ev in zip(sg, e.eps)) - HALF
+    mu_out, eps_out = [], []
+    for i in range(4):
+        y = _ref_mod1(shifted - 2 * sg[i] * e.eps[i])
+        if y == 0:
+            raise SpecialParameters("output eigenvalue gap vanishes")
+        h = y - 1                             # representative in (-1, 0)
+        eps_out.append(-h / 2)
+        mu_out.append(_ref_mod1(choice.z[i] + h / 2))
+    total = _ref_mod1(sum(mu_out))
+    if total != HALF:
+        if total != 0:
+            raise DegenerateInput(f"parity bookkeeping broke: sum mu' = {total}")
+        eps_out[0] = HALF - eps_out[0]
+        mu_out[0] = _ref_mod1(mu_out[0] + HALF)
+    return ExponentData(mu=tuple(mu_out), eps=tuple(eps_out))
+
+
+def _ref_interchange_zones(e):
+    if _ref_classify_zone(e.eps) == ZONE_STABLE:
+        raise DegenerateInput("input must lie in an unstable zone")
+    if any(v.denominator == 2 for v in _signed_sums((x, -x) for x in e.eps)):
+        raise SpecialParameters("signed eps sums hit a half-integer")
+    return {sigma_text(signs): _ref_classify_zone(_ref_convolve(e, BetaChoice.default(e, signs)).eps)
+            for signs in product((1, -1), repeat=4)}
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ModuliError it raises."""
+    try:
+        return f(*args)
+    except ModuliError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def unstable_eps(draw):
+    """Four eps in an unstable zone: a zone-A point (every eps_i <= 1/9)
+    with an even set of poles sent to 1/2 - eps_i by elementary
+    transformations, which reaches A, B and all six C_ij."""
+    eps = []
+    for _ in range(4):
+        den = draw(st.one_of(st.integers(9, 40), st.integers(9, H)))
+        eps.append(F(draw(st.integers(1, den // 9)), den))
+    flipped = draw(st.sampled_from([()] + list(combinations(range(4), 2)) + [tuple(range(4))]))
+    return [HALF - x if i in flipped else x for i, x in enumerate(eps)]
+
+
+# sixths and twelfths put inputs on zone walls and reflection walls
+walls = st.builds(F, st.integers(1, 2), st.just(6)) | twelfths
+eps_lists = st.one_of(unstable_eps(), st.lists(walls, min_size=4, max_size=4),
+                      st.lists(st.one_of(eps_values(), walls), min_size=4, max_size=4))
+
+
+@st.composite
+def exponent_data(draw):
+    eps = draw(eps_lists)
+    mu = draw(st.one_of(st.lists(rationals, min_size=3, max_size=3), st.just([F(0)] * 3)))
+    return ExponentData(mu=(*mu, -HALF - sum(mu) + draw(st.integers(-2, 2))), eps=tuple(eps))
+
+
+class TestIntegerConvolution:
+    @given(exponent_data())
+    def test_interchange_labels_match_the_fraction_formulas(self, e):
+        expected = _outcome(_ref_interchange_zones, e)
+        got = _outcome(zone_interchange_check, e)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got["zones"] == expected
+            assert got["input_zone"] == _ref_classify_zone(e.eps)
+
+    @given(exponent_data(), st.lists(rationals, min_size=3, max_size=3), st.integers(-2, 2))
+    def test_transform_matches_the_fraction_formulas(self, e, z3, shift):
+        special = any(v.denominator == 2 for v in _signed_sums((x, -x) for x in e.eps))
+        for signs in product((1, -1), repeat=4):
+            default = BetaChoice.default(e, signs)
+            chosen = sum(m + s * x for m, s, x in zip(e.mu, signs, e.eps))
+            twisted = BetaChoice(sigma=signs, z=(*z3, -chosen - sum(z3) + shift))
+            for choice in (default, twisted):
+                expected = ((SpecialParameters, "signed eps sums hit a half-integer") if special
+                            else _outcome(_ref_convolve, e, choice))
+                got = _outcome(mc_exponents, e, choice)
+                assert got == expected
+                if not isinstance(got, tuple):
+                    assert _outcome(classify_zone, got.weights()) == \
+                        _outcome(_ref_classify_zone, expected.eps)
+
+
+# ---------------------------------------------------------------------------
+# find_destabilizer's integer scores
+# ---------------------------------------------------------------------------
+
+def _oracle_destabilizer(qp, w):
+    """The (parabolic_degree, degree, contact) maximizer over the
+    candidates if it exceeds 1/2, else None; SpecialWeights, naming the
+    first such candidate, when any candidate scores exactly 1/2."""
+    scored = [(parabolic_degree(sub, w), sub.degree, tuple(sorted(sub.contact)), sub)
+              for sub in candidate_subbundles(qp)]
+    on_wall = [sub for score, _, _, sub in scored if score == HALF]
+    if on_wall:
+        return SpecialWeights, f"candidate of parabolic degree exactly 1/2: {on_wall[0]}"
+    best = max(scored, key=lambda row: row[:3])
+    return best[3] if best[0] > HALF else None
+
+
+@st.composite
+def destabilizer_problems(draw):
+    poles = draw(st.one_of(st.just([F(0), F(1), F(3)]),
+                           st.lists(rationals, min_size=3, max_size=3, unique=True)))
+    poles.insert(draw(st.integers(0, 3)), INF)
+    # small coordinates put three or four points on a line
+    u = [draw(st.one_of(st.integers(-3, 3).map(F), tiny, rationals)) for _ in range(4)]
+    for i in draw(st.sets(st.integers(0, 3), max_size=2)):
+        u[i] = INF
+    mu = tuple(draw(st.lists(rationals, min_size=4, max_size=4)))
+    return QuasiPar(poles=tuple(poles), u=tuple(u)), Weights(mu=mu, eps=tuple(draw(eps_lists)))
+
+
+class TestDestabilizerScores:
+    @given(destabilizer_problems())
+    def test_matches_the_parabolic_degree_maximizer(self, problem):
+        qp, w = problem
+        assert _outcome(find_destabilizer, qp, w) == _oracle_destabilizer(qp, w)
