@@ -121,8 +121,12 @@ def apply_word(word: Sequence[str], s: PQState) -> PQState:
         try:
             s = apply_generator(name, s)
         except DegenerateInput as exc:
-            raise DegenerateInput(f"word degenerates at step {step} ({name}): {exc}") from exc
+            raise _degenerate_step(step, name, exc) from exc
     return s
+
+
+def _degenerate_step(step: int, name: str, exc: DegenerateInput) -> DegenerateInput:
+    return DegenerateInput(f"word degenerates at step {step} ({name}): {exc}")
 
 
 def parse_word(text: str) -> tuple:
@@ -279,11 +283,25 @@ for _r, _prs in _R_PAIRS.items():
 
 def check_relations(sample: PQState):
     """Evaluate every group relation on the sample; returns a list of
-    (relation, holds, witness) with exact states in the witness."""
+    (relation, holds, witness) with exact states in the witness.
+
+    The 30 relations spell 112 generator steps but only 68 distinct word
+    prefixes, so each prefix is computed once, from the one before it.
+    Words are walked in the order `apply_word` would take them, so a
+    degenerate sample raises the same error at the same step.
+    """
+    states = {(): sample}
     out = []
     for name, left, right in RELATION_WORDS:
-        lhs = apply_word(left, sample)
-        rhs = apply_word(right, sample)
+        for word in (left, right):
+            for step in range(len(word)):
+                prefix = word[:step + 1]
+                if prefix not in states:
+                    try:
+                        states[prefix] = apply_generator(word[step], states[word[:step]])
+                    except DegenerateInput as exc:
+                        raise _degenerate_step(step, word[step], exc) from exc
+        lhs, rhs = states[left], states[right]
         holds = (lhs == rhs)
         witness = None if holds else {"lhs": lhs.to_json_dict(), "rhs": rhs.to_json_dict()}
         out.append((name, holds, witness))

@@ -9,9 +9,13 @@ formulas and `line_through` never coerce: they compute over the field of
 their inputs (Q, or rational functions in the certificate tests).  Int
 literals may mix in, but every `/` has a field element on one side.
 `Fraction` is coerced only where numbers come in (parsers, `make`/`of_*`
-constructors, the sampler, `solve_linear`).  The predicates that read
-`.denominator` test integrality, a statement about rational numbers, so
-they and the stability, Higgs and lattice layers stay over Q.
+constructors, the sampler).  The predicates that read `.denominator` test
+integrality, a statement about rational numbers, so they and the
+stability, Higgs and lattice layers stay over Q.  Their small linear
+systems run on integers: rows scaled by `over_common_denominator`, solved
+in closed form with `det4`.  `solve_linear`, general Gauss-Jordan
+elimination over Q, is called by no package code; it is the reference the
+tests compare those closed forms with.
 """
 from __future__ import annotations
 
@@ -104,6 +108,18 @@ def over_common_denominator(values) -> tuple:
     gcd per operation."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def det4(m) -> int:
+    """Determinant of a 4x4 integer matrix, by Laplace expansion of its top
+    two rows against the complementary 2x2 minors of the bottom two."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from typing import Optional
 
 from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connection
 from .errors import DegenerateInput, SpecialWeights
-from .exact import (INF, ProjRat, is_inf, poly_add, poly_deriv, poly_divmod, poly_mul, poly_scale,
-                    poly_trim, proj_to_str, solve_linear)
+from .exact import (INF, ProjRat, det4, is_inf, over_common_denominator, poly_add, poly_deriv,
+                    poly_divmod, poly_mul, poly_scale, poly_trim, proj_to_str)
 from .parabolic import QuasiPar, line_through, line_value, parabolic_from_connection, phi_map
 from .stability import Branch, Subbundle, Weights, ZONE_STABLE, classify_zone, find_destabilizer, stable_subzone_branch
 
@@ -136,37 +136,36 @@ def _solve_chart1(base, poles, frame):
 
     The degree-(-1) section (v, w) through the four directions must have
     v vanishing at the (finite, non-pole) base; normalizing v = x - base
-    leaves an invertible linear system for (w0, w1, w2, u1).
+    leaves an invertible linear system for (w0, w1, w2, u1), solved for u1
+    by Cramer's rule on its rows scaled to integers.
     """
     if is_inf(base):
         # v has its zero at infinity: v = 1 constant
         def vval(tv):
-            return Fraction(0) if is_inf(tv) else Fraction(1)
-        vlead = Fraction(0)
+            return 0 if is_inf(tv) else 1
+        vlead = 0
     else:
         def vval(tv):
             return None if is_inf(tv) else tv - base
-        vlead = Fraction(1)
-    rows, rhs = [], []
+        vlead = 1
+    rows = []
     for j in (1, 2, 3):
         tv, uv = poles[j], frame[j]
         if is_inf(tv):
-            rows.append([Fraction(0), Fraction(0), Fraction(1), Fraction(0)])
-            rhs.append(uv * vlead)                      # w2 = u * v_lead
+            rows.append([0, 0, 1, 0, uv * vlead])              # w2 = u * v_lead
         else:
-            rows.append([Fraction(1), tv, tv * tv, Fraction(0)])
-            rhs.append(uv * vval(tv))                   # w(t) = u * v(t)
+            rows.append([1, tv, tv * tv, 0, uv * vval(tv)])    # w(t) = u * v(t)
     t1 = poles[0]
     if is_inf(t1):
-        rows.append([Fraction(0), Fraction(0), Fraction(1), -vlead])
-        rhs.append(Fraction(0))                          # w2 - u1 * v_lead = 0
+        rows.append([0, 0, 1, -vlead, 0])                      # w2 - u1 * v_lead = 0
     else:
-        rows.append([Fraction(1), t1, t1 * t1, -vval(t1)])
-        rhs.append(Fraction(0))                          # w(t1) - u1 * v(t1) = 0
-    sol = solve_linear(rows, rhs)
-    if sol.nullity != 0:
+        rows.append([1, t1, t1 * t1, -vval(t1), 0])            # w(t1) - u1 * v(t1) = 0
+    rows = [over_common_denominator(row)[0] for row in rows]
+    det = det4([r[:4] for r in rows])
+    if det == 0:
         raise DegenerateInput("chart solve degenerated")
-    return (sol.particular[3], frame[1], frame[2], frame[3])
+    u1 = Fraction(det4([r[:3] + r[4:] for r in rows]), det)
+    return (u1, frame[1], frame[2], frame[3])
 
 
 # ---------------------------------------------------------------------------

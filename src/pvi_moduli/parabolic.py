@@ -19,7 +19,8 @@ from typing import Sequence
 
 from .connection import PPoint, PQState, Sheet, eigen_table
 from .errors import DegenerateInput, NotSimple
-from .exact import INF, ProjRat, Rat, is_inf, proj_from_str, proj_to_str, solve_linear
+from .exact import (INF, ProjRat, Rat, det4, is_inf, over_common_denominator, proj_from_str,
+                    proj_to_str)
 
 
 @dataclass(frozen=True)
@@ -128,26 +129,28 @@ def conic_subbundle(qp: QuasiPar):
 
     v = v0 + v1 x and w = w0 + w1 x + w2 x^2 solve w(t_i) = u_i v(t_i)
     (v(t_i) = 0 when u_i = inf; at a pole at infinity the leading
-    coefficients w2 = u v1 are used).  Returns the first vector of the
-    deterministic nullspace basis; raises DegenerateInput when the
-    solution is not unique up to scale.
+    coefficients w2 = u v1 are used).  With each row scaled to integers,
+    the kernel of this rank-4 system is spanned by the five signed 4x4
+    minors.  The vector is divided by its last nonzero entry: the free
+    column of a nullity-1 system is the last column where the kernel is
+    nonzero, so this is the reduced-row-echelon basis vector.  Raises
+    DegenerateInput when every minor vanishes (rank below 4, so the
+    solution is not unique up to scale).
     """
     rows = []
     for tv, uv in zip(qp.poles, qp.u):
         if is_inf(tv):
-            if is_inf(uv):
-                row = [Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-            else:
-                row = [Fraction(0), -uv, Fraction(0), Fraction(0), Fraction(1)]
+            row = [0, 1, 0, 0, 0] if is_inf(uv) else [0, -uv, 0, 0, 1]
         elif is_inf(uv):
-            row = [Fraction(1), Fraction(tv), Fraction(0), Fraction(0), Fraction(0)]
+            row = [1, tv, 0, 0, 0]
         else:
-            row = [-uv, -uv * tv, Fraction(1), Fraction(tv), Fraction(tv) ** 2]
-        rows.append(row)
-    sol = solve_linear(rows, [Fraction(0)] * 4)
-    if sol.nullity != 1:
-        raise DegenerateInput(f"contact system has nullity {sol.nullity}, expected 1")
-    v0, v1, w0, w1, w2 = sol.nullspace[0]
+            row = [-uv, -uv * tv, 1, tv, tv * tv]
+        rows.append(over_common_denominator(row)[0])
+    minors = [(-1) ** j * det4([r[:j] + r[j + 1:] for r in rows]) for j in range(5)]
+    last = next((m for m in reversed(minors) if m), None)
+    if last is None:
+        raise DegenerateInput("contact system has rank below 4, expected nullity 1")
+    v0, v1, w0, w1, w2 = (Fraction(m, last) for m in minors)
     return ((v0, v1), (w0, w1, w2))
 
 

@@ -199,13 +199,14 @@ def suite_backlund(seed: int, samples: int, bound: int) -> Report:
             shifted34 = bk.apply_word(bk.WORD_SHIFT_34, st)
             closed = bk.schlesinger_composite_qp(st)
             word = bk.apply_word(bk.WORD_SCHLESINGER, st)
-            s0s0 = bk.apply_word(("s0", "s0"), st)
+            s0_image = bk.apply_generator("s0", st)
+            s0s0 = bk.apply_generator("s0", s0_image)
             qq = bk.big_q_of(st)
-            q_after_s0 = bk.q_of(bk.apply_generator("s0", st))
-            q_back = bk.big_q_of(bk.apply_generator("s0", st))
+            q_after_s0 = bk.q_of(s0_image)
+            q_back = bk.big_q_of(s0_image)
             sympl = bk.symplectic_check(st)
             x, y = bk.al_chart(st)
-            xs, ys = bk.al_chart(bk.apply_generator("s0", st))
+            xs, ys = bk.al_chart(s0_image)
         except ModuliError:
             rs.rejections += 1
             continue

@@ -1,7 +1,10 @@
 """Oracles for the exact kernels that avoid general elimination or Fraction sums.
 
 Each kernel is compared with the straightforward computation it replaces:
-`line_through` with `solve_linear` on the interpolation rows,
+`line_through` with `solve_linear` on the interpolation rows, `det4` with
+the permutation expansion, `conic_subbundle` and the Higgs chart solve with
+`solve_linear` on their linear systems, `check_relations` with one
+`apply_word` per side of each relation,
 `solve_linear` with sympy's reduced row echelon form, the four signed-sum
 predicates with sums over `itertools.product`, the Baecklund generators'
 closed-form k0 with `KappaParams.from_k1234`, `classify_zone` with the
@@ -11,20 +14,22 @@ with their former Fraction formulas, and the integer scores of
 `find_destabilizer` with `parabolic_degree`.  Heights go up to 2^64.
 """
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pvi_moduli.backlund import ALPHABET, apply_generator, schlesinger_composite_qp
+from pvi_moduli.backlund import (ALPHABET, RELATION_WORDS, apply_generator, apply_word,
+                                 check_relations, schlesinger_composite_qp)
 from pvi_moduli.connection import (KappaParams, PQState, ResidueVector, kappa_generic,
                                    kostov_generic)
 from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, SpecialParameters,
                                SpecialWeights)
-from pvi_moduli.exact import HALF, INF, is_inf, over_common_denominator, solve_linear
+from pvi_moduli.exact import HALF, INF, det4, is_inf, over_common_denominator, solve_linear
+from pvi_moduli.higgs import _solve_chart1
 from pvi_moduli.mconv import (BetaChoice, ExponentData, mc_exponents, nonspecial_exponents,
                               sigma_text, zone_interchange_check)
-from pvi_moduli.parabolic import QuasiPar, line_through
+from pvi_moduli.parabolic import QuasiPar, conic_subbundle, line_through
 from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Weights,
                                   candidate_subbundles, classify_zone, czone, et_pair,
                                   find_destabilizer, nonspecial_eps, parabolic_degree,
@@ -100,6 +105,140 @@ class TestLineThrough:
         qp = QuasiPar(poles=(F(0), F(1), F(2), INF), u=(F(1), F(3), F(5), F(2)))
         with pytest.raises(DegenerateInput, match="at least two points"):
             line_through(qp, indices)
+
+
+# ---------------------------------------------------------------------------
+# det4, conic_subbundle and the chart solve
+# ---------------------------------------------------------------------------
+
+class TestDet4:
+    @given(st.lists(st.one_of(st.integers(-2, 2), st.integers(-H, H)), min_size=16, max_size=16),
+           st.booleans())
+    def test_matches_the_permutation_expansion(self, entries, dependent):
+        m = [entries[4 * i:4 * i + 4] for i in range(4)]
+        if dependent:
+            m[3] = [a - 2 * b for a, b in zip(m[0], m[1])]
+        expected = 0
+        for perm in permutations(range(4)):
+            term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(4), 2))
+            for i in range(4):
+                term *= m[i][perm[i]]
+            expected += term
+        assert det4(m) == expected
+
+
+def _oracle_conic(qp):
+    """The first nullspace basis vector of the contact system, from
+    elimination; DegenerateInput when the nullity is not 1."""
+    rows = []
+    for tv, uv in zip(qp.poles, qp.u):
+        if is_inf(tv):
+            rows.append([F(0), F(1), F(0), F(0), F(0)] if is_inf(uv)
+                        else [F(0), -uv, F(0), F(0), F(1)])
+        elif is_inf(uv):
+            rows.append([F(1), tv, F(0), F(0), F(0)])
+        else:
+            rows.append([-uv, -uv * tv, F(1), tv, tv * tv])
+    sol = solve_linear(rows, [F(0)] * 4)
+    if sol.nullity != 1:
+        return DegenerateInput
+    v0, v1, w0, w1, w2 = sol.nullspace[0]
+    return ((v0, v1), (w0, w1, w2))
+
+
+@st.composite
+def contact_problems(draw):
+    """Four distinct poles, possibly one at infinity in any slot, and 0-2
+    infinite u.  The finite u start on a line (rank below 4) and some
+    are moved off it."""
+    poles = draw(st.lists(rationals, min_size=4, max_size=4, unique=True))
+    if draw(st.booleans()):
+        poles[draw(st.integers(0, 3))] = INF
+    v0, v1 = draw(rationals), draw(rationals)
+    u = [v1 if is_inf(tv) else v0 + v1 * tv for tv in poles]
+    for i in draw(st.sets(st.integers(0, 3))):
+        u[i] = draw(st.one_of(st.integers(-3, 3).map(F), rationals))
+    for i in draw(st.sets(st.integers(0, 3), max_size=2)):
+        u[i] = INF
+    return QuasiPar(poles=tuple(poles), u=tuple(u))
+
+
+class TestConicSubbundle:
+    @given(contact_problems())
+    def test_matches_the_elimination_basis_vector(self, qp):
+        expected = _oracle_conic(qp)
+        if expected is DegenerateInput:
+            with pytest.raises(DegenerateInput):
+                conic_subbundle(qp)
+        else:
+            assert conic_subbundle(qp) == expected
+
+    @pytest.mark.parametrize("poles, u", [
+        ((F(0), F(1), F(3), INF), (F(2), F(2), F(2), F(0))),
+        ((INF, F(0), F(1), F(2)), (F(2), F(1), F(3), F(5))),
+        ((F(0), INF, F(1), F(2)), (F(1), F(2), F(3), F(5))),
+    ])
+    def test_rank_below_four_is_rejected_by_both(self, poles, u):
+        # the four directions lie on a line L, so (v, L v) solves for every v
+        qp = QuasiPar(poles=poles, u=u)
+        assert _oracle_conic(qp) is DegenerateInput
+        with pytest.raises(DegenerateInput, match="rank below 4"):
+            conic_subbundle(qp)
+
+
+def _oracle_chart1(base, poles, frame):
+    """u1 from elimination on the chart system for (w0, w1, w2, u1); None
+    when the system is singular."""
+    if is_inf(base):
+        def vval(tv):
+            return F(0) if is_inf(tv) else F(1)
+        vlead = F(0)
+    else:
+        def vval(tv):
+            return None if is_inf(tv) else tv - base
+        vlead = F(1)
+    rows, rhs = [], []
+    for tv, uv in zip(poles[1:], frame[1:]):
+        rows.append([F(0), F(0), F(1), F(0)] if is_inf(tv) else [F(1), tv, tv * tv, F(0)])
+        rhs.append(uv * (vlead if is_inf(tv) else vval(tv)))
+    t1 = poles[0]
+    rows.append([F(0), F(0), F(1), -vlead] if is_inf(t1) else [F(1), t1, t1 * t1, -vval(t1)])
+    rhs.append(F(0))
+    try:
+        sol = solve_linear(rows, rhs)
+    except NoSolution:
+        return None
+    return None if sol.nullity else sol.particular[3]
+
+
+@st.composite
+def chart_problems(draw):
+    """A base point, four distinct poles (possibly one at infinity in any
+    slot) and finite frame values; a base at a pole makes the system
+    singular when it is the first pole."""
+    poles = draw(st.lists(rationals, min_size=4, max_size=4, unique=True))
+    if draw(st.booleans()):
+        poles[draw(st.integers(0, 3))] = INF
+    base = draw(st.one_of(rationals, st.just(INF), st.sampled_from(poles)))
+    return base, tuple(poles), tuple(draw(rationals) for _ in range(4))
+
+
+class TestChartSolve:
+    @given(chart_problems())
+    def test_matches_the_particular_solution(self, problem):
+        base, poles, frame = problem
+        expected = _oracle_chart1(base, poles, frame)
+        if expected is None:
+            with pytest.raises(DegenerateInput, match="chart solve degenerated"):
+                _solve_chart1(base, poles, frame)
+        else:
+            assert _solve_chart1(base, poles, frame) == (expected,) + frame[1:]
+
+    def test_base_at_the_first_pole_is_singular(self):
+        poles, frame = (F(2), F(0), F(1), INF), (F(0), F(1), F(2), F(3))
+        assert _oracle_chart1(F(2), poles, frame) is None
+        with pytest.raises(DegenerateInput, match="chart solve degenerated"):
+            _solve_chart1(F(2), poles, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +392,49 @@ class TestGeneratorKappa:
     def test_wrong_closed_form_is_rejected(self):
         with pytest.raises(DegenerateInput, match="2\\*k0"):
             KappaParams(F(1, 4), F(1, 8), F(1, 8), F(1, 8), F(1, 4))
+
+
+# ---------------------------------------------------------------------------
+# check_relations: each word prefix once
+# ---------------------------------------------------------------------------
+
+def _oracle_relations(s):
+    out = []
+    for name, left, right in RELATION_WORDS:
+        lhs, rhs = apply_word(left, s), apply_word(right, s)
+        witness = None if lhs == rhs else {"lhs": lhs.to_json_dict(), "rhs": rhs.to_json_dict()}
+        out.append((name, lhs == rhs, witness))
+    return out
+
+
+@st.composite
+def relation_samples(draw):
+    """States on and off the loci where a generator degenerates: p = 0
+    (s0), q at a pole 0, 1, t (s1-s3 and the permutations) and q = inf."""
+    t = draw(rationals)
+    assume(t not in (0, 1))
+    q = draw(st.one_of(rationals, st.sampled_from([F(0), F(1), t, INF])))
+    p = draw(st.one_of(rationals, st.just(F(0))))
+    return PQState(t=t, kappa=KappaParams.from_k1234(*(draw(rationals) for _ in range(4))),
+                   q=q, p=p)
+
+
+class TestCheckRelations:
+    @given(relation_samples())
+    def test_matches_one_word_per_side(self, s):
+        assert _outcome(check_relations, s) == _outcome(_oracle_relations, s)
+
+    @pytest.mark.parametrize("q, p, message", [
+        (F(3), F(0), "word degenerates at step 0 (s0): s0 needs p != 0"),
+        (F(0), F(2), "word degenerates at step 0 (s1): s1 has a pole at q = 0"),
+        (F(1), F(2), "word degenerates at step 0 (s2): s2 has a pole at q = 1"),
+        (F(5), F(2), "word degenerates at step 0 (s3): s3 has a pole at q = 5"),
+    ])
+    def test_degenerate_samples_raise_the_same_message(self, q, p, message):
+        s = PQState(t=F(5), kappa=KappaParams.from_k1234(F(1, 3), F(1, 5), F(1, 7), F(1, 11)),
+                    q=q, p=p)
+        assert _outcome(_oracle_relations, s) == (DegenerateInput, message)
+        assert _outcome(check_relations, s) == (DegenerateInput, message)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,110 @@
+"""Property tests at the entry points of the parabolic, stability and Higgs
+layers, on inputs that sit on or near their degeneracy loci.
+
+For any quasiparabolic structure, weights or state, `q_map`, `phi_map`,
+`find_destabilizer` and `higgs_limit` either give their answer or raise a
+`ModuliError`; any other exception fails the test.  Inputs reach heights
+of 2^64 and hit the loci on purpose: directions u_i = inf, three (or four)
+colinear directions, a coordinate q at a pole, p = 0 and weights on a wall.
+Where an answer exists it is also checked: the canonical representative of
+a classifying point classifies back to that point, a destabilizer has
+parabolic degree above 1/2, and a zero-Higgs-field limit keeps the
+classifying point of the structure it came from.
+"""
+from fractions import Fraction as F
+
+from hypothesis import assume, given, strategies as st
+
+from pvi_moduli.connection import KappaParams, PPoint, PQState
+from pvi_moduli.errors import ModuliError
+from pvi_moduli.exact import HALF, INF, is_inf
+from pvi_moduli.higgs import GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative
+from pvi_moduli.parabolic import QuasiPar, parabolic_from_connection, phi_map, q_map
+from pvi_moduli.stability import Subbundle, Weights, find_destabilizer, parabolic_degree
+
+H = 2 ** 64
+
+tiny = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
+tall = st.builds(F, st.integers(-H, H), st.integers(1, H))
+rationals = st.one_of(tiny, tall)
+
+
+def outcome(f, *args):
+    """f(*args), or the ModuliError it raises; any other exception propagates."""
+    try:
+        return f(*args)
+    except ModuliError as exc:
+        return exc
+
+
+@st.composite
+def structures(draw):
+    """Four distinct poles, possibly one at infinity in any slot, with the
+    directions first put on a line and then partly moved off it (so three
+    or four may stay colinear), and 0-4 of them at u = inf."""
+    poles = draw(st.one_of(
+        st.builds(lambda t: [F(0), F(1), t, INF], rationals.filter(lambda t: t not in (0, 1))),
+        st.lists(rationals, min_size=4, max_size=4, unique=True)))
+    if not any(is_inf(tv) for tv in poles) and draw(st.booleans()):
+        poles[draw(st.integers(0, 3))] = INF
+    v0, v1 = draw(rationals), draw(rationals)
+    u = [v1 if is_inf(tv) else v0 + v1 * tv for tv in poles]
+    for i in draw(st.sets(st.integers(0, 3), max_size=3)):
+        u[i] = draw(st.one_of(st.integers(-3, 3).map(F), rationals))
+    for i in draw(st.sets(st.integers(0, 3), max_size=4)):
+        u[i] = INF
+    return QuasiPar(poles=tuple(poles), u=tuple(u))
+
+
+@st.composite
+def weights(draw):
+    """mu anywhere; eps in (0, 1/2), in twelfths often enough to land on walls."""
+    def eps():
+        den = draw(st.one_of(st.just(12), st.integers(2, H)))
+        return F(draw(st.integers(1, den - 1)), 2 * den)
+    return Weights(mu=tuple(draw(rationals) for _ in range(4)), eps=tuple(eps() for _ in range(4)))
+
+
+@st.composite
+def states(draw):
+    """(t, kappa, q, p) with q often at a pole 0, 1, t or inf and p often 0."""
+    t = draw(rationals)
+    assume(t not in (0, 1))
+    q = draw(st.one_of(rationals, st.sampled_from([F(0), F(1), t, INF])))
+    p = draw(st.one_of(rationals, st.just(F(0))))
+    return PQState(t=t, kappa=KappaParams.from_k1234(*(draw(rationals) for _ in range(4))),
+                   q=q, p=p)
+
+
+@given(structures())
+def test_q_map_gives_a_point_or_a_moduli_error(qp):
+    out = outcome(q_map, qp)
+    assert isinstance(out, (ModuliError, F)) or is_inf(out)
+
+
+@given(structures())
+def test_phi_map_is_inverted_by_the_canonical_representative(qp):
+    point = outcome(phi_map, qp)
+    if isinstance(point, ModuliError):
+        return
+    assert isinstance(point, PPoint)
+    assert phi_map(representative(point, qp.poles)) == point
+
+
+@given(structures(), weights())
+def test_find_destabilizer_gives_a_destabilizer_or_a_moduli_error(qp, w):
+    sub = outcome(find_destabilizer, qp, w)
+    if sub is None or isinstance(sub, ModuliError):
+        return
+    assert isinstance(sub, Subbundle)
+    assert parabolic_degree(sub, w) > HALF
+
+
+@given(states(), weights())
+def test_higgs_limit_gives_a_limit_or_a_moduli_error(s, w):
+    limit = outcome(higgs_limit, s, w)
+    if isinstance(limit, ModuliError):
+        return
+    assert isinstance(limit, HiggsLimit) and limit.kind in (THETA_ZERO, GRADED)
+    if limit.kind == THETA_ZERO:
+        assert phi_map(limit.qp) == phi_map(parabolic_from_connection(s))
