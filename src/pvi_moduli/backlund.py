@@ -36,8 +36,6 @@ from .connection import KappaParams, PQState
 from .errors import DegenerateInput, NoFiniteIntersection
 from .exact import Dual, Rat, is_inf
 
-ALPHABET = ("s0", "s1", "s2", "s3", "s4", "r12_34", "r13_24", "r14_23")
-
 # The symmetry group acts on the same moduli-state type as every other
 # layer; `SymState` is another name for it.
 SymState = PQState
@@ -106,6 +104,7 @@ GENERATORS: Dict[str, Callable[[PQState], PQState]] = {
     "s0": _s0, "s1": _s_finite(1), "s2": _s_finite(2), "s3": _s_finite(3),
     "s4": _s4, "r12_34": _r12_34, "r13_24": _r13_24, "r14_23": _r14_23,
 }
+ALPHABET = tuple(GENERATORS)
 
 
 def apply_generator(name: str, s: PQState) -> PQState:
@@ -143,9 +142,9 @@ WORD_SHIFT_12 = ("r12_34", "s1", "s2", "s0", "s3", "s4", "s0")
 WORD_SHIFT_34 = ("r12_34", "s3", "s4", "s0", "s1", "s2", "s0")
 WORD_SCHLESINGER = ("r12_34", "s0", "s3", "s4", "s0")
 
-_R_FOR_PAIR = {frozenset({1, 2}): "r12_34", frozenset({3, 4}): "r12_34",
-               frozenset({1, 3}): "r13_24", frozenset({2, 4}): "r13_24",
-               frozenset({1, 4}): "r14_23", frozenset({2, 3}): "r14_23"}
+# Each permutation generator and the two pole pairs it swaps.
+_R_PAIRS = {"r12_34": ((1, 2), (3, 4)), "r13_24": ((1, 3), (2, 4)), "r14_23": ((1, 4), (2, 3))}
+_R_FOR_PAIR = {frozenset(pair): r for r, pairs in _R_PAIRS.items() for pair in pairs}
 
 
 def pair_fibration_word(i: int, j: int) -> tuple:
@@ -271,9 +270,8 @@ for _i in (1, 2, 3, 4):
 for _i in (1, 2, 3, 4):
     RELATION_WORDS.append((f"s0 s{_i} s0 = s{_i} s0 s{_i}",
                            ("s0", f"s{_i}", "s0"), (f"s{_i}", "s0", f"s{_i}")))
-for _r in ("r12_34", "r13_24", "r14_23"):
+for _r in _R_PAIRS:
     RELATION_WORDS.append((f"{_r}^2 = 1", (_r, _r), ()))
-_R_PAIRS = {"r12_34": ((1, 2), (3, 4)), "r13_24": ((1, 3), (2, 4)), "r14_23": ((1, 4), (2, 3))}
 for _r, _prs in _R_PAIRS.items():
     for (_i, _j) in _prs:
         for (_a, _b) in ((_i, _j), (_j, _i)):

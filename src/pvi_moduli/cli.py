@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import backlund as bk
 from .connection import PQState, build_connection, eigen_table
@@ -36,8 +35,7 @@ def _load(cls, path: str):
 
 def _weights_from_args(args) -> Weights:
     eps = parse_eps_list(args.eps)
-    mu = parse_eps_list(args.mu) if args.mu else (Fraction(0),) * 4
-    return Weights(mu=tuple(mu), eps=tuple(eps))
+    return Weights(mu=parse_eps_list(args.mu), eps=eps) if args.mu else Weights.of_eps(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +139,6 @@ def cmd_lattice_enumerate(args) -> int:
     return 0
 
 
-def cmd_lattice_check(args) -> int:
-    reports = run_suite("lattice", seed=args.seed, samples=args.samples, bound=args.bound)
-    return _emit_reports(reports)
-
-
 def cmd_mc_transform(args) -> int:
     e = ExponentData.of_eps(parse_eps_list(args.eps))
     out = mc_exponents(e, sigma=args.sigma)
@@ -179,19 +172,14 @@ def cmd_fibration_solve(args) -> int:
     return 0
 
 
-def _emit_reports(reports) -> int:
-    payload = [r.to_json_dict() for r in reports]
+def cmd_verify(args) -> int:
+    reports = run_suite(args.suite, seed=args.seed, samples=args.samples, bound=args.bound)
     ok = all(r.passed for r in reports)
-    _emit({"reports": payload, "passed": ok})
+    _emit({"reports": [r.to_json_dict() for r in reports], "passed": ok})
     for r in reports:
         for c in r.checks:
             sys.stderr.write(f"[{'PASS' if c.passed else 'FAIL'}] {r.suite}: {c.name}\n")
     return 0 if ok else 1
-
-
-def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, seed=args.seed, samples=args.samples, bound=args.bound)
-    return _emit_reports(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_lattice_enumerate)
     b = ps.add_parser("check")
     add_common(b)
-    b.set_defaults(fn=cmd_lattice_check)
+    b.set_defaults(fn=cmd_verify, suite="lattice")
 
     p = sub.add_parser("mc", help="middle-convolution exponents")
     ps = p.add_subparsers(dest="sub", required=True)

@@ -4,10 +4,13 @@ Rational scalars are `fractions.Fraction` (reduced, positive denominator),
 re-exported as `Rat`; points of P^1 are `Rat | Infinity`.  `Mat2` is a
 2x2 matrix, `Dual` a dual number a + b*delta (delta^2 = 0) for exact
 forward-mode derivatives, and polynomials are coefficient lists, constant
-term first ([] is zero).  These kernels, the connection and Baecklund
-formulas and `line_through` never coerce: they compute over the field of
-their inputs (Q, or rational functions in the certificate tests).  Int
-literals may mix in, but every `/` has a field element on one side.
+term first ([] is zero); the Higgs layer builds its Wronskian with them.
+There is no polynomial gcd: a line subbundle is saturated when its two
+sections share no zero on P^1, which `stability` tests directly.  These
+kernels, the connection and Baecklund formulas and `line_through` never
+coerce: they compute over the field of their inputs (Q, or rational
+functions in the certificate tests).  Int literals may mix in, but every
+`/` has a field element on one side.
 `Fraction` is coerced only where numbers come in (parsers, `make`/`of_*`
 constructors, the sampler).  The predicates that read `.denominator` test
 integrality, a statement about rational numbers, so they and the
@@ -238,14 +241,6 @@ def poly_divmod(f, g) -> tuple:
         for j in range(n):
             f[k + j] -= c * g[j]
     return quot, poly_trim(f[:n])
-
-
-def poly_gcd(f, g) -> list:
-    """Monic greatest common divisor of f and g ([] when both are zero)."""
-    f, g = poly_trim(f), poly_trim(g)
-    while g:
-        f, g = g, poly_divmod(f, g)[1]
-    return [c / f[-1] for c in f]
 
 
 # ---------------------------------------------------------------------------

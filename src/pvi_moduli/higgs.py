@@ -14,9 +14,10 @@ root multiset of the exact "Wronskian" polynomial
     W * x(x-1)(x-t),
     W = s1 (s2' + A21 s1 + A22 s2) - s2 (s1' + A11 s1 + A12 s2),
 
-where (s1, s2) is the polynomial section spanning L.  The cleared
-polynomial has degree 3 - 2 deg(L) and its roots contain the contact
-poles of L (a zero at infinity shows as a drop in degree).
+where (s1, s2) = `Subbundle.sections()` is the polynomial section
+spanning L.  The cleared polynomial has degree 3 - 2 deg(L) and its roots
+contain the contact poles of L (a zero at infinity shows as a drop in
+degree).
 
 No root search is ever needed.  L destabilizes for some weights only if
 deg(L) + sum_{i in S} eps_i - sum_{i not in S} eps_i > 1/2 with every
@@ -36,7 +37,7 @@ from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connec
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (INF, ProjRat, det4, is_inf, over_common_denominator, poly_add, poly_deriv,
                     poly_divmod, poly_mul, poly_scale, poly_trim, proj_to_str)
-from .parabolic import QuasiPar, line_through, line_value, parabolic_from_connection, phi_map
+from .parabolic import QuasiPar, line_through, parabolic_from_connection, phi_map, section_value
 from .stability import Branch, Subbundle, Weights, ZONE_STABLE, classify_zone, find_destabilizer, stable_subzone_branch
 
 THETA_ZERO = "theta_zero"
@@ -121,7 +122,7 @@ def representative(point: PPoint, poles) -> QuasiPar:
         others = [j for j in range(4) if j != idx]
         v = line_through(QuasiPar(poles=poles, u=frame), others[:2])
         mod = list(frame)
-        mod[others[2]] = line_value(v, poles[others[2]])
+        mod[others[2]] = section_value(v, poles[others[2]], 1)
         u = tuple(mod)
     else:
         raise DegenerateInput("a point over a pole needs a plus or minus sheet")
@@ -181,16 +182,7 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     when L destabilizes for no weights (see the module docstring).
     """
     t = conn.t
-    if sub.degree == 1:
-        s1, s2 = [Fraction(0)], [Fraction(1)]          # the O(1) direction
-    elif sub.degree == 0:
-        v0, v1 = sub.coefficients
-        s1, s2 = [Fraction(1)], [v0, v1]
-    elif sub.degree == -1:
-        v0, v1, w0, w1, w2 = sub.coefficients
-        s1, s2 = [v0, v1], [w0, w1, w2]
-    else:
-        raise DegenerateInput(f"unsupported subbundle degree {sub.degree}")
+    s1, s2 = sub.sections()
     pi = [Fraction(0), t, -(1 + t), Fraction(1)]        # x(x-1)(x-t)
 
     def cleared_entry(getter):

@@ -95,59 +95,33 @@ def E_prime_minus(i: int) -> DivClass:
     return out
 
 
-# Gram matrix of the intersection form
-_GRAM = [[0] * RANK for _ in range(RANK)]
-_GRAM[0][0] = -2
-_GRAM[0][1] = _GRAM[1][0] = 1
-for _k in range(2, RANK):
-    _GRAM[_k][_k] = -1
-
-
 def intersect(d1: DivClass, d2: DivClass) -> int:
-    return sum(d1.coeffs[i] * _GRAM[i][j] * d2.coeffs[j]
-               for i in range(RANK) for j in range(RANK) if _GRAM[i][j] != 0)
+    a, b = d1.coeffs, d2.coeffs
+    return (-2 * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
+            - sum(x * y for x, y in zip(a[2:], b[2:])))
 
 
 def form_signature():
-    """(n_plus, n_minus, n_zero) of the form, by exact congruence diagonalization."""
-    a = [[Fraction(x) for x in row] for row in _GRAM]
-    n = RANK
-    pos = neg = zero = 0
-    idx = list(range(n))
-    k = 0
-    while k < n:
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is None:
-                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                            if a[i][j] != 0), None)
-                if off is None:
-                    zero += n - k
-                    break
-                i, j = off
-                # replace row/col j by j + i to create a nonzero diagonal entry
-                for m in range(n):
-                    a[j][m] += a[i][m]
-                for m in range(n):
-                    a[m][j] += a[m][i]
-                continue
-            a[k], a[swap] = a[swap], a[k]
-            for row in a:
-                row[k], row[swap] = row[swap], row[k]
+    """(n_plus, n_minus, n_zero) of the form, by symmetric elimination of its
+    Gram matrix over Q.  The pivots are -2, 1/2 and then -1 eight times, so
+    no pivot swap is needed; a zero pivot raises DegenerateInput."""
+    basis = [_basis(i) for i in range(RANK)]
+    a = [[Fraction(intersect(x, y)) for y in basis] for x in basis]
+    pos = neg = 0
+    for k in range(RANK):
         piv = a[k][k]
+        if piv == 0:
+            raise DegenerateInput(f"zero pivot at step {k} of the Gram elimination")
         if piv > 0:
             pos += 1
         else:
             neg += 1
-        for j in range(k + 1, n):
+        for j in range(k + 1, RANK):
             f = a[j][k] / piv
             if f != 0:
-                for m in range(n):
+                for m in range(k, RANK):
                     a[j][m] -= f * a[k][m]
-                for m in range(n):
-                    a[m][j] -= f * a[m][k]
-        k += 1
-    return (pos, neg, zero)
+    return (pos, neg, 0)
 
 
 def enumerate_transversal(n_max: int):

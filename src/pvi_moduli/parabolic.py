@@ -104,14 +104,22 @@ def line_through(qp: QuasiPar, indices: Sequence[int]):
     else:
         v1 = (u[j] - u[i]) / (tj - poles[i])
     v = (u[j] - v1 * tj, v1)
-    if any(line_value(v, poles[k]) != u[k] for k in rest):
+    if any(section_value(v, poles[k], 1) != u[k] for k in rest):
         return None
     return v
 
 
-def line_value(v, pole: ProjRat) -> Rat:
-    """Value of the line v at a pole, in the chart convention of QuasiPar."""
-    return v[1] if is_inf(pole) else v[0] + v[1] * pole
+def section_value(poly, pole: ProjRat, degree: int) -> Rat:
+    """Value at a pole of a section of O(degree), a polynomial of degree
+    <= degree given by its coefficients, constant term first: by Horner's
+    rule at a finite pole, and at infinity the x^degree coefficient, the
+    value in the chart of QuasiPar.  Sections of negative degree vanish."""
+    if is_inf(pole):
+        return poly[degree] if degree >= 0 else 0
+    *rest, value = poly
+    for c in reversed(rest):
+        value = value * pole + c
+    return value
 
 
 def is_simple(qp: QuasiPar) -> bool:

@@ -14,8 +14,10 @@ from .connection import KappaParams, PQState, kappa_generic
 from .errors import SamplerExhausted, SpecialWeights
 from .exact import HALF
 from .mconv import ExponentData
-from .stability import ALL_ZONE_LABELS  # noqa: F401  (re-exported for the sampler's callers)
+from .parabolic import QuasiPar, is_simple
 from .stability import Weights, ZONE_A, ZONE_STABLE, classify_zone, et_pair, nonspecial_eps
+
+RETRY_LIMIT = 10000  # draws before a sampler gives up
 
 
 def _zone_of(eps) -> Optional[str]:
@@ -49,13 +51,13 @@ class RationalSampler:
         den = self.rng.randint(2, self.bound)
         return Fraction(self.rng.randint(1, den - 1), den)
 
-    def retry(self, make, accept, limit: int = 10000):
-        for _ in range(limit):
+    def retry(self, make, accept):
+        for _ in range(RETRY_LIMIT):
             x = make()
             if accept(x):
                 return x
             self.rejections += 1
-        raise SamplerExhausted(f"sampler found no acceptable value in {limit} draws "
+        raise SamplerExhausted(f"sampler found no acceptable value in {RETRY_LIMIT} draws "
                                f"at bound {self.bound}; try a larger bound")
 
     # -- structured samples -------------------------------------------------
@@ -141,8 +143,6 @@ class RationalSampler:
 
     def simple_u(self, poles) -> tuple:
         """Finite parabolic coordinates forming a simple structure."""
-        from .parabolic import QuasiPar, is_simple
-
         def make():
             return tuple(self.rat() for _ in range(4))
 

@@ -6,9 +6,12 @@ degree d = 1 is destabilized by a line subbundle L exactly when
 
     deg(L) + sum_{i in S(L)} eps_i - sum_{i not in S(L)} eps_i > 1/2,
 
-S(L) the contact set.  Three families of saturated candidates exist:
-the unique O(1), the degree-0 maps (1, v) with v of degree <= 1, and the
-degree-(-1) map through all four directions.  The weight space splits
+S(L) the contact set.  A candidate is the pair of polynomial sections
+(s1, s2) spanning L (`Subbundle.sections`): (0, 1) for the unique O(1),
+(1, v) for the degree-0 lines v of degree <= 1, and (v, w) for the
+degree-(-1) map through all four directions, kept only when v and w share
+no zero on P^1.  One rule reads every contact set off the values of s1
+and s2 at the poles (`parabolic.section_value`).  The weight space splits
 into eight unstable zones (every structure unstable, with a predicted
 destabilizer type) and the stable zone.
 """
@@ -21,9 +24,8 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialWeights
-from .exact import (HALF, Rat, is_inf, over_common_denominator, pick_sums, poly_divmod,
-                    poly_gcd, rat_from_str, rat_to_str)
-from .parabolic import QuasiPar, conic_subbundle, line_through, line_value
+from .exact import HALF, Rat, is_inf, over_common_denominator, pick_sums, rat_from_str, rat_to_str
+from .parabolic import QuasiPar, conic_subbundle, line_through, section_value
 
 ZONE_A = "A"
 ZONE_B = "B"
@@ -163,6 +165,19 @@ class Subbundle:
     coefficients: tuple
     contact: frozenset
 
+    def sections(self):
+        """The map L -> O + O(1) as polynomial sections (s1, s2), constant
+        term first, s1 of O(-degree) and s2 of O(1 - degree): (0, 1) for
+        the O(1), (1, v) at degree 0 and (v, w) at degree -1."""
+        c = self.coefficients
+        if self.degree == 1:
+            return (0,), (1,)
+        if self.degree == 0:
+            return (1,), c
+        if self.degree == -1:
+            return c[:2], c[2:]
+        raise DegenerateInput(f"unsupported subbundle degree {self.degree}")
+
     def to_json_dict(self):
         return {"degree": self.degree,
                 "coefficients": [rat_to_str(c) for c in self.coefficients],
@@ -175,67 +190,56 @@ def parabolic_degree(sub: Subbundle, w: Weights) -> Rat:
     return sub.degree + inside - outside
 
 
-def _o1_candidate(qp: QuasiPar) -> Subbundle:
-    contact = frozenset(i + 1 for i in qp.infinite_indices())
-    return Subbundle(degree=1, coefficients=(), contact=contact)
+def _with_contact(qp: QuasiPar, degree: int, coefficients: tuple) -> Subbundle:
+    """The saturated candidate with these map data, and its contact set.
 
-
-def _deg0_contact(qp: QuasiPar, v) -> frozenset:
-    out = set()
-    for i, (tv, uv) in enumerate(zip(qp.poles, qp.u)):
-        if not is_inf(uv) and line_value(v, tv) == uv:
-            out.add(i + 1)
-    return frozenset(out)
-
-
-def _minus1_candidate(qp: QuasiPar) -> Optional[Subbundle]:
-    """The degree-(-1) subbundle through all four directions, reclassified
-    at its saturated degree if the defining sections share a factor."""
-    try:
-        (v0, v1), (w0, w1, w2) = conic_subbundle(qp)
-    except DegenerateInput:
-        return None
-    v, wpoly = (v0, v1), (w0, w1, w2)
-    if v0 == 0 and v1 == 0:
-        # lands inside O(1): saturates to the O(1) candidate, handled separately
-        return None
-    g = poly_gcd(v, wpoly)
-    if len(g) == 2:  # common linear factor: saturated subbundle has degree 0
-        (c,), _ = poly_divmod(v, g)  # v is linear here, so v = c * g with c != 0
-        wq = poly_divmod(wpoly, g)[0] + [Fraction(0), Fraction(0)]
-        w_lin = (wq[0] / c, wq[1] / c)
-        return Subbundle(degree=0, coefficients=w_lin, contact=_deg0_contact(qp, w_lin))
+    At each pole the sections give the direction (a, b) = (s1(t_i), s2(t_i))
+    of L (at infinity in the chart of QuasiPar), nonzero since L is
+    saturated.  It is the parabolic direction iff a = 0 when u_i = inf, and
+    iff a != 0 and b = u_i a when u_i is finite.
+    """
+    s1, s2 = Subbundle(degree, coefficients, frozenset()).sections()
     contact = set()
     for i, (tv, uv) in enumerate(zip(qp.poles, qp.u)):
-        if is_inf(tv):
-            direction = (v1, w2)
+        a = section_value(s1, tv, -degree)
+        if a == 0:
+            hit = is_inf(uv)
         else:
-            direction = (v0 + v1 * tv, w0 + w1 * tv + w2 * tv * tv)
-        if is_inf(uv):
-            hit = direction[0] == 0
-        else:
-            hit = direction[1] == uv * direction[0]
+            hit = not is_inf(uv) and section_value(s2, tv, 1 - degree) == (uv if a == 1 else uv * a)
         if hit:
             contact.add(i + 1)
-    return Subbundle(degree=-1, coefficients=(v0, v1, w0, w1, w2), contact=frozenset(contact))
+    return Subbundle(degree=degree, coefficients=coefficients, contact=frozenset(contact))
 
 
 def candidate_subbundles(qp: QuasiPar):
-    """All saturated candidates relevant for stability, deduplicated."""
-    cands = [_o1_candidate(qp)]
+    """All saturated candidates relevant for stability, deduplicated: the
+    O(1), the lines (1, v) through two or more finite directions, and the
+    degree-(-1) section (v, w) through all four directions.
+
+    (v, w) is dropped when v and w share a zero on P^1: v = 0, or
+    w(-v0/v1) = 0, or v1 = w2 = 0 (a zero at infinity).  Its saturation is
+    then listed already.  For v = 0 it is the O(1).  Otherwise v has one
+    zero z, a direction u_i = inf can only sit at the pole z, and at the
+    three or more other poles v(t_i) != 0 and (v, w) = v (1, w/v), so the
+    degree-0 line w/v passes through their finite directions and the pair
+    loop lists it.
+    """
+    cands = [_with_contact(qp, 1, ())]
     finite = [i for i in range(4) if not is_inf(qp.u[i])]
     seen = set()
     for i, j in combinations(finite, 2):
         v = line_through(qp, [i, j])
-        if v is None:
-            continue
-        if v in seen:
+        if v is None or v in seen:
             continue
         seen.add(v)
-        cands.append(Subbundle(degree=0, coefficients=v, contact=_deg0_contact(qp, v)))
-    m1 = _minus1_candidate(qp)
-    if m1 is not None and (m1.degree != 0 or m1.coefficients not in seen):
-        cands.append(m1)
+        cands.append(_with_contact(qp, 0, v))
+    try:
+        (v0, v1), w = conic_subbundle(qp)
+    except DegenerateInput:
+        return cands
+    shared_zero = (v0 == 0 or w[2] == 0) if v1 == 0 else section_value(w, -v0 / v1, 2) == 0
+    if not shared_zero:
+        cands.append(_with_contact(qp, -1, (v0, v1) + w))
     return cands
 
 

@@ -22,8 +22,8 @@ from pvi_moduli.lattice import (C0, F as FIB, F_prime, Y, Y_RED, anticanonical_c
                                 singular_fiber_decompositions)
 from pvi_moduli.mconv import ExponentData, mc_exponents, zone_interchange_check
 from pvi_moduli.parabolic import QuasiPar, parabolic_from_connection, phi_map, q_map_parabolic
-from pvi_moduli.sampling import ALL_ZONE_LABELS, RationalSampler
-from pvi_moduli.stability import (Weights, ZONE_STABLE, classify_zone, et_pair,
+from pvi_moduli.sampling import RationalSampler
+from pvi_moduli.stability import (ALL_ZONE_LABELS, Weights, ZONE_STABLE, classify_zone, et_pair,
                                   find_destabilizer, parabolic_degree,
                                   predicted_destabilizer_degree)
 from pvi_moduli.verify import oracle_destabilizer

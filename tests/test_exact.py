@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from pvi_moduli.errors import DegenerateInput, NoSolution
 from pvi_moduli.exact import (INF, Dual, is_inf, pick_sums, poly_add, poly_deriv, poly_divmod,
-                              poly_gcd, poly_mul, poly_trim, proj_from_str, proj_to_str,
-                              rat_from_str, rat_to_str, solve_linear)
+                              poly_mul, poly_trim, proj_from_str, proj_to_str, rat_from_str,
+                              rat_to_str, solve_linear)
 
 rationals = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -132,14 +132,6 @@ class TestPolynomials:
         quot, rem = poly_divmod(f, g)
         assert poly_trim(poly_add(poly_mul(quot, g), rem)) == poly_trim(f)
         assert len(rem) < len(poly_trim(g)) and rem == poly_trim(rem)
-
-    def test_gcd_is_the_monic_common_factor(self):
-        f = poly_mul([F(-2), F(1)], [F(3), F(1)])       # (x - 2)(x + 3)
-        g = poly_mul([F(-6), F(3)], [F(-5), F(1)])      # 3 (x - 2)(x - 5)
-        assert poly_gcd(f, g) == [F(-2), F(1)]
-        assert poly_gcd(f, []) == poly_gcd(f, f) == poly_trim(f)
-        assert poly_gcd([F(0)], []) == []
-        assert poly_gcd([F(4)], g) == [F(1)]
 
     def test_deriv(self):
         assert poly_deriv([F(5), F(1, 2), F(3), F(2)]) == [F(1, 2), F(6), F(6)]

@@ -9,8 +9,8 @@ from pvi_moduli.exact import INF
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, higgs_limit, representative,
                               theta_divisor, v_alpha_stable, v_alpha_unstable)
 from pvi_moduli.parabolic import parabolic_from_connection, phi_map
-from pvi_moduli.sampling import ALL_ZONE_LABELS, RationalSampler
-from pvi_moduli.stability import Subbundle, Weights, find_destabilizer
+from pvi_moduli.sampling import RationalSampler
+from pvi_moduli.stability import ALL_ZONE_LABELS, Subbundle, Weights, find_destabilizer
 from pvi_moduli.connection import build_connection
 
 ZONE_A_W = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])

@@ -6,7 +6,8 @@ import pytest
 from pvi_moduli.errors import DegenerateInput, SpecialParameters
 from pvi_moduli.mconv import (BetaChoice, ExponentData, _mod1, defect, mc_exponents,
                               parse_sigma, zone_interchange_check)
-from pvi_moduli.sampling import ALL_ZONE_LABELS, RationalSampler
+from pvi_moduli.sampling import RationalSampler
+from pvi_moduli.stability import ALL_ZONE_LABELS
 
 HALF = F(1, 2)
 

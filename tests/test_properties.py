@@ -8,8 +8,9 @@ of 2^64 and hit the loci on purpose: directions u_i = inf, three (or four)
 colinear directions, a coordinate q at a pole, p = 0 and weights on a wall.
 Where an answer exists it is also checked: the canonical representative of
 a classifying point classifies back to that point, a destabilizer has
-parabolic degree above 1/2, and a zero-Higgs-field limit keeps the
-classifying point of the structure it came from.
+parabolic degree above 1/2, every degree -1 candidate is saturated, and a
+zero-Higgs-field limit keeps the classifying point of the structure it
+came from.
 """
 from fractions import Fraction as F
 
@@ -20,7 +21,8 @@ from pvi_moduli.errors import ModuliError
 from pvi_moduli.exact import HALF, INF, is_inf
 from pvi_moduli.higgs import GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative
 from pvi_moduli.parabolic import QuasiPar, parabolic_from_connection, phi_map, q_map
-from pvi_moduli.stability import Subbundle, Weights, find_destabilizer, parabolic_degree
+from pvi_moduli.stability import (Subbundle, Weights, candidate_subbundles, find_destabilizer,
+                                  parabolic_degree)
 
 H = 2 ** 64
 
@@ -98,6 +100,16 @@ def test_find_destabilizer_gives_a_destabilizer_or_a_moduli_error(qp, w):
         return
     assert isinstance(sub, Subbundle)
     assert parabolic_degree(sub, w) > HALF
+
+
+@given(structures())
+def test_degree_minus_one_candidates_are_saturated(qp):
+    """v and w share no zero on P^1, infinity included: the resultant of
+    v and w as binary forms of degrees 1 and 2 does not vanish."""
+    for sub in candidate_subbundles(qp):
+        if sub.degree == -1:
+            v0, v1, w0, w1, w2 = sub.coefficients
+            assert w0 * v1 * v1 - w1 * v0 * v1 + w2 * v0 * v0 != 0
 
 
 @given(states(), weights())

@@ -6,8 +6,9 @@ import pytest
 from pvi_moduli.errors import SpecialWeights
 from pvi_moduli.exact import INF
 from pvi_moduli.parabolic import QuasiPar, line_through
-from pvi_moduli.sampling import ALL_ZONE_LABELS, RationalSampler
-from pvi_moduli.stability import (Branch, Weights, classify_zone, czone, et_pair,
+from pvi_moduli.sampling import RationalSampler
+from pvi_moduli.stability import (ALL_ZONE_LABELS, Branch, Subbundle, Weights,
+                                  candidate_subbundles, classify_zone, czone, et_pair,
                                   find_destabilizer, nonspecial_eps, parabolic_degree,
                                   stable_subzone_branch)
 from pvi_moduli.verify import oracle_destabilizer
@@ -172,6 +173,18 @@ class TestDestabilizer:
         assert find_destabilizer(qp, w1) == find_destabilizer(qp, w2)
         assert classify_zone(w1) == classify_zone(w2)
 
+    def test_section_vanishing_at_infinity_saturates_to_its_line(self):
+        # Directions 1, 2, 3 lie on the line x and u4 = 5 does not.  The
+        # section (v, w) = (1, x) meets all four directions, but v1 = w2 = 0:
+        # both entries vanish at infinity.  It is no degree -1 subbundle.
+        # Its saturation is the line x, whose contact is {1, 2, 3}.
+        qp = QuasiPar(poles=POLES, u=(F(0), F(1), F(3), F(5)))
+        assert all(sub.degree != -1 for sub in candidate_subbundles(qp))
+        w = Weights.of_eps([F(3, 8)] * 4)
+        sub = find_destabilizer(qp, w)
+        assert sub == Subbundle(degree=0, coefficients=(F(0), F(1)), contact=frozenset({1, 2, 3}))
+        assert parabolic_degree(sub, w) == F(3, 4)
+
     def test_infinite_direction_contact(self):
         qp = QuasiPar(poles=POLES, u=(INF, F(1), F(3), F(9)))
         w = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
@@ -213,7 +226,6 @@ class TestOracleAgreement:
 
     def test_unique_violator(self):
         # when unstable, exactly one candidate crosses the threshold
-        from pvi_moduli.stability import candidate_subbundles
         rs = RationalSampler(seed=41, bound=18)
         for zone in ALL_ZONE_LABELS:
             w = rs.weights_in_zone(zone)
