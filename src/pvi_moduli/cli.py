@@ -12,7 +12,7 @@ import sys
 
 from . import backlund as bk
 from .connection import PQState, build_connection, eigen_table
-from .errors import ModuliError
+from .errors import DegenerateInput, ModuliError
 from .exact import rat_from_str, rat_to_str, proj_to_str
 from .higgs import higgs_limit
 from .lattice import enumerate_transversal, sigma_label
@@ -30,7 +30,11 @@ def _emit(obj) -> None:
 def _load(cls, path: str):
     """A PQState or QuasiPar read from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return cls.from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise DegenerateInput(f"{path}: JSON nested too deeply") from None
+    return cls.from_json_dict(data)
 
 
 def _weights_from_args(args) -> Weights:

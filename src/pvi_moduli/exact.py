@@ -162,12 +162,6 @@ class Mat2:
     def scale(self, s) -> "Mat2":
         return Mat2(s * self.a11, s * self.a12, s * self.a21, s * self.a22)
 
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a11 * other.a11 + self.a12 * other.a21,
-                    self.a11 * other.a12 + self.a12 * other.a22,
-                    self.a21 * other.a11 + self.a22 * other.a21,
-                    self.a21 * other.a12 + self.a22 * other.a22)
-
     def matvec(self, v: Sequence[Rat]) -> tuple:
         return (self.a11 * v[0] + self.a12 * v[1],
                 self.a21 * v[0] + self.a22 * v[1])

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional
 
 from .errors import DegenerateInput, SpecialParameters
 from .exact import HALF, Rat, over_common_denominator, rat_from_str, rat_to_str
@@ -76,35 +75,6 @@ def sigma_text(sigma) -> str:
     return "".join("+" if s > 0 else "-" for s in sigma)
 
 
-@dataclass(frozen=True)
-class BetaChoice:
-    """Sign vector selecting the convolved eigenvalue per point, plus the
-    twist exponents z_i constrained by sum(z) = -sum(chosen exponents)."""
-
-    sigma: tuple
-    z: tuple
-
-    def __post_init__(self):
-        if len(self.sigma) != 4 or any(s not in (1, -1) for s in self.sigma):
-            raise DegenerateInput("sigma must be four signs")
-        if len(self.z) != 4:
-            raise DegenerateInput("four twist exponents required")
-
-    @classmethod
-    def default(cls, e: ExponentData, sigma) -> "BetaChoice":
-        """z1 = z2 = z3 = 0 with z4 absorbing the product constraint."""
-        if isinstance(sigma, str):
-            sigma = parse_sigma(sigma)
-        chosen = sum(e.mu[i] + sigma[i] * e.eps[i] for i in range(4))
-        z4 = _mod1(-chosen)
-        return cls(sigma=tuple(sigma), z=(Fraction(0), Fraction(0), Fraction(0), z4))
-
-    def validate_against(self, e: ExponentData):
-        chosen = sum(e.mu[i] + self.sigma[i] * e.eps[i] for i in range(4))
-        if _mod1(sum(self.z) + chosen) != 0:
-            raise DegenerateInput("twist exponents violate the product constraint")
-
-
 def nonspecial_exponents(e: ExponentData) -> bool:
     """All sixteen signed eps sums avoid the half-integers."""
     return nonspecial_eps(e.eps)
@@ -115,26 +85,31 @@ def defect(r: int, n: int, multiplicities) -> int:
     return (n - 2) * r - sum(multiplicities)
 
 
-def mc_exponents(e: ExponentData, choice: Optional[BetaChoice] = None,
-                 sigma=None) -> ExponentData:
-    """Exponent data of the middle convolution for the given choice.
+def mc_exponents(e: ExponentData, sigma: str = "++++", z=None) -> ExponentData:
+    """Exponent data of the middle convolution for the convolver choice
+    `sigma` (text as `parse_sigma` reads it) with twist exponents `z`.
 
-    The output eigen-exponent pair at t_i is {z_i, z_i + y_i}; see the
-    module docstring for the (mu', eps') normalization.
+    The default twists are z1 = z2 = z3 = 0 with z4 absorbing the product
+    constraint sum(z) = -sum(chosen exponents) mod 1; a given z must meet
+    it.  The output eigen-exponent pair at t_i is {z_i, z_i + y_i}; see
+    the module docstring for the (mu', eps') normalization.
     """
-    if choice is None:
-        # the default z4 meets the product constraint by construction
-        choice = BetaChoice.default(e, sigma if sigma is not None else "++++")
-    else:
-        choice.validate_against(e)
+    signs = parse_sigma(sigma)
+    chosen = sum(e.mu[i] + signs[i] * e.eps[i] for i in range(4))
+    if z is None:
+        z = (Fraction(0), Fraction(0), Fraction(0), _mod1(-chosen))
+    elif len(z) != 4:
+        raise DegenerateInput("four twist exponents required")
+    elif _mod1(sum(z) + chosen) != 0:
+        raise DegenerateInput("twist exponents violate the product constraint")
     if not nonspecial_exponents(e):
         raise SpecialParameters("signed eps sums hit a half-integer")
     nums, den = over_common_denominator(e.eps)
-    eps_out, flipped = _convolve(nums, den, choice.sigma)
+    eps_out, flipped = _convolve(nums, den, signs)
     unit = 4 * den
     # z_i = mu'_i + eps'_i, and z_1 = mu'_1 - eps'_1 when the first pole was flipped
     sides = (1 if flipped else -1, -1, -1, -1)
-    mu_out = tuple(_mod1(z + Fraction(s * n, unit)) for z, s, n in zip(choice.z, sides, eps_out))
+    mu_out = tuple(_mod1(zi + Fraction(s * n, unit)) for zi, s, n in zip(z, sides, eps_out))
     return ExponentData(mu=mu_out, eps=tuple(Fraction(n, unit) for n in eps_out))
 
 

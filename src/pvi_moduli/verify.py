@@ -21,7 +21,7 @@ from .higgs import GRADED, higgs_limit, v_alpha_stable, v_alpha_unstable
 from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
                       singular_fiber_decompositions)
-from .mconv import BetaChoice, _mod1, defect, mc_exponents, zone_interchange_check
+from .mconv import _mod1, defect, mc_exponents, zone_interchange_check
 from .parabolic import (QuasiPar, line_through, parabolic_from_connection,
                         parabolic_from_connection_plus, phi_map, q_map, q_map_parabolic)
 from .sampling import RationalSampler
@@ -98,61 +98,72 @@ class Report:
 # Connection suite
 # ---------------------------------------------------------------------------
 
+def connection_identities(s: PQState) -> list:
+    """The normal-form identities of both gauges at one state, as a list
+    of (name, passed, witness) in report order.  Every value is computed
+    before the list is returned; the formulas are field-generic."""
+    k = s.kappa
+    conn = build_connection(s)
+    alt = build_connection_qp(s.t, k, bk.big_q_of(s), s.p)
+    out = []
+    for label, cn in (("pq", conn), ("alt", alt)):
+        fin = cn.finite_residues()
+        traces = [m.trace() for m in fin]
+        out.append((f"{label}: trace A_i = 0 (i<=3)", traces == [0, 0, 0],
+                    {"state": s, "traces": traces}))
+        dets = [m.det() for m in fin]
+        out.append((f"{label}: det A_i = -k_i^2/4 (i<=3)",
+                    dets == [-k.k1 ** 2 / 4, -k.k2 ** 2 / 4, -k.k3 ** 2 / 4],
+                    {"state": s, "dets": dets}))
+        base = cn.apparent_singularity_base()
+        out.append((f"{label}: (1,2) entry vanishes exactly at q", base == s.q,
+                    {"state": s, "zero": base}))
+        recovered = cn.p_invariant()
+        out.append((f"{label}: p recovered from A(2,2)|x=q", recovered == s.p,
+                    {"state": s, "recovered": recovered}))
+
+    # (q, p) gauge: residue at infinity and its eigenvalues
+    residue = conn.infinity_residue()
+    out.append(("pq: A4 equals the infinity residue of A(x)", conn.a4 == residue,
+                {"state": s, "A4": conn.a4, "residue": residue}))
+    det4 = conn.a4.det()
+    out.append(("pq: det A4 = (1-k4^2)/4", det4 == (1 - k.k4 ** 2) / 4,
+                {"state": s, "det": det4}))
+
+    # alternate gauge: sum-zero shape
+    ssum = alt.a1 + alt.a2 + alt.a3 + alt.a4
+    out.append(("alt: A1 + A2 + A3 + A4 = 0", ssum == Mat2.zero(), {"state": s, "sum": ssum}))
+    out.append(("alt: A4 lower triangular with diagonal {(1-k4)/2, (k4-1)/2}",
+                alt.a4.a12 == 0 and {alt.a4.a11, alt.a4.a22} == {(1 - k.k4) / 2, (k.k4 - 1) / 2},
+                {"state": s, "A4": alt.a4}))
+    det4 = alt.a4.det()
+    out.append(("alt: det A4 = -(1-k4)^2/4", det4 == -((1 - k.k4) ** 2) / 4,
+                {"state": s, "det": det4}))
+
+    # eigen table: A_i v = r v for all eight closed-form eigenvectors
+    table = eigen_table(s)
+    mats = (conn.a1, conn.a2, conn.a3, conn.a4)
+    out.append(("eigenvector table satisfies A_i v = r v",
+                all(m.matvec(vec) == (lam * vec[0], lam * vec[1])
+                    for m, pairs in zip(mats, table) for lam, vec in pairs),
+                {"state": s}))
+    gaps = [table[i][0][0] - table[i][1][0] for i in range(4)]
+    out.append(("eigenvalue gaps are k_i", gaps == [k.k1, k.k2, k.k3, k.k4],
+                {"state": s, "gaps": gaps}))
+    return out
+
+
 def suite_connection(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
     rep = Report(suite="connection", seed=seed, samples=samples, bound=bound)
     for _ in range(samples):
         s = rs.pq_state()
         k = s.kappa
-        conn = build_connection(s)
-        alt = build_connection_qp(s.t, k, bk.big_q_of(s), s.p)
+        for name, passed, witness in connection_identities(s):
+            rep.check(name, passed, witness)
 
-        for label, cn in (("pq", conn), ("alt", alt)):
-            fin = cn.finite_residues()
-            traces = [m.trace() for m in fin]
-            rep.check(f"{label}: trace A_i = 0 (i<=3)", traces == [0, 0, 0],
-                      {"state": s, "traces": traces})
-            dets = [m.det() for m in fin]
-            rep.check(f"{label}: det A_i = -k_i^2/4 (i<=3)",
-                      dets == [-k.k1 ** 2 / 4, -k.k2 ** 2 / 4, -k.k3 ** 2 / 4],
-                      {"state": s, "dets": dets})
-            base = cn.apparent_singularity_base()
-            rep.check(f"{label}: (1,2) entry vanishes exactly at q", base == s.q,
-                      {"state": s, "zero": base})
-            recovered = cn.p_invariant()
-            rep.check(f"{label}: p recovered from A(2,2)|x=q", recovered == s.p,
-                      {"state": s, "recovered": recovered})
-
-        # (q, p) gauge: residue at infinity and its eigenvalues
-        residue = conn.infinity_residue()
-        rep.check("pq: A4 equals the infinity residue of A(x)", conn.a4 == residue,
-                  {"state": s, "A4": conn.a4, "residue": residue})
-        det4 = conn.a4.det()
-        rep.check("pq: det A4 = (1-k4^2)/4", det4 == (1 - k.k4 ** 2) / 4,
-                  {"state": s, "det": det4})
-
-        # alternate gauge: sum-zero shape
-        ssum = alt.a1 + alt.a2 + alt.a3 + alt.a4
-        rep.check("alt: A1 + A2 + A3 + A4 = 0", ssum == Mat2.zero(), {"state": s, "sum": ssum})
-        rep.check("alt: A4 lower triangular with diagonal {(1-k4)/2, (k4-1)/2}",
-                  alt.a4.a12 == 0 and {alt.a4.a11, alt.a4.a22} == {(1 - k.k4) / 2, (k.k4 - 1) / 2},
-                  {"state": s, "A4": alt.a4})
-        det4 = alt.a4.det()
-        rep.check("alt: det A4 = -(1-k4)^2/4", det4 == -((1 - k.k4) ** 2) / 4,
-                  {"state": s, "det": det4})
-
-        # eigen table: A_i v = r v for all eight closed-form eigenvectors
-        table = eigen_table(s)
-        mats = (conn.a1, conn.a2, conn.a3, conn.a4)
-        rep.check("eigenvector table satisfies A_i v = r v",
-                  all(m.matvec(vec) == (lam * vec[0], lam * vec[1])
-                      for m, pairs in zip(mats, table) for lam, vec in pairs),
-                  {"state": s})
-        gaps = [table[i][0][0] - table[i][1][0] for i in range(4)]
-        rep.check("eigenvalue gaps are k_i", gaps == [k.k1, k.k2, k.k3, k.k4],
-                  {"state": s, "gaps": gaps})
-
-        # fibration identities
+        # fibration identities; q_map and the residue predicates read
+        # denominators, so the checks from here on are sampled only
         qp = parabolic_from_connection(s)
         big_q = q_map_parabolic(qp)
         rep.check("Q of the induced parabolic equals q + k0/p", big_q == s.q + k.k0 / s.p,
@@ -186,6 +197,54 @@ def suite_connection(seed: int, samples: int, bound: int) -> Report:
 # Backlund suite
 # ---------------------------------------------------------------------------
 
+def backlund_identities(st: PQState) -> list:
+    """The symmetry-group identities at one state, as a list of (name,
+    passed, witness) in report order: the 30 group relations, the shift
+    and Schlesinger words, the Okamoto involution s0 against the two
+    fibrations, and the chart.  Every value is computed before the list
+    is returned, so a degenerate state raises ModuliError and contributes
+    nothing; the formulas are field-generic."""
+    results = bk.check_relations(st)
+    k = st.kappa
+    shifted = bk.apply_word(bk.WORD_SHIFT_12, st)
+    shifted34 = bk.apply_word(bk.WORD_SHIFT_34, st)
+    closed = bk.schlesinger_composite_qp(st)
+    word = bk.apply_word(bk.WORD_SCHLESINGER, st)
+    s0_image = bk.apply_generator("s0", st)
+    s0s0 = bk.apply_generator("s0", s0_image)
+    qq = bk.big_q_of(st)
+    q_after_s0 = bk.q_of(s0_image)
+    q_back = bk.big_q_of(s0_image)
+    sympl = bk.symplectic_check(st)
+    x, y = bk.al_chart(st)
+    xs, ys = bk.al_chart(s0_image)
+    slopes = _slope_identities(st)
+    out = [(f"relation {name}", holds, {"state": st, "detail": detail})
+           for name, holds, detail in results]
+    out += [
+        ("word [r12_34,s1,s2,s0,s3,s4,s0] shifts (k1,k2) by +1",
+         shifted.kappa.all4 == (k.k1 + 1, k.k2 + 1, k.k3, k.k4),
+         {"state": st, "kappa_out": shifted.kappa}),
+        ("word [r12_34,s3,s4,s0,s1,s2,s0] shifts (k3,k4) by +1",
+         shifted34.kappa.all4 == (k.k1, k.k2, k.k3 + 1, k.k4 + 1),
+         {"state": st, "kappa_out": shifted34.kappa}),
+        ("closed-form composite equals its generator word", closed == word,
+         {"state": st, "closed": closed, "word": word}),
+        ("composite sends (k1,k2) to (1-k1,1-k2)",
+         closed.kappa.all4 == (1 - k.k1, 1 - k.k2, k.k3, k.k4),
+         {"state": st, "kappa_out": closed.kappa}),
+        ("s0 s0 = identity on full states", s0s0 == st, {"state": st, "s0s0": s0s0}),
+        ("Q = q after s0", q_after_s0 == qq, {"state": st, "Q": qq, "q_after": q_after_s0}),
+        ("q = Q after s0", q_back == st.q, {"state": st, "Q_after": q_back}),
+        ("symplectic identity k0 J/(x-y)^2 = -1", sympl, {"state": st}),
+        ("s0 swaps the chart coordinates", (xs, ys) == (y, x),
+         {"state": st, "chart": (x, y), "chart_after": (xs, ys)}),
+        # blow-up slopes at the four diagonal points, by exact dual numbers
+        ("chart slopes at the diagonal points", slopes, {"state": st}),
+    ]
+    return out
+
+
 def suite_backlund(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
     rep = Report(suite="backlund", seed=seed, samples=samples, bound=bound)
@@ -193,44 +252,12 @@ def suite_backlund(seed: int, samples: int, bound: int) -> Report:
     while done < samples:
         st = rs.pq_state()
         try:
-            results = bk.check_relations(st)
-            k = st.kappa
-            shifted = bk.apply_word(bk.WORD_SHIFT_12, st)
-            shifted34 = bk.apply_word(bk.WORD_SHIFT_34, st)
-            closed = bk.schlesinger_composite_qp(st)
-            word = bk.apply_word(bk.WORD_SCHLESINGER, st)
-            s0_image = bk.apply_generator("s0", st)
-            s0s0 = bk.apply_generator("s0", s0_image)
-            qq = bk.big_q_of(st)
-            q_after_s0 = bk.q_of(s0_image)
-            q_back = bk.big_q_of(s0_image)
-            sympl = bk.symplectic_check(st)
-            x, y = bk.al_chart(st)
-            xs, ys = bk.al_chart(s0_image)
+            identities = backlund_identities(st)
         except ModuliError:
             rs.rejections += 1
             continue
-        for name, holds, detail in results:
-            rep.check(f"relation {name}", holds, {"state": st, "detail": detail})
-        rep.check("word [r12_34,s1,s2,s0,s3,s4,s0] shifts (k1,k2) by +1",
-                  shifted.kappa.all4 == (k.k1 + 1, k.k2 + 1, k.k3, k.k4),
-                  {"state": st, "kappa_out": shifted.kappa})
-        rep.check("word [r12_34,s3,s4,s0,s1,s2,s0] shifts (k3,k4) by +1",
-                  shifted34.kappa.all4 == (k.k1, k.k2, k.k3 + 1, k.k4 + 1),
-                  {"state": st, "kappa_out": shifted34.kappa})
-        rep.check("closed-form composite equals its generator word", closed == word,
-                  {"state": st, "closed": closed, "word": word})
-        rep.check("composite sends (k1,k2) to (1-k1,1-k2)",
-                  closed.kappa.all4 == (1 - k.k1, 1 - k.k2, k.k3, k.k4),
-                  {"state": st, "kappa_out": closed.kappa})
-        rep.check("s0 s0 = identity on full states", s0s0 == st, {"state": st, "s0s0": s0s0})
-        rep.check("Q = q after s0", q_after_s0 == qq, {"state": st, "Q": qq, "q_after": q_after_s0})
-        rep.check("q = Q after s0", q_back == st.q, {"state": st, "Q_after": q_back})
-        rep.check("symplectic identity k0 J/(x-y)^2 = -1", sympl, {"state": st})
-        rep.check("s0 swaps the chart coordinates", (xs, ys) == (y, x),
-                  {"state": st, "chart": (x, y), "chart_after": (xs, ys)})
-        # blow-up slopes at the four diagonal points, by exact dual numbers
-        rep.check("chart slopes at the diagonal points", _slope_identities(st), {"state": st})
+        for name, passed, witness in identities:
+            rep.check(name, passed, witness)
         done += 1
 
     # transversality
@@ -468,10 +495,10 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
         ws = rs.weights_in_zone(ZONE_STABLE)
         s1 = rs.pq_state()
         k0 = s1.kappa.k0
-        big_q = s1.q + k0 / s1.p
+        big_q = bk.big_q_of(s1)
         q2 = rs.retry(lambda: rs.rat(),
                       lambda q: q not in (0, 1, s1.t, s1.q, big_q))
-        s2 = PQState(t=s1.t, kappa=s1.kappa, q=q2, p=k0 / (big_q - q2))
+        s2 = PQState(t=s1.t, kappa=s1.kappa, q=q2, p=bk.transversality_solve(q2, big_q, k0)[1])
         lim1 = higgs_limit(s1, ws)
         lim2 = higgs_limit(s2, ws)
         rep.check("stable zone: limits agree for states with the same classifying point",
@@ -555,7 +582,7 @@ def suite_mc(seed: int, samples: int, bound: int) -> Report:
         # z-independence of the zone
         z_alt = (Fraction(1, 3), Fraction(-2, 5), Fraction(4, 7),
                  _mod1(-(sum(e.mu) + sum(e.eps)) - Fraction(1, 3) + Fraction(2, 5) - Fraction(4, 7)))
-        out_alt = mc_exponents(e, choice=BetaChoice(sigma=(1, 1, 1, 1), z=z_alt))
+        out_alt = mc_exponents(e, z=z_alt)
         rep.check("zone of the image is twist-independent",
                   out_alt.zone() == zone and out_alt.eps == out.eps, dict(wit, out_alt=out_alt))
         # the minus-at-last-pole choice: computed honestly; it lands stable

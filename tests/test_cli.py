@@ -67,6 +67,14 @@ class TestConnectionCommands:
         assert main(command + [str(path)]) == 2
         assert "DegenerateInput" in capsys.readouterr().err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["connection", "build", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: DegenerateInput")
+
     def test_eigen(self, capsys, state_file):
         code, out = run_cli(capsys, "connection", "eigen", "--state", state_file)
         assert code == 0

@@ -206,18 +206,3 @@ class TestElementaryTransform:
         assert out.degree == r.degree - 2
         # the Fuchs relation is re-validated by the constructor
         assert sum(out.r_plus) + sum(out.r_minus) + out.lam * out.degree == 0
-
-
-class TestInvariantSweep:
-    def test_random_states(self):
-        rs = RationalSampler(seed=3, bound=20)
-        for _ in range(25):
-            s = rs.pq_state()
-            conn = build_connection(s)
-            k = s.kappa
-            assert all(m.trace() == 0 for m in conn.finite_residues())
-            assert [m.det() for m in conn.finite_residues()] == \
-                [-k.k1 ** 2 / 4, -k.k2 ** 2 / 4, -k.k3 ** 2 / 4]
-            assert conn.apparent_singularity_base() == s.q
-            assert conn.p_invariant() == s.p
-            assert conn.a4 == conn.infinity_residue()

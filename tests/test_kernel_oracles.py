@@ -27,8 +27,8 @@ from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, Special
                                SpecialWeights)
 from pvi_moduli.exact import HALF, INF, det4, is_inf, over_common_denominator, solve_linear
 from pvi_moduli.higgs import _solve_chart1
-from pvi_moduli.mconv import (BetaChoice, ExponentData, mc_exponents, nonspecial_exponents,
-                              sigma_text, zone_interchange_check)
+from pvi_moduli.mconv import (ExponentData, mc_exponents, nonspecial_exponents, sigma_text,
+                              zone_interchange_check)
 from pvi_moduli.parabolic import QuasiPar, conic_subbundle, line_through
 from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Weights,
                                   candidate_subbundles, classify_zone, czone, et_pair,
@@ -441,38 +441,37 @@ class TestCheckRelations:
 # classify_zone
 # ---------------------------------------------------------------------------
 
-def _oracle_zone(eps):
-    half = F(1, 2)
+def _ref_classify_zone(eps):
+    """`classify_zone` written out: the eps sum and each pair minus the
+    other two, raising SpecialWeights on a wall as the package does."""
     total = eps[0] + eps[1] + eps[2] + eps[3]
-    combos = []
+    if total in (HALF, 3 * HALF):
+        raise SpecialWeights(f"eps sum on a wall: {total}")
+    combos = {}
     for i, j in combinations(range(4), 2):
         k, l = (m for m in range(4) if m not in (i, j))
-        combos.append(((i, j), eps[i] + eps[j] - eps[k] - eps[l]))
-    if total in (half, 3 * half) or any(c in (half, -half) for _, c in combos):
-        return None
-    if total < half:
+        c = eps[i] + eps[j] - eps[k] - eps[l]
+        if c in (HALF, -HALF):
+            raise SpecialWeights(f"pair combination on a wall: eps_{i+1}+eps_{j+1}-rest = {c}")
+        combos[(i, j)] = c
+    if total < HALF:
         return ZONE_A
-    if total > 3 * half:
+    if total > 3 * HALF:
         return ZONE_B
-    return next((czone(i + 1, j + 1) for (i, j), c in combos if c > half), ZONE_STABLE)
+    return next((czone(i + 1, j + 1) for (i, j), c in combos.items() if c > HALF), ZONE_STABLE)
 
 
 class TestClassifyZone:
     @given(st.lists(eps_values(), min_size=4, max_size=4))
     def test_matches_pair_minus_rest(self, eps):
-        expected = _oracle_zone(eps)
-        if expected is None:
-            with pytest.raises(SpecialWeights):
-                classify_zone(Weights.of_eps(eps))
-        else:
-            assert classify_zone(Weights.of_eps(eps)) == expected
+        assert _outcome(classify_zone, Weights.of_eps(eps)) == _outcome(_ref_classify_zone, eps)
 
     @given(st.lists(st.one_of(eps_values(), twelfths), min_size=4, max_size=4),
            st.integers(1, 4))
     def test_branch_matches_the_rest_sum(self, eps, i):
         w = Weights.of_eps(eps)
         rest = sum(eps) - 2 * eps[i - 1]
-        if _oracle_zone(eps) != ZONE_STABLE or rest == HALF:
+        if _outcome(_ref_classify_zone, eps) != ZONE_STABLE or rest == HALF:
             with pytest.raises(SpecialWeights):
                 stable_subzone_branch(w, i)
         else:
@@ -490,28 +489,13 @@ def _ref_mod1(x):
     return x - (x.numerator // x.denominator)
 
 
-def _ref_classify_zone(eps):
-    total = sum(eps)
-    if total == HALF or total == F(3, 2):
-        raise SpecialWeights(f"eps sum on a wall: {total}")
-    combos = {}
-    for i, j in combinations(range(4), 2):
-        c = 2 * (eps[i] + eps[j]) - total  # eps_i + eps_j - (the other two)
-        if c == HALF or c == -HALF:
-            raise SpecialWeights(f"pair combination on a wall: eps_{i+1}+eps_{j+1}-rest = {c}")
-        combos[(i, j)] = c
-    if total < HALF:
-        return ZONE_A
-    if total > F(3, 2):
-        return ZONE_B
-    for (i, j), c in combos.items():
-        if c > HALF:
-            return czone(i + 1, j + 1)
-    return ZONE_STABLE
+def _ref_default_z(e, sg):
+    """z1 = z2 = z3 = 0, z4 absorbing the product constraint."""
+    chosen = sum(m + s * x for m, s, x in zip(e.mu, sg, e.eps))
+    return (F(0), F(0), F(0), _ref_mod1(-chosen))
 
 
-def _ref_convolve(e, choice):
-    sg = choice.sigma
+def _ref_convolve(e, sg, z):
     shifted = sum(s * ev for s, ev in zip(sg, e.eps)) - HALF
     mu_out, eps_out = [], []
     for i in range(4):
@@ -520,7 +504,7 @@ def _ref_convolve(e, choice):
             raise SpecialParameters("output eigenvalue gap vanishes")
         h = y - 1                             # representative in (-1, 0)
         eps_out.append(-h / 2)
-        mu_out.append(_ref_mod1(choice.z[i] + h / 2))
+        mu_out.append(_ref_mod1(z[i] + h / 2))
     total = _ref_mod1(sum(mu_out))
     if total != HALF:
         if total != 0:
@@ -535,8 +519,8 @@ def _ref_interchange_zones(e):
         raise DegenerateInput("input must lie in an unstable zone")
     if any(v.denominator == 2 for v in _signed_sums((x, -x) for x in e.eps)):
         raise SpecialParameters("signed eps sums hit a half-integer")
-    return {sigma_text(signs): _ref_classify_zone(_ref_convolve(e, BetaChoice.default(e, signs)).eps)
-            for signs in product((1, -1), repeat=4)}
+    return {sigma_text(sg): _ref_classify_zone(_ref_convolve(e, sg, _ref_default_z(e, sg)).eps)
+            for sg in product((1, -1), repeat=4)}
 
 
 def _outcome(f, *args):
@@ -587,14 +571,13 @@ class TestIntegerConvolution:
     @given(exponent_data(), st.lists(rationals, min_size=3, max_size=3), st.integers(-2, 2))
     def test_transform_matches_the_fraction_formulas(self, e, z3, shift):
         special = any(v.denominator == 2 for v in _signed_sums((x, -x) for x in e.eps))
-        for signs in product((1, -1), repeat=4):
-            default = BetaChoice.default(e, signs)
-            chosen = sum(m + s * x for m, s, x in zip(e.mu, signs, e.eps))
-            twisted = BetaChoice(sigma=signs, z=(*z3, -chosen - sum(z3) + shift))
-            for choice in (default, twisted):
+        for sg in product((1, -1), repeat=4):
+            default = _ref_default_z(e, sg)
+            twisted = (*z3, default[3] - sum(z3) + shift)
+            for z, given in ((default, None), (twisted, twisted)):
                 expected = ((SpecialParameters, "signed eps sums hit a half-integer") if special
-                            else _outcome(_ref_convolve, e, choice))
-                got = _outcome(mc_exponents, e, choice)
+                            else _outcome(_ref_convolve, e, sg, z))
+                got = _outcome(mc_exponents, e, sigma_text(sg), given)
                 assert got == expected
                 if not isinstance(got, tuple):
                     assert _outcome(classify_zone, got.weights()) == \

@@ -4,8 +4,8 @@ from itertools import combinations, product
 import pytest
 
 from pvi_moduli.errors import DegenerateInput, SpecialParameters
-from pvi_moduli.mconv import (BetaChoice, ExponentData, _mod1, defect, mc_exponents,
-                              parse_sigma, zone_interchange_check)
+from pvi_moduli.mconv import (ExponentData, _mod1, defect, mc_exponents, parse_sigma,
+                              zone_interchange_check)
 from pvi_moduli.sampling import RationalSampler
 from pvi_moduli.stability import ALL_ZONE_LABELS
 
@@ -79,25 +79,29 @@ class TestTransform:
         base = mc_exponents(e, sigma="++++")
         chosen = sum(e.mu[i] + e.eps[i] for i in range(4))
         z = (F(1, 3), F(2, 7), F(-1, 5), _mod1(-chosen - F(1, 3) - F(2, 7) + F(1, 5)))
-        alt = mc_exponents(e, choice=BetaChoice(sigma=(1, 1, 1, 1), z=z))
+        alt = mc_exponents(e, z=z)
         assert alt.eps == base.eps
         assert alt.zone() == base.zone()
 
     def test_default_choice_meets_product_constraint(self):
-        # mc_exponents and zone_interchange_check do not re-validate default
-        # choices: z4 absorbs the product constraint for any mu and sigma
+        # mc_exponents does not check its default twists: z4 absorbs the
+        # product constraint for any mu and sigma, so passing the same z
+        # explicitly is accepted and gives the same image
         rs = RationalSampler(seed=127, bound=24)
         for zone in list(ALL_ZONE_LABELS) + ["Stable"]:
             eps = rs.exponent_data_in_zone(zone).eps
             mu = [rs.rat() for _ in range(3)]
             for e in (ExponentData.of_eps(eps), ExponentData(mu=(*mu, -HALF - sum(mu)), eps=eps)):
                 for signs in product("+-", repeat=4):
-                    BetaChoice.default(e, "".join(signs)).validate_against(e)
+                    sigma = "".join(signs)
+                    chosen = sum(m + s * x for m, s, x in zip(e.mu, parse_sigma(sigma), e.eps))
+                    z = (F(0), F(0), F(0), _mod1(-chosen))
+                    assert mc_exponents(e, sigma, z) == mc_exponents(e, sigma)
 
     def test_bad_twist_rejected(self):
         e = ExponentData.of_eps([F(1, 10)] * 4)
         with pytest.raises(DegenerateInput):
-            mc_exponents(e, choice=BetaChoice(sigma=(1, 1, 1, 1), z=(F(0),) * 4))
+            mc_exponents(e, z=(F(0),) * 4)
 
     def test_special_input_rejected(self):
         # signed sum 1/8+1/8+1/8+1/8 - 1/2 = 0: on a reflection wall
