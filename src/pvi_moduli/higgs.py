@@ -30,14 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connection
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (INF, ProjRat, det4, is_inf, over_common_denominator, poly_add, poly_deriv,
                     poly_divmod, poly_mul, poly_scale, poly_trim, proj_to_str)
-from .parabolic import QuasiPar, line_through, parabolic_from_connection, phi_map, section_value
+from .parabolic import (QuasiPar, in_general_position, line_through, parabolic_from_connection,
+                        phi_map, section_value)
 from .stability import Branch, Subbundle, Weights, ZONE_STABLE, classify_zone, find_destabilizer, stable_subzone_branch
 
 THETA_ZERO = "theta_zero"
@@ -95,8 +95,7 @@ def _frame(poles):
     for a in range(2, 20):
         for b in range(2, 20):
             cand = (Fraction(0), Fraction(1), Fraction(a), Fraction(b))
-            qp = QuasiPar(poles=poles, u=cand)
-            if all(line_through(qp, list(tr)) is None for tr in combinations(range(4), 3)):
+            if in_general_position(QuasiPar(poles=poles, u=cand)):
                 return cand
     raise DegenerateInput("no frame found for these poles")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .connection import PPoint, PQState, Sheet, eigen_table
@@ -122,6 +123,12 @@ def section_value(poly, pole: ProjRat, degree: int) -> Rat:
     return value
 
 
+def in_general_position(qp: QuasiPar) -> bool:
+    """No three of the four directions lie on one degree-1 section of O.
+    All u_i must be finite; four such directions are then also simple."""
+    return all(line_through(qp, list(tr)) is None for tr in combinations(range(4), 3))
+
+
 def is_simple(qp: QuasiPar) -> bool:
     """Indecomposability: at most one u_i = inf, and the finite directions
     are not all interpolated by one degree-1 section of O."""
@@ -222,16 +229,16 @@ def phi_map(qp: QuasiPar) -> PPoint:
     return PPoint(base=base, sheet=Sheet.PLUS)
 
 
+def parabolic_structures(s: PQState) -> tuple:
+    """The two quasiparabolic structures of the (q, p) normal form, read
+    from one eigen table: the slopes of the eigenvectors on the parabolic
+    eigenvalues, then those on the other eigenvalues; u4 in the <e, x*f>
+    chart."""
+    table = eigen_table(s)
+    return tuple(QuasiPar(poles=s.poles, u=tuple(table[i][side][1][1] for i in range(4)))
+                 for side in (0, 1))
+
+
 def parabolic_from_connection(s: PQState) -> QuasiPar:
-    """Parabolic coordinates of the (q, p) normal form: the slopes of the
-    eigenvectors on the parabolic eigenvalues, u4 in the <e, x*f> chart."""
-    table = eigen_table(s)
-    u = tuple(table[i][0][1][1] for i in range(4))
-    return QuasiPar(poles=s.poles, u=u)
-
-
-def parabolic_from_connection_plus(s: PQState) -> QuasiPar:
-    """The alternative structure through the other eigendirections."""
-    table = eigen_table(s)
-    u = tuple(table[i][1][1][1] for i in range(4))
-    return QuasiPar(poles=s.poles, u=u)
+    """The structure through the parabolic eigendirections."""
+    return parabolic_structures(s)[0]

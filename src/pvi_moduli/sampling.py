@@ -14,7 +14,7 @@ from .connection import KappaParams, PQState, kappa_generic
 from .errors import SamplerExhausted, SpecialWeights
 from .exact import HALF
 from .mconv import ExponentData
-from .parabolic import QuasiPar, is_simple
+from .parabolic import QuasiPar, in_general_position
 from .stability import Weights, ZONE_A, ZONE_STABLE, classify_zone, et_pair, nonspecial_eps
 
 RETRY_LIMIT = 10000  # draws before a sampler gives up
@@ -141,13 +141,15 @@ class RationalSampler:
         # an integer), and the test reads nothing but the eps.
         return ExponentData.of_eps(self.weights_in_zone(zone).eps)
 
-    def simple_u(self, poles) -> tuple:
-        """Finite parabolic coordinates forming a simple structure."""
+    def general_position_u(self, poles) -> tuple:
+        """Finite parabolic coordinates with no three directions on one
+        line (hence simple), the structures the zone claims are made for:
+        a line through three directions would outscore the conic."""
         def make():
             return tuple(self.rat() for _ in range(4))
 
         def accept(u):
-            return is_simple(QuasiPar(poles=tuple(poles), u=u))
+            return in_general_position(QuasiPar(poles=tuple(poles), u=u))
 
         return self.retry(make, accept)
 

@@ -15,15 +15,15 @@ from typing import Optional
 from . import backlund as bk
 from .connection import (PQState, apparent_singularity, build_connection, build_connection_qp,
                          eigen_table, elementary_transform_residues, kostov_generic, nonresonant)
-from .errors import ModuliError, NoFiniteIntersection
+from .errors import ModuliError, NoFiniteIntersection, SamplerExhausted
 from .exact import HALF, INF, Dual, Mat2, is_inf, proj_to_str
-from .higgs import GRADED, higgs_limit, v_alpha_stable, v_alpha_unstable
+from .higgs import GRADED, _divisor_key, higgs_limit, v_alpha_stable, v_alpha_unstable
 from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
                       singular_fiber_decompositions)
 from .mconv import _mod1, defect, mc_exponents, zone_interchange_check
 from .parabolic import (QuasiPar, line_through, parabolic_from_connection,
-                        parabolic_from_connection_plus, phi_map, q_map, q_map_parabolic)
+                        parabolic_structures, phi_map, q_map, q_map_parabolic)
 from .sampling import RationalSampler
 from .stability import (ALL_ZONE_LABELS, Branch, Weights, ZONE_STABLE, classify_zone, czone,
                         et_pair, find_destabilizer, parabolic_degree,
@@ -94,6 +94,21 @@ class Report:
                 "checks": [c.to_json_dict() for c in self.checks]}
 
 
+def _draw(rs: RationalSampler, make):
+    """`rs.retry` over `make`, a draw that computes every value of its
+    sample; a ModuliError in those formulas counts as one rejection.  An
+    exhausted inner sampler is not retried: it would only exhaust again."""
+    def attempt():
+        try:
+            return make()
+        except SamplerExhausted:
+            raise
+        except ModuliError:
+            return None
+
+    return rs.retry(attempt, lambda values: values is not None)
+
+
 # ---------------------------------------------------------------------------
 # Connection suite
 # ---------------------------------------------------------------------------
@@ -153,42 +168,47 @@ def connection_identities(s: PQState) -> list:
     return out
 
 
+def _connection_checks(s: PQState) -> list:
+    """Every check of the connection suite at one state, as (name, passed,
+    witness) in report order, each value computed before the list is
+    returned: the identities, then the fibration and residue checks,
+    sampled only because q_map and the residue predicates read
+    denominators."""
+    k = s.kappa
+    out = connection_identities(s)
+    qp, qp_plus = parabolic_structures(s)
+    big_q = q_map_parabolic(qp)
+    conic = q_map(qp)
+    q_plus = q_map(qp_plus)
+    big_q_prime = bk.big_q_prime_of(s)
+    out += [("Q of the induced parabolic equals q + k0/p", big_q == s.q + k.k0 / s.p,
+             {"state": s, "Q": big_q}),
+            ("conic route and closed form agree", conic == big_q,
+             {"state": s, "conic": conic, "Q": big_q}),
+            ("alternative structure computes Q'", q_plus == big_q_prime, {"state": s})]
+
+    res = k.residues()
+    out.append(("residues are Kostov-generic and non-resonant",
+                kostov_generic(res) and nonresonant(res), {"state": s}))
+    for i in (1, 2, 3, 4):
+        tr = elementary_transform_residues(res, i)
+        tr2 = elementary_transform_residues(tr, i)
+        out.append((f"elementary transformation at pole {i} shifts residues",
+                    tr.degree == res.degree - 1
+                    and tr.r_plus[i - 1] == res.r_minus[i - 1]
+                    and tr.r_minus[i - 1] == res.r_plus[i - 1] + res.lam
+                    and tr2.r_plus[i - 1] == res.r_plus[i - 1] + res.lam
+                    and tr2.r_minus[i - 1] == res.r_minus[i - 1] + res.lam,
+                    {"state": s, "pole": i}))
+    return out
+
+
 def suite_connection(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
     rep = Report(suite="connection", seed=seed, samples=samples, bound=bound)
     for _ in range(samples):
-        s = rs.pq_state()
-        k = s.kappa
-        for name, passed, witness in connection_identities(s):
+        for name, passed, witness in _draw(rs, lambda: _connection_checks(rs.pq_state())):
             rep.check(name, passed, witness)
-
-        # fibration identities; q_map and the residue predicates read
-        # denominators, so the checks from here on are sampled only
-        qp = parabolic_from_connection(s)
-        big_q = q_map_parabolic(qp)
-        rep.check("Q of the induced parabolic equals q + k0/p", big_q == s.q + k.k0 / s.p,
-                  {"state": s, "Q": big_q})
-        conic = q_map(qp)
-        rep.check("conic route and closed form agree", conic == big_q,
-                  {"state": s, "conic": conic, "Q": big_q})
-        rep.check("alternative structure computes Q'",
-                  q_map(parabolic_from_connection_plus(s)) == bk.big_q_prime_of(s),
-                  {"state": s})
-
-        # residue bookkeeping
-        res = k.residues()
-        rep.check("residues are Kostov-generic and non-resonant",
-                  kostov_generic(res) and nonresonant(res), {"state": s})
-        for i in (1, 2, 3, 4):
-            tr = elementary_transform_residues(res, i)
-            tr2 = elementary_transform_residues(tr, i)
-            rep.check(f"elementary transformation at pole {i} shifts residues",
-                      tr.degree == res.degree - 1
-                      and tr.r_plus[i - 1] == res.r_minus[i - 1]
-                      and tr.r_minus[i - 1] == res.r_plus[i - 1] + res.lam
-                      and tr2.r_plus[i - 1] == res.r_plus[i - 1] + res.lam
-                      and tr2.r_minus[i - 1] == res.r_minus[i - 1] + res.lam,
-                      {"state": s, "pole": i})
     rep.rejections = rs.rejections
     return rep
 
@@ -248,17 +268,9 @@ def backlund_identities(st: PQState) -> list:
 def suite_backlund(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
     rep = Report(suite="backlund", seed=seed, samples=samples, bound=bound)
-    done = 0
-    while done < samples:
-        st = rs.pq_state()
-        try:
-            identities = backlund_identities(st)
-        except ModuliError:
-            rs.rejections += 1
-            continue
-        for name, passed, witness in identities:
+    for _ in range(samples):
+        for name, passed, witness in _draw(rs, lambda: backlund_identities(rs.pq_state())):
             rep.check(name, passed, witness)
-        done += 1
 
     # transversality
     for _ in range(samples):
@@ -416,7 +428,7 @@ def suite_zones(seed: int, samples: int, bound: int) -> Report:
         need = {int(zone[1]), int(zone[2])} if zone.startswith("C") else set()
         for _ in range(max(samples // 8, 3)):
             w = rs.weights_in_zone(zone)
-            qp = QuasiPar(poles=poles, u=rs.simple_u(poles))
+            qp = QuasiPar(poles=poles, u=rs.general_position_u(poles))
             sub = find_destabilizer(qp, w)
             witness = {"weights": w, "parabolic": qp, "destabilizer": sub}
             rep.check(f"zone {zone}: destabilizer of the predicted type on all samples",
@@ -431,7 +443,7 @@ def suite_zones(seed: int, samples: int, bound: int) -> Report:
     # stable zone: generic structures stable, oracle agrees
     for _ in range(max(samples // 4, 5)):
         w = rs.weights_in_zone(ZONE_STABLE)
-        qp = QuasiPar(poles=poles, u=rs.simple_u(poles))
+        qp = QuasiPar(poles=poles, u=rs.general_position_u(poles))
         sub = find_destabilizer(qp, w)
         score, _, _ = oracle_destabilizer(qp, w)
         rep.check("stable zone: generic samples stable and oracle agrees",
@@ -441,7 +453,7 @@ def suite_zones(seed: int, samples: int, bound: int) -> Report:
     # mu never matters
     w = rs.weights_in_zone("A")
     w_mu = Weights(mu=tuple(rs.rat() for _ in range(4)), eps=w.eps)
-    qp = QuasiPar(poles=poles, u=rs.simple_u(poles))
+    qp = QuasiPar(poles=poles, u=rs.general_position_u(poles))
     rep.check("zone label and destabilizer ignore mu",
               classify_zone(w) == classify_zone(w_mu)
               and find_destabilizer(qp, w) == find_destabilizer(qp, w_mu),
@@ -536,20 +548,27 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
                   - sum(w.eps[i - 1] for i in lim.contact) < HALF,
                   {"state": s, "weights": w, "limit": lim})
 
-    # the zone <-> fibration dictionary: the free zero of the limiting
-    # Higgs field is the q-coordinate of the matching symmetry composite
-    dictionary = [(czone(i, j), bk.pair_fibration_word(i, j))
-                  for i, j in ((1, 2), (2, 3), (1, 4))] + [("B", bk.full_flip_fibration_word())]
-    for _ in range(max(samples // 8, 2)):
+    # the zone <-> fibration dictionary: the limiting Higgs field vanishes
+    # at the contact poles and at the q-coordinate of the matching
+    # symmetry composite, {t_i, t_j, q o word} or {t_1, ..., t_4, q o word}
+    dictionary = [(czone(i, j), (i, j), bk.pair_fibration_word(i, j))
+                  for i, j in ((1, 2), (2, 3), (1, 4))]
+    dictionary.append(("B", (1, 2, 3, 4), bk.full_flip_fibration_word()))
+
+    def dictionary_sample():
         s = rs.pq_state()
-        pole_vals = (Fraction(0), Fraction(1), s.t)
-        for zone, word in dictionary:
-            w = rs.weights_in_zone(zone)
-            lim = higgs_limit(s, w)
-            free = [z for z in lim.divisor if z not in pole_vals and not is_inf(z)]
-            composite_q = bk.apply_word(word, s).q
+        return s, [bk.apply_word(word, s).q for _, _, word in dictionary]
+
+    for _ in range(max(samples // 8, 2)):
+        s, composite_qs = _draw(rs, dictionary_sample)
+        pole_vals = (Fraction(0), Fraction(1), s.t, INF)
+        weights = [rs.weights_in_zone(zone) for zone, _, _ in dictionary]
+        limits = [higgs_limit(s, w) for w in weights]
+        for (_, poles, _), composite_q, w, lim in zip(dictionary, composite_qs, weights, limits):
+            divisor = tuple(sorted([pole_vals[i - 1] for i in poles] + [composite_q],
+                                   key=_divisor_key))
             rep.check("pair/full-flip zones: limit free zero is the composite's q-coordinate",
-                      free == [composite_q],
+                      lim.divisor == divisor,
                       {"state": s, "weights": w, "limit": lim, "composite_q": composite_q})
     rep.rejections = rs.rejections
     return rep

@@ -6,9 +6,9 @@ from pvi_moduli.backlund import SymState, big_q_prime_of
 from pvi_moduli.connection import KappaParams, PQState, Sheet
 from pvi_moduli.errors import NotSimple
 from pvi_moduli.exact import INF
-from pvi_moduli.parabolic import (AutElement, QuasiPar, act, is_simple,
-                                  parabolic_from_connection, parabolic_from_connection_plus,
-                                  phi_map, q_map, q_map_parabolic)
+from pvi_moduli.parabolic import (AutElement, QuasiPar, act, in_general_position, is_simple,
+                                  parabolic_from_connection, parabolic_structures, phi_map,
+                                  q_map, q_map_parabolic)
 from pvi_moduli.sampling import RationalSampler
 
 POLES = (F(0), F(1), F(2), INF)
@@ -40,7 +40,7 @@ class TestAutAction:
 
     def test_group_action(self):
         rs = RationalSampler(seed=5, bound=12)
-        qp = QuasiPar(poles=POLES, u=rs.simple_u(POLES))
+        qp = QuasiPar(poles=POLES, u=rs.general_position_u(POLES))
         for _ in range(5):
             g = AutElement(rs.rat(nonzero=True), rs.rat(), rs.rat())
             h = AutElement(rs.rat(nonzero=True), rs.rat(), rs.rat())
@@ -63,6 +63,11 @@ class TestSimplicity:
     def test_all_on_a_line(self):
         qp = QuasiPar(poles=(F(0), F(1), F(2), F(3)), u=(F(0), F(1), F(2), F(3)))
         assert not is_simple(qp)
+
+    def test_simple_with_three_directions_on_a_line(self):
+        # u1, u2, u3 lie on v = 3/2 - x; u4 = 1/3 is not its slope -1
+        qp = QuasiPar(poles=(F(0), F(1), F(3), INF), u=(F(3, 2), F(1, 2), F(-3, 2), F(1, 3)))
+        assert is_simple(qp) and not in_general_position(qp)
 
     def test_line_through_infinity_chart(self):
         # u4 equals the leading coefficient of the interpolant: decomposable
@@ -92,7 +97,7 @@ class TestQMap:
 
     def test_translation_invariance(self):
         rs = RationalSampler(seed=9, bound=12)
-        qp = QuasiPar(poles=POLES, u=rs.simple_u(POLES))
+        qp = QuasiPar(poles=POLES, u=rs.general_position_u(POLES))
         q0 = q_map(qp)
         for _ in range(6):
             g = AutElement(F(1), rs.rat(), rs.rat())
@@ -126,7 +131,7 @@ class TestPhiMap:
 
     def test_aut_invariance(self):
         rs = RationalSampler(seed=13, bound=10)
-        qp = QuasiPar(poles=POLES, u=rs.simple_u(POLES))
+        qp = QuasiPar(poles=POLES, u=rs.general_position_u(POLES))
         pt = phi_map(qp)
         for _ in range(5):
             g = AutElement(rs.rat(nonzero=True), rs.rat(), rs.rat())
@@ -156,7 +161,7 @@ class TestConicSubbundle:
         for _ in range(15):
             t = rs.retry(lambda: rs.rat(), lambda x: x not in (0, 1))
             poles = (F(0), F(1), t, INF)
-            u = rs.simple_u(poles)
+            u = rs.general_position_u(poles)
             (v, w) = conic_subbundle(QuasiPar(poles=poles, u=u))
             mine = list(v) + list(w)
             ref = self.closed_form_section(t, *u)
@@ -188,5 +193,6 @@ class TestFromConnection:
         for _ in range(10):
             s = rs.pq_state()
             sym = SymState(t=s.t, kappa=s.kappa, q=s.q, p=s.p)
-            qp_plus = parabolic_from_connection_plus(s)
+            qp, qp_plus = parabolic_structures(s)
+            assert qp == parabolic_from_connection(s)
             assert q_map(qp_plus) == big_q_prime_of(sym)

@@ -129,7 +129,18 @@ class TestBranch:
 class TestDestabilizer:
     def generic_qp(self, seed=31):
         rs = RationalSampler(seed=seed, bound=14)
-        return QuasiPar(poles=POLES, u=rs.simple_u(POLES))
+        return QuasiPar(poles=POLES, u=rs.general_position_u(POLES))
+
+    def test_three_colinear_directions_outscore_the_conic(self):
+        # zone B predicts the degree -1 conic, but a line through three
+        # directions beats it by 1 - 2 eps of the fourth pole; the sampler
+        # draws structures in general position for that reason
+        qp = QuasiPar(poles=POLES, u=(F(3, 2), F(1, 2), F(-3, 2), F(1, 3)))
+        w = Weights.of_eps([F(2, 5), F(9, 20), F(2, 5), F(9, 20)])
+        assert classify_zone(w) == "B"
+        sub = find_destabilizer(qp, w)
+        assert (sub.degree, sub.contact) == (0, frozenset({1, 2, 3}))
+        assert parabolic_degree(sub, w) == F(4, 5)
 
     def test_zone_a_gives_o1(self):
         w = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
@@ -208,11 +219,11 @@ class TestOracleAgreement:
                 u[3] = v[1]
                 qp = QuasiPar(poles=POLES, u=tuple(u))
             elif k % 3 == 1:
-                u = list(rs.simple_u(POLES))
+                u = list(rs.general_position_u(POLES))
                 u[rs.rng.randrange(4)] = INF
                 qp = QuasiPar(poles=POLES, u=tuple(u))
             else:
-                qp = QuasiPar(poles=POLES, u=rs.simple_u(POLES))
+                qp = QuasiPar(poles=POLES, u=rs.general_position_u(POLES))
             try:
                 sub = find_destabilizer(qp, w)
             except SpecialWeights:
@@ -229,7 +240,7 @@ class TestOracleAgreement:
         rs = RationalSampler(seed=41, bound=18)
         for zone in ALL_ZONE_LABELS:
             w = rs.weights_in_zone(zone)
-            qp = QuasiPar(poles=POLES, u=rs.simple_u(POLES))
+            qp = QuasiPar(poles=POLES, u=rs.general_position_u(POLES))
             violators = [s for s in candidate_subbundles(qp)
                          if parabolic_degree(s, w) > HALF]
             assert len({(s.degree, s.contact) for s in violators}) == 1

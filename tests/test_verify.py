@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from pvi_moduli import backlund as bk
 from pvi_moduli import verify
+from pvi_moduli.errors import DegenerateInput, SamplerExhausted
 from pvi_moduli.exact import INF, Mat2
 from pvi_moduli.parabolic import QuasiPar
 from pvi_moduli.stability import Weights, find_destabilizer
@@ -66,3 +68,28 @@ class TestWitnesses:
         assert failed["every class is C1 + F - sum E_i^sigma"] == {"labels": [None] * 16}
         assert "the 16 sign patterns each occur once" in failed
         assert not rep.passed
+
+
+def _degenerate_generator(name, state):
+    raise DegenerateInput(f"{name} degenerates everywhere")
+
+
+class TestRejectedSamples:
+    @pytest.mark.parametrize("suite, seed, samples, bound, degenerate", [
+        ("zones", 3, 3, 3, False),        # a zone-B structure with three colinear directions
+        ("higgs", 2, 3, 3, False),        # a dictionary word through a pole
+        ("connection", 16, 5, 3, False),  # Q' of a state whose s1 s2 s3 s4 image has p = 0
+        ("higgs", 30, 5, 3, False),       # the C23 limit's free zero lands on the pole 0
+        ("backlund", 1, 1, 64, True),     # no state survives a generator step
+    ])
+    def test_degenerate_samples_count_as_rejections(self, monkeypatch, suite, seed, samples,
+                                                    bound, degenerate):
+        if degenerate:
+            monkeypatch.setattr(bk, "apply_generator", _degenerate_generator)
+            start = time.perf_counter()
+            with pytest.raises(SamplerExhausted):
+                verify.run_suite(suite, seed=seed, samples=samples, bound=bound)
+            assert time.perf_counter() - start < 5
+            return
+        (rep,) = verify.run_suite(suite, seed=seed, samples=samples, bound=bound)
+        assert rep.passed, [c.name for c in rep.checks if not c.passed]
