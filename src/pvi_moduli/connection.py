@@ -240,18 +240,27 @@ class FourPoleConnection:
                 + self.a3.scale(1 / (x - self.t))
                 + self.c)
 
+    def cleared(self, entry: str) -> list:
+        """Coefficients, constant term first, of the polynomial
+        A(x)[entry] * x(x-1)(x-t) = r1 (x-1)(x-t) + r2 x(x-t) + r3 x(x-1)
+        + c x(x-1)(x-t), entry one of "a11", "a12", "a21", "a22"; the cubic
+        term is present only when the C entry c is nonzero."""
+        t = self.t
+        r1, r2, r3 = (getattr(m, entry) for m in self.finite_residues())
+        out = [r1 * t, -r1 * (1 + t) - r2 * t - r3, r1 + r2 + r3]
+        c = getattr(self.c, entry)
+        if c != 0:
+            out = [out[0], out[1] + c * t, out[2] - c * (1 + t), c]
+        return out
+
     def a12_numerator(self):
         """Coefficients (n0, n1) of the linear polynomial
         A(1,2)(x) * x(x-1)(x-t) = n0 + n1*x."""
-        t = self.t
-        rho = (self.a1.a12, self.a2.a12, self.a3.a12)
         if self.c.a12 != 0:
             raise DegenerateInput("constant part in the (1,2) entry: not logarithmic at infinity")
-        if sum(rho) != 0:
+        n0, n1, n2 = self.cleared("a12")
+        if n2 != 0:
             raise DegenerateInput("(1,2) entry has a residue at infinity")
-        # N(x) = rho1 (x-1)(x-t) + rho2 x(x-t) + rho3 x(x-1), quadratic term cancels
-        n0 = rho[0] * t
-        n1 = -rho[0] * (1 + t) - rho[1] * t - rho[2]
         return (n0, n1)
 
     def apparent_singularity_base(self) -> ProjRat:

@@ -34,18 +34,19 @@ from typing import Optional
 
 from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connection
 from .errors import DegenerateInput, SpecialWeights
-from .exact import (INF, ProjRat, det4, is_inf, over_common_denominator, poly_add, poly_deriv,
-                    poly_divmod, poly_mul, poly_scale, poly_trim, proj_to_str)
-from .parabolic import (QuasiPar, in_general_position, line_through, parabolic_from_connection,
-                        phi_map, section_value)
+from .exact import (INF, is_inf, poly_add, poly_deriv, poly_divmod, poly_mul, poly_scale,
+                    poly_trim, proj_to_str)
+from .parabolic import (QuasiPar, conic_subbundle, in_general_position, line_through,
+                        parabolic_from_connection, phi_map, section_value)
 from .stability import Branch, Subbundle, Weights, ZONE_STABLE, classify_zone, find_destabilizer, stable_subzone_branch
 
 THETA_ZERO = "theta_zero"
 GRADED = "graded"
 
 
-def _divisor_key(z: ProjRat):
-    return (1, Fraction(0)) if is_inf(z) else (0, z)
+def sorted_divisor(points) -> tuple:
+    """A divisor as the tuple of its points, finite ones ascending, then inf."""
+    return tuple(sorted(points, key=lambda z: (1, Fraction(0)) if is_inf(z) else (0, z)))
 
 
 @dataclass(frozen=True)
@@ -100,72 +101,46 @@ def _frame(poles):
     raise DegenerateInput("no frame found for these poles")
 
 
+def _pole_index(point: PPoint, poles):
+    """The 0-based index of the pole under the point, None off the poles.
+    Sheet labels exist exactly over the poles: anything else raises."""
+    idx = next((i for i, tv in enumerate(poles) if point.base == tv), None)
+    if idx is None and point.sheet != Sheet.GENERIC:
+        raise DegenerateInput("sheet labels only exist over the poles")
+    if idx is not None and point.sheet == Sheet.GENERIC:
+        raise DegenerateInput("a point over a pole needs a plus or minus sheet")
+    return idx
+
+
 def representative(point: PPoint, poles) -> QuasiPar:
     """A canonical quasiparabolic structure mapping to the given point.
 
     Orbit coordinates are fixed by pinning three directions to a
     deterministic frame; the image under the classifying map is asserted.
+    Off the poles the first direction is read off the degree-(-1) section
+    (v, w) through the other three whose v vanishes at the base: the
+    direction u = inf over the base imposes exactly v(base) = 0.
     """
     poles = tuple(poles)
+    idx = _pole_index(point, poles)
     frame = _frame(poles)
-    idx = next((i for i, tv in enumerate(poles) if point.base == tv), None)
     if idx is None:
-        if point.sheet != Sheet.GENERIC:
-            raise DegenerateInput("sheet labels only exist over the poles")
-        u = _solve_chart1(point.base, poles, frame)
+        v, w = conic_subbundle(QuasiPar(poles=(point.base,) + poles[1:], u=(INF,) + frame[1:]))
+        u = (section_value(w, poles[0], 2) / section_value(v, poles[0], 1),) + frame[1:]
     elif point.sheet == Sheet.MINUS:
         mod = list(frame)
         mod[idx] = INF
         u = tuple(mod)
-    elif point.sheet == Sheet.PLUS:
+    else:
         others = [j for j in range(4) if j != idx]
         v = line_through(QuasiPar(poles=poles, u=frame), others[:2])
         mod = list(frame)
         mod[others[2]] = section_value(v, poles[others[2]], 1)
         u = tuple(mod)
-    else:
-        raise DegenerateInput("a point over a pole needs a plus or minus sheet")
     qp = QuasiPar(poles=poles, u=u)
     if phi_map(qp) != point:
         raise AssertionError(f"representative of {point} classifies wrongly")
     return qp
-
-
-def _solve_chart1(base, poles, frame):
-    """Solve for u1 such that (u1, frame2, frame3, frame4) maps to base.
-
-    The degree-(-1) section (v, w) through the four directions must have
-    v vanishing at the (finite, non-pole) base; normalizing v = x - base
-    leaves an invertible linear system for (w0, w1, w2, u1), solved for u1
-    by Cramer's rule on its rows scaled to integers.
-    """
-    if is_inf(base):
-        # v has its zero at infinity: v = 1 constant
-        def vval(tv):
-            return 0 if is_inf(tv) else 1
-        vlead = 0
-    else:
-        def vval(tv):
-            return None if is_inf(tv) else tv - base
-        vlead = 1
-    rows = []
-    for j in (1, 2, 3):
-        tv, uv = poles[j], frame[j]
-        if is_inf(tv):
-            rows.append([0, 0, 1, 0, uv * vlead])              # w2 = u * v_lead
-        else:
-            rows.append([1, tv, tv * tv, 0, uv * vval(tv)])    # w(t) = u * v(t)
-    t1 = poles[0]
-    if is_inf(t1):
-        rows.append([0, 0, 1, -vlead, 0])                      # w2 - u1 * v_lead = 0
-    else:
-        rows.append([1, t1, t1 * t1, -vval(t1), 0])            # w(t1) - u1 * v(t1) = 0
-    rows = [over_common_denominator(row)[0] for row in rows]
-    det = det4([r[:4] for r in rows])
-    if det == 0:
-        raise DegenerateInput("chart solve degenerated")
-    u1 = Fraction(det4([r[:3] + r[4:] for r in rows]), det)
-    return (u1, frame[1], frame[2], frame[3])
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +157,8 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     """
     t = conn.t
     s1, s2 = sub.sections()
-    pi = [Fraction(0), t, -(1 + t), Fraction(1)]        # x(x-1)(x-t)
-
-    def cleared_entry(getter):
-        """Entry of A(x) * x(x-1)(x-t) as exact polynomial coefficients."""
-        a1, a2, a3 = (getter(m) for m in conn.finite_residues())
-        base = poly_add(
-            poly_scale(a1, [t, -(1 + t), Fraction(1)]),                # (x-1)(x-t)
-            poly_scale(a2, [Fraction(0), -t, Fraction(1)]),            # x(x-t)
-            poly_scale(a3, [Fraction(0), Fraction(-1), Fraction(1)]),  # x(x-1)
-        )
-        cc = getter(conn.c)
-        if cc != 0:
-            base = poly_add(base, poly_scale(cc, pi))
-        return base
-
-    a11 = cleared_entry(lambda m: m.a11)
-    a12 = cleared_entry(lambda m: m.a12)
-    a21 = cleared_entry(lambda m: m.a21)
-    a22 = cleared_entry(lambda m: m.a22)
+    pi = [0, t, -(1 + t), 1]        # x(x-1)(x-t)
+    a11, a12, a21, a22 = (conn.cleared(entry) for entry in ("a11", "a12", "a21", "a22"))
     w_poly = poly_trim(poly_add(
         poly_mul(pi, poly_add(poly_mul(s1, poly_deriv(s2)),
                               poly_scale(Fraction(-1), poly_mul(s2, poly_deriv(s1))))),
@@ -227,7 +185,7 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     if len(w_poly) == 2:
         roots.append(-w_poly[0] / w_poly[1])
     roots += [INF] * deficit
-    return tuple(sorted(roots, key=_divisor_key))
+    return sorted_divisor(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +213,8 @@ def v_alpha_unstable(point: PPoint, poles) -> HiggsLimit:
     """The scaling-fixed stable Higgs bundle attached to a point of the
     non-separated line, for weights with eps sum below 1/2 (every structure
     unstable and the destabilizer is the O(1))."""
-    contact = frozenset()
-    if point.sheet == Sheet.MINUS:
-        idx = next(i for i, tv in enumerate(poles) if point.base == tv)
-        contact = frozenset({idx + 1})
-    elif point.sheet == Sheet.PLUS:
-        next(i for i, tv in enumerate(poles) if point.base == tv)  # must be over a pole
+    idx = _pole_index(point, poles)
+    contact = frozenset({idx + 1}) if point.sheet == Sheet.MINUS else frozenset()
     return HiggsLimit(kind=GRADED, deg_l=1, contact=contact, divisor=(point.base,))
 
 
@@ -270,19 +224,15 @@ def v_alpha_stable(point: PPoint, w: Weights, poles) -> HiggsLimit:
     if classify_zone(w) != ZONE_STABLE:
         raise SpecialWeights("stable-zone weights required")
     poles = tuple(poles)
-    idx = next((i for i, tv in enumerate(poles) if point.base == tv), None)
+    idx = _pole_index(point, poles)
     if idx is None:
         return HiggsLimit(kind=THETA_ZERO, qp=representative(point, poles))
     branch = stable_subzone_branch(w, idx + 1)
-    if point.sheet == Sheet.MINUS:
-        if branch == Branch.ORIGIN_UNSTABLE:
-            return HiggsLimit(kind=GRADED, deg_l=1, contact=frozenset({idx + 1}),
-                              divisor=(poles[idx],))
-        return HiggsLimit(kind=THETA_ZERO, qp=representative(point, poles))
-    if point.sheet == Sheet.PLUS:
-        if branch == Branch.COLINEAR_UNSTABLE:
-            others = frozenset(j + 1 for j in range(4) if j != idx)
-            divisor = tuple(sorted((poles[j - 1] for j in others), key=_divisor_key))
-            return HiggsLimit(kind=GRADED, deg_l=0, contact=others, divisor=divisor)
-        return HiggsLimit(kind=THETA_ZERO, qp=representative(point, poles))
-    raise DegenerateInput("a point over a pole needs a plus or minus sheet")
+    if point.sheet == Sheet.MINUS and branch == Branch.ORIGIN_UNSTABLE:
+        return HiggsLimit(kind=GRADED, deg_l=1, contact=frozenset({idx + 1}),
+                          divisor=(poles[idx],))
+    if point.sheet == Sheet.PLUS and branch == Branch.COLINEAR_UNSTABLE:
+        others = frozenset(j + 1 for j in range(4) if j != idx)
+        return HiggsLimit(kind=GRADED, deg_l=0, contact=others,
+                          divisor=sorted_divisor(poles[j - 1] for j in others))
+    return HiggsLimit(kind=THETA_ZERO, qp=representative(point, poles))

@@ -19,7 +19,6 @@ from itertools import product
 from .errors import DegenerateInput
 
 RANK = 10
-BASIS_NAMES = ("C0", "F", "E1+", "E1-", "E2+", "E2-", "E3+", "E3-", "E4+", "E4-")
 
 
 @dataclass(frozen=True)
@@ -38,17 +37,6 @@ class DivClass:
 
     def __rmul__(self, n: int) -> "DivClass":
         return DivClass(tuple(n * a for a in self.coeffs))
-
-    def __str__(self):
-        terms = []
-        for c, name in zip(self.coeffs, BASIS_NAMES):
-            if c == 0:
-                continue
-            sign = "+" if c > 0 else "-"
-            mag = abs(c)
-            terms.append(f"{sign} {'' if mag == 1 else str(mag)}{name}".strip())
-        text = " ".join(terms) or "0"
-        return text[2:] if text.startswith("+ ") else text
 
 
 def _basis(i: int) -> DivClass:

@@ -17,7 +17,7 @@ from .connection import (PQState, apparent_singularity, build_connection, build_
                          eigen_table, elementary_transform_residues, kostov_generic, nonresonant)
 from .errors import ModuliError, NoFiniteIntersection, SamplerExhausted
 from .exact import HALF, INF, Dual, Mat2, is_inf, proj_to_str
-from .higgs import GRADED, _divisor_key, higgs_limit, v_alpha_stable, v_alpha_unstable
+from .higgs import GRADED, higgs_limit, sorted_divisor, v_alpha_stable, v_alpha_unstable
 from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
                       singular_fiber_decompositions)
@@ -561,12 +561,10 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
 
     for _ in range(max(samples // 8, 2)):
         s, composite_qs = _draw(rs, dictionary_sample)
-        pole_vals = (Fraction(0), Fraction(1), s.t, INF)
         weights = [rs.weights_in_zone(zone) for zone, _, _ in dictionary]
         limits = [higgs_limit(s, w) for w in weights]
         for (_, poles, _), composite_q, w, lim in zip(dictionary, composite_qs, weights, limits):
-            divisor = tuple(sorted([pole_vals[i - 1] for i in poles] + [composite_q],
-                                   key=_divisor_key))
+            divisor = sorted_divisor([s.poles[i - 1] for i in poles] + [composite_q])
             rep.check("pair/full-flip zones: limit free zero is the composite's q-coordinate",
                       lim.divisor == divisor,
                       {"state": s, "weights": w, "limit": lim, "composite_q": composite_q})

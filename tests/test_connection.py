@@ -145,6 +145,21 @@ class TestAlternateGauge:
             build_connection_qp(s.t, s.kappa, s.t, s.p)
 
 
+class TestCleared:
+    @pytest.mark.parametrize("gauge", ["pq", "qp"])
+    def test_matches_the_matrix_times_the_pole_polynomial(self, gauge):
+        # the (q, p) gauge has C(2,1) != 0, so its (2,1) entry carries the cubic term
+        s = worked_state()
+        conn = (build_connection(s) if gauge == "pq"
+                else build_connection_qp(s.t, s.kappa, F(61, 20), s.p))
+        assert (conn.c.a21 != 0) == (gauge == "pq")
+        for x in (F(9), F(-1, 2), F(7, 3)):
+            a = conn.matrix_at(x)
+            for entry in ("a11", "a12", "a21", "a22"):
+                value = sum(c * x ** k for k, c in enumerate(conn.cleared(entry)))
+                assert value == getattr(a, entry) * x * (x - 1) * (x - s.t)
+
+
 class TestEigenTable:
     def test_pole1_worked_values(self):
         table = eigen_table(worked_state())

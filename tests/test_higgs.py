@@ -189,6 +189,19 @@ class TestRepresentative:
             pt = PPoint(base=base, sheet=sheet)
             assert phi_map(representative(pt, poles)) == pt
 
+    @pytest.mark.parametrize("point, message", [
+        (PPoint(base=F(3), sheet=Sheet.MINUS), "sheet labels only exist over the poles"),
+        (PPoint(base=F(1), sheet=Sheet.GENERIC), "needs a plus or minus sheet"),
+    ], ids=["sheet-off-the-poles", "generic-over-a-pole"])
+    @pytest.mark.parametrize("construct", [
+        lambda pt, poles: representative(pt, poles),
+        lambda pt, poles: v_alpha_unstable(pt, poles),
+        lambda pt, poles: v_alpha_stable(pt, STABLE_W, poles),
+    ], ids=["representative", "v_alpha_unstable", "v_alpha_stable"])
+    def test_bad_points_are_rejected(self, construct, point, message):
+        with pytest.raises(DegenerateInput, match=message):
+            construct(point, (F(0), F(1), F(2), INF))
+
     def test_json_shape(self):
         lim = higgs_limit(worked_state(), ZONE_A_W)
         d = lim.to_json_dict()

@@ -2,8 +2,9 @@
 
 Each kernel is compared with the straightforward computation it replaces:
 `line_through` with `solve_linear` on the interpolation rows, `det4` with
-the permutation expansion, `conic_subbundle` and the Higgs chart solve with
-`solve_linear` on their linear systems, `check_relations` with one
+the permutation expansion, `conic_subbundle` and the first direction of
+a Higgs representative off the poles with `solve_linear` on their linear
+systems, `check_relations` with one
 `apply_word` per side of each relation,
 `solve_linear` with sympy's reduced row echelon form, the four signed-sum
 predicates with sums over `itertools.product`, the Baecklund generators'
@@ -21,12 +22,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pvi_moduli.backlund import (ALPHABET, RELATION_WORDS, apply_generator, apply_word,
                                  check_relations, schlesinger_composite_qp)
-from pvi_moduli.connection import (KappaParams, PQState, ResidueVector, kappa_generic,
-                                   kostov_generic)
+from pvi_moduli.connection import (KappaParams, PPoint, PQState, ResidueVector, Sheet,
+                                   kappa_generic, kostov_generic)
 from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, SpecialParameters,
                                SpecialWeights)
 from pvi_moduli.exact import HALF, INF, det4, is_inf, over_common_denominator, solve_linear
-from pvi_moduli.higgs import _solve_chart1
+from pvi_moduli.higgs import representative
 from pvi_moduli.mconv import (ExponentData, mc_exponents, nonspecial_exponents, sigma_text,
                               zone_interchange_check)
 from pvi_moduli.parabolic import QuasiPar, conic_subbundle, line_through
@@ -108,7 +109,7 @@ class TestLineThrough:
 
 
 # ---------------------------------------------------------------------------
-# det4, conic_subbundle and the chart solve
+# det4, conic_subbundle and the representative's chart solve
 # ---------------------------------------------------------------------------
 
 class TestDet4:
@@ -213,32 +214,28 @@ def _oracle_chart1(base, poles, frame):
 
 @st.composite
 def chart_problems(draw):
-    """A base point, four distinct poles (possibly one at infinity in any
-    slot) and finite frame values; a base at a pole makes the system
-    singular when it is the first pole."""
+    """A base point off the poles and four distinct poles, possibly one at
+    infinity in any slot."""
     poles = draw(st.lists(rationals, min_size=4, max_size=4, unique=True))
     if draw(st.booleans()):
         poles[draw(st.integers(0, 3))] = INF
-    base = draw(st.one_of(rationals, st.just(INF), st.sampled_from(poles)))
-    return base, tuple(poles), tuple(draw(rationals) for _ in range(4))
+    base = draw(st.one_of(rationals, st.just(INF)).filter(lambda b: b not in poles))
+    return base, tuple(poles)
 
 
 class TestChartSolve:
     @given(chart_problems())
     def test_matches_the_particular_solution(self, problem):
-        base, poles, frame = problem
-        expected = _oracle_chart1(base, poles, frame)
-        if expected is None:
-            with pytest.raises(DegenerateInput, match="chart solve degenerated"):
-                _solve_chart1(base, poles, frame)
-        else:
-            assert _solve_chart1(base, poles, frame) == (expected,) + frame[1:]
+        base, poles = problem
+        qp = representative(PPoint(base, Sheet.GENERIC), poles)
+        assert qp.u[0] == _oracle_chart1(base, poles, qp.u)
 
     def test_base_at_the_first_pole_is_singular(self):
+        # so a point over a pole needs a sheet, and takes the sheet branches
         poles, frame = (F(2), F(0), F(1), INF), (F(0), F(1), F(2), F(3))
         assert _oracle_chart1(F(2), poles, frame) is None
-        with pytest.raises(DegenerateInput, match="chart solve degenerated"):
-            _solve_chart1(F(2), poles, frame)
+        with pytest.raises(DegenerateInput, match="needs a plus or minus sheet"):
+            representative(PPoint(F(2), Sheet.GENERIC), poles)
 
 
 # ---------------------------------------------------------------------------
