@@ -379,6 +379,11 @@ def eigen_table(s: PQState):
     )
 
 
+def pole_index(base: ProjRat, poles) -> Optional[int]:
+    """The 0-based index of the pole at `base`, None off the poles."""
+    return next((i for i, tv in enumerate(poles) if base == tv), None)
+
+
 def apparent_singularity(s: PQState, infinite_parabolic: Optional[Sequence[bool]] = None) -> PPoint:
     """The image of the state on the non-separated line.
 
@@ -387,8 +392,7 @@ def apparent_singularity(s: PQState, infinite_parabolic: Optional[Sequence[bool]
     parabolic direction there (u_i = inf), the plus copy otherwise.
     """
     q = s.q
-    poles = s.poles
-    idx = next((i for i, tv in enumerate(poles) if q == tv), None)
+    idx = pole_index(q, s.poles)
     if idx is None:
         return PPoint(base=q, sheet=Sheet.GENERIC)
     flags = tuple(infinite_parabolic) if infinite_parabolic is not None else (False,) * 4

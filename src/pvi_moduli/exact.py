@@ -95,6 +95,26 @@ def proj_to_str(v: ProjRat) -> str:
     return "inf" if is_inf(v) else rat_to_str(v)
 
 
+def to_json(value):
+    """JSON form of an exact value, the one encoder of CLI payloads and
+    check witnesses: rationals and infinity as "n/d" and "inf", matrices
+    and exponent vectors by `to_strs`, other objects by `to_json_dict`,
+    sets sorted; bools, ints, strings and None as they are."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, Fraction) or is_inf(value):
+        return proj_to_str(value)
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted(to_json(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    if hasattr(value, "to_strs"):
+        return value.to_strs()
+    return value.to_json_dict()
+
+
 def pick_sums(pairs) -> list:
     """The 2^n sums x_1 + ... + x_n that take one entry x_i of each of the
     n pairs (16 for four pairs), built by doubling with 2^(n+1) - 2

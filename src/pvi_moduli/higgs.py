@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connection
+from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connection, pole_index
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (INF, is_inf, poly_add, poly_deriv, poly_divmod, poly_mul, poly_scale,
                     poly_trim, proj_to_str)
@@ -104,7 +104,7 @@ def _frame(poles):
 def _pole_index(point: PPoint, poles):
     """The 0-based index of the pole under the point, None off the poles.
     Sheet labels exist exactly over the poles: anything else raises."""
-    idx = next((i for i, tv in enumerate(poles) if point.base == tv), None)
+    idx = pole_index(point.base, poles)
     if idx is None and point.sheet != Sheet.GENERIC:
         raise DegenerateInput("sheet labels only exist over the poles")
     if idx is not None and point.sheet == Sheet.GENERIC:

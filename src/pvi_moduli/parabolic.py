@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .connection import PPoint, PQState, Sheet, eigen_table
+from .connection import PPoint, PQState, Sheet, eigen_table, pole_index
 from .errors import DegenerateInput, NotSimple
 from .exact import (INF, ProjRat, Rat, det4, is_inf, over_common_denominator, proj_from_str,
                     proj_to_str)
@@ -218,7 +218,7 @@ def phi_map(qp: QuasiPar) -> PPoint:
     if not is_simple(qp):
         raise NotSimple("decomposable quasiparabolic structure")
     base = q_map(qp)
-    idx = next((i for i, tv in enumerate(qp.poles) if base == tv), None)
+    idx = pole_index(base, qp.poles)
     if idx is None:
         return PPoint(base=base, sheet=Sheet.GENERIC)
     if is_inf(qp.u[idx]):

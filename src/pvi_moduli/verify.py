@@ -16,7 +16,7 @@ from . import backlund as bk
 from .connection import (PQState, apparent_singularity, build_connection, build_connection_qp,
                          eigen_table, elementary_transform_residues, kostov_generic, nonresonant)
 from .errors import ModuliError, NoFiniteIntersection, SamplerExhausted
-from .exact import HALF, INF, Dual, Mat2, is_inf, proj_to_str
+from .exact import HALF, INF, Dual, Mat2, is_inf, to_json
 from .higgs import GRADED, higgs_limit, sorted_divisor, v_alpha_stable, v_alpha_unstable
 from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
@@ -30,25 +30,6 @@ from .stability import (ALL_ZONE_LABELS, Branch, Weights, ZONE_STABLE, classify_
                         predicted_destabilizer_degree, stable_subzone_branch)
 
 
-def _json(value):
-    """JSON form of a witness value: rationals and infinity as "n/d" and
-    "inf", matrices and exponent vectors by `to_strs`, other objects by
-    `to_json_dict`, sets sorted."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, Fraction) or is_inf(value):
-        return proj_to_str(value)
-    if isinstance(value, dict):
-        return {k: _json(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return sorted(_json(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_json(v) for v in value]
-    if hasattr(value, "to_strs"):
-        return value.to_strs()
-    return value.to_json_dict()
-
-
 @dataclass
 class Check:
     name: str
@@ -58,7 +39,7 @@ class Check:
     def to_json_dict(self):
         out = {"name": self.name, "passed": self.passed}
         if self.witness is not None:
-            out["witness"] = _json(self.witness)
+            out["witness"] = to_json(self.witness)
         return out
 
 
@@ -533,7 +514,7 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
                   pt.base == 0 and pt.sheet.value == "plus"
                   and lim.kind == GRADED and lim.deg_l == 0
                   and lim.contact == frozenset({2, 3, 4})
-                  and lim.divisor == (*sorted((Fraction(1), s.t)), INF)
+                  and lim.divisor == sorted_divisor((1, s.t, INF))
                   and lim == v_alpha_stable(pt, w, s.poles),
                   {"state": s, "weights": w, "point": pt, "limit": lim})
 

@@ -1,14 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pvi_moduli.cli import main
-from pvi_moduli.verify import run_suite
+from pvi_moduli import backlund as bk, verify
+from pvi_moduli.cli import COMMANDS, build_parser, main
+from pvi_moduli.connection import FourPoleConnection
+from pvi_moduli.verify import SUITES, run_suite
+
+ROOT = Path(__file__).resolve().parent.parent
 
 STATE = {"t": "2/1", "kappa": ["1/4", "1/8", "1/8", "1/8", "1/8"], "q": "3/1", "p": "5/1"}
 QP = {"t": ["0/1", "1/1", "2/1", "inf"], "u": ["-10/1", "-15/1", "-30/1", "1/4"]}
@@ -269,8 +277,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("seed", [1, 12])
     def test_output_pinned_to_recorded_digest(self, capsys, seed):
-        expected = json.loads((Path(__file__).resolve().parent.parent
-                               / "perfbench" / "expected.json").read_text())["verify"]
+        expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["verify"]
         code = main(["verify", "--suite", "all", "--seed", str(seed),
                      "--samples", "50", "--bound", "64"])
         out = capsys.readouterr().out
@@ -292,3 +299,139 @@ class TestVerifyCommand:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"zone": "B"}
+
+
+class TestFailedCheckExit:
+    """Exit 1 means exactly that the payload says "passed": false."""
+
+    def test_verify(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "find_destabilizer", lambda qp, w: None)
+        code = main(["verify", "--suite", "zones", "--samples", "8", "--bound", "16"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["passed"] is False
+        assert "[FAIL] zones: zone A: destabilizer of the predicted type" in captured.err
+
+    def test_connection_build(self, capsys, monkeypatch, state_file):
+        monkeypatch.setattr(FourPoleConnection, "p_invariant", lambda conn: Fraction(7))
+        code, out = run_cli(capsys, "connection", "build", "--state", state_file)
+        assert code == 1
+        assert out["passed"] is False and out["invariants"]["p_recovered"] == "7/1"
+
+    def test_symmetry_relations(self, capsys, monkeypatch, state_file):
+        monkeypatch.setattr(bk, "RELATION_WORDS", bk.RELATION_WORDS + [("s0 = s1", ("s0",), ("s1",))])
+        code, out = run_cli(capsys, "symmetry", "relations", "--state", state_file)
+        assert code == 1 and out["passed"] is False
+        failed = [r for r in out["relations"] if not r["holds"]]
+        assert [r["relation"] for r in failed] == ["s0 = s1"]
+        assert failed[0]["witness"]["lhs"]["q"] == "61/20"
+
+
+def readme_cli_lines():
+    """The `pvi ...` lines of the code blocks in README's CLI section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    return [line.split("#", 1)[0].split() for block in blocks
+            for line in block.splitlines() if line.startswith("pvi ")]
+
+
+def command_of(line):
+    """The (group, command) key of COMMANDS that a `pvi ...` line parses to."""
+    args = build_parser().parse_args(line[1:])
+    return args.command, getattr(args, "sub", None)
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", readme_cli_lines(), ids=" ".join)
+    def test_documented_command_parses(self, line):
+        assert command_of(line) in COMMANDS
+
+    def test_every_command_is_documented(self):
+        assert {command_of(line) for line in readme_cli_lines()} == set(COMMANDS)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: any argument list exits 0, 1 or 2 (or argparse's SystemExit(2))
+# ---------------------------------------------------------------------------
+
+RATIONALS = ["0", "1/2", "-3/7", "2", "1/10", "1/8", "1/4", "2/5", "61/20",
+             "18446744073709551617/3", "inf", "1/0", "x", ""]
+
+BAD_STATES = {
+    "q-inf": dict(STATE, q="inf"), "p-zero": dict(STATE, p="0/1"), "t-inf": dict(STATE, t="inf"),
+    "t-pole": dict(STATE, t="1/1"), "q-at-t": dict(STATE, q="2/1"), "q-zero": dict(STATE, q="0/1"),
+    "big-q-at-pole": dict(STATE, p="-1/12"),
+    "k0-zero": dict(STATE, kappa=["0/1", "1/4", "1/4", "1/4", "1/4"]),
+    "four-kappa": dict(STATE, kappa=["1/8", "1/8", "1/8", "1/8"]),
+    "no-fuchs": dict(STATE, kappa=["1/4"] * 5), "tall": dict(STATE, q="18446744073709551617/3"),
+    "missing-key": {k: v for k, v in STATE.items() if k != "q"},
+}
+BAD_PARABOLICS = {
+    "colinear-four": dict(QP, u=["0/1", "1/1", "2/1", "1/1"]),
+    "colinear-three": dict(QP, u=["0/1", "1/1", "2/1", "5/1"]),
+    "origin": dict(QP, u=["inf", "-15/1", "-30/1", "1/4"]),
+    "all-inf": dict(QP, u=["inf"] * 4),
+    "inf-pole-moved": dict(QP, t=["0/1", "1/1", "inf", "2/1"]),
+    "double-pole": dict(QP, t=["0/1", "0/1", "2/1", "inf"]),
+    "three-poles": {"t": QP["t"][:3], "u": QP["u"][:3]},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths for --state and --parabolic: good files, files on the
+    degeneracy loci, malformed JSON, a directory and a missing path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    payloads = {"state": STATE, "qp": QP, **BAD_STATES, **BAD_PARABOLICS}
+    for name, payload in payloads.items():
+        (root / f"{name}.json").write_text(json.dumps(payload))
+    (root / "broken.json").write_text("{")
+    return [str(root / f"{name}.json") for name in (*payloads, "broken")] + [
+        str(root), str(root / "missing.json")]
+
+
+def values(files):
+    """A strategy of option values for each option name."""
+    in_range = st.sampled_from(["1/10", "1/12", "1/16", "1/5", "2/5", "3/7", "1/8", "1/4", "7/16"])
+    eps = st.one_of(st.lists(in_range, min_size=4, max_size=4),
+                    st.lists(st.sampled_from(RATIONALS), min_size=3, max_size=5)).map(",".join)
+    word = st.lists(st.sampled_from(["s0", "s1", "s2", "s3", "s4", "r12_34", "r13_24",
+                                     "r14_23", "t9"]), max_size=4).map(",".join)
+    index = st.one_of(st.sampled_from(["1", "2", "3", "4"]), st.sampled_from(["0", "5", "-1", "x"]))
+    return {
+        "state": st.sampled_from(files), "parabolic": st.sampled_from(files),
+        "eps": eps, "mu": eps, "i": index, "j": index, "word": word,
+        "nmax": st.sampled_from(["0", "1", "5", "-1", "1000000", "x"]),
+        "sigma": st.sampled_from(["++++", "+-+-", "---+", "+++", "++++-", "x"]),
+        "lambda1": st.sampled_from(RATIONALS), "lambda2": st.sampled_from(RATIONALS),
+        "kappa0": st.sampled_from(RATIONALS),
+        "suite": st.sampled_from(["all", *SUITES, "nope"]),
+        "seed": st.sampled_from(["1", "0", "-3", "12", "x"]),
+        "samples": st.sampled_from(["1", "2", "0", "-1", "x"]),
+        "bound": st.sampled_from(["1", "2", "3", "64", "x"]),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzz_main(fuzz_files, data):
+    group, command = data.draw(st.sampled_from(sorted(COMMANDS, key=str)))
+    argv = [group] + ([command] if command else [])
+    strategies = values(fuzz_files)
+    for name in COMMANDS[(group, command)][1]:
+        if data.draw(st.integers(0, 9)):  # now and then an option is left out
+            value = data.draw(strategies[name])
+            argv += [f"--{name}={value}"] if data.draw(st.booleans()) else [f"--{name}", value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        payload = json.loads(out.getvalue())
+        assert code == (1 if isinstance(payload, dict) and payload.get("passed") is False else 0)
