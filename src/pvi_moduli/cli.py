@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -170,8 +171,19 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads "-1/4" and "-1/2,0,0,0" as option
+    values, as it reads "-3": argparse takes an argument for an option
+    unless it looks like a negative number, and its own test for that
+    knows only integers and decimals.  Subcommand parsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pvi", description=__doc__)
+    ap = _Parser(prog="pvi", description=__doc__)
     groups = ap.add_subparsers(dest="command", required=True)
     commands = {}
     for (group, command), (fn, names) in COMMANDS.items():

@@ -16,8 +16,10 @@ constructors, the sampler).  The predicates that read `.denominator` test
 integrality, a statement about rational numbers, so they and the
 stability, Higgs and lattice layers stay over Q.  Their small linear
 systems run on integers: rows scaled by `over_common_denominator`, solved
-in closed form with `det4`.  `solve_linear`, general Gauss-Jordan
-elimination over Q, is called by no package code; it is the reference the
+in closed form with `det3` and `det4`, and the Higgs Wronskian is an
+integer polynomial whose known roots `poly_divide_root` divides out.
+`solve_linear`, general Gauss-Jordan elimination over Q, and
+`poly_divmod` are called by no package code; they are the references the
 tests compare those closed forms with.
 """
 from __future__ import annotations
@@ -131,6 +133,12 @@ def over_common_denominator(values) -> tuple:
     gcd per operation."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def det3(m) -> int:
+    """Determinant of a 3x3 integer matrix, by expansion along its top row."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
 
 
 def det4(m) -> int:
@@ -255,6 +263,23 @@ def poly_divmod(f, g) -> tuple:
         for j in range(n):
             f[k + j] -= c * g[j]
     return quot, poly_trim(f[:n])
+
+
+def poly_divide_root(f, a: int, b: int):
+    """The quotient of an integer polynomial f by b x - a (b != 0), or None
+    when a/b is not a root of f.  For coprime a and b the quotient has
+    integer coefficients by Gauss's lemma, so every division is exact: a
+    remainder on the way already shows that a/b is no root."""
+    if not f:
+        return []
+    quot = [0] * (len(f) - 1)
+    carry = f[-1]
+    for k in range(len(f) - 2, -1, -1):
+        quot[k], rem = divmod(carry, b)
+        if rem:
+            return None
+        carry = f[k] + a * quot[k]
+    return None if carry else quot
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from typing import Optional
 
 from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connection, pole_index
 from .errors import DegenerateInput, SpecialWeights
-from .exact import (INF, is_inf, poly_add, poly_deriv, poly_divmod, poly_mul, poly_scale,
-                    poly_trim, proj_to_str)
+from .exact import (INF, is_inf, over_common_denominator, poly_add, poly_deriv, poly_divide_root,
+                    poly_mul, poly_scale, poly_trim, proj_to_str)
 from .parabolic import (QuasiPar, conic_subbundle, in_general_position, line_through,
                         parabolic_from_connection, phi_map, section_value)
 from .stability import Branch, Subbundle, Weights, ZONE_STABLE, classify_zone, find_destabilizer, stable_subzone_branch
@@ -147,6 +147,13 @@ def representative(point: PPoint, poles) -> QuasiPar:
 # Exact theta divisor
 # ---------------------------------------------------------------------------
 
+def _over_one_denominator(*polys) -> list:
+    """The polynomials times one common denominator of all their
+    coefficients, as integer coefficient lists."""
+    nums = iter(over_common_denominator([c for p in polys for c in p])[0])
+    return [[next(nums) for _ in p] for p in polys]
+
+
 def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     """Zero divisor of the Higgs field induced on L -> (E/L) x Omega(log D).
 
@@ -154,16 +161,21 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     3 - 2 deg(L) counts as zeros at infinity.  Raises DegenerateInput when
     a quadratic or larger factor is left after the contact zeros, i.e.
     when L destabilizes for no weights (see the module docstring).
+
+    W is computed on integers: x(x-1)(x-t) and the cleared entries of A
+    over one common denominator, the sections over another.  That scales
+    W by a nonzero constant, which moves no root.  A finite contact pole
+    a/b is divided out as the factor b x - a, exactly by Gauss's lemma.
     """
     t = conn.t
-    s1, s2 = sub.sections()
-    pi = [0, t, -(1 + t), 1]        # x(x-1)(x-t)
-    a11, a12, a21, a22 = (conn.cleared(entry) for entry in ("a11", "a12", "a21", "a22"))
+    pi, a11, a12, a21, a22 = _over_one_denominator(
+        [0, t, -1 - t, 1], *(conn.cleared(entry) for entry in ("a11", "a12", "a21", "a22")))
+    s1, s2 = _over_one_denominator(*sub.sections())
     w_poly = poly_trim(poly_add(
         poly_mul(pi, poly_add(poly_mul(s1, poly_deriv(s2)),
-                              poly_scale(Fraction(-1), poly_mul(s2, poly_deriv(s1))))),
+                              poly_scale(-1, poly_mul(s2, poly_deriv(s1))))),
         poly_mul(s1, poly_add(poly_mul(a21, s1), poly_mul(a22, s2))),
-        poly_scale(Fraction(-1), poly_mul(s2, poly_add(poly_mul(a11, s1), poly_mul(a12, s2)))),
+        poly_scale(-1, poly_mul(s2, poly_add(poly_mul(a11, s1), poly_mul(a12, s2)))),
     ))
     deficit = 3 - 2 * sub.degree - (len(w_poly) - 1)
     # Strict compatibility forces zeros at the finite contact poles; what
@@ -174,8 +186,8 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
         tv = poles[i - 1]
         if is_inf(tv):
             continue  # accounted for by the degree deficit
-        w_poly, rem = poly_divmod(w_poly, [-tv, Fraction(1)])
-        if rem:
+        w_poly = poly_divide_root(w_poly, tv.numerator, tv.denominator)
+        if w_poly is None:
             raise DegenerateInput(f"Higgs field fails to vanish at contact pole {i}")
         roots.append(tv)
     if len(w_poly) > 2:
@@ -183,7 +195,7 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
             f"degree-{sub.degree} subbundle with contact {sorted(sub.contact)} "
             "destabilizes for no weights")
     if len(w_poly) == 2:
-        roots.append(-w_poly[0] / w_poly[1])
+        roots.append(Fraction(-w_poly[0], w_poly[1]))
     roots += [INF] * deficit
     return sorted_divisor(roots)
 

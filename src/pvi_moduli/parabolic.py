@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .connection import PPoint, PQState, Sheet, eigen_table, pole_index
 from .errors import DegenerateInput, NotSimple
-from .exact import (INF, ProjRat, Rat, det4, is_inf, over_common_denominator, proj_from_str,
-                    proj_to_str)
+from .exact import (INF, ProjRat, Rat, det3, det4, is_inf, over_common_denominator,
+                    proj_from_str, proj_to_str)
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,23 @@ def section_value(poly, pole: ProjRat, degree: int) -> Rat:
     return value
 
 
+def _direction_point(pole: ProjRat, u: Rat) -> list:
+    """A finite direction as an integer point of P^2: (t, u, 1) over a
+    finite pole t and (1, u, 0) over a pole at infinity, scaled by a common
+    denominator.  Directions lie on one degree-1 section v0 + v1 x of O iff
+    their points lie on the line v1 X - Y + v0 Z = 0; distinct poles keep
+    the Y coefficient of a line through two of them nonzero."""
+    return over_common_denominator((1, u, 0) if is_inf(pole) else (pole, u, 1))[0]
+
+
 def in_general_position(qp: QuasiPar) -> bool:
-    """No three of the four directions lie on one degree-1 section of O.
-    All u_i must be finite; four such directions are then also simple."""
-    return all(line_through(qp, list(tr)) is None for tr in combinations(range(4), 3))
+    """No three of the four directions lie on one degree-1 section of O:
+    no 3x3 minor of their integer points vanishes.  All u_i must be finite
+    (else DegenerateInput); four such directions are then also simple."""
+    if qp.infinite_indices():
+        raise DegenerateInput("general position needs four finite directions")
+    points = [_direction_point(tv, uv) for tv, uv in zip(qp.poles, qp.u)]
+    return all(det3(tr) != 0 for tr in combinations(points, 3))
 
 
 def is_simple(qp: QuasiPar) -> bool:
@@ -137,6 +150,31 @@ def is_simple(qp: QuasiPar) -> bool:
         return False
     finite = [i for i in range(4) if i not in inf_idx]
     return line_through(qp, finite) is None
+
+
+def _conic_minors(qp: QuasiPar) -> list:
+    """The five signed 4x4 integer minors m0..m4 of the contact system of
+    `conic_subbundle`; they span its kernel when it has rank 4 and all
+    vanish otherwise."""
+    rows = []
+    for tv, uv in zip(qp.poles, qp.u):
+        if is_inf(uv):
+            # (1, t, 0, 0, 0) times the denominator of t
+            row = [0, 1, 0, 0, 0] if is_inf(tv) else [tv.denominator, tv.numerator, 0, 0, 0]
+        else:
+            # x (0, -u, 0, 0, 1) over a pole at infinity, z^2 (-u, -u t, 1, t, t^2) elsewhere
+            x, y, z = _direction_point(tv, uv)
+            row = [0, -y, 0, 0, x] if is_inf(tv) else [-y * z, -y * x, z * z, x * z, x * x]
+        rows.append(row)
+    return [(-1) ** j * det4([r[:j] + r[j + 1:] for r in rows]) for j in range(5)]
+
+
+def _conic_coefficients(minors) -> tuple:
+    """(v0, v1, w0, w1, w2): the minors divided by the last nonzero one."""
+    last = next((m for m in reversed(minors) if m), None)
+    if last is None:
+        raise DegenerateInput("contact system has rank below 4, expected nullity 1")
+    return tuple(Fraction(m, last) for m in minors)
 
 
 def conic_subbundle(qp: QuasiPar):
@@ -152,20 +190,7 @@ def conic_subbundle(qp: QuasiPar):
     DegenerateInput when every minor vanishes (rank below 4, so the
     solution is not unique up to scale).
     """
-    rows = []
-    for tv, uv in zip(qp.poles, qp.u):
-        if is_inf(tv):
-            row = [0, 1, 0, 0, 0] if is_inf(uv) else [0, -uv, 0, 0, 1]
-        elif is_inf(uv):
-            row = [1, tv, 0, 0, 0]
-        else:
-            row = [-uv, -uv * tv, 1, tv, tv * tv]
-        rows.append(over_common_denominator(row)[0])
-    minors = [(-1) ** j * det4([r[:j] + r[j + 1:] for r in rows]) for j in range(5)]
-    last = next((m for m in reversed(minors) if m), None)
-    if last is None:
-        raise DegenerateInput("contact system has rank below 4, expected nullity 1")
-    v0, v1, w0, w1, w2 = (Fraction(m, last) for m in minors)
+    v0, v1, w0, w1, w2 = _conic_coefficients(_conic_minors(qp))
     return ((v0, v1), (w0, w1, w2))
 
 

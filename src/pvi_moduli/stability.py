@@ -10,8 +10,9 @@ S(L) the contact set.  A candidate is the pair of polynomial sections
 (s1, s2) spanning L (`Subbundle.sections`): (0, 1) for the unique O(1),
 (1, v) for the degree-0 lines v of degree <= 1, and (v, w) for the
 degree-(-1) map through all four directions, kept only when v and w share
-no zero on P^1.  One rule reads every contact set off the values of s1
-and s2 at the poles (`parabolic.section_value`).  The weight space splits
+no zero on P^1.  Contact sets and the shared-zero test run on integers:
+the finite directions as integer points of P^2 and the integer minors of
+the contact system (`candidate_subbundles`).  The weight space splits
 into eight unstable zones (every structure unstable, with a predicted
 destabilizer type) and the stable zone.
 """
@@ -25,7 +26,7 @@ from typing import Optional
 
 from .errors import DegenerateInput, SpecialWeights
 from .exact import HALF, Rat, is_inf, over_common_denominator, pick_sums, rat_from_str, rat_to_str
-from .parabolic import QuasiPar, conic_subbundle, line_through, section_value
+from .parabolic import QuasiPar, _conic_coefficients, _conic_minors, _direction_point
 
 ZONE_A = "A"
 ZONE_B = "B"
@@ -190,56 +191,53 @@ def parabolic_degree(sub: Subbundle, w: Weights) -> Rat:
     return sub.degree + inside - outside
 
 
-def _with_contact(qp: QuasiPar, degree: int, coefficients: tuple) -> Subbundle:
-    """The saturated candidate with these map data, and its contact set.
-
-    At each pole the sections give the direction (a, b) = (s1(t_i), s2(t_i))
-    of L (at infinity in the chart of QuasiPar), nonzero since L is
-    saturated.  It is the parabolic direction iff a = 0 when u_i = inf, and
-    iff a != 0 and b = u_i a when u_i is finite.
-    """
-    s1, s2 = Subbundle(degree, coefficients, frozenset()).sections()
-    contact = set()
-    for i, (tv, uv) in enumerate(zip(qp.poles, qp.u)):
-        a = section_value(s1, tv, -degree)
-        if a == 0:
-            hit = is_inf(uv)
-        else:
-            hit = not is_inf(uv) and section_value(s2, tv, 1 - degree) == (uv if a == 1 else uv * a)
-        if hit:
-            contact.add(i + 1)
-    return Subbundle(degree=degree, coefficients=coefficients, contact=frozenset(contact))
-
-
 def candidate_subbundles(qp: QuasiPar):
     """All saturated candidates relevant for stability, deduplicated: the
     O(1), the lines (1, v) through two or more finite directions, and the
     degree-(-1) section (v, w) through all four directions.
 
+    Contact sets are read off integer points.  The O(1) passes through the
+    directions u_i = inf.  Each finite direction is a point P_i of P^2
+    (`parabolic._direction_point`); the line through P_i and P_j is their
+    cross product L, the section v = (-L_z/L_y, -L_x/L_y), and its contact
+    set {k : L . P_k = 0}.  Two distinct lines share at most one point, so
+    a pair already in a listed contact set gives a listed line.
+
     (v, w) is dropped when v and w share a zero on P^1: v = 0, or
-    w(-v0/v1) = 0, or v1 = w2 = 0 (a zero at infinity).  Its saturation is
-    then listed already.  For v = 0 it is the O(1).  Otherwise v has one
-    zero z, a direction u_i = inf can only sit at the pole z, and at the
-    three or more other poles v(t_i) != 0 and (v, w) = v (1, w/v), so the
-    degree-0 line w/v passes through their finite directions and the pair
-    loop lists it.
+    w(-v0/v1) = 0, or v1 = w2 = 0 (a zero at infinity).  On the integer
+    minors m0..m4 of `parabolic.conic_subbundle`, a multiple of
+    (v0, v1, w0, w1, w2), that is m0 = 0 or m4 = 0 when m1 = 0, and
+    m2 m1^2 - m3 m0 m1 + m4 m0^2 = 0 otherwise; minors that all vanish
+    (no unique (v, w)) count as a shared zero.  The saturation of a dropped
+    (v, w) is listed already.  For v = 0 it is the O(1).  Otherwise v has
+    one zero z, a direction u_i = inf can only sit at the pole z, and at
+    the three or more other poles v(t_i) != 0 and (v, w) = v (1, w/v), so
+    the degree-0 line w/v passes through their finite directions and the
+    pair loop lists it.
+
+    A kept (v, w) has contact {1, 2, 3, 4}.  It solves every row of its
+    system: v(t_i) = 0 where u_i = inf, which is contact there, and
+    w(t_i) = u_i v(t_i) where u_i is finite, which is contact unless
+    v(t_i) = 0; but then w(t_i) = 0 too, a shared zero, and (v, w) was
+    dropped.
     """
-    cands = [_with_contact(qp, 1, ())]
-    finite = [i for i in range(4) if not is_inf(qp.u[i])]
-    seen = set()
-    for i, j in combinations(finite, 2):
-        v = line_through(qp, [i, j])
-        if v is None or v in seen:
+    cands = [Subbundle(1, (), frozenset(i + 1 for i in qp.infinite_indices()))]
+    points = [(i + 1, _direction_point(tv, uv))
+              for i, (tv, uv) in enumerate(zip(qp.poles, qp.u)) if not is_inf(uv)]
+    for (i, (xi, yi, zi)), (j, (xj, yj, zj)) in combinations(points, 2):
+        if any({i, j} <= c.contact for c in cands[1:]):
             continue
-        seen.add(v)
-        cands.append(_with_contact(qp, 0, v))
-    try:
-        (v0, v1), w = conic_subbundle(qp)
-    except DegenerateInput:
-        return cands
-    shared_zero = (v0 == 0 or w[2] == 0) if v1 == 0 else section_value(w, -v0 / v1, 2) == 0
+        lx, ly, lz = yi * zj - zi * yj, zi * xj - xi * zj, xi * yj - yi * xj
+        contact = frozenset(k for k, (x, y, z) in points if lx * x + ly * y + lz * z == 0)
+        cands.append(Subbundle(0, (Fraction(-lz, ly), Fraction(-lx, ly)), contact))
+    minors = _conic_minors(qp)
+    m0, m1, m2, m3, m4 = minors
+    if m1 == 0:
+        shared_zero = m0 == 0 or m4 == 0
+    else:
+        shared_zero = m2 * m1 * m1 - m3 * m0 * m1 + m4 * m0 * m0 == 0
     if not shared_zero:
-        cands.append(_with_contact(qp, -1, (v0, v1) + w))
+        cands.append(Subbundle(-1, _conic_coefficients(minors), frozenset(range(1, 5))))
     return cands
 
 

@@ -155,6 +155,26 @@ class TestZoneCommands:
         assert "eps" not in captured.err
 
 
+class TestSignedValues:
+    """A signed rational, or a list that starts with one, is an option
+    value whether it follows its option as a separate argument or after
+    an equals sign."""
+
+    @pytest.mark.parametrize("argv, option, value, code", [
+        (["fibration", "solve", "--lambda1", "3/1", "--lambda2", "61/20"], "--kappa0", "-1/4", 0),
+        (["fibration", "solve", "--lambda2", "61/20", "--kappa0", "1/4"], "--lambda1", "-3/1", 0),
+        (["fibration", "solve", "--lambda1", "3/1", "--lambda2", "61/20"], "--kappa0", "-3", 0),
+        (["zone", "classify", "--eps", "1/10,1/10,1/10,1/10"], "--mu", "-1/2,0,0,0", 0),
+        (["zone", "etpair", "--eps", "1/10,1/10,1/10,1/10", "--i", "1", "--j", "2"],
+         "--mu", "-1/2,1/3,-2/5,0", 0),
+        (["zone", "classify", "--eps", "1/10,1/10,1/10,1/10"], "--mu", "-1/2,0,0", 2),
+    ], ids=["kappa0", "lambda1", "integer", "mu", "mu-etpair", "short-mu"])
+    def test_separate_argument_matches_the_equals_form(self, capsys, argv, option, value, code):
+        joined = main(argv + [f"{option}={value}"]), capsys.readouterr().out
+        separate = main(argv + [option, value]), capsys.readouterr().out
+        assert separate == joined and joined[0] == code and (joined[1] != "") == (code == 0)
+
+
 class TestHiggsCommand:
     def test_zone_a_limit(self, capsys, state_file):
         code, out = run_cli(capsys, "higgs", "limit", "--state", state_file,

@@ -1,10 +1,14 @@
 """Oracles for the exact kernels that avoid general elimination or Fraction sums.
 
 Each kernel is compared with the straightforward computation it replaces:
-`line_through` with `solve_linear` on the interpolation rows, `det4` with
-the permutation expansion, `conic_subbundle` and the first direction of
-a Higgs representative off the poles with `solve_linear` on their linear
-systems, `check_relations` with one
+`line_through` with `solve_linear` on the interpolation rows, `det3` and
+`det4` with the permutation expansion, `conic_subbundle` and the first
+direction of a Higgs representative off the poles with `solve_linear` on
+their linear systems, the integer contact sets of `candidate_subbundles`
+with the section values at the poles, `in_general_position` with
+`line_through` on the four triples, `theta_divisor` with its Wronskian on
+Fraction polynomials and `poly_divide_root` with `poly_divmod`,
+`check_relations` with one
 `apply_word` per side of each relation,
 `solve_linear` with sympy's reduced row echelon form, the four signed-sum
 predicates with sums over `itertools.product`, the Baecklund generators'
@@ -23,15 +27,18 @@ from hypothesis import assume, given, settings, strategies as st
 from pvi_moduli.backlund import (ALPHABET, RELATION_WORDS, apply_generator, apply_word,
                                  check_relations, schlesinger_composite_qp)
 from pvi_moduli.connection import (KappaParams, PPoint, PQState, ResidueVector, Sheet,
-                                   kappa_generic, kostov_generic)
+                                   build_connection, kappa_generic, kostov_generic)
 from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, SpecialParameters,
                                SpecialWeights)
-from pvi_moduli.exact import HALF, INF, det4, is_inf, over_common_denominator, solve_linear
-from pvi_moduli.higgs import representative
+from pvi_moduli.exact import (HALF, INF, det3, det4, is_inf, over_common_denominator, poly_add,
+                              poly_deriv, poly_divide_root, poly_divmod, poly_mul, poly_trim,
+                              solve_linear)
+from pvi_moduli.higgs import representative, sorted_divisor, theta_divisor
 from pvi_moduli.mconv import (ExponentData, mc_exponents, nonspecial_exponents, sigma_text,
                               zone_interchange_check)
-from pvi_moduli.parabolic import QuasiPar, conic_subbundle, line_through
-from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Weights,
+from pvi_moduli.parabolic import (QuasiPar, conic_subbundle, in_general_position, line_through,
+                                  parabolic_structures, section_value)
+from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Subbundle, Weights,
                                   candidate_subbundles, classify_zone, czone, et_pair,
                                   find_destabilizer, nonspecial_eps, parabolic_degree,
                                   stable_subzone_branch)
@@ -236,6 +243,199 @@ class TestChartSolve:
         assert _oracle_chart1(F(2), poles, frame) is None
         with pytest.raises(DegenerateInput, match="needs a plus or minus sheet"):
             representative(PPoint(F(2), Sheet.GENERIC), poles)
+
+
+# ---------------------------------------------------------------------------
+# Contact sets, general position and the Higgs Wronskian on integers
+# ---------------------------------------------------------------------------
+
+class TestDet3:
+    @given(st.lists(st.one_of(st.integers(-2, 2), st.integers(-H, H)), min_size=9, max_size=9),
+           st.booleans())
+    def test_matches_the_permutation_expansion(self, entries, dependent):
+        m = [entries[3 * i:3 * i + 3] for i in range(3)]
+        if dependent:
+            m[2] = [a - 3 * b for a, b in zip(m[0], m[1])]
+        expected = 0
+        for perm in permutations(range(3)):
+            term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(3), 2))
+            for i in range(3):
+                term *= m[i][perm[i]]
+            expected += term
+        assert det3(m) == expected
+
+
+def _oracle_candidates(qp):
+    """`candidate_subbundles` on field values: the lines from `line_through`,
+    (v, w) from elimination, and each contact set from the values of the
+    sections at the poles."""
+    def with_contact(degree, coefficients):
+        s1, s2 = Subbundle(degree, coefficients, frozenset()).sections()
+        contact = set()
+        for i, (tv, uv) in enumerate(zip(qp.poles, qp.u)):
+            a = section_value(s1, tv, -degree)
+            if a == 0:
+                hit = is_inf(uv)
+            else:
+                hit = not is_inf(uv) and section_value(s2, tv, 1 - degree) == uv * a
+            if hit:
+                contact.add(i + 1)
+        return Subbundle(degree=degree, coefficients=coefficients, contact=frozenset(contact))
+
+    cands = [with_contact(1, ())]
+    seen = set()
+    for i, j in combinations([i for i in range(4) if not is_inf(qp.u[i])], 2):
+        v = line_through(qp, [i, j])
+        if v not in seen:
+            seen.add(v)
+            cands.append(with_contact(0, v))
+    conic = _oracle_conic(qp)
+    if conic is DegenerateInput:
+        return cands
+    (v0, v1), w = conic
+    shared_zero = (v0 == 0 or w[2] == 0) if v1 == 0 else section_value(w, -v0 / v1, 2) == 0
+    if not shared_zero:
+        cands.append(with_contact(-1, (v0, v1) + w))
+    return cands
+
+
+@st.composite
+def candidate_problems(draw):
+    """Four distinct poles, possibly one at infinity in any slot, and
+    directions on a line (v0, v1) with some moved off it and at most one
+    at u = inf.  With one direction moved, the three left are colinear
+    and (v, w) = (x - t_k)(1, v0 + v1 x) has a shared zero at the moved
+    pole t_k (at infinity for a pole at infinity)."""
+    poles = draw(st.lists(rationals, min_size=4, max_size=4, unique=True))
+    if draw(st.booleans()):
+        poles[draw(st.integers(0, 3))] = INF
+    v0, v1 = draw(rationals), draw(rationals)
+    u = [v1 if is_inf(tv) else v0 + v1 * tv for tv in poles]
+    for i in draw(st.sets(st.integers(0, 3))):
+        u[i] = draw(st.one_of(st.integers(-3, 3).map(F), rationals))
+    if draw(st.booleans()):
+        u[draw(st.integers(0, 3))] = INF
+    return QuasiPar(poles=tuple(poles), u=tuple(u))
+
+
+class TestCandidateSubbundles:
+    @given(st.one_of(candidate_problems(), contact_problems()))
+    def test_matches_the_section_values(self, qp):
+        assert candidate_subbundles(qp) == _oracle_candidates(qp)
+
+    @pytest.mark.parametrize("poles, u", [
+        # three directions on u = x, the fourth moved: a shared zero at its pole
+        ((F(0), F(1), F(3), INF), (F(0), F(1), F(5), F(1))),
+        ((F(0), F(1), F(3), INF), (F(0), F(1), INF, F(1))),
+        # the moved direction over the pole at infinity: a shared zero there
+        ((F(0), F(1), F(3), INF), (F(0), F(1), F(3), F(7))),
+        ((INF, F(2), F(-1, 2), F(5)), (INF, F(4), F(-1), F(10))),
+    ])
+    def test_shared_zeros_drop_the_degree_minus_one_section(self, poles, u):
+        qp = QuasiPar(poles=poles, u=u)
+        got = candidate_subbundles(qp)
+        assert got == _oracle_candidates(qp)
+        assert all(sub.degree != -1 for sub in got)
+        assert any(sub.degree == 0 and len(sub.contact) == 3 for sub in got)
+
+    def test_kept_section_meets_every_direction(self):
+        qp = QuasiPar(poles=(F(0), F(1), F(3), INF), u=(F(2), INF, F(-1, 3), F(5)))
+        got = candidate_subbundles(qp)
+        assert got == _oracle_candidates(qp)
+        assert got[-1].degree == -1 and got[-1].contact == frozenset({1, 2, 3, 4})
+
+
+class TestGeneralPosition:
+    @given(contact_problems())
+    def test_matches_the_four_triples(self, qp):
+        if qp.infinite_indices():
+            with pytest.raises(DegenerateInput, match="four finite directions"):
+                in_general_position(qp)
+        else:
+            assert in_general_position(qp) == all(
+                line_through(qp, list(tr)) is None for tr in combinations(range(4), 3))
+
+
+def _oracle_theta(conn, sub):
+    """`theta_divisor` on Fraction polynomials: the Wronskian cleared by
+    x(x-1)(x-t), divided by the monic x - t_i at each finite contact pole."""
+    t = conn.t
+    s1, s2 = sub.sections()
+    pi = [F(0), t, -(1 + t), F(1)]
+    a11, a12, a21, a22 = (conn.cleared(entry) for entry in ("a11", "a12", "a21", "a22"))
+    w = poly_trim(poly_add(
+        poly_mul(pi, poly_add(poly_mul(s1, poly_deriv(s2)),
+                              [-c for c in poly_mul(s2, poly_deriv(s1))])),
+        poly_mul(s1, poly_add(poly_mul(a21, s1), poly_mul(a22, s2))),
+        [-c for c in poly_mul(s2, poly_add(poly_mul(a11, s1), poly_mul(a12, s2)))],
+    ))
+    deficit = 3 - 2 * sub.degree - (len(w) - 1)
+    roots = []
+    for i in sorted(sub.contact):
+        tv = (F(0), F(1), t, INF)[i - 1]
+        if is_inf(tv):
+            continue
+        w, rem = poly_divmod(w, [-tv, F(1)])
+        if rem:
+            raise DegenerateInput(f"Higgs field fails to vanish at contact pole {i}")
+        roots.append(tv)
+    if len(w) > 2:
+        raise DegenerateInput(f"degree-{sub.degree} subbundle with contact "
+                              f"{sorted(sub.contact)} destabilizes for no weights")
+    if len(w) == 2:
+        roots.append(-w[0] / w[1])
+    return sorted_divisor(roots + [INF] * deficit)
+
+
+@st.composite
+def higgs_states(draw):
+    """(t, kappa, q, p) with q anywhere or next to a pole: within 1/n of
+    0, 1 or t, or at height n, for n up to 2^64."""
+    t = draw(rationals)
+    assume(t not in (0, 1))
+    near = st.builds(lambda pole, n, sign: pole + F(sign, n), st.sampled_from([F(0), F(1), t]),
+                     st.integers(1, H), st.sampled_from([1, -1]))
+    q = draw(st.one_of(rationals, near, st.integers(-H, H).map(F)))
+    p = draw(rationals)
+    assume(q not in (0, 1, t) and p != 0)
+    # non-integer kappa, so that few states are special
+    k = st.one_of(st.builds(F, st.integers(-48, 48), st.sampled_from([3, 5, 7, 8])),
+                  st.builds(F, st.integers(-H, H), st.integers(2, H))).filter(
+                      lambda v: v.denominator > 1)
+    return PQState(t=t, kappa=KappaParams.from_k1234(*(draw(k) for _ in range(4))), q=q, p=p)
+
+
+class TestThetaDivisor:
+    @given(higgs_states(), st.sets(st.integers(1, 4)))
+    def test_matches_the_fraction_wronskian(self, s, other_contact):
+        """Every candidate of both structures, and each also with another
+        contact set, so that non-roots are divided out too."""
+        try:
+            conn, structures = build_connection(s), parabolic_structures(s)
+        except ModuliError:
+            assume(False)
+        for qp in structures:
+            for sub in candidate_subbundles(qp):
+                for probe in (sub, Subbundle(sub.degree, sub.coefficients,
+                                             frozenset(other_contact))):
+                    assert _outcome(theta_divisor, conn, probe) == \
+                        _outcome(_oracle_theta, conn, probe)
+
+
+class TestPolyDivideRoot:
+    @given(st.lists(st.one_of(st.integers(-9, 9), st.integers(-H, H)), max_size=5),
+           st.one_of(tiny, rationals), st.booleans())
+    def test_matches_division_by_the_monic_factor(self, f, root, make_root):
+        if make_root:  # f (b x - a) has the root a/b
+            f = poly_mul(f, [-root.numerator, root.denominator])
+        f = poly_trim(f)
+        quot, rem = poly_divmod([F(c) for c in f], [-root, F(1)])
+        got = poly_divide_root(f, root.numerator, root.denominator)
+        if rem:
+            assert got is None
+        else:
+            assert got == [c / root.denominator for c in quot]
+            assert all(isinstance(c, int) for c in got)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from pvi_moduli.backlund import SymState, big_q_prime_of
 from pvi_moduli.connection import KappaParams, PQState, Sheet
-from pvi_moduli.errors import NotSimple
+from pvi_moduli.errors import DegenerateInput, NotSimple
 from pvi_moduli.exact import INF
 from pvi_moduli.parabolic import (AutElement, QuasiPar, act, in_general_position, is_simple,
                                   parabolic_from_connection, parabolic_structures, phi_map,
@@ -68,6 +68,13 @@ class TestSimplicity:
         # u1, u2, u3 lie on v = 3/2 - x; u4 = 1/3 is not its slope -1
         qp = QuasiPar(poles=(F(0), F(1), F(3), INF), u=(F(3, 2), F(1, 2), F(-3, 2), F(1, 3)))
         assert is_simple(qp) and not in_general_position(qp)
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_general_position_rejects_an_infinite_direction(self, slot):
+        u = [F(0), F(1), F(3), F(7)]
+        u[slot] = INF
+        with pytest.raises(DegenerateInput, match="four finite directions"):
+            in_general_position(QuasiPar(poles=POLES, u=tuple(u)))
 
     def test_line_through_infinity_chart(self):
         # u4 equals the leading coefficient of the interpolant: decomposable

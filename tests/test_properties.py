@@ -2,25 +2,28 @@
 layers, on inputs that sit on or near their degeneracy loci.
 
 For any quasiparabolic structure, weights or state, `q_map`, `phi_map`,
-`find_destabilizer` and `higgs_limit` either give their answer or raise a
-`ModuliError`; any other exception fails the test.  Inputs reach heights
+`find_destabilizer`, `higgs_limit` and `theta_divisor` either give their
+answer or raise a `ModuliError`; any other exception fails the test.  Inputs reach heights
 of 2^64 and hit the loci on purpose: directions u_i = inf, three (or four)
-colinear directions, a coordinate q at a pole, p = 0 and weights on a wall.
+colinear directions, a coordinate q at or next to a pole, p = 0 and weights
+on a wall.
 Where an answer exists it is also checked: the canonical representative of
 a classifying point classifies back to that point, a destabilizer has
-parabolic degree above 1/2, every degree -1 candidate is saturated, and a
+parabolic degree above 1/2, every degree -1 candidate is saturated, a
 zero-Higgs-field limit keeps the classifying point of the structure it
-came from.
+came from, and a Higgs divisor has 3 - 2 deg(L) points.
 """
 from fractions import Fraction as F
 
 from hypothesis import assume, given, strategies as st
 
-from pvi_moduli.connection import KappaParams, PPoint, PQState
+from pvi_moduli.connection import KappaParams, PPoint, PQState, build_connection
 from pvi_moduli.errors import ModuliError
 from pvi_moduli.exact import HALF, INF, is_inf
-from pvi_moduli.higgs import GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative
-from pvi_moduli.parabolic import QuasiPar, parabolic_from_connection, phi_map, q_map
+from pvi_moduli.higgs import (GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative,
+                              sorted_divisor, theta_divisor)
+from pvi_moduli.parabolic import (QuasiPar, parabolic_from_connection, parabolic_structures,
+                                  phi_map, q_map)
 from pvi_moduli.stability import (Subbundle, Weights, candidate_subbundles, find_destabilizer,
                                   parabolic_degree)
 
@@ -120,3 +123,33 @@ def test_higgs_limit_gives_a_limit_or_a_moduli_error(s, w):
     assert isinstance(limit, HiggsLimit) and limit.kind in (THETA_ZERO, GRADED)
     if limit.kind == THETA_ZERO:
         assert phi_map(limit.qp) == phi_map(parabolic_from_connection(s))
+
+
+@st.composite
+def states_near_a_pole(draw):
+    """(t, kappa, q, p) with q within 1/n of 0, 1 or t, at height n (next
+    to infinity) or at a pole, for n up to 2^64, and p sometimes 0.  The
+    kappa are mostly not integers, so that most states are not special."""
+    t = draw(rationals)
+    assume(t not in (0, 1))
+    near = st.builds(lambda pole, n, sign: pole + F(sign, n), st.sampled_from([F(0), F(1), t]),
+                     st.integers(1, H), st.sampled_from([1, -1]))
+    q = draw(st.one_of(near, st.integers(-H, H).map(F), st.sampled_from([F(0), F(1), t])))
+    p = draw(st.one_of(rationals, st.just(F(0))))
+    k = st.one_of(st.builds(F, st.integers(-48, 48), st.sampled_from([3, 5, 8])),
+                  st.builds(F, st.integers(-H, H), st.integers(2, H)), rationals)
+    return PQState(t=t, kappa=KappaParams.from_k1234(*(draw(k) for _ in range(4))), q=q, p=p)
+
+
+@given(states_near_a_pole())
+def test_theta_divisor_gives_a_divisor_or_a_moduli_error(s):
+    conn, structures = outcome(build_connection, s), outcome(parabolic_structures, s)
+    if isinstance(conn, ModuliError) or isinstance(structures, ModuliError):
+        return
+    for qp in structures:
+        for sub in candidate_subbundles(qp):
+            div = outcome(theta_divisor, conn, sub)
+            if isinstance(div, ModuliError):
+                continue
+            assert all(is_inf(z) or isinstance(z, F) for z in div)
+            assert div == sorted_divisor(div) and len(div) == 3 - 2 * sub.degree
