@@ -21,8 +21,8 @@ denominator of the alternative parabolic coordinate Q').
 
 The permutations r leave k0 unchanged.  Each generator writes the new k0
 in the closed form above instead of re-deriving it from k1..k4, and
-`KappaParams` re-checks 2*k0 + k1 + ... + k4 = 1 on every step, so a
-wrong closed form raises at once.
+keeps 2*k0 + k1 + ... + k4 = 1: `KappaParams.from_strs` checks that
+relation on input, and tests/test_certificates.py proves it is kept.
 
 Words act left-to-right: apply_word([g, h], s) = h(g(s)).  States are
 `PQState`s; every formula here needs a finite q and raises
@@ -301,6 +301,6 @@ def check_relations(sample: PQState):
                         raise _degenerate_step(step, word[step], exc) from exc
         lhs, rhs = states[left], states[right]
         holds = (lhs == rhs)
-        witness = None if holds else {"lhs": lhs.to_json_dict(), "rhs": rhs.to_json_dict()}
+        witness = None if holds else {"lhs": lhs, "rhs": rhs}
         out.append((name, holds, witness))
     return out

@@ -10,14 +10,24 @@ The identities the connection and backlund suites sample at each state
 are declared once, by `verify.connection_identities` and
 `verify.backlund_identities`; both run here once on the symbolic STATE,
 with one test per name they return.
+
+The Fuchs relations are checked only where exponents come in
+(`KappaParams.from_strs`); every map that makes new exponents is proved
+here to keep them: each generator of `backlund.ALPHABET` and the
+Schlesinger composite keep 2*k0 + k1 + ... + k4 = 1, `residues()` meets
+sum(r+ + r-) + lam*degree = 0, and every elementary transformation keeps
+that sum, over Q(r+, r-, lam).
 """
+from functools import partial
+
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from pvi_moduli import backlund as bk  # noqa: E402
 from pvi_moduli import connection, verify  # noqa: E402
-from pvi_moduli.connection import KappaParams, PQState  # noqa: E402
+from pvi_moduli.connection import (KappaParams, PQState, ResidueVector,  # noqa: E402
+                                   elementary_transform_residues)
 from pvi_moduli.parabolic import parabolic_from_connection, q_map_parabolic  # noqa: E402
 
 K, t, k1, k2, k3, k4, q, p = sympy.field("t k1 k2 k3 k4 q p", sympy.QQ)
@@ -75,3 +85,35 @@ def test_transversality_solves_both_fibers():
 
 def test_parabolic_coordinate_is_q_plus_k0_over_p():
     assert q_map_parabolic(parabolic_from_connection(STATE)) == q + k0 / p
+
+
+# ---------------------------------------------------------------------------
+# The Fuchs relations
+# ---------------------------------------------------------------------------
+
+KAPPA_MAPS = {**{g: partial(bk.apply_generator, g) for g in bk.ALPHABET},
+              "schlesinger_composite_qp": bk.schlesinger_composite_qp}
+
+
+@pytest.mark.parametrize("name", list(KAPPA_MAPS))
+def test_map_keeps_the_kappa_relation(name):
+    k = KAPPA_MAPS[name](STATE).kappa
+    assert 2 * k.k0 + k.k1 + k.k2 + k.k3 + k.k4 == 1
+
+
+def fuchs_sum(r):
+    return sum(r.r_plus) + sum(r.r_minus) + r.lam * r.degree
+
+
+def test_residues_satisfy_the_fuchs_relation():
+    assert fuchs_sum(STATE.kappa.residues()) == 0
+
+
+_, *R = sympy.field("rp1 rp2 rp3 rp4 rm1 rm2 rm3 rm4 lam", sympy.QQ)
+
+
+@pytest.mark.parametrize("degree", [1, 0, -1])
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_elementary_transform_keeps_the_fuchs_sum(i, degree):
+    r = ResidueVector(r_plus=tuple(R[:4]), r_minus=tuple(R[4:8]), lam=R[8], degree=degree)
+    assert fuchs_sum(elementary_transform_residues(r, i)) == fuchs_sum(r)

@@ -398,6 +398,26 @@ BAD_PARABOLICS = {
 }
 
 
+# every command that reads a state file, with valid values for its other options
+STATE_COMMANDS = sorted(key for key, (_, names) in COMMANDS.items() if "state" in names)
+OTHER_OPTIONS = {"eps": "1/10,1/10,1/10,1/10", "mu": "0,0,0,0", "word": "s0"}
+
+
+@pytest.mark.parametrize("group, command", STATE_COMMANDS, ids=" ".join)
+def test_state_off_the_kappa_relation_is_rejected(capsys, tmp_path, group, command):
+    """The state file is where k0 comes in, so it is where 2*k0 + k1 + ... + k4 = 1
+    is checked: every --state command exits 2 on a file off that relation."""
+    path = tmp_path / "no-fuchs.json"
+    path.write_text(json.dumps(BAD_STATES["no-fuchs"]))
+    argv = [group, command, "--state", str(path)]
+    for name in COMMANDS[(group, command)][1]:
+        if name in OTHER_OPTIONS:
+            argv += [f"--{name}", OTHER_OPTIONS[name]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DegenerateInput" in captured.err
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """Paths for --state and --parabolic: good files, files on the

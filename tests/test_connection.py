@@ -19,8 +19,13 @@ def worked_state():
 
 class TestKappa:
     def test_affine_relation_enforced(self):
-        with pytest.raises(DegenerateInput):
-            KappaParams(F(0), F(1, 2), F(1, 2), F(1, 2), F(1, 2))
+        # five parsed exponents off 2*k0 + k1 + ... + k4 = 1 are rejected
+        # where they come in, on their own and inside a state file
+        kappa = ["0/1", "1/2", "1/2", "1/2", "1/2"]
+        with pytest.raises(DegenerateInput, match="2\\*k0"):
+            KappaParams.from_strs(kappa)
+        with pytest.raises(DegenerateInput, match="2\\*k0"):
+            PQState.from_json_dict({"t": "2/1", "kappa": kappa, "q": "3/1", "p": "5/1"})
 
     def test_from_k1234_recomputes_k0(self):
         kp = KappaParams.from_k1234(F(1, 8), F(1, 8), F(1, 8), F(1, 8))
@@ -219,5 +224,5 @@ class TestElementaryTransform:
         assert out.r_plus[2] == r.r_plus[2] + 1
         assert out.r_minus[2] == r.r_minus[2] + 1
         assert out.degree == r.degree - 2
-        # the Fuchs relation is re-validated by the constructor
+        # each transformation keeps the Fuchs relation (proved in test_certificates)
         assert sum(out.r_plus) + sum(out.r_minus) + out.lam * out.degree == 0

@@ -587,8 +587,13 @@ class TestGeneratorKappa:
         assert out.kappa == KappaParams.from_k1234(1 - k.k1, 1 - k.k2, k.k3, k.k4)
 
     def test_wrong_closed_form_is_rejected(self):
+        # the generators' closed forms are proved to keep 2*k0 + k1 + ... + k4 = 1
+        # (test_certificates); exponents off it are rejected where they come in
+        kappa = ["1/4", "1/8", "1/8", "1/8", "1/4"]
         with pytest.raises(DegenerateInput, match="2\\*k0"):
-            KappaParams(F(1, 4), F(1, 8), F(1, 8), F(1, 8), F(1, 4))
+            KappaParams.from_strs(kappa)
+        with pytest.raises(DegenerateInput, match="2\\*k0"):
+            PQState.from_json_dict({"t": "2/1", "kappa": kappa, "q": "3/1", "p": "5/1"})
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +604,7 @@ def _oracle_relations(s):
     out = []
     for name, left, right in RELATION_WORDS:
         lhs, rhs = apply_word(left, s), apply_word(right, s)
-        witness = None if lhs == rhs else {"lhs": lhs.to_json_dict(), "rhs": rhs.to_json_dict()}
+        witness = None if lhs == rhs else {"lhs": lhs, "rhs": rhs}
         out.append((name, lhs == rhs, witness))
     return out
 

@@ -12,11 +12,17 @@ a classifying point classifies back to that point, a destabilizer has
 parabolic degree above 1/2, every degree -1 candidate is saturated, a
 zero-Higgs-field limit keeps the classifying point of the structure it
 came from, and a Higgs divisor has 3 - 2 deg(L) points.
+
+`apply_word` either gives a state whose exponents keep 2*k0 + k1 + ... +
+k4 = 1 and match the generator-by-generator oracle `K_ACTION`, or raises a
+`ModuliError`.  The generators do not re-check that relation; it is proved
+in tests/test_certificates.py, and this is the sampled net behind it.
 """
 from fractions import Fraction as F
 
 from hypothesis import assume, given, strategies as st
 
+from pvi_moduli.backlund import ALPHABET, apply_word
 from pvi_moduli.connection import KappaParams, PPoint, PQState, build_connection
 from pvi_moduli.errors import ModuliError
 from pvi_moduli.exact import HALF, INF, is_inf
@@ -26,6 +32,7 @@ from pvi_moduli.parabolic import (QuasiPar, parabolic_from_connection, parabolic
                                   phi_map, q_map)
 from pvi_moduli.stability import (Subbundle, Weights, candidate_subbundles, find_destabilizer,
                                   parabolic_degree)
+from test_kernel_oracles import K_ACTION  # the generators' action on kappa
 
 H = 2 ** 64
 
@@ -153,3 +160,32 @@ def test_theta_divisor_gives_a_divisor_or_a_moduli_error(s):
                 continue
             assert all(is_inf(z) or isinstance(z, F) for z in div)
             assert div == sorted_divisor(div) and len(div) == 3 - 2 * sub.degree
+
+
+@st.composite
+def word_states(draw):
+    """(t, kappa, q, p) with q at, or within 1/n of, 0, 1 or t for n up to
+    2^64 (or at infinity), p sometimes 0 and k0 sometimes 0."""
+    t = draw(rationals)
+    assume(t not in (0, 1))
+    poles = st.sampled_from([F(0), F(1), t])
+    near = st.builds(lambda pole, n, sign: pole + F(sign, n), poles, st.integers(1, H),
+                     st.sampled_from([1, -1]))
+    q = draw(st.one_of(rationals, poles, near, st.just(INF)))
+    p = draw(st.one_of(rationals, st.just(F(0))))
+    k = [draw(rationals) for _ in range(3)]
+    k.append(draw(st.one_of(rationals, st.just(1 - sum(k)))))  # the second puts k0 = 0
+    return PQState(t=t, kappa=KappaParams.from_k1234(*k), q=q, p=p)
+
+
+@given(st.lists(st.sampled_from(ALPHABET), max_size=8), word_states())
+def test_apply_word_keeps_the_kappa_relation_or_raises_a_moduli_error(word, s):
+    out = outcome(apply_word, word, s)
+    if isinstance(out, ModuliError):
+        return
+    k = out.kappa
+    assert 2 * k.k0 + k.k1 + k.k2 + k.k3 + k.k4 == 1
+    expected = s.kappa
+    for g in word:
+        expected = KappaParams.from_k1234(*K_ACTION[g](expected.all4, expected.k0))
+    assert k == expected

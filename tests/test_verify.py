@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction as F
 
@@ -52,6 +53,22 @@ class TestWitnesses:
         qp = QuasiPar.from_json_dict(witness["parabolic"])
         assert find_destabilizer(qp, w) is not None
         assert "zone A: verdict and maximizer match the brute-force oracle" in failed
+
+    def test_failing_zone_check_serializes_its_destabilizer(self, monkeypatch):
+        monkeypatch.setattr(verify, "predicted_destabilizer_degree", lambda zone: 5)
+        (rep,) = verify.run_suite("zones", seed=1, samples=8, bound=16)
+        failed = {c.name: c.to_json_dict()["witness"] for c in rep.checks if not c.passed}
+        witness = failed["zone A: destabilizer of the predicted type on all samples"]
+        assert set(witness["destabilizer"]) == {"degree", "coefficients", "contact"}
+        json.dumps(rep.to_json_dict())
+
+    def test_failing_mc_check_serializes_its_exponent_data(self, monkeypatch):
+        monkeypatch.setattr(verify, "ZONE_STABLE", "no zone")
+        (rep,) = verify.run_suite("mc", seed=1, samples=8, bound=16)
+        failed = {c.name: c.to_json_dict()["witness"] for c in rep.checks if not c.passed}
+        witness = failed["zone A, all-plus: image lies in the stable zone"]
+        assert set(witness["eps"]) == set(witness["out"]) == {"mu", "eps"}
+        json.dumps(rep.to_json_dict())
 
     def test_backlund_does_not_hide_a_formula_bug(self, monkeypatch):
         def broken(state):
