@@ -17,12 +17,17 @@ s0.  On a state with k0 = (1 - k1 - k2 - k3 - k4)/2:
 The p-shift of s_i uses the coefficient k_i: that is what makes each s_i
 an involution, and it reproduces the parabolic switch exactly (the
 composite s1 s2 s3 s4 sends p to p - k1/q - k2/(q-1) - k3/(q-t), the
-denominator of the alternative parabolic coordinate Q').
+denominator of the alternative parabolic coordinate Q').  s_4 is the
+same rule at t_4 = oo, where there is no p-shift.
 
-The permutations r leave k0 unchanged.  Each generator writes the new k0
-in the closed form above instead of re-deriving it from k1..k4, and
-keeps 2*k0 + k1 + ... + k4 = 1: `KappaParams.from_strs` checks that
-relation on input, and tests/test_certificates.py proves it is kept.
+The permutations are one rule r_c: c = 3, 2, 1 is the finite pole swapped
+with oo and the other two poles a, b are swapped.  kappa is permuted by
+(c 4)(a b), so k0 is unchanged, and with w = q - t_c and d_c = P'(t_c)
+(`finite_pole`), q -> t_c + d_c/w and p -> -w(wp + k0)/d_c, which keeps
+dq ^ dp.  Each generator writes the new k0 in the closed form above
+instead of re-deriving it from k1..k4, and keeps 2*k0 + k1 + ... + k4 = 1:
+`KappaParams.from_strs` checks that relation on input, and
+tests/test_certificates.py proves it is kept.
 
 Words act left-to-right: apply_word([g, h], s) = h(g(s)).  States are
 `PQState`s; every formula here needs a finite q and raises
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Sequence
 
-from .connection import KappaParams, PQState
+from .connection import KappaParams, PQState, finite_pole
 from .errors import DegenerateInput, NoFiniteIntersection
 from .exact import Dual, Rat, is_inf
 
@@ -56,53 +61,41 @@ def _s0(s: PQState) -> PQState:
                         q=s.q + k0 / s.p)
 
 
-def _s_finite(i: int) -> Callable[[PQState], PQState]:
+def _s(i: int) -> Callable[[PQState], PQState]:
     def gen(s: PQState) -> PQState:
-        k = list(s.kappa.all4)
-        ki = k[i - 1]
-        pole = (0, 1, s.t)[i - 1]
+        pole = s.poles[i - 1]
         if s.q == pole:
             raise DegenerateInput(f"s{i} has a pole at q = {pole}")
+        k = list(s.kappa.all4)
+        ki = k[i - 1]
         k[i - 1] = -ki
-        return s.with_kappa(KappaParams(s.k0 + ki, *k), p=s.p - ki / (s.q - pole))
+        return s.with_kappa(KappaParams(s.k0 + ki, *k),
+                            p=s.p if is_inf(pole) else s.p - ki / (s.q - pole))
     return gen
 
 
-def _s4(s: PQState) -> PQState:
-    k = s.kappa
-    return s.with_kappa(KappaParams(k.k0 + k.k4, k.k1, k.k2, k.k3, -k.k4))
+# Each permutation generator and the two pole pairs it swaps.
+_R_PAIRS = {"r12_34": ((1, 2), (3, 4)), "r13_24": ((1, 3), (2, 4)), "r14_23": ((1, 4), (2, 3))}
+_R_FOR_PAIR = {frozenset(pair): r for r, pairs in _R_PAIRS.items() for pair in pairs}
 
 
-def _r12_34(s: PQState) -> PQState:
-    k, t, q, p = s.kappa, s.t, s.q, s.p
-    if q == t:
-        raise DegenerateInput("r12_34 has a pole at q = t")
-    return s.with_kappa(KappaParams(k.k0, k.k2, k.k1, k.k4, k.k3),
-                        q=t * (q - 1) / (q - t),
-                        p=-(q - t) * ((q - t) * p + k.k0) / (t * (t - 1)))
+def _r(name: str) -> Callable[[PQState], PQState]:
+    # (a b), then (c 4): c is the finite pole swapped with infinity
+    (a, b), (c, _) = sorted(_R_PAIRS[name], key=lambda pair: 4 in pair)
 
-
-def _r13_24(s: PQState) -> PQState:
-    k, t, q, p = s.kappa, s.t, s.q, s.p
-    if q == 1:
-        raise DegenerateInput("r13_24 has a pole at q = 1")
-    return s.with_kappa(KappaParams(k.k0, k.k3, k.k4, k.k1, k.k2),
-                        q=(q - t) / (q - 1),
-                        p=(q - 1) * ((q - 1) * p + k.k0) / (t - 1))
-
-
-def _r14_23(s: PQState) -> PQState:
-    k, t, q, p = s.kappa, s.t, s.q, s.p
-    if q == 0:
-        raise DegenerateInput("r14_23 has a pole at q = 0")
-    return s.with_kappa(KappaParams(k.k0, k.k4, k.k3, k.k2, k.k1),
-                        q=t / q,
-                        p=-q * (q * p + k.k0) / t)
+    def gen(s: PQState) -> PQState:
+        tc, dc = finite_pole(s.t, c)
+        if s.q == tc:
+            raise DegenerateInput(f"{name} has a pole at q = {('0', '1', 't')[c - 1]}")
+        k = [s.k0, *s.kappa.all4]
+        k[a], k[b], k[c], k[4] = k[b], k[a], k[4], k[c]
+        w = s.q - tc
+        return s.with_kappa(KappaParams(*k), q=tc + dc / w, p=-w * (w * s.p + s.k0) / dc)
+    return gen
 
 
 GENERATORS: Dict[str, Callable[[PQState], PQState]] = {
-    "s0": _s0, "s1": _s_finite(1), "s2": _s_finite(2), "s3": _s_finite(3),
-    "s4": _s4, "r12_34": _r12_34, "r13_24": _r13_24, "r14_23": _r14_23,
+    "s0": _s0, **{f"s{i}": _s(i) for i in (1, 2, 3, 4)}, **{r: _r(r) for r in _R_PAIRS},
 }
 ALPHABET = tuple(GENERATORS)
 
@@ -141,11 +134,6 @@ def parse_word(text: str) -> tuple:
 WORD_SHIFT_12 = ("r12_34", "s1", "s2", "s0", "s3", "s4", "s0")
 WORD_SHIFT_34 = ("r12_34", "s3", "s4", "s0", "s1", "s2", "s0")
 WORD_SCHLESINGER = ("r12_34", "s0", "s3", "s4", "s0")
-
-# Each permutation generator and the two pole pairs it swaps.
-_R_PAIRS = {"r12_34": ((1, 2), (3, 4)), "r13_24": ((1, 3), (2, 4)), "r14_23": ((1, 4), (2, 3))}
-_R_FOR_PAIR = {frozenset(pair): r for r, pairs in _R_PAIRS.items() for pair in pairs}
-
 
 def pair_fibration_word(i: int, j: int) -> tuple:
     """The composite whose q-coordinate is the fibration attached to the

@@ -9,10 +9,12 @@ infinity (the -1/2 shift realizes degree 1).
 
 Two explicit gauges of the same connection are provided:
 
-* `build_connection` -- the (q, p) chart.  A(1,2) = (x-q)/(x(x-1)(x-t)),
-  the apparent singularity is x = q, and p is recovered from
-  A(2,2)|_{x=q} by adding sum_i k_i/(2(q-t_i)) over the finite poles.
-  The residue at infinity has eigenvalues k4/2 - 1/2 and -k4/2 - 1/2.
+* `build_connection` -- the (q, p) chart.  A(1,2) = (x-q)/P(x) with
+  P = x(x-1)(x-t), so each residue at a finite pole t_i is scaled by
+  d_i = P'(t_i) (`finite_pole`); the apparent singularity is x = q, and p
+  is recovered from A(2,2)|_{x=q} by adding sum_i k_i/(2(q-t_i)) over the
+  finite poles.  The residue at infinity has eigenvalues k4/2 - 1/2 and
+  -k4/2 - 1/2.
 
 * `build_connection_qp` -- the (Q, p) chart, with the parabolic
   coordinates normalized to (0, 1, u, 0), u = t(Q-1)/(Q-t).  Here
@@ -172,12 +174,6 @@ class PQState:
     def poles(self):
         return (0, 1, self.t, INF)
 
-    def p_tilde(self) -> Rat:
-        q = self.q
-        if is_inf(q):
-            raise NormalFormDegenerate("p_tilde undefined at q = inf")
-        return q * (q - 1) * (q - self.t) * self.p
-
     def to_json_dict(self):
         return {"t": rat_to_str(self.t), "kappa": self.kappa.to_strs(),
                 "q": proj_to_str(self.q), "p": rat_to_str(self.p)}
@@ -297,6 +293,12 @@ class FourPoleConnection:
                 "C": self.c.to_strs()}
 
 
+def finite_pole(t: Rat, i: int):
+    """(t_i, d_i) for the finite pole i = 1, 2, 3 of (0, 1, t), where
+    d_i = P'(t_i) = prod_{j != i} (t_i - t_j) and P = x(x-1)(x-t)."""
+    return (0, t) if i == 1 else (1, 1 - t) if i == 2 else (t, t * (t - 1))
+
+
 def _require_buildable(s: PQState):
     if is_inf(s.q) or s.q in (0, 1, s.t):
         raise NormalFormDegenerate(f"apparent singularity q = {s.q} sits at a pole")
@@ -304,27 +306,33 @@ def _require_buildable(s: PQState):
         raise SpecialParameters("kappa parameters are special")
 
 
+def _finite_pole_data(s: PQState):
+    """p~ = p P(q) = p * prod_i (q - t_i) and, per finite pole, (k_i, d_i,
+    q - t_i, p~ - d_i k_i): all that the finite residues and eigenvectors read."""
+    _require_buildable(s)
+    poles = [finite_pole(s.t, i) for i in (1, 2, 3)]
+    gaps = [s.q - ti for ti, _ in poles]
+    pt = s.p * gaps[0] * gaps[1] * gaps[2]
+    return pt, [(ki, d, gap, pt - d * ki) for ki, (_, d), gap in zip(s.kappa.finite, poles, gaps)]
+
+
 def build_connection(s: PQState) -> FourPoleConnection:
     """The (q, p) normal form.
 
-    A(1,2) = (x-q)/(x(x-1)(x-t)); the residue matrices at the finite poles
-    are trace-free with determinant -k_i^2/4, and the residue at infinity
-    (basis <e, x*f>) has eigenvalues k4/2 - 1/2 and -k4/2 - 1/2 with
-    eigenvectors (1, k0) and (1, k0 + k4).
+    A(1,2) = (x-q)/(x(x-1)(x-t)).  With p~ and d_i of `_finite_pole_data`,
+    the residue at a finite pole t_i, trace-free with determinant -k_i^2/4, is
+    A_i = [[k_i/2 - p~/d_i, -(q-t_i)/d_i], [p~(p~ - d_i k_i)/(d_i(q-t_i)), p~/d_i - k_i/2]];
+    the residue at infinity (basis <e, x*f>) has eigenvalues k4/2 - 1/2 and
+    -k4/2 - 1/2 with eigenvectors (1, k0) and (1, k0 + k4).
     """
-    _require_buildable(s)
-    t, k, q = s.t, s.kappa, s.q
-    pt = s.p_tilde()
-    a1 = Mat2(-pt / t + k.k1 / 2, -q / t,
-              pt * (pt - t * k.k1) / (t * q), pt / t - k.k1 / 2)
-    a2 = Mat2(pt / (t - 1) + k.k2 / 2, (q - 1) / (t - 1),
-              -pt * (pt + (t - 1) * k.k2) / ((t - 1) * (q - 1)), -pt / (t - 1) - k.k2 / 2)
-    a3 = Mat2(-pt / (t * (t - 1)) + k.k3 / 2, -(q - t) / (t * (t - 1)),
-              pt * (pt - t * (t - 1) * k.k3) / (t * (t - 1) * (q - t)), pt / (t * (t - 1)) - k.k3 / 2)
+    pt, data = _finite_pole_data(s)
+    a1, a2, a3 = (Mat2(a11 := ki / 2 - pt / d, -gap / d, pt * shifted / (d * gap), -a11)
+                  for ki, d, gap, shifted in data)
+    k = s.kappa
     a4 = Mat2(k.k0 + k.k4 / 2 - HALF, -1,
               k.k0 * (k.k0 + k.k4), -k.k0 - k.k4 / 2 - HALF)
     c = Mat2(0, 0, -k.k0 * (k.k0 + k.k4), 0)
-    return FourPoleConnection(t=t, kappa=k, a1=a1, a2=a2, a3=a3, a4=a4, c=c)
+    return FourPoleConnection(t=s.t, kappa=k, a1=a1, a2=a2, a3=a3, a4=a4, c=c)
 
 
 def build_connection_qp(t: Rat, kappa: KappaParams, big_q: Rat, p: Rat) -> FourPoleConnection:
@@ -366,15 +374,11 @@ def eigen_table(s: PQState):
     written in the local frame (<e, f> at finite poles, <e, x*f> at
     infinity), so their slopes are the parabolic coordinates u_i.
     """
-    _require_buildable(s)
-    t, k, q = s.t, s.kappa, s.q
-    pt = s.p_tilde()
-    return (
-        ((k.k1 / 2, (1, -pt / q)), (-k.k1 / 2, (1, -(pt - t * k.k1) / q))),
-        ((k.k2 / 2, (1, -pt / (q - 1))), (-k.k2 / 2, (1, -(pt + (t - 1) * k.k2) / (q - 1)))),
-        ((k.k3 / 2, (1, -pt / (q - t))), (-k.k3 / 2, (1, -(pt - t * (t - 1) * k.k3) / (q - t)))),
-        ((k.k4 / 2 - HALF, (1, k.k0)), (-k.k4 / 2 - HALF, (1, k.k0 + k.k4))),
-    )
+    pt, data = _finite_pole_data(s)
+    k = s.kappa
+    finite = tuple(((ki / 2, (1, -pt / gap)), (-ki / 2, (1, -shifted / gap)))
+                   for ki, _, gap, shifted in data)
+    return finite + (((k.k4 / 2 - HALF, (1, k.k0)), (-k.k4 / 2 - HALF, (1, k.k0 + k.k4))),)
 
 
 def pole_index(base: ProjRat, poles) -> Optional[int]:

@@ -67,8 +67,12 @@ class Weights:
 
     @classmethod
     def from_json_dict(cls, d) -> "Weights":
-        eps = tuple(rat_from_str(s) for s in d["eps"])
-        mu = tuple(rat_from_str(s) for s in d.get("mu", ["0/1"] * 4))
+        """Parse weights; malformed input raises DegenerateInput."""
+        try:
+            eps = tuple(rat_from_str(s) for s in d["eps"])
+            mu = tuple(rat_from_str(s) for s in d.get("mu", ["0/1"] * 4))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise DegenerateInput(f"malformed weights: {exc!r}") from exc
         return cls(mu=mu, eps=eps)
 
 

@@ -17,6 +17,11 @@ here to keep them: each generator of `backlund.ALPHABET` and the
 Schlesinger composite keep 2*k0 + k1 + ... + k4 = 1, `residues()` meets
 sum(r+ + r-) + lam*degree = 0, and every elementary transformation keeps
 that sum, over Q(r+, r-, lam).
+
+Each generator is also proved symplectic: det d(q', p')/d(q, p) = 1, the
+partial derivatives taken with exact dual numbers over Q(t, kappa, q, p).
+For the pole permutations this proves that p -> -w(wp + k0)/d_c is the
+cotangent lift of q -> t_c + d_c/w.
 """
 from functools import partial
 
@@ -28,7 +33,9 @@ from pvi_moduli import backlund as bk  # noqa: E402
 from pvi_moduli import connection, verify  # noqa: E402
 from pvi_moduli.connection import (KappaParams, PQState, ResidueVector,  # noqa: E402
                                    elementary_transform_residues)
-from pvi_moduli.parabolic import parabolic_from_connection, q_map_parabolic  # noqa: E402
+from pvi_moduli.exact import Dual  # noqa: E402
+from pvi_moduli.parabolic import (parabolic_from_connection, parabolic_structures,  # noqa: E402
+                                  q_map_parabolic)
 
 K, t, k1, k2, k3, k4, q, p = sympy.field("t k1 k2 k3 k4 q p", sympy.QQ)
 k0 = (1 - k1 - k2 - k3 - k4) / 2
@@ -85,6 +92,21 @@ def test_transversality_solves_both_fibers():
 
 def test_parabolic_coordinate_is_q_plus_k0_over_p():
     assert q_map_parabolic(parabolic_from_connection(STATE)) == q + k0 / p
+
+
+def test_alternative_structure_computes_q_prime():
+    assert q_map_parabolic(parabolic_structures(STATE)[1]) == bk.big_q_prime_of(STATE)
+
+
+# ---------------------------------------------------------------------------
+# Every generator keeps dq ^ dp
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", bk.ALPHABET)
+def test_generator_is_symplectic(name):
+    by_q = bk.apply_generator(name, STATE.with_kappa(STATE.kappa, q=Dual.var(q), p=Dual.const(p)))
+    by_p = bk.apply_generator(name, STATE.with_kappa(STATE.kappa, q=Dual.const(q), p=Dual.var(p)))
+    assert by_q.q.der * by_p.p.der - by_p.q.der * by_q.p.der == 1
 
 
 # ---------------------------------------------------------------------------

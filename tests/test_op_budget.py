@@ -40,8 +40,14 @@ its Fuchs sum: the relations are checked where exponents are parsed and
 proved for every map in tests/test_certificates.py.  That took the pass
 to 116,787 operations and 148,932 constructions (connection 34,930 ->
 29,140, backlund 57,480 -> 34,690, higgs 30,043 -> 28,418).  Each suite
-now has its own caps too, so an overrun names its suite; every budget
-here is that pass's count plus less than 3%.
+now has its own caps too, so an overrun names its suite.
+
+Then the finite residues, their eigenvectors and the pole permutations
+were written once, per pole, with d_i = prod_{j != i} (t_i - t_j): each
+residue reads p~/d_i once and its (2,2) entry is minus its (1,1) entry.
+That took the pass to 109,947 operations and 142,392 constructions
+(connection 29,140 -> 27,640, backlund 34,690 -> 33,340, higgs 28,418 ->
+24,428).  Every budget here is the count of that pass plus less than 3%.
 """
 from fractions import Fraction
 
@@ -49,15 +55,15 @@ from pvi_moduli.verify import SUITES
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
               "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
-BUDGET = 120_000
-CONSTRUCTION_BUDGET = 153_000
+BUDGET = 113_000
+CONSTRUCTION_BUDGET = 146_000
 # suite -> (operations, constructions)
 SUITE_BUDGETS = {
-    "connection": (30_000, 35_300),
-    "backlund": (35_700, 41_400),
+    "connection": (28_400, 33_800),
+    "backlund": (34_300, 40_300),
     "lattice": (66, 169),
     "zones": (16_200, 19_300),
-    "higgs": (29_200, 43_400),
+    "higgs": (25_100, 39_300),
     "mc": (8_950, 13_600),
 }
 

@@ -17,6 +17,11 @@ came from, and a Higgs divisor has 3 - 2 deg(L) points.
 k4 = 1 and match the generator-by-generator oracle `K_ACTION`, or raises a
 `ModuliError`.  The generators do not re-check that relation; it is proved
 in tests/test_certificates.py, and this is the sampled net behind it.
+
+`verify.connection_identities` either passes every normal-form identity
+of both gauges or raises a `ModuliError`, on states whose exponents are
+not integers (so that most of them build) with q at or next to a pole,
+p = 0 and k0 = 0 among them.
 """
 from fractions import Fraction as F
 
@@ -32,6 +37,7 @@ from pvi_moduli.parabolic import (QuasiPar, parabolic_from_connection, parabolic
                                   phi_map, q_map)
 from pvi_moduli.stability import (Subbundle, Weights, candidate_subbundles, find_destabilizer,
                                   parabolic_degree)
+from pvi_moduli.verify import connection_identities
 from test_kernel_oracles import K_ACTION  # the generators' action on kappa
 
 H = 2 ** 64
@@ -189,3 +195,31 @@ def test_apply_word_keeps_the_kappa_relation_or_raises_a_moduli_error(word, s):
     for g in word:
         expected = KappaParams.from_k1234(*K_ACTION[g](expected.all4, expected.k0))
     assert k == expected
+
+
+@st.composite
+def connection_states(draw):
+    """(t, kappa, q, p) with q at, or within 1/n of, 0, 1 or t for n up to
+    2^64 (or at infinity), p sometimes 0, k0 sometimes 0 and k1..k3 never
+    integers."""
+    t = draw(rationals)
+    assume(t not in (0, 1))
+    poles = st.sampled_from([F(0), F(1), t])
+    near = st.builds(lambda pole, n, sign: pole + F(sign, n), poles, st.integers(1, H),
+                     st.sampled_from([1, -1]))
+    q = draw(st.one_of(rationals, poles, near, st.just(INF)))
+    p = draw(st.one_of(rationals, st.just(F(0))))
+    fractional = st.one_of(st.builds(F, st.integers(-48, 48), st.sampled_from([3, 5, 8])),
+                           st.builds(F, st.integers(-H, H), st.integers(2, H)),
+                           ).filter(lambda k: k.denominator != 1)
+    k = [draw(fractional) for _ in range(3)]
+    k.append(draw(st.one_of(fractional, st.just(1 - sum(k)))))  # the second puts k0 = 0
+    return PQState(t=t, kappa=KappaParams.from_k1234(*k), q=q, p=p)
+
+
+@given(connection_states())
+def test_connection_identities_hold_or_raise_a_moduli_error(s):
+    out = outcome(connection_identities, s)
+    if isinstance(out, ModuliError):
+        return
+    assert [name for name, passed, _ in out if not passed] == []

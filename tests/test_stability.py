@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from pvi_moduli.errors import SpecialWeights
+from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import INF
 from pvi_moduli.parabolic import QuasiPar, line_through
 from pvi_moduli.sampling import RationalSampler
@@ -15,6 +15,20 @@ from pvi_moduli.verify import oracle_destabilizer
 
 POLES = (F(0), F(1), F(3), INF)
 HALF = F(1, 2)
+
+
+class TestWeightsFromJson:
+    def test_round_trip(self):
+        w = Weights(mu=(F(1), F(-2, 3), F(0), F(5)), eps=(F(1, 10), F(1, 5), F(1, 4), F(1, 3)))
+        assert Weights.from_json_dict(w.to_json_dict()) == w
+
+    @pytest.mark.parametrize("payload", [
+        {}, None, [], "eps", {"eps": 5}, {"eps": ["1/5"] * 4, "mu": 5},
+        {"eps": ["1/5"] * 3}, {"eps": ["1/5", "1/5", "1/5", "x"]},
+    ])
+    def test_malformed_weights_are_an_input_error(self, payload):
+        with pytest.raises(DegenerateInput):
+            Weights.from_json_dict(payload)
 
 
 class TestClassify:
