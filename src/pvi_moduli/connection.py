@@ -7,20 +7,25 @@ with 2*k0 + k1 + k2 + k3 + k4 = 1.  The residue eigenvalue pairs are
 (k_i/2, -k_i/2) at the finite poles and (k4/2 - 1/2, -k4/2 - 1/2) at
 infinity (the -1/2 shift realizes degree 1).
 
-Two explicit gauges of the same connection are provided:
+Two explicit gauges of the same connection are provided.  In both, the
+residue at a finite pole t_i is trace-free with eigenvalues +-k_i/2, so
+one rule, `_residue(k_i, sigma_i, c_i)`, writes it from its (1,2) entry
+c_i and the slope sigma_i of its k_i/2-eigenvector (1, sigma_i), the
+parabolic direction; `eigen_table` reads the same three numbers.  With
+P = x(x-1)(x-t) and d_i = P'(t_i) (`finite_pole`):
 
-* `build_connection` -- the (q, p) chart.  A(1,2) = (x-q)/P(x) with
-  P = x(x-1)(x-t), so each residue at a finite pole t_i is scaled by
-  d_i = P'(t_i) (`finite_pole`); the apparent singularity is x = q, and p
-  is recovered from A(2,2)|_{x=q} by adding sum_i k_i/(2(q-t_i)) over the
-  finite poles.  The residue at infinity has eigenvalues k4/2 - 1/2 and
-  -k4/2 - 1/2.
+* `build_connection` -- the (q, p) chart.  A(1,2) = (x-q)/P(x), so
+  c_i = -(q-t_i)/d_i, and sigma_i = -p P(q)/(q-t_i); the apparent
+  singularity is x = q, and p is recovered from A(2,2)|_{x=q} by adding
+  sum_i k_i/(2(q-t_i)) over the finite poles.  The residue at infinity
+  has eigenvalues k4/2 - 1/2 and -k4/2 - 1/2.
 
-* `build_connection_qp` -- the (Q, p) chart, with the parabolic
-  coordinates normalized to (0, 1, u, 0), u = t(Q-1)/(Q-t).  Here
-  A(1,2) = p(Q-t)(x-q)/(x(x-1)(x-t)) with q = Q - k0/p, the matrix at
-  infinity is minus the sum of the three finite residues (lower
-  triangular with diagonal ((k4-1)/2, (1-k4)/2)), and C = 0.
+* `build_connection_qp` -- the (Q, p) chart, with the parabolic slopes
+  normalized to (0, -1, -u, 0), u = t(Q-1)/(Q-t): the usual (0, 1, u, 0)
+  under the automorphism u -> -u, which leaves Q unchanged.  Here
+  A(1,2) = p(Q-t)(x-q)/P(x) with q = Q - k0/p, the matrix at infinity is
+  minus the sum of the three finite residues (lower triangular with
+  diagonal ((k4-1)/2, (1-k4)/2)), and C = 0.
 """
 from __future__ import annotations
 
@@ -30,8 +35,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
-from .exact import (HALF, INF, Mat2, ProjRat, Rat, is_inf, over_common_denominator, pick_sums,
-                    proj_from_str, proj_to_str, rat_from_str, rat_to_str)
+from .exact import (HALF, INF, Mat2, ProjRat, Rat, is_inf, over_common_denominator, parse_list,
+                    pick_sums, proj_from_str, proj_to_str, rat_from_str, rat_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +73,7 @@ class KappaParams:
 
     @classmethod
     def from_strs(cls, items) -> "KappaParams":
-        if not isinstance(items, list):
-            raise DegenerateInput("kappa needs a list of 4 or 5 rationals")
-        vals = [rat_from_str(s) for s in items]
+        vals = parse_list(items, rat_from_str, "kappa")
         if len(vals) == 4:
             return cls.from_k1234(*vals)
         if len(vals) != 5:
@@ -306,28 +309,28 @@ def _require_buildable(s: PQState):
         raise SpecialParameters("kappa parameters are special")
 
 
+def _residue(k: Rat, sigma: Rat, c: Rat) -> Mat2:
+    """The trace-free residue with (1,2) entry c, eigenvalue k/2 on (1, sigma)
+    and -k/2 on (1, sigma - k/c): [[a, c], [sigma(k - c sigma), -a]] with
+    a = k/2 - c sigma.  Nothing is divided, so c = 0 is allowed."""
+    a11 = k / 2 - c * sigma
+    return Mat2(a11, c, sigma * (k - c * sigma), -a11)
+
+
 def _finite_pole_data(s: PQState):
-    """p~ = p P(q) = p * prod_i (q - t_i) and, per finite pole, (k_i, d_i,
-    q - t_i, p~ - d_i k_i): all that the finite residues and eigenvectors read."""
+    """(k_i, sigma_i, c_i) of the (q, p) normal form at each finite pole."""
     _require_buildable(s)
     poles = [finite_pole(s.t, i) for i in (1, 2, 3)]
     gaps = [s.q - ti for ti, _ in poles]
     pt = s.p * gaps[0] * gaps[1] * gaps[2]
-    return pt, [(ki, d, gap, pt - d * ki) for ki, (_, d), gap in zip(s.kappa.finite, poles, gaps)]
+    return [(ki, -pt / gap, -gap / d) for ki, (_, d), gap in zip(s.kappa.finite, poles, gaps)]
 
 
 def build_connection(s: PQState) -> FourPoleConnection:
-    """The (q, p) normal form.
-
-    A(1,2) = (x-q)/(x(x-1)(x-t)).  With p~ and d_i of `_finite_pole_data`,
-    the residue at a finite pole t_i, trace-free with determinant -k_i^2/4, is
-    A_i = [[k_i/2 - p~/d_i, -(q-t_i)/d_i], [p~(p~ - d_i k_i)/(d_i(q-t_i)), p~/d_i - k_i/2]];
-    the residue at infinity (basis <e, x*f>) has eigenvalues k4/2 - 1/2 and
-    -k4/2 - 1/2 with eigenvectors (1, k0) and (1, k0 + k4).
-    """
-    pt, data = _finite_pole_data(s)
-    a1, a2, a3 = (Mat2(a11 := ki / 2 - pt / d, -gap / d, pt * shifted / (d * gap), -a11)
-                  for ki, d, gap, shifted in data)
+    """The (q, p) normal form.  The residue at infinity (basis <e, x*f>),
+    with eigenvectors (1, k0) and (1, k0 + k4), is `_residue(k4, k0, -1)`
+    shifted by -1/2."""
+    a1, a2, a3 = (_residue(*d) for d in _finite_pole_data(s))
     k = s.kappa
     a4 = Mat2(k.k0 + k.k4 / 2 - HALF, -1,
               k.k0 * (k.k0 + k.k4), -k.k0 - k.k4 / 2 - HALF)
@@ -336,35 +339,23 @@ def build_connection(s: PQState) -> FourPoleConnection:
 
 
 def build_connection_qp(t: Rat, kappa: KappaParams, big_q: Rat, p: Rat) -> FourPoleConnection:
-    """The (Q, p) gauge, parabolic coordinates normalized to (0, 1, u, 0).
-
-    The three finite residues come out trace-free with determinant
-    -k_i^2/4, the matrix at infinity is literally -(A1+A2+A3) (lower
-    triangular, diagonal ((k4-1)/2, (1-k4)/2)), and
-    A(1,2) = p(Q-t)(x-q)/(x(x-1)(x-t)) with q = Q - k0/p.
-    """
+    """The (Q, p) gauge: with g = Q - t, the slopes are sigma = (0, -1, -u),
+    u = t(Q-1)/g, and c_i = g(k0 - p(Q - t_i))/d_i, which may vanish.  The
+    slopes are (0, 1, u) under the automorphism u -> -u of B, which leaves
+    `q_map_parabolic` unchanged."""
     if t in (0, 1):
         raise DegenerateInput("pole position t must avoid 0 and 1")
     if big_q in (0, 1, t):
         raise NormalFormDegenerate(f"parabolic coordinate Q = {big_q} sits at a pole")
     if not kappa_generic(kappa):
         raise SpecialParameters("kappa parameters are special")
-    k = kappa
-    u = t * (big_q - 1) / (big_q - t)
-    e12 = Mat2(0, 1, 0, 0)
-    m = Mat2(1, 1, -1, -1)
-    n = Mat2(u, 1, -u * u, -u)
-    a1 = e12.scale(k.k0 * (big_q - t) / t) + Mat2.diag(k.k1 / 2, -k.k1 / 2)
-    a2 = m.scale(-k.k0 * (big_q - t) / (t - 1)) + Mat2(k.k2 / 2, 0, -k.k2, -k.k2 / 2)
-    a3 = n.scale(k.k0 * (big_q - t) / (t * (t - 1))) + Mat2(k.k3 / 2, 0, -k.k3 * u, -k.k3 / 2)
-    th1 = e12.scale(-big_q * (big_q - t) / t)
-    th2 = m.scale((big_q - 1) * (big_q - t) / (t - 1))
-    th3 = n.scale(-(big_q - t) * (big_q - t) / (t * (t - 1)))
-    g1 = a1 + th1.scale(p)
-    g2 = a2 + th2.scale(p)
-    g3 = a3 + th3.scale(p)
-    g4 = -(g1 + g2 + g3)
-    return FourPoleConnection(t=t, kappa=k, a1=g1, a2=g2, a3=g3, a4=g4, c=Mat2.zero())
+    g = big_q - t
+    slopes = (0, -1, -t * (big_q - 1) / g)
+    poles = (finite_pole(t, i) for i in (1, 2, 3))
+    a1, a2, a3 = (_residue(ki, sigma, g * (kappa.k0 - p * (big_q - ti)) / d)
+                  for ki, sigma, (ti, d) in zip(kappa.finite, slopes, poles))
+    return FourPoleConnection(t=t, kappa=kappa, a1=a1, a2=a2, a3=a3, a4=-(a1 + a2 + a3),
+                              c=Mat2.zero())
 
 
 def eigen_table(s: PQState):
@@ -372,12 +363,12 @@ def eigen_table(s: PQState):
 
     Returns, per pole, ((r_minus, v_minus), (r_plus, v_plus)); the v are
     written in the local frame (<e, f> at finite poles, <e, x*f> at
-    infinity), so their slopes are the parabolic coordinates u_i.
+    infinity), so their slopes are the parabolic coordinates u_i.  The
+    finite rows read the (k_i, sigma_i, c_i) that `_residue` reads.
     """
-    pt, data = _finite_pole_data(s)
     k = s.kappa
-    finite = tuple(((ki / 2, (1, -pt / gap)), (-ki / 2, (1, -shifted / gap)))
-                   for ki, _, gap, shifted in data)
+    finite = tuple(((ki / 2, (1, sigma)), (-ki / 2, (1, sigma - ki / c)))
+                   for ki, sigma, c in _finite_pole_data(s))
     return finite + (((k.k4 / 2 - HALF, (1, k.k0)), (-k.k4 / 2 - HALF, (1, k.k0 + k.k4))),)
 
 

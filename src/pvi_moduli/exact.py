@@ -93,6 +93,14 @@ def proj_from_str(s: str) -> ProjRat:
     return rat_from_str(s)
 
 
+def parse_list(items, parse, what: str) -> tuple:
+    """`parse` applied to each entry of a JSON list; a string, an object or
+    anything else that is not a list is DegenerateInput."""
+    if not isinstance(items, list):
+        raise DegenerateInput(f"{what} needs a list, not {type(items).__name__}")
+    return tuple(parse(s) for s in items)
+
+
 def proj_to_str(v: ProjRat) -> str:
     return "inf" if is_inf(v) else rat_to_str(v)
 
@@ -171,10 +179,6 @@ class Mat2:
     @classmethod
     def identity(cls) -> "Mat2":
         return cls(1, 0, 0, 1)
-
-    @classmethod
-    def diag(cls, a, d) -> "Mat2":
-        return cls(a, 0, 0, d)
 
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a11 + other.a11, self.a12 + other.a12,

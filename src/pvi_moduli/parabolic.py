@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .connection import PPoint, PQState, Sheet, eigen_table, pole_index
 from .errors import DegenerateInput, NotSimple
-from .exact import (INF, ProjRat, Rat, det3, det4, is_inf, over_common_denominator,
+from .exact import (INF, ProjRat, Rat, det3, det4, is_inf, over_common_denominator, parse_list,
                     proj_from_str, proj_to_str)
 
 
@@ -48,8 +48,8 @@ class QuasiPar:
     def from_json_dict(cls, d) -> "QuasiPar":
         """Parse a parabolic file; malformed input raises DegenerateInput."""
         try:
-            return cls(poles=tuple(proj_from_str(s) for s in d["t"]),
-                       u=tuple(proj_from_str(s) for s in d["u"]))
+            return cls(poles=parse_list(d["t"], proj_from_str, "t"),
+                       u=parse_list(d["u"], proj_from_str, "u"))
         except (KeyError, TypeError, AttributeError) as exc:
             raise DegenerateInput(f"malformed quasiparabolic structure: {exc!r}") from exc
 

@@ -25,7 +25,8 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialWeights
-from .exact import HALF, Rat, is_inf, over_common_denominator, pick_sums, rat_from_str, rat_to_str
+from .exact import (HALF, Rat, is_inf, over_common_denominator, parse_list, pick_sums, rat_from_str,
+                    rat_to_str)
 from .parabolic import QuasiPar, _conic_coefficients, _conic_minors, _direction_point
 
 ZONE_A = "A"
@@ -69,8 +70,8 @@ class Weights:
     def from_json_dict(cls, d) -> "Weights":
         """Parse weights; malformed input raises DegenerateInput."""
         try:
-            eps = tuple(rat_from_str(s) for s in d["eps"])
-            mu = tuple(rat_from_str(s) for s in d.get("mu", ["0/1"] * 4))
+            eps = parse_list(d["eps"], rat_from_str, "eps")
+            mu = parse_list(d.get("mu", ["0/1"] * 4), rat_from_str, "mu")
         except (KeyError, TypeError, AttributeError) as exc:
             raise DegenerateInput(f"malformed weights: {exc!r}") from exc
         return cls(mu=mu, eps=eps)

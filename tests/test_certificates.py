@@ -18,6 +18,10 @@ Schlesinger composite keep 2*k0 + k1 + ... + k4 = 1, `residues()` meets
 sum(r+ + r-) + lam*degree = 0, and every elementary transformation keeps
 that sum, over Q(r+, r-, lam).
 
+The one rule `connection._residue(k, sigma, c)` that writes every finite
+residue of both gauges is proved over Q(k, sigma, c): trace 0, determinant
+-k^2/4, and eigenvectors (1, sigma) for k/2 and (1, sigma - k/c) for -k/2.
+
 Each generator is also proved symplectic: det d(q', p')/d(q, p) = 1, the
 partial derivatives taken with exact dual numbers over Q(t, kappa, q, p).
 For the pole permutations this proves that p -> -w(wp + k0)/d_c is the
@@ -78,6 +82,24 @@ def test_group_relation_is_an_identity(name):
 @pytest.mark.parametrize("name", [n for n in BACKLUND if not n.startswith("relation ")])
 def test_backlund_identity(name):
     assert BACKLUND[name]
+
+
+# ---------------------------------------------------------------------------
+# The one finite-residue rule of both gauges, over Q(k, sigma, c)
+# ---------------------------------------------------------------------------
+
+_, RK, RSIGMA, RC = sympy.field("k sigma c", sympy.QQ)
+RESIDUE = connection._residue(RK, RSIGMA, RC)
+
+
+def test_residue_is_trace_free_with_det_minus_k_squared_over_4():
+    assert (RESIDUE.trace(), RESIDUE.det()) == (0, -RK ** 2 / 4)
+
+
+@pytest.mark.parametrize("lam, slope", [(RK / 2, RSIGMA), (-RK / 2, RSIGMA - RK / RC)],
+                         ids=["k/2 on (1, sigma)", "-k/2 on (1, sigma - k/c)"])
+def test_residue_eigenvector(lam, slope):
+    assert RESIDUE.matvec((1, slope)) == (lam, lam * slope)
 
 
 # ---------------------------------------------------------------------------

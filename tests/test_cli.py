@@ -67,8 +67,12 @@ class TestConnectionCommands:
         (["parabolic", "phi", "--parabolic"], {"t": QP["t"]}),
         (["parabolic", "phi", "--parabolic"], [QP]),
         (["parabolic", "phi", "--parabolic"], dict(QP, u=[3] + QP["u"][1:])),
+        (["parabolic", "phi", "--parabolic"], dict(QP, u="1234")),
+        (["parabolic", "phi", "--parabolic"], dict(QP, t="0123")),
+        (["parabolic", "phi", "--parabolic"], dict(QP, u=dict.fromkeys(QP["u"], 0))),
     ], ids=["state-missing-key", "state-list", "state-number", "state-kappa-object",
-            "parabolic-missing-key", "parabolic-list", "parabolic-number"])
+            "parabolic-missing-key", "parabolic-list", "parabolic-number",
+            "parabolic-u-string", "parabolic-t-string", "parabolic-u-object"])
     def test_malformed_json(self, capsys, tmp_path, command, payload):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))

@@ -16,7 +16,9 @@ closed-form k0 with `KappaParams.from_k1234`, `classify_zone` with the
 written-out "pair minus the other two" combinations, the integer
 convolution and zone labels of `mc_exponents`/`zone_interchange_check`
 with their former Fraction formulas, and the integer scores of
-`find_destabilizer` with `parabolic_degree`.  Heights go up to 2^64.
+`find_destabilizer` with `parabolic_degree`, and the residues of both
+normal-form gauges and the eigen table, all written by one rule, with
+the per-gauge formulas they replace.  Heights go up to 2^64.
 """
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
@@ -27,12 +29,13 @@ from hypothesis import assume, given, settings, strategies as st
 from pvi_moduli.backlund import (ALPHABET, RELATION_WORDS, apply_generator, apply_word,
                                  check_relations, schlesinger_composite_qp)
 from pvi_moduli.connection import (KappaParams, PPoint, PQState, ResidueVector, Sheet,
-                                   build_connection, kappa_generic, kostov_generic)
+                                   build_connection, build_connection_qp, eigen_table,
+                                   kappa_generic, kostov_generic)
 from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, SpecialParameters,
                                SpecialWeights)
-from pvi_moduli.exact import (HALF, INF, det3, det4, is_inf, over_common_denominator, poly_add,
-                              poly_deriv, poly_divide_root, poly_divmod, poly_mul, poly_trim,
-                              solve_linear)
+from pvi_moduli.exact import (HALF, INF, Mat2, det3, det4, is_inf, over_common_denominator,
+                              poly_add, poly_deriv, poly_divide_root, poly_divmod, poly_mul,
+                              poly_trim, solve_linear)
 from pvi_moduli.higgs import representative, sorted_divisor, theta_divisor
 from pvi_moduli.mconv import (ExponentData, mc_exponents, nonspecial_exponents, sigma_text,
                               zone_interchange_check)
@@ -50,6 +53,10 @@ tiny = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
 small = st.builds(F, st.integers(-48, 48), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
 tall = st.builds(F, st.integers(-H, H), st.integers(1, H))
 rationals = st.one_of(tiny, small, tall)
+# non-integer exponents, so that few kappa are special
+fractional = st.one_of(st.builds(F, st.integers(-48, 48), st.sampled_from([3, 5, 7, 8])),
+                       st.builds(F, st.integers(-H, H), st.integers(2, H))).filter(
+                           lambda v: v.denominator > 1)
 
 
 @st.composite
@@ -398,11 +405,8 @@ def higgs_states(draw):
     q = draw(st.one_of(rationals, near, st.integers(-H, H).map(F)))
     p = draw(rationals)
     assume(q not in (0, 1, t) and p != 0)
-    # non-integer kappa, so that few states are special
-    k = st.one_of(st.builds(F, st.integers(-48, 48), st.sampled_from([3, 5, 7, 8])),
-                  st.builds(F, st.integers(-H, H), st.integers(2, H))).filter(
-                      lambda v: v.denominator > 1)
-    return PQState(t=t, kappa=KappaParams.from_k1234(*(draw(k) for _ in range(4))), q=q, p=p)
+    return PQState(t=t, kappa=KappaParams.from_k1234(*(draw(fractional) for _ in range(4))),
+                   q=q, p=p)
 
 
 class TestThetaDivisor:
@@ -821,3 +825,70 @@ class TestDestabilizerScores:
     def test_matches_the_parabolic_degree_maximizer(self, problem):
         qp, w = problem
         assert _outcome(find_destabilizer, qp, w) == _oracle_destabilizer(qp, w)
+
+
+# ---------------------------------------------------------------------------
+# Normal forms: one residue rule against the per-gauge formulas
+# ---------------------------------------------------------------------------
+
+def _oracle_connection_qp(t, k, big_q, p):
+    """A1..A4 of the (Q, p) gauge as sums of scaled fixed matrices."""
+    u = t * (big_q - 1) / (big_q - t)
+    e12, m, n = Mat2(0, 1, 0, 0), Mat2(1, 1, -1, -1), Mat2(u, 1, -u * u, -u)
+    a1 = e12.scale(k.k0 * (big_q - t) / t) + Mat2(k.k1 / 2, 0, 0, -k.k1 / 2)
+    a2 = m.scale(-k.k0 * (big_q - t) / (t - 1)) + Mat2(k.k2 / 2, 0, -k.k2, -k.k2 / 2)
+    a3 = n.scale(k.k0 * (big_q - t) / (t * (t - 1))) + Mat2(k.k3 / 2, 0, -k.k3 * u, -k.k3 / 2)
+    g1 = a1 + e12.scale(-big_q * (big_q - t) / t).scale(p)
+    g2 = a2 + m.scale((big_q - 1) * (big_q - t) / (t - 1)).scale(p)
+    g3 = a3 + n.scale(-(big_q - t) * (big_q - t) / (t * (t - 1))).scale(p)
+    return (g1, g2, g3, -(g1 + g2 + g3))
+
+
+def _oracle_finite_rows(s):
+    """The finite residues of the (q, p) gauge and their eigen-table rows,
+    written with p~ = p P(q), d_i and p~ - d_i k_i."""
+    pt = s.p * s.q * (s.q - 1) * (s.q - s.t)
+    residues, rows = [], []
+    for ki, ti, d in zip(s.kappa.finite, (0, 1, s.t), (s.t, 1 - s.t, s.t * (s.t - 1))):
+        gap, shifted = s.q - ti, pt - d * ki
+        residues.append(Mat2(ki / 2 - pt / d, -gap / d, pt * shifted / (d * gap), pt / d - ki / 2))
+        rows.append(((ki / 2, (1, -pt / gap)), (-ki / 2, (1, -shifted / gap))))
+    return residues, rows
+
+
+@st.composite
+def qp_gauge_problems(draw):
+    """(t, kappa, Q, p) with generic kappa; mostly Q = t_i + k0/p, where
+    q = Q - k0/p sits at a pole and the residue's (1,2) entry c_i is 0."""
+    t = draw(rationals)
+    assume(t not in (0, 1))
+    kappa = KappaParams.from_k1234(*(draw(fractional) for _ in range(4)))
+    p = draw(rationals)
+    assume(p != 0 and kappa_generic(kappa))
+    pole = draw(st.sampled_from([None, F(0), F(1), t]))
+    big_q = draw(rationals) if pole is None else pole + kappa.k0 / p
+    assume(big_q not in (0, 1, t))
+    return t, kappa, big_q, p
+
+
+class TestResidueRule:
+    @given(qp_gauge_problems())
+    def test_qp_gauge_matches_the_scaled_matrices(self, problem):
+        conn = build_connection_qp(*problem)
+        assert (conn.a1, conn.a2, conn.a3, conn.a4) == _oracle_connection_qp(*problem)
+        assert conn.c == Mat2.zero()
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_qp_gauge_with_q_at_a_pole(self, i):
+        t, kappa, p = F(3), KappaParams.from_k1234(F(1, 3), F(1, 5), F(1, 7), F(1, 8)), F(2)
+        big_q = (0, 1, t)[i] + kappa.k0 / p
+        conn = build_connection_qp(t, kappa, big_q, p)
+        assert conn.finite_residues()[i].a12 == 0
+        assert (conn.a1, conn.a2, conn.a3, conn.a4) == _oracle_connection_qp(t, kappa, big_q, p)
+
+    @given(higgs_states())
+    def test_pq_gauge_and_eigen_table_match_the_written_out_rows(self, s):
+        assume(kappa_generic(s.kappa))
+        residues, rows = _oracle_finite_rows(s)
+        assert list(build_connection(s).finite_residues()) == residues
+        assert eigen_table(s)[:3] == tuple(rows)

@@ -47,7 +47,14 @@ were written once, per pole, with d_i = prod_{j != i} (t_i - t_j): each
 residue reads p~/d_i once and its (2,2) entry is minus its (1,1) entry.
 That took the pass to 109,947 operations and 142,392 constructions
 (connection 29,140 -> 27,640, backlund 34,690 -> 33,340, higgs 28,418 ->
-24,428).  Every budget here is the count of that pass plus less than 3%.
+24,428).
+
+Then one rule, `_residue(k, sigma, c)`, wrote every finite residue of
+both normal-form gauges from the k/2-eigenvector slope sigma and the
+(1,2) entry c, and the eigen table read the same (k, sigma, c).  That took
+the pass to 106,486 operations and 139,192 constructions (connection
+27,640 -> 24,590, higgs 24,428 -> 24,017).  Every budget here is the count
+of that pass plus less than 3%.
 """
 from fractions import Fraction
 
@@ -55,15 +62,15 @@ from pvi_moduli.verify import SUITES
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
               "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
-BUDGET = 113_000
-CONSTRUCTION_BUDGET = 146_000
+BUDGET = 109_600
+CONSTRUCTION_BUDGET = 143_300
 # suite -> (operations, constructions)
 SUITE_BUDGETS = {
-    "connection": (28_400, 33_800),
+    "connection": (25_300, 30_500),
     "backlund": (34_300, 40_300),
     "lattice": (66, 169),
     "zones": (16_200, 19_300),
-    "higgs": (25_100, 39_300),
+    "higgs": (24_700, 39_300),
     "mc": (8_950, 13_600),
 }
 

@@ -25,6 +25,8 @@ class TestWeightsFromJson:
     @pytest.mark.parametrize("payload", [
         {}, None, [], "eps", {"eps": 5}, {"eps": ["1/5"] * 4, "mu": 5},
         {"eps": ["1/5"] * 3}, {"eps": ["1/5", "1/5", "1/5", "x"]},
+        {"eps": ["1/5"] * 4, "mu": "0000"}, {"eps": "1111"},
+        {"eps": dict.fromkeys(["1/5", "1/6", "1/7", "1/8"], 0)},
     ])
     def test_malformed_weights_are_an_input_error(self, payload):
         with pytest.raises(DegenerateInput):
