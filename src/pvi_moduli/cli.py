@@ -4,24 +4,19 @@ All results go to stdout as JSON; diagnostics go to stderr.  Exit codes:
 0 success / all checks passed, 1 a verification check failed, 2 usage or
 domain error.
 """
+# Each call answers one question about one layer, so the module imports
+# only what parsing needs; a handler imports its layer when it runs, and
+# `--suite` spells out the suite names rather than read them from `verify`,
+# which loads every layer.
 from __future__ import annotations
 
 import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
-from . import backlund as bk
-from .connection import PQState, build_connection, eigen_table
 from .errors import DegenerateInput, ModuliError
 from .exact import rat_from_str, to_json
-from .higgs import higgs_limit
-from .lattice import enumerate_transversal, sigma_label
-from .mconv import ExponentData, mc_exponents, parse_eps_list, zone_interchange_check
-from .parabolic import QuasiPar, parabolic_from_connection, phi_map
-from .stability import Weights, classify_zone, et_pair, stable_subzone_branch
-from .verify import SUITES, run_suite
 
 
 def _load(cls, path: str):
@@ -34,17 +29,32 @@ def _load(cls, path: str):
     return cls.from_json_dict(data)
 
 
-def _weights(eps: str, mu) -> Weights:
+def _state(path: str):
+    from .connection import PQState
+    return _load(PQState, path)
+
+
+def parse_eps_list(text: str):
+    parts = [p for p in text.split(",") if p.strip()]
+    if len(parts) != 4:
+        raise DegenerateInput(f"four comma-separated rationals required, got {len(parts)}")
+    return tuple(rat_from_str(p) for p in parts)
+
+
+def _weights(eps: str, mu):
+    from .stability import Weights
     eps = parse_eps_list(eps)
     return Weights(mu=parse_eps_list(mu), eps=eps) if mu else Weights.of_eps(eps)
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns its payload as exact values for `to_json`
+# Handlers: each imports its layer and returns its payload as exact values
+# for `to_json`
 # ---------------------------------------------------------------------------
 
 def connection_build(state):
-    s = _load(PQState, state)
+    from .connection import build_connection
+    s = _state(state)
     conn = build_connection(s)
     q_found, p_found = conn.apparent_singularity_base(), conn.p_invariant()
     report = {
@@ -61,52 +71,98 @@ def connection_build(state):
 
 
 def connection_eigen(state):
-    table = eigen_table(_load(PQState, state))
+    from fractions import Fraction
+
+    from .connection import eigen_table
+    table = eigen_table(_state(state))
     # each eigenvector starts with the int 1, printed as "1/1"
     return {"eigen": [{"pole": i, "r_minus": rm, "v_minus": [Fraction(x) for x in vm],
                        "r_plus": rp, "v_plus": [Fraction(x) for x in vp]}
                       for i, ((rm, vm), (rp, vp)) in enumerate(table, start=1)]}
 
 
+def parabolic_from_connection(state):
+    from . import parabolic
+    return parabolic.parabolic_from_connection(_state(state))
+
+
+def parabolic_phi(parabolic):
+    from .parabolic import QuasiPar, phi_map
+    return phi_map(_load(QuasiPar, parabolic))
+
+
+def zone_classify(eps, mu):
+    from .stability import classify_zone
+    return {"zone": classify_zone(_weights(eps, mu))}
+
+
 def zone_etpair(eps, mu, i, j):
+    from .stability import classify_zone, et_pair
     out = et_pair(_weights(eps, mu), i, j)
     return {"weights": out, "zone": classify_zone(out)}
 
 
 def zone_branch(eps, mu, i):
+    from .stability import stable_subzone_branch
     return {"pole": i, "branch": stable_subzone_branch(_weights(eps, mu), i).value}
 
 
+def higgs_limit(state, eps, mu):
+    from . import higgs
+    return higgs.higgs_limit(_state(state), _weights(eps, mu))
+
+
 def symmetry_apply(word, state):
-    s = _load(PQState, state)  # a bad state file is reported before a bad word
+    from . import backlund as bk
+    s = _state(state)  # a bad state file is reported before a bad word
     return bk.apply_word(bk.parse_word(word), s)
 
 
 def symmetry_relations(state):
-    results = bk.check_relations(_load(PQState, state))
+    from .backlund import check_relations
+    results = check_relations(_state(state))
     return {"relations": [{"relation": nm, "holds": h, **({"witness": w} if w else {})}
                           for nm, h, w in results],
             "passed": all(h for _, h, _ in results)}
 
 
 def lattice_enumerate(nmax):
+    from .lattice import enumerate_transversal, sigma_label
     found = enumerate_transversal(nmax)
     return {"count": len(found),
             "classes": [{"sigma": sigma_label(d), "coefficients": d.coeffs} for d in found]}
 
 
 def mc_transform(eps, sigma):
+    from .mconv import ExponentData, mc_exponents
     out = mc_exponents(ExponentData.of_eps(parse_eps_list(eps)), sigma=sigma)
     return {"eps": out.eps, "mu": out.mu, "zone": out.zone()}
 
 
+def mc_interchange(eps):
+    from .mconv import ExponentData, zone_interchange_check
+    return zone_interchange_check(ExponentData.of_eps(parse_eps_list(eps)))
+
+
+def fibration_q(state):
+    from .backlund import q_of
+    return {"q": q_of(_state(state))}
+
+
+def fibration_big_q(state):
+    from .backlund import big_q_of
+    return {"Q": big_q_of(_state(state))}
+
+
 def fibration_solve(lambda1, lambda2, kappa0):
-    q, p = bk.transversality_solve(rat_from_str(lambda1), rat_from_str(lambda2),
-                                   rat_from_str(kappa0))
+    from .backlund import transversality_solve
+    q, p = transversality_solve(rat_from_str(lambda1), rat_from_str(lambda2),
+                                rat_from_str(kappa0))
     return {"q": q, "p": p}
 
 
 def run_verify(suite, seed, samples, bound):
+    from .verify import run_suite
     reports = run_suite(suite, seed=seed, samples=samples, bound=bound)
     for r in reports:
         for c in r.checks:
@@ -125,7 +181,8 @@ GROUP_HELP = {
     "fibration": "the two fibration coordinates", "verify": "run the verification suites",
 }
 
-# `add_argument` keywords of each option, by name
+# `add_argument` keywords of each option, by name; the suite names are
+# verify.SUITES in order (tests/test_cli.py checks it)
 ARGUMENTS = {
     **{name: {"required": True}
        for name in ("state", "parabolic", "eps", "lambda1", "lambda2", "kappa0")},
@@ -135,7 +192,8 @@ ARGUMENTS = {
     "word": {"required": True, "help": "comma list over s0..s4, r12_34, r13_24, r14_23"},
     "nmax": {"type": int, "default": 5},
     "sigma": {"default": "++++"},
-    "suite": {"default": "all", "choices": ("all", *SUITES)},
+    "suite": {"default": "all",
+              "choices": ("all", "connection", "backlund", "lattice", "zones", "higgs", "mc")},
     "seed": {"type": int, "default": 1},
     "samples": {"type": int, "default": 50},
     "bound": {"type": int, "default": 64},
@@ -146,26 +204,21 @@ ARGUMENTS = {
 COMMANDS = {
     ("connection", "build"): (connection_build, ("state",)),
     ("connection", "eigen"): (connection_eigen, ("state",)),
-    ("parabolic", "from-connection"):
-        (lambda state: parabolic_from_connection(_load(PQState, state)), ("state",)),
-    ("parabolic", "phi"): (lambda parabolic: phi_map(_load(QuasiPar, parabolic)), ("parabolic",)),
-    ("zone", "classify"): (lambda eps, mu: {"zone": classify_zone(_weights(eps, mu))},
-                           ("eps", "mu")),
+    ("parabolic", "from-connection"): (parabolic_from_connection, ("state",)),
+    ("parabolic", "phi"): (parabolic_phi, ("parabolic",)),
+    ("zone", "classify"): (zone_classify, ("eps", "mu")),
     ("zone", "etpair"): (zone_etpair, ("eps", "mu", "i", "j")),
     ("zone", "branch"): (zone_branch, ("eps", "mu", "i")),
-    ("higgs", "limit"):
-        (lambda state, eps, mu: higgs_limit(_load(PQState, state), _weights(eps, mu)),
-         ("state", "eps", "mu")),
+    ("higgs", "limit"): (higgs_limit, ("state", "eps", "mu")),
     ("symmetry", "apply"): (symmetry_apply, ("word", "state")),
     ("symmetry", "relations"): (symmetry_relations, ("state",)),
     ("lattice", "enumerate"): (lattice_enumerate, ("nmax",)),
     ("lattice", "check"): (lambda seed, samples, bound: run_verify("lattice", seed, samples, bound),
                            ("seed", "samples", "bound")),
     ("mc", "transform"): (mc_transform, ("eps", "sigma")),
-    ("mc", "interchange"):
-        (lambda eps: zone_interchange_check(ExponentData.of_eps(parse_eps_list(eps))), ("eps",)),
-    ("fibration", "q"): (lambda state: {"q": bk.q_of(_load(PQState, state))}, ("state",)),
-    ("fibration", "Q"): (lambda state: {"Q": bk.big_q_of(_load(PQState, state))}, ("state",)),
+    ("mc", "interchange"): (mc_interchange, ("eps",)),
+    ("fibration", "q"): (fibration_q, ("state",)),
+    ("fibration", "Q"): (fibration_big_q, ("state",)),
     ("fibration", "solve"): (fibration_solve, ("lambda1", "lambda2", "kappa0")),
     ("verify", None): (run_verify, ("suite", "seed", "samples", "bound")),
 }

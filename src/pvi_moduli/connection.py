@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
@@ -81,6 +82,11 @@ class KappaParams:
         if 2 * vals[0] + sum(vals[1:]) != 1:
             raise DegenerateInput("kappa parameters must satisfy 2*k0 + k1 + ... + k4 = 1")
         return cls(*vals)
+
+    @cached_property
+    def generic(self) -> bool:
+        """`kappa_generic` of these exponents, computed once per value."""
+        return kappa_generic(self)
 
     def residues(self) -> "ResidueVector":
         """Residue eigenvalues of the degree-1 normal form (lambda = 1)."""
@@ -305,7 +311,7 @@ def finite_pole(t: Rat, i: int):
 def _require_buildable(s: PQState):
     if is_inf(s.q) or s.q in (0, 1, s.t):
         raise NormalFormDegenerate(f"apparent singularity q = {s.q} sits at a pole")
-    if not kappa_generic(s.kappa):
+    if not s.kappa.generic:
         raise SpecialParameters("kappa parameters are special")
 
 
@@ -347,7 +353,7 @@ def build_connection_qp(t: Rat, kappa: KappaParams, big_q: Rat, p: Rat) -> FourP
         raise DegenerateInput("pole position t must avoid 0 and 1")
     if big_q in (0, 1, t):
         raise NormalFormDegenerate(f"parabolic coordinate Q = {big_q} sits at a pole")
-    if not kappa_generic(kappa):
+    if not kappa.generic:
         raise SpecialParameters("kappa parameters are special")
     g = big_q - t
     slopes = (0, -1, -t * (big_q - 1) / g)

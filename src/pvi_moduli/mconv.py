@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DegenerateInput, SpecialParameters
-from .exact import HALF, Rat, over_common_denominator, rat_from_str, rat_to_str
+from .exact import HALF, Rat, over_common_denominator, rat_to_str
 from .stability import Weights, ZONE_STABLE, classify_numerators, classify_zone, nonspecial_eps
 
 
@@ -170,9 +170,3 @@ def zone_interchange_check(e: ExponentData):
         "found_stable": bool(stable_sigmas),
     }
 
-
-def parse_eps_list(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 4:
-        raise DegenerateInput(f"four comma-separated rationals required, got {len(parts)}")
-    return tuple(rat_from_str(p) for p in parts)

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .connection import KappaParams, PQState, kappa_generic
+from .connection import KappaParams, PQState
 from .errors import SamplerExhausted, SpecialWeights
 from .exact import HALF
 from .mconv import ExponentData
@@ -72,7 +72,7 @@ class RationalSampler:
             return KappaParams.from_k1234(*ks)
 
         def accept(kp):
-            return kappa_generic(kp) and kp.k0 != 0
+            return kp.generic and kp.k0 != 0
 
         return self.retry(make, accept)
 

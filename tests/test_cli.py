@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvi_moduli import backlund as bk, verify
-from pvi_moduli.cli import COMMANDS, build_parser, main
+from pvi_moduli.cli import ARGUMENTS, COMMANDS, build_parser, main
 from pvi_moduli.connection import FourPoleConnection
 from pvi_moduli.verify import SUITES, run_suite
 
@@ -373,6 +373,89 @@ class TestReadme:
 
     def test_every_command_is_documented(self):
         assert {command_of(line) for line in readme_cli_lines()} == set(COMMANDS)
+
+
+# ---------------------------------------------------------------------------
+# What a cold call loads: each handler imports only the layer it runs
+# ---------------------------------------------------------------------------
+
+def test_suite_choices_are_the_verify_suites():
+    # spelled out in ARGUMENTS, so that building the parser loads no layer
+    assert ARGUMENTS["suite"]["choices"] == ("all", *verify.SUITES)
+
+
+# valid options of every command, with "{state}" and "{parabolic}" for the files
+VALID_OPTIONS = {
+    ("connection", "build"): ["--state", "{state}"],
+    ("connection", "eigen"): ["--state", "{state}"],
+    ("parabolic", "from-connection"): ["--state", "{state}"],
+    ("parabolic", "phi"): ["--parabolic", "{parabolic}"],
+    ("zone", "classify"): ["--eps", "1/10,1/10,1/10,1/10"],
+    ("zone", "etpair"): ["--eps", "1/10,1/10,1/10,1/10", "--i", "1", "--j", "2"],
+    ("zone", "branch"): ["--eps", "2/5,1/5,1/5,1/5", "--i", "1"],
+    ("higgs", "limit"): ["--state", "{state}", "--eps", "1/10,1/12,1/14,1/16"],
+    ("symmetry", "apply"): ["--word", "s0,s1,r12_34", "--state", "{state}"],
+    ("symmetry", "relations"): ["--state", "{state}"],
+    ("lattice", "enumerate"): ["--nmax", "3"],
+    ("lattice", "check"): ["--samples", "2", "--bound", "8"],
+    ("mc", "transform"): ["--eps", "1/10,1/10,1/10,1/10", "--sigma", "+-++"],
+    ("mc", "interchange"): ["--eps", "1/10,1/10,1/10,1/10"],
+    ("fibration", "q"): ["--state", "{state}"],
+    ("fibration", "Q"): ["--state", "{state}"],
+    ("fibration", "solve"): ["--lambda1", "3/1", "--lambda2", "61/20", "--kappa0", "1/4"],
+    ("verify", None): ["--suite", "lattice", "--samples", "2", "--bound", "8"],
+}
+
+# the pvi_moduli modules loaded once each command has run in a fresh interpreter
+CONNECTION = {"cli", "errors", "exact", "connection"}
+ZONES = CONNECTION | {"parabolic", "stability"}
+EVERY = ZONES | {"backlund", "higgs", "lattice", "mconv", "sampling", "verify"}
+LOADS = {
+    ("connection", "build"): CONNECTION,
+    ("connection", "eigen"): CONNECTION,
+    ("parabolic", "from-connection"): CONNECTION | {"parabolic"},
+    ("parabolic", "phi"): CONNECTION | {"parabolic"},
+    ("zone", "classify"): ZONES,
+    ("zone", "etpair"): ZONES,
+    ("zone", "branch"): ZONES,
+    ("higgs", "limit"): ZONES | {"higgs"},
+    ("symmetry", "apply"): CONNECTION | {"backlund"},
+    ("symmetry", "relations"): CONNECTION | {"backlund"},
+    ("lattice", "enumerate"): {"cli", "errors", "exact", "lattice"},
+    ("lattice", "check"): EVERY,
+    ("mc", "transform"): ZONES | {"mconv"},
+    ("mc", "interchange"): ZONES | {"mconv"},
+    ("fibration", "q"): CONNECTION | {"backlund"},
+    ("fibration", "Q"): CONNECTION | {"backlund"},
+    ("fibration", "solve"): CONNECTION | {"backlund"},
+    ("verify", None): EVERY,
+}
+
+REPORT_LOADED = """
+import json, sys
+from pvi_moduli.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("pvi_moduli."))
+sys.stderr.write("\\n" + json.dumps([code, loaded]))
+"""
+
+
+def test_load_table_covers_every_command():
+    assert set(VALID_OPTIONS) == set(LOADS) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("group, command", list(COMMANDS), ids=lambda v: v or "-")
+def test_command_loads_only_its_layer(tmp_path, group, command):
+    files = {"state": tmp_path / "state.json", "parabolic": tmp_path / "qp.json"}
+    files["state"].write_text(json.dumps(STATE))
+    files["parabolic"].write_text(json.dumps(QP))
+    argv = [group] + ([command] if command else [])
+    argv += [v.format(**files) for v in VALID_OPTIONS[(group, command)]]
+    proc = subprocess.run([sys.executable, "-c", REPORT_LOADED, *argv],
+                          capture_output=True, text=True)
+    code, loaded = json.loads(proc.stderr.rsplit("\n", 1)[-1])
+    assert code == 0, proc.stderr
+    assert set(loaded) == LOADS[(group, command)]
 
 
 # ---------------------------------------------------------------------------

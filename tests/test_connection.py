@@ -1,7 +1,9 @@
+import collections
 from fractions import Fraction as F
 
 import pytest
 
+from pvi_moduli import connection
 from pvi_moduli.connection import (KappaParams, PQState, ResidueVector, Sheet,
                                    apparent_singularity, build_connection,
                                    build_connection_qp, eigen_table,
@@ -10,6 +12,7 @@ from pvi_moduli.connection import (KappaParams, PQState, ResidueVector, Sheet,
 from pvi_moduli.errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
 from pvi_moduli.exact import INF, Mat2
 from pvi_moduli.sampling import RationalSampler
+from pvi_moduli.verify import run_suite
 
 
 def worked_state():
@@ -64,6 +67,26 @@ class TestGenericity:
         assert not kappa_generic(KappaParams.from_k1234(F(1, 2), F(1, 6), F(1, 6), F(1, 6)))
         assert not kappa_generic(KappaParams.from_k1234(F(2), F(1, 8), F(1, 8), F(1, 8)))
 
+    def test_generic_is_kappa_generic_checked_once(self, monkeypatch):
+        # the sampler's accept test and every normal form built from a
+        # sampled kappa read one verdict: a seed-1 connection or higgs run
+        # checks each distinct kappa once
+        calls = collections.Counter()
+
+        def counted(kappa):
+            calls[kappa] += 1
+            return kappa_generic(kappa)
+
+        monkeypatch.setattr(connection, "kappa_generic", counted)
+        for suite, distinct in (("connection", 58), ("higgs", 175)):
+            calls.clear()
+            run_suite(suite, seed=1)
+            assert len(calls) == distinct and set(calls.values()) == {1}
+        calls.clear()
+        kappa = KappaParams.from_k1234(F(1, 2), F(1, 6), F(1, 6), F(1, 6))
+        assert kappa.generic is False and kappa.generic is False
+        assert calls[kappa] == 1
+
 
 class TestBuild:
     def test_det_a1(self):
@@ -110,9 +133,14 @@ class TestBuild:
             build_connection(PQState(t=s.t, kappa=s.kappa, q=INF, p=s.p))
 
     def test_rejects_special_kappa(self):
-        with pytest.raises(SpecialParameters):
-            build_connection(PQState(t=F(2), kappa=KappaParams.from_k1234(F(1), F(1, 8), F(1, 8), F(1, 8)),
-                                     q=F(3), p=F(5)))
+        # every entry point, and again once the verdict is cached on the value
+        kappa = KappaParams.from_k1234(F(1), F(1, 8), F(1, 8), F(1, 8))
+        s = PQState(t=F(2), kappa=kappa, q=F(3), p=F(5))
+        for _ in range(2):
+            for build in (build_connection, eigen_table,
+                          lambda s: build_connection_qp(s.t, s.kappa, F(61, 20), s.p)):
+                with pytest.raises(SpecialParameters, match="kappa parameters are special"):
+                    build(s)
 
 
 class TestAlternateGauge:

@@ -22,21 +22,30 @@ in tests/test_certificates.py, and this is the sampled net behind it.
 of both gauges or raises a `ModuliError`, on states whose exponents are
 not integers (so that most of them build) with q at or next to a pole,
 p = 0 and k0 = 0 among them.
+
+`mc_exponents` and `zone_interchange_check` either answer or raise a
+`ModuliError` on eps on or next to the twelve walls of (0, 1/2)^4 (a
+signed sum of the eps at a half-integer), with random and malformed
+sigma and twists z that meet or break the product constraint.  Every eps'
+of an answer lies in (0, 1/2), and the interchange report gives each of
+the sixteen sigma one zone label, the one `mc_exponents` reaches with it.
 """
 from fractions import Fraction as F
+from itertools import product
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pvi_moduli.backlund import ALPHABET, apply_word
 from pvi_moduli.connection import KappaParams, PPoint, PQState, build_connection
 from pvi_moduli.errors import ModuliError
 from pvi_moduli.exact import HALF, INF, is_inf
+from pvi_moduli.mconv import ExponentData, mc_exponents, zone_interchange_check
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative,
                               sorted_divisor, theta_divisor)
 from pvi_moduli.parabolic import (QuasiPar, parabolic_from_connection, parabolic_structures,
                                   phi_map, q_map)
-from pvi_moduli.stability import (Subbundle, Weights, candidate_subbundles, find_destabilizer,
-                                  parabolic_degree)
+from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_STABLE, Subbundle, Weights,
+                                  candidate_subbundles, find_destabilizer, parabolic_degree)
 from pvi_moduli.verify import connection_identities
 from test_kernel_oracles import K_ACTION  # the generators' action on kappa
 
@@ -223,3 +232,73 @@ def test_connection_identities_hold_or_raise_a_moduli_error(s):
     if isinstance(out, ModuliError):
         return
     assert [name for name, passed, _ in out if not passed] == []
+
+
+# the sign vectors of the signed sums, up to an overall sign, and the
+# half-integers such a sum of four eps in (0, 1/2) can reach
+SIGNS = [signs for signs in product((1, -1), repeat=4) if signs[0] == 1]
+HALF_INTEGERS = (F(1, 2), F(-1, 2), F(3, 2), F(-3, 2))
+
+
+@st.composite
+def exponent_data(draw):
+    """Exponent data whose eps lie in (0, 1/2), with heights up to 2^64,
+    often on or within 1/n (n up to 2^64) of a wall; now and then one eps
+    is pushed off (0, 1/2) or the mu break sum(mu) = -1/2 mod 1."""
+    def eps():
+        den = draw(st.one_of(st.just(12), st.integers(2, H)))
+        return F(draw(st.integers(1, den - 1)), 2 * den)
+    e = [eps() for _ in range(4)]
+    if draw(st.integers(0, 3)):
+        # solve a wall's equation for eps_k, where it has a root in (0, 1/2)
+        signs, k = draw(st.sampled_from(SIGNS)), draw(st.integers(0, 3))
+        rest = sum(s * x for j, (s, x) in enumerate(zip(signs, e)) if j != k)
+        for h in HALF_INTEGERS:
+            if 0 < signs[k] * (h - rest) < HALF:
+                e[k] = signs[k] * (h - rest) + draw(st.one_of(
+                    st.just(F(0)), st.builds(lambda n, sign: F(sign, n),
+                                             st.integers(1, H), st.sampled_from([1, -1]))))
+    if not draw(st.integers(0, 15)):
+        e[draw(st.integers(0, 3))] = draw(st.sampled_from([F(0), HALF, F(-1, 4), F(3, 4)]))
+    mu = [draw(rationals) for _ in range(3)]
+    broken = draw(rationals) if not draw(st.integers(0, 15)) else F(draw(st.integers(-2, 2)))
+    mu.append(-HALF - sum(mu) + broken)
+    return outcome(ExponentData, tuple(mu), tuple(e))
+
+
+sigmas = st.one_of(st.text("+-", min_size=4, max_size=4), st.text("+-0x ", max_size=6))
+
+
+@settings(deadline=None)
+@given(exponent_data(), sigmas, st.data())
+def test_mc_exponents_give_exponents_or_a_moduli_error(e, sigma, data):
+    assume(not isinstance(e, ModuliError))
+    z = None
+    if data.draw(st.booleans()):
+        z = [data.draw(rationals) for _ in range(data.draw(st.sampled_from([3, 4, 4, 4, 5])))]
+        if len(z) == 4 and len(sigma) == 4 and set(sigma) <= set("+-") and data.draw(st.booleans()):
+            # meet the product constraint sum(z) = -sum(chosen exponents) mod 1
+            chosen = sum(m + (1 if c == "+" else -1) * x for m, c, x in zip(e.mu, sigma, e.eps))
+            z[3] = -chosen - sum(z[:3]) + data.draw(st.integers(-2, 2))
+    out = outcome(mc_exponents, e, sigma, z)
+    if isinstance(out, ModuliError):
+        return
+    assert all(0 < x < HALF for x in out.eps)
+    report = outcome(zone_interchange_check, e)
+    zone = outcome(out.zone)
+    if not isinstance(report, ModuliError) and not isinstance(zone, ModuliError):
+        assert report["zones"][sigma] == zone
+
+
+@settings(deadline=None)
+@given(exponent_data())
+def test_zone_interchange_check_gives_a_zone_per_sigma_or_a_moduli_error(e):
+    assume(not isinstance(e, ModuliError))
+    report = outcome(zone_interchange_check, e)
+    if isinstance(report, ModuliError):
+        return
+    every = ["".join(signs) for signs in product("+-", repeat=4)]
+    assert sorted(report["zones"]) == sorted(every)
+    assert set(report["zones"].values()) <= {ZONE_STABLE, *ALL_ZONE_LABELS}
+    assert report["stable_sigmas"] == [sg for sg in every if report["zones"][sg] == ZONE_STABLE]
+    assert report["found_stable"] == bool(report["stable_sigmas"])
