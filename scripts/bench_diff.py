@@ -1,19 +1,23 @@
-"""Compare the end-to-end medians of two BENCH files against the bounds in
+"""Compare the end-to-end moves of two BENCH files against the bounds in
 BENCHMARK.json.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_diff.py BENCH_8.json BENCH_9.json
+    python3 scripts/bench_diff.py BENCH_15.json BENCH_19.json
 
 A BENCH file's `summary` holds, for each (workload, seed, metric), the
-median and quartiles of the parent's runs and of the change's runs.  The
-change side is the state that file's change left, so the script compares
-the change medians of the two files.  For every end-to-end metric of
-BENCHMARK.json it prints one line per (workload, seed): the old and new
-median, the relative move, and WORSE when the move is worse than the
-metric's bound (an increase for a lower-is-better metric, a decrease for
-a higher-is-better one).  A key found in only one file is printed as
-missing and not judged.  Exits 1 when any metric is WORSE, else 0.
+median and quartiles of the parent's runs and of the change's runs, taken
+together on one host.  The script judges each file by its own move, from
+its parent median to its change median, so a host that is faster or
+slower during one file's runs than during the other's cancels out.  For
+every end-to-end metric of BENCHMARK.json it prints one line per
+(workload, seed): the move in the old file, the move in the new file, and
+the two chained, which is the move from the old file's parent to the new
+file's change.  A line ends in WORSE when a file's own move is worse than
+the metric's bound (an increase for a lower-is-better metric, a decrease
+for a higher-is-better one) and names that file.  A key found in only one
+file is printed as missing and not judged.  Exits 1 when any move is
+WORSE, else 0.
 """
 from __future__ import annotations
 
@@ -25,12 +29,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_medians(path) -> dict:
-    """{(workload, seed, metric): median of the change side}."""
+def load_moves(path) -> dict:
+    """{(workload, seed, metric): relative move from the parent median to
+    the change median} of one BENCH file."""
     with open(path, encoding="utf-8") as fh:
         summary = json.load(fh)["summary"]
-    return {(row["workload"], row["seed"], row["metric"]): row["change"]["median"]
-            for row in summary}
+    return {(row["workload"], row["seed"], row["metric"]):
+            relative(row["parent"]["median"], row["change"]["median"]) for row in summary}
 
 
 def end_to_end_bounds(path=ROOT / "BENCHMARK.json") -> dict:
@@ -46,19 +51,23 @@ def relative(old: float, new: float) -> float:
     return (new - old) / abs(old)
 
 
+def is_worse(move: float, better: str, bound: float) -> bool:
+    return move > bound if better == "lower" else -move > bound
+
+
 def compare(old: dict, new: dict, bounds: dict) -> list:
-    """(workload, seed, metric, old, new, relative, worse) rows, sorted;
-    old, new and relative are None where a file lacks the key."""
+    """(workload, seed, metric, old move, new move, chained, worse) rows,
+    sorted, where worse names the files whose own move is past the bound;
+    the moves are None where a file lacks the key."""
     rows = []
     for key in sorted(k for k in set(old) | set(new) if k[2] in bounds):
         a, b = old.get(key), new.get(key)
         if a is None or b is None:
-            rows.append(key + (a, b, None, False))
+            rows.append(key + (a, b, None, ()))
             continue
-        better, bound = bounds[key[2]]
-        move = relative(a, b)
-        worse = move > bound if better == "lower" else -move > bound
-        rows.append(key + (a, b, move, worse))
+        worse = tuple(name for name, move in (("old", a), ("new", b))
+                      if is_worse(move, *bounds[key[2]]))
+        rows.append(key + (a, b, (1 + a) * (1 + b) - 1, worse))
     return rows
 
 
@@ -67,16 +76,20 @@ def main(argv=None) -> int:
     if len(argv) != 2:
         sys.stderr.write("usage: bench_diff.py OLD_BENCH.json NEW_BENCH.json\n")
         return 2
-    rows = compare(load_medians(argv[0]), load_medians(argv[1]), end_to_end_bounds())
-    print(f"{'workload':<11} {'seed':>4} {'metric':<14} {'old':>12} {'new':>12} {'move':>8}")
-    for workload, seed, metric, a, b, move, worse in rows:
-        if move is None:
-            cells = f"{'-' if a is None else f'{a:.6g}':>12} {'-' if b is None else f'{b:.6g}':>12} missing"
+    rows = compare(load_moves(argv[0]), load_moves(argv[1]), end_to_end_bounds())
+    print(f"{'workload':<11} {'seed':>4} {'metric':<14} {'old move':>9} {'new move':>9} "
+          f"{'chained':>9}")
+    for workload, seed, metric, a, b, chained, worse in rows:
+        if chained is None:
+            cells = f"{'-' if a is None else f'{a:+.2%}':>9} {'-' if b is None else f'{b:+.2%}':>9} missing"
         else:
-            cells = f"{a:>12.6g} {b:>12.6g} {move:>+8.2%}" + ("  WORSE" if worse else "")
+            cells = f"{a:>+9.2%} {b:>+9.2%} {chained:>+9.2%}"
+            if worse:
+                cells += "  WORSE in " + " and ".join(worse)
         print(f"{workload:<11} {seed:>4} {metric:<14} {cells}")
-    flagged = sum(row[-1] for row in rows)
-    print(f"{flagged} of {len(rows)} metrics worse than their bound")
+    flagged = sum(len(row[-1]) for row in rows)
+    judged = 2 * sum(row[5] is not None for row in rows)
+    print(f"{flagged} of {judged} moves worse than their bound")
     return 1 if flagged else 0
 
 

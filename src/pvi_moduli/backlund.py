@@ -35,7 +35,7 @@ DegenerateInput at q = inf.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from .connection import KappaParams, PQState, finite_pole
 from .errors import DegenerateInput, NoFiniteIntersection
@@ -267,26 +267,37 @@ for _r, _prs in _R_PAIRS.items():
                                    (_r, f"s{_a}"), (f"s{_b}", _r)))
 
 
-def check_relations(sample: PQState):
+def walk_prefixes(words: Iterable[tuple], states: dict) -> dict:
+    """Fill `states`, a {word prefix: state} table holding at least the
+    empty word, with every prefix of each word, each made once from the
+    prefix before it.  Words are walked in order, each left to right, so a
+    degenerate step raises what `apply_word` raises for that word: the same
+    step index and generator name."""
+    for word in words:
+        for step, name in enumerate(word):
+            prefix = word[:step + 1]
+            if prefix not in states:
+                try:
+                    states[prefix] = apply_generator(name, states[prefix[:-1]])
+                except DegenerateInput as exc:
+                    raise _degenerate_step(step, name, exc) from exc
+    return states
+
+
+def check_relations(sample: PQState, states: Optional[dict] = None):
     """Evaluate every group relation on the sample; returns a list of
     (relation, holds, witness) with exact states in the witness.
 
     The 30 relations spell 112 generator steps but only 68 distinct word
-    prefixes, so each prefix is computed once, from the one before it.
-    Words are walked in the order `apply_word` would take them, so a
-    degenerate sample raises the same error at the same step.
+    prefixes, so each prefix is made once by `walk_prefixes`.  `states`,
+    if given, is the prefix table to fill, so that a caller can extend it
+    with more words of the same sample.
     """
-    states = {(): sample}
+    states = {} if states is None else states
+    states[()] = sample
+    walk_prefixes((word for _, left, right in RELATION_WORDS for word in (left, right)), states)
     out = []
     for name, left, right in RELATION_WORDS:
-        for word in (left, right):
-            for step in range(len(word)):
-                prefix = word[:step + 1]
-                if prefix not in states:
-                    try:
-                        states[prefix] = apply_generator(word[step], states[word[:step]])
-                    except DegenerateInput as exc:
-                        raise _degenerate_step(step, word[step], exc) from exc
         lhs, rhs = states[left], states[right]
         holds = (lhs == rhs)
         witness = None if holds else {"lhs": lhs, "rhs": rhs}

@@ -26,6 +26,12 @@ P = x(x-1)(x-t) and d_i = P'(t_i) (`finite_pole`):
   A(1,2) = p(Q-t)(x-q)/P(x) with q = Q - k0/p, the matrix at infinity is
   minus the sum of the three finite residues (lower triangular with
   diagonal ((k4-1)/2, (1-k4)/2)), and C = 0.
+
+The (q, p) normal form is built once per state: a `PQState` makes its
+pole data (k_i, sigma_i, c_i), its normal form and its eigen table the
+first time they are asked for and keeps them on the object, and a
+`FourPoleConnection` keeps each cleared entry it computes.  Nothing
+outlives the object, and equal states built apart share nothing.
 """
 from __future__ import annotations
 
@@ -183,6 +189,37 @@ class PQState:
     def poles(self):
         return (0, 1, self.t, INF)
 
+    @cached_property
+    def pole_data(self) -> tuple:
+        """`_finite_pole_data` of this state, computed once per state."""
+        return _finite_pole_data(self)
+
+    @cached_property
+    def normal_form(self) -> "FourPoleConnection":
+        """The (q, p) normal form, built once per state from `pole_data`.
+        The residue at infinity (basis <e, x*f>), with eigenvectors (1, k0)
+        and (1, k0 + k4), is `_residue(k4, k0, -1)` shifted by -1/2."""
+        a1, a2, a3 = (_residue(*d) for d in self.pole_data)
+        k = self.kappa
+        k0, h4 = k.k0, k.k4 / 2
+        e = k0 * (k0 + k.k4)
+        return FourPoleConnection(t=self.t, kappa=k, a1=a1, a2=a2, a3=a3,
+                                  a4=Mat2(k0 + h4 - HALF, -1, e, -k0 - h4 - HALF),
+                                  c=Mat2(0, 0, -e, 0))
+
+    @cached_property
+    def eigen_table(self) -> tuple:
+        """Closed-form eigenpairs of the residues of `normal_form`, made once
+        per state from the same `pole_data`: see `eigen_table`."""
+        rows = []
+        for ki, sigma, c in self.pole_data:
+            h = ki / 2
+            rows.append(((h, (1, sigma)), (-h, (1, sigma - ki / c))))
+        k = self.kappa
+        h = k.k4 / 2
+        rows.append(((h - HALF, (1, k.k0)), (-h - HALF, (1, k.k0 + k.k4))))
+        return tuple(rows)
+
     def to_json_dict(self):
         return {"t": rat_to_str(self.t), "kappa": self.kappa.to_strs(),
                 "q": proj_to_str(self.q), "p": rat_to_str(self.p)}
@@ -243,18 +280,27 @@ class FourPoleConnection:
                 + self.a3.scale(1 / (x - self.t))
                 + self.c)
 
-    def cleared(self, entry: str) -> list:
+    def cleared(self, entry: str) -> tuple:
         """Coefficients, constant term first, of the polynomial
         A(x)[entry] * x(x-1)(x-t) = r1 (x-1)(x-t) + r2 x(x-t) + r3 x(x-1)
         + c x(x-1)(x-t), entry one of "a11", "a12", "a21", "a22"; the cubic
-        term is present only when the C entry c is nonzero."""
-        t = self.t
-        r1, r2, r3 = (getattr(m, entry) for m in self.finite_residues())
-        out = [r1 * t, -r1 * (1 + t) - r2 * t - r3, r1 + r2 + r3]
-        c = getattr(self.c, entry)
-        if c != 0:
-            out = [out[0], out[1] + c * t, out[2] - c * (1 + t), c]
+        term is present only when the C entry c is nonzero.  Each entry is
+        computed once per connection."""
+        out = self._cleared.get(entry)
+        if out is None:
+            t = self.t
+            r1, r2, r3 = (getattr(m, entry) for m in self.finite_residues())
+            out = (r1 * t, -r1 * (1 + t) - r2 * t - r3, r1 + r2 + r3)
+            c = getattr(self.c, entry)
+            if c != 0:
+                out = (out[0], out[1] + c * t, out[2] - c * (1 + t), c)
+            self._cleared[entry] = out
         return out
+
+    @cached_property
+    def _cleared(self) -> dict:
+        """The entries `cleared` has computed for this connection."""
+        return {}
 
     def a12_numerator(self):
         """Coefficients (n0, n1) of the linear polynomial
@@ -319,8 +365,9 @@ def _residue(k: Rat, sigma: Rat, c: Rat) -> Mat2:
     """The trace-free residue with (1,2) entry c, eigenvalue k/2 on (1, sigma)
     and -k/2 on (1, sigma - k/c): [[a, c], [sigma(k - c sigma), -a]] with
     a = k/2 - c sigma.  Nothing is divided, so c = 0 is allowed."""
-    a11 = k / 2 - c * sigma
-    return Mat2(a11, c, sigma * (k - c * sigma), -a11)
+    c_sigma = c * sigma
+    a11 = k / 2 - c_sigma
+    return Mat2(a11, c, sigma * (k - c_sigma), -a11)
 
 
 def _finite_pole_data(s: PQState):
@@ -329,19 +376,13 @@ def _finite_pole_data(s: PQState):
     poles = [finite_pole(s.t, i) for i in (1, 2, 3)]
     gaps = [s.q - ti for ti, _ in poles]
     pt = s.p * gaps[0] * gaps[1] * gaps[2]
-    return [(ki, -pt / gap, -gap / d) for ki, (_, d), gap in zip(s.kappa.finite, poles, gaps)]
+    return tuple((ki, -pt / gap, -gap / d)
+                 for ki, (_, d), gap in zip(s.kappa.finite, poles, gaps))
 
 
 def build_connection(s: PQState) -> FourPoleConnection:
-    """The (q, p) normal form.  The residue at infinity (basis <e, x*f>),
-    with eigenvectors (1, k0) and (1, k0 + k4), is `_residue(k4, k0, -1)`
-    shifted by -1/2."""
-    a1, a2, a3 = (_residue(*d) for d in _finite_pole_data(s))
-    k = s.kappa
-    a4 = Mat2(k.k0 + k.k4 / 2 - HALF, -1,
-              k.k0 * (k.k0 + k.k4), -k.k0 - k.k4 / 2 - HALF)
-    c = Mat2(0, 0, -k.k0 * (k.k0 + k.k4), 0)
-    return FourPoleConnection(t=s.t, kappa=k, a1=a1, a2=a2, a3=a3, a4=a4, c=c)
+    """The (q, p) normal form of `s`: `s.normal_form`, built once per state."""
+    return s.normal_form
 
 
 def build_connection_qp(t: Rat, kappa: KappaParams, big_q: Rat, p: Rat) -> FourPoleConnection:
@@ -365,17 +406,15 @@ def build_connection_qp(t: Rat, kappa: KappaParams, big_q: Rat, p: Rat) -> FourP
 
 
 def eigen_table(s: PQState):
-    """Closed-form eigenpairs of the residue matrices of `build_connection`.
+    """Closed-form eigenpairs of the residue matrices of `build_connection`:
+    `s.eigen_table`, made once per state.
 
     Returns, per pole, ((r_minus, v_minus), (r_plus, v_plus)); the v are
     written in the local frame (<e, f> at finite poles, <e, x*f> at
     infinity), so their slopes are the parabolic coordinates u_i.  The
     finite rows read the (k_i, sigma_i, c_i) that `_residue` reads.
     """
-    k = s.kappa
-    finite = tuple(((ki / 2, (1, sigma)), (-ki / 2, (1, sigma - ki / c)))
-                   for ki, sigma, c in _finite_pole_data(s))
-    return finite + (((k.k4 / 2 - HALF, (1, k.k0)), (-k.k4 / 2 - HALF, (1, k.k0 + k.k4))),)
+    return s.eigen_table
 
 
 def pole_index(base: ProjRat, poles) -> Optional[int]:

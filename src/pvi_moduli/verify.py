@@ -16,7 +16,7 @@ from . import backlund as bk
 from .connection import (PQState, apparent_singularity, build_connection, build_connection_qp,
                          eigen_table, elementary_transform_residues, kostov_generic, nonresonant)
 from .errors import ModuliError, NoFiniteIntersection, SamplerExhausted
-from .exact import HALF, INF, Dual, Mat2, is_inf, to_json
+from .exact import HALF, INF, Dual, Mat2, is_inf, over_common_denominator, to_json
 from .higgs import GRADED, higgs_limit, sorted_divisor, v_alpha_stable, v_alpha_unstable
 from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
@@ -204,15 +204,17 @@ def backlund_identities(st: PQState) -> list:
     and Schlesinger words, the Okamoto involution s0 against the two
     fibrations, and the chart.  Every value is computed before the list
     is returned, so a degenerate state raises ModuliError and contributes
-    nothing; the formulas are field-generic."""
-    results = bk.check_relations(st)
+    nothing; the formulas are field-generic.  The words extend the prefix
+    table of the relations, so each prefix is made once."""
+    states = {}
+    results = bk.check_relations(st, states)
     k = st.kappa
-    shifted = bk.apply_word(bk.WORD_SHIFT_12, st)
-    shifted34 = bk.apply_word(bk.WORD_SHIFT_34, st)
     closed = bk.schlesinger_composite_qp(st)
-    word = bk.apply_word(bk.WORD_SCHLESINGER, st)
-    s0_image = bk.apply_generator("s0", st)
-    s0s0 = bk.apply_generator("s0", s0_image)
+    bk.walk_prefixes((bk.WORD_SHIFT_12, bk.WORD_SHIFT_34, bk.WORD_SCHLESINGER, ("s0", "s0")),
+                     states)
+    shifted, shifted34, word = (states[w] for w in
+                                (bk.WORD_SHIFT_12, bk.WORD_SHIFT_34, bk.WORD_SCHLESINGER))
+    s0_image, s0s0 = states[("s0",)], states[("s0", "s0")]
     qq = bk.big_q_of(st)
     q_after_s0 = bk.q_of(s0_image)
     q_back = bk.big_q_of(s0_image)
@@ -340,7 +342,8 @@ def oracle_destabilizer(qp: QuasiPar, w: Weights):
 
     Enumerates all (degree, contact-set) pairs realizable by some line
     subbundle (realizability decided by exact rank conditions) and
-    maximizes the nominal parabolic degree.  Returns
+    maximizes the nominal parabolic degree, scored on the integer
+    numerators of the eps over one common denominator.  Returns
     (max_score, argmax_degree, argmax_contact).
     """
     inf_set = frozenset(i + 1 for i in range(4) if is_inf(qp.u[i]))
@@ -354,15 +357,17 @@ def oracle_destabilizer(qp: QuasiPar, w: Weights):
         entries.append((0, frozenset(i + 1 for i in sub_s)))
     for sub_s in _all_subsets(range(4)):
         entries.append((-1, frozenset(i + 1 for i in sub_s)))
+    # den * (deg + sum_{i in S} eps_i - sum_{i not in S} eps_i)
+    nums, den = over_common_denominator(w.eps)
+    total = sum(nums)
     best = None
     for deg, contact in entries:
-        score = deg + sum(w.eps[i - 1] for i in contact) \
-            - sum(w.eps[i - 1] for i in range(1, 5) if i not in contact)
+        score = deg * den + 2 * sum(nums[i - 1] for i in contact) - total
         key = (score, deg, tuple(sorted(contact)))
         if best is None or key > best[0]:
             best = (key, deg, contact)
     (score, _, _), deg, contact = best
-    return score, deg, contact
+    return Fraction(score, den), deg, contact
 
 
 def suite_zones(seed: int, samples: int, bound: int) -> Report:

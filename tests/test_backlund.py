@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from pvi_moduli.backlund import (SymState, al_chart, apply_generator, apply_word, big_q_of,
-                                 big_q_prime_of, check_relations, parse_word, q_of,
+from pvi_moduli import backlund, verify
+from pvi_moduli.backlund import (WORD_SHIFT_12, SymState, al_chart, apply_generator, apply_word,
+                                 big_q_of, big_q_prime_of, check_relations, parse_word, q_of,
                                  schlesinger_composite_qp, symplectic_check,
                                  transversality_solve)
 from pvi_moduli.connection import PQState
@@ -68,6 +69,35 @@ class TestRelations:
     def test_braid_example(self):
         s = worked_state()
         assert apply_word(("r12_34", "s1"), s) == apply_word(("s2", "r12_34"), s)
+
+
+class TestPrefixTable:
+    def test_identities_make_each_prefix_once(self, monkeypatch):
+        # the 68 prefixes of the relation words, then the 14 the shift and
+        # Schlesinger words add; s0 and s0 s0 are relation prefixes already
+        # (89 generator steps when each word was walked on its own)
+        calls = []
+
+        def counted(name, s):
+            calls.append(name)
+            return apply_generator(name, s)
+
+        monkeypatch.setattr(backlund, "apply_generator", counted)
+        s = SymState.make(t=F(2), k1234=(F(1, 8), F(1, 3), F(1, 5), F(1, 7)), q=F(3), p=F(5))
+        assert all(passed for _, passed, _ in verify.backlund_identities(s))
+        assert len(calls) == 82
+
+    def test_degenerate_word_step_is_the_one_apply_word_reports(self):
+        # every relation holds here, but p vanishes after r12_34 s1 s2, so
+        # the s0 at step 3 of the shift word has nothing to divide by
+        s = SymState.make(t=F(2), k1234=(F(1, 8), F(1, 3), F(1, 5), F(1, 7)), q=F(3),
+                          p=F(-587, 1680))
+        assert all(holds for _, holds, _ in check_relations(s))
+        message = r"word degenerates at step 3 \(s0\): s0 needs p != 0"
+        with pytest.raises(DegenerateInput, match=message):
+            apply_word(WORD_SHIFT_12, s)
+        with pytest.raises(DegenerateInput, match=message):
+            verify.backlund_identities(s)
 
 
 class TestComposites:

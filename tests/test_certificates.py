@@ -9,7 +9,9 @@ is the identity test.  sympy is a test-only dependency.
 The identities the connection and backlund suites sample at each state
 are declared once, by `verify.connection_identities` and
 `verify.backlund_identities`; both run here once on the symbolic STATE,
-with one test per name they return.
+with one test per name they return.  They read the values made once per
+state (the normal form, its eigen table and the table of word prefixes),
+so it is those values that are proved.
 
 The Fuchs relations are checked only where exponents come in
 (`KappaParams.from_strs`); every map that makes new exponents is proved
@@ -72,6 +74,13 @@ RELATIONS = [name for name, _, _ in bk.RELATION_WORDS]
 @pytest.mark.parametrize("name", list(CONNECTION))
 def test_connection_identity(name):
     assert CONNECTION[name]
+
+
+def test_the_identities_read_the_values_made_once_for_the_state():
+    made = vars(STATE)
+    assert {"pole_data", "normal_form", "eigen_table"} <= set(made)
+    assert connection.build_connection(STATE) is made["normal_form"]
+    assert connection.eigen_table(STATE) is made["eigen_table"]
 
 
 @pytest.mark.parametrize("name", RELATIONS)

@@ -88,6 +88,35 @@ class TestGenericity:
         assert calls[kappa] == 1
 
 
+class TestOncePerState:
+    def test_pole_data_computed_once_per_state(self, monkeypatch):
+        # the normal form, its eigen table and both parabolic structures read
+        # one (k_i, sigma_i, c_i) per state: a seed-1 connection or higgs run
+        # computes it once for each PQState it builds on (150 and 361 times
+        # when every reader recomputed it)
+        states = []
+
+        def counted(s):
+            states.append(s)  # keeps each object alive, so ids stay distinct
+            return finite_pole_data(s)
+
+        finite_pole_data = connection._finite_pole_data
+        monkeypatch.setattr(connection, "_finite_pole_data", counted)
+        for suite, distinct in (("connection", 50), ("higgs", 169)):
+            states.clear()
+            run_suite(suite, seed=1)
+            assert len(states) == len({id(s) for s in states}) == distinct
+
+    def test_values_are_made_once_and_never_shared(self):
+        s = worked_state()
+        conn = build_connection(s)
+        assert build_connection(s) is conn and eigen_table(s) is eigen_table(s)
+        assert conn.cleared("a21") is conn.cleared("a21")
+        # an equal state is another object, with values of its own
+        twin = PQState(t=s.t, kappa=s.kappa, q=s.q, p=s.p)
+        assert twin == s and build_connection(twin) == conn and build_connection(twin) is not conn
+
+
 class TestBuild:
     def test_det_a1(self):
         conn = build_connection(worked_state())

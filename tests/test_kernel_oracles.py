@@ -9,7 +9,8 @@ with the section values at the poles, `in_general_position` with
 `line_through` on the four triples, `theta_divisor` with its Wronskian on
 Fraction polynomials and `poly_divide_root` with `poly_divmod`,
 `check_relations` with one
-`apply_word` per side of each relation,
+`apply_word` per side of each relation, the shift and Schlesinger words
+read from its prefix table with one `apply_word` each,
 `solve_linear` with sympy's reduced row echelon form, the four signed-sum
 predicates with sums over `itertools.product`, the Baecklund generators'
 closed-form k0 with `KappaParams.from_k1234`, `classify_zone` with the
@@ -26,8 +27,9 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pvi_moduli.backlund import (ALPHABET, RELATION_WORDS, apply_generator, apply_word,
-                                 check_relations, schlesinger_composite_qp)
+from pvi_moduli.backlund import (ALPHABET, RELATION_WORDS, WORD_SCHLESINGER, WORD_SHIFT_12,
+                                 WORD_SHIFT_34, apply_generator, apply_word, check_relations,
+                                 schlesinger_composite_qp, walk_prefixes)
 from pvi_moduli.connection import (KappaParams, PPoint, PQState, ResidueVector, Sheet,
                                    build_connection, build_connection_qp, eigen_table,
                                    kappa_generic, kostov_generic)
@@ -641,6 +643,23 @@ class TestCheckRelations:
                     q=q, p=p)
         assert _outcome(_oracle_relations, s) == (DegenerateInput, message)
         assert _outcome(check_relations, s) == (DegenerateInput, message)
+
+    @given(relation_samples())
+    def test_identity_words_extend_the_table_as_apply_word_walks_them(self, s):
+        # the words verify.backlund_identities reads after the relations
+        words = (WORD_SHIFT_12, WORD_SHIFT_34, WORD_SCHLESINGER, ("s0", "s0"))
+
+        def from_the_table(s):
+            states = {}
+            check_relations(s, states)
+            walk_prefixes(words, states)
+            return [states[w] for w in words]
+
+        def one_word_at_a_time(s):
+            _oracle_relations(s)
+            return [apply_word(w, s) for w in words]
+
+        assert _outcome(from_the_table, s) == _outcome(one_word_at_a_time, s)
 
 
 # ---------------------------------------------------------------------------

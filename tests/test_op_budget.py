@@ -53,8 +53,16 @@ Then one rule, `_residue(k, sigma, c)`, wrote every finite residue of
 both normal-form gauges from the k/2-eigenvector slope sigma and the
 (1,2) entry c, and the eigen table read the same (k, sigma, c).  That took
 the pass to 106,486 operations and 139,192 constructions (connection
-27,640 -> 24,590, higgs 24,428 -> 24,017).  Every budget here is the count
-of that pass plus less than 3%.
+27,640 -> 24,590, higgs 24,428 -> 24,017).
+
+Then each value that several checks read was made once per sample: a
+state's pole data, normal form and eigen table, and a connection's
+cleared entries, once per object; the symmetry words' prefixes once per
+state, in the relations' prefix table; and the brute-force zone oracle's
+scores on integers over one common denominator.  That took the pass to
+83,661 operations and 113,593 constructions (connection 24,590 -> 20,390,
+backlund 33,340 -> 30,990, zones 15,768 -> 5,868, higgs 24,017 ->
+17,642).  Every budget here is the count of that pass plus less than 3%.
 """
 from fractions import Fraction
 
@@ -62,15 +70,15 @@ from pvi_moduli.verify import SUITES
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
               "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
-BUDGET = 109_600
-CONSTRUCTION_BUDGET = 143_300
+BUDGET = 86_100
+CONSTRUCTION_BUDGET = 116_900
 # suite -> (operations, constructions)
 SUITE_BUDGETS = {
-    "connection": (25_300, 30_500),
-    "backlund": (34_300, 40_300),
+    "connection": (21_000, 25_150),
+    "backlund": (31_900, 37_500),
     "lattice": (66, 169),
-    "zones": (16_200, 19_300),
-    "higgs": (24_700, 39_300),
+    "zones": (6_040, 9_230),
+    "higgs": (18_150, 31_200),
     "mc": (8_950, 13_600),
 }
 
