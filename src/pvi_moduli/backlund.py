@@ -122,7 +122,13 @@ def _degenerate_step(step: int, name: str, exc: DegenerateInput) -> DegenerateIn
 
 
 def parse_word(text: str) -> tuple:
-    return tuple(w.strip() for w in text.split(",") if w.strip())
+    """The generator names of a comma-separated word, each checked before any step is taken."""
+    word = tuple(w.strip() for w in text.split(",") if w.strip())
+    for step, name in enumerate(word):
+        if name not in GENERATORS:
+            raise DegenerateInput(f"unknown generator {name!r} at step {step}; "
+                                  f"alphabet: {', '.join(ALPHABET)}")
+    return word
 
 
 # Composites realizing integer shifts of the exponents.  The pole

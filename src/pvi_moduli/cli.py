@@ -134,14 +134,15 @@ def lattice_enumerate(nmax):
 
 
 def mc_transform(eps, sigma):
-    from .mconv import ExponentData, mc_exponents
-    out = mc_exponents(ExponentData.of_eps(parse_eps_list(eps)), sigma=sigma)
-    return {"eps": out.eps, "mu": out.mu, "zone": out.zone()}
+    from .mconv import mc_exponents, odd_degree_weights
+    from .stability import classify_zone
+    out = mc_exponents(odd_degree_weights(parse_eps_list(eps)), sigma=sigma)
+    return {"eps": out.eps, "mu": out.mu, "zone": classify_zone(out)}
 
 
 def mc_interchange(eps):
-    from .mconv import ExponentData, zone_interchange_check
-    return zone_interchange_check(ExponentData.of_eps(parse_eps_list(eps)))
+    from .mconv import odd_degree_weights, zone_interchange_check
+    return zone_interchange_check(odd_degree_weights(parse_eps_list(eps)))
 
 
 def fibration_q(state):

@@ -1,8 +1,9 @@
 """Middle-convolution exponent calculus for rank-2 data at four points.
 
 All bookkeeping happens on rational rotation numbers (exponents mod 1) of
-the local monodromy eigenvalues.  Input data carries exponents
-mu_i ± eps_i with 0 < eps_i < 1/2 and sum(mu) = -1/2 mod 1 (odd degree).
+the local monodromy eigenvalues.  The convolution acts on `Weights`
+(exponents mu_i ± eps_i, 0 < eps_i < 1/2) and returns `Weights`; odd
+degree, sum(mu) = -1/2 mod 1, is a precondition of `mc_exponents`.
 A convolver choice picks one eigenvalue per point (sign vector sigma) and
 rank-1 twist exponents z_i with sum(z) = -sum of the chosen exponents.
 
@@ -22,47 +23,21 @@ result, and `zone_interchange_check` classifies the integer eps'.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .errors import DegenerateInput, SpecialParameters
-from .exact import HALF, Rat, over_common_denominator, rat_to_str
-from .stability import Weights, ZONE_STABLE, classify_numerators, classify_zone, nonspecial_eps
+from .exact import HALF, Rat, over_common_denominator
+from .stability import Weights, ZONE_STABLE, classify_numerators, nonspecial_eps
 
 
 def _mod1(x: Rat) -> Rat:
     return x - (x.numerator // x.denominator)
 
 
-@dataclass(frozen=True)
-class ExponentData:
-    mu: tuple
-    eps: tuple
-
-    def __post_init__(self):
-        if len(self.mu) != 4 or len(self.eps) != 4:
-            raise DegenerateInput("exponent data carries four poles")
-        for e in self.eps:
-            if not (0 < e < HALF):
-                raise SpecialParameters(f"eps = {e} outside (0, 1/2)")
-        if _mod1(sum(self.mu)) != HALF:
-            raise DegenerateInput("odd-degree normalization needs sum(mu) = -1/2 mod 1")
-
-    @classmethod
-    def of_eps(cls, eps) -> "ExponentData":
-        eps = tuple(Fraction(e) for e in eps)
-        return cls(mu=(Fraction(0), Fraction(0), Fraction(0), Fraction(-1, 2)), eps=eps)
-
-    def weights(self) -> Weights:
-        return Weights(mu=self.mu, eps=self.eps)
-
-    def zone(self) -> str:
-        return classify_zone(self.weights())
-
-    def to_json_dict(self):
-        return {"mu": [rat_to_str(m) for m in self.mu],
-                "eps": [rat_to_str(e) for e in self.eps]}
+def odd_degree_weights(eps) -> Weights:
+    """Weights with these eps and mu = (0, 0, 0, -1/2): odd degree."""
+    return Weights(mu=(Fraction(0),) * 3 + (-HALF,), eps=tuple(Fraction(e) for e in eps))
 
 
 def parse_sigma(text: str):
@@ -75,9 +50,9 @@ def sigma_text(sigma) -> str:
     return "".join("+" if s > 0 else "-" for s in sigma)
 
 
-def nonspecial_exponents(e: ExponentData) -> bool:
+def nonspecial_exponents(w: Weights) -> bool:
     """All sixteen signed eps sums avoid the half-integers."""
-    return nonspecial_eps(e.eps)
+    return nonspecial_eps(w.eps)
 
 
 def defect(r: int, n: int, multiplicities) -> int:
@@ -85,7 +60,7 @@ def defect(r: int, n: int, multiplicities) -> int:
     return (n - 2) * r - sum(multiplicities)
 
 
-def mc_exponents(e: ExponentData, sigma: str = "++++", z=None) -> ExponentData:
+def mc_exponents(w: Weights, sigma: str = "++++", z=None) -> Weights:
     """Exponent data of the middle convolution for the convolver choice
     `sigma` (text as `parse_sigma` reads it) with twist exponents `z`.
 
@@ -94,23 +69,25 @@ def mc_exponents(e: ExponentData, sigma: str = "++++", z=None) -> ExponentData:
     it.  The output eigen-exponent pair at t_i is {z_i, z_i + y_i}; see
     the module docstring for the (mu', eps') normalization.
     """
+    if _mod1(sum(w.mu)) != HALF:
+        raise DegenerateInput("odd-degree normalization needs sum(mu) = -1/2 mod 1")
     signs = parse_sigma(sigma)
-    chosen = sum(e.mu[i] + signs[i] * e.eps[i] for i in range(4))
+    chosen = sum(w.mu[i] + signs[i] * w.eps[i] for i in range(4))
     if z is None:
         z = (Fraction(0), Fraction(0), Fraction(0), _mod1(-chosen))
     elif len(z) != 4:
         raise DegenerateInput("four twist exponents required")
     elif _mod1(sum(z) + chosen) != 0:
         raise DegenerateInput("twist exponents violate the product constraint")
-    if not nonspecial_exponents(e):
+    if not nonspecial_exponents(w):
         raise SpecialParameters("signed eps sums hit a half-integer")
-    nums, den = over_common_denominator(e.eps)
+    nums, den = over_common_denominator(w.eps)
     eps_out, flipped = _convolve(nums, den, signs)
     unit = 4 * den
     # z_i = mu'_i + eps'_i, and z_1 = mu'_1 - eps'_1 when the first pole was flipped
     sides = (1 if flipped else -1, -1, -1, -1)
     mu_out = tuple(_mod1(zi + Fraction(s * n, unit)) for zi, s, n in zip(z, sides, eps_out))
-    return ExponentData(mu=mu_out, eps=tuple(Fraction(n, unit) for n in eps_out))
+    return Weights(mu=mu_out, eps=tuple(Fraction(n, unit) for n in eps_out))
 
 
 def _convolve(nums, den: int, sigma) -> tuple:
@@ -141,27 +118,24 @@ def _convolve(nums, den: int, sigma) -> tuple:
     return eps_out, False
 
 
-def zone_interchange_check(e: ExponentData):
+def zone_interchange_check(w: Weights):
     """Search the sixteen convolver choices from an unstable-zone input.
 
     Returns a report dict: the input zone, the zone reached by every
     sigma, the subset of sigma reaching the stable zone, and the result
     of the all-plus choice.  The zone of an image does not depend on the
-    twists z_i, so the images are classified from their integer eps'.
+    twists z_i, so the images are classified from their integer eps'.  The
+    mu are not read: the images are those of odd-degree weights with these eps.
     """
-    nums, den = over_common_denominator(e.eps)
+    nums, den = over_common_denominator(w.eps)
     zone_in = classify_numerators(nums, den)
     if zone_in == ZONE_STABLE:
         raise DegenerateInput("input must lie in an unstable zone")
-    if not nonspecial_exponents(e):
+    if not nonspecial_exponents(w):
         raise SpecialParameters("signed eps sums hit a half-integer")
-    per_sigma = {}
-    stable_sigmas = []
-    for signs in product((1, -1), repeat=4):
-        label = classify_numerators(_convolve(nums, den, signs)[0], 4 * den)
-        per_sigma[sigma_text(signs)] = label
-        if label == ZONE_STABLE:
-            stable_sigmas.append(sigma_text(signs))
+    per_sigma = {sigma_text(signs): classify_numerators(_convolve(nums, den, signs)[0], 4 * den)
+                 for signs in product((1, -1), repeat=4)}
+    stable_sigmas = [sg for sg, label in per_sigma.items() if label == ZONE_STABLE]
     return {
         "input_zone": zone_in,
         "zones": per_sigma,

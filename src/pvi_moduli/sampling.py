@@ -13,7 +13,6 @@ from typing import Optional
 from .connection import KappaParams, PQState
 from .errors import SamplerExhausted, SpecialWeights
 from .exact import HALF
-from .mconv import ExponentData
 from .parabolic import QuasiPar, in_general_position
 from .stability import Weights, ZONE_A, ZONE_STABLE, classify_zone, et_pair, nonspecial_eps
 
@@ -134,12 +133,6 @@ class RationalSampler:
                              lambda eps: _zone_of(eps) == ZONE_STABLE)
             return Weights.of_eps(eps)
         raise ValueError(f"unknown zone {zone}")
-
-    def exponent_data_in_zone(self, zone: str) -> ExponentData:
-        # No second nonspecial test: weights_in_zone only returns nonspecial
-        # eps (an elementary-transformation pair shifts every signed sum by
-        # an integer), and the test reads nothing but the eps.
-        return ExponentData.of_eps(self.weights_in_zone(zone).eps)
 
     def general_position_u(self, poles) -> tuple:
         """Finite parabolic coordinates with no three directions on one

@@ -21,7 +21,7 @@ from .higgs import GRADED, higgs_limit, sorted_divisor, v_alpha_stable, v_alpha_
 from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
                       singular_fiber_decompositions)
-from .mconv import _mod1, defect, mc_exponents, zone_interchange_check
+from .mconv import _mod1, defect, mc_exponents, odd_degree_weights, zone_interchange_check
 from .parabolic import (QuasiPar, line_through, parabolic_from_connection,
                         parabolic_structures, phi_map, q_map, q_map_parabolic)
 from .sampling import RationalSampler
@@ -566,9 +566,9 @@ def suite_mc(seed: int, samples: int, bound: int) -> Report:
     rs = RationalSampler(seed, bound)
     rep = Report(suite="mc", seed=seed, samples=samples, bound=bound)
     for _ in range(samples):
-        e = rs.exponent_data_in_zone("A")
+        e = odd_degree_weights(rs.weights_in_zone("A").eps)
         out = mc_exponents(e, sigma="++++")
-        zone = out.zone()
+        zone = classify_zone(out)
         total = sum(out.eps)
         wit = {"eps": e, "out": out}
         rep.check("zone A, all-plus: sum eps' = 1 - sum eps", total == 1 - sum(e.eps), wit)
@@ -587,16 +587,17 @@ def suite_mc(seed: int, samples: int, bound: int) -> Report:
                  _mod1(-(sum(e.mu) + sum(e.eps)) - Fraction(1, 3) + Fraction(2, 5) - Fraction(4, 7)))
         out_alt = mc_exponents(e, z=z_alt)
         rep.check("zone of the image is twist-independent",
-                  out_alt.zone() == zone and out_alt.eps == out.eps, dict(wit, out_alt=out_alt))
+                  classify_zone(out_alt) == zone and out_alt.eps == out.eps,
+                  dict(wit, out_alt=out_alt))
         # the minus-at-last-pole choice: computed honestly; it lands stable
         out_bad = mc_exponents(e, sigma="+++-")
-        zone_bad = out_bad.zone()
+        zone_bad = classify_zone(out_bad)
         rep.check("zone A, minus-at-4: computed image zone is Stable", zone_bad == ZONE_STABLE,
                   {"eps": e, "out": out_bad, "zone": zone_bad})
 
     for zone in ALL_ZONE_LABELS:
         for _ in range(max(samples // 8, 2)):
-            e = rs.exponent_data_in_zone(zone)
+            e = rs.weights_in_zone(zone)
             found = zone_interchange_check(e)
             rep.check(f"zone {zone}: some convolver choice reaches the stable zone",
                       found["found_stable"], {"eps": e, "zones": found["zones"]})

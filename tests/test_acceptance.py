@@ -19,9 +19,9 @@ from fractions import Fraction as F
 import pytest
 
 from pvi_moduli import backlund as bk
-from pvi_moduli.mconv import ExponentData, mc_exponents
+from pvi_moduli.mconv import mc_exponents, odd_degree_weights
 from pvi_moduli.sampling import RationalSampler
-from pvi_moduli.stability import ZONE_STABLE
+from pvi_moduli.stability import ZONE_STABLE, classify_zone
 from pvi_moduli.verify import run_suite
 
 # criterion -> (suite, samples, checks the run records); criterion k runs at seed k
@@ -91,9 +91,10 @@ def test_criterion_10b_single_flip_convolver_as_stated():
     # produces an unstable zone (labelings differ by pair transformations,
     # which preserve the stable/unstable distinction).  The computed zone is
     # asserted in test_mconv; this check keeps the original claim and fails.
-    e = ExponentData.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
+    e = odd_degree_weights([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
     out = mc_exponents(e, sigma="+++-")
+    zone = classify_zone(out)
     print(f"[FAIL] criterion 10 (as stated): single-flip convolver image lands in "
-          f"zone {out.zone()}, not an unstable zone")
-    assert out.zone() != ZONE_STABLE, \
+          f"zone {zone}, not an unstable zone")
+    assert zone != ZONE_STABLE, \
         f"single-flip image is stable: eps' = {[str(x) for x in out.eps]}"

@@ -199,6 +199,29 @@ class TestSymmetryCommands:
         code, out = run_cli(capsys, "symmetry", "relations", "--state", state_file)
         assert code == 0 and out["passed"] is True
 
+    def test_unknown_generator_rejected_before_any_step(self, capsys, monkeypatch, state_file):
+        # a long valid prefix would take seconds to compute; the bad letter
+        # is reported, with its position, before the first step
+        steps = []
+        real = bk.apply_generator
+
+        def counted(name, s):
+            steps.append(name)
+            return real(name, s)
+
+        monkeypatch.setattr(bk, "apply_generator", counted)
+        word = ",".join(bk.WORD_SHIFT_12 * 80 + ("s9",))
+        assert main(["symmetry", "apply", "--word", word, "--state", state_file]) == 2
+        err = capsys.readouterr().err
+        assert "DegenerateInput" in err and "'s9'" in err and "at step 560" in err
+        assert steps == []
+
+    def test_bad_state_reported_before_bad_word(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(STATE, p="1/0")))
+        assert main(["symmetry", "apply", "--word", "s9", "--state", str(path)]) == 2
+        assert "s9" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["symmetry", "apply", "--word", "s0"], ["symmetry", "relations"],
         ["fibration", "q"], ["fibration", "Q"],

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pvi_moduli.errors import DegenerateInput, NoSolution
-from pvi_moduli.exact import (INF, Dual, is_inf, pick_sums, poly_add, poly_deriv, poly_divmod,
-                              poly_mul, poly_trim, proj_from_str, proj_to_str, rat_from_str,
-                              rat_to_str, solve_linear)
+from pvi_moduli.exact import (INF, Dual, Mat2, is_inf, pick_sums, poly_add, poly_deriv,
+                              poly_divmod, poly_mul, poly_trim, proj_from_str, proj_to_str,
+                              rat_from_str, rat_to_str, solve_linear)
 
 rationals = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -158,3 +158,10 @@ class TestDual:
     def test_division_value_zero(self):
         with pytest.raises(DegenerateInput):
             Dual.const(1) / Dual(F(0), F(1))
+
+
+class TestMat2:
+    def test_matvec_on_a_general_vector(self):
+        # first entry not 1, so a21 * v[0] and a21 / v[0] differ
+        m = Mat2(F(1, 2), F(-3), F(5, 7), F(2))
+        assert m.matvec((F(3), F(-1, 4))) == (F(9, 4), F(23, 14))

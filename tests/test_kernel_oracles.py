@@ -39,7 +39,7 @@ from pvi_moduli.exact import (HALF, INF, Mat2, det3, det4, is_inf, over_common_d
                               poly_add, poly_deriv, poly_divide_root, poly_divmod, poly_mul,
                               poly_trim, solve_linear)
 from pvi_moduli.higgs import representative, sorted_divisor, theta_divisor
-from pvi_moduli.mconv import (ExponentData, mc_exponents, nonspecial_exponents, sigma_text,
+from pvi_moduli.mconv import (mc_exponents, nonspecial_exponents, odd_degree_weights, sigma_text,
                               zone_interchange_check)
 from pvi_moduli.parabolic import (QuasiPar, conic_subbundle, in_general_position, line_through,
                                   parabolic_structures, section_value)
@@ -547,7 +547,7 @@ class TestSignedSumPredicates:
     @given(st.lists(eps_values(), min_size=4, max_size=4))
     def test_nonspecial_exponents(self, eps):
         expected = all(v.denominator != 2 for v in _signed_sums((e, -e) for e in eps))
-        assert nonspecial_exponents(ExponentData.of_eps(eps)) == expected
+        assert nonspecial_exponents(odd_degree_weights(eps)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +736,7 @@ def _ref_convolve(e, sg, z):
             raise DegenerateInput(f"parity bookkeeping broke: sum mu' = {total}")
         eps_out[0] = HALF - eps_out[0]
         mu_out[0] = _ref_mod1(mu_out[0] + HALF)
-    return ExponentData(mu=tuple(mu_out), eps=tuple(eps_out))
+    return Weights(mu=tuple(mu_out), eps=tuple(eps_out))
 
 
 def _ref_interchange_zones(e):
@@ -779,7 +779,7 @@ eps_lists = st.one_of(unstable_eps(), st.lists(walls, min_size=4, max_size=4),
 def exponent_data(draw):
     eps = draw(eps_lists)
     mu = draw(st.one_of(st.lists(rationals, min_size=3, max_size=3), st.just([F(0)] * 3)))
-    return ExponentData(mu=(*mu, -HALF - sum(mu) + draw(st.integers(-2, 2))), eps=tuple(eps))
+    return Weights(mu=(*mu, -HALF - sum(mu) + draw(st.integers(-2, 2))), eps=tuple(eps))
 
 
 class TestIntegerConvolution:
@@ -805,7 +805,7 @@ class TestIntegerConvolution:
                 got = _outcome(mc_exponents, e, sigma_text(sg), given)
                 assert got == expected
                 if not isinstance(got, tuple):
-                    assert _outcome(classify_zone, got.weights()) == \
+                    assert _outcome(classify_zone, got) == \
                         _outcome(_ref_classify_zone, expected.eps)
 
 

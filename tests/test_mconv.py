@@ -3,11 +3,11 @@ from itertools import combinations, product
 
 import pytest
 
-from pvi_moduli.errors import DegenerateInput, SpecialParameters
-from pvi_moduli.mconv import (ExponentData, _mod1, defect, mc_exponents, parse_sigma,
+from pvi_moduli.errors import DegenerateInput, SpecialParameters, SpecialWeights
+from pvi_moduli.mconv import (_mod1, defect, mc_exponents, odd_degree_weights, parse_sigma,
                               zone_interchange_check)
 from pvi_moduli.sampling import RationalSampler
-from pvi_moduli.stability import ALL_ZONE_LABELS
+from pvi_moduli.stability import ALL_ZONE_LABELS, Weights, classify_zone
 
 HALF = F(1, 2)
 
@@ -24,32 +24,34 @@ class TestDefect:
 
 
 class TestExponentData:
+    # middle convolution reads and returns Weights; odd degree is a
+    # precondition of mc_exponents, checked before the sigma is parsed
     def test_degree_normalization_enforced(self):
-        with pytest.raises(DegenerateInput):
-            ExponentData(mu=(F(0),) * 4, eps=(F(1, 10),) * 4)
+        with pytest.raises(DegenerateInput, match="odd-degree"):
+            mc_exponents(Weights.of_eps((F(1, 10),) * 4), sigma="bad")
 
     def test_of_eps(self):
-        e = ExponentData.of_eps([F(1, 10)] * 4)
+        e = odd_degree_weights([F(1, 10)] * 4)
         assert _mod1(sum(e.mu)) == HALF
-        assert e.zone() == "A"
+        assert classify_zone(e) == "A"
 
     def test_eps_range_enforced(self):
-        with pytest.raises(SpecialParameters):
-            ExponentData.of_eps([F(1, 2), F(1, 10), F(1, 10), F(1, 10)])
+        with pytest.raises(SpecialWeights):
+            odd_degree_weights([F(1, 2), F(1, 10), F(1, 10), F(1, 10)])
 
 
 class TestTransform:
     def test_uniform_tenth_all_plus(self):
-        e = ExponentData.of_eps([F(1, 10)] * 4)
+        e = odd_degree_weights([F(1, 10)] * 4)
         out = mc_exponents(e, sigma="++++")
         assert out.eps == (F(3, 20),) * 4
-        assert out.zone() == "Stable"
+        assert classify_zone(out) == "Stable"
         assert sum(out.eps) == 1 - sum(e.eps)
 
     def test_sum_identity_on_zone_a(self):
         rs = RationalSampler(seed=103, bound=24)
         for _ in range(20):
-            e = rs.exponent_data_in_zone("A")
+            e = odd_degree_weights(rs.weights_in_zone("A").eps)
             out = mc_exponents(e, sigma="++++")
             assert sum(out.eps) == 1 - sum(e.eps)
             assert HALF < sum(out.eps) < 1
@@ -57,7 +59,7 @@ class TestTransform:
     def test_pair_combination_preserved(self):
         rs = RationalSampler(seed=107, bound=24)
         for _ in range(20):
-            e = rs.exponent_data_in_zone("A")
+            e = odd_degree_weights(rs.weights_in_zone("A").eps)
             out = mc_exponents(e, sigma="++++")
             assert out.eps[0] + out.eps[1] - out.eps[2] - out.eps[3] == \
                 e.eps[0] + e.eps[1] - e.eps[2] - e.eps[3]
@@ -68,20 +70,20 @@ class TestTransform:
     def test_output_normalization(self):
         rs = RationalSampler(seed=109, bound=24)
         for zone in ALL_ZONE_LABELS:
-            e = rs.exponent_data_in_zone(zone)
+            e = odd_degree_weights(rs.weights_in_zone(zone).eps)
             for signs in product("+-", repeat=4):
                 out = mc_exponents(e, sigma="".join(signs))
                 assert all(0 < ev < HALF for ev in out.eps)
                 assert _mod1(sum(out.mu)) == HALF
 
     def test_twist_independence_of_zone(self):
-        e = ExponentData.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
+        e = odd_degree_weights([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
         base = mc_exponents(e, sigma="++++")
         chosen = sum(e.mu[i] + e.eps[i] for i in range(4))
         z = (F(1, 3), F(2, 7), F(-1, 5), _mod1(-chosen - F(1, 3) - F(2, 7) + F(1, 5)))
         alt = mc_exponents(e, z=z)
         assert alt.eps == base.eps
-        assert alt.zone() == base.zone()
+        assert classify_zone(alt) == classify_zone(base)
 
     def test_default_choice_meets_product_constraint(self):
         # mc_exponents does not check its default twists: z4 absorbs the
@@ -89,9 +91,9 @@ class TestTransform:
         # explicitly is accepted and gives the same image
         rs = RationalSampler(seed=127, bound=24)
         for zone in list(ALL_ZONE_LABELS) + ["Stable"]:
-            eps = rs.exponent_data_in_zone(zone).eps
+            eps = rs.weights_in_zone(zone).eps
             mu = [rs.rat() for _ in range(3)]
-            for e in (ExponentData.of_eps(eps), ExponentData(mu=(*mu, -HALF - sum(mu)), eps=eps)):
+            for e in (odd_degree_weights(eps), Weights(mu=(*mu, -HALF - sum(mu)), eps=eps)):
                 for signs in product("+-", repeat=4):
                     sigma = "".join(signs)
                     chosen = sum(m + s * x for m, s, x in zip(e.mu, parse_sigma(sigma), e.eps))
@@ -99,36 +101,36 @@ class TestTransform:
                     assert mc_exponents(e, sigma, z) == mc_exponents(e, sigma)
 
     def test_bad_twist_rejected(self):
-        e = ExponentData.of_eps([F(1, 10)] * 4)
+        e = odd_degree_weights([F(1, 10)] * 4)
         with pytest.raises(DegenerateInput):
             mc_exponents(e, z=(F(0),) * 4)
 
     def test_special_input_rejected(self):
         # signed sum 1/8+1/8+1/8+1/8 - 1/2 = 0: on a reflection wall
-        e = ExponentData(mu=(F(0), F(0), F(0), F(-1, 2)), eps=(F(1, 8),) * 4)
+        e = Weights(mu=(F(0), F(0), F(0), F(-1, 2)), eps=(F(1, 8),) * 4)
         with pytest.raises(SpecialParameters):
             mc_exponents(e, sigma="++++")
 
     def test_minus_at_last_pole_computed_zone(self):
         # the one-sign-flipped convolver from the small-eps zone: the
         # computed image lies in the stable zone (recorded, not assumed)
-        e = ExponentData.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
+        e = odd_degree_weights([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
         out = mc_exponents(e, sigma="+++-")
-        assert out.zone() == "Stable"
+        assert classify_zone(out) == "Stable"
 
 
 class TestInterchange:
     def test_every_unstable_zone_reaches_stable(self):
         rs = RationalSampler(seed=113, bound=24)
         for zone in ALL_ZONE_LABELS:
-            e = rs.exponent_data_in_zone(zone)
+            e = rs.weights_in_zone(zone)
             rep = zone_interchange_check(e)
             assert rep["input_zone"] == zone
             assert rep["found_stable"]
             assert "++++" in rep["stable_sigmas"]
 
     def test_stable_input_rejected(self):
-        e = ExponentData.of_eps([F(6, 25), F(13, 50), F(27, 100), F(23, 100)])
+        e = odd_degree_weights([F(6, 25), F(13, 50), F(27, 100), F(23, 100)])
         with pytest.raises(DegenerateInput):
             zone_interchange_check(e)
 

@@ -62,7 +62,14 @@ state, in the relations' prefix table; and the brute-force zone oracle's
 scores on integers over one common denominator.  That took the pass to
 83,661 operations and 113,593 constructions (connection 24,590 -> 20,390,
 backlund 33,340 -> 30,990, zones 15,768 -> 5,868, higgs 24,017 ->
-17,642).  Every budget here is the count of that pass plus less than 3%.
+17,642).
+
+Then the middle convolution read and returned `Weights` instead of a
+second (mu, eps) type, so its inputs are no longer converted and its
+outputs no longer re-check their own parity: the pass went to 83,171
+operations and 112,619 constructions (mc 8,706 -> 8,216 operations and
+13,210 -> 12,236 constructions).  Every budget here is the count of that
+pass plus less than 3%.
 """
 from fractions import Fraction
 
@@ -70,8 +77,8 @@ from pvi_moduli.verify import SUITES
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
               "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
-BUDGET = 86_100
-CONSTRUCTION_BUDGET = 116_900
+BUDGET = 85_600
+CONSTRUCTION_BUDGET = 115_900
 # suite -> (operations, constructions)
 SUITE_BUDGETS = {
     "connection": (21_000, 25_150),
@@ -79,7 +86,7 @@ SUITE_BUDGETS = {
     "lattice": (66, 169),
     "zones": (6_040, 9_230),
     "higgs": (18_150, 31_200),
-    "mc": (8_950, 13_600),
+    "mc": (8_450, 12_600),
 }
 
 

@@ -29,23 +29,29 @@ signed sum of the eps at a half-integer), with random and malformed
 sigma and twists z that meet or break the product constraint.  Every eps'
 of an answer lies in (0, 1/2), and the interchange report gives each of
 the sixteen sigma one zone label, the one `mc_exponents` reaches with it.
+
+The middle convolution is Okamoto's s0 on the signed exponents: for
+nonspecial eps and any sigma, the eps' of `mc_exponents` are the
+fractional parts of s0(2 sigma_1 eps_1, ..., 2 sigma_4 eps_4), halved, up
+to the parity flip eps' -> 1/2 - eps' at the first pole.
 """
 from fractions import Fraction as F
 from itertools import product
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from pvi_moduli.backlund import ALPHABET, apply_word
+from pvi_moduli.backlund import ALPHABET, apply_generator, apply_word
 from pvi_moduli.connection import KappaParams, PPoint, PQState, build_connection
 from pvi_moduli.errors import ModuliError
 from pvi_moduli.exact import HALF, INF, is_inf
-from pvi_moduli.mconv import ExponentData, mc_exponents, zone_interchange_check
+from pvi_moduli.mconv import mc_exponents, odd_degree_weights, sigma_text, zone_interchange_check
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative,
                               sorted_divisor, theta_divisor)
 from pvi_moduli.parabolic import (QuasiPar, parabolic_from_connection, parabolic_structures,
                                   phi_map, q_map)
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_STABLE, Subbundle, Weights,
-                                  candidate_subbundles, find_destabilizer, parabolic_degree)
+                                  candidate_subbundles, classify_zone, find_destabilizer,
+                                  nonspecial_eps, parabolic_degree)
 from pvi_moduli.verify import connection_identities
 from test_kernel_oracles import K_ACTION  # the generators' action on kappa
 
@@ -242,9 +248,10 @@ HALF_INTEGERS = (F(1, 2), F(-1, 2), F(3, 2), F(-3, 2))
 
 @st.composite
 def exponent_data(draw):
-    """Exponent data whose eps lie in (0, 1/2), with heights up to 2^64,
-    often on or within 1/n (n up to 2^64) of a wall; now and then one eps
-    is pushed off (0, 1/2) or the mu break sum(mu) = -1/2 mod 1."""
+    """Weights whose eps lie in (0, 1/2), with heights up to 2^64, often
+    on or within 1/n (n up to 2^64) of a wall; now and then one eps is
+    pushed off (0, 1/2) or the mu break the odd degree sum(mu) = -1/2 mod 1
+    that `mc_exponents` requires."""
     def eps():
         den = draw(st.one_of(st.just(12), st.integers(2, H)))
         return F(draw(st.integers(1, den - 1)), 2 * den)
@@ -263,7 +270,7 @@ def exponent_data(draw):
     mu = [draw(rationals) for _ in range(3)]
     broken = draw(rationals) if not draw(st.integers(0, 15)) else F(draw(st.integers(-2, 2)))
     mu.append(-HALF - sum(mu) + broken)
-    return outcome(ExponentData, tuple(mu), tuple(e))
+    return outcome(Weights, tuple(mu), tuple(e))
 
 
 sigmas = st.one_of(st.text("+-", min_size=4, max_size=4), st.text("+-0x ", max_size=6))
@@ -285,7 +292,7 @@ def test_mc_exponents_give_exponents_or_a_moduli_error(e, sigma, data):
         return
     assert all(0 < x < HALF for x in out.eps)
     report = outcome(zone_interchange_check, e)
-    zone = outcome(out.zone)
+    zone = outcome(classify_zone, out)
     if not isinstance(report, ModuliError) and not isinstance(zone, ModuliError):
         assert report["zones"][sigma] == zone
 
@@ -302,3 +309,32 @@ def test_zone_interchange_check_gives_a_zone_per_sigma_or_a_moduli_error(e):
     assert set(report["zones"].values()) <= {ZONE_STABLE, *ALL_ZONE_LABELS}
     assert report["stable_sigmas"] == [sg for sg in every if report["zones"][sg] == ZONE_STABLE]
     assert report["found_stable"] == bool(report["stable_sigmas"])
+
+
+def _frac(x):
+    return x - (x.numerator // x.denominator)
+
+
+@st.composite
+def small_eps(draw):
+    den = draw(st.integers(3, 240))
+    return F(draw(st.integers(1, (den - 1) // 2)), den)
+
+
+@settings(deadline=None)
+@given(st.lists(small_eps(), min_size=4, max_size=4),
+       st.sampled_from(list(product((1, -1), repeat=4))))
+@example([F(1, 10), F(1, 12), F(1, 14), F(1, 16)], (1, 1, 1, 1))  # no flip
+@example([F(5, 19), F(3, 10), F(2, 7), F(1, 6)], (1, 1, 1, 1))    # flipped at pole 1
+def test_middle_convolution_is_okamoto_s0_on_the_signed_exponents(eps, sigma):
+    # kappa_sigma = (2 sigma_i eps_i) has k0 = 1/2 - sum sigma_j eps_j, and
+    # s0 sends k_i to k_i + k0 = -y_i; eps'_i is the representative of -y_i
+    # in (0, 1) halved, up to the parity flip eps' -> 1/2 - eps' at pole 1
+    assume(nonspecial_eps(eps))
+    state = PQState(t=F(2), kappa=KappaParams.from_k1234(*(2 * s * e for s, e in zip(sigma, eps))),
+                    q=F(3), p=F(1))
+    s0 = apply_generator("s0", state).kappa.all4
+    expected = [_frac(k) / 2 for k in s0]
+    out = mc_exponents(odd_degree_weights(eps), sigma_text(sigma))
+    assert list(out.eps[1:]) == expected[1:]
+    assert out.eps[0] in (expected[0], HALF - expected[0])
