@@ -231,10 +231,8 @@ def symplectic_check(s: PQState) -> bool:
     x_q, y_q = chart(Dual.var(s.q), Dual.const(s.p))
     x_p, y_p = chart(Dual.const(s.q), Dual.var(s.p))
     jac_det = x_q.der * y_p.der - x_p.der * y_q.der
-    x, y = x_q.val, y_q.val
-    if x == y:
-        raise DegenerateInput("chart degenerate: x = y")
-    return k0 * jac_det / ((x - y) ** 2) == -1
+    # y - x = k0/p, nonzero after the checks above
+    return k0 * jac_det / ((x_q.val - y_q.val) ** 2) == -1
 
 
 def transversality_solve(lambda1: Rat, lambda2: Rat, k0: Rat):

@@ -257,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command: its payload goes to stdout as JSON, and the exit
     code is 1 exactly when the payload says "passed": false."""
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.11+ caps int <-> str at 4,300 digits
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         out = to_json(args.fn(**{name: getattr(args, name) for name in args.names}))

@@ -184,10 +184,6 @@ class Mat2:
         return Mat2(self.a11 + other.a11, self.a12 + other.a12,
                     self.a21 + other.a21, self.a22 + other.a22)
 
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a11 - other.a11, self.a12 - other.a12,
-                    self.a21 - other.a21, self.a22 - other.a22)
-
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
 

@@ -116,7 +116,7 @@ def representative(point: PPoint, poles) -> QuasiPar:
     """A canonical quasiparabolic structure mapping to the given point.
 
     Orbit coordinates are fixed by pinning three directions to a
-    deterministic frame; the image under the classifying map is asserted.
+    deterministic frame; that `phi_map` sends it back to the point is tested.
     Off the poles the first direction is read off the degree-(-1) section
     (v, w) through the other three whose v vanishes at the base: the
     direction u = inf over the base imposes exactly v(base) = 0.
@@ -137,10 +137,7 @@ def representative(point: PPoint, poles) -> QuasiPar:
         mod = list(frame)
         mod[others[2]] = section_value(v, poles[others[2]], 1)
         u = tuple(mod)
-    qp = QuasiPar(poles=poles, u=u)
-    if phi_map(qp) != point:
-        raise AssertionError(f"representative of {point} classifies wrongly")
-    return qp
+    return QuasiPar(poles=poles, u=u)
 
 
 # ---------------------------------------------------------------------------

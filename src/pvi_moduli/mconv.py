@@ -98,24 +98,18 @@ def _convolve(nums, den: int, sigma) -> tuple:
     counted in units of 1/D, eps' = -h/2 and the parities in units of
     1/(2D).  The parity of sum(mu') = sum(z) + sum(h)/2 needs only sum(z)
     mod 1, which the product constraint fixes at 1/2 - sum(sigma_i eps_i)
-    for every choice of z that `mc_exponents` accepts.
+    for every choice of z that `mc_exponents` accepts.  No y_i is 0 mod 1,
+    as y_i + 1/2 is a signed eps sum, and sum(h) = 2 sum(sigma_i eps_i)
+    mod 1 makes sum(mu') 0 or 1/2 mod 1.
     """
     d = 2 * den                                  # also 1/2 in units of 1/(2D)
     signed = sum(s * n for s, n in zip(sigma, nums))
     shifted = 2 * signed - den                   # sum sigma_j eps_j - 1/2, over D
-    eps_out = []
-    for s, n in zip(sigma, nums):
-        y = (shifted - 4 * s * n) % d
-        if y == 0:
-            raise SpecialParameters("output eigenvalue gap vanishes")
-        eps_out.append(d - y)                    # -h with h = y - D in (-D, 0)
-    total = (d - 4 * signed - sum(eps_out)) % (2 * d)
-    if total != d:
-        if total != 0:
-            raise DegenerateInput(f"parity bookkeeping broke: sum mu' = {Fraction(total, 2 * d)}")
+    eps_out = [d - (shifted - 4 * s * n) % d for s, n in zip(sigma, nums)]  # -h, h = y - D
+    flipped = (d - 4 * signed - sum(eps_out)) % (2 * d) == 0    # even degree; else it is d
+    if flipped:
         eps_out[0] = d - eps_out[0]
-        return eps_out, True
-    return eps_out, False
+    return eps_out, flipped
 
 
 def zone_interchange_check(w: Weights):
@@ -126,13 +120,13 @@ def zone_interchange_check(w: Weights):
     of the all-plus choice.  The zone of an image does not depend on the
     twists z_i, so the images are classified from their integer eps'.  The
     mu are not read: the images are those of odd-degree weights with these eps.
+    Unstable eps are nonspecial: zone A's signed sums lie in (-1/2, 1/2), and
+    `et_pair`, which maps A onto every unstable zone, keeps nonspecial.
     """
     nums, den = over_common_denominator(w.eps)
     zone_in = classify_numerators(nums, den)
     if zone_in == ZONE_STABLE:
         raise DegenerateInput("input must lie in an unstable zone")
-    if not nonspecial_exponents(w):
-        raise SpecialParameters("signed eps sums hit a half-integer")
     per_sigma = {sigma_text(signs): classify_numerators(_convolve(nums, den, signs)[0], 4 * den)
                  for signs in product((1, -1), repeat=4)}
     stable_sigmas = [sg for sg, label in per_sigma.items() if label == ZONE_STABLE]

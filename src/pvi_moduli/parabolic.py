@@ -211,8 +211,9 @@ def q_map_parabolic(qp: QuasiPar) -> ProjRat:
 
         Q = -t (u2 - u3 + (t-1) u4) / ((t-1) u1 - t u2 + u3).
 
-    Falls back to the subbundle computation when some u_i = inf.  Raises
-    DegenerateInput when numerator and denominator both vanish.
+    Falls back to the subbundle computation when some u_i = inf.  Never
+    0/0: den = 0 puts u1, u2, u3 on a line of slope v1, and then num =
+    -t(t-1)(u4 - v1) is nonzero, as four directions on one line are not simple.
     """
     poles = qp.poles
     if not (poles[0] == 0 and poles[1] == 1 and is_inf(poles[3])) or is_inf(poles[2]):
@@ -225,20 +226,16 @@ def q_map_parabolic(qp: QuasiPar) -> ProjRat:
     u1, u2, u3, u4 = qp.u
     num = -t * (u2 - u3 + (t - 1) * u4)
     den = (t - 1) * u1 - t * u2 + u3
-    if den == 0:
-        if num == 0:
-            raise DegenerateInput("parabolic coordinate formula is 0/0")
-        return INF
-    return num / den
+    return INF if den == 0 else num / den
 
 
 def phi_map(qp: QuasiPar) -> PPoint:
     """Classifying map to the non-separated line.
 
     Over a pole the structure lands on the minus copy when its own
-    direction is the O(1) fiber (u_i = inf) and on the plus copy when the
-    other three directions are colinear; these are the only two ways the
-    coordinate can hit a pole.
+    direction is the O(1) fiber (u_i = inf), else on the plus copy: the
+    base t_i is the zero of v, so w(t_i) = u_i v(t_i) = 0, the section is
+    (x - t_i)(c, w'), and the other three directions lie on the line w'/c.
     """
     if not is_simple(qp):
         raise NotSimple("decomposable quasiparabolic structure")
@@ -246,12 +243,7 @@ def phi_map(qp: QuasiPar) -> PPoint:
     idx = pole_index(base, qp.poles)
     if idx is None:
         return PPoint(base=base, sheet=Sheet.GENERIC)
-    if is_inf(qp.u[idx]):
-        return PPoint(base=base, sheet=Sheet.MINUS)
-    others = [j for j in range(4) if j != idx]
-    if line_through(qp, others) is None:
-        raise AssertionError("coordinate at a pole without origin or colinearity degeneration")
-    return PPoint(base=base, sheet=Sheet.PLUS)
+    return PPoint(base=base, sheet=Sheet.MINUS if is_inf(qp.u[idx]) else Sheet.PLUS)
 
 
 def parabolic_structures(s: PQState) -> tuple:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .connection import KappaParams, PQState
-from .errors import SamplerExhausted, SpecialWeights
+from .errors import SamplerExhausted
 from .exact import HALF
 from .parabolic import QuasiPar, in_general_position
 from .stability import Weights, ZONE_A, ZONE_STABLE, classify_zone, et_pair, nonspecial_eps
@@ -20,12 +20,9 @@ RETRY_LIMIT = 10000  # draws before a sampler gives up
 
 
 def _zone_of(eps) -> Optional[str]:
-    """The zone label of nonspecial weights with these eps, else None."""
-    try:
-        w = Weights.of_eps(eps)
-        return classify_zone(w) if nonspecial_eps(w.eps) else None
-    except SpecialWeights:
-        return None
+    """The zone label of nonspecial eps in (0, 1/2), else None; every wall
+    of `classify_zone` is a signed eps sum at +-1/2 or 3/2."""
+    return classify_zone(Weights.of_eps(eps)) if nonspecial_eps(eps) else None
 
 
 class RationalSampler:

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from pvi_moduli import backlund as bk, verify
 from pvi_moduli.cli import ARGUMENTS, COMMANDS, build_parser, main
-from pvi_moduli.connection import FourPoleConnection
+from pvi_moduli.connection import FourPoleConnection, PQState
+from pvi_moduli.exact import to_json
 from pvi_moduli.verify import SUITES, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -293,6 +294,29 @@ class TestFibrationCommands:
             main(["fibration"] + argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestTallRationals:
+    """Python 3.11+ caps int <-> str conversion at 4,300 digits by default;
+    the CLI reads and prints exact values of any height."""
+
+    def test_tall_state_read_and_printed_unchanged(self, tmp_path):
+        q = "1" * 5001 + "/7"
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(dict(STATE, q=q)))
+        # a fresh interpreter, so the default digit limit is in force
+        proc = subprocess.run([sys.executable, "-m", "pvi_moduli.cli", "fibration", "q",
+                               "--state", str(path)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"q": q}
+
+    def test_tall_image_printed_exactly(self, capsys, state_file):
+        word = bk.WORD_SHIFT_12 * 40
+        code, out = run_cli(capsys, "symmetry", "apply", "--word", ",".join(word),
+                            "--state", state_file)
+        assert code == 0
+        assert len(out["q"]) > 6000
+        assert out == to_json(bk.apply_word(word, PQState.from_json_dict(STATE)))
 
 
 class TestVerifyCommand:

@@ -30,6 +30,13 @@ sigma and twists z that meet or break the product constraint.  Every eps'
 of an answer lies in (0, 1/2), and the interchange report gives each of
 the sixteen sigma one zone label, the one `mc_exponents` reaches with it.
 
+Facts the package relies on without re-checking them at run time: a
+structure that `phi_map` puts on a plus sheet has its other three
+directions on one line; `mc_exponents` gives odd degree, sum(mu') =
+-1/2 mod 1, for every nonspecial input and sigma; every unstable-zone
+weight is nonspecial; and the sampler's zone label never raises on eps in
+(0, 1/2).
+
 The middle convolution is Okamoto's s0 on the signed exponents: for
 nonspecial eps and any sigma, the eps' of `mc_exponents` are the
 fractional parts of s0(2 sigma_1 eps_1, ..., 2 sigma_4 eps_4), halved, up
@@ -41,14 +48,15 @@ from itertools import product
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pvi_moduli.backlund import ALPHABET, apply_generator, apply_word
-from pvi_moduli.connection import KappaParams, PPoint, PQState, build_connection
+from pvi_moduli.connection import KappaParams, PPoint, PQState, Sheet, build_connection
 from pvi_moduli.errors import ModuliError
 from pvi_moduli.exact import HALF, INF, is_inf
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights, sigma_text, zone_interchange_check
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative,
                               sorted_divisor, theta_divisor)
-from pvi_moduli.parabolic import (QuasiPar, parabolic_from_connection, parabolic_structures,
-                                  phi_map, q_map)
+from pvi_moduli.parabolic import (QuasiPar, line_through, parabolic_from_connection,
+                                  parabolic_structures, phi_map, q_map)
+from pvi_moduli.sampling import _zone_of
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_STABLE, Subbundle, Weights,
                                   candidate_subbundles, classify_zone, find_destabilizer,
                                   nonspecial_eps, parabolic_degree)
@@ -122,6 +130,18 @@ def test_phi_map_is_inverted_by_the_canonical_representative(qp):
         return
     assert isinstance(point, PPoint)
     assert phi_map(representative(point, qp.poles)) == point
+
+
+@given(structures())
+@example(QuasiPar(poles=(F(0), F(1), F(2), INF), u=(F(5), F(1), F(2), F(1))))
+def test_phi_map_plus_sheet_comes_with_three_colinear_directions(qp):
+    # the only other way onto a pole than u_i = inf (the minus sheet)
+    point = outcome(phi_map, qp)
+    if isinstance(point, ModuliError) or point.sheet != Sheet.PLUS:
+        return
+    others = [j for j in range(4) if qp.poles[j] != point.base]
+    assert len(others) == 3 and not any(is_inf(qp.u[j]) for j in others)
+    assert line_through(qp, others) is not None
 
 
 @given(structures(), weights())
@@ -246,6 +266,10 @@ SIGNS = [signs for signs in product((1, -1), repeat=4) if signs[0] == 1]
 HALF_INTEGERS = (F(1, 2), F(-1, 2), F(3, 2), F(-3, 2))
 
 
+def _frac(x):
+    return x - (x.numerator // x.denominator)
+
+
 @st.composite
 def exponent_data(draw):
     """Weights whose eps lie in (0, 1/2), with heights up to 2^64, often
@@ -299,6 +323,39 @@ def test_mc_exponents_give_exponents_or_a_moduli_error(e, sigma, data):
 
 @settings(deadline=None)
 @given(exponent_data())
+def test_mc_exponents_keep_odd_degree_for_every_sigma(e):
+    # no parity check inside `mc_exponents`: sum(mu') = -1/2 mod 1 and
+    # 0 < eps' < 1/2 (the `Weights` constructor) hold on every nonspecial input
+    if isinstance(e, ModuliError) or not nonspecial_eps(e.eps) or _frac(sum(e.mu)) != HALF:
+        return
+    for signs in product("+-", repeat=4):
+        out = mc_exponents(e, "".join(signs))
+        assert _frac(sum(out.mu)) == HALF
+        assert all(0 < x < HALF for x in out.eps)
+
+
+@settings(deadline=None)
+@given(exponent_data())
+def test_every_unstable_zone_weight_is_nonspecial(e):
+    # what lets `zone_interchange_check` convolve without a nonspecial check
+    if isinstance(e, ModuliError):
+        return
+    if outcome(classify_zone, e) in ALL_ZONE_LABELS:
+        assert nonspecial_eps(e.eps)
+
+
+@settings(deadline=None)
+@given(exponent_data())
+def test_sampler_zone_label_never_raises_in_the_open_cube(e):
+    if isinstance(e, ModuliError):
+        return
+    label = _zone_of(e.eps)
+    assert label in (None, ZONE_STABLE, *ALL_ZONE_LABELS)
+    assert (label is None) == (not nonspecial_eps(e.eps))
+
+
+@settings(deadline=None)
+@given(exponent_data())
 def test_zone_interchange_check_gives_a_zone_per_sigma_or_a_moduli_error(e):
     assume(not isinstance(e, ModuliError))
     report = outcome(zone_interchange_check, e)
@@ -309,10 +366,6 @@ def test_zone_interchange_check_gives_a_zone_per_sigma_or_a_moduli_error(e):
     assert set(report["zones"].values()) <= {ZONE_STABLE, *ALL_ZONE_LABELS}
     assert report["stable_sigmas"] == [sg for sg in every if report["zones"][sg] == ZONE_STABLE]
     assert report["found_stable"] == bool(report["stable_sigmas"])
-
-
-def _frac(x):
-    return x - (x.numerator // x.denominator)
 
 
 @st.composite

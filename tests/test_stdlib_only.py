@@ -1,0 +1,29 @@
+"""The package has no runtime dependencies (`dependencies = []` in
+pyproject.toml): every absolute import in `src/pvi_moduli`, including the
+imports inside functions, names a standard-library module."""
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "pvi_moduli").glob("*.py"))
+
+
+def absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_every_module_is_checked():
+    assert len(SOURCES) > 10 and any(p.name == "cli.py" for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    outside = sorted({name for name in absolute_imports(path)
+                      if name.split(".")[0] not in sys.stdlib_module_names})
+    assert outside == []
