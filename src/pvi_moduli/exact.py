@@ -18,9 +18,10 @@ stability, Higgs and lattice layers stay over Q.  Their small linear
 systems run on integers: rows scaled by `over_common_denominator`, solved
 in closed form with `det3` and `det4`, and the Higgs Wronskian is an
 integer polynomial whose known roots `poly_divide_root` divides out.
-`solve_linear`, general Gauss-Jordan elimination over Q, and
+`solve_linear`, plain textbook Gauss-Jordan elimination over Q, and
 `poly_divmod` are called by no package code; they are the references the
-tests compare those closed forms with.
+tests compare those closed forms with; `solve_linear` leaves `src/` once
+the benchmark drops its tracer target and four per-layer metrics.
 """
 from __future__ import annotations
 
@@ -37,7 +38,8 @@ HALF = Fraction(1, 2)
 
 
 class Infinity:
-    """The point at infinity of P^1.  A single shared instance `INF` is used."""
+    """The point at infinity of P^1, equal only to itself: `__new__` makes
+    `INF` the only instance, and copies and pickles (protocol 2+) call it."""
 
     _instance = None
 
@@ -48,12 +50,6 @@ class Infinity:
 
     def __repr__(self):
         return "inf"
-
-    def __eq__(self, other):
-        return isinstance(other, Infinity)
-
-    def __hash__(self):
-        return hash("pvi-infinity")
 
 
 INF = Infinity()
@@ -298,64 +294,44 @@ class LinearSolution:
 
 
 def solve_linear(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> LinearSolution:
-    """Exact Gauss-Jordan elimination over Q.
+    """Exact Gauss-Jordan elimination over Q, on whole rows.
 
     Returns the rank, one particular solution and a nullspace basis.
-    Raises NoSolution for an inconsistent system.  Pivoting is
-    deterministic (first nonzero entry), so the returned basis is
+    Raises NoSolution for an inconsistent system.  Each pivot is the first
+    nonzero entry of its column at or below the current row, and the
+    reduced row echelon form is unique, so the returned basis is
     reproducible.
-
-    When column c gets its pivot, every row from the pivot row down is
-    already zero left of c (earlier pivot columns were eliminated, and the
-    skipped columns had no nonzero entry left in those rows).  So only
-    columns c+1..n are normalised and eliminated, and only where the pivot
-    row is nonzero; the pivot entry is set to 1 and the eliminated ones to
-    0 directly.  Exact arithmetic makes the result the same as full
-    elimination.
     """
     m = len(rows)
     if m == 0:
         raise DegenerateInput("empty system")
     n = len(rows[0])
     a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    zero, one = Fraction(0), Fraction(1)
     pivots = []
-    r = 0
     for c in range(n):
+        r = len(pivots)
         pr = next((i for i in range(r, m) if a[i][c] != 0), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        prow = a[r]
-        pv = prow[c]
-        live = [j for j in range(c + 1, n + 1) if prow[j] != 0]
-        for j in live:
-            prow[j] = prow[j] / pv
-        prow[c] = one
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
         for i in range(m):
-            row = a[i]
-            f = row[c]
-            if i != r and f != 0:
-                for j in live:
-                    row[j] = row[j] - f * prow[j]
-                row[c] = zero
+            if i != r:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            raise NoSolution("inconsistent linear system")
-    free = [c for c in range(n) if c not in pivots]
+    if any(row[n] != 0 for row in a[len(pivots):]):
+        raise NoSolution("inconsistent linear system")
     part = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        part[c] = a[i][n]
+    for row, c in zip(a, pivots):
+        part[c] = row[n]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -a[i][fc]
+        for row, c in zip(a, pivots):
+            v[c] = -row[fc]
         basis.append(tuple(v))
     return LinearSolution(rank=len(pivots), particular=tuple(part), nullspace=tuple(basis))
 

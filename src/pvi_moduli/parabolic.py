@@ -207,21 +207,24 @@ def q_map(qp: QuasiPar) -> ProjRat:
 
 
 def q_map_parabolic(qp: QuasiPar) -> ProjRat:
-    """Closed form of `q_map` for poles (0, 1, t, inf) and finite u:
+    """Closed form of `q_map` for poles (0, 1, t, inf):
 
-        Q = -t (u2 - u3 + (t-1) u4) / ((t-1) u1 - t u2 + u3).
+        Q = -t (u2 - u3 + (t-1) u4) / ((t-1) u1 - t u2 + u3),
 
-    Falls back to the subbundle computation when some u_i = inf.  Never
-    0/0: den = 0 puts u1, u2, u3 on a line of slope v1, and then num =
-    -t(t-1)(u4 - v1) is nonzero, as four directions on one line are not simple.
+    or Q = t_i when u_i = inf.  Never 0/0: den = 0 puts u1, u2, u3 on a
+    line of slope v1, and then num = -t(t-1)(u4 - v1) is nonzero, as four
+    directions on one line are not simple.  A simple structure has at most
+    one u_i = inf, which forces v(t_i) = 0, so v = c(x - t_i) (v = c when
+    t_i = inf); c = 0 would make w vanish at the other three poles, so
+    w = 0: the kernel is one line, and its v vanishes only at t_i.
     """
     poles = qp.poles
     if not (poles[0] == 0 and poles[1] == 1 and is_inf(poles[3])) or is_inf(poles[2]):
         raise DegenerateInput("closed form assumes poles (0, 1, t, inf)")
     if not is_simple(qp):
         raise NotSimple("the parabolic coordinate is defined on simple structures only")
-    if qp.infinite_indices():
-        return q_map(qp)
+    if inf_idx := qp.infinite_indices():
+        return poles[inf_idx[0]]
     t = poles[2]
     u1, u2, u3, u4 = qp.u
     num = -t * (u2 - u3 + (t - 1) * u4)

@@ -28,6 +28,9 @@ Each generator is also proved symplectic: det d(q', p')/d(q, p) = 1, the
 partial derivatives taken with exact dual numbers over Q(t, kappa, q, p).
 For the pole permutations this proves that p -> -w(wp + k0)/d_c is the
 cotangent lift of q -> t_c + d_c/w.
+
+The word printed in criterion 4b is proved to be WORD_SHIFT_34, so it
+shifts (k3, k4), not the (k1, k2) the criterion states.
 """
 from functools import partial
 
@@ -127,6 +130,24 @@ def test_parabolic_coordinate_is_q_plus_k0_over_p():
 
 def test_alternative_structure_computes_q_prime():
     assert q_map_parabolic(parabolic_structures(STATE)[1]) == bk.big_q_prime_of(STATE)
+
+
+# ---------------------------------------------------------------------------
+# Criterion 4b, refuted over Q(t, kappa, q, p)
+# ---------------------------------------------------------------------------
+
+def test_printed_criterion_4b_word_is_word_shift_34():
+    """Criterion 4b prints the word below and claims it shifts (k1, k2) by
+    +1.  It is WORD_SHIFT_34 letter for letter, whose shift of (k3, k4) by
+    +1 is proved above as an identity, so the claim fails at every state
+    where the word is defined, not only at the sample that
+    tests/test_acceptance.py::test_criterion_04b_composite_word_as_printed
+    asserts it on."""
+    word = tuple("r12_34 s3 s4 s0 s1 s2 s0".split())
+    assert word == bk.WORD_SHIFT_34
+    assert BACKLUND[f"word [{','.join(word)}] shifts (k3,k4) by +1"]
+    shifted = bk.apply_word(word, STATE).kappa.all4
+    assert shifted == (k1, k2, k3 + 1, k4 + 1) != (k1 + 1, k2 + 1, k3, k4)
 
 
 # ---------------------------------------------------------------------------

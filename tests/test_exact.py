@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -6,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pvi_moduli.errors import DegenerateInput, NoSolution
-from pvi_moduli.exact import (INF, Dual, Mat2, is_inf, pick_sums, poly_add, poly_deriv,
-                              poly_divmod, poly_mul, poly_trim, proj_from_str, proj_to_str,
-                              rat_from_str, rat_to_str, solve_linear)
+from pvi_moduli.exact import (INF, Dual, Infinity, Mat2, is_inf, pick_sums, poly_add,
+                              poly_deriv, poly_divmod, poly_mul, poly_trim, proj_from_str,
+                              proj_to_str, rat_from_str, rat_to_str, solve_linear)
 
 rationals = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -76,6 +78,28 @@ class TestRat:
     def test_pick_sums_takes_one_entry_of_each_pair(self, pairs):
         brute = [sum(choice) for choice in product(*pairs)]
         assert Counter(pick_sums(pairs)) == Counter(brute)
+
+
+class TestInfinity:
+    """`Infinity` has the default identity equality and hash, so every way
+    of making a point at infinity has to give `INF` itself."""
+
+    def test_constructor_returns_the_one_instance(self):
+        assert Infinity() is INF
+
+    @pytest.mark.parametrize("make", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    def test_copies_are_inf(self, make):
+        assert make(INF) is INF
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_is_inf(self, protocol):
+        assert pickle.loads(pickle.dumps(INF, protocol=protocol)) is INF
+
+    def test_equality_and_hash(self):
+        assert INF == INF
+        assert INF != F(0) and F(0) != INF and INF != 0
+        points = {INF: "inf", F(0): "0"}
+        assert points[Infinity()] == "inf" and points[proj_from_str("inf")] == "inf"
 
 
 class TestSolveLinear:

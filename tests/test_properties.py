@@ -31,6 +31,8 @@ of an answer lies in (0, 1/2), and the interchange report gives each of
 the sixteen sigma one zone label, the one `mc_exponents` reaches with it.
 
 Facts the package relies on without re-checking them at run time: a
+simple structure with u_i = inf has Q = t_i, the answer of
+`q_map_parabolic`, which `q_map` finds through the conic; a
 structure that `phi_map` puts on a plus sheet has its other three
 directions on one line; `mc_exponents` gives odd degree, sum(mu') =
 -1/2 mod 1, for every nonspecial input and sigma; every unstable-zone
@@ -49,13 +51,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from pvi_moduli.backlund import ALPHABET, apply_generator, apply_word
 from pvi_moduli.connection import KappaParams, PPoint, PQState, Sheet, build_connection
-from pvi_moduli.errors import ModuliError
+from pvi_moduli.errors import ModuliError, NotSimple
 from pvi_moduli.exact import HALF, INF, is_inf
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights, sigma_text, zone_interchange_check
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative,
                               sorted_divisor, theta_divisor)
-from pvi_moduli.parabolic import (QuasiPar, line_through, parabolic_from_connection,
-                                  parabolic_structures, phi_map, q_map)
+from pvi_moduli.parabolic import (QuasiPar, is_simple, line_through, parabolic_from_connection,
+                                  parabolic_structures, phi_map, q_map, q_map_parabolic)
 from pvi_moduli.sampling import _zone_of
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_STABLE, Subbundle, Weights,
                                   candidate_subbundles, classify_zone, find_destabilizer,
@@ -121,6 +123,30 @@ def states(draw):
 def test_q_map_gives_a_point_or_a_moduli_error(qp):
     out = outcome(q_map, qp)
     assert isinstance(out, (ModuliError, F)) or is_inf(out)
+
+
+@st.composite
+def structures_with_one_infinite_direction(draw):
+    """Poles (0, 1, t, inf) and u_i = inf in one slot i, the other three
+    directions often on one line (not simple); returns (structure, i)."""
+    poles = (F(0), F(1), draw(rationals.filter(lambda t: t not in (0, 1))), INF)
+    if draw(st.booleans()):
+        v0, v1 = draw(rationals), draw(rationals)
+        u = [v1 if is_inf(tv) else v0 + v1 * tv for tv in poles]
+    else:
+        u = [draw(rationals) for _ in poles]
+    i = draw(st.integers(0, 3))
+    u[i] = INF
+    return QuasiPar(poles=poles, u=tuple(u)), i
+
+
+@given(structures_with_one_infinite_direction())
+def test_q_map_parabolic_with_one_infinite_direction_is_its_pole(case):
+    qp, i = case
+    if not is_simple(qp):
+        assert isinstance(outcome(q_map_parabolic, qp), NotSimple)
+        return
+    assert q_map_parabolic(qp) == qp.poles[i] == q_map(qp)
 
 
 @given(structures())

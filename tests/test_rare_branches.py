@@ -123,8 +123,9 @@ def test_sigma_label_of_a_class_off_the_sigma_family():
     (F(1), F(2), F(5), INF),
 ])
 def test_q_map_parabolic_with_one_infinite_direction_is_q_map(u):
+    # two routes: the closed form's pole and the conic through the directions
     qp = par.QuasiPar(poles=POLES, u=u)
-    assert par.q_map_parabolic(qp) == par.q_map(qp)
+    assert par.q_map_parabolic(qp) == qp.poles[u.index(INF)] == par.q_map(qp)
 
 
 def test_q_map_parabolic_at_infinity():
