@@ -2,15 +2,13 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/line_trace.py                 # tier-1: pytest tests
-    python3 scripts/line_trace.py -- tests/test_exact.py -x
+    python3 scripts/line_trace.py
 
-The arguments after `--` go to pytest (default: the whole `tests`
-directory).  pytest runs with a `sys.settrace` line tracer that records
-only frames of files under src/pvi_moduli.  The tracer is installed by a
-`sitecustomize.py` in a temporary directory put first on PYTHONPATH, so
-every Python process the tests start (the CLI subprocesses included)
-traces itself too; each process writes its (file, line) set when it
+runs tier-1 (pytest on the whole `tests` directory) with a
+`sys.settrace` line tracer that records only frames of files under
+src/pvi_moduli.  The tracer is installed by a `sitecustomize.py` in a
+temporary directory put first on PYTHONPATH, so every Python process the
+tests start (the CLI subprocesses included) traces itself too; each process writes its (file, line) set when it
 exits.  The executable lines of a module are those of every code object
 in `compile()` of its source, read with `co_lines()`.  pytest's own output
 goes to stderr; stdout gets one `path:line: source` row per line that
@@ -20,7 +18,6 @@ the tests (2 or more), else 0.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -30,7 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pvi_moduli"
-PYTEST_DEFAULT = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", "tests"]
+PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", "tests"]
 
 SITECUSTOMIZE = '''\
 import atexit, os, sys, threading, time
@@ -105,12 +102,8 @@ def never_ran(hits: set) -> tuple:
     return rows, total
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("pytest_args", nargs="*", help="arguments for pytest, after --")
-    args = parser.parse_args(argv)
-    pytest = [sys.executable, "-m", "pytest", *(args.pytest_args or PYTEST_DEFAULT)]
-    code, hits = traced_run(pytest, out=sys.stderr)
+def main() -> int:
+    code, hits = traced_run([sys.executable, "-m", "pytest", *PYTEST_ARGS], out=sys.stderr)
     rows, total = never_ran(hits)
     for path, n, text in rows:
         print(f"{path}:{n}: {text}")

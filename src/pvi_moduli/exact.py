@@ -39,7 +39,8 @@ HALF = Fraction(1, 2)
 
 class Infinity:
     """The point at infinity of P^1, equal only to itself: `__new__` makes
-    `INF` the only instance, and copies and pickles (protocol 2+) call it."""
+    `INF` the only instance.  Copies and pickles of protocol 2+ call it; one
+    of protocol 0 or 1 does not, and is neither `== INF` nor `is_inf`."""
 
     _instance = None
 
@@ -58,7 +59,7 @@ ProjRat = Union[Rat, Infinity]
 
 
 def is_inf(v: ProjRat) -> bool:
-    return isinstance(v, Infinity)
+    return v is INF
 
 
 # ASCII digits only: Fraction() would also take decimals, exponents (whose

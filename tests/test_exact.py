@@ -95,6 +95,15 @@ class TestInfinity:
     def test_pickle_round_trip_is_inf(self, protocol):
         assert pickle.loads(pickle.dumps(INF, protocol=protocol)) is INF
 
+    @pytest.mark.parametrize("protocol", [0, 1])
+    def test_old_pickle_protocols_give_a_copy_no_check_calls_infinity(self, protocol):
+        """Protocols 0 and 1 rebuild through `object.__new__`, which skips
+        `Infinity.__new__`; equality and `is_inf` both compare identity, so
+        they agree that the copy is not the point at infinity."""
+        stray = pickle.loads(pickle.dumps(INF, protocol=protocol))
+        assert stray is not INF and stray != INF and not is_inf(stray)
+        assert is_inf(INF) and is_inf(Infinity())
+
     def test_equality_and_hash(self):
         assert INF == INF
         assert INF != F(0) and F(0) != INF and INF != 0
