@@ -35,32 +35,27 @@ outlives the object, and equal states built apart share nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
-from .exact import (HALF, INF, Mat2, ProjRat, Rat, is_inf, over_common_denominator, parse_list,
-                    pick_sums, proj_from_str, proj_to_str, rat_from_str, rat_to_str)
+from .exact import (HALF, INF, Mat2, ProjRat, Rat, Value, is_inf, over_common_denominator,
+                    parse_list, pick_sums, proj_from_str, proj_to_str, rat_from_str, rat_to_str)
 
 
 # ---------------------------------------------------------------------------
 # Parameters and residues
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KappaParams:
+class KappaParams(Value):
     """Exponents with 2*k0 + k1 + ... + k4 = 1, taken as given: `from_strs`
     and `from_k1234` are the checked entry points, and every symmetry
     generator keeps the relation (tests/test_certificates.py)."""
 
-    k0: Rat
-    k1: Rat
-    k2: Rat
-    k3: Rat
-    k4: Rat
+    def __init__(self, k0: Rat, k1: Rat, k2: Rat, k3: Rat, k4: Rat):
+        self.__dict__.update(k0=k0, k1=k1, k2=k2, k3=k3, k4=k4)
 
     @classmethod
     def from_k1234(cls, k1, k2, k3, k4) -> "KappaParams":
@@ -110,8 +105,7 @@ def kappa_generic(kappa: KappaParams) -> bool:
     return not any(s % (2 * den) == den for s in pick_sums((n, -n) for n in nums))
 
 
-@dataclass(frozen=True)
-class ResidueVector:
+class ResidueVector(Value):
     """Residue eigenvalue data of a lambda-connection of fixed degree.
 
     r_minus[i] acts on the parabolic direction P_i, r_plus[i] on the
@@ -119,14 +113,10 @@ class ResidueVector:
     `elementary_transform_residues` keep sum(r+ + r-) + lam*degree = 0.
     """
 
-    r_plus: tuple
-    r_minus: tuple
-    lam: Rat
-    degree: int
-
-    def __post_init__(self):
-        if len(self.r_plus) != 4 or len(self.r_minus) != 4:
+    def __init__(self, r_plus: tuple, r_minus: tuple, lam: Rat, degree: int):
+        if len(r_plus) != 4 or len(r_minus) != 4:
             raise DegenerateInput("residue vectors carry four poles")
+        self.__dict__.update(r_plus=r_plus, r_minus=r_minus, lam=lam, degree=degree)
 
 
 def kostov_generic(r: ResidueVector) -> bool:
@@ -156,18 +146,13 @@ def elementary_transform_residues(r: ResidueVector, i: int) -> ResidueVector:
 # States and connection matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PQState:
+class PQState(Value):
     """(t, kappa, q, p): a point of the moduli space in the (q, p) chart, q in P^1."""
 
-    t: Rat
-    kappa: KappaParams
-    q: ProjRat
-    p: Rat
-
-    def __post_init__(self):
-        if self.t in (0, 1):
+    def __init__(self, t: Rat, kappa: KappaParams, q: ProjRat, p: Rat):
+        if t in (0, 1):
             raise DegenerateInput("pole position t must avoid 0 and 1")
+        self.__dict__.update(t=t, kappa=kappa, q=q, p=p)
 
     @classmethod
     def make(cls, t, k1234, q, p) -> "PQState":
@@ -240,20 +225,18 @@ class Sheet(Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class PPoint:
+class PPoint(Value):
     """A point of the non-separated line: a base point of P^1 plus, over a
     pole, the choice of one of the two glued copies."""
 
-    base: ProjRat
-    sheet: Sheet
+    def __init__(self, base: ProjRat, sheet: Sheet):
+        self.__dict__.update(base=base, sheet=sheet)
 
     def to_json_dict(self):
         return {"base": proj_to_str(self.base), "sheet": self.sheet.value}
 
 
-@dataclass(frozen=True)
-class FourPoleConnection:
+class FourPoleConnection(Value):
     """Residue matrices A1..A4 plus the constant part C of A(x).
 
     A(x) = A1/x + A2/(x-1) + A3/(x-t) + C, and A4 describes the pole at
@@ -261,13 +244,9 @@ class FourPoleConnection:
     gauges this package constructs).
     """
 
-    t: Rat
-    kappa: KappaParams
-    a1: Mat2
-    a2: Mat2
-    a3: Mat2
-    a4: Mat2
-    c: Mat2
+    def __init__(self, t: Rat, kappa: KappaParams, a1: Mat2, a2: Mat2, a3: Mat2, a4: Mat2,
+                 c: Mat2):
+        self.__dict__.update(t=t, kappa=kappa, a1=a1, a2=a2, a3=a3, a4=a4, c=c)
 
     def finite_residues(self):
         return (self.a1, self.a2, self.a3)

@@ -18,6 +18,9 @@ stability, Higgs and lattice layers stay over Q.  Their small linear
 systems run on integers: rows scaled by `over_common_denominator`, solved
 in closed form with `det3` and `det4`, and the Higgs Wronskian is an
 integer polynomial whose known roots `poly_divide_root` divides out.
+The value types of every layer derive from `Value`: immutable objects
+whose fields are the parameters of their own explicit `__init__`, equal
+and hashed by those fields, and printed as `Name(field=value, ...)`.
 `solve_linear`, plain textbook Gauss-Jordan elimination over Q, and
 `poly_divmod` are called by no package code; they are the references the
 tests compare those closed forms with; `solve_linear` leaves `src/` once
@@ -26,8 +29,8 @@ the benchmark drops its tracer target and four per-layer metrics.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -39,8 +42,8 @@ HALF = Fraction(1, 2)
 
 class Infinity:
     """The point at infinity of P^1, equal only to itself: `__new__` makes
-    `INF` the only instance.  Copies and pickles of protocol 2+ call it; one
-    of protocol 0 or 1 does not, and is neither `== INF` nor `is_inf`."""
+    `INF` the only instance, and `__reduce__` names it, so every copy and
+    every pickle protocol gives back `INF` itself."""
 
     _instance = None
 
@@ -48,6 +51,9 @@ class Infinity:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
+
+    def __reduce__(self):
+        return "INF"
 
     def __repr__(self):
         return "inf"
@@ -158,16 +164,45 @@ def det4(m) -> int:
             + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
 
 
+class Value:
+    """An immutable value.  Its fields are the parameters of the subclass's
+    own `__init__`, which stores them with `self.__dict__.update`; two
+    values are equal when they have the same class and equal fields, the
+    hash is that of the field values, and the repr reads
+    `Name(field=value, ...)`.  `functools.cached_property` still works, as
+    it writes to `__dict__` directly."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # 2x2 matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mat2:
-    a11: Rat
-    a12: Rat
-    a21: Rat
-    a22: Rat
+class Mat2(Value):
+    def __init__(self, a11: Rat, a12: Rat, a21: Rat, a22: Rat):
+        self.__dict__.update(a11=a11, a12=a12, a21=a21, a22=a22)
 
     @classmethod
     def zero(cls) -> "Mat2":
@@ -283,11 +318,10 @@ def poly_divide_root(f, a: int, b: int):
 # Exact linear systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearSolution:
-    rank: int
-    particular: tuple      # one exact solution
-    nullspace: tuple       # tuple of basis vectors of the kernel
+class LinearSolution(Value):
+    def __init__(self, rank: int, particular: tuple, nullspace: tuple):
+        # particular: one exact solution; nullspace: a basis of the kernel
+        self.__dict__.update(rank=rank, particular=particular, nullspace=nullspace)
 
     @property
     def nullity(self) -> int:
@@ -341,12 +375,11 @@ def solve_linear(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> LinearSol
 # Dual numbers (exact forward-mode differentiation)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Dual:
+class Dual(Value):
     """a + b*delta with delta^2 = 0, over Q."""
 
-    val: Rat
-    der: Rat
+    def __init__(self, val: Rat, der: Rat):
+        self.__dict__.update(val=val, der=der)
 
     @classmethod
     def var(cls, x) -> "Dual":
@@ -396,3 +429,5 @@ class Dual:
     def __eq__(self, other):
         o = Dual._lift(other)
         return self.val == o.val and self.der == o.der
+
+    __hash__ = Value.__hash__

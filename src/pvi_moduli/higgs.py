@@ -28,14 +28,13 @@ L destabilizes for no weights, which `theta_divisor` rejects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connection, pole_index
 from .errors import DegenerateInput, SpecialWeights
-from .exact import (INF, is_inf, over_common_denominator, poly_add, poly_deriv, poly_divide_root,
-                    poly_mul, poly_scale, poly_trim, proj_to_str)
+from .exact import (INF, Value, is_inf, over_common_denominator, poly_add, poly_deriv,
+                    poly_divide_root, poly_mul, poly_scale, poly_trim, proj_to_str)
 from .parabolic import (QuasiPar, conic_subbundle, in_general_position, line_through,
                         parabolic_from_connection, phi_map, section_value)
 from .stability import Branch, Subbundle, Weights, ZONE_STABLE, classify_zone, find_destabilizer, stable_subzone_branch
@@ -49,23 +48,21 @@ def sorted_divisor(points) -> tuple:
     return tuple(sorted(points, key=lambda z: (1, Fraction(0)) if is_inf(z) else (0, z)))
 
 
-@dataclass(frozen=True)
-class HiggsLimit:
-    kind: str
-    qp: Optional[QuasiPar] = None        # theta_zero: normalized representative
-    deg_l: Optional[int] = None          # graded: degree of the destabilizer
-    contact: Optional[frozenset] = None  # graded: contact poles of L (1-based)
-    divisor: Optional[tuple] = None      # graded: zero divisor of the Higgs field
-
-    def __post_init__(self):
-        if self.kind == THETA_ZERO:
-            if self.qp is None:
+class HiggsLimit(Value):
+    def __init__(self, kind: str,
+                 qp: Optional[QuasiPar] = None,        # theta_zero: normalized representative
+                 deg_l: Optional[int] = None,          # graded: degree of the destabilizer
+                 contact: Optional[frozenset] = None,  # graded: contact poles of L (1-based)
+                 divisor: Optional[tuple] = None):     # graded: zero divisor of the Higgs field
+        if kind == THETA_ZERO:
+            if qp is None:
                 raise DegenerateInput("theta_zero limit needs a representative")
-        elif self.kind == GRADED:
-            if self.deg_l is None or self.contact is None or self.divisor is None:
+        elif kind == GRADED:
+            if deg_l is None or contact is None or divisor is None:
                 raise DegenerateInput("graded limit needs degree, contact and divisor")
         else:
-            raise DegenerateInput(f"unknown limit kind {self.kind}")
+            raise DegenerateInput(f"unknown limit kind {kind}")
+        self.__dict__.update(kind=kind, qp=qp, deg_l=deg_l, contact=contact, divisor=divisor)
 
     @property
     def quotient_contact(self) -> Optional[frozenset]:

@@ -12,22 +12,20 @@ C1 + F - sum_i Ei^{s_i}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .errors import DegenerateInput
+from .exact import Value
 
 RANK = 10
 
 
-@dataclass(frozen=True)
-class DivClass:
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != RANK or not all(isinstance(c, int) for c in self.coeffs):
+class DivClass(Value):
+    def __init__(self, coeffs: tuple):
+        if len(coeffs) != RANK or not all(isinstance(c, int) for c in coeffs):
             raise DegenerateInput("a divisor class is an integer vector of length 10")
+        self.__dict__["coeffs"] = coeffs
 
     def __add__(self, other: "DivClass") -> "DivClass":
         return DivClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))

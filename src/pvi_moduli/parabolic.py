@@ -13,29 +13,27 @@ non-separated line.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .connection import PPoint, PQState, Sheet, eigen_table, pole_index
 from .errors import DegenerateInput, NotSimple
-from .exact import (INF, ProjRat, Rat, det3, det4, is_inf, over_common_denominator, parse_list,
-                    proj_from_str, proj_to_str)
+from .exact import (INF, ProjRat, Rat, Value, det3, det4, is_inf, over_common_denominator,
+                    parse_list, proj_from_str, proj_to_str)
 
 
-@dataclass(frozen=True)
-class QuasiPar:
-    poles: tuple          # four pairwise distinct points of P^1
-    u: tuple              # four parabolic coordinates (Rat or INF)
-
-    def __post_init__(self):
-        if len(self.poles) != 4 or len(self.u) != 4:
+class QuasiPar(Value):
+    def __init__(self, poles: tuple, u: tuple):
+        # poles: four pairwise distinct points of P^1; u: four parabolic
+        # coordinates (Rat or INF)
+        if len(poles) != 4 or len(u) != 4:
             raise DegenerateInput("four poles and four parabolic coordinates required")
         for i in range(4):
             for j in range(i + 1, 4):
-                if self.poles[i] == self.poles[j]:
+                if poles[i] == poles[j]:
                     raise DegenerateInput("pole positions must be pairwise distinct")
+        self.__dict__.update(poles=poles, u=u)
 
     def infinite_indices(self):
         return tuple(i for i in range(4) if is_inf(self.u[i]))
@@ -54,17 +52,13 @@ class QuasiPar:
             raise DegenerateInput(f"malformed quasiparabolic structure: {exc!r}") from exc
 
 
-@dataclass(frozen=True)
-class AutElement:
+class AutElement(Value):
     """(a, b, c) acting by e -> a e + (b + c x) f, modulo scalars."""
 
-    a: Rat
-    b: Rat
-    c: Rat
-
-    def __post_init__(self):
-        if self.a == 0:
+    def __init__(self, a: Rat, b: Rat, c: Rat):
+        if a == 0:
             raise DegenerateInput("automorphism needs a != 0")
+        self.__dict__.update(a=a, b=b, c=c)
 
     def compose(self, other: "AutElement") -> "AutElement":
         """self * other, the element acting as self after other."""

@@ -18,15 +18,14 @@ destabilizer type) and the stable zone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialWeights
-from .exact import (HALF, Rat, is_inf, over_common_denominator, parse_list, pick_sums, rat_from_str,
-                    rat_to_str)
+from .exact import (HALF, Rat, Value, is_inf, over_common_denominator, parse_list, pick_sums,
+                    rat_from_str, rat_to_str)
 from .parabolic import QuasiPar, _conic_coefficients, _conic_minors, _direction_point
 
 ZONE_A = "A"
@@ -46,17 +45,14 @@ def czone(i: int, j: int) -> str:
 ALL_ZONE_LABELS = (ZONE_A, ZONE_B) + tuple(czone(i, j) for i, j in combinations(range(1, 5), 2))
 
 
-@dataclass(frozen=True)
-class Weights:
-    mu: tuple
-    eps: tuple
-
-    def __post_init__(self):
-        if len(self.mu) != 4 or len(self.eps) != 4:
+class Weights(Value):
+    def __init__(self, mu: tuple, eps: tuple):
+        if len(mu) != 4 or len(eps) != 4:
             raise DegenerateInput("weights carry four poles")
-        for e in self.eps:
+        for e in eps:
             if not (0 < e < HALF):
                 raise SpecialWeights(f"eps = {e} outside (0, 1/2)")
+        self.__dict__.update(mu=mu, eps=eps)
 
     @classmethod
     def of_eps(cls, eps) -> "Weights":
@@ -156,8 +152,7 @@ def stable_subzone_branch(w: Weights, i: int) -> Branch:
 # Destabilizing subbundles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subbundle:
+class Subbundle(Value):
     """A saturated line subbundle of B recorded by its map data.
 
     degree 1: the canonical O(1), coefficients ().
@@ -167,9 +162,8 @@ class Subbundle:
     the parabolic direction.
     """
 
-    degree: int
-    coefficients: tuple
-    contact: frozenset
+    def __init__(self, degree: int, coefficients: tuple, contact: frozenset):
+        self.__dict__.update(degree=degree, coefficients=coefficients, contact=contact)
 
     def sections(self):
         """The map L -> O + O(1) as polynomial sections (s1, s2), constant

@@ -7,7 +7,6 @@ and the values it compared.  Reports are deterministic functions of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
@@ -30,11 +29,9 @@ from .stability import (ALL_ZONE_LABELS, Branch, Weights, ZONE_STABLE, classify_
                         predicted_destabilizer_degree, stable_subzone_branch)
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    witness: Optional[dict] = None
+    def __init__(self, name: str, passed: bool, witness: Optional[dict] = None):
+        self.name, self.passed, self.witness = name, passed, witness
 
     def to_json_dict(self):
         out = {"name": self.name, "passed": self.passed}
@@ -43,14 +40,12 @@ class Check:
         return out
 
 
-@dataclass
 class Report:
-    suite: str
-    seed: int
-    samples: int
-    bound: int
-    checks: list = field(default_factory=list)
-    rejections: int = 0
+    def __init__(self, suite: str, seed: int, samples: int, bound: int,
+                 checks: Optional[list] = None, rejections: int = 0):
+        self.suite, self.seed, self.samples, self.bound = suite, seed, samples, bound
+        self.checks = [] if checks is None else checks
+        self.rejections = rejections
 
     @property
     def passed(self) -> bool:

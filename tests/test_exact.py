@@ -7,10 +7,13 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from pvi_moduli.connection import KappaParams, PQState
 from pvi_moduli.errors import DegenerateInput, NoSolution
-from pvi_moduli.exact import (INF, Dual, Infinity, Mat2, is_inf, pick_sums, poly_add,
+from pvi_moduli.exact import (INF, Dual, Infinity, Mat2, Value, is_inf, pick_sums, poly_add,
                               poly_deriv, poly_divmod, poly_mul, poly_trim, proj_from_str,
                               proj_to_str, rat_from_str, rat_to_str, solve_linear)
+from pvi_moduli.lattice import DivClass
+from pvi_moduli.stability import Weights
 
 rationals = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -82,7 +85,8 @@ class TestRat:
 
 class TestInfinity:
     """`Infinity` has the default identity equality and hash, so every way
-    of making a point at infinity has to give `INF` itself."""
+    of making a point at infinity has to give `INF` itself: `__new__`
+    returns it, and `__reduce__` names it for copies and pickles."""
 
     def test_constructor_returns_the_one_instance(self):
         assert Infinity() is INF
@@ -91,24 +95,88 @@ class TestInfinity:
     def test_copies_are_inf(self, make):
         assert make(INF) is INF
 
-    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_round_trip_is_inf(self, protocol):
+        """Every protocol, 0 and 1 included, loads the global `INF`."""
         assert pickle.loads(pickle.dumps(INF, protocol=protocol)) is INF
-
-    @pytest.mark.parametrize("protocol", [0, 1])
-    def test_old_pickle_protocols_give_a_copy_no_check_calls_infinity(self, protocol):
-        """Protocols 0 and 1 rebuild through `object.__new__`, which skips
-        `Infinity.__new__`; equality and `is_inf` both compare identity, so
-        they agree that the copy is not the point at infinity."""
-        stray = pickle.loads(pickle.dumps(INF, protocol=protocol))
-        assert stray is not INF and stray != INF and not is_inf(stray)
-        assert is_inf(INF) and is_inf(Infinity())
 
     def test_equality_and_hash(self):
         assert INF == INF
         assert INF != F(0) and F(0) != INF and INF != 0
         points = {INF: "inf", F(0): "0"}
         assert points[Infinity()] == "inf" and points[proj_from_str("inf")] == "inf"
+
+
+class TestValue:
+    """`Value` subclasses compare, hash and print by the parameters of their
+    own `__init__`, and cannot be changed after construction."""
+
+    class Pair(Value):
+        def __init__(self, x, y):
+            self.__dict__.update(x=x, y=y)
+
+    class OtherPair(Value):
+        def __init__(self, x, y):
+            self.__dict__.update(x=x, y=y)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Mat2(F(1, 2), F(-3), 0, 7),
+        lambda: Dual(F(1, 2), 1),
+        lambda: KappaParams.from_k1234(F(1, 3), F(1, 5), F(1, 7), F(1, 11)),
+        lambda: DivClass((1, 0, -1, 0, 0, 2, 0, 0, 0, 0)),
+        lambda: Weights.of_eps((F(1, 3), F(1, 5), F(1, 7), F(1, 11))),
+    ], ids=["Mat2", "Dual", "KappaParams", "DivClass", "Weights"])
+    def test_equal_fields_are_equal_with_equal_hashes(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b) and not a != b
+
+    def test_fields_are_the_init_parameters(self):
+        assert Mat2._fields == ("a11", "a12", "a21", "a22")
+        assert PQState._fields == ("t", "kappa", "q", "p")
+
+    def test_unequal_fields_or_classes_are_unequal(self):
+        assert self.Pair(1, 2) != self.Pair(1, 3)
+        assert self.Pair(1, 2) != self.OtherPair(1, 2)
+        assert self.OtherPair(1, 2) != self.Pair(1, 2)
+        assert self.Pair(1, 2) != (1, 2)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        m = Mat2(1, 2, 3, 4)
+        with pytest.raises(AttributeError):
+            m.a11 = 5
+        with pytest.raises(AttributeError):
+            m.new_field = 5
+        with pytest.raises(AttributeError):
+            del m.a12
+        assert m == Mat2(1, 2, 3, 4)
+
+    def test_repr_names_every_field(self):
+        assert repr(Dual(F(1, 2), 1)) == "Dual(val=Fraction(1, 2), der=1)"
+        assert repr(self.Pair(INF, "a")) == "TestValue.Pair(x=inf, y='a')"
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy] + [
+        lambda s, p=p: pickle.loads(pickle.dumps(s, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)])
+    def test_state_with_a_cached_normal_form_round_trips(self, copier):
+        state = PQState.make(F(3), (F(1, 3), F(1, 5), F(1, 7), F(1, 11)), F(2, 3), F(5, 7))
+        normal_form = state.normal_form
+        got = copier(state)
+        assert got == state and hash(got) == hash(state)
+        assert got.normal_form == normal_form and got.kappa.generic == state.kappa.generic
+        at_inf = PQState(t=F(3), kappa=state.kappa, q=INF, p=F(1))
+        assert copier(at_inf).q is INF
+
+    @pytest.mark.parametrize("make", [
+        lambda: Mat2(1, 2, 3),
+        lambda: Mat2(1, 2, 3, 4, 5),
+        lambda: PQState(t=F(3), kappa=KappaParams.from_k1234(0, 0, 0, 0), q=F(1)),
+        lambda: PQState(t=F(3), kappa=KappaParams.from_k1234(0, 0, 0, 0), q=F(1), p=F(1), r=0),
+        lambda: DivClass(),
+    ])
+    def test_a_missing_or_extra_argument_is_a_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
 
 
 class TestSolveLinear:

@@ -8,7 +8,6 @@ correctly.  So every scalar of every result is checked to be an int or a
 `Fraction` (or the point at infinity), for rational inputs of height up
 to 2^64.  Each call either returns such a result or raises a ModuliError.
 """
-import dataclasses
 import operator
 from fractions import Fraction as F
 
@@ -18,7 +17,7 @@ from pvi_moduli.backlund import ALPHABET, apply_word, transversality_solve
 from pvi_moduli.connection import (KappaParams, PQState, build_connection, build_connection_qp,
                                    eigen_table)
 from pvi_moduli.errors import ModuliError
-from pvi_moduli.exact import INF, Dual, is_inf
+from pvi_moduli.exact import INF, Dual, Value, is_inf
 from pvi_moduli.parabolic import QuasiPar, line_through
 
 H = 2 ** 64
@@ -39,10 +38,10 @@ def states(draw):
 
 
 def scalars(obj):
-    """The scalar leaves of a result: dataclass fields and tuple entries, recursively."""
-    if dataclasses.is_dataclass(obj):
-        for field in dataclasses.fields(obj):
-            yield from scalars(getattr(obj, field.name))
+    """The scalar leaves of a result: `Value` fields and tuple entries, recursively."""
+    if isinstance(obj, Value):
+        for name in obj._fields:
+            yield from scalars(getattr(obj, name))
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             yield from scalars(item)

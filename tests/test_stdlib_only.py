@@ -1,7 +1,12 @@
 """The package has no runtime dependencies (`dependencies = []` in
 pyproject.toml): every absolute import in `src/pvi_moduli`, including the
-imports inside functions, names a standard-library module."""
+imports inside functions, names a standard-library module.  Importing the
+package also stays cheap for a cold CLI call: it does not load
+`dataclasses`, whose `inspect` import chain cost several milliseconds a
+call."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +32,13 @@ def test_imports_only_the_standard_library(path):
     outside = sorted({name for name in absolute_imports(path)
                       if name.split(".")[0] not in sys.stdlib_module_names})
     assert outside == []
+
+
+def test_importing_every_module_loads_neither_dataclasses_nor_inspect():
+    modules = ", ".join(f"pvi_moduli.{p.stem}" for p in SOURCES if p.stem != "__init__")
+    probe = (f"import sys, {modules}; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
