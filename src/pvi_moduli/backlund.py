@@ -6,7 +6,7 @@ s0.  On a state with k0 = (1 - k1 - k2 - k3 - k4)/2:
 
     s_i (i = 1, 2, 3): k_i -> -k_i, k0 -> k0 + k_i,  p -> p - k_i/(q - t_i)
     s_4:               k_4 -> -k_4, k0 -> k0 + k4,  (q, p) fixed
-    s_0:               k_i -> k_i + k0, k0 -> -k0,  q -> q + k0/p
+    s_0:               kappa -> okamoto_s0(kappa),  q -> q + k0/p
     r_(12)(34):  kappa -> (k2, k1, k4, k3),  q -> t(q-1)/(q-t),
                  p -> -(q-t)((q-t)p + k0)/(t(t-1))
     r_(13)(24):  kappa -> (k3, k4, k1, k2),  q -> (q-t)/(q-1),
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from .connection import KappaParams, PQState, finite_pole
+from .connection import KappaParams, PQState, finite_pole, okamoto_s0
 from .errors import DegenerateInput, NoFiniteIntersection
 from .exact import Dual, Rat, is_inf
 
@@ -56,9 +56,8 @@ def _s0(s: PQState) -> PQState:
     if s.p == 0:
         raise DegenerateInput("s0 needs p != 0")
     k = s.kappa
-    k0 = k.k0
-    return s.with_kappa(KappaParams(-k0, k.k1 + k0, k.k2 + k0, k.k3 + k0, k.k4 + k0),
-                        q=s.q + k0 / s.p)
+    return s.with_kappa(KappaParams(*okamoto_s0(k.k0, k.k1, k.k2, k.k3, k.k4)),
+                        q=s.q + k.k0 / s.p)
 
 
 def _s(i: int) -> Callable[[PQState], PQState]:

@@ -105,6 +105,13 @@ def kappa_generic(kappa: KappaParams) -> bool:
     return not any(s % (2 * den) == den for s in pick_sums((n, -n) for n in nums))
 
 
+def okamoto_s0(k0, k1, k2, k3, k4) -> tuple:
+    """Okamoto's s0 on the exponents: k_i -> k_i + k0, k0 -> -k0.  It is
+    linear, so it reads any field, or integer numerators over a common
+    denominator; it keeps 2*k0 + k1 + ... + k4."""
+    return (-k0, k1 + k0, k2 + k0, k3 + k0, k4 + k0)
+
+
 class ResidueVector(Value):
     """Residue eigenvalue data of a lambda-connection of fixed degree.
 

@@ -21,10 +21,9 @@ integer polynomial whose known roots `poly_divide_root` divides out.
 The value types of every layer derive from `Value`: immutable objects
 whose fields are the parameters of their own explicit `__init__`, equal
 and hashed by those fields, and printed as `Name(field=value, ...)`.
-`solve_linear`, plain textbook Gauss-Jordan elimination over Q, and
-`poly_divmod` are called by no package code; they are the references the
-tests compare those closed forms with; `solve_linear` leaves `src/` once
-the benchmark drops its tracer target and four per-layer metrics.
+`solve_linear`, plain textbook Gauss-Jordan elimination over Q, is called
+by no package code: it is the reference the tests compare those closed
+forms with, and the benchmark traces it as `exact.solve_linear`.
 """
 from __future__ import annotations
 
@@ -208,10 +207,6 @@ class Mat2(Value):
     def zero(cls) -> "Mat2":
         return cls(0, 0, 0, 0)
 
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
-
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a11 + other.a11, self.a12 + other.a12,
                     self.a21 + other.a21, self.a22 + other.a22)
@@ -277,26 +272,6 @@ def poly_deriv(p) -> list:
     return [i * p[i] for i in range(1, len(p))]
 
 
-def poly_divmod(f, g) -> tuple:
-    """(quotient, remainder) of f by a nonzero g, both trimmed.
-
-    A monic divisor costs no divisions, so dividing by x - r takes one
-    multiplication and one subtraction per coefficient.
-    """
-    g = poly_trim(g)
-    if not g:
-        raise DegenerateInput("polynomial division by zero")
-    f = poly_trim(f)
-    n = len(g) - 1
-    quot = [0] * max(len(f) - n, 0)
-    for k in range(len(f) - n - 1, -1, -1):
-        c = f[k + n] if g[-1] == 1 else f[k + n] / g[-1]
-        quot[k] = c
-        for j in range(n):
-            f[k + j] -= c * g[j]
-    return quot, poly_trim(f[:n])
-
-
 def poly_divide_root(f, a: int, b: int):
     """The quotient of an integer polynomial f by b x - a (b != 0), or None
     when a/b is not a root of f.  For coprime a and b the quotient has
@@ -322,10 +297,6 @@ class LinearSolution(Value):
     def __init__(self, rank: int, particular: tuple, nullspace: tuple):
         # particular: one exact solution; nullspace: a basis of the kernel
         self.__dict__.update(rank=rank, particular=particular, nullspace=nullspace)
-
-    @property
-    def nullity(self) -> int:
-        return len(self.nullspace)
 
 
 def solve_linear(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> LinearSolution:

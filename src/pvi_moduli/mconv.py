@@ -11,11 +11,14 @@ The transformed eigenvalue pair at t_i is {z_i, z_i + y_i} with
 
     y_i = -1/2 + sum_j sigma_j eps_j - 2 sigma_i eps_i   (mod 1).
 
-Normalization: the representative h_i of y_i in (-1, 0) gives
-eps'_i = -h_i/2 in (0, 1/2) and mu'_i = z_i + h_i/2; when the resulting
-sum(mu') lands at 0 instead of -1/2 mod 1 (even degree), the earliest
-point is flipped (eps' -> 1/2 - eps', mu' -> mu' + 1/2) to restore odd
-degree.  The zone of eps' is independent of the z_i and of any residual
+This is Okamoto's s0 on the signed exponents kappa_sigma = (k0, 2 sigma_1
+eps_1, ..., 2 sigma_4 eps_4), k0 = 1/2 - sum_j sigma_j eps_j by the Fuchs
+relation: y_i = -okamoto_s0(kappa_sigma)_i, proved over Q(eps_1..eps_4) in
+tests/test_certificates.py.  So eps'_i = frac(okamoto_s0(kappa_sigma)_i)/2
+lies in (0, 1/2) and mu'_i = z_i - eps'_i.  When the resulting sum(mu')
+lands at 0 instead of -1/2 mod 1 (even degree), the earliest point is
+flipped (eps' -> 1/2 - eps', mu' -> mu' + 1/2) to restore odd degree.
+The zone of eps' is independent of the z_i and of any residual
 relabeling, which changes eps' only by elementary-transformation pairs.
 The eps' and the parity are computed on integers over the common
 denominator of the eps; `mc_exponents` builds Fractions only for its
@@ -26,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from .connection import okamoto_s0
 from .errors import DegenerateInput, SpecialParameters
 from .exact import HALF, Rat, over_common_denominator
 from .stability import Weights, ZONE_STABLE, classify_numerators, nonspecial_eps
@@ -94,19 +98,17 @@ def _convolve(nums, den: int, sigma) -> tuple:
     """The eps' of the convolution of nonspecial eps_i = nums[i] / den.
 
     Returns (numerators of eps' over 2D, whether the first pole was
-    flipped), D = 2 den.  Everything runs on integers: y_i and h_i are
-    counted in units of 1/D, eps' = -h/2 and the parities in units of
-    1/(2D).  The parity of sum(mu') = sum(z) + sum(h)/2 needs only sum(z)
-    mod 1, which the product constraint fixes at 1/2 - sum(sigma_i eps_i)
-    for every choice of z that `mc_exponents` accepts.  No y_i is 0 mod 1,
-    as y_i + 1/2 is a signed eps sum, and sum(h) = 2 sum(sigma_i eps_i)
-    mod 1 makes sum(mu') 0 or 1/2 mod 1.
+    flipped), D = 2 den.  kappa_sigma is held as integers over D, so
+    eps'_i = frac(okamoto_s0(kappa_sigma)_i)/2 is the image numerator mod D
+    over 2D, never 0 for nonspecial eps.  For every z that `mc_exponents`
+    accepts, sum(mu') = k0 - sum(eps') mod 1, which is 0 (even degree:
+    flip) or 1/2.
     """
-    d = 2 * den                                  # also 1/2 in units of 1/(2D)
-    signed = sum(s * n for s, n in zip(sigma, nums))
-    shifted = 2 * signed - den                   # sum sigma_j eps_j - 1/2, over D
-    eps_out = [d - (shifted - 4 * s * n) % d for s, n in zip(sigma, nums)]  # -h, h = y - D
-    flipped = (d - 4 * signed - sum(eps_out)) % (2 * d) == 0    # even degree; else it is d
+    d = 2 * den
+    kappa = [4 * s * n for s, n in zip(sigma, nums)]
+    k0 = (d - sum(kappa)) // 2                   # the Fuchs relation over D
+    eps_out = [k % d for k in okamoto_s0(k0, *kappa)[1:]]
+    flipped = (2 * k0 - sum(eps_out)) % (2 * d) == 0
     if flipped:
         eps_out[0] = d - eps_out[0]
     return eps_out, flipped

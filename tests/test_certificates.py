@@ -31,8 +31,14 @@ cotangent lift of q -> t_c + d_c/w.
 
 The word printed in criterion 4b is proved to be WORD_SHIFT_34, so it
 shifts (k3, k4), not the (k1, k2) the criterion states.
+
+The middle convolution's exponents are proved, for each of the 16 sign
+choices sigma, to be `connection.okamoto_s0` of the signed exponents, over
+Q(eps1..eps4): the rule `mconv` and `backlund` share is the paper's
+convolution exponent.
 """
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -43,6 +49,7 @@ from pvi_moduli import connection, verify  # noqa: E402
 from pvi_moduli.connection import (KappaParams, PQState, ResidueVector,  # noqa: E402
                                    elementary_transform_residues)
 from pvi_moduli.exact import Dual  # noqa: E402
+from pvi_moduli.mconv import sigma_text  # noqa: E402
 from pvi_moduli.parabolic import (parabolic_from_connection, parabolic_structures,  # noqa: E402
                                   q_map_parabolic)
 
@@ -144,6 +151,26 @@ def test_printed_criterion_4b_word_is_word_shift_34():
     tests/test_acceptance.py::test_criterion_04b_composite_word_as_printed
     asserts it on."""
     assert tuple("r12_34 s3 s4 s0 s1 s2 s0".split()) == bk.WORD_SHIFT_34
+
+
+# ---------------------------------------------------------------------------
+# Katz's middle convolution is Okamoto's s0, over Q(eps1..eps4)
+# ---------------------------------------------------------------------------
+
+E, *EPS = sympy.field("e1 e2 e3 e4", sympy.QQ)
+E_HALF = E.one / 2
+
+
+@pytest.mark.parametrize("sigma", list(product((1, -1), repeat=4)), ids=sigma_text)
+def test_convolution_exponents_are_okamoto_s0_of_the_signed_exponents(sigma):
+    """With kappa_sigma = (1/2 - sum_j sigma_j eps_j, 2 sigma_1 eps_1, ..,
+    2 sigma_4 eps_4), which meets the Fuchs relation, okamoto_s0 gives -y_i
+    for the convolution exponents y_i = -1/2 + sum_j sigma_j eps_j
+    - 2 sigma_i eps_i that `mconv` reduces mod 1."""
+    signed = sum(s * e for s, e in zip(sigma, EPS))
+    image = connection.okamoto_s0(E_HALF - signed, *(2 * s * e for s, e in zip(sigma, EPS)))
+    y = [-E_HALF + signed - 2 * s * e for s, e in zip(sigma, EPS)]
+    assert image[1:] == tuple(-yi for yi in y)
 
 
 # ---------------------------------------------------------------------------

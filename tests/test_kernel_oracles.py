@@ -7,7 +7,8 @@ direction of a Higgs representative off the poles with `solve_linear` on
 their linear systems, the integer contact sets of `candidate_subbundles`
 with the section values at the poles, `in_general_position` with
 `line_through` on the four triples, `theta_divisor` with its Wronskian on
-Fraction polynomials and `poly_divide_root` with `poly_divmod`,
+Fraction polynomials and `poly_divide_root` with the long division
+`poly_divmod` below,
 `check_relations` with one
 `apply_word` per side of each relation, the shift and Schlesinger words
 read from its prefix table with one `apply_word` each,
@@ -36,8 +37,8 @@ from pvi_moduli.connection import (KappaParams, PPoint, PQState, ResidueVector, 
 from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, SpecialParameters,
                                SpecialWeights)
 from pvi_moduli.exact import (HALF, INF, Mat2, det3, det4, is_inf, over_common_denominator,
-                              poly_add, poly_deriv, poly_divide_root, poly_divmod, poly_mul,
-                              poly_trim, solve_linear)
+                              poly_add, poly_deriv, poly_divide_root, poly_mul, poly_trim,
+                              solve_linear)
 from pvi_moduli.higgs import representative, sorted_divisor, theta_divisor
 from pvi_moduli.mconv import (mc_exponents, nonspecial_exponents, odd_degree_weights, sigma_text,
                               zone_interchange_check)
@@ -157,7 +158,7 @@ def _oracle_conic(qp):
         else:
             rows.append([-uv, -uv * tv, F(1), tv, tv * tv])
     sol = solve_linear(rows, [F(0)] * 4)
-    if sol.nullity != 1:
+    if len(sol.nullspace) != 1:
         return DegenerateInput
     v0, v1, w0, w1, w2 = sol.nullspace[0]
     return ((v0, v1), (w0, w1, w2))
@@ -225,7 +226,7 @@ def _oracle_chart1(base, poles, frame):
         sol = solve_linear(rows, rhs)
     except NoSolution:
         return None
-    return None if sol.nullity else sol.particular[3]
+    return None if sol.nullspace else sol.particular[3]
 
 
 @st.composite
@@ -363,6 +364,35 @@ class TestGeneralPosition:
         else:
             assert in_general_position(qp) == all(
                 line_through(qp, list(tr)) is None for tr in combinations(range(4), 3))
+
+
+def poly_divmod(f, g) -> tuple:
+    """(quotient, remainder) of f by a nonzero g, both trimmed: long division
+    over the field of the coefficients."""
+    g = poly_trim(g)
+    if not g:
+        raise DegenerateInput("polynomial division by zero")
+    f = poly_trim(f)
+    n = len(g) - 1
+    quot = [0] * max(len(f) - n, 0)
+    for k in range(len(f) - n - 1, -1, -1):
+        c = f[k + n] if g[-1] == 1 else f[k + n] / g[-1]
+        quot[k] = c
+        for j in range(n):
+            f[k + j] -= c * g[j]
+    return quot, poly_trim(f[:n])
+
+
+class TestPolyDivmod:
+    @given(st.lists(rationals, max_size=6), st.lists(rationals, min_size=1, max_size=4))
+    def test_divmod_identity(self, f, g):
+        if not poly_trim(g):
+            with pytest.raises(DegenerateInput):
+                poly_divmod(f, g)
+            return
+        quot, rem = poly_divmod(f, g)
+        assert poly_trim(poly_add(poly_mul(quot, g), rem)) == poly_trim(f)
+        assert len(rem) < len(poly_trim(g)) and rem == poly_trim(rem)
 
 
 def _oracle_theta(conn, sub):

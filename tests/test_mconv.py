@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from pvi_moduli.connection import okamoto_s0
 from pvi_moduli.errors import DegenerateInput, SpecialParameters, SpecialWeights
 from pvi_moduli.mconv import (_mod1, defect, mc_exponents, odd_degree_weights, parse_sigma,
                               zone_interchange_check)
@@ -138,3 +139,52 @@ class TestInterchange:
         assert parse_sigma("+-+-") == (1, -1, 1, -1)
         with pytest.raises(DegenerateInput):
             parse_sigma("++")
+
+
+# Zone A is the open simplex {eps_i > 0, sum(eps) < 1/2}; its vertices are 0 and e_i/2.
+ZONE_A_VERTICES = [(F(0),) * 4] + [tuple(HALF if j == i else F(0) for j in range(4))
+                                   for i in range(4)]
+
+
+def _single_flip_margins(eps):
+    """s0 of kappa_sigma for sigma = +++- at eps, 2 k0 minus the image sum,
+    and each affine margin the theorem below needs to be positive."""
+    kappa = [2 * s * e for s, e in zip(parse_sigma("+++-"), eps)]
+    k0 = HALF - sum(kappa) / 2
+    image = okamoto_s0(k0, *kappa)[1:]
+    out = [k / 2 for k in image]
+    margins = {f"image_{i + 1} >= 0": k for i, k in enumerate(image)}
+    margins.update({f"image_{i + 1} <= 1": 1 - k for i, k in enumerate(image)})
+    margins.update({"sum(eps') > 1/2": sum(out) - HALF, "sum(eps') < 3/2": 3 * HALF - sum(out)})
+    margins.update({f"eps'_{i + 1} + eps'_{j + 1} - rest < 1/2":
+                    HALF - (2 * (out[i] + out[j]) - sum(out))
+                    for i, j in combinations(range(4), 2)})
+    margins.update({f"eps'_{i + 1} > 0": e for i, e in enumerate(out)})
+    margins.update({f"eps'_{i + 1} < 1/2": HALF - e for i, e in enumerate(out)})
+    return image, 2 * k0 - sum(image), margins
+
+
+class TestSingleFlipOnZoneA:
+    """`+++-` sends all of zone A into the stable zone: the refutation of
+    criterion 10b as a theorem, in exact Q.  Each margin is affine in eps,
+    so one that is >= 0 at every vertex and > 0 at the origin is > 0 on the
+    open simplex, where every barycentric coordinate is positive.  There
+    the image lies in (0, 1), so no floor moves, and 2 k0 - sum(image) = -1
+    is odd, so no pole is flipped: eps' = okamoto_s0(kappa_sigma)/2."""
+
+    def test_margins_hold_at_the_vertices_and_strictly_at_the_origin(self):
+        for vertex in ZONE_A_VERTICES:
+            _, parity, margins = _single_flip_margins(vertex)
+            assert parity == -1
+            assert [name for name, m in margins.items() if m < 0] == [], vertex
+        _, _, at_origin = _single_flip_margins(ZONE_A_VERTICES[0])
+        assert [name for name, m in at_origin.items() if m <= 0] == []
+
+    def test_vertex_images(self):
+        assert _single_flip_margins(ZONE_A_VERTICES[0])[0] == (HALF,) * 4
+        assert _single_flip_margins(ZONE_A_VERTICES[4])[0] == (1, 1, 1, 0)
+
+    def test_mc_exponents_is_half_the_image_inside_zone_a(self):
+        eps = (F(1, 10), F(1, 12), F(1, 14), F(1, 16))
+        out = mc_exponents(odd_degree_weights(eps), sigma="+++-")
+        assert out.eps == tuple(k / 2 for k in _single_flip_margins(eps)[0])

@@ -35,10 +35,10 @@ class TestReportCheck:
     def test_witness_values_serialized_once(self):
         rep = verify.Report(suite="demo", seed=1, samples=1, bound=2)
         weights = Weights.of_eps((F(1, 10),) * 4)
-        rep.check("a", False, {"m": Mat2.identity(), "seen": {"C12", "B"}, "w": weights,
+        rep.check("a", False, {"m": Mat2(1, 0, 0, 1), "seen": {"C12", "B"}, "w": weights,
                                "pair": (F(-1, 3), 2), "none": None})
         assert rep.checks[0].to_json_dict()["witness"] == {
-            "m": Mat2.identity().to_strs(), "seen": ["B", "C12"], "w": weights.to_json_dict(),
+            "m": Mat2(1, 0, 0, 1).to_strs(), "seen": ["B", "C12"], "w": weights.to_json_dict(),
             "pair": ["-1/3", 2], "none": None}
 
 
