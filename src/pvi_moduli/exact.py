@@ -14,10 +14,12 @@ functions in the certificate tests).  Int literals may mix in, but every
 `Fraction` is coerced only where numbers come in (parsers, `make`/`of_*`
 constructors, the sampler).  The predicates that read `.denominator` test
 integrality, a statement about rational numbers, so they and the
-stability, Higgs and lattice layers stay over Q.  Their small linear
-systems run on integers: rows scaled by `over_common_denominator`, solved
-in closed form with `det3` and `det4`, and the Higgs Wronskian is an
-integer polynomial whose known roots `poly_divide_root` divides out.
+stability, Higgs and lattice layers stay over Q.  Their small kernels run
+on integers: `parabolic._direction_point` clears each pole and direction
+to an integer point of P^2 (by `over_common_denominator`), general
+position and the contact sets are one cross product, the contact system
+is solved in closed form by `det4`, and the Higgs Wronskian is an integer
+polynomial whose known roots `poly_divide_root` divides out.
 The value types of every layer derive from `Value`: immutable objects
 whose fields are the parameters of their own explicit `__init__`, equal
 and hashed by those fields, and printed as `Name(field=value, ...)`.
@@ -145,15 +147,10 @@ def over_common_denominator(values) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def det3(m) -> int:
-    """Determinant of a 3x3 integer matrix, by expansion along its top row."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
-    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
-
-
 def det4(m) -> int:
-    """Determinant of a 4x4 integer matrix, by Laplace expansion of its top
-    two rows against the complementary 2x2 minors of the bottom two."""
+    """Determinant of a 4x4 matrix over any commutative ring, by Laplace
+    expansion of its top two rows against the complementary 2x2 minors of
+    the bottom two."""
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
     return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
             - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)

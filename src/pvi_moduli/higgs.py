@@ -35,8 +35,8 @@ from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connec
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (INF, Value, is_inf, over_common_denominator, poly_add, poly_deriv,
                     poly_divide_root, poly_mul, poly_scale, poly_trim, proj_to_str)
-from .parabolic import (QuasiPar, conic_subbundle, in_general_position, line_through,
-                        parabolic_from_connection, phi_map, section_value)
+from .parabolic import (QuasiPar, _direction_point, conic_subbundle, in_general_position,
+                        line_through, parabolic_from_connection, phi_map, section_value)
 from .stability import Branch, Subbundle, Weights, ZONE_STABLE, classify_zone, find_destabilizer, stable_subzone_branch
 
 THETA_ZERO = "theta_zero"
@@ -148,6 +148,21 @@ def _over_one_denominator(*polys) -> list:
     return [[next(nums) for _ in p] for p in polys]
 
 
+def _wronskian(pi, a11, a12, a21, a22, s1, s2) -> list:
+    """pi (s1 s2' - s2 s1') + s1 (a21 s1 + a22 s2) - s2 (a11 s1 + a12 s2),
+    over any commutative ring: the Wronskian W of the module docstring
+    times pi, for the entries a = pi A of the connection cleared by pi.
+    At a root t_i of pi it is det((s1, s2), a(t_i) (s1, s2)), so it
+    vanishes at every pole where (s1, s2) is an eigenvector of the
+    residue: at every finite contact pole."""
+    return poly_add(
+        poly_mul(pi, poly_add(poly_mul(s1, poly_deriv(s2)),
+                              poly_scale(-1, poly_mul(s2, poly_deriv(s1))))),
+        poly_mul(s1, poly_add(poly_mul(a21, s1), poly_mul(a22, s2))),
+        poly_scale(-1, poly_mul(s2, poly_add(poly_mul(a11, s1), poly_mul(a12, s2)))),
+    )
+
+
 def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     """Zero divisor of the Higgs field induced on L -> (E/L) x Omega(log D).
 
@@ -156,21 +171,18 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     a quadratic or larger factor is left after the contact zeros, i.e.
     when L destabilizes for no weights (see the module docstring).
 
-    W is computed on integers: x(x-1)(x-t) and the cleared entries of A
-    over one common denominator, the sections over another.  That scales
-    W by a nonzero constant, which moves no root.  A finite contact pole
-    a/b is divided out as the factor b x - a, exactly by Gauss's lemma.
+    W is computed on integers (`_wronskian`): x(x-1)(x-t) and the cleared
+    entries of A over one common denominator, the sections over another.
+    That scales W by a nonzero constant, which moves no root.  A finite
+    contact pole is divided out as the factor b x - a of its integer
+    point (a, 0, b) = `parabolic._direction_point(t_i, 0)`, exactly by
+    Gauss's lemma.
     """
     t = conn.t
     pi, a11, a12, a21, a22 = _over_one_denominator(
         [0, t, -1 - t, 1], *(conn.cleared(entry) for entry in ("a11", "a12", "a21", "a22")))
     s1, s2 = _over_one_denominator(*sub.sections())
-    w_poly = poly_trim(poly_add(
-        poly_mul(pi, poly_add(poly_mul(s1, poly_deriv(s2)),
-                              poly_scale(-1, poly_mul(s2, poly_deriv(s1))))),
-        poly_mul(s1, poly_add(poly_mul(a21, s1), poly_mul(a22, s2))),
-        poly_scale(-1, poly_mul(s2, poly_add(poly_mul(a11, s1), poly_mul(a12, s2)))),
-    ))
+    w_poly = poly_trim(_wronskian(pi, a11, a12, a21, a22, s1, s2))
     deficit = 3 - 2 * sub.degree - (len(w_poly) - 1)
     # Strict compatibility forces zeros at the finite contact poles; what
     # is left after dividing them out is at most linear (module docstring).
@@ -180,7 +192,8 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
         tv = poles[i - 1]
         if is_inf(tv):
             continue  # accounted for by the degree deficit
-        w_poly = poly_divide_root(w_poly, tv.numerator, tv.denominator)
+        a, _, b = _direction_point(tv, 0)
+        w_poly = poly_divide_root(w_poly, a, b)
         if w_poly is None:
             raise DegenerateInput(f"Higgs field fails to vanish at contact pole {i}")
         roots.append(tv)

@@ -19,8 +19,8 @@ from typing import Sequence
 
 from .connection import PPoint, PQState, Sheet, eigen_table, pole_index
 from .errors import DegenerateInput, NotSimple
-from .exact import (INF, ProjRat, Rat, Value, det3, det4, is_inf, over_common_denominator,
-                    parse_list, proj_from_str, proj_to_str)
+from .exact import (INF, ProjRat, Rat, Value, det4, is_inf, over_common_denominator, parse_list,
+                    proj_from_str, proj_to_str)
 
 
 class QuasiPar(Value):
@@ -118,22 +118,42 @@ def section_value(poly, pole: ProjRat, degree: int) -> Rat:
 
 
 def _direction_point(pole: ProjRat, u: Rat) -> list:
-    """A finite direction as an integer point of P^2: (t, u, 1) over a
-    finite pole t and (1, u, 0) over a pole at infinity, scaled by a common
-    denominator.  Directions lie on one degree-1 section v0 + v1 x of O iff
-    their points lie on the line v1 X - Y + v0 Z = 0; distinct poles keep
-    the Y coefficient of a line through two of them nonzero."""
+    """A direction as an integer point of P^2: (t, u, 1) over a finite pole
+    t and (1, u, 0) over a pole at infinity, scaled by a common
+    denominator.  This is the one place where a pole or a direction over Q
+    becomes integer coordinates, and the pole itself is
+    `_direction_point(t, 0)` = (x, 0, z), t = x/z.  The contact and conic
+    cores take these homogeneous points and never read a denominator, and
+    `higgs.theta_divisor` divides its Wronskian by b x - a for the point
+    (a, 0, b) of each finite contact pole.
+    Directions lie on one degree-1 section v0 + v1 x of O iff their
+    points lie on the line v1 X - Y + v0 Z = 0; distinct poles keep the Y
+    coefficient of a line through two of them nonzero."""
     return over_common_denominator((1, u, 0) if is_inf(pole) else (pole, u, 1))[0]
+
+
+def cross(a, b) -> tuple:
+    """The cross product a x b of two points of P^2, over any commutative
+    ring: the line through them, which meets a third point c iff
+    dot(a x b, c) = det(a, b, c) vanishes."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def dot(line, point):
+    """line . point, zero iff the point lies on the line."""
+    return line[0] * point[0] + line[1] * point[1] + line[2] * point[2]
 
 
 def in_general_position(qp: QuasiPar) -> bool:
     """No three of the four directions lie on one degree-1 section of O:
-    no 3x3 minor of their integer points vanishes.  All u_i must be finite
-    (else DegenerateInput); four such directions are then also simple."""
+    for no triple of their integer points P_i, P_j, P_k does
+    (P_i x P_j) . P_k vanish.  All u_i must be finite (else
+    DegenerateInput); four such directions are then also simple."""
     if qp.infinite_indices():
         raise DegenerateInput("general position needs four finite directions")
     points = [_direction_point(tv, uv) for tv, uv in zip(qp.poles, qp.u)]
-    return all(det3(tr) != 0 for tr in combinations(points, 3))
+    return all(dot(cross(a, b), c) != 0 for a, b, c in combinations(points, 3))
 
 
 def is_simple(qp: QuasiPar) -> bool:
@@ -146,21 +166,37 @@ def is_simple(qp: QuasiPar) -> bool:
     return line_through(qp, finite) is None
 
 
-def _conic_minors(qp: QuasiPar) -> list:
-    """The five signed 4x4 integer minors m0..m4 of the contact system of
-    `conic_subbundle`; they span its kernel when it has rank 4 and all
-    vanish otherwise."""
-    rows = []
-    for tv, uv in zip(qp.poles, qp.u):
-        if is_inf(uv):
-            # (1, t, 0, 0, 0) times the denominator of t
-            row = [0, 1, 0, 0, 0] if is_inf(tv) else [tv.denominator, tv.numerator, 0, 0, 0]
-        else:
-            # x (0, -u, 0, 0, 1) over a pole at infinity, z^2 (-u, -u t, 1, t, t^2) elsewhere
-            x, y, z = _direction_point(tv, uv)
-            row = [0, -y, 0, 0, x] if is_inf(tv) else [-y * z, -y * x, z * z, x * z, x * x]
-        rows.append(row)
+def _conic_row(point) -> list:
+    """The row of the contact system for a finite direction with integer
+    point (x, y, z), over any commutative ring: its product with
+    (v0, v1, w0, w1, w2) is z^2 (w(t) - u v(t)) at t = x/z, u = y/z,
+    homogenized, and x^2 (w2 - u v1) over a pole at infinity (z = 0)."""
+    x, y, z = point
+    return [-y * z, -y * x, z * z, x * z, x * x]
+
+
+def _fiber_row(pole_point) -> list:
+    """The row for the direction u = inf over the pole (x, 0, z): its
+    product with (v0, v1, w0, w1, w2) is z v(x/z), homogenized, so v
+    vanishes at the pole (v1 = 0 for a pole at infinity)."""
+    x, _, z = pole_point
+    return [z, x, 0, 0, 0]
+
+
+def _signed_minors(rows) -> list:
+    """The five signed 4x4 minors of a 4x5 matrix over any commutative
+    ring, (-1)^j times the minor without column j.  They lie in its
+    kernel (a row times them is a 5x5 determinant with that row twice),
+    and they span it when the rank is 4 and all vanish otherwise."""
     return [(-1) ** j * det4([r[:j] + r[j + 1:] for r in rows]) for j in range(5)]
+
+
+def _conic_minors(qp: QuasiPar) -> list:
+    """The signed minors m0..m4 of the contact system of `conic_subbundle`
+    on the integer points of its poles and directions."""
+    return _signed_minors([_fiber_row(_direction_point(tv, 0)) if is_inf(uv)
+                           else _conic_row(_direction_point(tv, uv))
+                           for tv, uv in zip(qp.poles, qp.u)])
 
 
 def _conic_coefficients(minors) -> tuple:
@@ -176,11 +212,12 @@ def conic_subbundle(qp: QuasiPar):
 
     v = v0 + v1 x and w = w0 + w1 x + w2 x^2 solve w(t_i) = u_i v(t_i)
     (v(t_i) = 0 when u_i = inf; at a pole at infinity the leading
-    coefficients w2 = u v1 are used).  With each row scaled to integers,
-    the kernel of this rank-4 system is spanned by the five signed 4x4
-    minors.  The vector is divided by its last nonzero entry: the free
-    column of a nullity-1 system is the last column where the kernel is
-    nonzero, so this is the reduced-row-echelon basis vector.  Raises
+    coefficients w2 = u v1 are used).  With the rows written on integer
+    points (`_conic_row`, `_fiber_row`), the kernel of this rank-4 system
+    is spanned by the five signed 4x4 minors.  The vector is divided by
+    its last nonzero entry: the free column of a nullity-1 system is the
+    last column where the kernel is nonzero, so this is the
+    reduced-row-echelon basis vector.  Raises
     DegenerateInput when every minor vanishes (rank below 4, so the
     solution is not unique up to scale).
     """

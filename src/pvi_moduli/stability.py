@@ -10,9 +10,13 @@ S(L) the contact set.  A candidate is the pair of polynomial sections
 (s1, s2) spanning L (`Subbundle.sections`): (0, 1) for the unique O(1),
 (1, v) for the degree-0 lines v of degree <= 1, and (v, w) for the
 degree-(-1) map through all four directions, kept only when v and w share
-no zero on P^1.  Contact sets and the shared-zero test run on integers:
-the finite directions as integer points of P^2 and the integer minors of
-the contact system (`candidate_subbundles`).  The weight space splits
+no zero on P^1.  Contact sets and the shared-zero test run on integers
+(`candidate_subbundles`): `parabolic._direction_point` clears each
+direction to an integer point of P^2, and the cores that follow take any
+commutative ring: the line through two points is their cross product,
+the contact system's minors are signed 4x4 determinants, and the shared
+zero is the `_resultant` of those minors.  Only the coefficients of the
+lines and of (v, w) come back as `Fraction`s.  The weight space splits
 into eight unstable zones (every structure unstable, with a predicted
 destabilizer type) and the stable zone.
 """
@@ -26,7 +30,8 @@ from typing import Optional
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (HALF, Rat, Value, is_inf, over_common_denominator, parse_list, pick_sums,
                     rat_from_str, rat_to_str)
-from .parabolic import QuasiPar, _conic_coefficients, _conic_minors, _direction_point
+from .parabolic import (QuasiPar, _conic_coefficients, _conic_minors, _direction_point, cross,
+                        dot)
 
 ZONE_A = "A"
 ZONE_B = "B"
@@ -196,23 +201,23 @@ def candidate_subbundles(qp: QuasiPar):
     degree-(-1) section (v, w) through all four directions.
 
     Contact sets are read off integer points.  The O(1) passes through the
-    directions u_i = inf.  Each finite direction is a point P_i of P^2
-    (`parabolic._direction_point`); the line through P_i and P_j is their
-    cross product L, the section v = (-L_z/L_y, -L_x/L_y), and its contact
-    set {k : L . P_k = 0}.  Two distinct lines share at most one point, so
-    a pair already in a listed contact set gives a listed line.
+    directions u_i = inf.  Each finite direction is an integer point P_i
+    of P^2 (`parabolic._direction_point`); the line through P_i and P_j is
+    their cross product L = `parabolic.cross`(P_i, P_j), the section
+    v = (-L_z/L_y, -L_x/L_y), and its contact set {k : L . P_k = 0}.  Two
+    distinct lines share at most one point, so a pair already in a listed
+    contact set gives a listed line.
 
     (v, w) is dropped when v and w share a zero on P^1: v = 0, or
     w(-v0/v1) = 0, or v1 = w2 = 0 (a zero at infinity).  On the integer
     minors m0..m4 of `parabolic.conic_subbundle`, a multiple of
-    (v0, v1, w0, w1, w2), that is m0 = 0 or m4 = 0 when m1 = 0, and
-    m2 m1^2 - m3 m0 m1 + m4 m0^2 = 0 otherwise; minors that all vanish
-    (no unique (v, w)) count as a shared zero.  The saturation of a dropped
-    (v, w) is listed already.  For v = 0 it is the O(1).  Otherwise v has
-    one zero z, a direction u_i = inf can only sit at the pole z, and at
-    the three or more other poles v(t_i) != 0 and (v, w) = v (1, w/v), so
-    the degree-0 line w/v passes through their finite directions and the
-    pair loop lists it.
+    (v0, v1, w0, w1, w2), all three cases are one test: their `_resultant`
+    vanishes.  Minors that all vanish (no unique (v, w)) count as a
+    shared zero.  The saturation of a dropped (v, w) is listed already.
+    For v = 0 it is the O(1).  Otherwise v has one zero z, a direction
+    u_i = inf can only sit at the pole z, and at the three or more other
+    poles v(t_i) != 0 and (v, w) = v (1, w/v), so the degree-0 line w/v
+    passes through their finite directions and the pair loop lists it.
 
     A kept (v, w) has contact {1, 2, 3, 4}.  It solves every row of its
     system: v(t_i) = 0 where u_i = inf, which is contact there, and
@@ -223,21 +228,26 @@ def candidate_subbundles(qp: QuasiPar):
     cands = [Subbundle(1, (), frozenset(i + 1 for i in qp.infinite_indices()))]
     points = [(i + 1, _direction_point(tv, uv))
               for i, (tv, uv) in enumerate(zip(qp.poles, qp.u)) if not is_inf(uv)]
-    for (i, (xi, yi, zi)), (j, (xj, yj, zj)) in combinations(points, 2):
+    for (i, pi), (j, pj) in combinations(points, 2):
         if any({i, j} <= c.contact for c in cands[1:]):
             continue
-        lx, ly, lz = yi * zj - zi * yj, zi * xj - xi * zj, xi * yj - yi * xj
-        contact = frozenset(k for k, (x, y, z) in points if lx * x + ly * y + lz * z == 0)
+        lx, ly, lz = line = cross(pi, pj)
+        contact = frozenset(k for k, pk in points if dot(line, pk) == 0)
         cands.append(Subbundle(0, (Fraction(-lz, ly), Fraction(-lx, ly)), contact))
     minors = _conic_minors(qp)
-    m0, m1, m2, m3, m4 = minors
-    if m1 == 0:
-        shared_zero = m0 == 0 or m4 == 0
-    else:
-        shared_zero = m2 * m1 * m1 - m3 * m0 * m1 + m4 * m0 * m0 == 0
-    if not shared_zero:
+    if _resultant(minors) != 0:
         cands.append(Subbundle(-1, _conic_coefficients(minors), frozenset(range(1, 5))))
     return cands
+
+
+def _resultant(minors):
+    """m2 m1^2 - m3 m0 m1 + m4 m0^2, over any commutative ring: the
+    resultant of v = m0 + m1 x and w = m2 + m3 x + m4 x^2 as sections of
+    O(1) and O(2), w at the zero (-m0, m1) of v in homogeneous
+    coordinates.  It vanishes iff v = 0 or v and w share a zero on P^1,
+    at infinity when m1 = m4 = 0."""
+    m0, m1, m2, m3, m4 = minors
+    return m2 * m1 * m1 - m3 * m0 * m1 + m4 * m0 * m0
 
 
 def find_destabilizer(qp: QuasiPar, w: Weights) -> Optional[Subbundle]:

@@ -36,6 +36,15 @@ The middle convolution's exponents are proved, for each of the 16 sign
 choices sigma, to be `connection.okamoto_s0` of the signed exponents, over
 Q(eps1..eps4): the rule `mconv` and `backlund` share is the paper's
 convolution exponent.
+
+The contact, conic and Wronskian cores take coordinates in any
+commutative ring, so they run here on polynomial-ring symbols, over
+Z[t1..t4, u1..u4] and on generic entries: a conic row is the homogenized
+contact condition z^2 (w(t) - u v(t)) and the u = inf row the homogenized
+v(t); the signed minors of the contact system lie in its kernel; the
+shared-zero polynomial is the resultant of v and w; (a x b) . c and
+`det4` are the determinants; and on the normal form over
+Q(t, kappa, q, p) the Wronskian vanishes at every finite contact pole.
 """
 from functools import partial
 from itertools import product
@@ -48,10 +57,13 @@ from pvi_moduli import backlund as bk  # noqa: E402
 from pvi_moduli import connection, verify  # noqa: E402
 from pvi_moduli.connection import (KappaParams, PQState, ResidueVector,  # noqa: E402
                                    elementary_transform_residues)
-from pvi_moduli.exact import Dual  # noqa: E402
+from pvi_moduli.exact import Dual, det4  # noqa: E402
+from pvi_moduli.higgs import _wronskian  # noqa: E402
 from pvi_moduli.mconv import sigma_text  # noqa: E402
-from pvi_moduli.parabolic import (parabolic_from_connection, parabolic_structures,  # noqa: E402
-                                  q_map_parabolic)
+from pvi_moduli.parabolic import (_conic_row, _fiber_row, _signed_minors, cross,  # noqa: E402
+                                  dot, line_through, parabolic_from_connection,
+                                  parabolic_structures, q_map_parabolic, section_value)
+from pvi_moduli.stability import _resultant  # noqa: E402
 
 K, t, k1, k2, k3, k4, q, p = sympy.field("t k1 k2 k3 k4 q p", sympy.QQ)
 k0 = (1 - k1 - k2 - k3 - k4) / 2
@@ -214,3 +226,104 @@ _, *R = sympy.field("rp1 rp2 rp3 rp4 rm1 rm2 rm3 rm4 lam", sympy.QQ)
 def test_elementary_transform_keeps_the_fuchs_sum(i, degree):
     r = ResidueVector(r_plus=tuple(R[:4]), r_minus=tuple(R[4:8]), lam=R[8], degree=degree)
     assert fuchs_sum(elementary_transform_residues(r, i)) == fuchs_sum(r)
+
+
+# ---------------------------------------------------------------------------
+# The contact, conic and Wronskian cores, over Z[t1..t4, u1..u4]
+# ---------------------------------------------------------------------------
+
+_, *TU = sympy.ring("t1 t2 t3 t4 u1 u2 u3 u4", sympy.ZZ)
+T, U = TU[:4], TU[4:]
+_, X, Y, Z, *VW = sympy.field("x y z v0 v1 w0 w1 w2", sympy.QQ)
+
+
+def dot3(row, coefficients):
+    return sum(r * c for r, c in zip(row, coefficients))
+
+
+def test_conic_row_is_the_homogenized_contact_condition():
+    """A direction u over the pole t, as the point (x, y, z) with t = x/z
+    and u = y/z, gives the row z^2 (w(t) - u v(t)), homogenized: at z = 1
+    the condition w(t_i) = u_i v(t_i), and over a pole at infinity,
+    (1, u, 0), the chart's leading coefficients w2 = u v1."""
+    v0, v1, w0, w1, w2 = VW
+    tv, uv = X / Z, Y / Z
+    contact = Z ** 2 * (w0 + w1 * tv + w2 * tv ** 2 - uv * (v0 + v1 * tv))
+    assert dot3(_conic_row((X, Y, Z)), VW) == contact
+
+
+def test_fiber_row_is_the_homogenized_first_section():
+    """u = inf over the pole (x, 0, z) asks v(t) = 0: the row is z v(x/z)."""
+    v0, v1 = VW[:2]
+    assert dot3(_fiber_row((X, 0, Z)), VW) == Z * (v0 + v1 * X / Z)
+
+
+SYSTEMS = {
+    "four finite directions": [_conic_row((T[i], U[i], 1)) for i in range(4)],
+    "u1 = inf, pole 4 at infinity": [_fiber_row((T[0], 0, 1))]
+    + [_conic_row((T[i], U[i], 1)) for i in (1, 2)] + [_conic_row((1, U[3], 0))],
+}
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_signed_minors_lie_in_the_kernel(name):
+    rows = SYSTEMS[name]
+    minors = _signed_minors(rows)
+    assert any(minors)
+    assert [dot3(row, minors) for row in rows] == [0, 0, 0, 0]
+
+
+def test_shared_zero_polynomial_is_the_resultant():
+    """m2 m1^2 - m3 m0 m1 + m4 m0^2 is the resultant of v = m0 + m1 x and
+    w = m2 + m3 x + m4 x^2, up to sign, as a polynomial in m0..m4."""
+    m = sympy.symbols("m0:5")
+    x = sympy.Symbol("x")
+    res = sympy.resultant(m[0] + m[1] * x, m[2] + m[3] * x + m[4] * x ** 2, x)
+    core = sympy.expand(_resultant(m))
+    assert sympy.expand(res - core) == 0 or sympy.expand(res + core) == 0
+
+
+def test_cross_product_dotted_with_a_third_point_is_the_determinant():
+    a, b, c = (sympy.symbols(f"{n}0:3") for n in "abc")
+    assert sympy.expand(dot(cross(a, b), c) - sympy.Matrix([a, b, c]).det()) == 0
+
+
+def test_det4_is_the_determinant():
+    rows = [[sympy.Symbol(f"a{i}{j}") for j in range(4)] for i in range(4)]
+    assert sympy.expand(det4(rows) - sympy.Matrix(rows).det()) == 0
+
+
+def _contact_sections(qp, conic):
+    """(s1, s2, finite contact poles) for each degree-0 line through two
+    directions and, when asked, for the degree-(-1) section through all
+    four, from the signed minors of its rows over the field."""
+    poles = (0, 1, t)
+    for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+        yield (1,), line_through(qp, list(pair)), [poles[i] for i in pair if i < 3]
+    if conic:
+        rows = [_conic_row((tv, uv, 1)) for tv, uv in zip(poles, qp.u)]
+        minors = _signed_minors(rows + [_conic_row((1, qp.u[3], 0))])
+        yield minors[:2], minors[2:], list(poles)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["parabolic", "alternative"])
+def test_wronskian_vanishes_at_every_finite_contact_pole(side):
+    """On the normal form over Q(t, kappa, q, p), for each structure:
+    every section through two of its directions, and on the parabolic
+    structure the section through all four, has a Wronskian that vanishes
+    at each finite pole it meets, as the direction there is an
+    eigenvector of the residue.  (The alternative structure's section
+    through all four takes about 10 s over this field, so it is left
+    out.)  `theta_divisor` then divides these roots out with
+    `poly_divide_root`, which cannot run here: it reads integer
+    remainders with `divmod`, so it stays sampled
+    (tests/test_kernel_oracles.py::TestThetaDivisor)."""
+    conn = connection.build_connection(STATE)
+    entries = [conn.cleared(entry) for entry in ("a11", "a12", "a21", "a22")]
+    pi = [0, t, -1 - t, 1]
+    qp = parabolic_structures(STATE)[side]
+    for s1, s2, contact in _contact_sections(qp, conic=side == 0):
+        w_poly = _wronskian(pi, *entries, s1, s2)
+        assert any(w_poly)
+        assert [section_value(w_poly, tv, len(w_poly) - 1) for tv in contact] \
+            == [0] * len(contact)

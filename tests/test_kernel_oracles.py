@@ -1,15 +1,14 @@
 """Oracles for the exact kernels that avoid general elimination or Fraction sums.
 
 Each kernel is compared with the straightforward computation it replaces:
-`line_through` with `solve_linear` on the interpolation rows, `det3` and
-`det4` with the permutation expansion, `conic_subbundle` and the first
-direction of a Higgs representative off the poles with `solve_linear` on
-their linear systems, the integer contact sets of `candidate_subbundles`
-with the section values at the poles, `in_general_position` with
+`line_through` with `solve_linear` on the interpolation rows,
+`conic_subbundle` and the first direction of a Higgs representative off
+the poles with `solve_linear` on their linear systems, the integer
+contact sets of `candidate_subbundles` with the section values at the
+poles, `in_general_position` (one cross product per triple) with
 `line_through` on the four triples, `theta_divisor` with its Wronskian on
 Fraction polynomials and `poly_divide_root` with the long division
-`poly_divmod` below,
-`check_relations` with one
+`poly_divmod` below, `check_relations` with one
 `apply_word` per side of each relation, the shift and Schlesinger words
 read from its prefix table with one `apply_word` each,
 `solve_linear` with sympy's reduced row echelon form, the four signed-sum
@@ -21,9 +20,17 @@ with their former Fraction formulas, and the integer scores of
 `find_destabilizer` with `parabolic_degree`, and the residues of both
 normal-form gauges and the eigen table, all written by one rule, with
 the per-gauge formulas they replace.  Heights go up to 2^64.
+
+The ring-generic cores inside the contact, conic and Higgs kernels (the
+cross product, the contact rows, the signed minors and `det4`, the
+shared-zero resultant and the Wronskian) are proved as polynomial
+identities in tests/test_certificates.py, so they have no oracle here.
+These oracles test what the cores leave to their shells: the clearing
+to integer points, the rank and normalization of the contact system,
+the candidates' order and contact sets, and the exact root division.
 """
 from fractions import Fraction as F
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,7 +43,7 @@ from pvi_moduli.connection import (KappaParams, PPoint, PQState, ResidueVector, 
                                    kappa_generic, kostov_generic)
 from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, SpecialParameters,
                                SpecialWeights)
-from pvi_moduli.exact import (HALF, INF, Mat2, det3, det4, is_inf, over_common_denominator,
+from pvi_moduli.exact import (HALF, INF, Mat2, is_inf, over_common_denominator,
                               poly_add, poly_deriv, poly_divide_root, poly_mul, poly_trim,
                               solve_linear)
 from pvi_moduli.higgs import representative, sorted_divisor, theta_divisor
@@ -126,24 +133,8 @@ class TestLineThrough:
 
 
 # ---------------------------------------------------------------------------
-# det4, conic_subbundle and the representative's chart solve
+# conic_subbundle and the representative's chart solve
 # ---------------------------------------------------------------------------
-
-class TestDet4:
-    @given(st.lists(st.one_of(st.integers(-2, 2), st.integers(-H, H)), min_size=16, max_size=16),
-           st.booleans())
-    def test_matches_the_permutation_expansion(self, entries, dependent):
-        m = [entries[4 * i:4 * i + 4] for i in range(4)]
-        if dependent:
-            m[3] = [a - 2 * b for a, b in zip(m[0], m[1])]
-        expected = 0
-        for perm in permutations(range(4)):
-            term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(4), 2))
-            for i in range(4):
-                term *= m[i][perm[i]]
-            expected += term
-        assert det4(m) == expected
-
 
 def _oracle_conic(qp):
     """The first nullspace basis vector of the contact system, from
@@ -258,22 +249,6 @@ class TestChartSolve:
 # ---------------------------------------------------------------------------
 # Contact sets, general position and the Higgs Wronskian on integers
 # ---------------------------------------------------------------------------
-
-class TestDet3:
-    @given(st.lists(st.one_of(st.integers(-2, 2), st.integers(-H, H)), min_size=9, max_size=9),
-           st.booleans())
-    def test_matches_the_permutation_expansion(self, entries, dependent):
-        m = [entries[3 * i:3 * i + 3] for i in range(3)]
-        if dependent:
-            m[2] = [a - 3 * b for a, b in zip(m[0], m[1])]
-        expected = 0
-        for perm in permutations(range(3)):
-            term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(3), 2))
-            for i in range(3):
-                term *= m[i][perm[i]]
-            expected += term
-        assert det3(m) == expected
-
 
 def _oracle_candidates(qp):
     """`candidate_subbundles` on field values: the lines from `line_through`,
