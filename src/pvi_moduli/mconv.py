@@ -123,7 +123,7 @@ def zone_interchange_check(w: Weights):
     twists z_i, so the images are classified from their integer eps'.  The
     mu are not read: the images are those of odd-degree weights with these eps.
     Unstable eps are nonspecial: zone A's signed sums lie in (-1/2, 1/2), and
-    `et_pair`, which maps A onto every unstable zone, keeps nonspecial.
+    zone S (`stability.ZONE_CONTACT`) is A moved by `et_pair` at S, which keeps nonspecial.
     """
     nums, den = over_common_denominator(w.eps)
     zone_in = classify_numerators(nums, den)

@@ -14,7 +14,8 @@ from .connection import KappaParams, PQState
 from .errors import SamplerExhausted
 from .exact import HALF
 from .parabolic import QuasiPar, in_general_position
-from .stability import Weights, ZONE_A, ZONE_STABLE, classify_zone, et_pair, nonspecial_eps
+from .stability import (ZONE_A, ZONE_CONTACT, ZONE_STABLE, Weights, classify_zone, et_pair,
+                        nonspecial_eps)
 
 RETRY_LIMIT = 10000  # draws before a sampler gives up
 
@@ -103,27 +104,22 @@ class RationalSampler:
     def weights_in_zone(self, zone: str) -> Weights:
         """Nonspecial weights with the requested zone label.
 
-        Zone A is hit directly by scaling, B by reflecting an A sample,
-        the pair zones by an elementary-transformation pair on an A
-        sample, and Stable by rejection.
+        An unstable zone is a contact set S (`stability.ZONE_CONTACT`):
+        zone A is hit directly by scaling, and zone S is an A sample moved
+        by `et_pair` over the sorted S in pairs.  Stable is hit by rejection.
         """
-        if zone == "A" or zone == "B" or zone.startswith("C"):
+        if zone in ZONE_CONTACT:
             def make():
                 parts = [self.rat_in_unit() for _ in range(4)]
                 total = sum(parts)
                 target = self.rat_in_unit() * HALF  # in (0, 1/2)
-                eps = tuple(p * target / total for p in parts)
-                return eps
+                return tuple(p * target / total for p in parts)
 
-            eps = self.retry(make, lambda eps: _zone_of(eps) == ZONE_A)
-            w = Weights.of_eps(eps)
-            if zone == "A":
-                return w
-            if zone == "B":
-                # reflect all four: eps -> 1/2 - eps via two et pairs
-                return et_pair(et_pair(w, 1, 2), 3, 4)
-            i, j = int(zone[1]), int(zone[2])
-            return et_pair(w, i, j)
+            w = Weights.of_eps(self.retry(make, lambda eps: _zone_of(eps) == ZONE_A))
+            poles = sorted(ZONE_CONTACT[zone])
+            for i, j in zip(poles[::2], poles[1::2]):
+                w = et_pair(w, i, j)
+            return w
         if zone == ZONE_STABLE:
             eps = self.retry(lambda: tuple(self.rat_strictly_between_0_half()
                                            for _ in range(4)),

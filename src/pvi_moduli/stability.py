@@ -6,19 +6,20 @@ degree d = 1 is destabilized by a line subbundle L exactly when
 
     deg(L) + sum_{i in S(L)} eps_i - sum_{i not in S(L)} eps_i > 1/2,
 
-S(L) the contact set.  A candidate is the pair of polynomial sections
-(s1, s2) spanning L (`Subbundle.sections`): (0, 1) for the unique O(1),
-(1, v) for the degree-0 lines v of degree <= 1, and (v, w) for the
-degree-(-1) map through all four directions, kept only when v and w share
-no zero on P^1.  Contact sets and the shared-zero test run on integers
-(`candidate_subbundles`): `parabolic._direction_point` clears each
-direction to an integer point of P^2, and the cores that follow take any
-commutative ring: the line through two points is their cross product,
-the contact system's minors are signed 4x4 determinants, and the shared
-zero is the `_resultant` of those minors.  Only the coefficients of the
-lines and of (v, w) come back as `Fraction`s.  The weight space splits
-into eight unstable zones (every structure unstable, with a predicted
-destabilizer type) and the stable zone.
+S(L) the contact set; every verdict here reads this as one integer
+`_score` above den, over the common denominator den of the eps.  Zones
+are contact sets.  A structure in general position carries eight types
+(deg, S), one for each even S of {1..4}, of degree 1 - |S|/2, and each
+unstable zone, named by its S in `ZONE_CONTACT`, is where one of them
+scores above den: A (the O(1)), C_ij (a line) and B (the section through
+all four).  Zone S is zone A moved by elementary transformations at S,
+and a type and its complement (-deg, the other poles) score opposite.
+
+The candidates are the O(1), the degree-0 lines through two or more
+directions and the degree-(-1) section through all four
+(`candidate_subbundles`).  Their contact sets come from ring-generic
+cores on integer points (`parabolic._direction_point`); only their
+coefficients come back as `Fraction`s.
 """
 from __future__ import annotations
 
@@ -46,8 +47,17 @@ def czone(i: int, j: int) -> str:
     return f"C{i}{j}"
 
 
-# The eight unstable zones, in the order the verify suites walk them.
-ALL_ZONE_LABELS = (ZONE_A, ZONE_B) + tuple(czone(i, j) for i, j in combinations(range(1, 5), 2))
+# Each unstable zone by the contact set S of its destabilizer type, of degree 1 - |S|/2.
+ZONE_CONTACT = {ZONE_A: frozenset(), ZONE_B: frozenset(range(1, 5)),
+                **{czone(i, j): frozenset((i, j)) for i, j in combinations(range(1, 5), 2)}}
+ALL_ZONE_LABELS = tuple(ZONE_CONTACT)  # in the order the verify suites walk them
+
+
+def predicted_destabilizer_degree(zone: str) -> int:
+    """1 - |S|/2 for the contact set S of an unstable zone's type."""
+    if zone not in ZONE_CONTACT:
+        raise DegenerateInput(f"no destabilizer prediction for zone {zone}")
+    return 1 - len(ZONE_CONTACT[zone]) // 2
 
 
 class Weights(Value):
@@ -98,28 +108,39 @@ def classify_zone(w: Weights) -> str:
     return classify_numerators(*over_common_denominator(w.eps))
 
 
+def _score(nums, den, total, degree: int, contact):
+    """2 den times the parabolic degree of the type (degree, S), S 1-based,
+    at eps_i = nums[i] / den and total = sum(nums), over any commutative
+    ring: the type destabilizes above den and sits on a wall at den."""
+    return 2 * (degree * den + 2 * sum(nums[i - 1] for i in contact) - total)
+
+
+# A and the pair zones through pole 1, in the order their walls are reported
+_SCANNED = [(zone, predicted_destabilizer_degree(zone), ZONE_CONTACT[zone])
+            for zone in (ZONE_A, czone(1, 2), czone(1, 3), czone(1, 4))]
+_ZONE_OF = {contact: zone for zone, contact in ZONE_CONTACT.items()}
+
+
 def classify_numerators(nums, den: int) -> str:
-    """`classify_zone` for eps_i = nums[i] / den, den > 0, on integers:
-    eps sums and pair combinations x/den are compared with 1/2 and 3/2 as
-    2x against den and 3 den."""
+    """`classify_zone` for eps_i = nums[i] / den, den > 0, on integers.  A
+    type and its complement score opposite, so A, C12, C13 and C14 decide
+    all eight: |score| = den is a wall, and in (0, 1/2)^4 at most one
+    |score| is above den, naming the type or its complement."""
     total = sum(nums)
-    if 2 * total == den or 2 * total == 3 * den:
-        raise SpecialWeights(f"eps sum on a wall: {Fraction(total, den)}")
-    combos = {}
-    for i, j in combinations(range(4), 2):
-        c = 2 * (nums[i] + nums[j]) - total  # eps_i + eps_j - (the other two)
-        if 2 * c == den or 2 * c == -den:
-            raise SpecialWeights(f"pair combination on a wall: eps_{i+1}+eps_{j+1}-rest = "
-                                 f"{Fraction(c, den)}")
-        combos[(i, j)] = c
-    if 2 * total < den:
-        return ZONE_A
-    if 2 * total > 3 * den:
-        return ZONE_B
-    for (i, j), c in combos.items():
-        if 2 * c > den:
-            return czone(i + 1, j + 1)
-    return ZONE_STABLE
+    verdict = ZONE_STABLE
+    for zone, degree, contact in _SCANNED:
+        score = _score(nums, den, total, degree, contact)
+        if score == den or score == -den:
+            if not contact:
+                raise SpecialWeights(f"eps sum on a wall: {Fraction(total, den)}")
+            i, j = sorted(contact)
+            raise SpecialWeights(f"pair combination on a wall: eps_{i}+eps_{j}-rest = "
+                                 f"{Fraction(score, 2 * den)}")
+        if score > den:
+            verdict = zone
+        elif score < -den:
+            verdict = _ZONE_OF[ZONE_CONTACT[ZONE_B] - contact]
+    return verdict
 
 
 def et_pair(w: Weights, i: int, j: int) -> Weights:
@@ -141,16 +162,16 @@ class Branch(Enum):
 
 def stable_subzone_branch(w: Weights, i: int) -> Branch:
     """Which of the two points over t_i is unstable, for stable-zone weights:
-    the origin point (u_i = inf) iff eps_j + eps_k + eps_l - eps_i < 1/2."""
+    the origin point (u_i = inf) iff the O(1) of type (1, {i}) scores above den."""
     if i not in (1, 2, 3, 4):
         raise DegenerateInput(f"pole index must be in 1..4, got {i}")
     nums, den = over_common_denominator(w.eps)
     if classify_numerators(nums, den) != ZONE_STABLE:
         raise SpecialWeights("branch question only makes sense in the stable zone")
-    rest = 2 * (sum(nums) - 2 * nums[i - 1])
-    if rest == den:
+    score = _score(nums, den, sum(nums), 1, (i,))
+    if score == den:
         raise SpecialWeights(f"branch wall at pole {i}")
-    return Branch.ORIGIN_UNSTABLE if rest < den else Branch.COLINEAR_UNSTABLE
+    return Branch.ORIGIN_UNSTABLE if score > den else Branch.COLINEAR_UNSTABLE
 
 
 # ---------------------------------------------------------------------------
@@ -253,34 +274,19 @@ def _resultant(minors):
 def find_destabilizer(qp: QuasiPar, w: Weights) -> Optional[Subbundle]:
     """The destabilizing subbundle of maximal parabolic degree, or None.
 
-    Enumerates the saturated candidates, scores them against the weights
-    and returns the maximizer when its score exceeds 1/2.  A score exactly
-    1/2 anywhere means the weights sit on a wall: SpecialWeights.  With
-    eps_i = nums[i] / L the parabolic degree of a candidate is s / (2L) for
-    the integer score s = 2 (deg L + 2 inside - total), so each candidate
-    is compared with 1/2 as s against L.
+    Enumerates the saturated candidates, `_score`s them over the common
+    denominator of the eps and returns the maximizer when its parabolic
+    degree exceeds 1/2.  A degree exactly 1/2 anywhere means the weights
+    sit on a wall: SpecialWeights.
     """
     nums, den = over_common_denominator(w.eps)
     total = sum(nums)
     best = best_key = None
     for sub in candidate_subbundles(qp):
-        score = 2 * (sub.degree * den + 2 * sum(nums[i - 1] for i in sub.contact) - total)
+        score = _score(nums, den, total, sub.degree, sub.contact)
         if score == den:
             raise SpecialWeights(f"candidate of parabolic degree exactly 1/2: {sub}")
         key = (score, sub.degree, tuple(sorted(sub.contact)))
         if best_key is None or key > best_key:
             best, best_key = sub, key
-    if best_key[0] > den:
-        return best
-    return None
-
-
-PREDICTED_TYPE = {"A": 1, "B": -1}  # zone -> destabilizer degree; C-zones are degree 0
-
-
-def predicted_destabilizer_degree(zone: str) -> int:
-    if zone in PREDICTED_TYPE:
-        return PREDICTED_TYPE[zone]
-    if zone.startswith("C"):
-        return 0
-    raise DegenerateInput(f"no destabilizer prediction for zone {zone}")
+    return best if best_key[0] > den else None

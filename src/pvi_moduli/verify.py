@@ -24,8 +24,8 @@ from .mconv import _mod1, defect, mc_exponents, odd_degree_weights, zone_interch
 from .parabolic import (QuasiPar, line_through, parabolic_from_connection,
                         parabolic_structures, phi_map, q_map, q_map_parabolic)
 from .sampling import RationalSampler
-from .stability import (ALL_ZONE_LABELS, Branch, Weights, ZONE_STABLE, classify_zone, czone,
-                        et_pair, find_destabilizer, parabolic_degree,
+from .stability import (ALL_ZONE_LABELS, Branch, Weights, ZONE_B, ZONE_CONTACT, ZONE_STABLE,
+                        classify_zone, czone, et_pair, find_destabilizer, parabolic_degree,
                         predicted_destabilizer_degree, stable_subzone_branch)
 
 
@@ -406,7 +406,6 @@ def suite_zones(seed: int, samples: int, bound: int) -> Report:
     # destabilizers per zone + oracle agreement
     poles = (Fraction(0), Fraction(1), Fraction(3), INF)
     for zone in ALL_ZONE_LABELS:
-        need = {int(zone[1]), int(zone[2])} if zone.startswith("C") else set()
         for _ in range(max(samples // 8, 3)):
             w = rs.weights_in_zone(zone)
             qp = QuasiPar(poles=poles, u=rs.general_position_u(poles))
@@ -414,7 +413,7 @@ def suite_zones(seed: int, samples: int, bound: int) -> Report:
             witness = {"weights": w, "parabolic": qp, "destabilizer": sub}
             rep.check(f"zone {zone}: destabilizer of the predicted type on all samples",
                       sub is not None and sub.degree == predicted_destabilizer_degree(zone)
-                      and need <= sub.contact, witness)
+                      and sub.contact == ZONE_CONTACT[zone], witness)
             score, deg, contact = oracle_destabilizer(qp, w)
             rep.check(f"zone {zone}: verdict and maximizer match the brute-force oracle",
                       sub is not None and score > HALF and score == parabolic_degree(sub, w)
@@ -532,20 +531,19 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
     # the zone <-> fibration dictionary: the limiting Higgs field vanishes
     # at the contact poles and at the q-coordinate of the matching
     # symmetry composite, {t_i, t_j, q o word} or {t_1, ..., t_4, q o word}
-    dictionary = [(czone(i, j), (i, j), bk.pair_fibration_word(i, j))
-                  for i, j in ((1, 2), (2, 3), (1, 4))]
-    dictionary.append(("B", (1, 2, 3, 4), bk.full_flip_fibration_word()))
+    dictionary = [(czone(i, j), bk.pair_fibration_word(i, j)) for i, j in ((1, 2), (2, 3), (1, 4))]
+    dictionary.append((ZONE_B, bk.full_flip_fibration_word()))
 
     def dictionary_sample():
         s = rs.pq_state()
-        return s, [bk.apply_word(word, s).q for _, _, word in dictionary]
+        return s, [bk.apply_word(word, s).q for _, word in dictionary]
 
     for _ in range(max(samples // 8, 2)):
         s, composite_qs = _draw(rs, dictionary_sample)
-        weights = [rs.weights_in_zone(zone) for zone, _, _ in dictionary]
+        weights = [rs.weights_in_zone(zone) for zone, _ in dictionary]
         limits = [higgs_limit(s, w) for w in weights]
-        for (_, poles, _), composite_q, w, lim in zip(dictionary, composite_qs, weights, limits):
-            divisor = sorted_divisor([s.poles[i - 1] for i in poles] + [composite_q])
+        for (zone, _), composite_q, w, lim in zip(dictionary, composite_qs, weights, limits):
+            divisor = sorted_divisor([s.poles[i - 1] for i in ZONE_CONTACT[zone]] + [composite_q])
             rep.check("pair/full-flip zones: limit free zero is the composite's q-coordinate",
                       lim.divisor == divisor,
                       {"state": s, "weights": w, "limit": lim, "composite_q": composite_q})

@@ -37,6 +37,11 @@ choices sigma, to be `connection.okamoto_s0` of the signed exponents, over
 Q(eps1..eps4): the rule `mconv` and `backlund` share is the paper's
 convolution exponent.
 
+The zone score `stability._score` is proved over Q(eps1..eps4) with
+den = 1: it is 2 (d + sum_S eps - sum_rest eps) for every contact set S,
+and a type and its complement (-d, the other poles) score opposite, the
+identity the zone classifier's scan of four types relies on.
+
 The contact, conic and Wronskian cores take coordinates in any
 commutative ring, so they run here on polynomial-ring symbols, over
 Z[t1..t4, u1..u4] and on generic entries: a conic row is the homogenized
@@ -47,7 +52,7 @@ shared-zero polynomial is the resultant of v and w; (a x b) . c and
 Q(t, kappa, q, p) the Wronskian vanishes at every finite contact pole.
 """
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -63,7 +68,7 @@ from pvi_moduli.mconv import sigma_text  # noqa: E402
 from pvi_moduli.parabolic import (_conic_row, _fiber_row, _signed_minors, cross,  # noqa: E402
                                   dot, line_through, parabolic_from_connection,
                                   parabolic_structures, q_map_parabolic, section_value)
-from pvi_moduli.stability import _resultant  # noqa: E402
+from pvi_moduli.stability import _resultant, _score  # noqa: E402
 
 K, t, k1, k2, k3, k4, q, p = sympy.field("t k1 k2 k3 k4 q p", sympy.QQ)
 k0 = (1 - k1 - k2 - k3 - k4) / 2
@@ -183,6 +188,23 @@ def test_convolution_exponents_are_okamoto_s0_of_the_signed_exponents(sigma):
     image = connection.okamoto_s0(E_HALF - signed, *(2 * s * e for s, e in zip(sigma, EPS)))
     y = [-E_HALF + signed - 2 * s * e for s, e in zip(sigma, EPS)]
     assert image[1:] == tuple(-yi for yi in y)
+
+
+CONTACT_SETS = [frozenset(c) for r in range(5) for c in combinations(range(1, 5), r)]
+
+
+@pytest.mark.parametrize("contact", CONTACT_SETS, ids=lambda c: "S=" + "".join(map(str, sorted(c))))
+def test_zone_score_is_twice_the_parabolic_degree_and_odd_under_complement(contact):
+    """Over one denominator den = 1, `_score` of the type (d, S) is
+    2 (d + sum_S eps - sum_rest eps), and the complement type (-d, the
+    other poles) has the opposite score, for d in {-1, 0, 1}."""
+    total = sum(EPS)
+    inside = sum(EPS[i - 1] for i in contact)
+    rest = frozenset(range(1, 5)) - contact
+    for d in (-1, 0, 1):
+        score = _score(EPS, 1, total, d, contact)
+        assert score == 2 * (d + inside - (total - inside))
+        assert score == -_score(EPS, 1, total, -d, rest)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,12 @@ RAISES = [
     # other modules
     (lambda: RationalSampler(1, bound=1), ValueError, "bound must be at least 2"),
     (lambda: RationalSampler(1).weights_in_zone("Z"), ValueError, "unknown zone"),
+    # zone labels are looked up in stability.ZONE_CONTACT, not parsed
+    *[(lambda label=label: RationalSampler(1).weights_in_zone(label), ValueError,
+       f"unknown zone {label}$") for label in ("C", "Cat", "C99", "C21")],
+    *[(lambda label=label: predicted_destabilizer_degree(label), DegenerateInput,
+       f"no destabilizer prediction for zone {label}$")
+      for label in ("C", "Cat", "C99", "C21", "Stable")],
     (lambda: czone(2, 2), DegenerateInput, "pair indices must be distinct"),
     (lambda: Subbundle(5, (), frozenset()).sections(), DegenerateInput,
      "unsupported subbundle degree"),

@@ -16,7 +16,10 @@ polynomial-ring symbols; `CORES` lists them with the other code that must
 stay off the list.  `parabolic._direction_point` is the one shell
 that turns a pole or a direction into an integer point; the contact,
 conic and Wronskian cores, and `_conic_minors`, which feeds them those
-points, never read a denominator.  A new read outside the list fails
+points, never read a denominator.  Nor do the zone score
+`stability._score`, which the zone classifier, the branch test and the
+destabilizer scores share, and the convolution's integer `_convolve`.  A
+new read outside the list fails
 `test_every_rational_read_sits_in_a_declared_shell`, and a shell with no
 read left fails `test_every_declared_shell_still_reads_a_rational`.
 Stdlib only.
@@ -65,10 +68,12 @@ SHELLS = {
 }
 
 # Code that must read no rational: the ring-generic cores, the code that
-# feeds them integer points, and the integer kernels det4 and poly_divide_root.
+# feeds them integer points, and the integer kernels det4, poly_divide_root
+# and _convolve.
 CORES = ("parabolic.cross", "parabolic.dot", "parabolic._conic_row", "parabolic._fiber_row",
          "parabolic._signed_minors", "parabolic._conic_minors", "parabolic.in_general_position",
-         "stability._resultant", "higgs._wronskian", "exact.det4", "exact.poly_divide_root")
+         "stability._resultant", "stability._score", "higgs._wronskian", "mconv._convolve",
+         "exact.det4", "exact.poly_divide_root")
 
 RATIONAL_ATTRIBUTES = {"numerator", "denominator"}
 RATIONAL_CALLS = {"Fraction", "over_common_denominator"}

@@ -7,8 +7,8 @@ from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import INF
 from pvi_moduli.parabolic import QuasiPar, line_through
 from pvi_moduli.sampling import RationalSampler
-from pvi_moduli.stability import (ALL_ZONE_LABELS, Branch, Subbundle, Weights,
-                                  candidate_subbundles, classify_zone, czone, et_pair,
+from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, Branch, Subbundle, Weights,
+                                  candidate_subbundles, classify_zone, et_pair,
                                   find_destabilizer, nonspecial_eps, parabolic_degree,
                                   stable_subzone_branch)
 from pvi_moduli.verify import oracle_destabilizer
@@ -185,12 +185,17 @@ class TestDestabilizer:
         assert sub is not None and sub.degree == -1 and sub.contact == frozenset({1, 2, 3, 4})
 
     def test_czone_gives_pair(self):
-        for i, j in combinations(range(1, 5), 2):
-            w = et_pair(Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)]), i, j)
-            assert classify_zone(w) == czone(i, j)
-            sub = find_destabilizer(self.generic_qp(seed=i * 10 + j), w)
-            assert sub is not None and sub.degree == 0
-            assert {i, j} <= set(sub.contact)
+        """All eight zones are contact sets: zone-A eps reflected to 1/2 - eps
+        at the poles of S classify as the zone of S, and on a structure in
+        general position its destabilizer has degree 1 - |S|/2 and contact
+        exactly S."""
+        eps = (F(1, 10), F(1, 12), F(1, 14), F(1, 16))
+        for n, (zone, contact) in enumerate(ZONE_CONTACT.items()):
+            w = Weights.of_eps([HALF - e if i in contact else e for i, e in enumerate(eps, 1)])
+            assert classify_zone(w) == zone
+            sub = find_destabilizer(self.generic_qp(seed=40 + n), w)
+            assert sub is not None
+            assert (sub.degree, sub.contact) == (1 - len(contact) // 2, contact)
 
     def test_mu_is_ignored(self):
         qp = self.generic_qp()
