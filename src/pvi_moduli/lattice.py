@@ -8,7 +8,10 @@ class Y = 2C0 + F'_1 + ... + F'_4 and its reduction Y_red = C0 + sum F'_i.
 
 `enumerate_transversal` lists the fiber classes of the affine-line
 fibrations transversal to the |F| one; exactly the sixteen
-C1 + F - sum_i Ei^{s_i}.
+C1 + F - sum_i Ei^{s_i}.  It searches at most 2 * 3^4 = 162 candidates,
+whatever n_max is, as plain integer tuples under the one form `_form`,
+and builds a `DivClass` only for each survivor.  `sigma_label` reads the
+sign pattern from a 16-entry table built once from `L_sigma`.
 """
 from __future__ import annotations
 
@@ -65,6 +68,8 @@ Y_RED = C0 + F_prime(1) + F_prime(2) + F_prime(3) + F_prime(4)
 
 def L_sigma(sigma) -> DivClass:
     """C1 + F - sum_i E_i^{sigma_i} for a sign pattern like '+-++'."""
+    if len(sigma) != 4 or any(s not in ("+", "-") for s in sigma):
+        raise DegenerateInput("L_sigma needs a pattern of exactly four '+'/'-' signs")
     out = C1 + F
     for i, s in enumerate(sigma, start=1):
         out = out - E(i, s)
@@ -81,10 +86,14 @@ def E_prime_minus(i: int) -> DivClass:
     return out
 
 
-def intersect(d1: DivClass, d2: DivClass) -> int:
-    a, b = d1.coeffs, d2.coeffs
+def _form(a: tuple, b: tuple) -> int:
+    """The intersection form on two coefficient tuples."""
     return (-2 * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
             - sum(x * y for x, y in zip(a[2:], b[2:])))
+
+
+def intersect(d1: DivClass, d2: DivClass) -> int:
+    return _form(d1.coeffs, d2.coeffs)
 
 
 def form_signature():
@@ -110,6 +119,11 @@ def form_signature():
     return (pos, neg, 0)
 
 
+# L'.F'_i >= 0 and L'.Ei± >= 0 for i = 1..4, as coefficient tuples
+_NEF_TESTS = tuple(d.coeffs for i in range(1, 5)
+                   for d in (F_prime(i), E(i, "+"), E(i, "-")))
+
+
 def enumerate_transversal(n_max: int):
     """All classes L' = C1 + nF - sum a_i Ei+ - sum b_i Ei- with
     0 <= n <= n_max satisfying L'.F'_i >= 0, L'.Ei± >= 0, L'.Y_red = 1
@@ -117,7 +131,10 @@ def enumerate_transversal(n_max: int):
 
     The per-point bound a_i, b_i in {0, 1} with a_i + b_i <= 1 is derived
     from the first two inequality families rather than assumed; the search
-    space below is the survivor set of that derivation.
+    space below is the survivor set of that derivation.  So there are at
+    most 2 * 3^4 = 162 candidates (n <= min(n_max, 1)), whatever n_max is.
+    Each is a plain tuple of 10 ints that runs every test above; a
+    `DivClass` is built only for a survivor.
     """
     if n_max < 1:
         raise DegenerateInput("n_max must be at least 1")
@@ -126,30 +143,27 @@ def enumerate_transversal(n_max: int):
     per_point = [(a, b) for a in range(2) for b in range(2) if 1 - a - b >= 0]
     # So m = sum(a_i + b_i) <= 4, and L'^2 = 2n + 2 - m = 0 forces n <= 1:
     # no n above 1 can contribute, whatever n_max is.
+    y_red = Y_RED.coeffs
     out = []
     for n in range(min(n_max, 1) + 1):
         for choice in product(per_point, repeat=4):
-            cand = C1 + n * F
-            for i, (a, b) in enumerate(choice, start=1):
-                cand = cand - a * E(i, "+") - b * E(i, "-")
-            if intersect(cand, Y_RED) != 1:
+            # C1 + nF - sum a_i Ei+ - sum b_i Ei-
+            cand = (1, 2 + n) + tuple(-c for ab in choice for c in ab)
+            if _form(cand, y_red) != 1:
                 continue
-            if intersect(cand, cand) != 0:
+            if _form(cand, cand) != 0:
                 continue
-            ok = all(intersect(cand, F_prime(i)) >= 0
-                     and intersect(cand, E(i, "+")) >= 0
-                     and intersect(cand, E(i, "-")) >= 0 for i in range(1, 5))
-            if ok:
-                out.append(cand)
+            if all(_form(cand, t) >= 0 for t in _NEF_TESTS):
+                out.append(DivClass(cand))
     return out
+
+
+_SIGMA_OF = {L_sigma(sigma).coeffs: "".join(sigma) for sigma in product("+-", repeat=4)}
 
 
 def sigma_label(d: DivClass):
     """Sign pattern of a class of the form C1 + F - sum Ei^{s_i}, else None."""
-    for sigma in product("+-", repeat=4):
-        if d == L_sigma(sigma):
-            return "".join(sigma)
-    return None
+    return _SIGMA_OF.get(d.coeffs)
 
 
 def singular_fiber_decompositions():

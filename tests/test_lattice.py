@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from pvi_moduli.errors import DegenerateInput
-from pvi_moduli.lattice import (C0, C1, E, F, F_prime, L_sigma, RANK, Y, Y_RED,
+from pvi_moduli.lattice import (C0, C1, E, F, F_prime, L_sigma, RANK, Y, Y_RED, DivClass,
                                 anticanonical_check, enumerate_transversal, E_prime_minus,
                                 form_signature, intersect, sigma_label,
                                 singular_fiber_decompositions)
@@ -32,7 +32,49 @@ class TestForm:
         assert intersect(C1, C1) == 2
 
 
+def reference_transversal(n_max):
+    """The same search on `DivClass` objects, one class per candidate and
+    per test class: the reference the integer-tuple search must match."""
+    per_point = [(a, b) for a in range(2) for b in range(2) if 1 - a - b >= 0]
+    out = []
+    for n in range(min(n_max, 1) + 1):
+        for choice in product(per_point, repeat=4):
+            cand = C1 + n * F
+            for i, (a, b) in enumerate(choice, start=1):
+                cand = cand - a * E(i, "+") - b * E(i, "-")
+            if intersect(cand, Y_RED) != 1:
+                continue
+            if intersect(cand, cand) != 0:
+                continue
+            if all(intersect(cand, F_prime(i)) >= 0
+                   and intersect(cand, E(i, "+")) >= 0
+                   and intersect(cand, E(i, "-")) >= 0 for i in range(1, 5)):
+                out.append(cand)
+    return out
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_equals_the_divclass_search(self, n_max):
+        assert enumerate_transversal(n_max) == reference_transversal(n_max)
+
+    def test_builds_a_divclass_only_for_each_survivor(self, monkeypatch):
+        # the test classes F'_i and Ei± are built once, at import, and
+        # sigma_label reads a table; reference_transversal(5) builds 4,596
+        built = 0
+        init = DivClass.__init__
+
+        def counted(self, coeffs):
+            nonlocal built
+            built += 1
+            init(self, coeffs)
+
+        monkeypatch.setattr(DivClass, "__init__", counted)
+        found = enumerate_transversal(5)
+        assert len(found) == 16 and built == 16
+        assert None not in [sigma_label(d) for d in found]
+        assert built == 16
+
     def test_exactly_sixteen(self):
         found = enumerate_transversal(5)
         assert len(found) == 16

@@ -3,6 +3,7 @@ input checks of the public constructors and functions, and the rarely hit
 answers of the normal-form and parabolic maps.
 """
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -69,6 +70,8 @@ RAISES = [
     # lattice
     (lambda: lattice.DivClass((1, 2)), DegenerateInput, "integer vector of length 10"),
     (lambda: lattice.E(5, "+"), DegenerateInput, "needs i in 1..4"),
+    (lambda: lattice.L_sigma("++"), DegenerateInput, "L_sigma needs a pattern"),
+    (lambda: lattice.L_sigma("+++++"), DegenerateInput, "pattern of exactly four"),
     # parabolic
     (lambda: par.QuasiPar(poles=POLES[:3], u=(F(0),) * 3), DegenerateInput,
      "four poles and four parabolic coordinates"),
@@ -120,8 +123,21 @@ def test_quotient_contact_of_a_theta_zero_limit():
     assert higgs.HiggsLimit(kind=higgs.THETA_ZERO, qp=qp).quotient_contact is None
 
 
-def test_sigma_label_of_a_class_off_the_sigma_family():
-    assert lattice.sigma_label(lattice.C0) is None
+SIGMAS = ["".join(p) for p in product("+-", repeat=4)]
+OFF_SIGMA = {"C0": lattice.C0, "F": lattice.F, "C1": lattice.C1, "Y": lattice.Y,
+             "Y_RED": lattice.Y_RED,
+             **{f"E{i}{s}": lattice.E(i, s) for i in range(1, 5) for s in "+-"},
+             **{f"L({sigma})+F": lattice.L_sigma(sigma) + lattice.F for sigma in SIGMAS}}
+
+
+@pytest.mark.parametrize("d", OFF_SIGMA.values(), ids=OFF_SIGMA)
+def test_sigma_label_of_a_class_off_the_sigma_family(d):
+    assert lattice.sigma_label(d) is None
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_sigma_label_inverts_l_sigma(sigma):
+    assert lattice.sigma_label(lattice.L_sigma(sigma)) == sigma
 
 
 @pytest.mark.parametrize("u", [
