@@ -415,11 +415,11 @@ def apparent_singularity(s: PQState, infinite_parabolic: Optional[Sequence[bool]
     parabolic data: the minus copy when the destabilizing O(1) fiber is the
     parabolic direction there (u_i = inf), the plus copy otherwise.
     """
+    flags = tuple(infinite_parabolic) if infinite_parabolic is not None else (False,) * 4
+    if len(flags) != 4:
+        raise DegenerateInput("need one parabolic flag per pole")
     q = s.q
     idx = pole_index(q, s.poles)
     if idx is None:
         return PPoint(base=q, sheet=Sheet.GENERIC)
-    flags = tuple(infinite_parabolic) if infinite_parabolic is not None else (False,) * 4
-    if len(flags) != 4:
-        raise DegenerateInput("need one parabolic flag per pole")
     return PPoint(base=q, sheet=Sheet.MINUS if flags[idx] else Sheet.PLUS)

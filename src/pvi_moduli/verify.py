@@ -3,7 +3,13 @@
 Each suite returns a Report of Check records (name, passed, witness); a
 failed check always carries the exact inputs of its first failing sample
 and the values it compared.  Reports are deterministic functions of
-(seed, samples, bound).
+(seed, samples, bound); each suite builds its Report first, and a Report
+rejects samples < 1 and bound < 2.
+
+Each claim that tests restate is declared once, as a `*_identities` or
+`*_identity` function of values already drawn that computes every value,
+then returns its (name, passed, witness) records in report order.  The
+suites record them; the tests call them on their own draws.
 """
 from __future__ import annotations
 
@@ -41,11 +47,14 @@ class Check:
 
 
 class Report:
-    def __init__(self, suite: str, seed: int, samples: int, bound: int,
-                 checks: Optional[list] = None, rejections: int = 0):
+    def __init__(self, suite: str, seed: int, samples: int, bound: int):
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        if bound < 2:
+            raise ValueError(f"bound must be at least 2, got {bound}")
         self.suite, self.seed, self.samples, self.bound = suite, seed, samples, bound
-        self.checks = [] if checks is None else checks
-        self.rejections = rejections
+        self.checks = []
+        self.rejections = 0
 
     @property
     def passed(self) -> bool:
@@ -62,6 +71,11 @@ class Report:
                     c.passed, c.witness = False, witness
                 return
         self.checks.append(Check(name=name, passed=passed, witness=None if passed else witness))
+
+    def record(self, records) -> None:
+        """Record each (name, passed, witness) of a declaration, in order."""
+        for name, passed, witness in records:
+            self.check(name, passed, witness)
 
     def to_json_dict(self):
         return {"suite": self.suite, "seed": self.seed, "samples": self.samples,
@@ -180,11 +194,10 @@ def _connection_checks(s: PQState) -> list:
 
 
 def suite_connection(seed: int, samples: int, bound: int) -> Report:
-    rs = RationalSampler(seed, bound)
     rep = Report(suite="connection", seed=seed, samples=samples, bound=bound)
+    rs = RationalSampler(seed, bound)
     for _ in range(samples):
-        for name, passed, witness in _draw(rs, lambda: _connection_checks(rs.pq_state())):
-            rep.check(name, passed, witness)
+        rep.record(_draw(rs, lambda: _connection_checks(rs.pq_state())))
     rep.rejections = rs.rejections
     return rep
 
@@ -244,11 +257,10 @@ def backlund_identities(st: PQState) -> list:
 
 
 def suite_backlund(seed: int, samples: int, bound: int) -> Report:
-    rs = RationalSampler(seed, bound)
     rep = Report(suite="backlund", seed=seed, samples=samples, bound=bound)
+    rs = RationalSampler(seed, bound)
     for _ in range(samples):
-        for name, passed, witness in _draw(rs, lambda: backlund_identities(rs.pq_state())):
-            rep.check(name, passed, witness)
+        rep.record(_draw(rs, lambda: backlund_identities(rs.pq_state())))
 
     # transversality
     for _ in range(samples):
@@ -365,25 +377,25 @@ def oracle_destabilizer(qp: QuasiPar, w: Weights):
     return Fraction(score, den), deg, contact
 
 
-def suite_zones(seed: int, samples: int, bound: int) -> Report:
-    rs = RationalSampler(seed, bound)
-    rep = Report(suite="zones", seed=seed, samples=samples, bound=bound)
-
-    # classification partitions nonspecial weights
-    labels_seen = set()
-    for _ in range(samples):
-        eps = rs.eps_nonspecial()
+def zone_label_identities(eps_samples) -> list:
+    """Per nonspecial eps, at most one zone condition holds, and none
+    exactly in the stable zone; then the labels seen over the sweep."""
+    out, seen = [], set()
+    for eps in eps_samples:
         z = classify_zone(Weights.of_eps(eps))
-        labels_seen.add(z)
+        seen.add(z)
         count = _zone_condition_count(eps)
-        rep.check("every nonspecial sample gets exactly one zone label",
-                  count <= 1 and (count == 0) == (z == ZONE_STABLE),
-                  {"eps": eps, "zone": z, "conditions": count})
-    rep.check("zone labels form the 9-element set over the sweep",
-              labels_seen <= set(ALL_ZONE_LABELS) | {ZONE_STABLE}, {"seen": labels_seen})
+        out.append(("every nonspecial sample gets exactly one zone label",
+                    count <= 1 and (count == 0) == (z == ZONE_STABLE),
+                    {"eps": eps, "zone": z, "conditions": count}))
+    out.append(("zone labels form the 9-element set over the sweep",
+                seen <= set(ALL_ZONE_LABELS) | {ZONE_STABLE}, {"seen": seen}))
+    return out
 
-    # et-pair orbit from zone A covers the eight unstable zones
-    w0 = rs.weights_in_zone("A")
+
+def et_orbit_identities(w0: Weights) -> list:
+    """The `et_pair` orbit of zone-A weights w0 visits 8 eps, one in each
+    unstable zone, and `et_pair` is an involution."""
     orbit = {classify_zone(w0)}
     frontier = [w0]
     seen_eps = {w0.eps}
@@ -397,11 +409,19 @@ def suite_zones(seed: int, samples: int, bound: int) -> Report:
                     orbit.add(classify_zone(w2))
                     nxt.append(w2)
         frontier = nxt
-    rep.check("et-pair orbit of a zone-A sample covers all 8 unstable zones",
-              orbit == set(ALL_ZONE_LABELS), {"weights": w0, "orbit": orbit})
     back = et_pair(et_pair(w0, 1, 3), 1, 3)
-    rep.check("et_pair is an involution on eps", back.eps == w0.eps,
-              {"weights": w0, "back": back})
+    return [("et-pair orbit of a zone-A sample covers all 8 unstable zones",
+             orbit == set(ALL_ZONE_LABELS) and len(seen_eps) == 8,
+             {"weights": w0, "orbit": orbit, "visited": len(seen_eps)}),
+            ("et_pair is an involution on eps", back.eps == w0.eps,
+             {"weights": w0, "back": back})]
+
+
+def suite_zones(seed: int, samples: int, bound: int) -> Report:
+    rep = Report(suite="zones", seed=seed, samples=samples, bound=bound)
+    rs = RationalSampler(seed, bound)
+    rep.record(zone_label_identities([rs.eps_nonspecial() for _ in range(samples)]))
+    rep.record(et_orbit_identities(rs.weights_in_zone("A")))
 
     # destabilizers per zone + oracle agreement
     poles = (Fraction(0), Fraction(1), Fraction(3), INF)
@@ -459,28 +479,60 @@ def _zone_condition_count(eps) -> int:
 # Higgs suite
 # ---------------------------------------------------------------------------
 
+def zone_a_limit_identities(s: PQState, w: Weights) -> list:
+    """At zone-A weights the scaling limit vanishes only at the apparent
+    singularity q, and is the fibration composite."""
+    lim = higgs_limit(s, w)
+    composite = v_alpha_unstable(apparent_singularity(s), s.poles)
+    witness = {"state": s, "weights": w, "limit": lim}
+    return [("zone A: limit divisor is the apparent singularity",
+             lim.kind == GRADED and lim.divisor == (s.q,) and lim.deg_l == 1, witness),
+            ("zone A: limit equals the fibration composite", lim == composite, witness)]
+
+
+def graded_limit_identity(zone: str, s: PQState, w: Weights) -> list:
+    """In an unstable zone the scaling limit keeps a nonzero Higgs field."""
+    lim = higgs_limit(s, w)
+    return [(f"zone {zone}: the limit Higgs field never vanishes", lim.kind == GRADED,
+             {"state": s, "weights": w, "limit": lim})]
+
+
+def quotient_slope_identity(s: PQState, w: Weights) -> list:
+    """A graded scaling limit is stable: E/L has slope below 1/2."""
+    lim = higgs_limit(s, w)
+    return [("graded limits: the invariant quotient has slope below 1/2",
+             lim.kind == GRADED
+             and 1 - lim.deg_l + sum(w.eps[i - 1] for i in lim.quotient_contact)
+             - sum(w.eps[i - 1] for i in lim.contact) < HALF,
+             {"state": s, "weights": w, "limit": lim})]
+
+
+def colinear_limit_identity(s0: PQState, w: Weights) -> list:
+    """p = -k0/q puts Q of s0 at the first pole with the other three
+    directions colinear; on the colinear-unstable branch of the stable
+    zone, the limit there carries the three forced zeros."""
+    s = PQState(t=s0.t, kappa=s0.kappa, q=s0.q, p=-s0.kappa.k0 / s0.q)
+    pt = phi_map(parabolic_from_connection(s))
+    lim = higgs_limit(s, w)
+    return [("stable zone: colinear-unstable limits carry the three forced zeros",
+             pt.base == 0 and pt.sheet.value == "plus"
+             and lim.kind == GRADED and lim.deg_l == 0
+             and lim.contact == frozenset({2, 3, 4})
+             and lim.divisor == sorted_divisor((1, s.t, INF))
+             and lim == v_alpha_stable(pt, w, s.poles),
+             {"state": s, "weights": w, "point": pt, "limit": lim})]
+
+
 def suite_higgs(seed: int, samples: int, bound: int) -> Report:
-    rs = RationalSampler(seed, bound)
     rep = Report(suite="higgs", seed=seed, samples=samples, bound=bound)
+    rs = RationalSampler(seed, bound)
 
+    # each draw is a call's arguments, made left to right: the state, then the weights
     for _ in range(samples):
-        s = rs.pq_state()
-        wa = rs.weights_in_zone("A")
-        lim = higgs_limit(s, wa)
-        witness = {"state": s, "weights": wa, "limit": lim}
-        rep.check("zone A: limit divisor is the apparent singularity",
-                  lim.kind == GRADED and lim.divisor == (s.q,) and lim.deg_l == 1, witness)
-        rep.check("zone A: limit equals the fibration composite",
-                  lim == v_alpha_unstable(apparent_singularity(s), s.poles), witness)
-
-    # unstable zones never give a vanishing Higgs field
+        rep.record(zone_a_limit_identities(rs.pq_state(), rs.weights_in_zone("A")))
     for zone in ALL_ZONE_LABELS:
         for _ in range(max(samples // 8, 2)):
-            s = rs.pq_state()
-            w = rs.weights_in_zone(zone)
-            lim = higgs_limit(s, w)
-            rep.check(f"zone {zone}: the limit Higgs field never vanishes", lim.kind == GRADED,
-                      {"state": s, "weights": w, "limit": lim})
+            rep.record(graded_limit_identity(zone, rs.pq_state(), rs.weights_in_zone(zone)))
 
     # stable zone: the limit only sees the classifying point
     for _ in range(max(samples // 2, 3)):
@@ -500,33 +552,14 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
                   lim1 == v_alpha_stable(pt, ws, s1.poles),
                   {"weights": ws, "state": s1, "point": pt, "limit": lim1})
 
-    # stable zone, colinear-unstable branch reached from a connection:
-    # p = -k0/q puts Q at the first pole with the other three directions colinear
     for _ in range(max(samples // 4, 3)):
         s0 = rs.pq_state()
-        s = PQState(t=s0.t, kappa=s0.kappa, q=s0.q, p=-s0.kappa.k0 / s0.q)
         w = rs.retry(lambda: rs.weights_in_zone(ZONE_STABLE),
                      lambda wv: stable_subzone_branch(wv, 1) == Branch.COLINEAR_UNSTABLE)
-        pt = phi_map(parabolic_from_connection(s))
-        lim = higgs_limit(s, w)
-        rep.check("stable zone: colinear-unstable limits carry the three forced zeros",
-                  pt.base == 0 and pt.sheet.value == "plus"
-                  and lim.kind == GRADED and lim.deg_l == 0
-                  and lim.contact == frozenset({2, 3, 4})
-                  and lim.divisor == sorted_divisor((1, s.t, INF))
-                  and lim == v_alpha_stable(pt, w, s.poles),
-                  {"state": s, "weights": w, "point": pt, "limit": lim})
+        rep.record(colinear_limit_identity(s0, w))
 
-    # graded limits are stable: the invariant subbundle E/L has slope < 1/2
     for zone in ("A", "B", czone(1, 2)):
-        s = rs.pq_state()
-        w = rs.weights_in_zone(zone)
-        lim = higgs_limit(s, w)
-        rep.check("graded limits: the invariant quotient has slope below 1/2",
-                  lim.kind == GRADED
-                  and 1 - lim.deg_l + sum(w.eps[i - 1] for i in lim.quotient_contact)
-                  - sum(w.eps[i - 1] for i in lim.contact) < HALF,
-                  {"state": s, "weights": w, "limit": lim})
+        rep.record(quotient_slope_identity(rs.pq_state(), rs.weights_in_zone(zone)))
 
     # the zone <-> fibration dictionary: the limiting Higgs field vanishes
     # at the contact poles and at the q-coordinate of the matching
@@ -555,38 +588,44 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
 # Middle-convolution suite
 # ---------------------------------------------------------------------------
 
+def mc_identities(e: Weights) -> list:
+    """Okamoto's s0 as Katz's middle convolution sends odd-degree zone-A
+    weights e into the stable zone, by sigma = ++++ (any twist) or +++-."""
+    out = mc_exponents(e, sigma="++++")
+    zone = classify_zone(out)
+    total = sum(out.eps)
+    wit = {"eps": e, "out": out}
+    # z-independence of the zone
+    z_alt = (Fraction(1, 3), Fraction(-2, 5), Fraction(4, 7),
+             _mod1(-(sum(e.mu) + sum(e.eps)) - Fraction(1, 3) + Fraction(2, 5) - Fraction(4, 7)))
+    out_alt = mc_exponents(e, z=z_alt)
+    # the minus-at-last-pole choice: computed honestly; it lands stable
+    out_bad = mc_exponents(e, sigma="+++-")
+    zone_bad = classify_zone(out_bad)
+    return [
+        ("zone A, all-plus: sum eps' = 1 - sum eps", total == 1 - sum(e.eps), wit),
+        ("zone A, all-plus: image lies in the stable zone", zone == ZONE_STABLE, wit),
+        ("zone A, all-plus: 1/2 < sum eps' < 1", HALF < total < 1, wit),
+        ("zone A, all-plus: pair combinations preserved",
+         e.eps[0] + e.eps[1] - e.eps[2] - e.eps[3]
+         == out.eps[0] + out.eps[1] - out.eps[2] - out.eps[3], wit),
+        ("zone A, all-plus: all pair combinations below 1/2 in size",
+         all(abs(out.eps[i] + out.eps[j] - (total - out.eps[i] - out.eps[j])) < HALF
+             for i, j in combinations(range(4), 2)), wit),
+        ("output eps' in (0,1/2), sum mu' odd-normalized", all(0 < ev < HALF for ev in out.eps),
+         wit),
+        ("zone of the image is twist-independent",
+         classify_zone(out_alt) == zone and out_alt.eps == out.eps, dict(wit, out_alt=out_alt)),
+        ("zone A, minus-at-4: computed image zone is Stable", zone_bad == ZONE_STABLE,
+         {"eps": e, "out": out_bad, "zone": zone_bad}),
+    ]
+
+
 def suite_mc(seed: int, samples: int, bound: int) -> Report:
-    rs = RationalSampler(seed, bound)
     rep = Report(suite="mc", seed=seed, samples=samples, bound=bound)
+    rs = RationalSampler(seed, bound)
     for _ in range(samples):
-        e = odd_degree_weights(rs.weights_in_zone("A").eps)
-        out = mc_exponents(e, sigma="++++")
-        zone = classify_zone(out)
-        total = sum(out.eps)
-        wit = {"eps": e, "out": out}
-        rep.check("zone A, all-plus: sum eps' = 1 - sum eps", total == 1 - sum(e.eps), wit)
-        rep.check("zone A, all-plus: image lies in the stable zone", zone == ZONE_STABLE, wit)
-        rep.check("zone A, all-plus: 1/2 < sum eps' < 1", HALF < total < 1, wit)
-        combo_in = e.eps[0] + e.eps[1] - e.eps[2] - e.eps[3]
-        combo_out = out.eps[0] + out.eps[1] - out.eps[2] - out.eps[3]
-        rep.check("zone A, all-plus: pair combinations preserved", combo_in == combo_out, wit)
-        rep.check("zone A, all-plus: all pair combinations below 1/2 in size",
-                  all(abs(out.eps[i] + out.eps[j] - (total - out.eps[i] - out.eps[j])) < HALF
-                      for i, j in combinations(range(4), 2)), wit)
-        rep.check("output eps' in (0,1/2), sum mu' odd-normalized",
-                  all(0 < ev < HALF for ev in out.eps), wit)
-        # z-independence of the zone
-        z_alt = (Fraction(1, 3), Fraction(-2, 5), Fraction(4, 7),
-                 _mod1(-(sum(e.mu) + sum(e.eps)) - Fraction(1, 3) + Fraction(2, 5) - Fraction(4, 7)))
-        out_alt = mc_exponents(e, z=z_alt)
-        rep.check("zone of the image is twist-independent",
-                  classify_zone(out_alt) == zone and out_alt.eps == out.eps,
-                  dict(wit, out_alt=out_alt))
-        # the minus-at-last-pole choice: computed honestly; it lands stable
-        out_bad = mc_exponents(e, sigma="+++-")
-        zone_bad = classify_zone(out_bad)
-        rep.check("zone A, minus-at-4: computed image zone is Stable", zone_bad == ZONE_STABLE,
-                  {"eps": e, "out": out_bad, "zone": zone_bad})
+        rep.record(mc_identities(odd_degree_weights(rs.weights_in_zone("A").eps)))
 
     for zone in ALL_ZONE_LABELS:
         for _ in range(max(samples // 8, 2)):
@@ -612,10 +651,6 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 1, samples: int = 50, bound: int = 64):
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if bound < 2:
-        raise ValueError(f"bound must be at least 2, got {bound}")
     if name == "all":
         return [fn(seed, samples, bound) for fn in SUITES.values()]
     if name not in SUITES:

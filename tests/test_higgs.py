@@ -3,14 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from pvi_moduli.connection import KappaParams, PPoint, PQState, Sheet, apparent_singularity
+from pvi_moduli.connection import KappaParams, PPoint, PQState, Sheet
 from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import INF
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, higgs_limit, representative,
                               theta_divisor, v_alpha_stable, v_alpha_unstable)
 from pvi_moduli.parabolic import parabolic_from_connection, phi_map
 from pvi_moduli.sampling import RationalSampler
-from pvi_moduli.stability import ALL_ZONE_LABELS, Subbundle, Weights, find_destabilizer
+from pvi_moduli.stability import (ALL_ZONE_LABELS, Subbundle, Weights, classify_zone,
+                                  find_destabilizer)
+from pvi_moduli.verify import (colinear_limit_identity, graded_limit_identity,
+                               quotient_slope_identity, zone_a_limit_identities)
 from pvi_moduli.connection import build_connection
 
 ZONE_A_W = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
@@ -22,6 +25,15 @@ def worked_state():
                    q=F(3), p=F(5))
 
 
+def _failures(seed, bound, count, zones, identities):
+    """The failed records of `identities(s, w)` over `count` draws per zone,
+    each state s drawn before its weights w, as in the higgs suite."""
+    rs = RationalSampler(seed=seed, bound=bound)
+    return [name for zone in zones for _ in range(count)
+            for name, passed, _ in identities(rs.pq_state(), rs.weights_in_zone(zone))
+            if not passed]
+
+
 class TestZoneA:
     def test_worked_limit(self):
         lim = higgs_limit(worked_state(), ZONE_A_W)
@@ -30,19 +42,12 @@ class TestZoneA:
         assert lim.divisor == (F(3),)
         assert lim.quotient_contact == frozenset({1, 2, 3, 4})
 
+    # the higgs suite's zone-A claims (verify.zone_a_limit_identities)
     def test_divisor_is_apparent_singularity(self):
-        rs = RationalSampler(seed=43, bound=16)
-        for _ in range(12):
-            s = rs.pq_state()
-            lim = higgs_limit(s, rs.weights_in_zone("A"))
-            assert lim.kind == GRADED and lim.divisor == (s.q,)
+        assert _failures(43, 16, 12, ["A"], zone_a_limit_identities) == []
 
     def test_composition_with_fibration(self):
-        rs = RationalSampler(seed=47, bound=16)
-        for _ in range(8):
-            s = rs.pq_state()
-            w = rs.weights_in_zone("A")
-            assert v_alpha_unstable(apparent_singularity(s), s.poles) == higgs_limit(s, w)
+        assert _failures(47, 16, 8, ["A"], zone_a_limit_identities) == []
 
     def test_sheets_give_distinct_values(self):
         poles = (F(0), F(1), F(2), INF)
@@ -59,12 +64,10 @@ class TestZoneA:
 
 class TestUnstableZonesNeverThetaZero:
     def test_all_eight_zones(self):
-        rs = RationalSampler(seed=53, bound=14)
-        for zone in ALL_ZONE_LABELS:
-            for _ in range(3):
-                s = rs.pq_state()
-                lim = higgs_limit(s, rs.weights_in_zone(zone))
-                assert lim.kind == GRADED
+        def identity(s, w):
+            return graded_limit_identity(classify_zone(w), s, w)
+
+        assert _failures(53, 14, 3, ALL_ZONE_LABELS, identity) == []
 
 
 class TestStableZone:
@@ -115,19 +118,10 @@ class TestStableZone:
             v_alpha_stable(PPoint(base=F(0), sheet=Sheet.MINUS), w, poles)
 
     def test_colinear_locus_from_connection(self):
-        # p = -k0/q puts the classifying point over the first pole on the
-        # plus sheet; the limit carries the three forced zeros
-        s0 = worked_state()
-        k0 = s0.kappa.k0
-        s = PQState(t=s0.t, kappa=s0.kappa, q=s0.q, p=-k0 / s0.q)
-        pt = phi_map(parabolic_from_connection(s))
-        assert pt == PPoint(base=F(0), sheet=Sheet.PLUS)
+        # the higgs suite's colinear-unstable claim at the worked state
         w = Weights.of_eps([F(1, 20), F(9, 20), F(9, 20), F(9, 20)])
-        lim = higgs_limit(s, w)
-        assert lim.kind == GRADED and lim.deg_l == 0
-        assert lim.contact == frozenset({2, 3, 4})
-        assert lim.divisor == (F(1), F(2), INF)
-        assert lim == v_alpha_stable(pt, w, s.poles)
+        records = colinear_limit_identity(worked_state(), w)
+        assert [name for name, passed, _ in records if not passed] == []
 
 
 class TestThetaDivisor:
@@ -164,15 +158,7 @@ class TestThetaDivisor:
         assert time.perf_counter() - start < 2.0
 
     def test_graded_quotient_slope(self):
-        rs = RationalSampler(seed=59, bound=14)
-        for zone in ALL_ZONE_LABELS:
-            s = rs.pq_state()
-            w = rs.weights_in_zone(zone)
-            lim = higgs_limit(s, w)
-            quot_deg = 1 - lim.deg_l
-            score = quot_deg + sum(w.eps[i - 1] for i in lim.quotient_contact) \
-                - sum(w.eps[i - 1] for i in lim.contact)
-            assert score < F(1, 2)
+        assert _failures(59, 14, 1, ALL_ZONE_LABELS, quotient_slope_identity) == []
 
 
 class TestRepresentative:

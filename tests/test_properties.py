@@ -21,7 +21,9 @@ in tests/test_certificates.py, and this is the sampled net behind it.
 `verify.connection_identities` either passes every normal-form identity
 of both gauges or raises a `ModuliError`, on states whose exponents are
 not integers (so that most of them build) with q at or next to a pole,
-p = 0 and k0 = 0 among them.
+p = 0 and k0 = 0 among them.  Past the suites' height 64,
+`verify.zone_label_identities` passes on nonspecial eps next to the walls
+and `verify.mc_identities` on odd-degree zone-A weights.
 
 `mc_exponents` and `zone_interchange_check` either answer or raise a
 `ModuliError` on eps on or next to the twelve walls of (0, 1/2)^4 (a
@@ -62,7 +64,7 @@ from pvi_moduli.sampling import _zone_of
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_STABLE, Subbundle, Weights,
                                   candidate_subbundles, classify_zone, find_destabilizer,
                                   nonspecial_eps, parabolic_degree)
-from pvi_moduli.verify import connection_identities
+from pvi_moduli.verify import connection_identities, mc_identities, zone_label_identities
 from test_kernel_oracles import K_ACTION  # the generators' action on kappa
 
 H = 2 ** 64
@@ -392,6 +394,27 @@ def test_zone_interchange_check_gives_a_zone_per_sigma_or_a_moduli_error(e):
     assert set(report["zones"].values()) <= {ZONE_STABLE, *ALL_ZONE_LABELS}
     assert report["stable_sigmas"] == [sg for sg in every if report["zones"][sg] == ZONE_STABLE]
     assert report["found_stable"] == bool(report["stable_sigmas"])
+
+
+@settings(deadline=None)
+@given(st.lists(exponent_data(), min_size=1, max_size=4))
+def test_zone_label_identities_hold_at_any_height(data):
+    eps_samples = [e.eps for e in data if not isinstance(e, ModuliError) and nonspecial_eps(e.eps)]
+    assume(eps_samples)
+    assert [name for name, passed, _ in zone_label_identities(eps_samples) if not passed] == []
+
+
+# eps_i = a_i / (2 (a_1 + ... + a_4 + b)), a_i, b >= 1: the open zone-A simplex, heights <= 2^64
+zone_a_eps = st.builds(lambda a, b: tuple(F(x, 2 * (sum(a) + b)) for x in a),
+                       st.lists(st.integers(1, H // 16), min_size=4, max_size=4),
+                       st.integers(1, H // 4))
+
+
+@settings(deadline=None)
+@given(zone_a_eps)
+def test_mc_identities_hold_at_any_height(eps):
+    records = mc_identities(odd_degree_weights(eps))
+    assert [name for name, passed, _ in records if not passed] == []
 
 
 @st.composite

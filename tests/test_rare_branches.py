@@ -59,6 +59,9 @@ RAISES = [
      NormalFormDegenerate, "p-invariant needs q away from the poles"),
     (lambda: apparent_singularity(PQState(t=F(2), kappa=KAPPA, q=F(0), p=F(5)), [True] * 3),
      DegenerateInput, "one parabolic flag per pole"),
+    # off the poles too, before the sheet is decided
+    (lambda: apparent_singularity(PQState(t=F(2), kappa=KAPPA, q=F(3), p=F(5)), "xyz"),
+     DegenerateInput, "need one parabolic flag per pole"),
     # higgs
     (lambda: higgs.HiggsLimit(kind=higgs.THETA_ZERO), DegenerateInput, "needs a representative"),
     (lambda: higgs.HiggsLimit(kind=higgs.GRADED, deg_l=1), DegenerateInput,

@@ -11,7 +11,7 @@ from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, Branch, Subbund
                                   candidate_subbundles, classify_zone, et_pair,
                                   find_destabilizer, nonspecial_eps, parabolic_degree,
                                   stable_subzone_branch)
-from pvi_moduli.verify import oracle_destabilizer
+from pvi_moduli.verify import et_orbit_identities, oracle_destabilizer, zone_label_identities
 
 POLES = (F(0), F(1), F(3), INF)
 HALF = F(1, 2)
@@ -56,16 +56,8 @@ class TestClassify:
 
     def test_exclusive_labels(self):
         rs = RationalSampler(seed=23, bound=40)
-        for _ in range(200):
-            eps = rs.eps_nonspecial()
-            total = sum(eps)
-            conds = int(total < HALF) + int(total > F(3, 2))
-            for i, j in combinations(range(4), 2):
-                if eps[i] + eps[j] - (total - eps[i] - eps[j]) > HALF:
-                    conds += 1
-            assert conds <= 1
-            label = classify_zone(Weights.of_eps(eps))
-            assert (conds == 0) == (label == "Stable")
+        records = zone_label_identities([rs.eps_nonspecial() for _ in range(200)])
+        assert [name for name, passed, _ in records if not passed] == []
 
 
 class TestEtPair:
@@ -90,21 +82,9 @@ class TestEtPair:
                 assert (zone == "Stable") == (zone2 == "Stable")
 
     def test_orbit_transitive_on_eight_zones(self):
-        w0 = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
-        seen = {classify_zone(w0)}
-        frontier, visited = [w0], {w0.eps}
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i, j in combinations(range(1, 5), 2):
-                    w2 = et_pair(w, i, j)
-                    if w2.eps not in visited:
-                        visited.add(w2.eps)
-                        seen.add(classify_zone(w2))
-                        nxt.append(w2)
-            frontier = nxt
-        assert seen == set(ALL_ZONE_LABELS)
-        assert len(visited) == 8  # even sign-flip classes of the eps-orbit
+        # 8 eps visited, the even sign flips, one in each unstable zone
+        records = et_orbit_identities(Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)]))
+        assert [name for name, passed, _ in records if not passed] == []
 
 
 class TestNonspecialWeights:

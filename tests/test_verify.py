@@ -42,6 +42,16 @@ class TestReportCheck:
             "pair": ["-1/3", 2], "none": None}
 
 
+@pytest.mark.parametrize("name", verify.SUITES)
+@pytest.mark.parametrize("samples, bound, message", [
+    (0, 64, "samples must be at least 1"), (1, 1, "bound must be at least 2")],
+    ids=["samples=0", "bound=1"])
+def test_suite_called_directly_rejects_its_arguments(name, samples, bound, message):
+    # the Fraction budget and the benchmark call SUITES entries, not run_suite
+    with pytest.raises(ValueError, match=message):
+        verify.SUITES[name](1, samples, bound)
+
+
 class TestWitnesses:
     def test_zone_check_witness_holds_the_failing_sample(self, monkeypatch):
         monkeypatch.setattr(verify, "find_destabilizer", lambda qp, w: None)
