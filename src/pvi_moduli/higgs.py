@@ -168,8 +168,10 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
 
     The Wronskian W is cleared by x(x-1)(x-t); any degree deficit against
     3 - 2 deg(L) counts as zeros at infinity.  Raises DegenerateInput when
-    a quadratic or larger factor is left after the contact zeros, i.e.
-    when L destabilizes for no weights (see the module docstring).
+    the field fails to vanish at a contact pole (at infinity: when there
+    is no deficit), or when a quadratic or larger factor is left after the
+    contact zeros, i.e. when L destabilizes for no weights (see the module
+    docstring).
 
     W is computed on integers (`_wronskian`): x(x-1)(x-t) and the cleared
     entries of A over one common denominator, the sections over another.
@@ -191,7 +193,10 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     for i in sorted(sub.contact):
         tv = poles[i - 1]
         if is_inf(tv):
-            continue  # accounted for by the degree deficit
+            # the zero at infinity is one of the degree deficit's
+            if deficit < 1:
+                raise DegenerateInput(f"Higgs field fails to vanish at contact pole {i}")
+            continue
         a, _, b = _direction_point(tv, 0)
         w_poly = poly_divide_root(w_poly, a, b)
         if w_poly is None:

@@ -6,10 +6,11 @@ and the values it compared.  Reports are deterministic functions of
 (seed, samples, bound); each suite builds its Report first, and a Report
 rejects samples < 1 and bound < 2.
 
-Each claim that tests restate is declared once, as a `*_identities` or
-`*_identity` function of values already drawn that computes every value,
-then returns its (name, passed, witness) records in report order.  The
-suites record them; the tests call them on their own draws.
+Every check is declared once, as a `*_identities` or `*_identity`
+function of values already drawn that computes every value, then returns
+its (name, passed, witness) records in report order.  The suites only
+draw those values and record the declarations; the tests call the same
+declarations on their own inputs.
 """
 from __future__ import annotations
 
@@ -54,6 +55,7 @@ class Report:
             raise ValueError(f"bound must be at least 2, got {bound}")
         self.suite, self.seed, self.samples, self.bound = suite, seed, samples, bound
         self.checks = []
+        self._by_name = {}
         self.rejections = 0
 
     @property
@@ -65,12 +67,12 @@ class Report:
         first-seen order; a name passes only if every evaluation passed,
         and keeps the witness of its first failing evaluation."""
         passed = bool(passed)
-        for c in self.checks:
-            if c.name == name:
-                if c.passed and not passed:
-                    c.passed, c.witness = False, witness
-                return
-        self.checks.append(Check(name=name, passed=passed, witness=None if passed else witness))
+        c = self._by_name.get(name)
+        if c is None:
+            c = self._by_name[name] = Check(name, passed, None if passed else witness)
+            self.checks.append(c)
+        elif c.passed and not passed:
+            c.passed, c.witness = False, witness
 
     def record(self, records) -> None:
         """Record each (name, passed, witness) of a declaration, in order."""
@@ -158,24 +160,21 @@ def connection_identities(s: PQState) -> list:
     return out
 
 
-def _connection_checks(s: PQState) -> list:
-    """Every check of the connection suite at one state, as (name, passed,
-    witness) in report order, each value computed before the list is
-    returned: the identities, then the fibration and residue checks,
-    sampled only because q_map and the residue predicates read
-    denominators."""
+def fibration_identities(s: PQState) -> list:
+    """Q and Q' of the two induced parabolic structures, and the residues
+    under elementary transformations; sampled only, because q_map and the
+    residue predicates read denominators."""
     k = s.kappa
-    out = connection_identities(s)
     qp, qp_plus = parabolic_structures(s)
     big_q = q_map_parabolic(qp)
     conic = q_map(qp)
     q_plus = q_map(qp_plus)
     big_q_prime = bk.big_q_prime_of(s)
-    out += [("Q of the induced parabolic equals q + k0/p", big_q == s.q + k.k0 / s.p,
-             {"state": s, "Q": big_q}),
-            ("conic route and closed form agree", conic == big_q,
-             {"state": s, "conic": conic, "Q": big_q}),
-            ("alternative structure computes Q'", q_plus == big_q_prime, {"state": s})]
+    out = [("Q of the induced parabolic equals q + k0/p", big_q == s.q + k.k0 / s.p,
+            {"state": s, "Q": big_q}),
+           ("conic route and closed form agree", conic == big_q,
+            {"state": s, "conic": conic, "Q": big_q}),
+           ("alternative structure computes Q'", q_plus == big_q_prime, {"state": s})]
 
     res = k.residues()
     out.append(("residues are Kostov-generic and non-resonant",
@@ -196,8 +195,13 @@ def _connection_checks(s: PQState) -> list:
 def suite_connection(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="connection", seed=seed, samples=samples, bound=bound)
     rs = RationalSampler(seed, bound)
+
+    def sample():
+        s = rs.pq_state()
+        return connection_identities(s) + fibration_identities(s)
+
     for _ in range(samples):
-        rep.record(_draw(rs, lambda: _connection_checks(rs.pq_state())))
+        rep.record(_draw(rs, sample))
     rep.rejections = rs.rejections
     return rep
 
@@ -229,7 +233,7 @@ def backlund_identities(st: PQState) -> list:
     sympl = bk.symplectic_check(st)
     x, y = bk.al_chart(st)
     xs, ys = bk.al_chart(s0_image)
-    slopes = _slope_identities(st)
+    slopes = _chart_slopes_hold(st)
     out = [(f"relation {name}", holds, {"state": st, "detail": detail})
            for name, holds, detail in results]
     out += [
@@ -256,31 +260,37 @@ def backlund_identities(st: PQState) -> list:
     return out
 
 
+def transversality_identities(l1, l2, k0) -> list:
+    """The fibers q = l1 and Q = q + k0/p = l2 meet at one finite point
+    if l1 != l2, and only at infinity if l1 = l2."""
+    witness = {"l1": l1, "l2": l2, "k0": k0}
+    if l1 == l2:
+        try:
+            found = bk.transversality_solve(l1, l2, k0)
+        except NoFiniteIntersection:
+            found = None
+        return [("equal fiber values meet only at infinity", found is None,
+                 dict(witness, found=found))]
+    q, p = bk.transversality_solve(l1, l2, k0)
+    return [("fiber intersection solves uniquely with q = l1, Q = l2",
+             q == l1 and q + k0 / p == l2, dict(witness, q=q, p=p))]
+
+
 def suite_backlund(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="backlund", seed=seed, samples=samples, bound=bound)
     rs = RationalSampler(seed, bound)
     for _ in range(samples):
         rep.record(_draw(rs, lambda: backlund_identities(rs.pq_state())))
-
-    # transversality
     for _ in range(samples):
-        l1, l2, k0 = rs.retry(lambda: (rs.rat(), rs.rat(), rs.rat(nonzero=True)),
-                              lambda v: v[0] != v[1])
-        q, p = bk.transversality_solve(l1, l2, k0)
-        rep.check("fiber intersection solves uniquely with q = l1, Q = l2",
-                  q == l1 and q + k0 / p == l2, {"l1": l1, "l2": l2, "k0": k0, "q": q, "p": p})
-    lam, k0 = Fraction(3), Fraction(1, 4)
-    try:
-        found = bk.transversality_solve(lam, lam, k0)
-    except NoFiniteIntersection:
-        found = None
-    rep.check("equal fiber values meet only at infinity", found is None,
-              {"l1": lam, "l2": lam, "k0": k0, "found": found})
+        rep.record(transversality_identities(*rs.retry(
+            lambda: (rs.rat(), rs.rat(), rs.rat(nonzero=True)), lambda v: v[0] != v[1])))
+    lam = Fraction(3)
+    rep.record(transversality_identities(lam, lam, Fraction(1, 4)))
     rep.rejections = rs.rejections
     return rep
 
 
-def _slope_identities(st: PQState) -> bool:
+def _chart_slopes_hold(st: PQState) -> bool:
     """dy/dx at the four diagonal base points of the chart: 1 + k0/k_i at
     the finite poles and k4/(k0+k4) at infinity, computed with duals."""
     t, k = st.t, st.kappa
@@ -304,33 +314,37 @@ def _slope_identities(st: PQState) -> bool:
 # Lattice suite
 # ---------------------------------------------------------------------------
 
+def lattice_identities() -> list:
+    """The 16 transversal fiber classes and the Picard-lattice relations."""
+    found = enumerate_transversal(5)
+    labels = [sigma_label(d) for d in found]
+    sig = form_signature()
+    value = intersect(C1 + F, Y_RED)  # the (a,b) = 0 candidate at n = 1
+    out = [("exactly 16 transversal fiber classes", len(found) == 16, {"count": len(found)}),
+           ("every class is C1 + F - sum E_i^sigma", None not in labels, {"labels": labels}),
+           # unlabelled classes fail the record above; None does not sort with str
+           ("the 16 sign patterns each occur once",
+            len(labels) == 16 and sorted(lb for lb in labels if lb is not None)
+            == sorted("".join(p) for p in product("+-", repeat=4)),
+            {"labels": labels})]
+    out += [("each class has L^2 = 0, L.F = 1, L.Y_red = 1",
+             intersect(d, d) == 0 and intersect(d, F) == 1 and intersect(d, Y_RED) == 1,
+             {"coefficients": d.coeffs}) for d in found]
+    out += [("C1.C0 = 0", intersect(C1, C0) == 0, None),
+            ("C1^2 = 2", intersect(C1, C1) == 2, None),
+            ("F.L = 1 for the all-minus class", intersect(F, L_sigma("----")) == 1, None)]
+    out += [(name, holds, None) for name, holds in singular_fiber_decompositions()]
+    out += [("anticanonical class relations", anticanonical_check(), None),
+            ("Y.Y = 0", intersect(Y, Y) == 0, None),
+            ("intersection form has signature (1, 9)", sig == (1, 9, 0), {"signature": sig}),
+            ("the contactless candidate fails Y_red = 1 (value 5)", value == 5,
+             {"value": value})]
+    return out
+
+
 def suite_lattice(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="lattice", seed=seed, samples=samples, bound=bound)
-    found = enumerate_transversal(5)
-    rep.check("exactly 16 transversal fiber classes", len(found) == 16, {"count": len(found)})
-    labels = [sigma_label(d) for d in found]
-    rep.check("every class is C1 + F - sum E_i^sigma", None not in labels, {"labels": labels})
-    # unlabelled classes fail the check above; None does not sort with str
-    rep.check("the 16 sign patterns each occur once",
-              len(labels) == 16 and sorted(lb for lb in labels if lb is not None)
-              == sorted("".join(p) for p in product("+-", repeat=4)),
-              {"labels": labels})
-    for d in found:
-        rep.check("each class has L^2 = 0, L.F = 1, L.Y_red = 1",
-                  intersect(d, d) == 0 and intersect(d, F) == 1 and intersect(d, Y_RED) == 1,
-                  {"coefficients": d.coeffs})
-    rep.check("C1.C0 = 0", intersect(C1, C0) == 0)
-    rep.check("C1^2 = 2", intersect(C1, C1) == 2)
-    rep.check("F.L = 1 for the all-minus class", intersect(F, L_sigma("----")) == 1)
-    for name, holds in singular_fiber_decompositions():
-        rep.check(name, holds)
-    rep.check("anticanonical class relations", anticanonical_check())
-    rep.check("Y.Y = 0", intersect(Y, Y) == 0)
-    sig = form_signature()
-    rep.check("intersection form has signature (1, 9)", sig == (1, 9, 0), {"signature": sig})
-    value = intersect(C1 + F, Y_RED)  # the (a,b) = 0 candidate at n = 1
-    rep.check("the contactless candidate fails Y_red = 1 (value 5)", value == 5,
-              {"value": value})
+    rep.record(lattice_identities())
     return rep
 
 
@@ -417,47 +431,58 @@ def et_orbit_identities(w0: Weights) -> list:
              {"weights": w0, "back": back})]
 
 
+def destabilizer_identities(zone: str, w: Weights, qp: QuasiPar) -> list:
+    """On qp in general position, weights w in an unstable zone have a
+    destabilizer of the zone's type, the brute-force oracle's maximizer."""
+    sub = find_destabilizer(qp, w)
+    score, deg, contact = oracle_destabilizer(qp, w)
+    witness = {"weights": w, "parabolic": qp, "destabilizer": sub}
+    return [(f"zone {zone}: destabilizer of the predicted type on all samples",
+             sub is not None and sub.degree == predicted_destabilizer_degree(zone)
+             and sub.contact == ZONE_CONTACT[zone], witness),
+            (f"zone {zone}: verdict and maximizer match the brute-force oracle",
+             sub is not None and score > HALF and score == parabolic_degree(sub, w)
+             and deg == sub.degree and contact == sub.contact,
+             dict(witness, oracle=(score, deg, contact)))]
+
+
+def stable_destabilizer_identity(w: Weights, qp: QuasiPar) -> list:
+    """`find_destabilizer` finds none exactly when the oracle's best
+    score is below 1/2 (always, for stable w on qp in general position)."""
+    sub = find_destabilizer(qp, w)
+    score, _, _ = oracle_destabilizer(qp, w)
+    return [("stable zone: generic samples stable and oracle agrees",
+             (sub is None) == (score < HALF),
+             {"weights": w, "parabolic": qp, "destabilizer": sub, "oracle_score": score})]
+
+
+def mu_identity(w: Weights, w_mu: Weights, qp: QuasiPar) -> list:
+    """Weights with the same eps get the same zone and destabilizer."""
+    return [("zone label and destabilizer ignore mu",
+             classify_zone(w) == classify_zone(w_mu)
+             and find_destabilizer(qp, w) == find_destabilizer(qp, w_mu),
+             {"weights": w_mu, "parabolic": qp})]
+
+
 def suite_zones(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="zones", seed=seed, samples=samples, bound=bound)
     rs = RationalSampler(seed, bound)
     rep.record(zone_label_identities([rs.eps_nonspecial() for _ in range(samples)]))
     rep.record(et_orbit_identities(rs.weights_in_zone("A")))
-
-    # destabilizers per zone + oracle agreement
     poles = (Fraction(0), Fraction(1), Fraction(3), INF)
+
+    def structure():
+        return QuasiPar(poles=poles, u=rs.general_position_u(poles))
+
+    # each draw is a call's arguments, made left to right
     for zone in ALL_ZONE_LABELS:
         for _ in range(max(samples // 8, 3)):
-            w = rs.weights_in_zone(zone)
-            qp = QuasiPar(poles=poles, u=rs.general_position_u(poles))
-            sub = find_destabilizer(qp, w)
-            witness = {"weights": w, "parabolic": qp, "destabilizer": sub}
-            rep.check(f"zone {zone}: destabilizer of the predicted type on all samples",
-                      sub is not None and sub.degree == predicted_destabilizer_degree(zone)
-                      and sub.contact == ZONE_CONTACT[zone], witness)
-            score, deg, contact = oracle_destabilizer(qp, w)
-            rep.check(f"zone {zone}: verdict and maximizer match the brute-force oracle",
-                      sub is not None and score > HALF and score == parabolic_degree(sub, w)
-                      and deg == sub.degree and contact == sub.contact,
-                      dict(witness, oracle=(score, deg, contact)))
-
-    # stable zone: generic structures stable, oracle agrees
+            rep.record(destabilizer_identities(zone, rs.weights_in_zone(zone), structure()))
     for _ in range(max(samples // 4, 5)):
-        w = rs.weights_in_zone(ZONE_STABLE)
-        qp = QuasiPar(poles=poles, u=rs.general_position_u(poles))
-        sub = find_destabilizer(qp, w)
-        score, _, _ = oracle_destabilizer(qp, w)
-        rep.check("stable zone: generic samples stable and oracle agrees",
-                  (sub is None) == (score < HALF),
-                  {"weights": w, "parabolic": qp, "destabilizer": sub, "oracle_score": score})
-
-    # mu never matters
+        rep.record(stable_destabilizer_identity(rs.weights_in_zone(ZONE_STABLE), structure()))
     w = rs.weights_in_zone("A")
-    w_mu = Weights(mu=tuple(rs.rat() for _ in range(4)), eps=w.eps)
-    qp = QuasiPar(poles=poles, u=rs.general_position_u(poles))
-    rep.check("zone label and destabilizer ignore mu",
-              classify_zone(w) == classify_zone(w_mu)
-              and find_destabilizer(qp, w) == find_destabilizer(qp, w_mu),
-              {"weights": w_mu, "parabolic": qp})
+    rep.record(mu_identity(w, Weights(mu=tuple(rs.rat() for _ in range(4)), eps=w.eps),
+                           structure()))
     rep.rejections = rs.rejections
     return rep
 
@@ -523,6 +548,32 @@ def colinear_limit_identity(s0: PQState, w: Weights) -> list:
              {"state": s, "weights": w, "point": pt, "limit": lim})]
 
 
+def stable_limit_identities(ws: Weights, s1: PQState, s2: PQState) -> list:
+    """At stable weights ws the limit sees only the classifying point:
+    s1 and s2 on one fiber of Q give the limit `v_alpha_stable` builds."""
+    lim1 = higgs_limit(s1, ws)
+    lim2 = higgs_limit(s2, ws)
+    pt = phi_map(parabolic_from_connection(s1))
+    point_limit = v_alpha_stable(pt, ws, s1.poles)
+    return [("stable zone: limits agree for states with the same classifying point",
+             lim1 == lim2, {"weights": ws, "states": (s1, s2), "limits": (lim1, lim2)}),
+            ("stable zone: limit equals the point construction", lim1 == point_limit,
+             {"weights": ws, "state": s1, "point": pt, "limit": lim1})]
+
+
+def dictionary_identities(zones, s: PQState, composite_qs, weights) -> list:
+    """The zone <-> fibration dictionary: in each pair or full-flip zone
+    the limit vanishes at the contact poles and at the q of the zone's
+    symmetry composite, {t_i, t_j, q o word} or {t_1, ..., t_4, q o word}."""
+    limits = [higgs_limit(s, w) for w in weights]
+    divisors = [sorted_divisor([s.poles[i - 1] for i in ZONE_CONTACT[zone]] + [composite_q])
+                for zone, composite_q in zip(zones, composite_qs)]
+    return [("pair/full-flip zones: limit free zero is the composite's q-coordinate",
+             lim.divisor == divisor,
+             {"state": s, "weights": w, "limit": lim, "composite_q": composite_q})
+            for composite_q, w, lim, divisor in zip(composite_qs, weights, limits, divisors)]
+
+
 def suite_higgs(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="higgs", seed=seed, samples=samples, bound=bound)
     rs = RationalSampler(seed, bound)
@@ -534,23 +585,15 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
         for _ in range(max(samples // 8, 2)):
             rep.record(graded_limit_identity(zone, rs.pq_state(), rs.weights_in_zone(zone)))
 
-    # stable zone: the limit only sees the classifying point
+    # stable zone: the limit only sees the classifying point, here the Q of s1
     for _ in range(max(samples // 2, 3)):
         ws = rs.weights_in_zone(ZONE_STABLE)
         s1 = rs.pq_state()
-        k0 = s1.kappa.k0
         big_q = bk.big_q_of(s1)
         q2 = rs.retry(lambda: rs.rat(),
                       lambda q: q not in (0, 1, s1.t, s1.q, big_q))
-        s2 = PQState(t=s1.t, kappa=s1.kappa, q=q2, p=bk.transversality_solve(q2, big_q, k0)[1])
-        lim1 = higgs_limit(s1, ws)
-        lim2 = higgs_limit(s2, ws)
-        rep.check("stable zone: limits agree for states with the same classifying point",
-                  lim1 == lim2, {"weights": ws, "states": (s1, s2), "limits": (lim1, lim2)})
-        pt = phi_map(parabolic_from_connection(s1))
-        rep.check("stable zone: limit equals the point construction",
-                  lim1 == v_alpha_stable(pt, ws, s1.poles),
-                  {"weights": ws, "state": s1, "point": pt, "limit": lim1})
+        p2 = bk.transversality_solve(q2, big_q, s1.kappa.k0)[1]
+        rep.record(stable_limit_identities(ws, s1, PQState(t=s1.t, kappa=s1.kappa, q=q2, p=p2)))
 
     for _ in range(max(samples // 4, 3)):
         s0 = rs.pq_state()
@@ -561,11 +604,10 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
     for zone in ("A", "B", czone(1, 2)):
         rep.record(quotient_slope_identity(rs.pq_state(), rs.weights_in_zone(zone)))
 
-    # the zone <-> fibration dictionary: the limiting Higgs field vanishes
-    # at the contact poles and at the q-coordinate of the matching
-    # symmetry composite, {t_i, t_j, q o word} or {t_1, ..., t_4, q o word}
+    # the zone <-> fibration dictionary, on three pair zones and zone B
     dictionary = [(czone(i, j), bk.pair_fibration_word(i, j)) for i, j in ((1, 2), (2, 3), (1, 4))]
     dictionary.append((ZONE_B, bk.full_flip_fibration_word()))
+    zones = [zone for zone, _ in dictionary]
 
     def dictionary_sample():
         s = rs.pq_state()
@@ -573,13 +615,8 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
 
     for _ in range(max(samples // 8, 2)):
         s, composite_qs = _draw(rs, dictionary_sample)
-        weights = [rs.weights_in_zone(zone) for zone, _ in dictionary]
-        limits = [higgs_limit(s, w) for w in weights]
-        for (zone, _), composite_q, w, lim in zip(dictionary, composite_qs, weights, limits):
-            divisor = sorted_divisor([s.poles[i - 1] for i in ZONE_CONTACT[zone]] + [composite_q])
-            rep.check("pair/full-flip zones: limit free zero is the composite's q-coordinate",
-                      lim.divisor == divisor,
-                      {"state": s, "weights": w, "limit": lim, "composite_q": composite_q})
+        rep.record(dictionary_identities(zones, s, composite_qs,
+                                         [rs.weights_in_zone(zone) for zone in zones]))
     rep.rejections = rs.rejections
     return rep
 
@@ -621,21 +658,28 @@ def mc_identities(e: Weights) -> list:
     ]
 
 
+def interchange_identity(zone: str, e: Weights) -> list:
+    """Some convolver choice moves unstable-zone weights e to the stable zone."""
+    found = zone_interchange_check(e)
+    return [(f"zone {zone}: some convolver choice reaches the stable zone",
+             found["found_stable"], {"eps": e, "zones": found["zones"]})]
+
+
+def defect_identity() -> list:
+    """Katz's defect (n - 2) r - sum m is 0 for rank 2 on four points."""
+    return [("defect (n-2)r - sum m vanishes for rank 2, four points",
+             defect(2, 4, (1, 1, 1, 1)) == 0, None)]
+
+
 def suite_mc(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="mc", seed=seed, samples=samples, bound=bound)
     rs = RationalSampler(seed, bound)
     for _ in range(samples):
         rep.record(mc_identities(odd_degree_weights(rs.weights_in_zone("A").eps)))
-
     for zone in ALL_ZONE_LABELS:
         for _ in range(max(samples // 8, 2)):
-            e = rs.weights_in_zone(zone)
-            found = zone_interchange_check(e)
-            rep.check(f"zone {zone}: some convolver choice reaches the stable zone",
-                      found["found_stable"], {"eps": e, "zones": found["zones"]})
-
-    rep.check("defect (n-2)r - sum m vanishes for rank 2, four points",
-              defect(2, 4, (1, 1, 1, 1)) == 0)
+            rep.record(interchange_identity(zone, rs.weights_in_zone(zone)))
+    rep.record(defect_identity())
     rep.rejections = rs.rejections
     return rep
 

@@ -11,6 +11,8 @@ from pvi_moduli.connection import PQState
 from pvi_moduli.errors import DegenerateInput, NoFiniteIntersection
 from pvi_moduli.exact import INF
 
+from records import failed, passes
+
 
 def worked_state():
     return SymState.make(t=F(2), k1234=(F(1, 8), F(1, 8), F(1, 8), F(1, 8)), q=F(3), p=F(5))
@@ -84,7 +86,7 @@ class TestPrefixTable:
 
         monkeypatch.setattr(backlund, "apply_generator", counted)
         s = SymState.make(t=F(2), k1234=(F(1, 8), F(1, 3), F(1, 5), F(1, 7)), q=F(3), p=F(5))
-        assert all(passed for _, passed, _ in verify.backlund_identities(s))
+        assert failed(verify.backlund_identities(s)) == []
         assert len(calls) == 82
 
     def test_degenerate_word_step_is_the_one_apply_word_reports(self):
@@ -140,20 +142,8 @@ class TestChart:
     def test_blowup_slopes(self):
         # dy/dx through the distinguished points over the diagonal:
         # 1 + k0/k_i at the finite poles, k4/(k0 + k4) at infinity
-        from pvi_moduli.exact import Dual
-        s = worked_state()
-        t, k = s.t, s.kappa
-        data = ((F(0), t * k.k1, k.k1), (F(1), (1 - t) * k.k2, k.k2),
-                (t, t * (t - 1) * k.k3, k.k3))
-        for pole, ptil_plus, ki in data:
-            qd = Dual.var(pole)
-            ptil = ptil_plus + (qd - pole) * F(9, 4)   # any curve through the point
-            y = qd + k.k0 * qd * (qd - 1) * (qd - t) / ptil
-            assert y.val == pole and y.der == 1 + k.k0 / ki
-        wd = Dual.var(F(0))                            # reciprocal chart at infinity
-        ptil_inf = -k.k0 - k.k4 + wd * F(9, 4)
-        y_inv = wd * ptil_inf / (ptil_inf + k.k0 * (1 - wd) * (1 - t * wd))
-        assert y_inv.der == (k.k0 + k.k4) / k.k4       # so dy/dx = k4/(k0+k4)
+        records = passes(verify.backlund_identities(worked_state()))
+        assert records["chart slopes at the diagonal points"]
 
 class TestSymplectic:
     def test_worked_numbers(self):

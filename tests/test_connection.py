@@ -10,9 +10,11 @@ from pvi_moduli.connection import (KappaParams, PQState, ResidueVector, Sheet,
                                    elementary_transform_residues, kappa_generic,
                                    kostov_generic, nonresonant)
 from pvi_moduli.errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
-from pvi_moduli.exact import INF, Mat2
+from pvi_moduli.exact import INF
 from pvi_moduli.sampling import RationalSampler
-from pvi_moduli.verify import run_suite
+from pvi_moduli.verify import connection_identities, run_suite
+
+from records import passes
 
 
 def worked_state():
@@ -123,12 +125,8 @@ class TestBuild:
         assert conn.a1.det() == F(-1, 256)
 
     def test_finite_residue_invariants(self):
-        s = worked_state()
-        conn = build_connection(s)
-        k = s.kappa
-        for m, kv in zip(conn.finite_residues(), k.finite):
-            assert m.trace() == 0
-            assert m.det() == -kv * kv / 4
+        records = passes(connection_identities(worked_state()))
+        assert records["pq: trace A_i = 0 (i<=3)"] and records["pq: det A_i = -k_i^2/4 (i<=3)"]
 
     def test_a22_at_q_and_p_recovery(self):
         s = worked_state()
@@ -137,21 +135,21 @@ class TestBuild:
         a22 = conn.matrix_at(s.q).a22
         # the gauge-invariant value determines p through the exponent correction
         assert a22 == s.p - k.k1 / (2 * s.q) - k.k2 / (2 * (s.q - 1)) - k.k3 / (2 * (s.q - s.t))
-        assert conn.p_invariant() == s.p
+        assert passes(connection_identities(s))["pq: p recovered from A(2,2)|x=q"]
 
     def test_a12_vanishes_exactly_at_q(self):
         s = worked_state()
         conn = build_connection(s)
-        assert conn.apparent_singularity_base() == s.q
+        assert passes(connection_identities(s))["pq: (1,2) entry vanishes exactly at q"]
         for x in (F(7), F(-5, 3)):
             a = conn.matrix_at(x)
             assert a.a12 == (x - s.q) / (x * (x - 1) * (x - s.t))
 
     def test_a4_is_the_infinity_residue(self):
-        conn = build_connection(worked_state())
-        assert conn.a4 == conn.infinity_residue()
-        assert conn.a4.det() == (1 - F(1, 8) ** 2) / 4
-        assert conn.a4.trace() == -1
+        records = passes(connection_identities(worked_state()))
+        assert records["pq: A4 equals the infinity residue of A(x)"]
+        assert records["pq: det A4 = (1-k4^2)/4"]
+        assert build_connection(worked_state()).a4.trace() == -1
 
     def test_rejects_q_at_pole(self):
         s = worked_state()
@@ -174,15 +172,13 @@ class TestBuild:
 
 class TestAlternateGauge:
     def test_gauge_invariants_match(self):
+        # the alternate gauge is built at Q = q + k0/p = 61/20
         s = worked_state()
-        big_q = s.q + s.kappa.k0 / s.p   # 61/20
-        assert big_q == F(61, 20)
-        alt = build_connection_qp(s.t, s.kappa, big_q, s.p)
-        assert alt.apparent_singularity_base() == s.q
-        assert alt.p_invariant() == s.p
-        for m, kv in zip(alt.finite_residues(), s.kappa.finite):
-            assert m.det() == -kv * kv / 4
-            assert m.trace() == 0
+        assert s.q + s.kappa.k0 / s.p == F(61, 20)
+        records = passes(connection_identities(s))
+        assert [name for name in ("alt: trace A_i = 0 (i<=3)", "alt: det A_i = -k_i^2/4 (i<=3)",
+                                  "alt: (1,2) entry vanishes exactly at q",
+                                  "alt: p recovered from A(2,2)|x=q") if not records[name]] == []
 
     def test_a12_normalization(self):
         s = worked_state()
@@ -193,13 +189,10 @@ class TestAlternateGauge:
             assert a.a12 == s.p * (big_q - s.t) * (x - s.q) / (x * (x - 1) * (x - s.t))
 
     def test_infinity_matrix_shape(self):
-        s = worked_state()
-        alt = build_connection_qp(s.t, s.kappa, F(61, 20), s.p)
-        k4 = s.kappa.k4
-        assert alt.a1 + alt.a2 + alt.a3 + alt.a4 == Mat2.zero()
-        assert alt.a4.a12 == 0
-        assert {alt.a4.a11, alt.a4.a22} == {(1 - k4) / 2, (k4 - 1) / 2}
-        assert alt.a4.det() == -((1 - k4) ** 2) / 4
+        records = passes(connection_identities(worked_state()))
+        assert [name for name in ("alt: A1 + A2 + A3 + A4 = 0",
+                                  "alt: A4 lower triangular with diagonal {(1-k4)/2, (k4-1)/2}",
+                                  "alt: det A4 = -(1-k4)^2/4") if not records[name]] == []
 
     def test_rejects_big_q_at_pole(self):
         s = worked_state()
@@ -225,11 +218,10 @@ class TestCleared:
 class TestEigenTable:
     def test_pole1_worked_values(self):
         table = eigen_table(worked_state())
-        (rm, vm), (rp, vp) = table[0]
+        (rm, vm), _ = table[0]
         assert rm == F(1, 16) and vm == (F(1), F(-10))
-        conn = build_connection(worked_state())
-        assert conn.a1.matvec(vm) == (rm * vm[0], rm * vm[1])
-        assert conn.a1.matvec(vp) == (rp * vp[0], rp * vp[1])
+        records = passes(connection_identities(worked_state()))
+        assert records["eigenvector table satisfies A_i v = r v"]
 
     def test_pole4_eigenvectors(self):
         table = eigen_table(worked_state())
@@ -240,10 +232,7 @@ class TestEigenTable:
     def test_eigenvalue_gaps(self):
         rs = RationalSampler(seed=11, bound=16)
         for _ in range(10):
-            s = rs.pq_state()
-            table = eigen_table(s)
-            gaps = [table[i][0][0] - table[i][1][0] for i in range(4)]
-            assert gaps == list(s.kappa.all4)
+            assert passes(connection_identities(rs.pq_state()))["eigenvalue gaps are k_i"]
 
 
 class TestApparentSingularity:

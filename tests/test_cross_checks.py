@@ -14,6 +14,8 @@ from pvi_moduli import backlund as bk
 from pvi_moduli.exact import is_inf
 from pvi_moduli.higgs import GRADED, higgs_limit
 from pvi_moduli.sampling import RationalSampler
+from pvi_moduli.stability import ZONE_B, czone
+from pvi_moduli.verify import dictionary_identities
 
 
 def free_zeros(limit, s):
@@ -32,13 +34,13 @@ class TestZoneFibrationDictionary:
             s = rs.pq_state()
             sym = sym_of(s)
             for i, j in combinations(range(1, 5), 2):
-                w = rs.weights_in_zone(f"C{i}{j}")
-                lim = higgs_limit(s, w)
+                w = rs.weights_in_zone(czone(i, j))
+                moved = bk.apply_word(bk.pair_fibration_word(i, j), sym)
+                ((name, passed, witness),) = dictionary_identities([czone(i, j)], s, [moved.q], [w])
+                assert passed, name
+                lim = witness["limit"]
                 assert lim.kind == GRADED and lim.deg_l == 0
                 assert lim.contact == frozenset({i, j})
-                word = bk.pair_fibration_word(i, j)
-                moved = bk.apply_word(word, sym)
-                assert free_zeros(lim, s) == [moved.q]
                 # the word realizes the elementary-transformation pair on
                 # the exponents: k -> 1 - k exactly at poles i and j
                 for idx, (kin, kout) in enumerate(zip(sym.kappa.all4, moved.kappa.all4), 1):
@@ -49,12 +51,13 @@ class TestZoneFibrationDictionary:
         for trial in range(4):
             s = rs.pq_state()
             sym = sym_of(s)
-            w = rs.weights_in_zone("B")
-            lim = higgs_limit(s, w)
+            w = rs.weights_in_zone(ZONE_B)
+            moved = bk.apply_word(bk.full_flip_fibration_word(), sym)
+            ((name, passed, witness),) = dictionary_identities([ZONE_B], s, [moved.q], [w])
+            assert passed, name
+            lim = witness["limit"]
             assert lim.kind == GRADED and lim.deg_l == -1
             assert lim.contact == frozenset({1, 2, 3, 4})
-            moved = bk.apply_word(bk.full_flip_fibration_word(), sym)
-            assert free_zeros(lim, s) == [moved.q]
 
     def test_double_pair_words_agree(self):
         # (1,2)(3,4), (3,4)(1,2) and (1,3)(2,4) pairings compose to the

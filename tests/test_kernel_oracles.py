@@ -388,6 +388,8 @@ def _oracle_theta(conn, sub):
     for i in sorted(sub.contact):
         tv = (F(0), F(1), t, INF)[i - 1]
         if is_inf(tv):
+            if deficit < 1:
+                raise DegenerateInput(f"Higgs field fails to vanish at contact pole {i}")
             continue
         w, rem = poly_divmod(w, [-tv, F(1)])
         if rem:

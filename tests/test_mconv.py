@@ -8,15 +8,18 @@ from pvi_moduli.errors import DegenerateInput, SpecialParameters, SpecialWeights
 from pvi_moduli.mconv import (_mod1, defect, mc_exponents, odd_degree_weights, parse_sigma,
                               zone_interchange_check)
 from pvi_moduli.sampling import RationalSampler
-from pvi_moduli.stability import ALL_ZONE_LABELS, Weights, classify_zone
-from pvi_moduli.verify import mc_identities
+from pvi_moduli.stability import ALL_ZONE_LABELS, ZONE_STABLE, Weights, classify_zone
+from pvi_moduli.verify import defect_identity, interchange_identity, mc_identities
+
+from records import failed, passes
 
 HALF = F(1, 2)
 
 
 class TestDefect:
     def test_rank2_four_points(self):
-        assert defect(2, 4, (1, 1, 1, 1)) == 0
+        ((name, passed, _),) = defect_identity()
+        assert passed, name
 
     def test_empty_multiplicities(self):
         assert defect(2, 4, (0, 0, 0, 0)) == 4
@@ -47,8 +50,7 @@ def _zone_a_failures(seed):
     on 20 odd-degree zone-A weights drawn at `seed`."""
     rs = RationalSampler(seed=seed, bound=24)
     return [name for _ in range(20)
-            for name, passed, _ in mc_identities(odd_degree_weights(rs.weights_in_zone("A").eps))
-            if not passed]
+            for name in failed(mc_identities(odd_degree_weights(rs.weights_in_zone("A").eps)))]
 
 
 class TestTransform:
@@ -77,12 +79,7 @@ class TestTransform:
 
     def test_twist_independence_of_zone(self):
         e = odd_degree_weights([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
-        base = mc_exponents(e, sigma="++++")
-        chosen = sum(e.mu[i] + e.eps[i] for i in range(4))
-        z = (F(1, 3), F(2, 7), F(-1, 5), _mod1(-chosen - F(1, 3) - F(2, 7) + F(1, 5)))
-        alt = mc_exponents(e, z=z)
-        assert alt.eps == base.eps
-        assert classify_zone(alt) == classify_zone(base)
+        assert passes(mc_identities(e))["zone of the image is twist-independent"]
 
     def test_default_choice_meets_product_constraint(self):
         # mc_exponents does not check its default twists: z4 absorbs the
@@ -114,8 +111,7 @@ class TestTransform:
         # the one-sign-flipped convolver from the small-eps zone: the
         # computed image lies in the stable zone (recorded, not assumed)
         e = odd_degree_weights([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
-        out = mc_exponents(e, sigma="+++-")
-        assert classify_zone(out) == "Stable"
+        assert passes(mc_identities(e))["zone A, minus-at-4: computed image zone is Stable"]
 
 
 class TestInterchange:
@@ -123,10 +119,10 @@ class TestInterchange:
         rs = RationalSampler(seed=113, bound=24)
         for zone in ALL_ZONE_LABELS:
             e = rs.weights_in_zone(zone)
-            rep = zone_interchange_check(e)
-            assert rep["input_zone"] == zone
-            assert rep["found_stable"]
-            assert "++++" in rep["stable_sigmas"]
+            ((name, passed, witness),) = interchange_identity(zone, e)
+            assert passed, name
+            assert witness["zones"]["++++"] == ZONE_STABLE
+            assert zone_interchange_check(e)["input_zone"] == zone
 
     def test_stable_input_rejected(self):
         e = odd_degree_weights([F(6, 25), F(13, 50), F(27, 100), F(23, 100)])

@@ -2,7 +2,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from pvi_moduli.backlund import SymState, big_q_prime_of
 from pvi_moduli.connection import KappaParams, PQState, Sheet
 from pvi_moduli.errors import DegenerateInput, NotSimple
 from pvi_moduli.exact import INF
@@ -10,6 +9,9 @@ from pvi_moduli.parabolic import (AutElement, QuasiPar, act, in_general_position
                                   parabolic_from_connection, parabolic_structures, phi_map,
                                   q_map, q_map_parabolic)
 from pvi_moduli.sampling import RationalSampler
+from pvi_moduli.verify import fibration_identities
+
+from records import passes
 
 POLES = (F(0), F(1), F(2), INF)
 
@@ -191,15 +193,12 @@ class TestFromConnection:
     def test_fibration_identity_random(self):
         rs = RationalSampler(seed=17, bound=16)
         for _ in range(15):
-            s = rs.pq_state()
-            qp = parabolic_from_connection(s)
-            assert q_map_parabolic(qp) == s.q + s.kappa.k0 / s.p
+            records = passes(fibration_identities(rs.pq_state()))
+            assert records["Q of the induced parabolic equals q + k0/p"]
 
     def test_plus_structure_gives_alternative_coordinate(self):
         rs = RationalSampler(seed=19, bound=16)
         for _ in range(10):
             s = rs.pq_state()
-            sym = SymState(t=s.t, kappa=s.kappa, q=s.q, p=s.p)
-            qp, qp_plus = parabolic_structures(s)
-            assert qp == parabolic_from_connection(s)
-            assert q_map(qp_plus) == big_q_prime_of(sym)
+            assert parabolic_structures(s)[0] == parabolic_from_connection(s)
+            assert passes(fibration_identities(s))["alternative structure computes Q'"]

@@ -22,8 +22,10 @@ in tests/test_certificates.py, and this is the sampled net behind it.
 of both gauges or raises a `ModuliError`, on states whose exponents are
 not integers (so that most of them build) with q at or next to a pole,
 p = 0 and k0 = 0 among them.  Past the suites' height 64,
-`verify.zone_label_identities` passes on nonspecial eps next to the walls
-and `verify.mc_identities` on odd-degree zone-A weights.
+`verify.zone_label_identities` passes on nonspecial eps next to the walls,
+`verify.mc_identities` on odd-degree zone-A weights, and
+`verify.destabilizer_identities` on zone-A eps moved by `et_pair` into
+each unstable zone, over structures in general position.
 
 `mc_exponents` and `zone_interchange_check` either answer or raise a
 `ModuliError` on eps on or next to the twelve walls of (0, 1/2)^4 (a
@@ -58,13 +60,16 @@ from pvi_moduli.exact import HALF, INF, is_inf
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights, sigma_text, zone_interchange_check
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative,
                               sorted_divisor, theta_divisor)
-from pvi_moduli.parabolic import (QuasiPar, is_simple, line_through, parabolic_from_connection,
-                                  parabolic_structures, phi_map, q_map, q_map_parabolic)
+from pvi_moduli.parabolic import (QuasiPar, in_general_position, is_simple, line_through,
+                                  parabolic_from_connection, parabolic_structures, phi_map,
+                                  q_map, q_map_parabolic)
 from pvi_moduli.sampling import _zone_of
-from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_STABLE, Subbundle, Weights,
-                                  candidate_subbundles, classify_zone, find_destabilizer,
-                                  nonspecial_eps, parabolic_degree)
-from pvi_moduli.verify import connection_identities, mc_identities, zone_label_identities
+from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, ZONE_STABLE, Subbundle,
+                                  Weights, candidate_subbundles, classify_zone, et_pair,
+                                  find_destabilizer, nonspecial_eps, parabolic_degree)
+from pvi_moduli.verify import (connection_identities, destabilizer_identities, mc_identities,
+                               zone_label_identities)
+from records import failed
 from test_kernel_oracles import K_ACTION  # the generators' action on kappa
 
 H = 2 ** 64
@@ -285,7 +290,7 @@ def test_connection_identities_hold_or_raise_a_moduli_error(s):
     out = outcome(connection_identities, s)
     if isinstance(out, ModuliError):
         return
-    assert [name for name, passed, _ in out if not passed] == []
+    assert failed(out) == []
 
 
 # the sign vectors of the signed sums, up to an overall sign, and the
@@ -401,7 +406,7 @@ def test_zone_interchange_check_gives_a_zone_per_sigma_or_a_moduli_error(e):
 def test_zone_label_identities_hold_at_any_height(data):
     eps_samples = [e.eps for e in data if not isinstance(e, ModuliError) and nonspecial_eps(e.eps)]
     assume(eps_samples)
-    assert [name for name, passed, _ in zone_label_identities(eps_samples) if not passed] == []
+    assert failed(zone_label_identities(eps_samples)) == []
 
 
 # eps_i = a_i / (2 (a_1 + ... + a_4 + b)), a_i, b >= 1: the open zone-A simplex, heights <= 2^64
@@ -413,8 +418,21 @@ zone_a_eps = st.builds(lambda a, b: tuple(F(x, 2 * (sum(a) + b)) for x in a),
 @settings(deadline=None)
 @given(zone_a_eps)
 def test_mc_identities_hold_at_any_height(eps):
-    records = mc_identities(odd_degree_weights(eps))
-    assert [name for name, passed, _ in records if not passed] == []
+    assert failed(mc_identities(odd_degree_weights(eps))) == []
+
+
+@settings(deadline=None)
+@given(zone_a_eps, st.tuples(*[rationals] * 4))
+def test_destabilizer_identities_hold_at_any_height(eps, u):
+    # directions over the zones suite's poles, no three on one line
+    qp = QuasiPar(poles=(F(0), F(1), F(3), INF), u=u)
+    assume(in_general_position(qp))
+    for zone, contact in ZONE_CONTACT.items():
+        # zone A -> the zone of contact S: et_pair at (i, j) = S, or at (1, 2) and (3, 4)
+        w, poles = Weights.of_eps(eps), sorted(contact)
+        for k in range(0, len(poles), 2):
+            w = et_pair(w, *poles[k:k + 2])
+        assert failed(destabilizer_identities(zone, w, qp)) == []
 
 
 @st.composite

@@ -7,11 +7,15 @@ from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import INF
 from pvi_moduli.parabolic import QuasiPar, line_through
 from pvi_moduli.sampling import RationalSampler
-from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, Branch, Subbundle, Weights,
-                                  candidate_subbundles, classify_zone, et_pair,
-                                  find_destabilizer, nonspecial_eps, parabolic_degree,
+from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, ZONE_STABLE, Branch,
+                                  Subbundle, Weights, candidate_subbundles, classify_zone,
+                                  et_pair, find_destabilizer, nonspecial_eps, parabolic_degree,
                                   stable_subzone_branch)
-from pvi_moduli.verify import et_orbit_identities, oracle_destabilizer, zone_label_identities
+from pvi_moduli.verify import (destabilizer_identities, et_orbit_identities, mu_identity,
+                               oracle_destabilizer, stable_destabilizer_identity,
+                               zone_label_identities)
+
+from records import failed
 
 POLES = (F(0), F(1), F(3), INF)
 HALF = F(1, 2)
@@ -56,8 +60,7 @@ class TestClassify:
 
     def test_exclusive_labels(self):
         rs = RationalSampler(seed=23, bound=40)
-        records = zone_label_identities([rs.eps_nonspecial() for _ in range(200)])
-        assert [name for name, passed, _ in records if not passed] == []
+        assert failed(zone_label_identities([rs.eps_nonspecial() for _ in range(200)])) == []
 
 
 class TestEtPair:
@@ -83,8 +86,8 @@ class TestEtPair:
 
     def test_orbit_transitive_on_eight_zones(self):
         # 8 eps visited, the even sign flips, one in each unstable zone
-        records = et_orbit_identities(Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)]))
-        assert [name for name, passed, _ in records if not passed] == []
+        w = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
+        assert failed(et_orbit_identities(w)) == []
 
 
 class TestNonspecialWeights:
@@ -140,12 +143,12 @@ class TestDestabilizer:
 
     def test_zone_a_gives_o1(self):
         w = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
-        sub = find_destabilizer(self.generic_qp(), w)
-        assert sub is not None and sub.degree == 1 and sub.contact == frozenset()
+        assert failed(destabilizer_identities("A", w, self.generic_qp())) == []
 
     def test_stable_zone_generic_none(self):
         w = Weights.of_eps([F(6, 25), F(13, 50), F(27, 100), F(23, 100)])
-        assert find_destabilizer(self.generic_qp(), w) is None
+        ((_, passed, witness),) = stable_destabilizer_identity(w, self.generic_qp())
+        assert passed and witness["destabilizer"] is None
 
     def test_triple_contact_found_with_adapted_weights(self):
         # directions 2, 3, 4 on the line v = 1 + 2x over poles (0, 1, 3, inf)
@@ -161,8 +164,7 @@ class TestDestabilizer:
     def test_zone_b_gives_full_contact(self):
         w = Weights.of_eps([F(2, 5), F(5, 12), F(3, 7), F(9, 20)])
         assert classify_zone(w) == "B"
-        sub = find_destabilizer(self.generic_qp(), w)
-        assert sub is not None and sub.degree == -1 and sub.contact == frozenset({1, 2, 3, 4})
+        assert failed(destabilizer_identities("B", w, self.generic_qp())) == []
 
     def test_czone_gives_pair(self):
         """All eight zones are contact sets: zone-A eps reflected to 1/2 - eps
@@ -173,17 +175,12 @@ class TestDestabilizer:
         for n, (zone, contact) in enumerate(ZONE_CONTACT.items()):
             w = Weights.of_eps([HALF - e if i in contact else e for i, e in enumerate(eps, 1)])
             assert classify_zone(w) == zone
-            sub = find_destabilizer(self.generic_qp(seed=40 + n), w)
-            assert sub is not None
-            assert (sub.degree, sub.contact) == (1 - len(contact) // 2, contact)
+            assert failed(destabilizer_identities(zone, w, self.generic_qp(seed=40 + n))) == []
 
     def test_mu_is_ignored(self):
-        qp = self.generic_qp()
         eps = (F(1, 10), F(1, 12), F(1, 14), F(1, 16))
-        w1 = Weights.of_eps(eps)
         w2 = Weights(mu=(F(3), F(-1, 2), F(7, 5), F(0)), eps=eps)
-        assert find_destabilizer(qp, w1) == find_destabilizer(qp, w2)
-        assert classify_zone(w1) == classify_zone(w2)
+        assert failed(mu_identity(Weights.of_eps(eps), w2, self.generic_qp())) == []
 
     def test_section_vanishing_at_infinity_saturates_to_its_line(self):
         # Directions 1, 2, 3 lie on the line x and u4 = 5 does not.  The
@@ -226,13 +223,18 @@ class TestOracleAgreement:
             else:
                 qp = QuasiPar(poles=POLES, u=rs.general_position_u(POLES))
             try:
-                sub = find_destabilizer(qp, w)
+                if zone == ZONE_STABLE:
+                    records = stable_destabilizer_identity(w, qp)
+                else:
+                    records = destabilizer_identities(zone, w, qp)
             except SpecialWeights:
                 continue
-            score, deg, contact = oracle_destabilizer(qp, w)
-            if sub is None:
-                assert score < HALF
-            else:
+            if k % 3 != 2:  # colinear and infinite directions may outscore the zone's type
+                records = [r for r in records if "predicted type" not in r[0]]
+            assert failed(records) == []
+            sub = records[0][2]["destabilizer"]
+            if zone == ZONE_STABLE and sub is not None:
+                score, deg, contact = oracle_destabilizer(qp, w)
                 assert score == parabolic_degree(sub, w)
                 assert (deg, contact) == (sub.degree, sub.contact)
 

@@ -1,6 +1,9 @@
+import ast
+import functools
 import json
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +123,31 @@ class TestRejectedSamples:
             return
         (rep,) = verify.run_suite(suite, seed=seed, samples=samples, bound=bound)
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
+
+
+class TestDeclarations:
+    def test_suites_only_draw_and_record(self):
+        tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+        suites = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("suite_")]
+        assert {node.name for node in suites} == {fn.__name__ for fn in verify.SUITES.values()}
+        inline = [(node.name, call.lineno) for node in suites for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "check"]
+        assert inline == []
+
+    def test_each_check_name_has_one_declaration(self, monkeypatch):
+        # every `*_identities`/`*_identity` function, wrapped to note the names it returns
+        sources = {}
+
+        def noted(declaration, *args):
+            records = declaration(*args)
+            for name, _, _ in records:
+                sources.setdefault(name, set()).add(declaration.__name__)
+            return records
+
+        for attr in dir(verify):
+            if attr.endswith(("_identities", "_identity")):
+                monkeypatch.setattr(verify, attr, functools.partial(noted, getattr(verify, attr)))
+        names = [c.name for rep in verify.run_suite("all", samples=8) for c in rep.checks]
+        assert [name for name in names if len(sources.get(name, ())) != 1] == []
