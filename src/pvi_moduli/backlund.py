@@ -35,6 +35,7 @@ DegenerateInput at q = inf.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from .connection import KappaParams, PQState, finite_pole, okamoto_s0
@@ -46,7 +47,9 @@ from .exact import Dual, Rat, is_inf
 SymState = PQState
 
 
-def _finite_q(s: PQState) -> Rat:
+def q_of(s: PQState) -> Rat:
+    """The apparent-singularity fibration coordinate q, which every
+    symmetry formula needs finite."""
     if is_inf(s.q):
         raise DegenerateInput("the symmetry formulas act on finite q only, got q = inf")
     return s.q
@@ -100,7 +103,7 @@ ALPHABET = tuple(GENERATORS)
 
 
 def apply_generator(name: str, s: PQState) -> PQState:
-    _finite_q(s)
+    q_of(s)
     if name not in GENERATORS:
         raise DegenerateInput(f"unknown generator {name!r}; alphabet: {', '.join(ALPHABET)}")
     return GENERATORS[name](s)
@@ -176,7 +179,7 @@ def schlesinger_composite_qp(s: PQState) -> PQState:
                            + k0(k0+k4)/((q-1)(q-t))] / D,
         p' = -D / (t(t-1) p),     D = ((q-t)p + k0 + k4)((q-t)p + k0).
     """
-    k, t, q, p = s.kappa, s.t, _finite_q(s), s.p
+    k, t, q, p = s.kappa, s.t, q_of(s), s.p
     if p == 0 or q in (1, t):
         raise DegenerateInput("composite needs p != 0 and q away from 1, t")
     dd = ((q - t) * p + k.k0 + k.k4) * ((q - t) * p + k.k0)
@@ -194,15 +197,11 @@ def schlesinger_composite_qp(s: PQState) -> PQState:
 # Fibration coordinates
 # ---------------------------------------------------------------------------
 
-def q_of(s: PQState) -> Rat:
-    return _finite_q(s)
-
-
 def big_q_of(s: PQState) -> Rat:
     """The parabolic fibration coordinate Q = q + k0/p."""
     if s.p == 0:
         raise DegenerateInput("Q needs p != 0")
-    return _finite_q(s) + s.k0 / s.p
+    return q_of(s) + s.k0 / s.p
 
 
 def big_q_prime_of(s: PQState) -> Rat:
@@ -219,7 +218,7 @@ def al_chart(s: PQState):
 
 def symplectic_check(s: PQState) -> bool:
     """Exact check of k0 * det d(x,y)/d(q,p) / (x-y)^2 = -1 via dual numbers."""
-    _finite_q(s)
+    q_of(s)
     if s.p == 0 or s.k0 == 0:
         raise DegenerateInput("symplectic identity needs p != 0 and k0 != 0")
     k0 = s.k0
@@ -250,24 +249,17 @@ def transversality_solve(lambda1: Rat, lambda2: Rat, k0: Rat):
 # Relation report
 # ---------------------------------------------------------------------------
 
-RELATION_WORDS = []
-for _i in (0, 1, 2, 3, 4):
-    RELATION_WORDS.append((f"s{_i}^2 = 1", (f"s{_i}", f"s{_i}"), ()))
-for _i in (1, 2, 3, 4):
-    for _j in (1, 2, 3, 4):
-        if _i < _j:
-            RELATION_WORDS.append((f"s{_i} s{_j} = s{_j} s{_i}",
-                                   (f"s{_i}", f"s{_j}"), (f"s{_j}", f"s{_i}")))
-for _i in (1, 2, 3, 4):
-    RELATION_WORDS.append((f"s0 s{_i} s0 = s{_i} s0 s{_i}",
-                           ("s0", f"s{_i}", "s0"), (f"s{_i}", "s0", f"s{_i}")))
-for _r in _R_PAIRS:
-    RELATION_WORDS.append((f"{_r}^2 = 1", (_r, _r), ()))
-for _r, _prs in _R_PAIRS.items():
-    for (_i, _j) in _prs:
-        for (_a, _b) in ((_i, _j), (_j, _i)):
-            RELATION_WORDS.append((f"{_r} s{_a} = s{_b} {_r}",
-                                   (_r, f"s{_a}"), (f"s{_b}", _r)))
+# (name, left word, right word); comprehensions leave no loop variable in the module
+RELATION_WORDS = [
+    *((f"s{i}^2 = 1", (f"s{i}", f"s{i}"), ()) for i in range(5)),
+    *((f"s{i} s{j} = s{j} s{i}", (f"s{i}", f"s{j}"), (f"s{j}", f"s{i}"))
+      for i, j in combinations((1, 2, 3, 4), 2)),
+    *((f"s0 s{i} s0 = s{i} s0 s{i}", ("s0", f"s{i}", "s0"), (f"s{i}", "s0", f"s{i}"))
+      for i in (1, 2, 3, 4)),
+    *((f"{r}^2 = 1", (r, r), ()) for r in _R_PAIRS),
+    *((f"{r} s{a} = s{b} {r}", (r, f"s{a}"), (f"s{b}", r))
+      for r, pairs in _R_PAIRS.items() for i, j in pairs for a, b in ((i, j), (j, i))),
+]
 
 
 def walk_prefixes(words: Iterable[tuple], states: dict) -> dict:

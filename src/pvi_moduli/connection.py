@@ -239,6 +239,16 @@ class PPoint(Value):
     def __init__(self, base: ProjRat, sheet: Sheet):
         self.__dict__.update(base=base, sheet=sheet)
 
+    @classmethod
+    def over(cls, base: ProjRat, poles, minus) -> "PPoint":
+        """The point over `base` for both classifying maps: generic off the
+        poles; over pole i the minus copy when minus[i], that is when the
+        direction there is the O(1) fiber, else the plus copy."""
+        idx = pole_index(base, poles)
+        if idx is None:
+            return cls(base=base, sheet=Sheet.GENERIC)
+        return cls(base=base, sheet=Sheet.MINUS if minus[idx] else Sheet.PLUS)
+
     def to_json_dict(self):
         return {"base": proj_to_str(self.base), "sheet": self.sheet.value}
 
@@ -418,8 +428,4 @@ def apparent_singularity(s: PQState, infinite_parabolic: Optional[Sequence[bool]
     flags = tuple(infinite_parabolic) if infinite_parabolic is not None else (False,) * 4
     if len(flags) != 4:
         raise DegenerateInput("need one parabolic flag per pole")
-    q = s.q
-    idx = pole_index(q, s.poles)
-    if idx is None:
-        return PPoint(base=q, sheet=Sheet.GENERIC)
-    return PPoint(base=q, sheet=Sheet.MINUS if flags[idx] else Sheet.PLUS)
+    return PPoint.over(s.q, s.poles, flags)

@@ -15,7 +15,7 @@ functions in the certificate tests).  Int literals may mix in, but every
 constructors, the sampler).  The predicates that read `.denominator` test
 integrality, a statement about rational numbers, so they and the
 stability, Higgs and lattice layers stay over Q.  Their small kernels run
-on integers: `parabolic._direction_point` clears each pole and direction
+on integers: `parabolic.direction_point` clears each pole and direction
 to an integer point of P^2 (by `over_common_denominator`), general
 position and the contact sets are one cross product, the contact system
 is solved in closed form by `det4`, and the Higgs Wronskian is an integer

@@ -35,9 +35,11 @@ from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connec
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (INF, Value, is_inf, over_common_denominator, poly_add, poly_deriv,
                     poly_divide_root, poly_mul, poly_scale, poly_trim, proj_to_str)
-from .parabolic import (QuasiPar, _direction_point, conic_subbundle, in_general_position,
-                        line_through, parabolic_from_connection, phi_map, section_value)
-from .stability import Branch, Subbundle, Weights, ZONE_STABLE, classify_zone, find_destabilizer, stable_subzone_branch
+from .parabolic import (QuasiPar, Subbundle, conic_subbundle, direction_point,
+                        in_general_position, line_through, parabolic_from_connection, phi_map,
+                        section_value)
+from .stability import (Branch, Weights, ZONE_STABLE, classify_zone, find_destabilizer,
+                        stable_subzone_branch)
 
 THETA_ZERO = "theta_zero"
 GRADED = "graded"
@@ -177,7 +179,7 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     entries of A over one common denominator, the sections over another.
     That scales W by a nonzero constant, which moves no root.  A finite
     contact pole is divided out as the factor b x - a of its integer
-    point (a, 0, b) = `parabolic._direction_point(t_i, 0)`, exactly by
+    point (a, 0, b) = `parabolic.direction_point(t_i, 0)`, exactly by
     Gauss's lemma.
     """
     t = conn.t
@@ -197,7 +199,7 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
             if deficit < 1:
                 raise DegenerateInput(f"Higgs field fails to vanish at contact pole {i}")
             continue
-        a, _, b = _direction_point(tv, 0)
+        a, _, b = direction_point(tv, 0)
         w_poly = poly_divide_root(w_poly, a, b)
         if w_poly is None:
             raise DegenerateInput(f"Higgs field fails to vanish at contact pole {i}")

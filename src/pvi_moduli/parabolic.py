@@ -10,6 +10,12 @@ module computes the action, simplicity, the degree-(-1) subbundle through
 all four directions (equivalently the conic through the corresponding
 points of P^2), the induced coordinate Q, and the classifying map to the
 non-separated line.
+
+It also lists the line subbundles that `stability` scores: the O(1), the
+degree-0 lines through two or more directions and the degree-(-1)
+section through all four (`candidate_subbundles`).  Their contact sets
+come from ring-generic cores on integer points (`direction_point`); only
+their coefficients come back as `Fraction`s.
 """
 from __future__ import annotations
 
@@ -17,10 +23,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .connection import PPoint, PQState, Sheet, eigen_table, pole_index
+from .connection import PPoint, PQState, eigen_table
 from .errors import DegenerateInput, NotSimple
 from .exact import (INF, ProjRat, Rat, Value, det4, is_inf, over_common_denominator, parse_list,
-                    proj_from_str, proj_to_str)
+                    proj_from_str, proj_to_str, rat_to_str)
 
 
 class QuasiPar(Value):
@@ -117,12 +123,12 @@ def section_value(poly, pole: ProjRat, degree: int) -> Rat:
     return value
 
 
-def _direction_point(pole: ProjRat, u: Rat) -> list:
+def direction_point(pole: ProjRat, u: Rat) -> list:
     """A direction as an integer point of P^2: (t, u, 1) over a finite pole
     t and (1, u, 0) over a pole at infinity, scaled by a common
     denominator.  This is the one place where a pole or a direction over Q
     becomes integer coordinates, and the pole itself is
-    `_direction_point(t, 0)` = (x, 0, z), t = x/z.  The contact and conic
+    `direction_point(t, 0)` = (x, 0, z), t = x/z.  The contact and conic
     cores take these homogeneous points and never read a denominator, and
     `higgs.theta_divisor` divides its Wronskian by b x - a for the point
     (a, 0, b) of each finite contact pole.
@@ -152,7 +158,7 @@ def in_general_position(qp: QuasiPar) -> bool:
     DegenerateInput); four such directions are then also simple."""
     if qp.infinite_indices():
         raise DegenerateInput("general position needs four finite directions")
-    points = [_direction_point(tv, uv) for tv, uv in zip(qp.poles, qp.u)]
+    points = [direction_point(tv, uv) for tv, uv in zip(qp.poles, qp.u)]
     return all(dot(cross(a, b), c) != 0 for a, b, c in combinations(points, 3))
 
 
@@ -194,8 +200,8 @@ def _signed_minors(rows) -> list:
 def _conic_minors(qp: QuasiPar) -> list:
     """The signed minors m0..m4 of the contact system of `conic_subbundle`
     on the integer points of its poles and directions."""
-    return _signed_minors([_fiber_row(_direction_point(tv, 0)) if is_inf(uv)
-                           else _conic_row(_direction_point(tv, uv))
+    return _signed_minors([_fiber_row(direction_point(tv, 0)) if is_inf(uv)
+                           else _conic_row(direction_point(tv, uv))
                            for tv, uv in zip(qp.poles, qp.u)])
 
 
@@ -223,6 +229,93 @@ def conic_subbundle(qp: QuasiPar):
     """
     v0, v1, w0, w1, w2 = _conic_coefficients(_conic_minors(qp))
     return ((v0, v1), (w0, w1, w2))
+
+
+class Subbundle(Value):
+    """A saturated line subbundle of B recorded by its map data.
+
+    degree 1: the canonical O(1), coefficients ().
+    degree 0: map (1, v0 + v1 x), coefficients (v0, v1).
+    degree -1: map (v, w), coefficients (v0, v1, w0, w1, w2).
+    contact: the 1-based pole indices where the subbundle passes through
+    the parabolic direction.
+    """
+
+    def __init__(self, degree: int, coefficients: tuple, contact: frozenset):
+        self.__dict__.update(degree=degree, coefficients=coefficients, contact=contact)
+
+    def sections(self):
+        """The map L -> O + O(1) as polynomial sections (s1, s2), constant
+        term first, s1 of O(-degree) and s2 of O(1 - degree): (0, 1) for
+        the O(1), (1, v) at degree 0 and (v, w) at degree -1."""
+        c = self.coefficients
+        if self.degree == 1:
+            return (0,), (1,)
+        if self.degree == 0:
+            return (1,), c
+        if self.degree == -1:
+            return c[:2], c[2:]
+        raise DegenerateInput(f"unsupported subbundle degree {self.degree}")
+
+    def to_json_dict(self):
+        return {"degree": self.degree,
+                "coefficients": [rat_to_str(c) for c in self.coefficients],
+                "contact": sorted(self.contact)}
+
+
+def candidate_subbundles(qp: QuasiPar):
+    """All saturated candidates relevant for stability, deduplicated: the
+    O(1), the lines (1, v) through two or more finite directions, and the
+    degree-(-1) section (v, w) through all four directions.
+
+    Contact sets are read off integer points.  The O(1) passes through the
+    directions u_i = inf.  Each finite direction is an integer point P_i
+    of P^2 (`direction_point`); the line through P_i and P_j is their
+    cross product L = `cross`(P_i, P_j), the section
+    v = (-L_z/L_y, -L_x/L_y), and its contact set {k : L . P_k = 0}.  Two
+    distinct lines share at most one point, so a pair already in a listed
+    contact set gives a listed line.
+
+    (v, w) is dropped when v and w share a zero on P^1: v = 0, or
+    w(-v0/v1) = 0, or v1 = w2 = 0 (a zero at infinity).  On the integer
+    minors m0..m4 of `conic_subbundle`, a multiple of (v0, v1, w0, w1, w2),
+    all three cases are one test: their `_resultant` vanishes.  Minors
+    that all vanish (no unique (v, w)) count as a shared zero.  The
+    saturation of a dropped (v, w) is listed already.  For v = 0 it is the
+    O(1).  Otherwise v has one zero z, a direction u_i = inf can only sit
+    at the pole z, and at the three or more other poles v(t_i) != 0 and
+    (v, w) = v (1, w/v), so the degree-0 line w/v passes through their
+    finite directions and the pair loop lists it.
+
+    A kept (v, w) has contact {1, 2, 3, 4}.  It solves every row of its
+    system: v(t_i) = 0 where u_i = inf, which is contact there, and
+    w(t_i) = u_i v(t_i) where u_i is finite, which is contact unless
+    v(t_i) = 0; but then w(t_i) = 0 too, a shared zero, and (v, w) was
+    dropped.
+    """
+    cands = [Subbundle(1, (), frozenset(i + 1 for i in qp.infinite_indices()))]
+    points = [(i + 1, direction_point(tv, uv))
+              for i, (tv, uv) in enumerate(zip(qp.poles, qp.u)) if not is_inf(uv)]
+    for (i, pi), (j, pj) in combinations(points, 2):
+        if any({i, j} <= c.contact for c in cands[1:]):
+            continue
+        lx, ly, lz = line = cross(pi, pj)
+        contact = frozenset(k for k, pk in points if dot(line, pk) == 0)
+        cands.append(Subbundle(0, (Fraction(-lz, ly), Fraction(-lx, ly)), contact))
+    minors = _conic_minors(qp)
+    if _resultant(minors) != 0:
+        cands.append(Subbundle(-1, _conic_coefficients(minors), frozenset(range(1, 5))))
+    return cands
+
+
+def _resultant(minors):
+    """m2 m1^2 - m3 m0 m1 + m4 m0^2, over any commutative ring: the
+    resultant of v = m0 + m1 x and w = m2 + m3 x + m4 x^2 as sections of
+    O(1) and O(2), w at the zero (-m0, m1) of v in homogeneous
+    coordinates.  It vanishes iff v = 0 or v and w share a zero on P^1,
+    at infinity when m1 = m4 = 0."""
+    m0, m1, m2, m3, m4 = minors
+    return m2 * m1 * m1 - m3 * m0 * m1 + m4 * m0 * m0
 
 
 def q_map(qp: QuasiPar) -> ProjRat:
@@ -273,11 +366,7 @@ def phi_map(qp: QuasiPar) -> PPoint:
     """
     if not is_simple(qp):
         raise NotSimple("decomposable quasiparabolic structure")
-    base = q_map(qp)
-    idx = pole_index(base, qp.poles)
-    if idx is None:
-        return PPoint(base=base, sheet=Sheet.GENERIC)
-    return PPoint(base=base, sheet=Sheet.MINUS if is_inf(qp.u[idx]) else Sheet.PLUS)
+    return PPoint.over(q_map(qp), qp.poles, tuple(map(is_inf, qp.u)))
 
 
 def parabolic_structures(s: PQState) -> tuple:

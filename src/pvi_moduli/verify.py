@@ -27,7 +27,7 @@ from .higgs import GRADED, higgs_limit, sorted_divisor, v_alpha_stable, v_alpha_
 from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
                       singular_fiber_decompositions)
-from .mconv import _mod1, defect, mc_exponents, odd_degree_weights, zone_interchange_check
+from .mconv import defect, mc_exponents, odd_degree_weights, zone_interchange_check
 from .parabolic import (QuasiPar, line_through, parabolic_from_connection,
                         parabolic_structures, phi_map, q_map, q_map_parabolic)
 from .sampling import RationalSampler
@@ -634,7 +634,7 @@ def mc_identities(e: Weights) -> list:
     wit = {"eps": e, "out": out}
     # z-independence of the zone
     z_alt = (Fraction(1, 3), Fraction(-2, 5), Fraction(4, 7),
-             _mod1(-(sum(e.mu) + sum(e.eps)) - Fraction(1, 3) + Fraction(2, 5) - Fraction(4, 7)))
+             -(sum(e.mu) + sum(e.eps)) - Fraction(1, 3) + Fraction(2, 5) - Fraction(4, 7))
     out_alt = mc_exponents(e, z=z_alt)
     # the minus-at-last-pole choice: computed honestly; it lands stable
     out_bad = mc_exponents(e, sigma="+++-")

@@ -12,10 +12,7 @@ from pvi_moduli.errors import DegenerateInput, NoFiniteIntersection
 from pvi_moduli.exact import INF
 
 from records import failed, passes
-
-
-def worked_state():
-    return SymState.make(t=F(2), k1234=(F(1, 8), F(1, 8), F(1, 8), F(1, 8)), q=F(3), p=F(5))
+from shared import worked_state
 
 
 class TestGenerators:
@@ -71,6 +68,12 @@ class TestRelations:
     def test_braid_example(self):
         s = worked_state()
         assert apply_word(("r12_34", "s1"), s) == apply_word(("s2", "r12_34"), s)
+
+    def test_building_the_table_leaves_the_module_namespace_alone(self):
+        s = worked_state()
+        for name in ("r12_34", "r13_24", "r14_23"):
+            assert backlund._r(name)(s) == backlund.GENERATORS[name](s)
+        assert not {"_i", "_j", "_a", "_b", "_prs"} & set(vars(backlund))
 
 
 class TestPrefixTable:

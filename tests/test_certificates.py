@@ -65,10 +65,10 @@ from pvi_moduli.connection import (KappaParams, PQState, ResidueVector,  # noqa:
 from pvi_moduli.exact import Dual, det4  # noqa: E402
 from pvi_moduli.higgs import _wronskian  # noqa: E402
 from pvi_moduli.mconv import sigma_text  # noqa: E402
-from pvi_moduli.parabolic import (_conic_row, _fiber_row, _signed_minors, cross,  # noqa: E402
-                                  dot, line_through, parabolic_from_connection,
+from pvi_moduli.parabolic import (_conic_row, _fiber_row, _resultant, _signed_minors,  # noqa: E402
+                                  cross, dot, line_through, parabolic_from_connection,
                                   parabolic_structures, q_map_parabolic, section_value)
-from pvi_moduli.stability import _resultant, _score  # noqa: E402
+from pvi_moduli.stability import _score  # noqa: E402
 
 K, t, k1, k2, k3, k4, q, p = sympy.field("t k1 k2 k3 k4 q p", sympy.QQ)
 k0 = (1 - k1 - k2 - k3 - k4) / 2

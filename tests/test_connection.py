@@ -15,11 +15,7 @@ from pvi_moduli.sampling import RationalSampler
 from pvi_moduli.verify import connection_identities, run_suite
 
 from records import passes
-
-
-def worked_state():
-    return PQState(t=F(2), kappa=KappaParams.from_strs(["1/4", "1/8", "1/8", "1/8", "1/8"]),
-                   q=F(3), p=F(5))
+from shared import worked_state
 
 
 class TestKappa:

@@ -3,29 +3,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from pvi_moduli.connection import KappaParams, PPoint, PQState, Sheet
+from pvi_moduli.connection import PPoint, PQState, Sheet
 from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import INF
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, higgs_limit, representative,
                               theta_divisor, v_alpha_stable, v_alpha_unstable)
-from pvi_moduli.parabolic import parabolic_from_connection, phi_map
+from pvi_moduli.parabolic import Subbundle, parabolic_from_connection, phi_map
 from pvi_moduli.sampling import RationalSampler
-from pvi_moduli.stability import (ALL_ZONE_LABELS, Subbundle, Weights, classify_zone,
-                                  find_destabilizer)
+from pvi_moduli.stability import ALL_ZONE_LABELS, Weights, classify_zone, find_destabilizer
 from pvi_moduli.verify import (colinear_limit_identity, graded_limit_identity,
                                quotient_slope_identity, stable_limit_identities,
                                zone_a_limit_identities)
 from pvi_moduli.connection import build_connection
 
 from records import failed
+from shared import worked_state
 
 ZONE_A_W = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
 STABLE_W = Weights.of_eps([F(6, 25), F(13, 50), F(27, 100), F(23, 100)])
-
-
-def worked_state():
-    return PQState(t=F(2), kappa=KappaParams.from_strs(["1/4", "1/8", "1/8", "1/8", "1/8"]),
-                   q=F(3), p=F(5))
 
 
 def _failures(seed, bound, count, zones, identities):

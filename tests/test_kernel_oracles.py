@@ -49,20 +49,15 @@ from pvi_moduli.exact import (HALF, INF, Mat2, is_inf, over_common_denominator,
 from pvi_moduli.higgs import representative, sorted_divisor, theta_divisor
 from pvi_moduli.mconv import (mc_exponents, nonspecial_exponents, odd_degree_weights, sigma_text,
                               zone_interchange_check)
-from pvi_moduli.parabolic import (QuasiPar, conic_subbundle, in_general_position, line_through,
-                                  parabolic_structures, section_value)
-from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Subbundle, Weights,
-                                  candidate_subbundles, classify_zone, czone, et_pair,
-                                  find_destabilizer, nonspecial_eps, parabolic_degree,
-                                  stable_subzone_branch)
+from pvi_moduli.parabolic import (QuasiPar, Subbundle, candidate_subbundles, conic_subbundle,
+                                  in_general_position, line_through, parabolic_structures,
+                                  section_value)
+from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Weights, classify_zone,
+                                  czone, et_pair, find_destabilizer, nonspecial_eps,
+                                  parabolic_degree, stable_subzone_branch)
 
-H = 2 ** 64
+from shared import H, rationals, tiny
 
-# small denominators hit integers, half-integers and walls; tall ones test height
-tiny = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
-small = st.builds(F, st.integers(-48, 48), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
-tall = st.builds(F, st.integers(-H, H), st.integers(1, H))
-rationals = st.one_of(tiny, small, tall)
 # non-integer exponents, so that few kappa are special
 fractional = st.one_of(st.builds(F, st.integers(-48, 48), st.sampled_from([3, 5, 7, 8])),
                        st.builds(F, st.integers(-H, H), st.integers(2, H))).filter(

@@ -20,12 +20,8 @@ from pvi_moduli.errors import ModuliError
 from pvi_moduli.exact import INF, Dual, Value, is_inf
 from pvi_moduli.parabolic import QuasiPar, line_through
 
-H = 2 ** 64
+from shared import rationals
 
-tiny = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
-small = st.builds(F, st.integers(-48, 48), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
-tall = st.builds(F, st.integers(-H, H), st.integers(1, H))
-rationals = st.one_of(tiny, small, tall)
 kappas = st.builds(KappaParams.from_k1234, rationals, rationals, rationals, rationals)
 
 

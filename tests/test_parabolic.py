@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pvi_moduli.connection import KappaParams, PQState, Sheet
+from pvi_moduli.connection import Sheet
 from pvi_moduli.errors import DegenerateInput, NotSimple
 from pvi_moduli.exact import INF
 from pvi_moduli.parabolic import (AutElement, QuasiPar, act, in_general_position, is_simple,
@@ -12,17 +12,13 @@ from pvi_moduli.sampling import RationalSampler
 from pvi_moduli.verify import fibration_identities
 
 from records import passes
+from shared import worked_state
 
 POLES = (F(0), F(1), F(2), INF)
 
 
 def worked_qp():
     return QuasiPar(poles=POLES, u=(F(-10), F(-15), F(-30), F(1, 4)))
-
-
-def worked_state():
-    return PQState(t=F(2), kappa=KappaParams.from_strs(["1/4", "1/8", "1/8", "1/8", "1/8"]),
-                   q=F(3), p=F(5))
 
 
 class TestAutAction:

@@ -15,8 +15,9 @@ from pvi_moduli.connection import (FourPoleConnection, KappaParams, PPoint, PQSt
 from pvi_moduli.errors import DegenerateInput, NormalFormDegenerate, NotSimple, SpecialWeights
 from pvi_moduli.exact import INF, Mat2, is_inf, solve_linear
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights
+from pvi_moduli.parabolic import Subbundle
 from pvi_moduli.sampling import RationalSampler
-from pvi_moduli.stability import Subbundle, Weights, czone, predicted_destabilizer_degree
+from pvi_moduli.stability import Weights, czone, predicted_destabilizer_degree
 from pvi_moduli.verify import run_suite
 
 KAPPA = KappaParams.from_k1234(F(1, 4), F(1, 8), F(1, 8), F(1, 8))  # k0 = 3/16

@@ -13,7 +13,7 @@ shells.  Module-level code is listed as `<module>`.
 The ring-generic kernels those shells wrap take coordinates in any
 commutative ring, and `tests/test_certificates.py` runs them on
 polynomial-ring symbols; `CORES` lists them with the other code that must
-stay off the list.  `parabolic._direction_point` is the one shell
+stay off the list.  `parabolic.direction_point` is the one shell
 that turns a pole or a direction into an integer point; the contact,
 conic and Wronskian cores, and `_conic_minors`, which feeds them those
 points, never read a denominator.  Nor do the zone score
@@ -52,9 +52,9 @@ SHELLS = {
     # kernel shells: clear denominators, build the Fraction results
     "exact.over_common_denominator": "the clearing step itself",
     "exact.solve_linear": "the tests' reference eliminator, over Q",
-    "parabolic._direction_point": "poles and directions to integer points",
+    "parabolic.direction_point": "poles and directions to integer points",
     "parabolic._conic_coefficients": "minors to (v0, v1, w0, w1, w2)",
-    "stability.candidate_subbundles": "line coefficients from the cross product",
+    "parabolic.candidate_subbundles": "line coefficients from the cross product",
     "stability.classify_zone": "eps over one denominator",
     "stability.classify_numerators": "wall values in error messages",
     "stability.stable_subzone_branch": "eps over one denominator",
@@ -72,7 +72,7 @@ SHELLS = {
 # and _convolve.
 CORES = ("parabolic.cross", "parabolic.dot", "parabolic._conic_row", "parabolic._fiber_row",
          "parabolic._signed_minors", "parabolic._conic_minors", "parabolic.in_general_position",
-         "stability._resultant", "stability._score", "higgs._wronskian", "mconv._convolve",
+         "parabolic._resultant", "stability._score", "higgs._wronskian", "mconv._convolve",
          "exact.det4", "exact.poly_divide_root")
 
 RATIONAL_ATTRIBUTES = {"numerator", "denominator"}

@@ -5,12 +5,11 @@ import pytest
 
 from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import INF
-from pvi_moduli.parabolic import QuasiPar, line_through
+from pvi_moduli.parabolic import QuasiPar, Subbundle, candidate_subbundles, line_through
 from pvi_moduli.sampling import RationalSampler
-from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, ZONE_STABLE, Branch,
-                                  Subbundle, Weights, candidate_subbundles, classify_zone,
-                                  et_pair, find_destabilizer, nonspecial_eps, parabolic_degree,
-                                  stable_subzone_branch)
+from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, ZONE_STABLE, Branch, Weights,
+                                  classify_zone, et_pair, find_destabilizer, nonspecial_eps,
+                                  parabolic_degree, stable_subzone_branch)
 from pvi_moduli.verify import (destabilizer_identities, et_orbit_identities, mu_identity,
                                oracle_destabilizer, stable_destabilizer_identity,
                                zone_label_identities)

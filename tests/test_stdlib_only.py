@@ -3,7 +3,8 @@ pyproject.toml): every absolute import in `src/pvi_moduli`, including the
 imports inside functions, names a standard-library module.  Importing the
 package also stays cheap for a cold CLI call: it does not load
 `dataclasses`, whose `inspect` import chain cost several milliseconds a
-call."""
+call.  Modules share only public names: no module imports an underscore
+name from a sibling."""
 import ast
 import os
 import subprocess
@@ -23,6 +24,13 @@ def absolute_imports(path):
             yield node.module
 
 
+def private_sibling_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pvi_moduli")):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names
+                        if alias.name.startswith("_"))
+
+
 def test_every_module_is_checked():
     assert len(SOURCES) > 10 and any(p.name == "cli.py" for p in SOURCES)
 
@@ -32,6 +40,11 @@ def test_imports_only_the_standard_library(path):
     outside = sorted({name for name in absolute_imports(path)
                       if name.split(".")[0] not in sys.stdlib_module_names})
     assert outside == []
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    found = {path.stem: sorted(private_sibling_imports(path)) for path in SOURCES}
+    assert {module: names for module, names in found.items() if names} == {}
 
 
 def test_importing_every_module_loads_neither_dataclasses_nor_inspect():
