@@ -38,9 +38,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from .connection import KappaParams, PQState, finite_pole, okamoto_s0
+from .connection import KappaParams, PQState, finite_pole
 from .errors import DegenerateInput, NoFiniteIntersection
-from .exact import Dual, Rat, is_inf
+from .exact import Dual, Rat, is_inf, okamoto_s0
 
 # The symmetry group acts on the same moduli-state type as every other
 # layer; `SymState` is another name for it.

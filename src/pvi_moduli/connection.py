@@ -32,6 +32,8 @@ pole data (k_i, sigma_i, c_i), its normal form and its eigen table the
 first time they are asked for and keeps them on the object, and a
 `FourPoleConnection` keeps each cleared entry it computes.  Nothing
 outlives the object, and equal states built apart share nothing.
+Okamoto's s0 on the exponents is `exact.okamoto_s0`, read by `backlund`
+and, without loading this module, by `mconv`.
 """
 from __future__ import annotations
 
@@ -103,13 +105,6 @@ def kappa_generic(kappa: KappaParams) -> bool:
     nums, den = over_common_denominator(kappa.all4)
     # s/den is an odd integer iff s = den mod 2*den
     return not any(s % (2 * den) == den for s in pick_sums((n, -n) for n in nums))
-
-
-def okamoto_s0(k0, k1, k2, k3, k4) -> tuple:
-    """Okamoto's s0 on the exponents: k_i -> k_i + k0, k0 -> -k0.  It is
-    linear, so it reads any field, or integer numerators over a common
-    denominator; it keeps 2*k0 + k1 + ... + k4."""
-    return (-k0, k1 + k0, k2 + k0, k3 + k0, k4 + k0)
 
 
 class ResidueVector(Value):

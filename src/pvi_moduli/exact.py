@@ -5,6 +5,8 @@ re-exported as `Rat`; points of P^1 are `Rat | Infinity`.  `Mat2` is a
 2x2 matrix, `Dual` a dual number a + b*delta (delta^2 = 0) for exact
 forward-mode derivatives, and polynomials are coefficient lists, constant
 term first ([] is zero); the Higgs layer builds its Wronskian with them.
+`okamoto_s0`, Okamoto's s0 on the exponents, lives here so that `backlund`
+and `mconv` share it and the exponent calculus loads no normal form.
 There is no polynomial gcd: a line subbundle is saturated when its two
 sections share no zero on P^1, which `stability` tests directly.  These
 kernels, the connection and Baecklund formulas and `line_through` never
@@ -137,6 +139,13 @@ def pick_sums(pairs) -> list:
     for a, b in pairs:
         sums = [s + a for s in sums] + [s + b for s in sums]
     return sums
+
+
+def okamoto_s0(k0, k1, k2, k3, k4) -> tuple:
+    """Okamoto's s0 on the exponents: k_i -> k_i + k0, k0 -> -k0.  It is
+    linear, so it reads any field, or integer numerators over a common
+    denominator; it keeps 2*k0 + k1 + ... + k4."""
+    return (-k0, k1 + k0, k2 + k0, k3 + k0, k4 + k0)
 
 
 def over_common_denominator(values) -> tuple:

@@ -190,10 +190,5 @@ def anticanonical_check() -> bool:
     expanded = 2 * C0 + 4 * F
     for i in range(1, 5):
         expanded = expanded - E(i, "+") - E(i, "-")
-    if Y != expanded:
-        return False
-    if intersect(Y, C0) != 0:
-        return False
-    if any(intersect(Y, F_prime(i)) != 0 for i in range(1, 5)):
-        return False
-    return intersect(Y, Y) == 0
+    return (Y == expanded and intersect(Y, C0) == 0
+            and all(intersect(Y, F_prime(i)) == 0 for i in range(1, 5)) and intersect(Y, Y) == 0)

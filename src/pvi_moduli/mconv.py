@@ -22,16 +22,16 @@ The zone of eps' is independent of the z_i and of any residual
 relabeling, which changes eps' only by elementary-transformation pairs.
 The eps' and the parity are computed on integers over the common
 denominator of the eps; `mc_exponents` builds Fractions only for its
-result, and `zone_interchange_check` classifies the integer eps'.
+result, and `zone_interchange_check` classifies the integer eps'.  Only
+`exact` and the eps layer of `stability` are read: no normal form loads.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 
-from .connection import okamoto_s0
 from .errors import DegenerateInput, SpecialParameters
-from .exact import HALF, Rat, over_common_denominator
+from .exact import HALF, Rat, okamoto_s0, over_common_denominator
 from .stability import Weights, ZONE_STABLE, classify_numerators, nonspecial_eps
 
 

@@ -16,7 +16,8 @@ all four).  Zone S is zone A moved by elementary transformations at S,
 and a type and its complement (-deg, the other poles) score opposite.
 
 `find_destabilizer` scores the candidates, with their contact sets, that
-`parabolic.candidate_subbundles` lists.
+`parabolic.candidate_subbundles` lists; it imports `parabolic` when it
+runs, so importing this module loads only `errors` and `exact`.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from typing import Optional
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (HALF, Rat, Value, over_common_denominator, parse_list, pick_sums, rat_from_str,
                     rat_to_str)
-from .parabolic import QuasiPar, Subbundle, candidate_subbundles
 
 ZONE_A = "A"
 ZONE_B = "B"
@@ -188,6 +188,7 @@ def find_destabilizer(qp: QuasiPar, w: Weights) -> Optional[Subbundle]:
     degree exceeds 1/2.  A degree exactly 1/2 anywhere means the weights
     sit on a wall: SpecialWeights.
     """
+    from .parabolic import candidate_subbundles
     nums, den = over_common_denominator(w.eps)
     total = sum(nums)
     best = best_key = None

@@ -33,9 +33,10 @@ The word printed in criterion 4b is proved to be WORD_SHIFT_34, so it
 shifts (k3, k4), not the (k1, k2) the criterion states.
 
 The middle convolution's exponents are proved, for each of the 16 sign
-choices sigma, to be `connection.okamoto_s0` of the signed exponents, over
+choices sigma, to be `exact.okamoto_s0` of the signed exponents, over
 Q(eps1..eps4): the rule `mconv` and `backlund` share is the paper's
-convolution exponent.
+convolution exponent, and it lives in `exact`, so the convolution reads it
+without loading the normal form.
 
 The zone score `stability._score` is proved over Q(eps1..eps4) with
 den = 1: it is 2 (d + sum_S eps - sum_rest eps) for every contact set S,
@@ -62,7 +63,7 @@ from pvi_moduli import backlund as bk  # noqa: E402
 from pvi_moduli import connection, verify  # noqa: E402
 from pvi_moduli.connection import (KappaParams, PQState, ResidueVector,  # noqa: E402
                                    elementary_transform_residues)
-from pvi_moduli.exact import Dual, det4  # noqa: E402
+from pvi_moduli.exact import Dual, det4, okamoto_s0  # noqa: E402
 from pvi_moduli.higgs import _wronskian  # noqa: E402
 from pvi_moduli.mconv import sigma_text  # noqa: E402
 from pvi_moduli.parabolic import (_conic_row, _fiber_row, _resultant, _signed_minors,  # noqa: E402
@@ -185,7 +186,7 @@ def test_convolution_exponents_are_okamoto_s0_of_the_signed_exponents(sigma):
     for the convolution exponents y_i = -1/2 + sum_j sigma_j eps_j
     - 2 sigma_i eps_i that `mconv` reduces mod 1."""
     signed = sum(s * e for s, e in zip(sigma, EPS))
-    image = connection.okamoto_s0(E_HALF - signed, *(2 * s * e for s, e in zip(sigma, EPS)))
+    image = okamoto_s0(E_HALF - signed, *(2 * s * e for s, e in zip(sigma, EPS)))
     y = [-E_HALF + signed - 2 * s * e for s, e in zip(sigma, EPS)]
     assert image[1:] == tuple(-yi for yi in y)
 

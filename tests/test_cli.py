@@ -455,23 +455,24 @@ VALID_OPTIONS = {
 
 # the pvi_moduli modules loaded once each command has run in a fresh interpreter
 CONNECTION = {"cli", "errors", "exact", "connection"}
-ZONES = CONNECTION | {"parabolic", "stability"}
+EPS = {"cli", "errors", "exact", "stability"}  # the eps layer loads no geometry
+ZONES = CONNECTION | EPS | {"parabolic"}
 EVERY = ZONES | {"backlund", "higgs", "lattice", "mconv", "sampling", "verify"}
 LOADS = {
     ("connection", "build"): CONNECTION,
     ("connection", "eigen"): CONNECTION,
     ("parabolic", "from-connection"): CONNECTION | {"parabolic"},
     ("parabolic", "phi"): CONNECTION | {"parabolic"},
-    ("zone", "classify"): ZONES,
-    ("zone", "etpair"): ZONES,
-    ("zone", "branch"): ZONES,
+    ("zone", "classify"): EPS,
+    ("zone", "etpair"): EPS,
+    ("zone", "branch"): EPS,
     ("higgs", "limit"): ZONES | {"higgs"},
     ("symmetry", "apply"): CONNECTION | {"backlund"},
     ("symmetry", "relations"): CONNECTION | {"backlund"},
     ("lattice", "enumerate"): {"cli", "errors", "exact", "lattice"},
     ("lattice", "check"): EVERY,
-    ("mc", "transform"): ZONES | {"mconv"},
-    ("mc", "interchange"): ZONES | {"mconv"},
+    ("mc", "transform"): EPS | {"mconv"},
+    ("mc", "interchange"): EPS | {"mconv"},
     ("fibration", "q"): CONNECTION | {"backlund"},
     ("fibration", "Q"): CONNECTION | {"backlund"},
     ("fibration", "solve"): CONNECTION | {"backlund"},

@@ -3,8 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from pvi_moduli.connection import okamoto_s0
 from pvi_moduli.errors import DegenerateInput, SpecialParameters, SpecialWeights
+from pvi_moduli.exact import okamoto_s0
 from pvi_moduli.mconv import (_mod1, defect, mc_exponents, odd_degree_weights, parse_sigma,
                               zone_interchange_check)
 from pvi_moduli.sampling import RationalSampler

@@ -4,7 +4,10 @@ imports inside functions, names a standard-library module.  Importing the
 package also stays cheap for a cold CLI call: it does not load
 `dataclasses`, whose `inspect` import chain cost several milliseconds a
 call.  Modules share only public names: no module imports an underscore
-name from a sibling."""
+name from a sibling.  The eps layer stands on `exact` alone: importing
+`stability` or `mconv` loads neither the normal form (`connection`) nor
+the contact geometry (`parabolic`); a function that needs them imports
+them when it runs."""
 import ast
 import os
 import subprocess
@@ -29,6 +32,29 @@ def private_sibling_imports(path):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pvi_moduli")):
             yield from (f"{node.module}.{alias.name}" for alias in node.names
                         if alias.name.startswith("_"))
+
+
+def module_level_siblings(path):
+    """The siblings that importing `path` imports: its relative imports
+    outside function bodies.  The package's modules import each other only
+    relatively, since an absolute `pvi_moduli` import fails the stdlib test."""
+    found, todo = set(), [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+SIBLINGS = {path.stem: module_level_siblings(path) for path in SOURCES}
+
+
+def test_the_eps_layer_loads_no_geometry():
+    assert SIBLINGS["stability"] <= {"errors", "exact"}
+    assert SIBLINGS["mconv"] <= {"errors", "exact", "stability"}
 
 
 def test_every_module_is_checked():
