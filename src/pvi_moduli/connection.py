@@ -313,13 +313,12 @@ class FourPoleConnection(Value):
         return -n0 / n1
 
     def p_invariant(self) -> Rat:
-        """Recover p from the gauge-invariant value A(2,2)|_{x=q}."""
+        """Recover p from A(2,2)|_{x=q}: sum_i (A_i[2,2] + k_i/2)/(q - t_i) + C[2,2]."""
         q = self.apparent_singularity_base()
         if is_inf(q) or q in (0, 1, self.t):
             raise NormalFormDegenerate("p-invariant needs q away from the poles")
-        k = self.kappa
-        a22 = self.matrix_at(q).a22
-        return a22 + k.k1 / (2 * q) + k.k2 / (2 * (q - 1)) + k.k3 / (2 * (q - self.t))
+        return sum(((m.a22 + ki / 2) / (q - ti) for m, ki, ti in
+                    zip(self.finite_residues(), self.kappa.finite, (0, 1, self.t))), self.c.a22)
 
     def infinity_residue(self) -> Mat2:
         """Residue of A(x)dx at x = infinity in the basis <e, x*f>.

@@ -20,9 +20,9 @@ lands at 0 instead of -1/2 mod 1 (even degree), the earliest point is
 flipped (eps' -> 1/2 - eps', mu' -> mu' + 1/2) to restore odd degree.
 The zone of eps' is independent of the z_i and of any residual
 relabeling, which changes eps' only by elementary-transformation pairs.
-The eps' and the parity are computed on integers over the common
-denominator of the eps; `mc_exponents` builds Fractions only for its
-result, and `zone_interchange_check` classifies the integer eps'.  Only
+The eps' and the parity are computed on the integer eps `Weights.cleared`
+holds; `mc_exponents` builds Fractions only for its result, and
+`zone_interchange_check` classifies the integer eps'.  Only
 `exact` and the eps layer of `stability` are read: no normal form loads.
 """
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DegenerateInput, SpecialParameters
-from .exact import HALF, Rat, okamoto_s0, over_common_denominator
+from .exact import HALF, Rat, okamoto_s0
 from .stability import Weights, ZONE_STABLE, classify_numerators, nonspecial_eps
 
 
@@ -85,7 +85,7 @@ def mc_exponents(w: Weights, sigma: str = "++++", z=None) -> Weights:
         raise DegenerateInput("twist exponents violate the product constraint")
     if not nonspecial_exponents(w):
         raise SpecialParameters("signed eps sums hit a half-integer")
-    nums, den = over_common_denominator(w.eps)
+    nums, den = w.cleared
     eps_out, flipped = _convolve(nums, den, signs)
     unit = 4 * den
     # z_i = mu'_i + eps'_i, and z_1 = mu'_1 - eps'_1 when the first pole was flipped
@@ -125,7 +125,7 @@ def zone_interchange_check(w: Weights):
     Unstable eps are nonspecial: zone A's signed sums lie in (-1/2, 1/2), and
     zone S (`stability.ZONE_CONTACT`) is A moved by `et_pair` at S, which keeps nonspecial.
     """
-    nums, den = over_common_denominator(w.eps)
+    nums, den = w.cleared
     zone_in = classify_numerators(nums, den)
     if zone_in == ZONE_STABLE:
         raise DegenerateInput("input must lie in an unstable zone")

@@ -29,7 +29,7 @@ def _zone_of(eps) -> Optional[str]:
 class RationalSampler:
     def __init__(self, seed: int, bound: int = 64):
         if bound < 2:
-            raise ValueError("bound must be at least 2")
+            raise ValueError(f"bound must be at least 2, got {bound}")
         self.rng = random.Random(seed)
         self.bound = bound
         self.rejections = 0

@@ -7,7 +7,7 @@ degree d = 1 is destabilized by a line subbundle L exactly when
     deg(L) + sum_{i in S(L)} eps_i - sum_{i not in S(L)} eps_i > 1/2,
 
 S(L) the contact set; every verdict here reads this as one integer
-`_score` above den, over the common denominator den of the eps.  Zones
+`_score` above den, over the one denominator den of `Weights.cleared`.  Zones
 are contact sets.  A structure in general position carries eight types
 (deg, S), one for each even S of {1..4}, of degree 1 - |S|/2, and each
 unstable zone, named by its S in `ZONE_CONTACT`, is where one of them
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -65,6 +66,11 @@ class Weights(Value):
                 raise SpecialWeights(f"eps = {e} outside (0, 1/2)")
         self.__dict__.update(mu=mu, eps=eps)
 
+    @cached_property
+    def cleared(self) -> tuple:
+        """(nums, den) with eps_i = nums[i] / den, made once per value."""
+        return over_common_denominator(self.eps)
+
     @classmethod
     def of_eps(cls, eps) -> "Weights":
         return cls(mu=(Fraction(0),) * 4, eps=tuple(Fraction(e) for e in eps))
@@ -101,7 +107,7 @@ def nonspecial_eps(eps) -> bool:
 
 def classify_zone(w: Weights) -> str:
     """One of A, B, C{ij} or Stable; boundary weights raise SpecialWeights."""
-    return classify_numerators(*over_common_denominator(w.eps))
+    return classify_numerators(*w.cleared)
 
 
 def _score(nums, den, total, degree: int, contact):
@@ -161,7 +167,7 @@ def stable_subzone_branch(w: Weights, i: int) -> Branch:
     the origin point (u_i = inf) iff the O(1) of type (1, {i}) scores above den."""
     if i not in (1, 2, 3, 4):
         raise DegenerateInput(f"pole index must be in 1..4, got {i}")
-    nums, den = over_common_denominator(w.eps)
+    nums, den = w.cleared
     if classify_numerators(nums, den) != ZONE_STABLE:
         raise SpecialWeights("branch question only makes sense in the stable zone")
     score = _score(nums, den, sum(nums), 1, (i,))
@@ -189,7 +195,7 @@ def find_destabilizer(qp: QuasiPar, w: Weights) -> Optional[Subbundle]:
     sit on a wall: SpecialWeights.
     """
     from .parabolic import candidate_subbundles
-    nums, den = over_common_denominator(w.eps)
+    nums, den = w.cleared
     total = sum(nums)
     best = best_key = None
     for sub in candidate_subbundles(qp):

@@ -3,8 +3,8 @@
 Each suite returns a Report of Check records (name, passed, witness); a
 failed check always carries the exact inputs of its first failing sample
 and the values it compared.  Reports are deterministic functions of
-(seed, samples, bound); each suite builds its Report first, and a Report
-rejects samples < 1 and bound < 2.
+(seed, samples, bound); each suite builds its Report first and draws from
+its sampler; a Report rejects samples < 1, and its sampler bound < 2.
 
 Every check is declared once, as a `*_identities` or `*_identity`
 function of values already drawn that computes every value, then returns
@@ -20,7 +20,8 @@ from typing import Optional
 
 from . import backlund as bk
 from .connection import (PQState, apparent_singularity, build_connection, build_connection_qp,
-                         eigen_table, elementary_transform_residues, kostov_generic, nonresonant)
+                         eigen_table, elementary_transform_residues, finite_pole, kostov_generic,
+                         nonresonant)
 from .errors import ModuliError, NoFiniteIntersection, SamplerExhausted
 from .exact import HALF, INF, Dual, Mat2, is_inf, over_common_denominator, to_json
 from .higgs import GRADED, higgs_limit, sorted_divisor, v_alpha_stable, v_alpha_unstable
@@ -51,12 +52,14 @@ class Report:
     def __init__(self, suite: str, seed: int, samples: int, bound: int):
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
-        if bound < 2:
-            raise ValueError(f"bound must be at least 2, got {bound}")
+        self.sampler = RationalSampler(seed, bound)
         self.suite, self.seed, self.samples, self.bound = suite, seed, samples, bound
         self.checks = []
         self._by_name = {}
-        self.rejections = 0
+
+    # the draws the suite's sampler rejected; settable, so a test can tamper with a report
+    rejections = property(lambda self: self.sampler.rejections,
+                          lambda self, count: setattr(self.sampler, "rejections", count))
 
     @property
     def passed(self) -> bool:
@@ -194,7 +197,7 @@ def fibration_identities(s: PQState) -> list:
 
 def suite_connection(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="connection", seed=seed, samples=samples, bound=bound)
-    rs = RationalSampler(seed, bound)
+    rs = rep.sampler
 
     def sample():
         s = rs.pq_state()
@@ -202,7 +205,6 @@ def suite_connection(seed: int, samples: int, bound: int) -> Report:
 
     for _ in range(samples):
         rep.record(_draw(rs, sample))
-    rep.rejections = rs.rejections
     return rep
 
 
@@ -227,12 +229,9 @@ def backlund_identities(st: PQState) -> list:
     shifted, shifted34, word = (states[w] for w in
                                 (bk.WORD_SHIFT_12, bk.WORD_SHIFT_34, bk.WORD_SCHLESINGER))
     s0_image, s0s0 = states[("s0",)], states[("s0", "s0")]
-    qq = bk.big_q_of(st)
-    q_after_s0 = bk.q_of(s0_image)
-    q_back = bk.big_q_of(s0_image)
-    sympl = bk.symplectic_check(st)
     x, y = bk.al_chart(st)
     xs, ys = bk.al_chart(s0_image)
+    sympl = bk.symplectic_check(st)
     slopes = _chart_slopes_hold(st)
     out = [(f"relation {name}", holds, {"state": st, "detail": detail})
            for name, holds, detail in results]
@@ -249,8 +248,8 @@ def backlund_identities(st: PQState) -> list:
          closed.kappa.all4 == (1 - k.k1, 1 - k.k2, k.k3, k.k4),
          {"state": st, "kappa_out": closed.kappa}),
         ("s0 s0 = identity on full states", s0s0 == st, {"state": st, "s0s0": s0s0}),
-        ("Q = q after s0", q_after_s0 == qq, {"state": st, "Q": qq, "q_after": q_after_s0}),
-        ("q = Q after s0", q_back == st.q, {"state": st, "Q_after": q_back}),
+        ("Q = q after s0", xs == y, {"state": st, "Q": y, "q_after": xs}),
+        ("q = Q after s0", ys == x, {"state": st, "Q_after": ys}),
         ("symplectic identity k0 J/(x-y)^2 = -1", sympl, {"state": st}),
         ("s0 swaps the chart coordinates", (xs, ys) == (y, x),
          {"state": st, "chart": (x, y), "chart_after": (xs, ys)}),
@@ -278,7 +277,7 @@ def transversality_identities(l1, l2, k0) -> list:
 
 def suite_backlund(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="backlund", seed=seed, samples=samples, bound=bound)
-    rs = RationalSampler(seed, bound)
+    rs = rep.sampler
     for _ in range(samples):
         rep.record(_draw(rs, lambda: backlund_identities(rs.pq_state())))
     for _ in range(samples):
@@ -286,26 +285,23 @@ def suite_backlund(seed: int, samples: int, bound: int) -> Report:
             lambda: (rs.rat(), rs.rat(), rs.rat(nonzero=True)), lambda v: v[0] != v[1])))
     lam = Fraction(3)
     rep.record(transversality_identities(lam, lam, Fraction(1, 4)))
-    rep.rejections = rs.rejections
     return rep
 
 
 def _chart_slopes_hold(st: PQState) -> bool:
     """dy/dx at the four diagonal base points of the chart: 1 + k0/k_i at
-    the finite poles and k4/(k0+k4) at infinity, computed with duals."""
+    the finite poles t_i and k4/(k0+k4) at infinity, computed with duals
+    on the curves ptil = d_i k_i + c (q - t_i), d_i = P'(t_i)."""
     t, k = st.t, st.kappa
-    poles = (Fraction(0), Fraction(1), t)
-    pts = (t * k.k1, (1 - t) * k.k2, t * (t - 1) * k.k3)
     c = Fraction(5, 7)  # arbitrary curve direction; the slope must not see it
-    for pole, ptil_plus, ki in zip(poles, pts, (k.k1, k.k2, k.k3)):
-        qd = Dual.var(pole)
-        ptil = Dual.const(ptil_plus) + Dual(Fraction(0), Fraction(1)) * c  # ptil_plus + c (q - pole)
-        y = qd + k.k0 * qd * (qd - 1) * (qd - t) / ptil
-        if y.val != pole or y.der != 1 + k.k0 / ki:
+    for (ti, d), ki in zip((finite_pole(t, i) for i in (1, 2, 3)), k.finite):
+        qd = Dual.var(ti)
+        y = qd + k.k0 * qd * (qd - 1) * (qd - t) / Dual(d * ki, c)
+        if y.val != ti or y.der != 1 + k.k0 / ki:
             return False
-    # pole at infinity, in the reciprocal chart
+    # pole at infinity, in the reciprocal chart, on ptil = -k0 - k4 + c w
     wd = Dual.var(Fraction(0))
-    ptil_inf = Dual.const(-k.k0 - k.k4) + wd * c
+    ptil_inf = Dual(-k.k0 - k.k4, c)
     y_inv = wd * ptil_inf / (ptil_inf + k.k0 * (1 - wd) * (1 - t * wd))
     return y_inv.val == 0 and y_inv.der == (k.k0 + k.k4) / k.k4
 
@@ -466,7 +462,7 @@ def mu_identity(w: Weights, w_mu: Weights, qp: QuasiPar) -> list:
 
 def suite_zones(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="zones", seed=seed, samples=samples, bound=bound)
-    rs = RationalSampler(seed, bound)
+    rs = rep.sampler
     rep.record(zone_label_identities([rs.eps_nonspecial() for _ in range(samples)]))
     rep.record(et_orbit_identities(rs.weights_in_zone("A")))
     poles = (Fraction(0), Fraction(1), Fraction(3), INF)
@@ -483,7 +479,6 @@ def suite_zones(seed: int, samples: int, bound: int) -> Report:
     w = rs.weights_in_zone("A")
     rep.record(mu_identity(w, Weights(mu=tuple(rs.rat() for _ in range(4)), eps=w.eps),
                            structure()))
-    rep.rejections = rs.rejections
     return rep
 
 
@@ -576,7 +571,7 @@ def dictionary_identities(zones, s: PQState, composite_qs, weights) -> list:
 
 def suite_higgs(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="higgs", seed=seed, samples=samples, bound=bound)
-    rs = RationalSampler(seed, bound)
+    rs = rep.sampler
 
     # each draw is a call's arguments, made left to right: the state, then the weights
     for _ in range(samples):
@@ -617,7 +612,6 @@ def suite_higgs(seed: int, samples: int, bound: int) -> Report:
         s, composite_qs = _draw(rs, dictionary_sample)
         rep.record(dictionary_identities(zones, s, composite_qs,
                                          [rs.weights_in_zone(zone) for zone in zones]))
-    rep.rejections = rs.rejections
     return rep
 
 
@@ -673,14 +667,13 @@ def defect_identity() -> list:
 
 def suite_mc(seed: int, samples: int, bound: int) -> Report:
     rep = Report(suite="mc", seed=seed, samples=samples, bound=bound)
-    rs = RationalSampler(seed, bound)
+    rs = rep.sampler
     for _ in range(samples):
         rep.record(mc_identities(odd_degree_weights(rs.weights_in_zone("A").eps)))
     for zone in ALL_ZONE_LABELS:
         for _ in range(max(samples // 8, 2)):
             rep.record(interchange_identity(zone, rs.weights_in_zone(zone)))
     rep.record(defect_identity())
-    rep.rejections = rs.rejections
     return rep
 
 

@@ -81,8 +81,15 @@ Then the mc suite's alternative twist stopped reducing its z4 mod 1,
 which the product constraint does not need and `mc_exponents` does to
 every output exponent anyway: the pass went to 82,536 operations and
 111,534 constructions (mc 8,216 -> 8,166 operations and 12,236 ->
-12,186 constructions).  Every budget here is the count of that pass plus
-less than 3%.
+12,186 constructions).
+
+Then each value was made once: the p-invariant read only the (2,2)
+entries at q instead of building the whole matrix A(q), and the backlund
+identities read Q, q o s0 and Q o s0 from the two chart readings they
+already make instead of computing them again.  The pass went to 78,436
+operations and 107,034 constructions (connection 20,390 -> 17,890 and
+24,466 -> 21,966, backlund 30,990 -> 29,390 and 36,468 -> 34,468).
+Every budget here is the count of that pass plus less than 3%.
 """
 from fractions import Fraction
 
@@ -90,12 +97,12 @@ from pvi_moduli.verify import SUITES
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
               "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
-BUDGET = 85_000
-CONSTRUCTION_BUDGET = 114_880
+BUDGET = 80_780
+CONSTRUCTION_BUDGET = 110_240
 # suite -> (operations, constructions)
 SUITE_BUDGETS = {
-    "connection": (21_000, 25_150),
-    "backlund": (31_900, 37_500),
+    "connection": (18_420, 22_620),
+    "backlund": (30_270, 35_500),
     "lattice": (66, 169),
     "zones": (6_040, 9_230),
     "higgs": (17_550, 30_150),

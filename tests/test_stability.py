@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from pvi_moduli import stability
 from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import INF
 from pvi_moduli.parabolic import QuasiPar, Subbundle, candidate_subbundles, line_through
@@ -122,6 +123,24 @@ class TestBranch:
         w = Weights.of_eps([F(1, 20), F(9, 20), F(9, 20), F(9, 20)])
         assert classify_zone(w) == "Stable"
         assert stable_subzone_branch(w, 1) == Branch.COLINEAR_UNSTABLE
+
+
+class TestClearedOnce:
+    def test_zone_branch_and_destabilizer_clear_the_eps_once(self, monkeypatch):
+        w = Weights.of_eps([F(6, 25), F(13, 50), F(27, 100), F(23, 100)])
+        qp = QuasiPar(poles=POLES, u=RationalSampler(seed=31, bound=14).general_position_u(POLES))
+        cleared = []
+        clear = stability.over_common_denominator
+
+        def counted(values):
+            cleared.append(tuple(values))
+            return clear(values)
+
+        monkeypatch.setattr(stability, "over_common_denominator", counted)
+        assert classify_zone(w) == ZONE_STABLE
+        assert stable_subzone_branch(w, 1) in Branch
+        assert find_destabilizer(qp, w) is None
+        assert cleared == [w.eps]
 
 
 class TestDestabilizer:
