@@ -38,7 +38,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from .connection import KappaParams, PQState, finite_pole
+from .connection import KappaParams, PQState, finite_pole, pole_gap
 from .errors import DegenerateInput, NoFiniteIntersection
 from .exact import Dual, Rat, is_inf, okamoto_s0
 
@@ -72,7 +72,7 @@ def _s(i: int) -> Callable[[PQState], PQState]:
         ki = k[i - 1]
         k[i - 1] = -ki
         return s.with_kappa(KappaParams(s.k0 + ki, *k),
-                            p=s.p if is_inf(pole) else s.p - ki / (s.q - pole))
+                            p=s.p if i == 4 else s.p - ki / pole_gap(s.q, s.t, i))
     return gen
 
 
@@ -91,8 +91,9 @@ def _r(name: str) -> Callable[[PQState], PQState]:
             raise DegenerateInput(f"{name} has a pole at q = {('0', '1', 't')[c - 1]}")
         k = [s.k0, *s.kappa.all4]
         k[a], k[b], k[c], k[4] = k[b], k[a], k[4], k[c]
-        w = s.q - tc
-        return s.with_kappa(KappaParams(*k), q=tc + dc / w, p=-w * (w * s.p + s.k0) / dc)
+        w = pole_gap(s.q, s.t, c)
+        q = dc / w if c == 1 else tc + dc / w  # t_1 = 0
+        return s.with_kappa(KappaParams(*k), q=q, p=-w * (w * s.p + s.k0) / dc)
     return gen
 
 
@@ -222,15 +223,11 @@ def symplectic_check(s: PQState) -> bool:
     if s.p == 0 or s.k0 == 0:
         raise DegenerateInput("symplectic identity needs p != 0 and k0 != 0")
     k0 = s.k0
-
-    def chart(qd, pd):
-        return (qd, qd + k0 / pd)
-
-    x_q, y_q = chart(Dual.var(s.q), Dual.const(s.p))
-    x_p, y_p = chart(Dual.const(s.q), Dual.var(s.p))
-    jac_det = x_q.der * y_p.der - x_p.der * y_q.der
+    # the chart is (x, y) = (q, q + k0/p): dx/dq = 1 and dx/dp = 0, so the
+    # Jacobian determinant is dy/dp, read off y on p + delta
+    y = s.q + k0 / Dual.var(s.p)
     # y - x = k0/p, nonzero after the checks above
-    return k0 * jac_det / ((x_q.val - y_q.val) ** 2) == -1
+    return k0 * y.der / ((y.val - s.q) ** 2) == -1
 
 
 def transversality_solve(lambda1: Rat, lambda2: Rat, k0: Rat):

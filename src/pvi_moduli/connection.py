@@ -317,8 +317,8 @@ class FourPoleConnection(Value):
         q = self.apparent_singularity_base()
         if is_inf(q) or q in (0, 1, self.t):
             raise NormalFormDegenerate("p-invariant needs q away from the poles")
-        return sum(((m.a22 + ki / 2) / (q - ti) for m, ki, ti in
-                    zip(self.finite_residues(), self.kappa.finite, (0, 1, self.t))), self.c.a22)
+        return sum(((m.a22 + ki / 2) / pole_gap(q, self.t, i) for i, m, ki in
+                    zip((1, 2, 3), self.finite_residues(), self.kappa.finite)), self.c.a22)
 
     def infinity_residue(self) -> Mat2:
         """Residue of A(x)dx at x = infinity in the basis <e, x*f>.
@@ -344,6 +344,11 @@ def finite_pole(t: Rat, i: int):
     return (0, t) if i == 1 else (1, 1 - t) if i == 2 else (t, t * (t - 1))
 
 
+def pole_gap(q, t: Rat, i: int):
+    """q - t_i for the finite pole i = 1, 2, 3 of (0, 1, t): q itself at t_1 = 0."""
+    return q if i == 1 else q - 1 if i == 2 else q - t
+
+
 def _require_buildable(s: PQState):
     if is_inf(s.q) or s.q in (0, 1, s.t):
         raise NormalFormDegenerate(f"apparent singularity q = {s.q} sits at a pole")
@@ -363,11 +368,10 @@ def _residue(k: Rat, sigma: Rat, c: Rat) -> Mat2:
 def _finite_pole_data(s: PQState):
     """(k_i, sigma_i, c_i) of the (q, p) normal form at each finite pole."""
     _require_buildable(s)
-    poles = [finite_pole(s.t, i) for i in (1, 2, 3)]
-    gaps = [s.q - ti for ti, _ in poles]
+    gaps = [pole_gap(s.q, s.t, i) for i in (1, 2, 3)]
     pt = s.p * gaps[0] * gaps[1] * gaps[2]
-    return tuple((ki, -pt / gap, -gap / d)
-                 for ki, (_, d), gap in zip(s.kappa.finite, poles, gaps))
+    return tuple((ki, -pt / gap, -gap / finite_pole(s.t, i)[1])
+                 for i, ki, gap in zip((1, 2, 3), s.kappa.finite, gaps))
 
 
 def build_connection(s: PQState) -> FourPoleConnection:

@@ -14,9 +14,11 @@ coerce: they compute over the field of their inputs (Q, or rational
 functions in the certificate tests).  Int literals may mix in, but every
 `/` has a field element on one side.
 `Fraction` is coerced only where numbers come in (parsers, `make`/`of_*`
-constructors, the sampler).  The predicates that read `.denominator` test
-integrality, a statement about rational numbers, so they and the
-stability, Higgs and lattice layers stay over Q.  Their small kernels run
+constructors, the sampler, which tests each weight candidate on integer
+numerators over one denominator and coerces once per accepted draw).
+The predicates that read `.denominator` test integrality, a statement
+about rational numbers, so they and the stability, Higgs and lattice
+layers stay over Q.  Their small kernels run
 on integers: `parabolic.direction_point` clears each pole and direction
 to an integer point of P^2 (by `over_common_denominator`), general
 position and the contact sets are one cross product, the contact system

@@ -20,23 +20,25 @@ lands at 0 instead of -1/2 mod 1 (even degree), the earliest point is
 flipped (eps' -> 1/2 - eps', mu' -> mu' + 1/2) to restore odd degree.
 The zone of eps' is independent of the z_i and of any residual
 relabeling, which changes eps' only by elementary-transformation pairs.
-The eps' and the parity are computed on the integer eps `Weights.cleared`
-holds; `mc_exponents` builds Fractions only for its result, and
-`zone_interchange_check` classifies the integer eps'.  Only
+The nonspecial test, the eps' and the parity are computed on the integer
+eps `Weights.cleared` holds, so the input's eps are cleared once; the mu
+and the twists go over one common denominator with them, so the degree
+check, the product constraint and mu' are integer residues.
+`mc_exponents` builds Fractions only for its result, and
+`zone_interchange_check` classifies the integer eps'.  The weights the
+suites convolve come from a sampler that tests each candidate on integer
+numerators in the same way and coerces once per accepted draw.  Only
 `exact` and the eps layer of `stability` are read: no normal form loads.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
 from .errors import DegenerateInput, SpecialParameters
-from .exact import HALF, Rat, okamoto_s0
-from .stability import Weights, ZONE_STABLE, classify_numerators, nonspecial_eps
-
-
-def _mod1(x: Rat) -> Rat:
-    return x - (x.numerator // x.denominator)
+from .exact import HALF, okamoto_s0, over_common_denominator
+from .stability import Weights, ZONE_STABLE, classify_numerators, nonspecial_numerators
 
 
 def odd_degree_weights(eps) -> Weights:
@@ -55,8 +57,9 @@ def sigma_text(sigma) -> str:
 
 
 def nonspecial_exponents(w: Weights) -> bool:
-    """All sixteen signed eps sums avoid the half-integers."""
-    return nonspecial_eps(w.eps)
+    """All sixteen signed eps sums avoid the half-integers, tested on the
+    integer eps `w.cleared` holds."""
+    return nonspecial_numerators(*w.cleared)
 
 
 def defect(r: int, n: int, multiplicities) -> int:
@@ -73,24 +76,32 @@ def mc_exponents(w: Weights, sigma: str = "++++", z=None) -> Weights:
     it.  The output eigen-exponent pair at t_i is {z_i, z_i + y_i}; see
     the module docstring for the (mu', eps') normalization.
     """
-    if _mod1(sum(w.mu)) != HALF:
+    mu_nums, mu_den = over_common_denominator(w.mu)
+    if 2 * sum(mu_nums) % (2 * mu_den) != mu_den:
         raise DegenerateInput("odd-degree normalization needs sum(mu) = -1/2 mod 1")
     signs = parse_sigma(sigma)
-    chosen = sum(w.mu[i] + signs[i] * w.eps[i] for i in range(4))
-    if z is None:
-        z = (Fraction(0), Fraction(0), Fraction(0), _mod1(-chosen))
-    elif len(z) != 4:
+    if z is not None and len(z) != 4:
         raise DegenerateInput("four twist exponents required")
-    elif _mod1(sum(z) + chosen) != 0:
+    nums, den = w.cleared
+    z_nums, z_den = ([0] * 4, 1) if z is None else over_common_denominator(z)
+    unit = 4 * den  # the denominator of the eps' of `_convolve`
+    big = math.lcm(mu_den, z_den, unit)
+    z_big = [n * (big // z_den) for n in z_nums]
+    # the chosen exponents sum(mu_i + sigma_i eps_i), over big
+    chosen = (sum(mu_nums) * (big // mu_den)
+              + sum(s * n for s, n in zip(signs, nums)) * (big // den))
+    if z is None:
+        z_big[3] = -chosen % big
+    elif (sum(z_big) + chosen) % big != 0:
         raise DegenerateInput("twist exponents violate the product constraint")
     if not nonspecial_exponents(w):
         raise SpecialParameters("signed eps sums hit a half-integer")
-    nums, den = w.cleared
     eps_out, flipped = _convolve(nums, den, signs)
-    unit = 4 * den
     # z_i = mu'_i + eps'_i, and z_1 = mu'_1 - eps'_1 when the first pole was flipped
     sides = (1 if flipped else -1, -1, -1, -1)
-    mu_out = tuple(_mod1(zi + Fraction(s * n, unit)) for zi, s, n in zip(z, sides, eps_out))
+    scale = big // unit
+    mu_out = tuple(Fraction((zi + s * n * scale) % big, big)
+                   for zi, s, n in zip(z_big, sides, eps_out))
     return Weights(mu=mu_out, eps=tuple(Fraction(n, unit) for n in eps_out))
 
 

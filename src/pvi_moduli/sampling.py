@@ -3,9 +3,15 @@
 Samplers produce small rationals (numerators and denominators bounded by
 `bound`) and reject special parameters by resampling; rejection counts
 are kept so reports can state them.  Same seed, same stream.
+
+The weight samplers test each candidate on integers: its four eps are
+numerators over one common denominator, which the nonspecial test and
+the zone classifier read as they are (both ask only about the ratios),
+and the `Fraction`s are made once, for the accepted draw.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -14,16 +20,21 @@ from .connection import KappaParams, PQState
 from .errors import SamplerExhausted
 from .exact import HALF
 from .parabolic import QuasiPar, in_general_position
-from .stability import (ZONE_A, ZONE_CONTACT, ZONE_STABLE, Weights, classify_zone, et_pair,
-                        nonspecial_eps)
+from .stability import (ZONE_A, ZONE_CONTACT, ZONE_STABLE, Weights, classify_numerators,
+                        nonspecial_numerators)
 
 RETRY_LIMIT = 10000  # draws before a sampler gives up
 
 
-def _zone_of(eps) -> Optional[str]:
-    """The zone label of nonspecial eps in (0, 1/2), else None; every wall
-    of `classify_zone` is a signed eps sum at +-1/2 or 3/2."""
-    return classify_zone(Weights.of_eps(eps)) if nonspecial_eps(eps) else None
+def _zone_of(nums, den: int) -> Optional[str]:
+    """The zone label of nonspecial eps_i = nums[i] / den in (0, 1/2), else
+    None; every wall of `classify_numerators` is a signed eps sum at +-1/2
+    or 3/2."""
+    return classify_numerators(nums, den) if nonspecial_numerators(nums, den) else None
+
+
+def _eps(nums, den: int) -> tuple:
+    return tuple(Fraction(n, den) for n in nums)
 
 
 class RationalSampler:
@@ -43,10 +54,20 @@ class RationalSampler:
                 continue
             return Fraction(num, den)
 
-    def rat_in_unit(self) -> Fraction:
-        """A rational in (0, 1): 1 <= num <= den - 1."""
+    def _unit(self) -> tuple:
+        """(num, den) of a rational num / den in (0, 1): 1 <= num <= den - 1."""
         den = self.rng.randint(2, self.bound)
-        return Fraction(self.rng.randint(1, den - 1), den)
+        return self.rng.randint(1, den - 1), den
+
+    def _half_unit_eps(self) -> tuple:
+        """Four eps in (0, 1/2), eps_i = n_i / (2 d_i) with 1 <= n_i <= d_i - 1,
+        as (numerators, denominator) over 2 lcm(d_i)."""
+        draws = []
+        for _ in range(4):
+            d = self.rng.randint(3, 2 * self.bound)
+            draws.append((self.rng.randint(1, d - 1), d))
+        den = math.lcm(*(d for _, d in draws))
+        return [n * (den // d) for n, d in draws], 2 * den
 
     def retry(self, make, accept):
         for _ in range(RETRY_LIMIT):
@@ -91,41 +112,39 @@ class RationalSampler:
         return PQState(t=tv, kappa=kp, q=q, p=p)
 
     def eps_nonspecial(self) -> tuple:
-        def make():
-            return tuple(self.rat_strictly_between_0_half() for _ in range(4))
-
-        return self.retry(make, lambda eps: _zone_of(eps) is not None)
-
-    def rat_strictly_between_0_half(self) -> Fraction:
-        """A rational in (0, 1/2): num / (2 den) with 1 <= num <= den - 1."""
-        den = self.rng.randint(3, 2 * self.bound)
-        return Fraction(self.rng.randint(1, den - 1), 2 * den)
+        return _eps(*self.retry(self._half_unit_eps, lambda c: _zone_of(*c) is not None))
 
     def weights_in_zone(self, zone: str) -> Weights:
         """Nonspecial weights with the requested zone label.
 
         An unstable zone is a contact set S (`stability.ZONE_CONTACT`):
-        zone A is hit directly by scaling, and zone S is an A sample moved
-        by `et_pair` over the sorted S in pairs.  Stable is hit by rejection.
+        zone A is hit directly by scaling four parts of (0, 1) to a sum in
+        (0, 1/2), and zone S is an A sample moved by `et_pair` at the poles
+        of S, eps -> 1/2 - eps and mu -> -1/2 there, on its numerators.
+        Stable is hit by rejection.
         """
         if zone in ZONE_CONTACT:
             def make():
-                parts = [self.rat_in_unit() for _ in range(4)]
-                total = sum(parts)
-                target = self.rat_in_unit() * HALF  # in (0, 1/2)
-                return tuple(p * target / total for p in parts)
+                # part_i = a_i / d_i and target = b / (2 e) in (0, 1/2): over
+                # D = lcm(d_i) and N = sum of the part numerators over D,
+                # part_i * target / total = a_i (D / d_i) b / (2 e N)
+                parts = [self._unit() for _ in range(4)]
+                b, e = self._unit()
+                big_d = math.lcm(*(d for _, d in parts))
+                scaled = [a * (big_d // d) for a, d in parts]
+                return [n * b for n in scaled], 2 * e * sum(scaled)
 
-            w = Weights.of_eps(self.retry(make, lambda eps: _zone_of(eps) == ZONE_A))
-            poles = sorted(ZONE_CONTACT[zone])
-            for i, j in zip(poles[::2], poles[1::2]):
-                w = et_pair(w, i, j)
-            return w
-        if zone == ZONE_STABLE:
-            eps = self.retry(lambda: tuple(self.rat_strictly_between_0_half()
-                                           for _ in range(4)),
-                             lambda eps: _zone_of(eps) == ZONE_STABLE)
-            return Weights.of_eps(eps)
-        raise ValueError(f"unknown zone {zone}")
+            nums, den = self.retry(make, lambda c: _zone_of(*c) == ZONE_A)
+            moved = ZONE_CONTACT[zone]
+        elif zone == ZONE_STABLE:
+            nums, den = self.retry(self._half_unit_eps, lambda c: _zone_of(*c) == ZONE_STABLE)
+            moved = frozenset()
+        else:
+            raise ValueError(f"unknown zone {zone}")
+        zero = Fraction(0)
+        return Weights(mu=tuple(-HALF if i in moved else zero for i in range(1, 5)),
+                       eps=_eps([den // 2 - n if i in moved else n  # den is even
+                                 for i, n in enumerate(nums, start=1)], den))
 
     def general_position_u(self, poles) -> tuple:
         """Finite parabolic coordinates with no three directions on one

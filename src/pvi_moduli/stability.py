@@ -100,7 +100,12 @@ def nonspecial_eps(eps) -> bool:
     sum_i alpha_i^{s_i} + (1 - sum alpha)/2 = sum_i s_i eps_i + 1/2, which
     must avoid the integers.
     """
-    nums, den = over_common_denominator(eps)
+    return nonspecial_numerators(*over_common_denominator(eps))
+
+
+def nonspecial_numerators(nums, den: int) -> bool:
+    """`nonspecial_eps` for eps_i = nums[i] / den over any common
+    denominator den > 0, on integers."""
     # s/den is a half-integer iff 2s = 0 but s != 0 mod den
     return not any(2 * s % den == 0 and s % den != 0 for s in pick_sums((n, -n) for n in nums))
 

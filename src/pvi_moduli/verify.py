@@ -21,9 +21,9 @@ from typing import Optional
 from . import backlund as bk
 from .connection import (PQState, apparent_singularity, build_connection, build_connection_qp,
                          eigen_table, elementary_transform_residues, finite_pole, kostov_generic,
-                         nonresonant)
+                         nonresonant, pole_gap)
 from .errors import ModuliError, NoFiniteIntersection, SamplerExhausted
-from .exact import HALF, INF, Dual, Mat2, is_inf, over_common_denominator, to_json
+from .exact import HALF, INF, Mat2, is_inf, over_common_denominator, to_json
 from .higgs import GRADED, higgs_limit, sorted_divisor, v_alpha_stable, v_alpha_unstable
 from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
@@ -150,12 +150,14 @@ def connection_identities(s: PQState) -> list:
     out.append(("alt: det A4 = -(1-k4)^2/4", det4 == -((1 - k.k4) ** 2) / 4,
                 {"state": s, "det": det4}))
 
-    # eigen table: A_i v = r v for all eight closed-form eigenvectors
+    # eigen table: A_i v = r v for all eight closed-form eigenvectors, each
+    # v = (1, slope): A_i v is the first column plus slope times the second
     table = eigen_table(s)
     mats = (conn.a1, conn.a2, conn.a3, conn.a4)
     out.append(("eigenvector table satisfies A_i v = r v",
-                all(m.matvec(vec) == (lam * vec[0], lam * vec[1])
-                    for m, pairs in zip(mats, table) for lam, vec in pairs),
+                all(one == 1 and (m.a11 + m.a12 * slope, m.a21 + m.a22 * slope)
+                    == (lam, lam * slope)
+                    for m, pairs in zip(mats, table) for lam, (one, slope) in pairs),
                 {"state": s}))
     gaps = [table[i][0][0] - table[i][1][0] for i in range(4)]
     out.append(("eigenvalue gaps are k_i", gaps == [k.k1, k.k2, k.k3, k.k4],
@@ -290,20 +292,24 @@ def suite_backlund(seed: int, samples: int, bound: int) -> Report:
 
 def _chart_slopes_hold(st: PQState) -> bool:
     """dy/dx at the four diagonal base points of the chart: 1 + k0/k_i at
-    the finite poles t_i and k4/(k0+k4) at infinity, computed with duals
-    on the curves ptil = d_i k_i + c (q - t_i), d_i = P'(t_i)."""
+    the finite poles t_i and k4/(k0+k4) at infinity, along the curves
+    ptil = d_i k_i + c (q - t_i) through them, d_i = P'(t_i) (`finite_pole`).
+
+    The chart is y = q + k0 P(q)/ptil, P = x(x-1)(x-t) = (x - t_i) P_i(x),
+    P_i the product of the other two gaps.  On the dual point q = t_i + delta
+    the factor x - t_i is delta itself, and delta times a dual keeps only
+    its value: y = t_i + (1 + k0 P_i(t_i)/(d_i k_i)) delta, whatever the
+    curve direction c.  At infinity the reciprocal chart is
+    w ptil / (ptil + k0 (1 - w)(1 - t w)) on ptil = -k0 - k4 + c w, so at
+    w = delta its slope is ptil(0) / (ptil(0) + k0)."""
     t, k = st.t, st.kappa
-    c = Fraction(5, 7)  # arbitrary curve direction; the slope must not see it
-    for (ti, d), ki in zip((finite_pole(t, i) for i in (1, 2, 3)), k.finite):
-        qd = Dual.var(ti)
-        y = qd + k.k0 * qd * (qd - 1) * (qd - t) / Dual(d * ki, c)
-        if y.val != ti or y.der != 1 + k.k0 / ki:
+    for i, ki in zip((1, 2, 3), k.finite):
+        ti, d = finite_pole(t, i)
+        a, b = (pole_gap(ti, t, j) for j in (1, 2, 3) if j != i)
+        if 1 + k.k0 * (a * b) / (d * ki) != 1 + k.k0 / ki:
             return False
-    # pole at infinity, in the reciprocal chart, on ptil = -k0 - k4 + c w
-    wd = Dual.var(Fraction(0))
-    ptil_inf = Dual(-k.k0 - k.k4, c)
-    y_inv = wd * ptil_inf / (ptil_inf + k.k0 * (1 - wd) * (1 - t * wd))
-    return y_inv.val == 0 and y_inv.der == (k.k0 + k.k4) / k.k4
+    ptil = -k.k0 - k.k4
+    return ptil / (ptil + k.k0) == (k.k0 + k.k4) / k.k4
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +375,8 @@ def oracle_destabilizer(qp: QuasiPar, w: Weights):
         entries.append((1, frozenset(sub_s)))
     finite = [i for i in range(4) if (i + 1) not in inf_set]
     for sub_s in _all_subsets(finite):
-        if len(sub_s) >= 2 and line_through(qp, list(sub_s)) is None:
+        # two directions over distinct poles always lie on one line
+        if len(sub_s) >= 3 and line_through(qp, list(sub_s)) is None:
             continue
         entries.append((0, frozenset(i + 1 for i in sub_s)))
     for sub_s in _all_subsets(range(4)):

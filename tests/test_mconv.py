@@ -5,7 +5,7 @@ import pytest
 
 from pvi_moduli.errors import DegenerateInput, SpecialParameters, SpecialWeights
 from pvi_moduli.exact import okamoto_s0
-from pvi_moduli.mconv import (_mod1, defect, mc_exponents, odd_degree_weights, parse_sigma,
+from pvi_moduli.mconv import (defect, mc_exponents, odd_degree_weights, parse_sigma,
                               zone_interchange_check)
 from pvi_moduli.sampling import RationalSampler
 from pvi_moduli.stability import ALL_ZONE_LABELS, ZONE_STABLE, Weights, classify_zone
@@ -14,6 +14,10 @@ from pvi_moduli.verify import defect_identity, interchange_identity, mc_identiti
 from records import failed, passes
 
 HALF = F(1, 2)
+
+
+def _mod1(x):
+    return x - (x.numerator // x.denominator)
 
 
 class TestDefect:

@@ -380,7 +380,7 @@ def test_every_unstable_zone_weight_is_nonspecial(e):
 def test_sampler_zone_label_never_raises_in_the_open_cube(e):
     if isinstance(e, ModuliError):
         return
-    label = _zone_of(e.eps)
+    label = _zone_of(*e.cleared)
     assert label in (None, ZONE_STABLE, *ALL_ZONE_LABELS)
     assert (label is None) == (not nonspecial_eps(e.eps))
 

@@ -50,7 +50,6 @@ SHELLS = {
     "connection.kappa_generic": "integrality of the exponents",
     "connection.kostov_generic": "integrality of the residue sums",
     "connection.nonresonant": "integrality of the residue differences",
-    "mconv._mod1": "floor of a rational",
     "stability.nonspecial_eps": "half-integrality of the signed sums",
     # kernel shells: clear denominators, build the Fraction results
     "exact.over_common_denominator": "the clearing step itself",
@@ -71,7 +70,8 @@ SHELLS = {
 # and _convolve.
 CORES = ("parabolic.cross", "parabolic.dot", "parabolic._conic_row", "parabolic._fiber_row",
          "parabolic._signed_minors", "parabolic._conic_minors", "parabolic.in_general_position",
-         "parabolic._resultant", "stability._score", "higgs._wronskian", "mconv._convolve",
+         "parabolic._resultant", "stability._score", "stability.nonspecial_numerators",
+         "higgs._wronskian", "mconv._convolve",
          "exact.det4", "exact.poly_divide_root")
 
 RATIONAL_ATTRIBUTES = {"numerator", "denominator"}

@@ -6,6 +6,7 @@ import pytest
 from pvi_moduli import stability
 from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import INF
+from pvi_moduli.mconv import mc_exponents, odd_degree_weights
 from pvi_moduli.parabolic import QuasiPar, Subbundle, candidate_subbundles, line_through
 from pvi_moduli.sampling import RationalSampler
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, ZONE_STABLE, Branch, Weights,
@@ -126,21 +127,33 @@ class TestBranch:
 
 
 class TestClearedOnce:
-    def test_zone_branch_and_destabilizer_clear_the_eps_once(self, monkeypatch):
-        w = Weights.of_eps([F(6, 25), F(13, 50), F(27, 100), F(23, 100)])
-        qp = QuasiPar(poles=POLES, u=RationalSampler(seed=31, bound=14).general_position_u(POLES))
-        cleared = []
+    @pytest.fixture
+    def cleared(self, monkeypatch):
+        """The values `stability.over_common_denominator` is called on."""
+        seen = []
         clear = stability.over_common_denominator
 
         def counted(values):
-            cleared.append(tuple(values))
+            seen.append(tuple(values))
             return clear(values)
 
         monkeypatch.setattr(stability, "over_common_denominator", counted)
+        return seen
+
+    def test_zone_branch_and_destabilizer_clear_the_eps_once(self, cleared):
+        w = Weights.of_eps([F(6, 25), F(13, 50), F(27, 100), F(23, 100)])
+        qp = QuasiPar(poles=POLES, u=RationalSampler(seed=31, bound=14).general_position_u(POLES))
         assert classify_zone(w) == ZONE_STABLE
         assert stable_subzone_branch(w, 1) in Branch
         assert find_destabilizer(qp, w) is None
         assert cleared == [w.eps]
+
+    def test_mc_exponents_clears_the_eps_once(self, cleared):
+        # the nonspecial test reads the same integer eps as the convolution
+        w = odd_degree_weights([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
+        out = mc_exponents(w)
+        assert cleared == [w.eps]
+        assert classify_zone(out) == ZONE_STABLE
 
 
 class TestDestabilizer:
