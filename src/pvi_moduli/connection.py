@@ -31,7 +31,12 @@ The (q, p) normal form is built once per state: a `PQState` makes its
 pole data (k_i, sigma_i, c_i), its normal form and its eigen table the
 first time they are asked for and keeps them on the object, and a
 `FourPoleConnection` keeps each cleared entry it computes.  Nothing
-outlives the object, and equal states built apart share nothing.
+outlives the object, and equal states built apart share nothing.  The
+Higgs layer needs only the pole data: `parabolic.parabolic_from_connection`
+reads the parabolic slopes from it and `higgs.theta_divisor` the cleared
+entries, in closed form, so a Higgs limit builds no residue matrix.  The
+normal form's own `cleared` entries are still summed from its residues,
+which is what the connection suite's checks on them test.
 Okamoto's s0 on the exponents is `exact.okamoto_s0`, read by `backlund`
 and, without loading this module, by `mconv`.
 """

@@ -225,10 +225,6 @@ class Mat2(Value):
     def scale(self, s) -> "Mat2":
         return Mat2(s * self.a11, s * self.a12, s * self.a21, s * self.a22)
 
-    def matvec(self, v: Sequence[Rat]) -> tuple:
-        return (self.a11 * v[0] + self.a12 * v[1],
-                self.a21 * v[0] + self.a22 * v[1])
-
     def det(self) -> Rat:
         return self.a11 * self.a22 - self.a12 * self.a21
 

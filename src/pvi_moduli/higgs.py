@@ -12,12 +12,20 @@ For a limit computed from an actual connection, the zero divisor is the
 root multiset of the exact "Wronskian" polynomial
 
     W * x(x-1)(x-t),
-    W = s1 (s2' + A21 s1 + A22 s2) - s2 (s1' + A11 s1 + A12 s2),
+    W = s1 (s2' + A21 s1 + A22 s2) - s2 (s1' + A11 s1 + A12 s2)
+      = A21 s1^2 - 2 A11 s1 s2 - A12 s2^2 + s1 s2' - s2 s1'   (A22 = -A11),
 
 where (s1, s2) = `Subbundle.sections()` is the polynomial section
 spanning L.  The cleared polynomial has degree 3 - 2 deg(L) and its roots
 contain the contact poles of L (a zero at infinity shows as a drop in
 degree).
+
+`higgs_limit` reads each value once, from the state: the quasiparabolic
+structure from the pole data (`parabolic_from_connection`), the
+destabilizer from the integer types of `parabolic.candidate_types`, with
+coefficients built for it alone, and the entries of A times x(x-1)(x-t)
+in closed form from the same pole data (`_cleared_normal_form`).  No
+residue matrix, normal form or eigen table is built.
 
 No root search is ever needed.  L destabilizes for some weights only if
 deg(L) + sum_{i in S} eps_i - sum_{i not in S} eps_i > 1/2 with every
@@ -31,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .connection import FourPoleConnection, PPoint, PQState, Sheet, build_connection, pole_index
+from .connection import PPoint, PQState, Sheet, pole_index
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (INF, Value, is_inf, over_common_denominator, poly_add, poly_deriv,
                     poly_divide_root, poly_mul, poly_scale, poly_trim, proj_to_str)
@@ -150,22 +158,57 @@ def _over_one_denominator(*polys) -> list:
     return [[next(nums) for _ in p] for p in polys]
 
 
-def _wronskian(pi, a11, a12, a21, a22, s1, s2) -> list:
-    """pi (s1 s2' - s2 s1') + s1 (a21 s1 + a22 s2) - s2 (a11 s1 + a12 s2),
-    over any commutative ring: the Wronskian W of the module docstring
-    times pi, for the entries a = pi A of the connection cleared by pi.
+def _cleared_normal_form(s: PQState) -> tuple:
+    """(P, a11, a12, a21): P = x(x-1)(x-t) and the entries of A(x) of the
+    (q, p) normal form times P, coefficient lists, constant term first, in
+    closed form from `s.pole_data`; a22 = -a11, as the residues are
+    trace-free and C(2,2) = 0.
+
+    The finite residue at t_i has (1,1) entry k_i/2 - c_i sigma_i, (1,2)
+    entry c_i = -(q - t_i)/d_i and (2,1) entry sigma_i (k_i - c_i sigma_i),
+    where c_i sigma_i = p P(q)/d_i (`connection`).  A quadratic f is
+    sum_i f(t_i) P_i/d_i with P_i = P/(x - t_i) (Lagrange), so
+
+        a12 = x - q,
+        a11 = sum_i (k_i/2) P_i - p P(q),
+        a21 = sum_i sigma_i (k_i - c_i sigma_i) P_i - k0 (k0 + k4) P,
+
+    the last term from C(2,1) = -k0 (k0 + k4); p P(q) = -q sigma_1, as
+    sigma_1 = -p P(q)/q.  tests/test_certificates.py proves the four
+    entries equal to `FourPoleConnection.cleared` over Q(t, kappa, q, p)."""
+    t, k, q = s.t, s.kappa, s.q
+    t1 = 1 + t
+
+    def lagrange(f1, f2, f3):
+        # sum_i f_i P_i with P_1 = (x-1)(x-t), P_2 = x(x-t), P_3 = x(x-1)
+        return [f1 * t, -f1 * t1 - f2 * t - f3, f1 + f2 + f3]
+
+    a11 = lagrange(*(ki / 2 for ki in k.finite))
+    a11[0] += s.pole_data[0][1] * q
+    a21 = lagrange(*(sigma * (ki - c * sigma) for ki, sigma, c in s.pole_data))
+    e = k.k0 * (k.k0 + k.k4)
+    a21[1] -= e * t
+    a21[2] += e * t1
+    return [0, t, -t1, 1], a11, [-q, 1], a21 + [-e]
+
+
+def _wronskian(pi, a11, a12, a21, s1, s2) -> list:
+    """pi (s1 s2' - s2 s1') + a21 s1^2 - 2 a11 s1 s2 - a12 s2^2, over any
+    commutative ring: the Wronskian W of the module docstring times pi,
+    for the entries a = pi A of a trace-free connection cleared by pi.
     At a root t_i of pi it is det((s1, s2), a(t_i) (s1, s2)), so it
     vanishes at every pole where (s1, s2) is an eigenvector of the
     residue: at every finite contact pole."""
     return poly_add(
         poly_mul(pi, poly_add(poly_mul(s1, poly_deriv(s2)),
                               poly_scale(-1, poly_mul(s2, poly_deriv(s1))))),
-        poly_mul(s1, poly_add(poly_mul(a21, s1), poly_mul(a22, s2))),
-        poly_scale(-1, poly_mul(s2, poly_add(poly_mul(a11, s1), poly_mul(a12, s2)))),
+        poly_mul(a21, poly_mul(s1, s1)),
+        poly_scale(-2, poly_mul(a11, poly_mul(s1, s2))),
+        poly_scale(-1, poly_mul(a12, poly_mul(s2, s2))),
     )
 
 
-def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
+def theta_divisor(s: PQState, sub: Subbundle):
     """Zero divisor of the Higgs field induced on L -> (E/L) x Omega(log D).
 
     The Wronskian W is cleared by x(x-1)(x-t); any degree deficit against
@@ -176,17 +219,17 @@ def theta_divisor(conn: FourPoleConnection, sub: Subbundle):
     docstring).
 
     W is computed on integers (`_wronskian`): x(x-1)(x-t) and the cleared
-    entries of A over one common denominator, the sections over another.
-    That scales W by a nonzero constant, which moves no root.  A finite
-    contact pole is divided out as the factor b x - a of its integer
-    point (a, 0, b) = `parabolic.direction_point(t_i, 0)`, exactly by
-    Gauss's lemma.
+    entries of A of the state's normal form, in closed form from its pole
+    data (`_cleared_normal_form`, so no residue matrix is built), over one
+    common denominator, the sections over another.  That scales W by a
+    nonzero constant, which moves no root.  A finite contact pole is
+    divided out as the factor b x - a of its integer point (a, 0, b) =
+    `parabolic.direction_point(t_i, 0)`, exactly by Gauss's lemma.
     """
-    t = conn.t
-    pi, a11, a12, a21, a22 = _over_one_denominator(
-        [0, t, -1 - t, 1], *(conn.cleared(entry) for entry in ("a11", "a12", "a21", "a22")))
+    t = s.t
+    pi, a11, a12, a21 = _over_one_denominator(*_cleared_normal_form(s))
     s1, s2 = _over_one_denominator(*sub.sections())
-    w_poly = poly_trim(_wronskian(pi, a11, a12, a21, a22, s1, s2))
+    w_poly = poly_trim(_wronskian(pi, a11, a12, a21, s1, s2))
     deficit = 3 - 2 * sub.degree - (len(w_poly) - 1)
     # Strict compatibility forces zeros at the finite contact poles; what
     # is left after dividing them out is at most linear (module docstring).
@@ -230,8 +273,7 @@ def higgs_limit(s: PQState, w: Weights) -> HiggsLimit:
     sub = find_destabilizer(qp, w)
     if sub is None:
         return HiggsLimit(kind=THETA_ZERO, qp=representative(phi_map(qp), s.poles))
-    conn = build_connection(s)
-    div = theta_divisor(conn, sub)
+    div = theta_divisor(s, sub)
     return HiggsLimit(kind=GRADED, deg_l=sub.degree, contact=sub.contact, divisor=div)
 
 

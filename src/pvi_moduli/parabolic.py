@@ -14,12 +14,20 @@ non-separated line.
 It also lists the line subbundles that `stability` scores: the O(1), the
 degree-0 lines through two or more directions and the degree-(-1)
 section through all four (`candidate_subbundles`).  Their contact sets
-come from ring-generic cores on integer points (`direction_point`); only
-their coefficients come back as `Fraction`s.
+come from ring-generic cores on integer points.  Each structure clears
+its poles and directions to those points once (`QuasiPar.points`, by
+`direction_point`); the contact sets, general position and the contact
+system all read them.  `candidate_types` gives each candidate as its
+(degree, contact) type and an integer kernel (a line or the minors), and
+`subbundle_of` builds the `Fraction` coefficients of one, so
+`stability.find_destabilizer` builds them only for the subbundle it
+returns.  The structure of a connection is read from its state's pole
+data (`parabolic_from_connection`), with no eigen table.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -43,6 +51,15 @@ class QuasiPar(Value):
 
     def infinite_indices(self):
         return tuple(i for i in range(4) if is_inf(self.u[i]))
+
+    @cached_property
+    def points(self) -> tuple:
+        """The integer point of P^2 of each direction, `direction_point(t_i,
+        u_i)`, or of the pole itself, `direction_point(t_i, 0)`, where
+        u_i = inf; made once per value.  The contact sets, general position
+        and the contact system read these."""
+        return tuple(direction_point(tv, 0 if is_inf(uv) else uv)
+                     for tv, uv in zip(self.poles, self.u))
 
     def to_json_dict(self):
         return {"t": [proj_to_str(tv) for tv in self.poles],
@@ -158,8 +175,7 @@ def in_general_position(qp: QuasiPar) -> bool:
     DegenerateInput); four such directions are then also simple."""
     if qp.infinite_indices():
         raise DegenerateInput("general position needs four finite directions")
-    points = [direction_point(tv, uv) for tv, uv in zip(qp.poles, qp.u)]
-    return all(dot(cross(a, b), c) != 0 for a, b, c in combinations(points, 3))
+    return all(dot(cross(a, b), c) != 0 for a, b, c in combinations(qp.points, 3))
 
 
 def is_simple(qp: QuasiPar) -> bool:
@@ -199,10 +215,9 @@ def _signed_minors(rows) -> list:
 
 def _conic_minors(qp: QuasiPar) -> list:
     """The signed minors m0..m4 of the contact system of `conic_subbundle`
-    on the integer points of its poles and directions."""
-    return _signed_minors([_fiber_row(direction_point(tv, 0)) if is_inf(uv)
-                           else _conic_row(direction_point(tv, uv))
-                           for tv, uv in zip(qp.poles, qp.u)])
+    on the integer points `QuasiPar.points` of its poles and directions."""
+    return _signed_minors([_fiber_row(pt) if is_inf(uv) else _conic_row(pt)
+                           for pt, uv in zip(qp.points, qp.u)])
 
 
 def _conic_coefficients(minors) -> tuple:
@@ -266,11 +281,22 @@ class Subbundle(Value):
 def candidate_subbundles(qp: QuasiPar):
     """All saturated candidates relevant for stability, deduplicated: the
     O(1), the lines (1, v) through two or more finite directions, and the
-    degree-(-1) section (v, w) through all four directions.
+    degree-(-1) section (v, w) through all four directions.  They are the
+    `candidate_types`, in that order, each built by `subbundle_of`.
+    """
+    return [subbundle_of(*cand) for cand in candidate_types(qp)]
+
+
+def candidate_types(qp: QuasiPar):
+    """The candidates of `candidate_subbundles` as (degree, contact, kernel)
+    on integers, in the order listed there; the kernel is () for the O(1),
+    the line L for a degree-0 line and the minors m0..m4 for the section
+    through all four directions.  `stability.find_destabilizer` scores the
+    (degree, contact) types and builds one `Subbundle`.
 
     Contact sets are read off integer points.  The O(1) passes through the
     directions u_i = inf.  Each finite direction is an integer point P_i
-    of P^2 (`direction_point`); the line through P_i and P_j is their
+    of P^2 (`QuasiPar.points`); the line through P_i and P_j is their
     cross product L = `cross`(P_i, P_j), the section
     v = (-L_z/L_y, -L_x/L_y), and its contact set {k : L . P_k = 0}.  Two
     distinct lines share at most one point, so a pair already in a listed
@@ -293,19 +319,31 @@ def candidate_subbundles(qp: QuasiPar):
     v(t_i) = 0; but then w(t_i) = 0 too, a shared zero, and (v, w) was
     dropped.
     """
-    cands = [Subbundle(1, (), frozenset(i + 1 for i in qp.infinite_indices()))]
-    points = [(i + 1, direction_point(tv, uv))
-              for i, (tv, uv) in enumerate(zip(qp.poles, qp.u)) if not is_inf(uv)]
+    yield 1, frozenset(i + 1 for i in qp.infinite_indices()), ()
+    points = [(i + 1, pt) for i, (pt, uv) in enumerate(zip(qp.points, qp.u)) if not is_inf(uv)]
+    lines = []
     for (i, pi), (j, pj) in combinations(points, 2):
-        if any({i, j} <= c.contact for c in cands[1:]):
+        if any({i, j} <= contact for contact in lines):
             continue
-        lx, ly, lz = line = cross(pi, pj)
+        line = cross(pi, pj)
         contact = frozenset(k for k, pk in points if dot(line, pk) == 0)
-        cands.append(Subbundle(0, (Fraction(-lz, ly), Fraction(-lx, ly)), contact))
+        lines.append(contact)
+        yield 0, contact, line
     minors = _conic_minors(qp)
     if _resultant(minors) != 0:
-        cands.append(Subbundle(-1, _conic_coefficients(minors), frozenset(range(1, 5))))
-    return cands
+        yield -1, frozenset(range(1, 5)), minors
+
+
+def subbundle_of(degree: int, contact: frozenset, kernel) -> Subbundle:
+    """The `Subbundle` of a candidate of `candidate_types`, with Fraction
+    coefficients: (-L_z/L_y, -L_x/L_y) from a line L, and
+    `_conic_coefficients` from the minors."""
+    if degree == 0:
+        lx, ly, lz = kernel
+        return Subbundle(0, (Fraction(-lz, ly), Fraction(-lx, ly)), contact)
+    if degree == -1:
+        return Subbundle(-1, _conic_coefficients(kernel), contact)
+    return Subbundle(degree, (), contact)
 
 
 def _resultant(minors):
@@ -380,5 +418,8 @@ def parabolic_structures(s: PQState) -> tuple:
 
 
 def parabolic_from_connection(s: PQState) -> QuasiPar:
-    """The structure through the parabolic eigendirections."""
-    return parabolic_structures(s)[0]
+    """The structure through the parabolic eigendirections, the first of
+    `parabolic_structures`, read straight from `s.pole_data`: the slope
+    sigma_i of the k_i/2-eigenvector at each finite pole, and k0 at
+    infinity, the slope of the eigenvector (1, k0) in <e, x*f>."""
+    return QuasiPar(poles=s.poles, u=tuple(sigma for _, sigma, _ in s.pole_data) + (s.k0,))

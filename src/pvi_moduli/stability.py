@@ -15,9 +15,10 @@ scores above den: A (the O(1)), C_ij (a line) and B (the section through
 all four).  Zone S is zone A moved by elementary transformations at S,
 and a type and its complement (-deg, the other poles) score opposite.
 
-`find_destabilizer` scores the candidates, with their contact sets, that
-`parabolic.candidate_subbundles` lists; it imports `parabolic` when it
-runs, so importing this module loads only `errors` and `exact`.
+`find_destabilizer` scores the candidate types (degree, contact) that
+`parabolic.candidate_types` lists on integers and builds the coefficients
+of the one subbundle it returns; it imports `parabolic` when it runs, so
+importing this module loads only `errors` and `exact`.
 """
 from __future__ import annotations
 
@@ -194,20 +195,24 @@ def parabolic_degree(sub: Subbundle, w: Weights) -> Rat:
 def find_destabilizer(qp: QuasiPar, w: Weights) -> Optional[Subbundle]:
     """The destabilizing subbundle of maximal parabolic degree, or None.
 
-    Enumerates the saturated candidates, `_score`s them over the common
+    Enumerates the saturated candidates' (degree, contact) types
+    (`parabolic.candidate_types`), `_score`s them over the common
     denominator of the eps and returns the maximizer when its parabolic
     degree exceeds 1/2.  A degree exactly 1/2 anywhere means the weights
-    sit on a wall: SpecialWeights.
+    sit on a wall: SpecialWeights.  Only the subbundle returned, or the
+    one on the wall, gets its coefficients built (`subbundle_of`).
     """
-    from .parabolic import candidate_subbundles
+    from .parabolic import candidate_types, subbundle_of
     nums, den = w.cleared
     total = sum(nums)
     best = best_key = None
-    for sub in candidate_subbundles(qp):
-        score = _score(nums, den, total, sub.degree, sub.contact)
+    for cand in candidate_types(qp):
+        degree, contact, _ = cand
+        score = _score(nums, den, total, degree, contact)
         if score == den:
-            raise SpecialWeights(f"candidate of parabolic degree exactly 1/2: {sub}")
-        key = (score, sub.degree, tuple(sorted(sub.contact)))
+            raise SpecialWeights(f"candidate of parabolic degree exactly 1/2: "
+                                 f"{subbundle_of(*cand)}")
+        key = (score, degree, tuple(sorted(contact)))
         if best_key is None or key > best_key:
-            best, best_key = sub, key
-    return best if best_key[0] > den else None
+            best, best_key = cand, key
+    return subbundle_of(*best) if best_key[0] > den else None

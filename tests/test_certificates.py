@@ -20,6 +20,12 @@ Schlesinger composite keep 2*k0 + k1 + ... + k4 = 1, `residues()` meets
 sum(r+ + r-) + lam*degree = 0, and every elementary transformation keeps
 that sum, over Q(r+, r-, lam).
 
+The Higgs layer reads the normal form's entries in closed form from the
+pole data (`higgs._cleared_normal_form`); each is proved equal to
+`FourPoleConnection.cleared`, which sums the residue matrices, and the
+structure `parabolic_from_connection` reads from the pole data is proved
+to be the eigen table's.
+
 The one rule `connection._residue(k, sigma, c)` that writes every finite
 residue of both gauges is proved over Q(k, sigma, c): trace 0, determinant
 -k^2/4, and eigenvectors (1, sigma) for k/2 and (1, sigma - k/c) for -k/2.
@@ -63,13 +69,14 @@ from pvi_moduli import backlund as bk  # noqa: E402
 from pvi_moduli import connection, verify  # noqa: E402
 from pvi_moduli.connection import (KappaParams, PQState, ResidueVector,  # noqa: E402
                                    elementary_transform_residues)
-from pvi_moduli.exact import Dual, det4, okamoto_s0  # noqa: E402
-from pvi_moduli.higgs import _wronskian  # noqa: E402
+from pvi_moduli.exact import Dual, det4, okamoto_s0, poly_mul, poly_trim  # noqa: E402
+from pvi_moduli.higgs import _cleared_normal_form, _wronskian  # noqa: E402
 from pvi_moduli.mconv import sigma_text  # noqa: E402
 from pvi_moduli.parabolic import (_conic_row, _fiber_row, _resultant, _signed_minors,  # noqa: E402
                                   cross, dot, line_through, parabolic_from_connection,
                                   parabolic_structures, q_map_parabolic, section_value)
 from pvi_moduli.stability import _score  # noqa: E402
+from shared import matvec  # noqa: E402
 
 K, t, k1, k2, k3, k4, q, p = sympy.field("t k1 k2 k3 k4 q p", sympy.QQ)
 k0 = (1 - k1 - k2 - k3 - k4) / 2
@@ -136,7 +143,27 @@ def test_residue_is_trace_free_with_det_minus_k_squared_over_4():
 @pytest.mark.parametrize("lam, slope", [(RK / 2, RSIGMA), (-RK / 2, RSIGMA - RK / RC)],
                          ids=["k/2 on (1, sigma)", "-k/2 on (1, sigma - k/c)"])
 def test_residue_eigenvector(lam, slope):
-    assert RESIDUE.matvec((1, slope)) == (lam, lam * slope)
+    assert matvec(RESIDUE, (1, slope)) == (lam, lam * slope)
+
+
+# ---------------------------------------------------------------------------
+# The Higgs layer's closed-form entries, against the residues
+# ---------------------------------------------------------------------------
+
+PI, *ENTRIES = _cleared_normal_form(STATE)
+CLEARED = dict(zip(("a11", "a12", "a21"), ENTRIES), a22=[-c for c in ENTRIES[0]])
+
+
+@pytest.mark.parametrize("entry", ["a11", "a12", "a21", "a22"])
+def test_closed_form_entry_is_the_normal_forms_cleared_entry(entry):
+    """`higgs._cleared_normal_form` reads the pole data, not the residues:
+    each entry, and a22 = -a11, equals `FourPoleConnection.cleared` of the
+    normal form, which sums the residue matrices."""
+    assert poly_trim(CLEARED[entry]) == poly_trim(STATE.normal_form.cleared(entry))
+
+
+def test_closed_form_clears_by_the_polynomial_of_the_finite_poles():
+    assert PI == poly_mul(poly_mul([0, 1], [-1, 1]), [-t, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +174,10 @@ def test_transversality_solves_both_fibers():
     _, l1, l2, c0 = sympy.field("l1 l2 c0", sympy.QQ)
     q1, p1 = bk.transversality_solve(l1, l2, c0)
     assert (q1, q1 + c0 / p1) == (l1, l2)
+
+
+def test_parabolic_structure_read_from_the_pole_data_is_the_eigen_tables():
+    assert parabolic_from_connection(STATE) == parabolic_structures(STATE)[0]
 
 
 def test_parabolic_coordinate_is_q_plus_k0_over_p():
@@ -331,7 +362,9 @@ def _contact_sections(qp, conic):
 
 @pytest.mark.parametrize("side", [0, 1], ids=["parabolic", "alternative"])
 def test_wronskian_vanishes_at_every_finite_contact_pole(side):
-    """On the normal form over Q(t, kappa, q, p), for each structure:
+    """On the normal form over Q(t, kappa, q, p), its entries in the
+    closed form `theta_divisor` reads (proved equal to the residues' sums
+    above), for each structure:
     every section through two of its directions, and on the parabolic
     structure the section through all four, has a Wronskian that vanishes
     at each finite pole it meets, as the direction there is an
@@ -341,12 +374,9 @@ def test_wronskian_vanishes_at_every_finite_contact_pole(side):
     `poly_divide_root`, which cannot run here: it reads integer
     remainders with `divmod`, so it stays sampled
     (tests/test_kernel_oracles.py::TestThetaDivisor)."""
-    conn = connection.build_connection(STATE)
-    entries = [conn.cleared(entry) for entry in ("a11", "a12", "a21", "a22")]
-    pi = [0, t, -1 - t, 1]
     qp = parabolic_structures(STATE)[side]
     for s1, s2, contact in _contact_sections(qp, conic=side == 0):
-        w_poly = _wronskian(pi, *entries, s1, s2)
+        w_poly = _wronskian(PI, *ENTRIES, s1, s2)
         assert any(w_poly)
         assert [section_value(w_poly, tv, len(w_poly) - 1) for tv in contact] \
             == [0] * len(contact)

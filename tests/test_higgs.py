@@ -5,7 +5,7 @@ import pytest
 
 from pvi_moduli.connection import PPoint, PQState, Sheet
 from pvi_moduli.errors import DegenerateInput, SpecialWeights
-from pvi_moduli.exact import INF
+from pvi_moduli.exact import INF, Mat2
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, higgs_limit, representative,
                               theta_divisor, v_alpha_stable, v_alpha_unstable)
 from pvi_moduli.parabolic import Subbundle, parabolic_from_connection, phi_map
@@ -14,7 +14,6 @@ from pvi_moduli.stability import ALL_ZONE_LABELS, Weights, classify_zone, find_d
 from pvi_moduli.verify import (colinear_limit_identity, graded_limit_identity,
                                quotient_slope_identity, stable_limit_identities,
                                zone_a_limit_identities)
-from pvi_moduli.connection import build_connection
 
 from records import failed
 from shared import worked_state
@@ -127,7 +126,7 @@ class TestThetaDivisor:
         qp = parabolic_from_connection(s)
         sub = find_destabilizer(qp, w)
         assert sub.degree == -1 and sub.contact == frozenset({1, 2, 3, 4})
-        div = theta_divisor(build_connection(s), sub)
+        div = theta_divisor(s, sub)
         assert len(div) == 5
         for pole in (F(0), F(1), F(2), INF):
             assert pole in div
@@ -148,7 +147,7 @@ class TestThetaDivisor:
         sub = Subbundle(degree=0, coefficients=line, contact=frozenset(contact))
         start = time.perf_counter()
         with pytest.raises(DegenerateInput, match="destabilizes for no weights"):
-            theta_divisor(build_connection(state), sub)
+            theta_divisor(state, sub)
         assert time.perf_counter() - start < 2.0
 
     def test_graded_quotient_slope(self):
@@ -186,3 +185,23 @@ class TestRepresentative:
         lim = higgs_limit(worked_state(), ZONE_A_W)
         d = lim.to_json_dict()
         assert d == {"kind": "graded", "degL": 1, "contact": [], "divisor": ["3/1"]}
+
+
+class TestReadsThePoleData:
+    @pytest.mark.parametrize("w", [ZONE_A_W, STABLE_W,
+                                   Weights.of_eps([F(2, 5), F(5, 12), F(3, 7), F(9, 20)])],
+                             ids=["zone A", "stable", "zone B"])
+    def test_higgs_limit_builds_no_residue_matrix(self, monkeypatch, w):
+        # the limit reads the state's pole data: no Mat2, normal form or eigen table
+        built = []
+        init = Mat2.__init__
+
+        def counted(self, *entries):
+            built.append(entries)
+            init(self, *entries)
+
+        monkeypatch.setattr(Mat2, "__init__", counted)
+        s = worked_state()
+        higgs_limit(s, w)
+        assert built == []
+        assert "pole_data" in vars(s) and not {"normal_form", "eigen_table"} & set(vars(s))

@@ -6,8 +6,9 @@ Each kernel is compared with the straightforward computation it replaces:
 the poles with `solve_linear` on their linear systems, the integer
 contact sets of `candidate_subbundles` with the section values at the
 poles, `in_general_position` (one cross product per triple) with
-`line_through` on the four triples, `theta_divisor` with its Wronskian on
-Fraction polynomials and `poly_divide_root` with the long division
+`line_through` on the four triples, `theta_divisor` (closed-form entries
+read from the state) with its Wronskian on Fraction polynomials of the
+normal form's residues (`FourPoleConnection.cleared`) and `poly_divide_root` with the long division
 `poly_divmod` below, `check_relations` with one
 `apply_word` per side of each relation, the shift and Schlesinger words
 read from its prefix table with one `apply_word` each,
@@ -49,9 +50,10 @@ from pvi_moduli.exact import (HALF, INF, Mat2, is_inf, over_common_denominator,
 from pvi_moduli.higgs import representative, sorted_divisor, theta_divisor
 from pvi_moduli.mconv import (mc_exponents, nonspecial_exponents, odd_degree_weights, sigma_text,
                               zone_interchange_check)
+from pvi_moduli import parabolic
 from pvi_moduli.parabolic import (QuasiPar, Subbundle, candidate_subbundles, conic_subbundle,
                                   in_general_position, line_through, parabolic_structures,
-                                  section_value)
+                                  section_value, subbundle_of)
 from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Weights, classify_zone,
                                   czone, et_pair, find_destabilizer, nonspecial_eps,
                                   parabolic_degree, stable_subzone_branch)
@@ -426,7 +428,7 @@ class TestThetaDivisor:
             for sub in candidate_subbundles(qp):
                 for probe in (sub, Subbundle(sub.degree, sub.coefficients,
                                              frozenset(other_contact))):
-                    assert _outcome(theta_divisor, conn, probe) == \
+                    assert _outcome(theta_divisor, s, probe) == \
                         _outcome(_oracle_theta, conn, probe)
 
 
@@ -846,6 +848,23 @@ class TestDestabilizerScores:
     def test_matches_the_parabolic_degree_maximizer(self, problem):
         qp, w = problem
         assert _outcome(find_destabilizer, qp, w) == _oracle_destabilizer(qp, w)
+
+    @given(destabilizer_problems())
+    def test_builds_coefficients_only_for_the_candidate_it_names(self, problem):
+        """The types are scored on integers; one `Subbundle` is built, for
+        the destabilizer returned or the candidate a wall error names, and
+        none when the structure is stable."""
+        qp, w = problem
+        built = []
+
+        def counted(*cand):
+            built.append(cand)
+            return subbundle_of(*cand)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parabolic, "subbundle_of", counted)
+            got = _outcome(find_destabilizer, qp, w)
+        assert len(built) == (got is not None)
 
 
 # ---------------------------------------------------------------------------

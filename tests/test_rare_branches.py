@@ -10,8 +10,7 @@ import pytest
 from pvi_moduli import backlund as bk, higgs, lattice, parabolic as par
 from pvi_moduli.connection import (FourPoleConnection, KappaParams, PPoint, PQState,
                                    ResidueVector, Sheet, apparent_singularity,
-                                   build_connection, build_connection_qp,
-                                   elementary_transform_residues)
+                                   build_connection_qp, elementary_transform_residues)
 from pvi_moduli.errors import DegenerateInput, NormalFormDegenerate, NotSimple, SpecialWeights
 from pvi_moduli.exact import INF, Mat2, is_inf, solve_linear
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights
@@ -73,7 +72,7 @@ RAISES = [
                                   Weights.of_eps([F(1, 10)] * 4), POLES),
      SpecialWeights, "stable-zone weights required"),
     # O(1) at q = 3, p = 5 has the Higgs divisor (3,): no zero at infinity
-    (lambda: higgs.theta_divisor(build_connection(PQState(t=F(2), kappa=KAPPA, q=F(3), p=F(5))),
+    (lambda: higgs.theta_divisor(PQState(t=F(2), kappa=KAPPA, q=F(3), p=F(5)),
                                  Subbundle(1, (), frozenset({4}))),
      DegenerateInput, "fails to vanish at contact pole 4"),
     # lattice

@@ -14,9 +14,13 @@ The ring-generic kernels those shells wrap take coordinates in any
 commutative ring, and `tests/test_certificates.py` runs them on
 polynomial-ring symbols; `CORES` lists them with the other code that must
 stay off the list.  `parabolic.direction_point` is the one shell
-that turns a pole or a direction into an integer point; the contact,
-conic and Wronskian cores, and `_conic_minors`, which feeds them those
-points, never read a denominator.  Nor do the zone score
+that turns a pole or a direction into an integer point, and
+`QuasiPar.points` calls it once per direction and keeps the points; the
+contact, conic and Wronskian cores, `_conic_minors` and
+`candidate_types`, which feed them those points, never read a
+denominator.  Only `parabolic.subbundle_of` turns a line or the minors
+into `Fraction` coefficients, for the one candidate that
+`find_destabilizer` returns.  Nor do the zone score
 `stability._score`, which the zone classifier, the branch test and the
 destabilizer scores share, and the convolution's integer `_convolve`.
 Those callers read the integer eps that `Weights.cleared` makes once per
@@ -56,7 +60,7 @@ SHELLS = {
     "exact.solve_linear": "the tests' reference eliminator, over Q",
     "parabolic.direction_point": "poles and directions to integer points",
     "parabolic._conic_coefficients": "minors to (v0, v1, w0, w1, w2)",
-    "parabolic.candidate_subbundles": "line coefficients from the cross product",
+    "parabolic.subbundle_of": "line coefficients from the cross product",
     "stability.classify_numerators": "wall values in error messages",
     "higgs._frame": "the frame values",
     "higgs._over_one_denominator": "polynomials to integer coefficients",
@@ -70,8 +74,8 @@ SHELLS = {
 # and _convolve.
 CORES = ("parabolic.cross", "parabolic.dot", "parabolic._conic_row", "parabolic._fiber_row",
          "parabolic._signed_minors", "parabolic._conic_minors", "parabolic.in_general_position",
-         "parabolic._resultant", "stability._score", "stability.nonspecial_numerators",
-         "higgs._wronskian", "mconv._convolve",
+         "parabolic._resultant", "parabolic.QuasiPar.points", "parabolic.candidate_types",
+         "stability._score", "stability.nonspecial_numerators", "higgs._wronskian", "mconv._convolve",
          "exact.det4", "exact.poly_divide_root")
 
 RATIONAL_ATTRIBUTES = {"numerator", "denominator"}
@@ -149,6 +153,23 @@ def test_core_is_defined_and_off_the_shell_list(core):
     module = core.partition(".")[0]
     assert core in defined_names(SOURCES[module], module)
     assert not in_shell(core)
+
+
+def called_names(source: str, qualname: str) -> set:
+    """The names called anywhere inside the def `qualname` of a source."""
+    node = ast.parse(source)
+    for name in qualname.split("."):
+        node = next(child for child in node.body
+                    if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name)
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_cached_points_clear_through_direction_point_only():
+    """`QuasiPar.points` turns directions into integer points only by
+    `direction_point`, the one clearing shell, and reads nothing else."""
+    assert called_names(SOURCES["parabolic"], "QuasiPar.points") == {
+        "direction_point", "is_inf", "tuple", "zip"}
 
 
 def test_the_scan_sees_reads_in_nested_scopes_and_at_module_level():

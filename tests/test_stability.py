@@ -161,6 +161,16 @@ class TestDestabilizer:
         rs = RationalSampler(seed=seed, bound=14)
         return QuasiPar(poles=POLES, u=rs.general_position_u(POLES))
 
+    def test_wall_error_names_the_candidate_on_the_wall(self):
+        # eps1 + eps2 - eps3 - eps4 = 1/2: the line through the first two
+        # directions sits on a wall, and it is the first candidate there
+        qp = self.generic_qp()
+        w = Weights.of_eps([F(2, 5), F(3, 10), F(1, 10), F(1, 10)])
+        line = next(sub for sub in candidate_subbundles(qp) if sub.contact == {1, 2})
+        with pytest.raises(SpecialWeights) as exc:
+            find_destabilizer(qp, w)
+        assert str(exc.value) == f"candidate of parabolic degree exactly 1/2: {line}"
+
     def test_three_colinear_directions_outscore_the_conic(self):
         # zone B predicts the degree -1 conic, but a line through three
         # directions beats it by 1 - 2 eps of the fourth pole; the sampler
