@@ -65,14 +65,16 @@ def _s0(s: PQState) -> PQState:
 
 def _s(i: int) -> Callable[[PQState], PQState]:
     def gen(s: PQState) -> PQState:
-        pole = s.poles[i - 1]
-        if s.q == pole:
-            raise DegenerateInput(f"s{i} has a pole at q = {pole}")
         k = list(s.kappa.all4)
         ki = k[i - 1]
         k[i - 1] = -ki
-        return s.with_kappa(KappaParams(s.k0 + ki, *k),
-                            p=s.p if i == 4 else s.p - ki / pole_gap(s.q, s.t, i))
+        p = s.p
+        if i != 4:  # s4 has no p-shift, and `q_of` keeps q off t_4 = inf
+            gap = pole_gap(s.q, s.t, i)
+            if gap == 0:
+                raise DegenerateInput(f"s{i} has a pole at q = {s.q}")
+            p -= ki / gap
+        return s.with_kappa(KappaParams(s.k0 + ki, *k), p=p)
     return gen
 
 
@@ -259,21 +261,45 @@ RELATION_WORDS = [
 ]
 
 
+def _prefix_plan(words: Iterable[tuple], known=()) -> tuple:
+    """(prefix, parent, step, name) for each prefix of the words not in
+    `known` and not empty, in the order the words are walked, each left to
+    right, and each once: the prefix is made from its parent by the
+    generator `name`, the word's letter at index `step`."""
+    seen = {(), *known}
+    plan = []
+    for word in words:
+        for step, name in enumerate(word):
+            prefix = word[:step + 1]
+            if prefix not in seen:
+                seen.add(prefix)
+                plan.append((prefix, word[:step], step, name))
+    return tuple(plan)
+
+
+def _walk(plan: tuple, states: dict) -> dict:
+    """Make each prefix of a `_prefix_plan` from its parent in `states`; a
+    degenerate step raises what `apply_word` raises for the word that
+    first reaches that prefix: the same step index and generator name."""
+    for prefix, parent, step, name in plan:
+        try:
+            states[prefix] = apply_generator(name, states[parent])
+        except DegenerateInput as exc:
+            raise _degenerate_step(step, name, exc) from exc
+    return states
+
+
 def walk_prefixes(words: Iterable[tuple], states: dict) -> dict:
     """Fill `states`, a {word prefix: state} table holding at least the
     empty word, with every prefix of each word, each made once from the
     prefix before it.  Words are walked in order, each left to right, so a
     degenerate step raises what `apply_word` raises for that word: the same
     step index and generator name."""
-    for word in words:
-        for step, name in enumerate(word):
-            prefix = word[:step + 1]
-            if prefix not in states:
-                try:
-                    states[prefix] = apply_generator(name, states[prefix[:-1]])
-                except DegenerateInput as exc:
-                    raise _degenerate_step(step, name, exc) from exc
-    return states
+    return _walk(_prefix_plan(words, states), states)
+
+
+# The 68 distinct prefixes of the relation words, planned once
+_RELATION_PLAN = _prefix_plan(word for _, left, right in RELATION_WORDS for word in (left, right))
 
 
 def check_relations(sample: PQState, states: Optional[dict] = None):
@@ -281,13 +307,19 @@ def check_relations(sample: PQState, states: Optional[dict] = None):
     (relation, holds, witness) with exact states in the witness.
 
     The 30 relations spell 112 generator steps but only 68 distinct word
-    prefixes, so each prefix is made once by `walk_prefixes`.  `states`,
-    if given, is the prefix table to fill, so that a caller can extend it
-    with more words of the same sample.
+    prefixes.  Which prefixes there are, and which prefix each is made
+    from, does not depend on the sample, so that plan is made once, at
+    import (`_RELATION_PLAN`), and each sample walks its 68 rows with no
+    test of which prefixes are made already.  Each step still goes
+    through `apply_generator`, and the rows keep the order in which the
+    words reach them, so a degenerate sample raises what `apply_word`
+    raises for the first word that degenerates.  `states`, if given, is
+    an empty prefix table to fill, so that a caller can extend it with
+    more words of the same sample (`walk_prefixes`).
     """
     states = {} if states is None else states
     states[()] = sample
-    walk_prefixes((word for _, left, right in RELATION_WORDS for word in (left, right)), states)
+    _walk(_RELATION_PLAN, states)
     out = []
     for name, left, right in RELATION_WORDS:
         lhs, rhs = states[left], states[right]

@@ -172,10 +172,14 @@ class PQState(Value):
         return self.kappa.k0
 
     def with_kappa(self, kappa: KappaParams, q=None, p=None) -> "PQState":
-        """This state with new exponents and, if given, new q and p."""
-        return PQState(t=self.t, kappa=kappa,
-                       q=self.q if q is None else q,
-                       p=self.p if p is None else p)
+        """This state with new exponents and, if given, new q and p.  Its t
+        is this state's, which passed the test of `__init__` already, so
+        the new state is made without testing it again."""
+        new = object.__new__(PQState)
+        new.__dict__.update(t=self.t, kappa=kappa,
+                            q=self.q if q is None else q,
+                            p=self.p if p is None else p)
+        return new
 
     @property
     def poles(self):

@@ -22,10 +22,11 @@ degree).
 
 `higgs_limit` reads each value once, from the state: the quasiparabolic
 structure from the pole data (`parabolic_from_connection`), the
-destabilizer from the integer types of `parabolic.candidate_types`, with
-coefficients built for it alone, and the entries of A times x(x-1)(x-t)
-in closed form from the same pole data (`_cleared_normal_form`).  No
-residue matrix, normal form or eigen table is built.
+destabilizer from the integer types of `parabolic.candidate_types` (and
+`section_type` when sum eps >= 3/2), with coefficients built for it
+alone, and the entries of A times x(x-1)(x-t) in closed form from the
+same pole data (`_cleared_normal_form`), or, for the O(1), W = q - x
+from q alone.  No residue matrix, normal form or eigen table is built.
 
 No root search is ever needed.  L destabilizes for some weights only if
 deg(L) + sum_{i in S} eps_i - sum_{i not in S} eps_i > 1/2 with every
@@ -225,11 +226,23 @@ def theta_divisor(s: PQState, sub: Subbundle):
     nonzero constant, which moves no root.  A finite contact pole is
     divided out as the factor b x - a of its integer point (a, 0, b) =
     `parabolic.direction_point(t_i, 0)`, exactly by Gauss's lemma.
+
+    For the O(1), (s1, s2) = (0, 1), and W = -a12 = q - x in closed form:
+    the Higgs field of the O(1) vanishes exactly at the apparent
+    singularity q, the paper's statement for zone A.  So W is taken as
+    the integer multiple [q.numerator, -q.denominator] of q - x, after
+    `s.pole_data` is read, so that a state with no normal form raises what
+    `_cleared_normal_form` raises.  The contact, deficit and free-root
+    rules below are the same for every degree.
     """
     t = s.t
-    pi, a11, a12, a21 = _over_one_denominator(*_cleared_normal_form(s))
-    s1, s2 = _over_one_denominator(*sub.sections())
-    w_poly = poly_trim(_wronskian(pi, a11, a12, a21, s1, s2))
+    if sub.degree == 1:
+        s.pole_data  # raises on a state with no normal form
+        w_poly = [s.q.numerator, -s.q.denominator]
+    else:
+        pi, a11, a12, a21 = _over_one_denominator(*_cleared_normal_form(s))
+        s1, s2 = _over_one_denominator(*sub.sections())
+        w_poly = poly_trim(_wronskian(pi, a11, a12, a21, s1, s2))
     deficit = 3 - 2 * sub.degree - (len(w_poly) - 1)
     # Strict compatibility forces zeros at the finite contact poles; what
     # is left after dividing them out is at most linear (module docstring).

@@ -11,15 +11,15 @@ all four directions (equivalently the conic through the corresponding
 points of P^2), the induced coordinate Q, and the classifying map to the
 non-separated line.
 
-It also lists the line subbundles that `stability` scores: the O(1), the
-degree-0 lines through two or more directions and the degree-(-1)
-section through all four (`candidate_subbundles`).  Their contact sets
-come from ring-generic cores on integer points.  Each structure clears
-its poles and directions to those points once (`QuasiPar.points`, by
-`direction_point`); the contact sets, general position and the contact
-system all read them.  `candidate_types` gives each candidate as its
-(degree, contact) type and an integer kernel (a line or the minors), and
-`subbundle_of` builds the `Fraction` coefficients of one, so
+It also lists the line subbundles that `stability` scores: the O(1) and
+the degree-0 lines through two or more directions (`candidate_types`),
+and the degree-(-1) section through all four (`section_type`).  Their
+contact sets come from ring-generic cores on integer points.  Each
+structure clears its poles and directions to those points once
+(`QuasiPar.points`, by `direction_point`); the contact sets, general
+position and the contact system all read them.  Each candidate comes as
+its (degree, contact) type and an integer kernel (a line or the minors),
+and `subbundle_of` builds the `Fraction` coefficients of one, so
 `stability.find_destabilizer` builds them only for the subbundle it
 returns.  The structure of a connection is read from its state's pole
 data (`parabolic_from_connection`), with no eigen table.
@@ -278,21 +278,13 @@ class Subbundle(Value):
                 "contact": sorted(self.contact)}
 
 
-def candidate_subbundles(qp: QuasiPar):
-    """All saturated candidates relevant for stability, deduplicated: the
-    O(1), the lines (1, v) through two or more finite directions, and the
-    degree-(-1) section (v, w) through all four directions.  They are the
-    `candidate_types`, in that order, each built by `subbundle_of`.
-    """
-    return [subbundle_of(*cand) for cand in candidate_types(qp)]
-
-
 def candidate_types(qp: QuasiPar):
-    """The candidates of `candidate_subbundles` as (degree, contact, kernel)
-    on integers, in the order listed there; the kernel is () for the O(1),
-    the line L for a degree-0 line and the minors m0..m4 for the section
-    through all four directions.  `stability.find_destabilizer` scores the
-    (degree, contact) types and builds one `Subbundle`.
+    """The O(1) and the lines (1, v) through two or more finite directions,
+    as (degree, contact, kernel) on integers: the kernel is () for the
+    O(1) and the line L for a degree-0 line.  With `section_type` these
+    are all the saturated candidates relevant for stability, deduplicated.
+    `stability.find_destabilizer` scores the (degree, contact) types and
+    builds one `Subbundle`.
 
     Contact sets are read off integer points.  The O(1) passes through the
     directions u_i = inf.  Each finite direction is an integer point P_i
@@ -301,23 +293,6 @@ def candidate_types(qp: QuasiPar):
     v = (-L_z/L_y, -L_x/L_y), and its contact set {k : L . P_k = 0}.  Two
     distinct lines share at most one point, so a pair already in a listed
     contact set gives a listed line.
-
-    (v, w) is dropped when v and w share a zero on P^1: v = 0, or
-    w(-v0/v1) = 0, or v1 = w2 = 0 (a zero at infinity).  On the integer
-    minors m0..m4 of `conic_subbundle`, a multiple of (v0, v1, w0, w1, w2),
-    all three cases are one test: their `_resultant` vanishes.  Minors
-    that all vanish (no unique (v, w)) count as a shared zero.  The
-    saturation of a dropped (v, w) is listed already.  For v = 0 it is the
-    O(1).  Otherwise v has one zero z, a direction u_i = inf can only sit
-    at the pole z, and at the three or more other poles v(t_i) != 0 and
-    (v, w) = v (1, w/v), so the degree-0 line w/v passes through their
-    finite directions and the pair loop lists it.
-
-    A kept (v, w) has contact {1, 2, 3, 4}.  It solves every row of its
-    system: v(t_i) = 0 where u_i = inf, which is contact there, and
-    w(t_i) = u_i v(t_i) where u_i is finite, which is contact unless
-    v(t_i) = 0; but then w(t_i) = 0 too, a shared zero, and (v, w) was
-    dropped.
     """
     yield 1, frozenset(i + 1 for i in qp.infinite_indices()), ()
     points = [(i + 1, pt) for i, (pt, uv) in enumerate(zip(qp.points, qp.u)) if not is_inf(uv)]
@@ -329,15 +304,40 @@ def candidate_types(qp: QuasiPar):
         contact = frozenset(k for k, pk in points if dot(line, pk) == 0)
         lines.append(contact)
         yield 0, contact, line
+
+
+def section_type(qp: QuasiPar):
+    """The degree-(-1) section (v, w) through all four directions as
+    (-1, {1, 2, 3, 4}, minors), the minors m0..m4 of `conic_subbundle` on
+    integers, or None when it is dropped.  Its contact set is known before
+    its minors are, so `stability.find_destabilizer` asks for it only when
+    that type can destabilize or sit on a wall.
+
+    (v, w) is dropped when v and w share a zero on P^1: v = 0, or
+    w(-v0/v1) = 0, or v1 = w2 = 0 (a zero at infinity).  On the integer
+    minors m0..m4, a multiple of (v0, v1, w0, w1, w2), all three cases are
+    one test: their `_resultant` vanishes.  Minors that all vanish (no
+    unique (v, w)) count as a shared zero.  The saturation of a dropped
+    (v, w) is listed by `candidate_types` already.  For v = 0 it is the
+    O(1).  Otherwise v has one zero z, a direction u_i = inf can only sit
+    at the pole z, and at the three or more other poles v(t_i) != 0 and
+    (v, w) = v (1, w/v), so the degree-0 line w/v passes through their
+    finite directions and the pair loop lists it.
+
+    A kept (v, w) has contact {1, 2, 3, 4}.  It solves every row of its
+    system: v(t_i) = 0 where u_i = inf, which is contact there, and
+    w(t_i) = u_i v(t_i) where u_i is finite, which is contact unless
+    v(t_i) = 0; but then w(t_i) = 0 too, a shared zero, and (v, w) was
+    dropped.
+    """
     minors = _conic_minors(qp)
-    if _resultant(minors) != 0:
-        yield -1, frozenset(range(1, 5)), minors
+    return (-1, frozenset(range(1, 5)), minors) if _resultant(minors) != 0 else None
 
 
 def subbundle_of(degree: int, contact: frozenset, kernel) -> Subbundle:
-    """The `Subbundle` of a candidate of `candidate_types`, with Fraction
-    coefficients: (-L_z/L_y, -L_x/L_y) from a line L, and
-    `_conic_coefficients` from the minors."""
+    """The `Subbundle` of a candidate of `candidate_types` or
+    `section_type`, with Fraction coefficients: (-L_z/L_y, -L_x/L_y) from
+    a line L, and `_conic_coefficients` from the minors."""
     if degree == 0:
         lx, ly, lz = kernel
         return Subbundle(0, (Fraction(-lz, ly), Fraction(-lx, ly)), contact)

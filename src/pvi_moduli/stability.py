@@ -16,9 +16,10 @@ all four).  Zone S is zone A moved by elementary transformations at S,
 and a type and its complement (-deg, the other poles) score opposite.
 
 `find_destabilizer` scores the candidate types (degree, contact) that
-`parabolic.candidate_types` lists on integers and builds the coefficients
-of the one subbundle it returns; it imports `parabolic` when it runs, so
-importing this module loads only `errors` and `exact`.
+`parabolic.candidate_types` and `parabolic.section_type` list on integers
+and builds the coefficients of the one subbundle it returns; it imports
+`parabolic` when it runs, so importing this module loads only `errors`
+and `exact`.
 """
 from __future__ import annotations
 
@@ -195,18 +196,31 @@ def parabolic_degree(sub: Subbundle, w: Weights) -> Rat:
 def find_destabilizer(qp: QuasiPar, w: Weights) -> Optional[Subbundle]:
     """The destabilizing subbundle of maximal parabolic degree, or None.
 
-    Enumerates the saturated candidates' (degree, contact) types
-    (`parabolic.candidate_types`), `_score`s them over the common
-    denominator of the eps and returns the maximizer when its parabolic
-    degree exceeds 1/2.  A degree exactly 1/2 anywhere means the weights
-    sit on a wall: SpecialWeights.  Only the subbundle returned, or the
-    one on the wall, gets its coefficients built (`subbundle_of`).
+    Enumerates the saturated candidates' (degree, contact) types,
+    `_score`s them over the common denominator of the eps and returns the
+    maximizer when its parabolic degree exceeds 1/2.  A degree exactly 1/2
+    anywhere means the weights sit on a wall: SpecialWeights.  Only the
+    subbundle returned, or the one on the wall, gets its coefficients
+    built (`subbundle_of`).
+
+    The O(1) and the lines come from `parabolic.candidate_types`.  The
+    section through all four directions (`parabolic.section_type`) is
+    asked for last, and only when its type (-1, {1, 2, 3, 4}) scores at
+    least den: that score is 2(total - den) whatever the structure, so
+    this is sum eps >= 3/2, zone B or its wall.  Below den the section can
+    neither sit on a wall nor be returned, as a returned maximizer scores
+    above den, so its minors and resultant are not computed.
     """
-    from .parabolic import candidate_types, subbundle_of
+    from .parabolic import candidate_types, section_type, subbundle_of
     nums, den = w.cleared
     total = sum(nums)
+    cands = list(candidate_types(qp))
+    if _score(nums, den, total, -1, ZONE_CONTACT[ZONE_B]) >= den:
+        section = section_type(qp)
+        if section is not None:
+            cands.append(section)
     best = best_key = None
-    for cand in candidate_types(qp):
+    for cand in cands:
         degree, contact, _ = cand
         score = _score(nums, den, total, degree, contact)
         if score == den:

@@ -115,6 +115,7 @@ def connection_identities(s: PQState) -> list:
     k = s.kappa
     conn = build_connection(s)
     alt = build_connection_qp(s.t, k, bk.big_q_of(s), s.p)
+    expected_dets = [-k.k1 ** 2 / 4, -k.k2 ** 2 / 4, -k.k3 ** 2 / 4]
     out = []
     for label, cn in (("pq", conn), ("alt", alt)):
         fin = cn.finite_residues()
@@ -122,8 +123,7 @@ def connection_identities(s: PQState) -> list:
         out.append((f"{label}: trace A_i = 0 (i<=3)", traces == [0, 0, 0],
                     {"state": s, "traces": traces}))
         dets = [m.det() for m in fin]
-        out.append((f"{label}: det A_i = -k_i^2/4 (i<=3)",
-                    dets == [-k.k1 ** 2 / 4, -k.k2 ** 2 / 4, -k.k3 ** 2 / 4],
+        out.append((f"{label}: det A_i = -k_i^2/4 (i<=3)", dets == expected_dets,
                     {"state": s, "dets": dets}))
         base = cn.apparent_singularity_base()
         out.append((f"{label}: (1,2) entry vanishes exactly at q", base == s.q,

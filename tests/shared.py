@@ -1,11 +1,18 @@
 """Inputs that several test modules share: the worked state, the
 Hypothesis strategies for rationals of small and of 64-bit height, and
-`matvec`, the reference product the eigenvector tests check `Mat2`s with."""
+the references that several modules check the package against: `matvec`
+for `Mat2` products, `candidate_subbundles` for the candidates of
+`parabolic` and `destabilizer_by_enumeration` for
+`stability.find_destabilizer`."""
 from fractions import Fraction as F
 
 from hypothesis import strategies as st
 
 from pvi_moduli.connection import KappaParams, PQState
+from pvi_moduli.errors import SpecialWeights
+from pvi_moduli.exact import HALF
+from pvi_moduli.parabolic import candidate_types, section_type, subbundle_of
+from pvi_moduli.stability import parabolic_degree
 
 H = 2 ** 64
 
@@ -25,3 +32,31 @@ def worked_state():
     """t = 2, kappa = (1/4; 1/8, 1/8, 1/8, 1/8), q = 3, p = 5."""
     return PQState(t=F(2), kappa=KappaParams.from_strs(["1/4", "1/8", "1/8", "1/8", "1/8"]),
                    q=F(3), p=F(5))
+
+
+def candidate_subbundles(qp):
+    """All saturated candidates relevant for stability, deduplicated: the
+    O(1), the lines (1, v) through two or more finite directions, and the
+    degree-(-1) section (v, w) through all four directions unless it is
+    dropped.  They are `parabolic.candidate_types` then
+    `parabolic.section_type`, in that order, each built by `subbundle_of`."""
+    cands = list(candidate_types(qp))
+    section = section_type(qp)
+    if section is not None:
+        cands.append(section)
+    return [subbundle_of(*cand) for cand in cands]
+
+
+def destabilizer_by_enumeration(qp, w):
+    """`find_destabilizer` by full enumeration: the (parabolic_degree,
+    degree, contact) maximizer over every candidate of
+    `candidate_subbundles`, section included, if it exceeds 1/2, else
+    None; (SpecialWeights, message), naming the first such candidate, when
+    any candidate scores exactly 1/2."""
+    scored = [(parabolic_degree(sub, w), sub.degree, tuple(sorted(sub.contact)), sub)
+              for sub in candidate_subbundles(qp)]
+    on_wall = [sub for score, _, _, sub in scored if score == HALF]
+    if on_wall:
+        return SpecialWeights, f"candidate of parabolic degree exactly 1/2: {on_wall[0]}"
+    best = max(scored, key=lambda row: row[:3])
+    return best[3] if best[0] > HALF else None

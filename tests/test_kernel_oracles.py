@@ -8,7 +8,8 @@ contact sets of `candidate_subbundles` with the section values at the
 poles, `in_general_position` (one cross product per triple) with
 `line_through` on the four triples, `theta_divisor` (closed-form entries
 read from the state) with its Wronskian on Fraction polynomials of the
-normal form's residues (`FourPoleConnection.cleared`) and `poly_divide_root` with the long division
+normal form's residues (`FourPoleConnection.cleared`), its W = q - x for
+the O(1) with `_wronskian` of the sections (0, 1), `poly_divide_root` with the long division
 `poly_divmod` below, `check_relations` with one
 `apply_word` per side of each relation, the shift and Schlesinger words
 read from its prefix table with one `apply_word` each,
@@ -42,23 +43,25 @@ from pvi_moduli.backlund import (ALPHABET, RELATION_WORDS, WORD_SCHLESINGER, WOR
 from pvi_moduli.connection import (KappaParams, PPoint, PQState, ResidueVector, Sheet,
                                    build_connection, build_connection_qp, eigen_table,
                                    kappa_generic, kostov_generic)
-from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, SpecialParameters,
-                               SpecialWeights)
+from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, NormalFormDegenerate,
+                               SpecialParameters, SpecialWeights)
 from pvi_moduli.exact import (HALF, INF, Mat2, is_inf, over_common_denominator,
                               poly_add, poly_deriv, poly_divide_root, poly_mul, poly_trim,
                               solve_linear)
-from pvi_moduli.higgs import representative, sorted_divisor, theta_divisor
+from pvi_moduli.higgs import (_cleared_normal_form, _wronskian, representative, sorted_divisor,
+                              theta_divisor)
 from pvi_moduli.mconv import (mc_exponents, nonspecial_exponents, odd_degree_weights, sigma_text,
                               zone_interchange_check)
 from pvi_moduli import parabolic
-from pvi_moduli.parabolic import (QuasiPar, Subbundle, candidate_subbundles, conic_subbundle,
+from pvi_moduli.parabolic import (QuasiPar, Subbundle, conic_subbundle,
                                   in_general_position, line_through, parabolic_structures,
                                   section_value, subbundle_of)
 from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Weights, classify_zone,
                                   czone, et_pair, find_destabilizer, nonspecial_eps,
-                                  parabolic_degree, stable_subzone_branch)
+                                  stable_subzone_branch)
 
-from shared import H, rationals, tiny
+from shared import (H, candidate_subbundles, destabilizer_by_enumeration, rationals, tiny,
+                    worked_state)
 
 # non-integer exponents, so that few kappa are special
 fractional = st.one_of(st.builds(F, st.integers(-48, 48), st.sampled_from([3, 5, 7, 8])),
@@ -380,6 +383,13 @@ def _oracle_theta(conn, sub):
         poly_mul(s1, poly_add(poly_mul(a21, s1), poly_mul(a22, s2))),
         [-c for c in poly_mul(s2, poly_add(poly_mul(a11, s1), poly_mul(a12, s2)))],
     ))
+    return _divisor_of(w, t, sub)
+
+
+def _divisor_of(w, t, sub):
+    """The zero divisor of the cleared Wronskian w, Fraction coefficients:
+    the contact poles divided out as monic x - t_i, then the free root and
+    the degree deficit at infinity, with `theta_divisor`'s error texts."""
     deficit = 3 - 2 * sub.degree - (len(w) - 1)
     roots = []
     for i in sorted(sub.contact):
@@ -430,6 +440,58 @@ class TestThetaDivisor:
                                              frozenset(other_contact))):
                     assert _outcome(theta_divisor, s, probe) == \
                         _outcome(_oracle_theta, conn, probe)
+
+
+def _wronskian_theta(s, sub):
+    """`theta_divisor` with W = `higgs._wronskian` of the sections and the
+    closed-form entries of `higgs._cleared_normal_form`, at every degree:
+    the route the O(1) took before its W was read off as q - x.  A state
+    with no normal form raises what `_cleared_normal_form` raises."""
+    pi, a11, a12, a21 = _cleared_normal_form(s)
+    w = poly_trim(_wronskian(pi, a11, a12, a21, *sub.sections()))
+    return _divisor_of([F(c) for c in w], s.t, sub)
+
+
+GENERIC_K1234 = (F(1, 8),) * 4  # the worked state's exponents
+# every contact set the O(1) can carry: none, one finite pole, or infinity
+O1_CONTACTS = [frozenset(), *(frozenset({i}) for i in range(1, 5))]
+
+
+class TestDegreeOneThetaDivisor:
+    """For the O(1), `theta_divisor` takes W = q - x from the state instead
+    of the Wronskian of its sections (0, 1); both give one divisor and the
+    same errors."""
+
+    @given(higgs_states())
+    def test_matches_the_wronskian_of_its_sections(self, s):
+        for contact in O1_CONTACTS:
+            o1 = Subbundle(1, (), contact)
+            assert _outcome(theta_divisor, s, o1) == _outcome(_wronskian_theta, s, o1)
+
+    @pytest.mark.parametrize("contact", O1_CONTACTS, ids=lambda c: str(sorted(c)))
+    def test_vanishes_at_q_and_at_no_contact_pole(self, contact):
+        s = worked_state()  # q = 3
+        o1 = Subbundle(1, (), contact)
+        expected = (F(3),) if not contact else \
+            (DegenerateInput, f"Higgs field fails to vanish at contact pole {min(contact)}")
+        assert _outcome(theta_divisor, s, o1) == expected
+        assert _outcome(_wronskian_theta, s, o1) == expected
+
+    @pytest.mark.parametrize("q, k1234, error", [
+        (F(0), GENERIC_K1234, NormalFormDegenerate),
+        (F(1), GENERIC_K1234, NormalFormDegenerate),
+        (F(2), GENERIC_K1234, NormalFormDegenerate),  # q = t
+        (INF, GENERIC_K1234, NormalFormDegenerate),
+        (F(3), (F(1), F(1, 3), F(1, 5), F(1, 7)), SpecialParameters),  # k1 = 1
+        (F(3), (F(1, 2), F(1, 2), F(1, 3), F(2, 3)), SpecialParameters),  # k1+k2 = 1
+    ])
+    def test_unbuildable_states_raise_what_the_normal_form_raises(self, q, k1234, error):
+        s = PQState(t=F(2), kappa=KappaParams.from_k1234(*k1234), q=q, p=F(5))
+        for contact in O1_CONTACTS:
+            o1 = Subbundle(1, (), contact)
+            got = _outcome(theta_divisor, s, o1)
+            assert got[0] is error
+            assert got == _outcome(_wronskian_theta, s, o1)
 
 
 class TestPolyDivideRoot:
@@ -817,19 +879,6 @@ class TestIntegerConvolution:
 # find_destabilizer's integer scores
 # ---------------------------------------------------------------------------
 
-def _oracle_destabilizer(qp, w):
-    """The (parabolic_degree, degree, contact) maximizer over the
-    candidates if it exceeds 1/2, else None; SpecialWeights, naming the
-    first such candidate, when any candidate scores exactly 1/2."""
-    scored = [(parabolic_degree(sub, w), sub.degree, tuple(sorted(sub.contact)), sub)
-              for sub in candidate_subbundles(qp)]
-    on_wall = [sub for score, _, _, sub in scored if score == HALF]
-    if on_wall:
-        return SpecialWeights, f"candidate of parabolic degree exactly 1/2: {on_wall[0]}"
-    best = max(scored, key=lambda row: row[:3])
-    return best[3] if best[0] > HALF else None
-
-
 @st.composite
 def destabilizer_problems(draw):
     poles = draw(st.one_of(st.just([F(0), F(1), F(3)]),
@@ -847,7 +896,7 @@ class TestDestabilizerScores:
     @given(destabilizer_problems())
     def test_matches_the_parabolic_degree_maximizer(self, problem):
         qp, w = problem
-        assert _outcome(find_destabilizer, qp, w) == _oracle_destabilizer(qp, w)
+        assert _outcome(find_destabilizer, qp, w) == destabilizer_by_enumeration(qp, w)
 
     @given(destabilizer_problems())
     def test_builds_coefficients_only_for_the_candidate_it_names(self, problem):

@@ -60,10 +60,9 @@ from pvi_moduli.exact import HALF, INF, is_inf
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights, sigma_text, zone_interchange_check
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative,
                               sorted_divisor, theta_divisor)
-from pvi_moduli.parabolic import (QuasiPar, Subbundle, candidate_subbundles,
-                                  in_general_position, is_simple, line_through,
-                                  parabolic_from_connection, parabolic_structures, phi_map,
-                                  q_map, q_map_parabolic)
+from pvi_moduli.parabolic import (QuasiPar, Subbundle, in_general_position, is_simple,
+                                  line_through, parabolic_from_connection, parabolic_structures,
+                                  phi_map, q_map, q_map_parabolic)
 from pvi_moduli.sampling import _zone_of
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, ZONE_STABLE, Weights,
                                   classify_zone, et_pair, find_destabilizer, nonspecial_eps,
@@ -71,7 +70,7 @@ from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, ZONE_STABLE, We
 from pvi_moduli.verify import (connection_identities, destabilizer_identities, mc_identities,
                                zone_label_identities)
 from records import failed
-from shared import H, tall, tiny
+from shared import H, candidate_subbundles, tall, tiny
 from test_kernel_oracles import K_ACTION  # the generators' action on kappa
 
 rationals = st.one_of(tiny, tall)

@@ -16,8 +16,8 @@ polynomial-ring symbols; `CORES` lists them with the other code that must
 stay off the list.  `parabolic.direction_point` is the one shell
 that turns a pole or a direction into an integer point, and
 `QuasiPar.points` calls it once per direction and keeps the points; the
-contact, conic and Wronskian cores, `_conic_minors` and
-`candidate_types`, which feed them those points, never read a
+contact, conic and Wronskian cores, `_conic_minors`, `candidate_types`
+and `section_type`, which feed them those points, never read a
 denominator.  Only `parabolic.subbundle_of` turns a line or the minors
 into `Fraction` coefficients, for the one candidate that
 `find_destabilizer` returns.  Nor do the zone score
@@ -75,6 +75,7 @@ SHELLS = {
 CORES = ("parabolic.cross", "parabolic.dot", "parabolic._conic_row", "parabolic._fiber_row",
          "parabolic._signed_minors", "parabolic._conic_minors", "parabolic.in_general_position",
          "parabolic._resultant", "parabolic.QuasiPar.points", "parabolic.candidate_types",
+         "parabolic.section_type",
          "stability._score", "stability.nonspecial_numerators", "higgs._wronskian", "mconv._convolve",
          "exact.det4", "exact.poly_divide_root")
 

@@ -3,11 +3,11 @@ from itertools import combinations
 
 import pytest
 
-from pvi_moduli import stability
+from pvi_moduli import parabolic, stability
 from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import INF
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights
-from pvi_moduli.parabolic import QuasiPar, Subbundle, candidate_subbundles, line_through
+from pvi_moduli.parabolic import QuasiPar, Subbundle, line_through
 from pvi_moduli.sampling import RationalSampler
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, ZONE_STABLE, Branch, Weights,
                                   classify_zone, et_pair, find_destabilizer, nonspecial_eps,
@@ -17,9 +17,13 @@ from pvi_moduli.verify import (destabilizer_identities, et_orbit_identities, mu_
                                zone_label_identities)
 
 from records import failed
+from shared import candidate_subbundles, destabilizer_by_enumeration
+from test_chambers import CENTROIDS
+from test_kernel_oracles import _outcome
 
 POLES = (F(0), F(1), F(3), INF)
 HALF = F(1, 2)
+conic_minors = parabolic._conic_minors
 
 
 class TestWeightsFromJson:
@@ -288,3 +292,62 @@ class TestOracleAgreement:
             violators = [s for s in candidate_subbundles(qp)
                          if parabolic_degree(s, w) > HALF]
             assert len({(s.degree, s.contact) for s in violators}) == 1
+
+
+class TestLazySection:
+    """`find_destabilizer` asks `parabolic.section_type` for the section
+    through all four directions only when its type scores at least den,
+    i.e. sum eps >= 3/2.  It still returns what scoring every candidate
+    returns, on every chamber of the eps cube and on the wall where only
+    the section has parabolic degree 1/2."""
+
+    STRUCTURES = {
+        "general position": QuasiPar(
+            poles=POLES, u=RationalSampler(seed=31, bound=14).general_position_u(POLES)),
+        "directions 1, 2, 3 colinear": QuasiPar(poles=POLES, u=(F(3, 2), F(1, 2), F(-3, 2), F(1, 3))),
+        "directions 2, 3, 4 colinear": QuasiPar(poles=POLES, u=(F(100), F(3), F(7), F(2))),
+        "section vanishing at infinity": QuasiPar(poles=POLES, u=(F(0), F(1), F(3), F(5))),
+        "all four colinear": QuasiPar(poles=POLES, u=(F(0), F(1), F(3), F(1))),
+        "one direction at the pole": QuasiPar(poles=POLES, u=(INF, F(1), F(3), F(9))),
+        "two directions at the poles": QuasiPar(poles=POLES, u=(F(2), INF, F(5), INF)),
+    }
+    # eps = x/2 at the centroid x of each chamber of tests/test_chambers.py
+    CHAMBER_EPS = [tuple(x / 2 for x in centroid) for centroid in CENTROIDS]
+    # sum eps = 3/2 and no other wall
+    WALL_EPS = [(F(3, 8),) * 4, (F(2, 5), F(9, 20), F(2, 5), F(1, 4))]
+
+    @pytest.fixture
+    def minors(self, monkeypatch):
+        """The structures whose conic minors `find_destabilizer` computes."""
+        seen = []
+
+        def counted(qp):
+            seen.append(qp)
+            return conic_minors(qp)
+
+        monkeypatch.setattr(parabolic, "_conic_minors", counted)
+        return seen
+
+    @pytest.mark.parametrize("name", STRUCTURES)
+    def test_matches_full_enumeration_on_every_chamber(self, name, minors):
+        qp = self.STRUCTURES[name]
+        assert len(self.CHAMBER_EPS) == 24
+        for eps in self.CHAMBER_EPS:
+            w = Weights.of_eps(eps)
+            minors.clear()
+            got = _outcome(find_destabilizer, qp, w)
+            assert (minors == [qp]) == (sum(eps) > F(3, 2))
+            assert got == destabilizer_by_enumeration(qp, w)
+
+    @pytest.mark.parametrize("name", STRUCTURES)
+    @pytest.mark.parametrize("eps", WALL_EPS, ids=lambda eps: ",".join(map(str, eps)))
+    def test_sum_three_halves_is_the_sections_wall(self, name, eps, minors):
+        qp, w = self.STRUCTURES[name], Weights.of_eps(eps)
+        got = _outcome(find_destabilizer, qp, w)
+        assert minors == [qp]
+        assert got == destabilizer_by_enumeration(qp, w)
+        section = candidate_subbundles(qp)[-1]
+        if section.degree == -1:
+            assert got == (SpecialWeights, f"candidate of parabolic degree exactly 1/2: {section}")
+        else:  # dropped: its saturation is a listed line or the O(1)
+            assert not isinstance(got, tuple)
