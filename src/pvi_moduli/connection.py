@@ -38,7 +38,8 @@ entries, in closed form, so a Higgs limit builds no residue matrix.  The
 normal form's own `cleared` entries are still summed from its residues,
 which is what the connection suite's checks on them test.
 Okamoto's s0 on the exponents is `exact.okamoto_s0`, read by `backlund`
-and, without loading this module, by `mconv`.
+and, without loading this module, by `mconv`.  The integrality
+predicates hold at the generic point, values not in Q (`exact.is_rational`).
 """
 from __future__ import annotations
 
@@ -48,8 +49,9 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
-from .exact import (HALF, INF, Mat2, ProjRat, Rat, Value, is_inf, over_common_denominator,
-                    parse_list, pick_sums, proj_from_str, proj_to_str, rat_from_str, rat_to_str)
+from .exact import (HALF, INF, Mat2, ProjRat, Rat, Value, is_inf, is_rational,
+                    over_common_denominator, parse_list, pick_sums, proj_from_str, proj_to_str,
+                    rat_from_str, rat_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +106,10 @@ class KappaParams(Value):
 
 
 def kappa_generic(kappa: KappaParams) -> bool:
-    """k_i not integers, and no signed sum +-k1+-k2+-k3+-k4 an odd integer."""
+    """k_i not integers, and no signed sum +-k1+-k2+-k3+-k4 an odd integer;
+    True at the generic point, values not in Q."""
+    if not is_rational(*kappa.all4):
+        return True
     if any(k.denominator == 1 for k in kappa.all4):
         return False
     nums, den = over_common_denominator(kappa.all4)
@@ -127,14 +132,19 @@ class ResidueVector(Value):
 
 
 def kostov_generic(r: ResidueVector) -> bool:
-    """No signed sum r_1^{s1} + ... + r_4^{s4} is an integer."""
+    """No signed sum r_1^{s1} + ... + r_4^{s4} is an integer; True at the
+    generic point, values not in Q."""
+    if not is_rational(*r.r_plus, *r.r_minus):
+        return True
     nums, den = over_common_denominator(r.r_plus + r.r_minus)
     return all(s % den != 0 for s in pick_sums(zip(nums[:4], nums[4:])))
 
 
 def nonresonant(r: ResidueVector) -> bool:
-    """No eigenvalue gap r_i^+ - r_i^- is an integer."""
-    return all((rp - rm).denominator != 1 for rp, rm in zip(r.r_plus, r.r_minus))
+    """No eigenvalue gap r_i^+ - r_i^- is an integer; True at the generic
+    point, values not in Q."""
+    return not is_rational(*r.r_plus, *r.r_minus) or all(
+        (rp - rm).denominator != 1 for rp, rm in zip(r.r_plus, r.r_minus))
 
 
 def elementary_transform_residues(r: ResidueVector, i: int) -> ResidueVector:
@@ -271,14 +281,6 @@ class FourPoleConnection(Value):
 
     def finite_residues(self):
         return (self.a1, self.a2, self.a3)
-
-    def matrix_at(self, x: Rat) -> Mat2:
-        if x in (0, 1, self.t):
-            raise DegenerateInput(f"A(x) has a pole at x = {x}")
-        return (self.a1.scale(1 / x)
-                + self.a2.scale(1 / (x - 1))
-                + self.a3.scale(1 / (x - self.t))
-                + self.c)
 
     def cleared(self, entry: str) -> tuple:
         """Coefficients, constant term first, of the polynomial

@@ -9,21 +9,18 @@ term first ([] is zero); the Higgs layer builds its Wronskian with them.
 and `mconv` share it and the exponent calculus loads no normal form.
 There is no polynomial gcd: a line subbundle is saturated when its two
 sections share no zero on P^1, which `stability` tests directly.  These
-kernels, the connection and Baecklund formulas and `line_through` never
+kernels, the connection, Baecklund, parabolic and Higgs formulas never
 coerce: they compute over the field of their inputs (Q, or rational
 functions in the certificate tests).  Int literals may mix in, but every
 `/` has a field element on one side.
+Only this module tells Q from another field: `is_rational` is the test,
+`quotient` gives a `Fraction` for two ints, and `over_common_denominator`
+clears values in Q to integers for the small integer kernels (`det4`,
+`poly_divide_root`, the points of `parabolic.direction_point`); other
+fields run the same code, and the integrality predicates hold there.
 `Fraction` is coerced only where numbers come in (parsers, `make`/`of_*`
 constructors, the sampler, which tests each weight candidate on integer
 numerators over one denominator and coerces once per accepted draw).
-The predicates that read `.denominator` test integrality, a statement
-about rational numbers, so they and the stability, Higgs and lattice
-layers stay over Q.  Their small kernels run
-on integers: `parabolic.direction_point` clears each pole and direction
-to an integer point of P^2 (by `over_common_denominator`), general
-position and the contact sets are one cross product, the contact system
-is solved in closed form by `det4`, and the Higgs Wronskian is an integer
-polynomial whose known roots `poly_divide_root` divides out.
 The value types of every layer derive from `Value`: immutable objects
 whose fields are the parameters of their own explicit `__init__`, equal
 and hashed by those fields, and printed as `Name(field=value, ...)`.
@@ -150,10 +147,25 @@ def okamoto_s0(k0, k1, k2, k3, k4) -> tuple:
     return (-k0, k1 + k0, k2 + k0, k3 + k0, k4 + k0)
 
 
+def is_rational(*values) -> bool:
+    """Whether every value is in Q, an int or a `Fraction`."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return False
+    return True
+
+
+def quotient(a, b):
+    """a / b: the `Fraction` a/b for a and b in Q, and field division otherwise."""
+    return Fraction(a, b) if is_rational(a, b) else a / b
+
+
 def over_common_denominator(values) -> tuple:
     """(numerators, L) with values[i] = numerators[i] / L, where L is the lcm
     of the denominators: sums and sign tests then run on integers, with no
-    gcd per operation."""
+    gcd per operation.  Values not all in Q come back as they are, L = 1."""
+    if not is_rational(*values):
+        return list(values), 1
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -276,17 +288,16 @@ def poly_deriv(p) -> list:
     return [i * p[i] for i in range(1, len(p))]
 
 
-def poly_divide_root(f, a: int, b: int):
-    """The quotient of an integer polynomial f by b x - a (b != 0), or None
-    when a/b is not a root of f.  For coprime a and b the quotient has
-    integer coefficients by Gauss's lemma, so every division is exact: a
-    remainder on the way already shows that a/b is no root."""
+def poly_divide_root(f, a, b):
+    """The quotient of a polynomial f by b x - a (b != 0), or None when a/b
+    is not a root.  Over Z, for coprime a and b, a remainder on the way
+    already shows that a/b is no root (Gauss's lemma); a field divides by b."""
     if not f:
         return []
     quot = [0] * (len(f) - 1)
     carry = f[-1]
     for k in range(len(f) - 2, -1, -1):
-        quot[k], rem = divmod(carry, b)
+        quot[k], rem = divmod(carry, b) if is_rational(carry) else (carry / b, 0)
         if rem:
             return None
         carry = f[k] + a * quot[k]
@@ -351,7 +362,7 @@ def solve_linear(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> LinearSol
 # ---------------------------------------------------------------------------
 
 class Dual(Value):
-    """a + b*delta with delta^2 = 0, over Q."""
+    """a + b*delta with delta^2 = 0, over any field."""
 
     def __init__(self, val: Rat, der: Rat):
         self.__dict__.update(val=val, der=der)
@@ -359,10 +370,6 @@ class Dual(Value):
     @classmethod
     def var(cls, x) -> "Dual":
         return cls(x, 1)
-
-    @classmethod
-    def const(cls, x) -> "Dual":
-        return cls(x, 0)
 
     @staticmethod
     def _lift(x) -> "Dual":

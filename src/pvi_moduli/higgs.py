@@ -27,6 +27,7 @@ destabilizer from the integer types of `parabolic.candidate_types` (and
 alone, and the entries of A times x(x-1)(x-t) in closed form from the
 same pole data (`_cleared_normal_form`), or, for the O(1), W = q - x
 from q alone.  No residue matrix, normal form or eigen table is built.
+Over a field other than Q the same code runs on its elements.
 
 No root search is ever needed.  L destabilizes for some weights only if
 deg(L) + sum_{i in S} eps_i - sum_{i not in S} eps_i > 1/2 with every
@@ -42,8 +43,8 @@ from typing import Optional
 
 from .connection import PPoint, PQState, Sheet, pole_index
 from .errors import DegenerateInput, SpecialWeights
-from .exact import (INF, Value, is_inf, over_common_denominator, poly_add, poly_deriv,
-                    poly_divide_root, poly_mul, poly_scale, poly_trim, proj_to_str)
+from .exact import (INF, Value, is_inf, is_rational, over_common_denominator, poly_add, poly_deriv,
+                    poly_divide_root, poly_mul, poly_scale, poly_trim, proj_to_str, quotient)
 from .parabolic import (QuasiPar, Subbundle, conic_subbundle, direction_point,
                         in_general_position, line_through, parabolic_from_connection, phi_map,
                         section_value)
@@ -55,8 +56,8 @@ GRADED = "graded"
 
 
 def sorted_divisor(points) -> tuple:
-    """A divisor as the tuple of its points, finite ones ascending, then inf."""
-    return tuple(sorted(points, key=lambda z: (1, Fraction(0)) if is_inf(z) else (0, z)))
+    """A divisor's points as a tuple: in Q ascending, then other field elements, then inf."""
+    return tuple(sorted(points, key=lambda z: (2, 0) if is_inf(z) else (not is_rational(z), z)))
 
 
 class HiggsLimit(Value):
@@ -154,7 +155,7 @@ def representative(point: PPoint, poles) -> QuasiPar:
 
 def _over_one_denominator(*polys) -> list:
     """The polynomials times one common denominator of all their
-    coefficients, as integer coefficient lists."""
+    coefficients: integer coefficient lists on Q."""
     nums = iter(over_common_denominator([c for p in polys for c in p])[0])
     return [[next(nums) for _ in p] for p in polys]
 
@@ -219,26 +220,23 @@ def theta_divisor(s: PQState, sub: Subbundle):
     contact zeros, i.e. when L destabilizes for no weights (see the module
     docstring).
 
-    W is computed on integers (`_wronskian`): x(x-1)(x-t) and the cleared
-    entries of A of the state's normal form, in closed form from its pole
-    data (`_cleared_normal_form`, so no residue matrix is built), over one
-    common denominator, the sections over another.  That scales W by a
-    nonzero constant, which moves no root.  A finite contact pole is
-    divided out as the factor b x - a of its integer point (a, 0, b) =
-    `parabolic.direction_point(t_i, 0)`, exactly by Gauss's lemma.
+    W is `_wronskian` of x(x-1)(x-t), the entries of A cleared by it in
+    closed form from the pole data (`_cleared_normal_form`) over one common
+    denominator, and the sections over another, so on Q all are integers;
+    that scales W by a nonzero constant, which moves no root.  A finite
+    contact pole is divided out as the factor b x - a of its point
+    (a, 0, b) = `parabolic.direction_point(t_i, 0)`, exactly on Z by
+    Gauss's lemma.
 
-    For the O(1), (s1, s2) = (0, 1), and W = -a12 = q - x in closed form:
-    the Higgs field of the O(1) vanishes exactly at the apparent
-    singularity q, the paper's statement for zone A.  So W is taken as
-    the integer multiple [q.numerator, -q.denominator] of q - x, after
+    For the O(1), (s1, s2) = (0, 1) and W = -a12 = q - x: its Higgs field
+    vanishes exactly at the apparent singularity q, the paper's statement
+    for zone A.  W is taken as `over_common_denominator((q, -1))[0]`, after
     `s.pole_data` is read, so that a state with no normal form raises what
-    `_cleared_normal_form` raises.  The contact, deficit and free-root
-    rules below are the same for every degree.
+    `_cleared_normal_form` raises.
     """
-    t = s.t
     if sub.degree == 1:
         s.pole_data  # raises on a state with no normal form
-        w_poly = [s.q.numerator, -s.q.denominator]
+        w_poly = over_common_denominator((s.q, -1))[0]
     else:
         pi, a11, a12, a21 = _over_one_denominator(*_cleared_normal_form(s))
         s1, s2 = _over_one_denominator(*sub.sections())
@@ -247,7 +245,7 @@ def theta_divisor(s: PQState, sub: Subbundle):
     # Strict compatibility forces zeros at the finite contact poles; what
     # is left after dividing them out is at most linear (module docstring).
     roots = []
-    poles = (Fraction(0), Fraction(1), t, INF)
+    poles = (Fraction(0), Fraction(1), s.t, INF)
     for i in sorted(sub.contact):
         tv = poles[i - 1]
         if is_inf(tv):
@@ -265,7 +263,7 @@ def theta_divisor(s: PQState, sub: Subbundle):
             f"degree-{sub.degree} subbundle with contact {sorted(sub.contact)} "
             "destabilizes for no weights")
     if len(w_poly) == 2:
-        roots.append(Fraction(-w_poly[0], w_poly[1]))
+        roots.append(quotient(-w_poly[0], w_poly[1]))
     roots += [INF] * deficit
     return sorted_divisor(roots)
 

@@ -19,14 +19,14 @@ structure clears its poles and directions to those points once
 (`QuasiPar.points`, by `direction_point`); the contact sets, general
 position and the contact system all read them.  Each candidate comes as
 its (degree, contact) type and an integer kernel (a line or the minors),
-and `subbundle_of` builds the `Fraction` coefficients of one, so
+and `subbundle_of` builds the coefficients of one (`exact.quotient`), so
 `stability.find_destabilizer` builds them only for the subbundle it
-returns.  The structure of a connection is read from its state's pole
-data (`parabolic_from_connection`), with no eigen table.
+returns; over a field other than Q the points keep its elements.  The
+structure of a connection is read from its state's pole data
+(`parabolic_from_connection`), with no eigen table.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Sequence
@@ -34,7 +34,7 @@ from typing import Sequence
 from .connection import PPoint, PQState, eigen_table
 from .errors import DegenerateInput, NotSimple
 from .exact import (INF, ProjRat, Rat, Value, det4, is_inf, over_common_denominator, parse_list,
-                    proj_from_str, proj_to_str, rat_to_str)
+                    proj_from_str, proj_to_str, quotient, rat_to_str)
 
 
 class QuasiPar(Value):
@@ -225,7 +225,7 @@ def _conic_coefficients(minors) -> tuple:
     last = next((m for m in reversed(minors) if m), None)
     if last is None:
         raise DegenerateInput("contact system has rank below 4, expected nullity 1")
-    return tuple(Fraction(m, last) for m in minors)
+    return tuple(quotient(m, last) for m in minors)
 
 
 def conic_subbundle(qp: QuasiPar):
@@ -238,10 +238,9 @@ def conic_subbundle(qp: QuasiPar):
     is spanned by the five signed 4x4 minors.  The vector is divided by
     its last nonzero entry: the free column of a nullity-1 system is the
     last column where the kernel is nonzero, so this is the
-    reduced-row-echelon basis vector.  Raises
-    DegenerateInput when every minor vanishes (rank below 4, so the
-    solution is not unique up to scale).
-    """
+    reduced-row-echelon basis vector.  Raises DegenerateInput when every
+    minor vanishes (rank below 4, so the solution is not unique up to
+    scale)."""
     v0, v1, w0, w1, w2 = _conic_coefficients(_conic_minors(qp))
     return ((v0, v1), (w0, w1, w2))
 
@@ -336,11 +335,11 @@ def section_type(qp: QuasiPar):
 
 def subbundle_of(degree: int, contact: frozenset, kernel) -> Subbundle:
     """The `Subbundle` of a candidate of `candidate_types` or
-    `section_type`, with Fraction coefficients: (-L_z/L_y, -L_x/L_y) from
-    a line L, and `_conic_coefficients` from the minors."""
+    `section_type`, its coefficients by `exact.quotient`: (-L_z/L_y,
+    -L_x/L_y) from a line L, and `_conic_coefficients` from the minors."""
     if degree == 0:
         lx, ly, lz = kernel
-        return Subbundle(0, (Fraction(-lz, ly), Fraction(-lx, ly)), contact)
+        return Subbundle(0, (quotient(-lz, ly), quotient(-lx, ly)), contact)
     if degree == -1:
         return Subbundle(-1, _conic_coefficients(kernel), contact)
     return Subbundle(degree, (), contact)

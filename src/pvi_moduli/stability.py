@@ -92,8 +92,9 @@ class Weights(Value):
         return cls(mu=mu, eps=eps)
 
 
-def nonspecial_eps(eps) -> bool:
-    """All sixteen signed sums +-eps_1 +- ... +- eps_4 avoid the half-integers.
+def nonspecial_numerators(nums, den: int) -> bool:
+    """All sixteen signed sums +-eps_1 +- ... +- eps_4 of eps_i = nums[i] / den,
+    over any common denominator den > 0, avoid the half-integers.
 
     This is the nonspecial condition on weights (mu_i, eps_i): for the
     weight values alpha_i^{+-} = mu_i +- eps_i at parabolic degree 1 the
@@ -102,12 +103,6 @@ def nonspecial_eps(eps) -> bool:
     sum_i alpha_i^{s_i} + (1 - sum alpha)/2 = sum_i s_i eps_i + 1/2, which
     must avoid the integers.
     """
-    return nonspecial_numerators(*over_common_denominator(eps))
-
-
-def nonspecial_numerators(nums, den: int) -> bool:
-    """`nonspecial_eps` for eps_i = nums[i] / den over any common
-    denominator den > 0, on integers."""
     # s/den is a half-integer iff 2s = 0 but s != 0 mod den
     return not any(2 * s % den == 0 and s % den != 0 for s in pick_sums((n, -n) for n in nums))
 

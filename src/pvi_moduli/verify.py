@@ -167,8 +167,7 @@ def connection_identities(s: PQState) -> list:
 
 def fibration_identities(s: PQState) -> list:
     """Q and Q' of the two induced parabolic structures, and the residues
-    under elementary transformations; sampled only, because q_map and the
-    residue predicates read denominators."""
+    under elementary transformations."""
     k = s.kappa
     qp, qp_plus = parabolic_structures(s)
     big_q = q_map_parabolic(qp)

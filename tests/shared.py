@@ -1,7 +1,8 @@
 """Inputs that several test modules share: the worked state, the
 Hypothesis strategies for rationals of small and of 64-bit height, and
 the references that several modules check the package against: `matvec`
-for `Mat2` products, `candidate_subbundles` for the candidates of
+for `Mat2` products, `matrix_at` for A(x) of a `FourPoleConnection`,
+`candidate_subbundles` for the candidates of
 `parabolic` and `destabilizer_by_enumeration` for
 `stability.find_destabilizer`."""
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from fractions import Fraction as F
 from hypothesis import strategies as st
 
 from pvi_moduli.connection import KappaParams, PQState
-from pvi_moduli.errors import SpecialWeights
+from pvi_moduli.errors import DegenerateInput, SpecialWeights
 from pvi_moduli.exact import HALF
 from pvi_moduli.parabolic import candidate_types, section_type, subbundle_of
 from pvi_moduli.stability import parabolic_degree
@@ -26,6 +27,15 @@ rationals = st.one_of(tiny, small, tall)
 def matvec(m, v) -> tuple:
     """The product of a `Mat2` with the column vector v, over any field."""
     return (m.a11 * v[0] + m.a12 * v[1], m.a21 * v[0] + m.a22 * v[1])
+
+
+def matrix_at(conn, x):
+    """A(x) = A1/x + A2/(x-1) + A3/(x-t) + C of a `FourPoleConnection`, as
+    a `Mat2`, at a point x off the poles."""
+    if x in (0, 1, conn.t):
+        raise DegenerateInput(f"A(x) has a pole at x = {x}")
+    return (conn.a1.scale(1 / x) + conn.a2.scale(1 / (x - 1))
+            + conn.a3.scale(1 / (x - conn.t)) + conn.c)
 
 
 def worked_state():

@@ -1,17 +1,29 @@
-"""Certificates: the normal-form and symmetry identities proved over Q(t, k1..k4, q, p).
+"""Certificates: the normal-form, symmetry and Higgs identities proved over Q(t, k1..k4, q, p).
 
 The package formulas compute over whatever field their inputs live in, so
 running them unchanged on elements of sympy's rational function field
 proves each identity as an identity of rational functions, not only at
 sampled points.  Field elements are reduced canonical fractions, so `==`
-is the identity test.  sympy is a test-only dependency.
+is the identity test.  sympy is a test-only dependency.  Only `exact`
+tells Q from another field (`exact.is_rational`): the integrality
+predicates hold at the generic point, values not in Q, so nothing here
+is monkeypatched and the shipped code is what runs.
 
 The identities the connection and backlund suites sample at each state
 are declared once, by `verify.connection_identities` and
 `verify.backlund_identities`; both run here once on the symbolic STATE,
 with one test per name they return.  They read the values made once per
 state (the normal form, its eigen table and the table of word prefixes),
-so it is those values that are proved.
+so it is those values that are proved.  So do `fibration_identities` on
+STATE and `transversality_identities` over Q(l1, l2, k0).
+
+The Higgs declarations run unchanged on STATE, one test per record, at
+one seeded weight per zone: `zone_a_limit_identities`,
+`graded_limit_identity` in all eight unstable zones,
+`quotient_slope_identity` in A, B and C12, `dictionary_identities` on
+C12, C23, C14 and B, and `colinear_limit_identity`, whose state lies over
+Q(t, kappa, q).  Each proves the generic state at that weight, not the
+whole chamber; `stable_limit_identities` stays sampled.
 
 The Fuchs relations are checked only where exponents come in
 (`KappaParams.from_strs`); every map that makes new exponents is proved
@@ -49,14 +61,14 @@ den = 1: it is 2 (d + sum_S eps - sum_rest eps) for every contact set S,
 and a type and its complement (-d, the other poles) score opposite, the
 identity the zone classifier's scan of four types relies on.
 
-The contact, conic and Wronskian cores take coordinates in any
-commutative ring, so they run here on polynomial-ring symbols, over
-Z[t1..t4, u1..u4] and on generic entries: a conic row is the homogenized
-contact condition z^2 (w(t) - u v(t)) and the u = inf row the homogenized
-v(t); the signed minors of the contact system lie in its kernel; the
-shared-zero polynomial is the resultant of v and w; (a x b) . c and
-`det4` are the determinants; and on the normal form over
-Q(t, kappa, q, p) the Wronskian vanishes at every finite contact pole.
+The contact and conic cores take coordinates in any commutative ring,
+so they run here on polynomial-ring symbols, over Z[t1..t4, u1..u4] and
+on generic entries: a conic row is the homogenized contact condition
+z^2 (w(t) - u v(t)) and the u = inf row the homogenized v(t); the signed
+minors of the contact system lie in its kernel; the shared-zero
+polynomial is the resultant of v and w; and (a x b) . c and `det4` are
+the determinants.  On STATE, `theta_divisor` puts every contact pole of
+each candidate subbundle in its divisor.
 """
 from functools import partial
 from itertools import combinations, product
@@ -70,34 +82,23 @@ from pvi_moduli import connection, verify  # noqa: E402
 from pvi_moduli.connection import (KappaParams, PQState, ResidueVector,  # noqa: E402
                                    elementary_transform_residues)
 from pvi_moduli.exact import Dual, det4, okamoto_s0, poly_mul, poly_trim  # noqa: E402
-from pvi_moduli.higgs import _cleared_normal_form, _wronskian  # noqa: E402
+from pvi_moduli.higgs import _cleared_normal_form, theta_divisor  # noqa: E402
 from pvi_moduli.mconv import sigma_text  # noqa: E402
 from pvi_moduli.parabolic import (_conic_row, _fiber_row, _resultant, _signed_minors,  # noqa: E402
-                                  cross, dot, line_through, parabolic_from_connection,
-                                  parabolic_structures, q_map_parabolic, section_value)
-from pvi_moduli.stability import _score  # noqa: E402
+                                  candidate_types, cross, dot, parabolic_from_connection,
+                                  parabolic_structures, q_map_parabolic, subbundle_of)
+from pvi_moduli.sampling import RationalSampler  # noqa: E402
+from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_A, ZONE_B, ZONE_STABLE,  # noqa: E402
+                                  Branch, _score, czone, stable_subzone_branch)
+from records import passes  # noqa: E402
 from shared import matvec  # noqa: E402
 
 K, t, k1, k2, k3, k4, q, p = sympy.field("t k1 k2 k3 k4 q p", sympy.QQ)
 k0 = (1 - k1 - k2 - k3 - k4) / 2
 STATE = PQState(t, KappaParams(k0, k1, k2, k3, k4), q, p)
 
-
-def _generic(kappa):
-    # kappa_generic reads .denominator, a statement about rational numbers;
-    # a symbolic kappa is the generic point, where it holds.
-    return True
-
-
-@pytest.fixture(autouse=True)
-def generic_kappa(monkeypatch):
-    monkeypatch.setattr(connection, "kappa_generic", _generic)
-
-
-with pytest.MonkeyPatch.context() as mp:
-    mp.setattr(connection, "kappa_generic", _generic)
-    CONNECTION = {name: passed for name, passed, _ in verify.connection_identities(STATE)}
-    BACKLUND = {name: passed for name, passed, _ in verify.backlund_identities(STATE)}
+CONNECTION = passes(verify.connection_identities(STATE))
+BACKLUND = passes(verify.backlund_identities(STATE))
 
 RELATIONS = [name for name, _, _ in bk.RELATION_WORDS]
 
@@ -167,13 +168,107 @@ def test_closed_form_clears_by_the_polynomial_of_the_finite_poles():
 
 
 # ---------------------------------------------------------------------------
+# The Higgs declarations, at one seeded weight per zone
+# ---------------------------------------------------------------------------
+
+SAMPLER = RationalSampler(seed=1)
+WEIGHTS = {zone: SAMPLER.weights_in_zone(zone) for zone in ALL_ZONE_LABELS}
+COLINEAR_WEIGHTS = SAMPLER.retry(
+    lambda: SAMPLER.weights_in_zone(ZONE_STABLE),
+    lambda w: stable_subzone_branch(w, 1) == Branch.COLINEAR_UNSTABLE)
+DICTIONARY = [(czone(i, j), bk.pair_fibration_word(i, j)) for i, j in ((1, 2), (2, 3), (1, 4))]
+DICTIONARY.append((ZONE_B, bk.full_flip_fibration_word()))
+DICTIONARY_ZONES = [zone for zone, _ in DICTIONARY]
+QUOTIENT_ZONES = (ZONE_A, ZONE_B, czone(1, 2))
+
+ZONE_A_LIMIT = passes(verify.zone_a_limit_identities(STATE, WEIGHTS[ZONE_A]))
+GRADED = passes([record for zone in ALL_ZONE_LABELS
+                 for record in verify.graded_limit_identity(zone, STATE, WEIGHTS[zone])])
+QUOTIENT = {zone: passed for zone in QUOTIENT_ZONES
+            for _, passed, _ in verify.quotient_slope_identity(STATE, WEIGHTS[zone])}
+DICTIONARY_RECORDS = verify.dictionary_identities(
+    DICTIONARY_ZONES, STATE, [bk.apply_word(word, STATE).q for _, word in DICTIONARY],
+    [WEIGHTS[zone] for zone in DICTIONARY_ZONES])
+DICTIONARY_LIMITS = {zone: passed
+                     for zone, (_, passed, _) in zip(DICTIONARY_ZONES, DICTIONARY_RECORDS)}
+COLINEAR = passes(verify.colinear_limit_identity(STATE, COLINEAR_WEIGHTS))
+
+
+@pytest.mark.parametrize("name", list(ZONE_A_LIMIT))
+def test_zone_a_limit_identity(name):
+    """`verify.zone_a_limit_identities` on STATE at one seeded zone-A
+    weight: the limit's divisor is the apparent singularity q and the
+    limit is the fibration composite.  The proof covers the generic state
+    at that weight; the rest of the chamber needs the vertex margins of
+    the 24 chambers (tests/test_chambers.py), which are open work."""
+    assert ZONE_A_LIMIT[name]
+
+
+@pytest.mark.parametrize("name", list(GRADED))
+def test_graded_limit_identity(name):
+    """`verify.graded_limit_identity` on STATE at one seeded weight in
+    each unstable zone: the limit keeps a nonzero Higgs field.  The proof
+    covers the generic state at that weight; the rest of the chamber
+    needs the vertex margins of the 24 chambers, which are open work."""
+    assert GRADED[name]
+
+
+@pytest.mark.parametrize("zone", list(QUOTIENT))
+def test_quotient_slope_identity(zone):
+    """`verify.quotient_slope_identity` on STATE at one seeded weight in
+    zones A, B and C12: the invariant quotient has slope below 1/2.  The
+    proof covers the generic state at that weight; the rest of the
+    chamber needs the vertex margins of the 24 chambers, which are open
+    work."""
+    assert QUOTIENT[zone]
+
+
+@pytest.mark.parametrize("zone", list(DICTIONARY_LIMITS))
+def test_dictionary_identity(zone):
+    """`verify.dictionary_identities` on STATE at one seeded weight in
+    each of C12, C23, C14 and B: the limit vanishes at the contact poles
+    and at the q of the zone's symmetry word applied to STATE.  The proof
+    covers the generic state at that weight; the rest of the chamber
+    needs the vertex margins of the 24 chambers, which are open work."""
+    assert DICTIONARY_LIMITS[zone]
+
+
+@pytest.mark.parametrize("name", list(COLINEAR))
+def test_colinear_limit_identity(name):
+    """`verify.colinear_limit_identity` at one seeded stable weight on
+    the colinear-unstable branch at pole 1: the state it makes from STATE,
+    p = -k0/q, lies over Q(t, kappa, q), and its limit carries the three
+    forced zeros.  The proof covers that generic state at that weight;
+    the rest of the chamber needs the vertex margins of the 24 chambers,
+    which are open work.  `stable_limit_identities` stays sampled."""
+    assert COLINEAR[name]
+
+
+# ---------------------------------------------------------------------------
 # The two fibrations
 # ---------------------------------------------------------------------------
 
-def test_transversality_solves_both_fibers():
-    _, l1, l2, c0 = sympy.field("l1 l2 c0", sympy.QQ)
-    q1, p1 = bk.transversality_solve(l1, l2, c0)
-    assert (q1, q1 + c0 / p1) == (l1, l2)
+FIBRATION = passes(verify.fibration_identities(STATE))
+_, L1, L2, C0 = sympy.field("l1 l2 c0", sympy.QQ)
+TRANSVERSALITY = {case: passed for case, l2 in (("l1 != l2", L2), ("l1 = l2", L1))
+                  for _, passed, _ in verify.transversality_identities(L1, l2, C0)}
+
+
+@pytest.mark.parametrize("name", list(FIBRATION))
+def test_fibration_identity(name):
+    """`verify.fibration_identities` on STATE: Q of the induced structure,
+    by its closed form and by the conic, the alternative structure's Q',
+    the residues' genericity (true at the generic point) and the four
+    elementary transformations."""
+    assert FIBRATION[name]
+
+
+@pytest.mark.parametrize("case", list(TRANSVERSALITY))
+def test_transversality_identity(case):
+    """`verify.transversality_identities` over Q(l1, l2, k0): the fibers
+    q = l1 and Q = l2 meet at one finite point, and for l2 = l1 only at
+    infinity."""
+    assert TRANSVERSALITY[case]
 
 
 def test_parabolic_structure_read_from_the_pole_data_is_the_eigen_tables():
@@ -245,8 +340,8 @@ def test_zone_score_is_twice_the_parabolic_degree_and_odd_under_complement(conta
 
 @pytest.mark.parametrize("name", bk.ALPHABET)
 def test_generator_is_symplectic(name):
-    by_q = bk.apply_generator(name, STATE.with_kappa(STATE.kappa, q=Dual.var(q), p=Dual.const(p)))
-    by_p = bk.apply_generator(name, STATE.with_kappa(STATE.kappa, q=Dual.const(q), p=Dual.var(p)))
+    by_q = bk.apply_generator(name, STATE.with_kappa(STATE.kappa, q=Dual.var(q), p=Dual(p, 0)))
+    by_p = bk.apply_generator(name, STATE.with_kappa(STATE.kappa, q=Dual(q, 0), p=Dual.var(p)))
     assert by_q.q.der * by_p.p.der - by_p.q.der * by_q.p.der == 1
 
 
@@ -283,7 +378,7 @@ def test_elementary_transform_keeps_the_fuchs_sum(i, degree):
 
 
 # ---------------------------------------------------------------------------
-# The contact, conic and Wronskian cores, over Z[t1..t4, u1..u4]
+# The contact and conic cores over Z[t1..t4, u1..u4]; theta_divisor on STATE
 # ---------------------------------------------------------------------------
 
 _, *TU = sympy.ring("t1 t2 t3 t4 u1 u2 u3 u4", sympy.ZZ)
@@ -347,36 +442,22 @@ def test_det4_is_the_determinant():
     assert sympy.expand(det4(rows) - sympy.Matrix(rows).det()) == 0
 
 
-def _contact_sections(qp, conic):
-    """(s1, s2, finite contact poles) for each degree-0 line through two
-    directions and, when asked, for the degree-(-1) section through all
-    four, from the signed minors of its rows over the field."""
-    poles = (0, 1, t)
-    for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
-        yield (1,), line_through(qp, list(pair)), [poles[i] for i in pair if i < 3]
-    if conic:
-        rows = [_conic_row((tv, uv, 1)) for tv, uv in zip(poles, qp.u)]
-        minors = _signed_minors(rows + [_conic_row((1, qp.u[3], 0))])
-        yield minors[:2], minors[2:], list(poles)
-
-
 @pytest.mark.parametrize("side", [0, 1], ids=["parabolic", "alternative"])
 def test_wronskian_vanishes_at_every_finite_contact_pole(side):
-    """On the normal form over Q(t, kappa, q, p), its entries in the
-    closed form `theta_divisor` reads (proved equal to the residues' sums
-    above), for each structure:
-    every section through two of its directions, and on the parabolic
-    structure the section through all four, has a Wronskian that vanishes
-    at each finite pole it meets, as the direction there is an
-    eigenvector of the residue.  (The alternative structure's section
-    through all four takes about 10 s over this field, so it is left
-    out.)  `theta_divisor` then divides these roots out with
-    `poly_divide_root`, which cannot run here: it reads integer
-    remainders with `divmod`, so it stays sampled
-    (tests/test_kernel_oracles.py::TestThetaDivisor)."""
+    """`theta_divisor` run unchanged on the normal form over
+    Q(t, kappa, q, p), for each candidate of each structure that
+    `candidate_types` lists, built by `subbundle_of`: its divisor holds
+    every contact pole.  At a finite one the Wronskian vanishes, as the
+    direction there is an eigenvector of the residue, and
+    `poly_divide_root` divides the root out over the field; at infinity
+    the degree drops.  The section through all four (`section_type`) of
+    the parabolic structure is zone B's destabilizer, whose divisor
+    `test_dictionary_identity` proves to be the four poles and one free
+    zero; the alternative structure's takes over a minute over this
+    field, so it is left out."""
     qp = parabolic_structures(STATE)[side]
-    for s1, s2, contact in _contact_sections(qp, conic=side == 0):
-        w_poly = _wronskian(PI, *ENTRIES, s1, s2)
-        assert any(w_poly)
-        assert [section_value(w_poly, tv, len(w_poly) - 1) for tv in contact] \
-            == [0] * len(contact)
+    for cand in candidate_types(qp):
+        sub = subbundle_of(*cand)
+        divisor = theta_divisor(STATE, sub)
+        assert [pole for pole in (STATE.poles[i - 1] for i in sub.contact)
+                if pole not in divisor] == []

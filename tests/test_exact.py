@@ -249,7 +249,7 @@ class TestDual:
 
     def test_division_value_zero(self):
         with pytest.raises(DegenerateInput):
-            Dual.const(1) / Dual(F(0), F(1))
+            Dual(1, 0) / Dual(F(0), F(1))
 
 
 class TestMat2:

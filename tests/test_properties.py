@@ -56,7 +56,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from pvi_moduli.backlund import ALPHABET, apply_generator, apply_word
 from pvi_moduli.connection import KappaParams, PPoint, PQState, Sheet
 from pvi_moduli.errors import ModuliError, NotSimple
-from pvi_moduli.exact import HALF, INF, is_inf
+from pvi_moduli.exact import HALF, INF, is_inf, over_common_denominator
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights, sigma_text, zone_interchange_check
 from pvi_moduli.higgs import (GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative,
                               sorted_divisor, theta_divisor)
@@ -65,7 +65,7 @@ from pvi_moduli.parabolic import (QuasiPar, Subbundle, in_general_position, is_s
                                   phi_map, q_map, q_map_parabolic)
 from pvi_moduli.sampling import _zone_of
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, ZONE_STABLE, Weights,
-                                  classify_zone, et_pair, find_destabilizer, nonspecial_eps,
+                                  classify_zone, et_pair, find_destabilizer, nonspecial_numerators,
                                   parabolic_degree)
 from pvi_moduli.verify import (connection_identities, destabilizer_identities, mc_identities,
                                zone_label_identities)
@@ -356,7 +356,8 @@ def test_mc_exponents_give_exponents_or_a_moduli_error(e, sigma, data):
 def test_mc_exponents_keep_odd_degree_for_every_sigma(e):
     # no parity check inside `mc_exponents`: sum(mu') = -1/2 mod 1 and
     # 0 < eps' < 1/2 (the `Weights` constructor) hold on every nonspecial input
-    if isinstance(e, ModuliError) or not nonspecial_eps(e.eps) or _frac(sum(e.mu)) != HALF:
+    if (isinstance(e, ModuliError) or not nonspecial_numerators(*e.cleared)
+            or _frac(sum(e.mu)) != HALF):
         return
     for signs in product("+-", repeat=4):
         out = mc_exponents(e, "".join(signs))
@@ -371,7 +372,7 @@ def test_every_unstable_zone_weight_is_nonspecial(e):
     if isinstance(e, ModuliError):
         return
     if outcome(classify_zone, e) in ALL_ZONE_LABELS:
-        assert nonspecial_eps(e.eps)
+        assert nonspecial_numerators(*e.cleared)
 
 
 @settings(deadline=None)
@@ -381,7 +382,7 @@ def test_sampler_zone_label_never_raises_in_the_open_cube(e):
         return
     label = _zone_of(*e.cleared)
     assert label in (None, ZONE_STABLE, *ALL_ZONE_LABELS)
-    assert (label is None) == (not nonspecial_eps(e.eps))
+    assert (label is None) == (not nonspecial_numerators(*e.cleared))
 
 
 @settings(deadline=None)
@@ -401,7 +402,8 @@ def test_zone_interchange_check_gives_a_zone_per_sigma_or_a_moduli_error(e):
 @settings(deadline=None)
 @given(st.lists(exponent_data(), min_size=1, max_size=4))
 def test_zone_label_identities_hold_at_any_height(data):
-    eps_samples = [e.eps for e in data if not isinstance(e, ModuliError) and nonspecial_eps(e.eps)]
+    eps_samples = [e.eps for e in data if not isinstance(e, ModuliError)
+                   and nonspecial_numerators(*e.cleared)]
     assume(eps_samples)
     assert failed(zone_label_identities(eps_samples)) == []
 
@@ -447,7 +449,7 @@ def test_middle_convolution_is_okamoto_s0_on_the_signed_exponents(eps, sigma):
     # kappa_sigma = (2 sigma_i eps_i) has k0 = 1/2 - sum sigma_j eps_j, and
     # s0 sends k_i to k_i + k0 = -y_i; eps'_i is the representative of -y_i
     # in (0, 1) halved, up to the parity flip eps' -> 1/2 - eps' at pole 1
-    assume(nonspecial_eps(eps))
+    assume(nonspecial_numerators(*over_common_denominator(eps)))
     state = PQState(t=F(2), kappa=KappaParams.from_k1234(*(2 * s * e for s, e in zip(sigma, eps))),
                     q=F(3), p=F(1))
     s0 = apply_generator("s0", state).kappa.all4

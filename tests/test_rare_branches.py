@@ -53,8 +53,6 @@ RAISES = [
      "residue at infinity"),
     (lambda: connection(F(0), F(0), F(0), F(0)).apparent_singularity_base(), DegenerateInput,
      "vanishes identically"),
-    (lambda: connection(F(0), F(1), F(1), F(1)).matrix_at(F(2)), DegenerateInput,
-     "has a pole at x = 2"),
     # q = Q - k0/p = 0 when p = k0/Q
     (lambda: build_connection_qp(F(2), KAPPA, F(3), F(1, 16)).p_invariant(),
      NormalFormDegenerate, "p-invariant needs q away from the poles"),

@@ -10,6 +10,16 @@ The kernel shells clear denominators around a kernel and build its
 `Fraction` results.  `sampling`, `cli` and `verify` count as whole-module
 shells.  Module-level code is listed as `<module>`.
 
+Only `exact` tells ℚ from another field, by three helpers:
+`is_rational`, the one test; `quotient`, a `Fraction` for two ints and
+field division otherwise; and `over_common_denominator`, which hands
+values not in ℚ back over 1.  A type test, `isinstance(..., Fraction)`,
+`type(...) is int` or `hasattr(..., "denominator")`, is a rational read
+too, and outside `exact` it fails
+`test_only_exact_tells_the_rationals_from_a_field`, shell or not.  The
+integrality predicates ask `is_rational` first and hold at the generic
+point, values not in ℚ.
+
 The ring-generic kernels those shells wrap take coordinates in any
 commutative ring, and `tests/test_certificates.py` runs them on
 polynomial-ring symbols; `CORES` lists them with the other code that must
@@ -18,13 +28,13 @@ that turns a pole or a direction into an integer point, and
 `QuasiPar.points` calls it once per direction and keeps the points; the
 contact, conic and Wronskian cores, `_conic_minors`, `candidate_types`
 and `section_type`, which feed them those points, never read a
-denominator.  Only `parabolic.subbundle_of` turns a line or the minors
-into `Fraction` coefficients, for the one candidate that
-`find_destabilizer` returns.  Nor do the zone score
+denominator.  `parabolic._conic_coefficients` and `subbundle_of` divide
+a line or the minors by `quotient`, and `higgs.sorted_divisor` orders by
+`is_rational`, so they are cores as well.  Nor do the zone score
 `stability._score`, which the zone classifier, the branch test and the
-destabilizer scores share, and the convolution's integer `_convolve`.
-Those callers read the integer eps that `Weights.cleared` makes once per
-value, so they are off the list.  A
+destabilizer scores share, and the convolution's integer `_convolve`
+read a rational.  Those callers read the integer eps that
+`Weights.cleared` makes once per value, so they are off the list.  A
 new read outside the list fails
 `test_every_rational_read_sits_in_a_declared_shell`, and a shell with no
 read left fails `test_every_declared_shell_still_reads_a_rational`.
@@ -47,40 +57,64 @@ SHELLS = {
     "stability.Weights.of_eps": "constructor from numbers",
     "stability.Weights.cleared": "eps over one denominator, once per value",
     "mconv.odd_degree_weights": "constructor from numbers",
-    # serializers and the ordering a serialized divisor is written in
+    # serializers
     "exact.rat_to_str": "serializer",
-    "higgs.sorted_divisor": "orders a divisor for output",
+    "exact.to_json": "serializer",
     # integrality predicates
     "connection.kappa_generic": "integrality of the exponents",
     "connection.kostov_generic": "integrality of the residue sums",
     "connection.nonresonant": "integrality of the residue differences",
-    "stability.nonspecial_eps": "half-integrality of the signed sums",
-    # kernel shells: clear denominators, build the Fraction results
+    # the one test of Q against another field, and the clearing step
+    "exact.is_rational": "ints and Fractions are Q, anything else another field",
+    "exact.quotient": "a Fraction for two ints, field division otherwise",
     "exact.over_common_denominator": "the clearing step itself",
+    # kernel shells: clear denominators, build the Fraction results
     "exact.solve_linear": "the tests' reference eliminator, over Q",
     "parabolic.direction_point": "poles and directions to integer points",
-    "parabolic._conic_coefficients": "minors to (v0, v1, w0, w1, w2)",
-    "parabolic.subbundle_of": "line coefficients from the cross product",
     "stability.classify_numerators": "wall values in error messages",
     "higgs._frame": "the frame values",
     "higgs._over_one_denominator": "polynomials to integer coefficients",
-    "higgs.theta_divisor": "the poles and the free root",
+    "higgs.theta_divisor": "the poles 0 and 1, and the O(1)'s W cleared",
     "lattice.form_signature": "the Gram matrix over Q",
     "mconv.mc_exponents": "the exponents back as Fractions",
 }
 
 # Code that must read no rational: the ring-generic cores, the code that
-# feeds them integer points, and the integer kernels det4, poly_divide_root
-# and _convolve.
+# feeds them integer points or divides their results by `quotient`, the
+# divisor order, and the kernels det4, poly_divide_root and _convolve.
 CORES = ("parabolic.cross", "parabolic.dot", "parabolic._conic_row", "parabolic._fiber_row",
          "parabolic._signed_minors", "parabolic._conic_minors", "parabolic.in_general_position",
          "parabolic._resultant", "parabolic.QuasiPar.points", "parabolic.candidate_types",
-         "parabolic.section_type",
+         "parabolic.section_type", "parabolic._conic_coefficients", "parabolic.subbundle_of",
+         "higgs.sorted_divisor",
          "stability._score", "stability.nonspecial_numerators", "higgs._wronskian", "mconv._convolve",
          "exact.det4", "exact.poly_divide_root")
 
 RATIONAL_ATTRIBUTES = {"numerator", "denominator"}
 RATIONAL_CALLS = {"Fraction", "over_common_denominator"}
+TYPE_TESTS = ("isinstance(..., Fraction)", "type(...) is int", 'hasattr(..., "denominator")')
+
+
+def _names(node) -> set:
+    """The plain names a node is, or a tuple of them holds."""
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {elt.id for elt in elts if isinstance(elt, ast.Name)}
+
+
+def type_test(node):
+    """Which of the `TYPE_TESTS` a node is, if any."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 2:
+        name, arg = node.func.id, node.args[1]
+        if name == "isinstance" and "Fraction" in _names(arg):
+            return TYPE_TESTS[0]
+        if (name == "hasattr" and isinstance(arg, ast.Constant)
+                and arg.value in RATIONAL_ATTRIBUTES):
+            return TYPE_TESTS[2]
+    if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", None) == "type"
+            and any(_names(c) & {"int", "Fraction"} for c in node.comparators)):
+        return TYPE_TESTS[1]
+    return None
 
 
 def rational_reads(source: str, module: str):
@@ -94,7 +128,7 @@ def rational_reads(source: str, module: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            what = None
+            what = type_test(child)
             if isinstance(child, ast.Attribute) and child.attr in RATIONAL_ATTRIBUTES:
                 what = "." + child.attr
             elif isinstance(child, ast.Call):
@@ -142,6 +176,13 @@ def test_every_rational_read_sits_in_a_declared_shell():
     assert outside == []
 
 
+def test_only_exact_tells_the_rationals_from_a_field():
+    """The type tests sit in `exact.is_rational`, and in the serializer
+    `exact.to_json`, which writes a `Fraction` as "n/d"."""
+    assert {scope for scope, _, what in READS if what in TYPE_TESTS} == {
+        "exact.is_rational", "exact.to_json"}
+
+
 def test_every_declared_shell_still_reads_a_rational():
     scopes = {scope for scope, _, _ in READS}
     stale = [shell for shell in SHELLS if not any(within(scope, shell) for scope in scopes)]
@@ -181,3 +222,11 @@ def test_the_scan_sees_reads_in_nested_scopes_and_at_module_level():
         ("m.C.f", 5, "over_common_denominator(...)"),
         ("m.C.f", 5, ".denominator"),
     ]
+
+
+def test_the_scan_sees_every_type_test():
+    source = ("def f(x):\n"
+              "    return (isinstance(x, (int, Fraction)), type(x) is int,\n"
+              "            hasattr(x, 'denominator'), isinstance(x, str), type(x) is str)\n")
+    assert rational_reads(source, "m") == [("m.f", 2, TYPE_TESTS[0]), ("m.f", 2, TYPE_TESTS[1]),
+                                           ("m.f", 3, TYPE_TESTS[2])]

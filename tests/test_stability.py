@@ -5,12 +5,12 @@ import pytest
 
 from pvi_moduli import parabolic, stability
 from pvi_moduli.errors import DegenerateInput, SpecialWeights
-from pvi_moduli.exact import INF
+from pvi_moduli.exact import INF, over_common_denominator
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights
 from pvi_moduli.parabolic import QuasiPar, Subbundle, line_through
 from pvi_moduli.sampling import RationalSampler
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_CONTACT, ZONE_STABLE, Branch, Weights,
-                                  classify_zone, et_pair, find_destabilizer, nonspecial_eps,
+                                  classify_zone, et_pair, find_destabilizer, nonspecial_numerators,
                                   parabolic_degree, stable_subzone_branch)
 from pvi_moduli.verify import (destabilizer_identities, et_orbit_identities, mu_identity,
                                oracle_destabilizer, stable_destabilizer_identity,
@@ -98,10 +98,10 @@ class TestEtPair:
 class TestNonspecialWeights:
     def test_small_eps_with_zero_mu(self):
         w = Weights.of_eps([F(1, 10), F(1, 12), F(1, 14), F(1, 16)])
-        assert nonspecial_eps(w.eps)
+        assert nonspecial_numerators(*w.cleared)
 
     def test_sum_half_is_special(self):
-        assert not nonspecial_eps([F(1, 8)] * 4)
+        assert not nonspecial_numerators(*over_common_denominator([F(1, 8)] * 4))
 
     def test_coincident_pair_is_special(self):
         # alpha^- = alpha^+ at pole 1 means eps_1 = 0, outside the weight range
