@@ -71,6 +71,14 @@ class KappaParams(Value):
         k1, k2, k3, k4 = map(Fraction, (k1, k2, k3, k4))
         return cls((1 - k1 - k2 - k3 - k4) / 2, k1, k2, k3, k4)
 
+    @classmethod
+    def generic_from_numerators(cls, nums, den: int) -> "KappaParams":
+        """k_i = nums[i]/den and k0 = (1 - k1 - ... - k4)/2, for numerators
+        that passed `generic_numerators`: `generic` is that verdict."""
+        kappa = cls(Fraction(den - sum(nums), 2 * den), *(Fraction(n, den) for n in nums))
+        kappa.__dict__["generic"] = True
+        return kappa
+
     @property
     def finite(self):
         return (self.k1, self.k2, self.k3)
@@ -106,14 +114,17 @@ class KappaParams(Value):
 
 
 def kappa_generic(kappa: KappaParams) -> bool:
-    """k_i not integers, and no signed sum +-k1+-k2+-k3+-k4 an odd integer;
-    True at the generic point, values not in Q."""
-    if not is_rational(*kappa.all4):
-        return True
-    if any(k.denominator == 1 for k in kappa.all4):
+    """k_i not integers, and no signed sum +-k1+-k2+-k3+-k4 an odd integer
+    (`generic_numerators`); True at the generic point, values not in Q."""
+    return (not is_rational(*kappa.all4)
+            or generic_numerators(*over_common_denominator(kappa.all4)))
+
+
+def generic_numerators(nums, den: int) -> bool:
+    """`kappa_generic` of k_i = nums[i]/den: no n_i a multiple of den, and
+    no signed sum s with s/den odd, i.e. s = den mod 2*den."""
+    if any(n % den == 0 for n in nums):
         return False
-    nums, den = over_common_denominator(kappa.all4)
-    # s/den is an odd integer iff s = den mod 2*den
     return not any(s % (2 * den) == den for s in pick_sums((n, -n) for n in nums))
 
 

@@ -45,9 +45,8 @@ from .connection import PPoint, PQState, Sheet, pole_index
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (INF, Value, is_inf, is_rational, over_common_denominator, poly_add, poly_deriv,
                     poly_divide_root, poly_mul, poly_scale, poly_trim, proj_to_str, quotient)
-from .parabolic import (QuasiPar, Subbundle, conic_subbundle, direction_point,
-                        in_general_position, line_through, parabolic_from_connection, phi_map,
-                        section_value)
+from .parabolic import (QuasiPar, Subbundle, conic_minors, cross, direction_point,
+                        in_general_position, parabolic_from_connection, phi_map)
 from .stability import (Branch, Weights, ZONE_STABLE, classify_zone, find_destabilizer,
                         stable_subzone_branch)
 
@@ -126,27 +125,33 @@ def representative(point: PPoint, poles) -> QuasiPar:
 
     Orbit coordinates are fixed by pinning three directions to a
     deterministic frame; that `phi_map` sends it back to the point is tested.
-    Off the poles the first direction is read off the degree-(-1) section
-    (v, w) through the other three whose v vanishes at the base: the
-    direction u = inf over the base imposes exactly v(base) = 0.
+    Off the poles the first direction is w(t_1)/v(t_1) on the degree-(-1)
+    section (v, w) through the other three whose v vanishes at the base
+    (the direction u = inf there imposes exactly v(base) = 0): on its
+    minors (`parabolic.conic_minors`) and the point (a, 0, b) of t_1,
+    (b^2 m2 + a b m3 + a^2 m4) / (b (b m0 + a m1)), or m4/m1 at infinity.
+    On the plus sheet the third direction lies on the cross product L of
+    the other two: -(L_x a + L_z b) / (L_y b), or -L_x/L_y at infinity.
     """
     poles = tuple(poles)
     idx = _pole_index(point, poles)
     frame = _frame(poles)
+    u = list(frame)
     if idx is None:
-        v, w = conic_subbundle(QuasiPar(poles=(point.base,) + poles[1:], u=(INF,) + frame[1:]))
-        u = (section_value(w, poles[0], 2) / section_value(v, poles[0], 1),) + frame[1:]
+        m0, m1, m2, m3, m4 = conic_minors(
+            QuasiPar(poles=(point.base,) + poles[1:], u=(INF,) + frame[1:]))
+        a, _, b = direction_point(poles[0], 0)
+        u[0] = (quotient(m4, m1) if is_inf(poles[0])
+                else quotient(b * b * m2 + a * (b * m3 + a * m4), b * (b * m0 + a * m1)))
     elif point.sheet == Sheet.MINUS:
-        mod = list(frame)
-        mod[idx] = INF
-        u = tuple(mod)
+        u[idx] = INF
     else:
-        others = [j for j in range(4) if j != idx]
-        v = line_through(QuasiPar(poles=poles, u=frame), others[:2])
-        mod = list(frame)
-        mod[others[2]] = section_value(v, poles[others[2]], 1)
-        u = tuple(mod)
-    return QuasiPar(poles=poles, u=u)
+        i, j, k = (n for n in range(4) if n != idx)
+        points = QuasiPar(poles=poles, u=frame).points
+        lx, ly, lz = cross(points[i], points[j])
+        a, _, b = direction_point(poles[k], 0)
+        u[k] = quotient(-lx, ly) if is_inf(poles[k]) else quotient(-(lx * a + lz * b), ly * b)
+    return QuasiPar(poles=poles, u=tuple(u))
 
 
 # ---------------------------------------------------------------------------

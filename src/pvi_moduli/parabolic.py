@@ -24,6 +24,12 @@ and `subbundle_of` builds the coefficients of one (`exact.quotient`), so
 returns; over a field other than Q the points keep its elements.  The
 structure of a connection is read from its state's pole data
 (`parabolic_from_connection`), with no eigen table.
+
+The classifying map reads the same points: `is_simple` tests them
+against the cross product of the first two, and `q_map` is -m0/m1 on the
+minors of the contact system (`conic_minors`), as is the direction
+`higgs.representative` reads; `line_through` interpolates the values,
+for `verify`'s brute-force destabilizer.
 """
 from __future__ import annotations
 
@@ -179,13 +185,13 @@ def in_general_position(qp: QuasiPar) -> bool:
 
 
 def is_simple(qp: QuasiPar) -> bool:
-    """Indecomposability: at most one u_i = inf, and the finite directions
-    are not all interpolated by one degree-1 section of O."""
-    inf_idx = qp.infinite_indices()
-    if len(inf_idx) > 1:
+    """Indecomposability: at most one u_i = inf, and some finite direction
+    off the degree-1 section of O through two others (their cross product)."""
+    if len(qp.infinite_indices()) > 1:
         return False
-    finite = [i for i in range(4) if i not in inf_idx]
-    return line_through(qp, finite) is None
+    a, b, *rest = (pt for pt, uv in zip(qp.points, qp.u) if not is_inf(uv))
+    line = cross(a, b)
+    return any(dot(line, c) != 0 for c in rest)
 
 
 def _conic_row(point) -> list:
@@ -220,11 +226,18 @@ def _conic_minors(qp: QuasiPar) -> list:
                            for pt, uv in zip(qp.points, qp.u)])
 
 
+def conic_minors(qp: QuasiPar) -> list:
+    """`_conic_minors`, a multiple of the (v, w) of `conic_subbundle`, or
+    DegenerateInput when all vanish (rank below 4, no unique (v, w))."""
+    minors = _conic_minors(qp)
+    if not any(minors):
+        raise DegenerateInput("contact system has rank below 4, expected nullity 1")
+    return minors
+
+
 def _conic_coefficients(minors) -> tuple:
     """(v0, v1, w0, w1, w2): the minors divided by the last nonzero one."""
-    last = next((m for m in reversed(minors) if m), None)
-    if last is None:
-        raise DegenerateInput("contact system has rank below 4, expected nullity 1")
+    last = next(m for m in reversed(minors) if m)
     return tuple(quotient(m, last) for m in minors)
 
 
@@ -241,7 +254,7 @@ def conic_subbundle(qp: QuasiPar):
     reduced-row-echelon basis vector.  Raises DegenerateInput when every
     minor vanishes (rank below 4, so the solution is not unique up to
     scale)."""
-    v0, v1, w0, w1, w2 = _conic_coefficients(_conic_minors(qp))
+    v0, v1, w0, w1, w2 = _conic_coefficients(conic_minors(qp))
     return ((v0, v1), (w0, w1, w2))
 
 
@@ -356,15 +369,15 @@ def _resultant(minors):
 
 
 def q_map(qp: QuasiPar) -> ProjRat:
-    """The parabolic coordinate: the zero of the first component of the
-    degree-(-1) subbundle through the four directions (equivalently, the
-    tangent direction at the origin of the conic through them)."""
-    (v0, v1), _ = conic_subbundle(qp)
-    if v0 == 0 and v1 == 0:
-        raise DegenerateInput("first component vanishes identically")
-    if v1 == 0:
+    """The parabolic coordinate: the zero -m0/m1 of the first component
+    m0 + m1 x of the degree-(-1) subbundle through the four directions
+    (`conic_minors`), the tangent at the origin of the conic through them."""
+    m0, m1, *_ = conic_minors(qp)
+    if m1 == 0:
+        if m0 == 0:
+            raise DegenerateInput("first component vanishes identically")
         return INF
-    return -v0 / v1
+    return quotient(-m0, m1)
 
 
 def q_map_parabolic(qp: QuasiPar) -> ProjRat:

@@ -4,10 +4,10 @@ Samplers produce small rationals (numerators and denominators bounded by
 `bound`) and reject special parameters by resampling; rejection counts
 are kept so reports can state them.  Same seed, same stream.
 
-The weight samplers test each candidate on integers: its four eps are
-numerators over one common denominator, which the nonspecial test and
-the zone classifier read as they are (both ask only about the ratios),
-and the `Fraction`s are made once, for the accepted draw.
+The exponent, state and weight samplers test candidates on integers and
+make the `Fraction`s once, for the accepted draw: four eps or exponents
+as numerators over one common denominator (the tests ask only about
+ratios), and a state's t, q and Q as integer pairs.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .connection import KappaParams, PQState
+from .connection import KappaParams, PQState, generic_numerators
 from .errors import SamplerExhausted
 from .exact import HALF
 from .parabolic import QuasiPar, in_general_position
@@ -46,13 +46,17 @@ class RationalSampler:
         self.rejections = 0
 
     def rat(self, nonzero: bool = False) -> Fraction:
+        return Fraction(*self._pair(nonzero))
+
+    def _pair(self, nonzero: bool = False) -> tuple:
+        """(num, den) of the rational `rat` draws, den >= 1."""
         while True:
             num = self.rng.randint(-self.bound, self.bound)
             den = self.rng.randint(1, self.bound)
             if nonzero and num == 0:
                 self.rejections += 1
                 continue
-            return Fraction(num, den)
+            return num, den
 
     def _unit(self) -> tuple:
         """(num, den) of a rational num / den in (0, 1): 1 <= num <= den - 1."""
@@ -81,35 +85,42 @@ class RationalSampler:
     # -- structured samples -------------------------------------------------
 
     def kappa(self) -> KappaParams:
+        """Generic exponents, k0 != 0, tested as numerators over the lcm D
+        of their denominators: k0 = 0 iff their sum is D."""
         def make():
-            ks = []
+            draws = []
             for _ in range(4):
                 den = self.rng.randint(2, self.bound)
-                num = self.rng.randint(-2 * den + 1, 2 * den - 1)
-                ks.append(Fraction(num, den))
-            return KappaParams.from_k1234(*ks)
+                draws.append((self.rng.randint(-2 * den + 1, 2 * den - 1), den))
+            big_d = math.lcm(*(d for _, d in draws))
+            return [n * (big_d // d) for n, d in draws], big_d
 
-        def accept(kp):
-            return kp.generic and kp.k0 != 0
+        def accept(draw):
+            nums, den = draw
+            return generic_numerators(nums, den) and sum(nums) != den
 
-        return self.retry(make, accept)
+        return KappaParams.generic_from_numerators(*self.retry(make, accept))
 
     def pq_state(self) -> PQState:
         """A state with q, and also Q = q + k0/p, away from the poles, so
-        both normal-form gauges and the classifying map are defined."""
+        both normal-form gauges and the classifying map are defined, tested
+        on integer pairs: t = a/b, q = c/d, p = e/f, Q = (c h e + g f d)/(d h e)
+        for k0 = g/h."""
         kp = self.kappa()
+        g, h = kp.k0.numerator, kp.k0.denominator
 
         def make():
-            return (self.rat(), self.rat(), self.rat(nonzero=True))
+            return (self._pair(), self._pair(), self._pair(nonzero=True))
 
         def accept(trip):
-            tv, q, p = trip
-            if tv in (0, 1) or q in (0, 1, tv):
+            (a, b), (c, d), (e, f) = trip
+            if a in (0, b) or c in (0, d) or c * b == a * d:
                 return False
-            return q + kp.k0 / p not in (0, 1, tv)
+            num, den = c * h * e + g * f * d, d * h * e
+            return num not in (0, den) and num * b != a * den
 
-        tv, q, p = self.retry(make, accept)
-        return PQState(t=tv, kappa=kp, q=q, p=p)
+        (a, b), (c, d), (e, f) = self.retry(make, accept)
+        return PQState(t=Fraction(a, b), kappa=kp, q=Fraction(c, d), p=Fraction(e, f))
 
     def eps_nonspecial(self) -> tuple:
         return _eps(*self.retry(self._half_unit_eps, lambda c: _zone_of(*c) is not None))

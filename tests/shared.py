@@ -1,17 +1,18 @@
 """Inputs that several test modules share: the worked state, the
-Hypothesis strategies for rationals of small and of 64-bit height, and
-the references that several modules check the package against: `matvec`
+Hypothesis strategies for rationals of small and of 64-bit height and for
+states on them, the check `exact_or_moduli_error` that a result holds no
+float, and the references that several modules check the package against: `matvec`
 for `Mat2` products, `matrix_at` for A(x) of a `FourPoleConnection`,
 `candidate_subbundles` for the candidates of
 `parabolic` and `destabilizer_by_enumeration` for
 `stability.find_destabilizer`."""
 from fractions import Fraction as F
 
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from pvi_moduli.connection import KappaParams, PQState
-from pvi_moduli.errors import DegenerateInput, SpecialWeights
-from pvi_moduli.exact import HALF
+from pvi_moduli.errors import DegenerateInput, ModuliError, SpecialWeights
+from pvi_moduli.exact import HALF, INF, Value, is_inf
 from pvi_moduli.parabolic import candidate_types, section_type, subbundle_of
 from pvi_moduli.stability import parabolic_degree
 
@@ -22,6 +23,38 @@ tiny = st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 4]))
 small = st.builds(F, st.integers(-48, 48), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
 tall = st.builds(F, st.integers(-H, H), st.integers(1, H))
 rationals = st.one_of(tiny, small, tall)
+kappas = st.builds(KappaParams.from_k1234, rationals, rationals, rationals, rationals)
+
+
+@st.composite
+def states(draw):
+    t = draw(rationals)
+    assume(t not in (0, 1))
+    return PQState(t=t, kappa=draw(kappas), q=draw(st.one_of(rationals, st.just(INF))),
+                   p=draw(rationals))
+
+
+def scalars(obj):
+    """The scalar leaves of a result: `Value` fields and tuple entries, recursively."""
+    if isinstance(obj, Value):
+        for name in obj._fields:
+            yield from scalars(getattr(obj, name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from scalars(item)
+    else:
+        yield obj
+
+
+def exact_or_moduli_error(call):
+    """call() raises a ModuliError, or every scalar of its result is an
+    int, a `Fraction`, None or the point at infinity: no float."""
+    try:
+        result = call()
+    except ModuliError:
+        return
+    for x in scalars(result):
+        assert x is None or is_inf(x) or isinstance(x, (int, F)), f"{type(x).__name__} {x!r}"
 
 
 def matvec(m, v) -> tuple:

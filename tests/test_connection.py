@@ -3,12 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from pvi_moduli import connection
+from pvi_moduli import connection, sampling
 from pvi_moduli.connection import (KappaParams, PQState, ResidueVector, Sheet,
                                    apparent_singularity, build_connection,
                                    build_connection_qp, eigen_table,
-                                   elementary_transform_residues, kappa_generic,
-                                   kostov_generic, nonresonant)
+                                   elementary_transform_residues, generic_numerators,
+                                   kappa_generic, kostov_generic, nonresonant)
 from pvi_moduli.errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
 from pvi_moduli.exact import INF
 from pvi_moduli.sampling import RationalSampler
@@ -66,16 +66,18 @@ class TestGenericity:
         assert not kappa_generic(KappaParams.from_k1234(F(2), F(1, 8), F(1, 8), F(1, 8)))
 
     def test_generic_is_kappa_generic_checked_once(self, monkeypatch):
-        # the sampler's accept test and every normal form built from a
-        # sampled kappa read one verdict: a seed-1 connection or higgs run
-        # checks each distinct kappa once
+        # the sampler's accept test on integer numerators and every normal
+        # form built from a sampled kappa read one verdict: a seed-1
+        # connection or higgs run runs the integer core of `kappa_generic`
+        # once for each distinct (k1, k2, k3, k4)
         calls = collections.Counter()
 
-        def counted(kappa):
-            calls[kappa] += 1
-            return kappa_generic(kappa)
+        def counted(nums, den):
+            calls[tuple(F(n, den) for n in nums)] += 1
+            return generic_numerators(nums, den)
 
-        monkeypatch.setattr(connection, "kappa_generic", counted)
+        monkeypatch.setattr(connection, "generic_numerators", counted)
+        monkeypatch.setattr(sampling, "generic_numerators", counted)
         for suite, distinct in (("connection", 58), ("higgs", 175)):
             calls.clear()
             run_suite(suite, seed=1)
@@ -83,7 +85,7 @@ class TestGenericity:
         calls.clear()
         kappa = KappaParams.from_k1234(F(1, 2), F(1, 6), F(1, 6), F(1, 6))
         assert kappa.generic is False and kappa.generic is False
-        assert calls[kappa] == 1
+        assert calls[kappa.all4] == 1
 
 
 class TestOncePerState:

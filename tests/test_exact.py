@@ -7,14 +7,14 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from pvi_moduli.connection import KappaParams, PQState
+from pvi_moduli.connection import KappaParams, PQState, build_connection
 from pvi_moduli.errors import DegenerateInput, NoSolution
 from pvi_moduli.exact import (INF, Dual, Infinity, Mat2, Value, is_inf, pick_sums, poly_deriv,
                               proj_from_str, proj_to_str, rat_from_str, rat_to_str, solve_linear)
 from pvi_moduli.lattice import DivClass
 from pvi_moduli.stability import Weights
 
-from shared import matvec
+from shared import exact_or_moduli_error, matrix_at, matvec, rationals as heights, states
 
 rationals = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**4)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
@@ -258,3 +258,9 @@ class TestMat2:
         # and a21 / v[0] differ
         m = Mat2(F(1, 2), F(-3), F(5, 7), F(2))
         assert matvec(m, (F(3), F(-1, 4))) == (F(9, 4), F(23, 14))
+
+    @given(states(), heights)
+    def test_scale_and_add_stay_exact(self, s, x):
+        # A(x), the residues scaled by 1/(x - t_i) and added (`matrix_at`),
+        # holds no float
+        exact_or_moduli_error(lambda: matrix_at(build_connection(s), x))

@@ -6,7 +6,10 @@ Each kernel is compared with the straightforward computation it replaces:
 the poles with `solve_linear` on their linear systems, the integer
 contact sets of `candidate_subbundles` with the section values at the
 poles, `in_general_position` (one cross product per triple) with
-`line_through` on the four triples, `theta_divisor` (closed-form entries
+`line_through` on the four triples, `is_simple`, `q_map`, `phi_map` and
+`representative` on integer points and conic minors with their former
+versions (`line_through`, the five coefficients of `conic_subbundle` and
+Horner's `section_value` at the pole), `theta_divisor` (closed-form entries
 read from the state) with its Wronskian on Fraction polynomials of the
 normal form's residues (`FourPoleConnection.cleared`), its W = q - x for
 the O(1) with `_wronskian` of the sections (0, 1), `poly_divide_root` with the long division
@@ -44,17 +47,17 @@ from pvi_moduli.connection import (KappaParams, PPoint, PQState, ResidueVector, 
                                    build_connection, build_connection_qp, eigen_table,
                                    kappa_generic, kostov_generic)
 from pvi_moduli.errors import (DegenerateInput, ModuliError, NoSolution, NormalFormDegenerate,
-                               SpecialParameters, SpecialWeights)
+                               NotSimple, SpecialParameters, SpecialWeights)
 from pvi_moduli.exact import (HALF, INF, Mat2, is_inf, over_common_denominator,
                               poly_add, poly_deriv, poly_divide_root, poly_mul, poly_trim,
                               solve_linear)
-from pvi_moduli.higgs import (_cleared_normal_form, _wronskian, representative, sorted_divisor,
-                              theta_divisor)
+from pvi_moduli.higgs import (_cleared_normal_form, _frame, _pole_index, _wronskian, representative,
+                              sorted_divisor, theta_divisor)
 from pvi_moduli.mconv import (mc_exponents, nonspecial_exponents, odd_degree_weights, sigma_text,
                               zone_interchange_check)
 from pvi_moduli import parabolic
-from pvi_moduli.parabolic import (QuasiPar, Subbundle, conic_subbundle,
-                                  in_general_position, line_through, parabolic_structures,
+from pvi_moduli.parabolic import (QuasiPar, Subbundle, conic_subbundle, in_general_position,
+                                  is_simple, line_through, parabolic_structures, phi_map, q_map,
                                   section_value, subbundle_of)
 from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Weights, classify_zone,
                                   czone, et_pair, find_destabilizer, nonspecial_numerators,
@@ -339,6 +342,122 @@ class TestGeneralPosition:
         else:
             assert in_general_position(qp) == all(
                 line_through(qp, list(tr)) is None for tr in combinations(range(4), 3))
+
+
+# ---------------------------------------------------------------------------
+# The classifying map and the Higgs representative on integer points
+# ---------------------------------------------------------------------------
+
+def ref_is_simple(qp):
+    """The former `is_simple`: the finite directions through `line_through`."""
+    inf_idx = qp.infinite_indices()
+    if len(inf_idx) > 1:
+        return False
+    finite = [i for i in range(4) if i not in inf_idx]
+    return line_through(qp, finite) is None
+
+
+def ref_q_map(qp):
+    """The former `q_map`: -v0/v1 from all five coefficients of `conic_subbundle`."""
+    (v0, v1), _ = conic_subbundle(qp)
+    if v0 == 0 and v1 == 0:
+        raise DegenerateInput("first component vanishes identically")
+    if v1 == 0:
+        return INF
+    return -v0 / v1
+
+
+def ref_representative(point, poles):
+    """The former `representative`: `conic_subbundle` or `line_through`,
+    evaluated at the pole by Horner's rule (`section_value`)."""
+    poles = tuple(poles)
+    idx = _pole_index(point, poles)
+    frame = _frame(poles)
+    if idx is None:
+        v, w = conic_subbundle(QuasiPar(poles=(point.base,) + poles[1:], u=(INF,) + frame[1:]))
+        u = (section_value(w, poles[0], 2) / section_value(v, poles[0], 1),) + frame[1:]
+    elif point.sheet == Sheet.MINUS:
+        mod = list(frame)
+        mod[idx] = INF
+        u = tuple(mod)
+    else:
+        others = [j for j in range(4) if j != idx]
+        v = line_through(QuasiPar(poles=poles, u=frame), others[:2])
+        mod = list(frame)
+        mod[others[2]] = section_value(v, poles[others[2]], 1)
+        u = tuple(mod)
+    return QuasiPar(poles=poles, u=u)
+
+
+def _typed_outcome(f, *args):
+    """f(*args) with the type of each scalar it holds, or the type and text
+    of whatever it raises."""
+    try:
+        value = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    scalars = value.u if isinstance(value, QuasiPar) else (value,)
+    return value, tuple(type(x) for x in scalars)
+
+
+@st.composite
+def representative_problems(draw):
+    """Four distinct poles, possibly one at infinity in any slot, and a
+    point: off the poles, including infinity, with or without a sheet
+    label, or over a pole on either sheet or on none."""
+    poles = draw(st.lists(rationals, min_size=4, max_size=4, unique=True))
+    if draw(st.booleans()):
+        poles[draw(st.integers(0, 3))] = INF
+    if draw(st.booleans()):
+        base = draw(st.one_of(rationals, st.just(INF)).filter(lambda b: b not in poles))
+    else:
+        base = poles[draw(st.integers(0, 3))]
+    return PPoint(base, draw(st.sampled_from(list(Sheet)))), tuple(poles)
+
+
+class TestClassifyingMap:
+    """`is_simple`, `q_map` and `phi_map` on the points and minors, and the
+    representative from the minors or a cross product, against the former
+    Fraction versions: equal values of equal types, or the same error."""
+
+    @given(st.one_of(contact_problems(), candidate_problems()))
+    def test_is_simple_matches_line_through(self, qp):
+        assert is_simple(qp) == ref_is_simple(qp)
+
+    @given(st.one_of(contact_problems(), candidate_problems()))
+    def test_q_map_matches_the_five_coefficients(self, qp):
+        assert _typed_outcome(q_map, qp) == _typed_outcome(ref_q_map, qp)
+
+    @pytest.mark.parametrize("poles, u, error", [
+        # four colinear directions: rank below 4
+        ((F(0), F(1), F(3), INF), (F(2), F(2), F(2), F(0)), "rank below 4"),
+        ((INF, F(0), F(1), F(2)), (F(2), F(1), F(3), F(5)), "rank below 4"),
+        # two fibers force v = 0, and w = x - 3 is the one solution
+        ((F(0), F(1), F(3), INF), (INF, INF, F(5), F(7)), "first component"),
+        ((INF, F(0), F(1), F(3)), (INF, F(1), INF, F(2)), "first component"),
+    ])
+    def test_q_map_errors_match(self, poles, u, error):
+        qp = QuasiPar(poles=poles, u=u)
+        outcome = _typed_outcome(q_map, qp)
+        assert outcome[0] is DegenerateInput and error in outcome[1]
+        assert outcome == _typed_outcome(ref_q_map, qp)
+
+    @given(st.one_of(contact_problems(), candidate_problems()))
+    def test_phi_map_matches(self, qp):
+        def ref_phi_map(qp):
+            if not ref_is_simple(qp):
+                raise NotSimple("decomposable quasiparabolic structure")
+            return PPoint.over(ref_q_map(qp), qp.poles, tuple(map(is_inf, qp.u)))
+
+        assert _typed_outcome(phi_map, qp) == _typed_outcome(ref_phi_map, qp)
+
+    @given(representative_problems())
+    def test_representative_matches_the_section_values(self, problem):
+        point, poles = problem
+        got = _typed_outcome(representative, point, poles)
+        assert got == _typed_outcome(ref_representative, point, poles)
+        if isinstance(got[0], QuasiPar):
+            assert phi_map(got[0]) == point
 
 
 def poly_divmod(f, g) -> tuple:

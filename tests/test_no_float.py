@@ -6,52 +6,20 @@ literals may mix with field elements, but an int / int division would
 silently give a float; when that float is dyadic it even serializes
 correctly.  So every scalar of every result is checked to be an int or a
 `Fraction` (or the point at infinity), for rational inputs of height up
-to 2^64.  Each call either returns such a result or raises a ModuliError.
+to 2^64.  Each call either returns such a result or raises a ModuliError
+(`shared.exact_or_moduli_error`).  That `Mat2.scale` and `Mat2.__add__`
+stay exact is tested with the other `Mat2` tests, in tests/test_exact.py.
 """
 import operator
-from fractions import Fraction as F
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from pvi_moduli.backlund import ALPHABET, apply_word, transversality_solve
-from pvi_moduli.connection import (KappaParams, PQState, build_connection, build_connection_qp,
-                                   eigen_table)
-from pvi_moduli.errors import ModuliError
-from pvi_moduli.exact import INF, Dual, Value, is_inf
+from pvi_moduli.connection import build_connection, build_connection_qp, eigen_table
+from pvi_moduli.exact import INF, Dual
 from pvi_moduli.parabolic import QuasiPar, line_through
 
-from shared import matrix_at, rationals
-
-kappas = st.builds(KappaParams.from_k1234, rationals, rationals, rationals, rationals)
-
-
-@st.composite
-def states(draw):
-    t = draw(rationals)
-    assume(t not in (0, 1))
-    return PQState(t=t, kappa=draw(kappas), q=draw(st.one_of(rationals, st.just(INF))),
-                   p=draw(rationals))
-
-
-def scalars(obj):
-    """The scalar leaves of a result: `Value` fields and tuple entries, recursively."""
-    if isinstance(obj, Value):
-        for name in obj._fields:
-            yield from scalars(getattr(obj, name))
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from scalars(item)
-    else:
-        yield obj
-
-
-def exact_or_moduli_error(call):
-    try:
-        result = call()
-    except ModuliError:
-        return
-    for x in scalars(result):
-        assert x is None or is_inf(x) or isinstance(x, (int, F)), f"{type(x).__name__} {x!r}"
+from shared import exact_or_moduli_error, kappas, rationals, states
 
 
 @given(states())
@@ -67,11 +35,6 @@ def test_build_connection_qp(t, kappa, big_q, p):
 @given(states())
 def test_eigen_table(s):
     exact_or_moduli_error(lambda: eigen_table(s))
-
-
-@given(states(), rationals)
-def test_matrix_at(s, x):
-    exact_or_moduli_error(lambda: matrix_at(build_connection(s), x))
 
 
 @given(states(), st.lists(st.sampled_from(ALPHABET), max_size=8))

@@ -132,6 +132,20 @@ and `__hash__` calls, each per suite and in the whole pass.  They were
 26,091 / 8,717 / 3,482 / 3,124 / 424 after it (backlund 21,412 -> 12,462
 equality tests, connection 6,409 -> 5,959, higgs 6,425 -> 6,107).  The
 comparisons that `trivial` makes itself are not counted.
+
+Then the classifying map and the state sampler worked on integers:
+`is_simple` tests the integer points against one cross product instead
+of `line_through`, `q_map` reads -m0/m1 off the conic minors instead of
+all five Fraction coefficients, the Higgs representative reads its
+direction off the same minors instead of Horner's rule on the
+coefficients, and `RationalSampler.kappa` and `pq_state` test each draw on
+integer numerators, building the Fractions once for the accepted one.
+The pass went to 51,432 operations and 68,154 constructions (connection
+16,340 -> 15,550 and 20,116 -> 18,600, backlund 23,840 -> 23,450 and
+28,768 -> 28,152, higgs 8,348 -> 6,051 and 14,599 -> 10,866), of which
+2,857 trivial operations (3,613), and its comparisons to 23,335 / 8,530 /
+3,482 / 3,124 / 424 (connection 5,959 -> 5,250 equality tests, backlund
+12,462 -> 12,003, higgs 6,107 -> 4,519).
 Every budget here is the count of that pass plus less than 3%.
 """
 from fractions import Fraction
@@ -141,26 +155,26 @@ from pvi_moduli.verify import SUITES
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
               "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
 COMPARISONS = ("__eq__", "__neg__", "__lt__", "__gt__", "__hash__")
-BUDGET = 56_500
-CONSTRUCTION_BUDGET = 76_250
-TRIVIAL_BUDGET = 3_720
+BUDGET = 52_900
+CONSTRUCTION_BUDGET = 70_150
+TRIVIAL_BUDGET = 2_940
 # suite -> (operations, constructions)
 SUITE_BUDGETS = {
-    "connection": (16_800, 20_700),
-    "backlund": (24_550, 29_630),
+    "connection": (16_000, 19_150),
+    "backlund": (24_150, 28_990),
     "lattice": (66, 169),
     "zones": (3_870, 5_230),
-    "higgs": (8_590, 15_110),
+    "higgs": (6_230, 11_190),
     "mc": (2_620, 5_440),
 }
 # the calls of each of COMPARISONS, in that order: in the whole pass and per suite
-COMPARISON_BUDGET = (26_840, 8_970, 3_580, 3_210, 436)
+COMPARISON_BUDGET = (24_030, 8_780, 3_580, 3_210, 436)
 SUITE_COMPARISON_BUDGETS = {
-    "connection": (6_130, 2_470, 0, 0, 205),
-    "backlund": (12_830, 4_320, 0, 0, 0),
+    "connection": (5_400, 2_365, 0, 0, 205),
+    "backlund": (12_360, 4_320, 0, 0, 0),
     "lattice": (56, 0, 0, 10, 0),
     "zones": (1_240, 98, 735, 1_080, 230),
-    "higgs": (6_280, 1_875, 1_004, 691, 0),
+    "higgs": (4_650, 1_790, 1_004, 691, 0),
     "mc": (308, 201, 1_843, 1_432, 0),
 }
 UNITS = (1, -1)

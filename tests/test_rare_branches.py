@@ -91,6 +91,9 @@ RAISES = [
     # on four colinear directions, which are not simple
     (lambda: par.q_map_parabolic(par.QuasiPar(poles=POLES, u=(F(0), F(1), F(2), F(1)))),
      NotSimple, "simple structures only"),
+    # two fibers force v = m0 + m1 x = 0, while w = x - 2 is the one solution
+    (lambda: par.q_map(par.QuasiPar(poles=POLES, u=(INF, INF, F(5), F(7)))),
+     DegenerateInput, "first component vanishes identically"),
     # mconv
     (lambda: mc_exponents(odd_degree_weights([F(1, 10)] * 4), "++++", [F(0)] * 3),
      DegenerateInput, "four twist exponents required"),
@@ -122,6 +125,15 @@ def test_apparent_singularity_base_at_infinity():
     # A(1,2) x(x-1)(x-t) = r1 (x-1)(x-t) + r2 x(x-t) + r3 x(x-1) is the
     # constant 2 for (r1, r2, r3) = (1, -2, 1) and t = 2
     assert is_inf(connection(F(0), F(1), F(-2), F(1)).apparent_singularity_base())
+
+
+def test_representative_off_the_poles_with_the_first_pole_at_infinity():
+    # the section (v, w) = (6 - 2x, 6 + 3x - x^2) through the frame (1, 2, 4)
+    # over (0, 1, 2) vanishes at the base 3; over t_1 = inf the direction is
+    # w2/v1 = m4/m1 = 1/2, in the <e, x*f> chart
+    poles, point = (INF, F(0), F(1), F(2)), PPoint(base=F(3), sheet=Sheet.GENERIC)
+    qp = higgs.representative(point, poles)
+    assert qp.u == (F(1, 2), F(1), F(2), F(4)) and par.phi_map(qp) == point
 
 
 def test_quotient_contact_of_a_theta_zero_limit():

@@ -30,7 +30,10 @@ contact, conic and Wronskian cores, `_conic_minors`, `candidate_types`
 and `section_type`, which feed them those points, never read a
 denominator.  `parabolic._conic_coefficients` and `subbundle_of` divide
 a line or the minors by `quotient`, and `higgs.sorted_divisor` orders by
-`is_rational`, so they are cores as well.  Nor do the zone score
+`is_rational`, so they are cores as well.  So are the classifying map's
+`is_simple` and `q_map` and the Higgs `representative`, which read the
+points and `conic_minors`, and `connection.generic_numerators`, the
+integer test that `kappa_generic` and the sampler share.  Nor do the zone score
 `stability._score`, which the zone classifier, the branch test and the
 destabilizer scores share, and the convolution's integer `_convolve`
 read a rational.  Those callers read the integer eps that
@@ -54,6 +57,7 @@ SHELLS = {
     "exact.<module>": "HALF = Fraction(1, 2)",
     "exact.rat_from_str": "parser",
     "connection.PQState.make": "constructor from numbers",
+    "connection.KappaParams.generic_from_numerators": "constructor from numbers",
     "stability.Weights.of_eps": "constructor from numbers",
     "stability.Weights.cleared": "eps over one denominator, once per value",
     "mconv.odd_degree_weights": "constructor from numbers",
@@ -86,7 +90,8 @@ CORES = ("parabolic.cross", "parabolic.dot", "parabolic._conic_row", "parabolic.
          "parabolic._signed_minors", "parabolic._conic_minors", "parabolic.in_general_position",
          "parabolic._resultant", "parabolic.QuasiPar.points", "parabolic.candidate_types",
          "parabolic.section_type", "parabolic._conic_coefficients", "parabolic.subbundle_of",
-         "higgs.sorted_divisor",
+         "parabolic.conic_minors", "parabolic.is_simple", "parabolic.q_map",
+         "higgs.sorted_divisor", "higgs.representative", "connection.generic_numerators",
          "stability._score", "stability.nonspecial_numerators", "higgs._wronskian", "mconv._convolve",
          "exact.det4", "exact.poly_divide_root")
 

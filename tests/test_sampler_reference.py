@@ -1,4 +1,4 @@
-"""The integer-first weight samplers against the Fraction samplers they replaced.
+"""The integer-first samplers against the Fraction samplers they replaced.
 
 `RationalSampler.weights_in_zone` and `eps_nonspecial` hold each
 candidate as integer numerators over one denominator and build Fractions
@@ -6,15 +6,26 @@ only for the accepted draw.  The functions below are the former
 samplers, kept as the reference: they draw the same `rng` integers as
 Fractions, sum and scale them, test the nonspecial condition on Fraction
 signed sums and classify through `Weights.of_eps`, and move a zone-A
-sample into zone S with `et_pair`.  Over many seeds, every zone and
-small and large bounds, both must return equal values, count the same
-rejections and leave the generator in the same state, or fail alike.
+sample into zone S with `et_pair`.  Likewise `kappa` tests its exponents
+as numerators over their lcm and `pq_state` its t, q and Q as integer
+pairs; `ref_kappa` and `ref_pq_state` are the former Fraction versions,
+which build each draw's `KappaParams` through `from_k1234` and ask
+`kappa_generic`.  Over many seeds, every zone and small and large
+bounds, both must return equal values, count the same rejections and
+leave the generator in the same state, or fail alike.  At bound 2 every
+kappa has an odd signed sum (each k_i is +-1/2 or +-3/2, and flipping one
+sign moves the sum by an odd integer), so both exhaust; a draw there is
+one of 7^4 = 2,401 exponent tuples, and `SHORT_LIMIT` draws per seed over
+the 40 seeds meet every one of them, so the retry limit is lowered to
+that at bound 2 to keep tier-1 fast.
 """
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
+from pvi_moduli.connection import KappaParams, PQState, kappa_generic
+from pvi_moduli import sampling
 from pvi_moduli.errors import SamplerExhausted
 from pvi_moduli.sampling import RationalSampler
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_A, ZONE_CONTACT, ZONE_STABLE, Weights,
@@ -24,6 +35,7 @@ HALF = F(1, 2)
 SEEDS = range(40)
 BOUNDS = (2, 3, 14, 64)
 DRAWS = 3  # consecutive draws from one sampler, so each starts where the last left the stream
+SHORT_LIMIT = 500  # the retry limit of the kappa and state comparisons at bound 2
 
 
 def ref_nonspecial(eps):
@@ -73,6 +85,47 @@ def ref_weights_in_zone(rs, zone):
     raise ValueError(f"unknown zone {zone}")
 
 
+def ref_rat(rs, nonzero=False):
+    while True:
+        num = rs.rng.randint(-rs.bound, rs.bound)
+        den = rs.rng.randint(1, rs.bound)
+        if nonzero and num == 0:
+            rs.rejections += 1
+            continue
+        return F(num, den)
+
+
+def ref_kappa(rs):
+    def make():
+        ks = []
+        for _ in range(4):
+            den = rs.rng.randint(2, rs.bound)
+            num = rs.rng.randint(-2 * den + 1, 2 * den - 1)
+            ks.append(F(num, den))
+        return KappaParams.from_k1234(*ks)
+
+    def accept(kp):
+        return kp.generic and kp.k0 != 0
+
+    return rs.retry(make, accept)
+
+
+def ref_pq_state(rs):
+    kp = ref_kappa(rs)
+
+    def make():
+        return (ref_rat(rs), ref_rat(rs), ref_rat(rs, nonzero=True))
+
+    def accept(trip):
+        tv, q, p = trip
+        if tv in (0, 1) or q in (0, 1, tv):
+            return False
+        return q + kp.k0 / p not in (0, 1, tv)
+
+    tv, q, p = rs.retry(make, accept)
+    return PQState(t=tv, kappa=kp, q=q, p=p)
+
+
 def run(draw, seed, bound):
     """DRAWS results of `draw` on a fresh sampler (an exhausted draw ends
     the run with its error), then the rejections and the generator state."""
@@ -102,3 +155,40 @@ def test_eps_nonspecial_matches_the_fraction_sampler(bound):
         new = run(lambda rs: rs.eps_nonspecial(), seed, bound)
         assert new == run(ref_eps_nonspecial, seed, bound), seed
         assert all(type(e) is F for eps in new[0] if eps[0] != "exhausted" for e in eps)
+
+
+def kappa_fields(kappa):
+    return (kappa.k0, kappa.k1, kappa.k2, kappa.k3, kappa.k4)
+
+
+@pytest.fixture
+def exhausting(monkeypatch, bound):
+    """At bound 2, where every kappa is special, a retry limit of
+    SHORT_LIMIT: the text each sampler gives up with."""
+    if bound != 2:
+        return None
+    monkeypatch.setattr(sampling, "RETRY_LIMIT", SHORT_LIMIT)
+    return ("exhausted", f"sampler found no acceptable value in {SHORT_LIMIT} draws at bound 2; "
+            "try a larger bound")
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_kappa_matches_the_fraction_sampler(bound, exhausting):
+    for seed in SEEDS:
+        new = run(lambda rs: rs.kappa(), seed, bound)
+        assert new == run(ref_kappa, seed, bound), seed
+        kappas = [k for k in new[0] if isinstance(k, KappaParams)]
+        assert all(type(x) is F for k in kappas for x in kappa_fields(k))
+        # the verdict it carries is the one `kappa_generic` gives
+        assert all(k.generic is True and kappa_generic(k) for k in kappas)
+        assert exhausting is None or new[0] == [exhausting]
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_pq_state_matches_the_fraction_sampler(bound, exhausting):
+    for seed in SEEDS:
+        new = run(lambda rs: rs.pq_state(), seed, bound)
+        assert new == run(ref_pq_state, seed, bound), seed
+        assert all(type(x) is F for s in new[0] if isinstance(s, PQState)
+                   for x in (s.t, s.q, s.p) + kappa_fields(s.kappa))
+        assert exhausting is None or new[0] == [exhausting]
