@@ -225,9 +225,9 @@ def symplectic_check(s: PQState) -> bool:
     if s.p == 0 or s.k0 == 0:
         raise DegenerateInput("symplectic identity needs p != 0 and k0 != 0")
     k0 = s.k0
-    # the chart is (x, y) = (q, q + k0/p): dx/dq = 1 and dx/dp = 0, so the
-    # Jacobian determinant is dy/dp, read off y on p + delta
-    y = s.q + k0 / Dual.var(s.p)
+    # the chart is (x, y) = (q, Q): dx/dq = 1 and dx/dp = 0, so the
+    # Jacobian determinant is dy/dp, read off `big_q_of` on p + delta
+    y = big_q_of(s.with_kappa(s.kappa, p=Dual.var(s.p)))
     # y - x = k0/p, nonzero after the checks above
     return k0 * y.der / ((y.val - s.q) ** 2) == -1
 

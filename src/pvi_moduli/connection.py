@@ -46,7 +46,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import DegenerateInput, NormalFormDegenerate, SpecialParameters
 from .exact import (HALF, INF, Mat2, ProjRat, Rat, Value, is_inf, is_rational,
@@ -295,18 +295,12 @@ class FourPoleConnection(Value):
 
     def cleared(self, entry: str) -> tuple:
         """Coefficients, constant term first, of the polynomial
-        A(x)[entry] * x(x-1)(x-t) = r1 (x-1)(x-t) + r2 x(x-t) + r3 x(x-1)
-        + c x(x-1)(x-t), entry one of "a11", "a12", "a21", "a22"; the cubic
-        term is present only when the C entry c is nonzero.  Each entry is
-        computed once per connection."""
+        A(x)[entry] * x(x-1)(x-t), entry one of "a11", "a12", "a21", "a22",
+        by `lagrange_cleared`; each entry is computed once per connection."""
         out = self._cleared.get(entry)
         if out is None:
-            t = self.t
-            r1, r2, r3 = (getattr(m, entry) for m in self.finite_residues())
-            out = (r1 * t, -r1 * (1 + t) - r2 * t - r3, r1 + r2 + r3)
-            c = getattr(self.c, entry)
-            if c != 0:
-                out = (out[0], out[1] + c * t, out[2] - c * (1 + t), c)
+            r1, r2, r3, c = (getattr(m, entry) for m in (self.a1, self.a2, self.a3, self.c))
+            out = tuple(lagrange_cleared(self.t, r1, r2, r3, c))
             self._cleared[entry] = out
         return out
 
@@ -364,6 +358,19 @@ def finite_pole(t: Rat, i: int):
     """(t_i, d_i) for the finite pole i = 1, 2, 3 of (0, 1, t), where
     d_i = P'(t_i) = prod_{j != i} (t_i - t_j) and P = x(x-1)(x-t)."""
     return (0, t) if i == 1 else (1, 1 - t) if i == 2 else (t, t * (t - 1))
+
+
+def lagrange_cleared(t: Rat, r1, r2, r3, c=0) -> list:
+    """Coefficients, constant term first, of r1 (x-1)(x-t) + r2 x(x-t)
+    + r3 x(x-1) + c x(x-1)(x-t) over any field, the cubic term only for
+    c nonzero: the one Lagrange rule, which `FourPoleConnection.cleared`
+    and the Higgs layer's closed-form entries read."""
+    r12 = r1 + r2
+    out = [r1 * t, -r1 - r12 * t - r3, r12 + r3]
+    if c != 0:
+        ct = c * t
+        out = [out[0], out[1] + ct, out[2] - c - ct, c]
+    return out
 
 
 def pole_gap(q, t: Rat, i: int):
@@ -438,14 +445,7 @@ def pole_index(base: ProjRat, poles) -> Optional[int]:
     return next((i for i, tv in enumerate(poles) if base == tv), None)
 
 
-def apparent_singularity(s: PQState, infinite_parabolic: Optional[Sequence[bool]] = None) -> PPoint:
-    """The image of the state on the non-separated line.
-
-    The base point is q.  Over a pole t_i the sheet is decided by the
-    parabolic data: the minus copy when the destabilizing O(1) fiber is the
-    parabolic direction there (u_i = inf), the plus copy otherwise.
-    """
-    flags = tuple(infinite_parabolic) if infinite_parabolic is not None else (False,) * 4
-    if len(flags) != 4:
-        raise DegenerateInput("need one parabolic flag per pole")
-    return PPoint.over(s.q, s.poles, flags)
+def apparent_singularity(s: PQState) -> PPoint:
+    """The image of the state on the non-separated line: the point over q,
+    on the plus copy over a pole (`PPoint.over` with no u_i = inf)."""
+    return PPoint.over(s.q, s.poles, (False,) * 4)

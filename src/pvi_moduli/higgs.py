@@ -38,10 +38,9 @@ L destabilizes for no weights, which `theta_divisor` rejects.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
-from .connection import PPoint, PQState, Sheet, pole_index
+from .connection import PPoint, PQState, Sheet, lagrange_cleared, pole_index
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (INF, Value, is_inf, is_rational, over_common_denominator, poly_add, poly_deriv,
                     poly_divide_root, poly_mul, poly_scale, poly_trim, proj_to_str, quotient)
@@ -94,18 +93,18 @@ class HiggsLimit(Value):
 # Canonical representatives of points of the non-separated line
 # ---------------------------------------------------------------------------
 
-def _frame(poles):
-    """Deterministic frame values with every triple of directions non-colinear.
+def _frame(poles) -> QuasiPar:
+    """The first structure on the poles with frame values (0, 1, a, b) and
+    no three directions colinear, returned with the points it was tested on.
 
-    Candidates (0, 1, a, b): for fixed poles each colinearity condition
-    removes at most one a or, per a, at most one b, so the small grid
-    always contains a frame.
+    For fixed poles each colinearity condition removes at most one a or,
+    per a, at most one b, so the small grid always contains a frame.
     """
     for a in range(2, 20):
         for b in range(2, 20):
-            cand = (Fraction(0), Fraction(1), Fraction(a), Fraction(b))
-            if in_general_position(QuasiPar(poles=poles, u=cand)):
-                return cand
+            frame = QuasiPar(poles=poles, u=(0, 1, a, b))
+            if in_general_position(frame):
+                return frame
     raise DegenerateInput("no frame found for these poles")
 
 
@@ -136,10 +135,10 @@ def representative(point: PPoint, poles) -> QuasiPar:
     poles = tuple(poles)
     idx = _pole_index(point, poles)
     frame = _frame(poles)
-    u = list(frame)
+    u = list(frame.u)
     if idx is None:
         m0, m1, m2, m3, m4 = conic_minors(
-            QuasiPar(poles=(point.base,) + poles[1:], u=(INF,) + frame[1:]))
+            QuasiPar(poles=(point.base,) + poles[1:], u=(INF,) + frame.u[1:]))
         a, _, b = direction_point(poles[0], 0)
         u[0] = (quotient(m4, m1) if is_inf(poles[0])
                 else quotient(b * b * m2 + a * (b * m3 + a * m4), b * (b * m0 + a * m1)))
@@ -147,8 +146,7 @@ def representative(point: PPoint, poles) -> QuasiPar:
         u[idx] = INF
     else:
         i, j, k = (n for n in range(4) if n != idx)
-        points = QuasiPar(poles=poles, u=frame).points
-        lx, ly, lz = cross(points[i], points[j])
+        lx, ly, lz = cross(frame.points[i], frame.points[j])
         a, _, b = direction_point(poles[k], 0)
         u[k] = quotient(-lx, ly) if is_inf(poles[k]) else quotient(-(lx * a + lz * b), ly * b)
     return QuasiPar(poles=poles, u=tuple(u))
@@ -174,7 +172,7 @@ def _cleared_normal_form(s: PQState) -> tuple:
     The finite residue at t_i has (1,1) entry k_i/2 - c_i sigma_i, (1,2)
     entry c_i = -(q - t_i)/d_i and (2,1) entry sigma_i (k_i - c_i sigma_i),
     where c_i sigma_i = p P(q)/d_i (`connection`).  A quadratic f is
-    sum_i f(t_i) P_i/d_i with P_i = P/(x - t_i) (Lagrange), so
+    sum_i f(t_i) P_i/d_i with P_i = P/(x - t_i) (`lagrange_cleared`), so
 
         a12 = x - q,
         a11 = sum_i (k_i/2) P_i - p P(q),
@@ -184,19 +182,11 @@ def _cleared_normal_form(s: PQState) -> tuple:
     sigma_1 = -p P(q)/q.  tests/test_certificates.py proves the four
     entries equal to `FourPoleConnection.cleared` over Q(t, kappa, q, p)."""
     t, k, q = s.t, s.kappa, s.q
-    t1 = 1 + t
-
-    def lagrange(f1, f2, f3):
-        # sum_i f_i P_i with P_1 = (x-1)(x-t), P_2 = x(x-t), P_3 = x(x-1)
-        return [f1 * t, -f1 * t1 - f2 * t - f3, f1 + f2 + f3]
-
-    a11 = lagrange(*(ki / 2 for ki in k.finite))
+    a11 = lagrange_cleared(t, *(ki / 2 for ki in k.finite))
     a11[0] += s.pole_data[0][1] * q
-    a21 = lagrange(*(sigma * (ki - c * sigma) for ki, sigma, c in s.pole_data))
-    e = k.k0 * (k.k0 + k.k4)
-    a21[1] -= e * t
-    a21[2] += e * t1
-    return [0, t, -t1, 1], a11, [-q, 1], a21 + [-e]
+    a21 = lagrange_cleared(t, *(sigma * (ki - c * sigma) for ki, sigma, c in s.pole_data),
+                           -k.k0 * (k.k0 + k.k4))
+    return [0, t, -1 - t, 1], a11, [-q, 1], a21
 
 
 def _wronskian(pi, a11, a12, a21, s1, s2) -> list:
@@ -231,17 +221,17 @@ def theta_divisor(s: PQState, sub: Subbundle):
     that scales W by a nonzero constant, which moves no root.  A finite
     contact pole is divided out as the factor b x - a of its point
     (a, 0, b) = `parabolic.direction_point(t_i, 0)`, exactly on Z by
-    Gauss's lemma.
+    Gauss's lemma, and its root is read back as `quotient(a, b)`.
 
     For the O(1), (s1, s2) = (0, 1) and W = -a12 = q - x: its Higgs field
     vanishes exactly at the apparent singularity q, the paper's statement
-    for zone A.  W is taken as `over_common_denominator((q, -1))[0]`, after
+    for zone A.  W is q - x over one denominator, taken after
     `s.pole_data` is read, so that a state with no normal form raises what
     `_cleared_normal_form` raises.
     """
     if sub.degree == 1:
         s.pole_data  # raises on a state with no normal form
-        w_poly = over_common_denominator((s.q, -1))[0]
+        (w_poly,) = _over_one_denominator((s.q, -1))
     else:
         pi, a11, a12, a21 = _over_one_denominator(*_cleared_normal_form(s))
         s1, s2 = _over_one_denominator(*sub.sections())
@@ -249,8 +239,7 @@ def theta_divisor(s: PQState, sub: Subbundle):
     deficit = 3 - 2 * sub.degree - (len(w_poly) - 1)
     # Strict compatibility forces zeros at the finite contact poles; what
     # is left after dividing them out is at most linear (module docstring).
-    roots = []
-    poles = (Fraction(0), Fraction(1), s.t, INF)
+    roots, poles = [], s.poles
     for i in sorted(sub.contact):
         tv = poles[i - 1]
         if is_inf(tv):
@@ -262,7 +251,7 @@ def theta_divisor(s: PQState, sub: Subbundle):
         w_poly = poly_divide_root(w_poly, a, b)
         if w_poly is None:
             raise DegenerateInput(f"Higgs field fails to vanish at contact pole {i}")
-        roots.append(tv)
+        roots.append(quotient(a, b))
     if len(w_poly) > 2:
         raise DegenerateInput(
             f"degree-{sub.degree} subbundle with contact {sorted(sub.contact)} "

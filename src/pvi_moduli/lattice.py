@@ -15,7 +15,6 @@ sign pattern from a 16-entry table built once from `L_sigma`.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .errors import DegenerateInput
@@ -97,25 +96,26 @@ def intersect(d1: DivClass, d2: DivClass) -> int:
 
 
 def form_signature():
-    """(n_plus, n_minus, n_zero) of the form, by symmetric elimination of its
-    Gram matrix over Q.  The pivots are -2, 1/2 and then -1 eight times, so
-    no pivot swap is needed; a zero pivot raises DegenerateInput."""
+    """(n_plus, n_minus, n_zero) of the form, by elimination of its Gram
+    matrix on integers: row j -> |piv| row j - sign(piv) a[j][k] row k
+    scales row j by |piv| > 0, so each pivot keeps its sign over Q: -2, 1,
+    then -1 eight times, with no swap.  A zero pivot raises DegenerateInput."""
     basis = [_basis(i) for i in range(RANK)]
-    a = [[Fraction(intersect(x, y)) for y in basis] for x in basis]
+    a = [[intersect(x, y) for y in basis] for x in basis]
     pos = neg = 0
     for k in range(RANK):
         piv = a[k][k]
         if piv == 0:
             raise DegenerateInput(f"zero pivot at step {k} of the Gram elimination")
         if piv > 0:
-            pos += 1
+            pos, sign = pos + 1, 1
         else:
-            neg += 1
+            neg, sign = neg + 1, -1
         for j in range(k + 1, RANK):
-            f = a[j][k] / piv
+            f = a[j][k]
             if f != 0:
                 for m in range(k, RANK):
-                    a[j][m] -= f * a[k][m]
+                    a[j][m] = sign * (piv * a[j][m] - f * a[k][m])
     return (pos, neg, 0)
 
 

@@ -37,6 +37,12 @@ def _eps(nums, den: int) -> tuple:
     return tuple(Fraction(n, den) for n in nums)
 
 
+def _over_lcm(draws) -> tuple:
+    """(numerators, L): the drawn n/d as n (L / d) over L, the lcm of the d."""
+    den = math.lcm(*(d for _, d in draws))
+    return [n * (den // d) for n, d in draws], den
+
+
 class RationalSampler:
     def __init__(self, seed: int, bound: int = 64):
         if bound < 2:
@@ -70,8 +76,8 @@ class RationalSampler:
         for _ in range(4):
             d = self.rng.randint(3, 2 * self.bound)
             draws.append((self.rng.randint(1, d - 1), d))
-        den = math.lcm(*(d for _, d in draws))
-        return [n * (den // d) for n, d in draws], 2 * den
+        nums, den = _over_lcm(draws)
+        return nums, 2 * den
 
     def retry(self, make, accept):
         for _ in range(RETRY_LIMIT):
@@ -86,14 +92,18 @@ class RationalSampler:
 
     def kappa(self) -> KappaParams:
         """Generic exponents, k0 != 0, tested as numerators over the lcm D
-        of their denominators: k0 = 0 iff their sum is D."""
+        of their denominators: k0 = 0 iff their sum is D.  At bound 2 each
+        k_i is +-1/2 or +-3/2, so some signed sum is odd: it raises at once."""
+        if self.bound == 2:
+            raise SamplerExhausted("no generic exponents exist at bound 2, where every draw "
+                                   "has an odd signed sum; try a larger bound")
+
         def make():
             draws = []
             for _ in range(4):
                 den = self.rng.randint(2, self.bound)
                 draws.append((self.rng.randint(-2 * den + 1, 2 * den - 1), den))
-            big_d = math.lcm(*(d for _, d in draws))
-            return [n * (big_d // d) for n, d in draws], big_d
+            return _over_lcm(draws)
 
         def accept(draw):
             nums, den = draw
@@ -141,8 +151,7 @@ class RationalSampler:
                 # part_i * target / total = a_i (D / d_i) b / (2 e N)
                 parts = [self._unit() for _ in range(4)]
                 b, e = self._unit()
-                big_d = math.lcm(*(d for _, d in parts))
-                scaled = [a * (big_d // d) for a, d in parts]
+                scaled, _ = _over_lcm(parts)
                 return [n * b for n in scaled], 2 * e * sum(scaled)
 
             nums, den = self.retry(make, lambda c: _zone_of(*c) == ZONE_A)

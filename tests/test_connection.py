@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from pvi_moduli import connection, sampling
-from pvi_moduli.connection import (KappaParams, PQState, ResidueVector, Sheet,
+from pvi_moduli.connection import (KappaParams, PPoint, PQState, ResidueVector, Sheet,
                                    apparent_singularity, build_connection,
                                    build_connection_qp, eigen_table,
                                    elementary_transform_residues, generic_numerators,
@@ -238,11 +238,10 @@ class TestApparentSingularity:
         pt = apparent_singularity(worked_state())
         assert pt.base == F(3) and pt.sheet == Sheet.GENERIC
 
-    def test_pole_with_infinite_direction(self):
+    def test_pole_is_the_plus_sheet(self):
         s = worked_state()
         at_pole = PQState(t=s.t, kappa=s.kappa, q=F(0), p=s.p)
-        assert apparent_singularity(at_pole, (True, False, False, False)).sheet == Sheet.MINUS
-        assert apparent_singularity(at_pole, (False, False, False, False)).sheet == Sheet.PLUS
+        assert apparent_singularity(at_pole) == PPoint(base=F(0), sheet=Sheet.PLUS)
 
 
 class TestElementaryTransform:

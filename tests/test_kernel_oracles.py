@@ -372,7 +372,7 @@ def ref_representative(point, poles):
     evaluated at the pole by Horner's rule (`section_value`)."""
     poles = tuple(poles)
     idx = _pole_index(point, poles)
-    frame = _frame(poles)
+    frame = _frame(poles).u
     if idx is None:
         v, w = conic_subbundle(QuasiPar(poles=(point.base,) + poles[1:], u=(INF,) + frame[1:]))
         u = (section_value(w, poles[0], 2) / section_value(v, poles[0], 1),) + frame[1:]

@@ -9,8 +9,8 @@ import pytest
 
 from pvi_moduli import backlund as bk, higgs, lattice, parabolic as par
 from pvi_moduli.connection import (FourPoleConnection, KappaParams, PPoint, PQState,
-                                   ResidueVector, Sheet, apparent_singularity,
-                                   build_connection_qp, elementary_transform_residues)
+                                   ResidueVector, Sheet, build_connection_qp,
+                                   elementary_transform_residues)
 from pvi_moduli.errors import DegenerateInput, NormalFormDegenerate, NotSimple, SpecialWeights
 from pvi_moduli.exact import INF, Mat2, is_inf, solve_linear
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights
@@ -56,11 +56,6 @@ RAISES = [
     # q = Q - k0/p = 0 when p = k0/Q
     (lambda: build_connection_qp(F(2), KAPPA, F(3), F(1, 16)).p_invariant(),
      NormalFormDegenerate, "p-invariant needs q away from the poles"),
-    (lambda: apparent_singularity(PQState(t=F(2), kappa=KAPPA, q=F(0), p=F(5)), [True] * 3),
-     DegenerateInput, "one parabolic flag per pole"),
-    # off the poles too, before the sheet is decided
-    (lambda: apparent_singularity(PQState(t=F(2), kappa=KAPPA, q=F(3), p=F(5)), "xyz"),
-     DegenerateInput, "need one parabolic flag per pole"),
     # higgs
     (lambda: higgs.HiggsLimit(kind=higgs.THETA_ZERO), DegenerateInput, "needs a representative"),
     (lambda: higgs.HiggsLimit(kind=higgs.GRADED, deg_l=1), DegenerateInput,

@@ -33,7 +33,13 @@ a line or the minors by `quotient`, and `higgs.sorted_divisor` orders by
 `is_rational`, so they are cores as well.  So are the classifying map's
 `is_simple` and `q_map` and the Higgs `representative`, which read the
 points and `conic_minors`, and `connection.generic_numerators`, the
-integer test that `kappa_generic` and the sampler share.  Nor do the zone score
+integer test that `kappa_generic` and the sampler share.  The Higgs
+layer's one shell is `higgs._over_one_denominator`: `_frame` tests the
+integer frame values (0, 1, a, b), and `theta_divisor` clears through it
+and reads each contact root back by `quotient`.  `lattice.form_signature`
+eliminates the Gram matrix on integers, and
+`connection.lagrange_cleared`, the one Lagrange rule over
+x(x-1)(x-t), runs over any field.  Nor do the zone score
 `stability._score`, which the zone classifier, the branch test and the
 destabilizer scores share, and the convolution's integer `_convolve`
 read a rational.  Those callers read the integer eps that
@@ -76,22 +82,21 @@ SHELLS = {
     "exact.solve_linear": "the tests' reference eliminator, over Q",
     "parabolic.direction_point": "poles and directions to integer points",
     "stability.classify_numerators": "wall values in error messages",
-    "higgs._frame": "the frame values",
     "higgs._over_one_denominator": "polynomials to integer coefficients",
-    "higgs.theta_divisor": "the poles 0 and 1, and the O(1)'s W cleared",
-    "lattice.form_signature": "the Gram matrix over Q",
     "mconv.mc_exponents": "the exponents back as Fractions",
 }
 
 # Code that must read no rational: the ring-generic cores, the code that
 # feeds them integer points or divides their results by `quotient`, the
-# divisor order, and the kernels det4, poly_divide_root and _convolve.
+# divisor order, the Lagrange rule, the integer Gram elimination, and the
+# kernels det4, poly_divide_root and _convolve.
 CORES = ("parabolic.cross", "parabolic.dot", "parabolic._conic_row", "parabolic._fiber_row",
          "parabolic._signed_minors", "parabolic._conic_minors", "parabolic.in_general_position",
          "parabolic._resultant", "parabolic.QuasiPar.points", "parabolic.candidate_types",
          "parabolic.section_type", "parabolic._conic_coefficients", "parabolic.subbundle_of",
          "parabolic.conic_minors", "parabolic.is_simple", "parabolic.q_map",
-         "higgs.sorted_divisor", "higgs.representative", "connection.generic_numerators",
+         "higgs.sorted_divisor", "higgs.representative", "higgs._frame", "higgs.theta_divisor",
+         "connection.generic_numerators", "connection.lagrange_cleared", "lattice.form_signature",
          "stability._score", "stability.nonspecial_numerators", "higgs._wronskian", "mconv._convolve",
          "exact.det4", "exact.poly_divide_root")
 
@@ -210,6 +215,13 @@ def called_names(source: str, qualname: str) -> set:
                     if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name)
     return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
             for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_the_higgs_layer_reads_q_in_one_function():
+    """The frame, the representative and the divisor run on integer points
+    and integer coefficient lists; only `_over_one_denominator` clears."""
+    assert [shell for shell in SHELLS if shell.startswith("higgs.")] == [
+        "higgs._over_one_denominator"]
 
 
 def test_cached_points_clear_through_direction_point_only():

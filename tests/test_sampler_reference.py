@@ -14,11 +14,13 @@ which build each draw's `KappaParams` through `from_k1234` and ask
 bounds, both must return equal values, count the same rejections and
 leave the generator in the same state, or fail alike.  At bound 2 every
 kappa has an odd signed sum (each k_i is +-1/2 or +-3/2, and flipping one
-sign moves the sum by an odd integer), so both exhaust; a draw there is
-one of 7^4 = 2,401 exponent tuples, and `SHORT_LIMIT` draws per seed over
-the 40 seeds meet every one of them, so the retry limit is lowered to
-that at bound 2 to keep tier-1 fast.
+sign moves the sum by an odd integer).  There the references exhaust
+their draws, and `kappa` and `pq_state` raise at once, drawing nothing.
+A reference draw there is one of 7^4 = 2,401 exponent tuples, and
+`SHORT_LIMIT` draws per seed over the 40 seeds meet every one of them, so
+the retry limit is lowered to that at bound 2 to keep tier-1 fast.
 """
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -161,10 +163,14 @@ def kappa_fields(kappa):
     return (kappa.k0, kappa.k1, kappa.k2, kappa.k3, kappa.k4)
 
 
+NO_KAPPA = ("exhausted", "no generic exponents exist at bound 2, where every draw has an odd "
+            "signed sum; try a larger bound")
+
+
 @pytest.fixture
 def exhausting(monkeypatch, bound):
     """At bound 2, where every kappa is special, a retry limit of
-    SHORT_LIMIT: the text each sampler gives up with."""
+    SHORT_LIMIT: the text each reference gives up with."""
     if bound != 2:
         return None
     monkeypatch.setattr(sampling, "RETRY_LIMIT", SHORT_LIMIT)
@@ -172,23 +178,44 @@ def exhausting(monkeypatch, bound):
             "try a larger bound")
 
 
+def drew_nothing(seed):
+    """What `run` gives for a sampler that raises `NO_KAPPA` at once."""
+    return [NO_KAPPA], 0, random.Random(seed).getstate()
+
+
 @pytest.mark.parametrize("bound", BOUNDS)
 def test_kappa_matches_the_fraction_sampler(bound, exhausting):
     for seed in SEEDS:
-        new = run(lambda rs: rs.kappa(), seed, bound)
-        assert new == run(ref_kappa, seed, bound), seed
+        new, ref = run(lambda rs: rs.kappa(), seed, bound), run(ref_kappa, seed, bound)
+        if exhausting:
+            assert ref[0] == [exhausting] and new == drew_nothing(seed), seed
+            continue
+        assert new == ref, seed
         kappas = [k for k in new[0] if isinstance(k, KappaParams)]
         assert all(type(x) is F for k in kappas for x in kappa_fields(k))
         # the verdict it carries is the one `kappa_generic` gives
         assert all(k.generic is True and kappa_generic(k) for k in kappas)
-        assert exhausting is None or new[0] == [exhausting]
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
 def test_pq_state_matches_the_fraction_sampler(bound, exhausting):
     for seed in SEEDS:
-        new = run(lambda rs: rs.pq_state(), seed, bound)
-        assert new == run(ref_pq_state, seed, bound), seed
+        new, ref = run(lambda rs: rs.pq_state(), seed, bound), run(ref_pq_state, seed, bound)
+        if exhausting:
+            assert ref[0] == [exhausting] and new == drew_nothing(seed), seed
+            continue
+        assert new == ref, seed
         assert all(type(x) is F for s in new[0] if isinstance(s, PQState)
                    for x in (s.t, s.q, s.p) + kappa_fields(s.kappa))
-        assert exhausting is None or new[0] == [exhausting]
+
+
+@pytest.mark.parametrize("draw", [RationalSampler.kappa, RationalSampler.pq_state],
+                         ids=["kappa", "pq_state"])
+def test_no_kappa_at_bound_2_is_known_before_any_draw(draw):
+    """At bound 2 the exponent draw raises SamplerExhausted at once: no
+    draw, no rejection, the generator where it was."""
+    rs = RationalSampler(seed=1, bound=2)
+    state = rs.rng.getstate()
+    with pytest.raises(SamplerExhausted, match="bound 2"):
+        draw(rs)
+    assert rs.rng.getstate() == state and rs.rejections == 0
