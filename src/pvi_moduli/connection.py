@@ -30,13 +30,14 @@ P = x(x-1)(x-t) and d_i = P'(t_i) (`finite_pole`):
 The (q, p) normal form is built once per state: a `PQState` makes its
 pole data (k_i, sigma_i, c_i), its normal form and its eigen table the
 first time they are asked for and keeps them on the object, and a
-`FourPoleConnection` keeps each cleared entry it computes.  Nothing
-outlives the object, and equal states built apart share nothing.  The
-Higgs layer needs only the pole data: `parabolic.parabolic_from_connection`
-reads the parabolic slopes from it and `higgs.theta_divisor` the cleared
-entries, in closed form, so a Higgs limit builds no residue matrix.  The
-normal form's own `cleared` entries are still summed from its residues,
-which is what the connection suite's checks on them test.
+`FourPoleConnection` keeps its cleared (1,2) entry, the one its own
+invariants read.  Nothing outlives the object, and equal states built
+apart share nothing.  The Higgs layer needs only the pole data:
+`parabolic.parabolic_from_connection` reads the parabolic slopes from it
+and `higgs.theta_divisor` the cleared entries, in closed form, so a Higgs
+limit builds no residue matrix.  The normal form's (1,2) entry is still
+summed from its residues, which is what the connection suite's checks on
+it test.
 Okamoto's s0 on the exponents is `exact.okamoto_s0`, read by `backlund`
 and, without loading this module, by `mconv`.  The integrality
 predicates hold at the generic point, values not in Q (`exact.is_rational`).
@@ -293,28 +294,18 @@ class FourPoleConnection(Value):
     def finite_residues(self):
         return (self.a1, self.a2, self.a3)
 
-    def cleared(self, entry: str) -> tuple:
-        """Coefficients, constant term first, of the polynomial
-        A(x)[entry] * x(x-1)(x-t), entry one of "a11", "a12", "a21", "a22",
-        by `lagrange_cleared`; each entry is computed once per connection."""
-        out = self._cleared.get(entry)
-        if out is None:
-            r1, r2, r3, c = (getattr(m, entry) for m in (self.a1, self.a2, self.a3, self.c))
-            out = tuple(lagrange_cleared(self.t, r1, r2, r3, c))
-            self._cleared[entry] = out
-        return out
-
     @cached_property
-    def _cleared(self) -> dict:
-        """The entries `cleared` has computed for this connection."""
-        return {}
+    def a12_cleared(self) -> tuple:
+        """Coefficients, constant term first, of A(1,2)(x) * x(x-1)(x-t) by
+        `lagrange_cleared`, computed once per connection."""
+        return tuple(lagrange_cleared(self.t, self.a1.a12, self.a2.a12, self.a3.a12, self.c.a12))
 
     def a12_numerator(self):
         """Coefficients (n0, n1) of the linear polynomial
         A(1,2)(x) * x(x-1)(x-t) = n0 + n1*x."""
         if self.c.a12 != 0:
             raise DegenerateInput("constant part in the (1,2) entry: not logarithmic at infinity")
-        n0, n1, n2 = self.cleared("a12")
+        n0, n1, n2 = self.a12_cleared
         if n2 != 0:
             raise DegenerateInput("(1,2) entry has a residue at infinity")
         return (n0, n1)
@@ -363,7 +354,7 @@ def finite_pole(t: Rat, i: int):
 def lagrange_cleared(t: Rat, r1, r2, r3, c=0) -> list:
     """Coefficients, constant term first, of r1 (x-1)(x-t) + r2 x(x-t)
     + r3 x(x-1) + c x(x-1)(x-t) over any field, the cubic term only for
-    c nonzero: the one Lagrange rule, which `FourPoleConnection.cleared`
+    c nonzero: the one Lagrange rule, which `FourPoleConnection.a12_cleared`
     and the Higgs layer's closed-form entries read."""
     r12 = r1 + r2
     out = [r1 * t, -r1 - r12 * t - r3, r12 + r3]

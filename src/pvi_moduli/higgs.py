@@ -38,8 +38,6 @@ L destabilizes for no weights, which `theta_divisor` rejects.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .connection import PPoint, PQState, Sheet, lagrange_cleared, pole_index
 from .errors import DegenerateInput, SpecialWeights
 from .exact import (INF, Value, is_inf, is_rational, over_common_denominator, poly_add, poly_deriv,
@@ -58,34 +56,33 @@ def sorted_divisor(points) -> tuple:
     return tuple(sorted(points, key=lambda z: (2, 0) if is_inf(z) else (not is_rational(z), z)))
 
 
-class HiggsLimit(Value):
-    def __init__(self, kind: str,
-                 qp: Optional[QuasiPar] = None,        # theta_zero: normalized representative
-                 deg_l: Optional[int] = None,          # graded: degree of the destabilizer
-                 contact: Optional[frozenset] = None,  # graded: contact poles of L (1-based)
-                 divisor: Optional[tuple] = None):     # graded: zero divisor of the Higgs field
-        if kind == THETA_ZERO:
-            if qp is None:
-                raise DegenerateInput("theta_zero limit needs a representative")
-        elif kind == GRADED:
-            if deg_l is None or contact is None or divisor is None:
-                raise DegenerateInput("graded limit needs degree, contact and divisor")
-        else:
-            raise DegenerateInput(f"unknown limit kind {kind}")
-        self.__dict__.update(kind=kind, qp=qp, deg_l=deg_l, contact=contact, divisor=divisor)
+class ThetaZeroLimit(Value):
+    """Zero Higgs field on a stable bundle, recorded by the normalized
+    representative qp of its classifying point."""
+    kind = THETA_ZERO
+
+    def __init__(self, qp: QuasiPar):
+        self.__dict__.update(qp=qp)
+
+    def to_json_dict(self):
+        return {"kind": self.kind, "u": self.qp.to_json_dict()["u"]}
+
+
+class GradedLimit(Value):
+    """The graded object of the destabilizer L: its degree, its contact
+    poles (1-based) and the zero divisor of the induced Higgs field."""
+    kind = GRADED
+
+    def __init__(self, deg_l: int, contact: frozenset, divisor: tuple):
+        self.__dict__.update(deg_l=deg_l, contact=contact, divisor=divisor)
 
     @property
-    def quotient_contact(self) -> Optional[frozenset]:
+    def quotient_contact(self) -> frozenset:
         """Poles where the parabolic direction lies in the quotient E/L."""
-        if self.kind != GRADED:
-            return None
         return frozenset(range(1, 5)) - self.contact
 
     def to_json_dict(self):
-        if self.kind == THETA_ZERO:
-            return {"kind": self.kind, "u": self.qp.to_json_dict()["u"]}
-        return {"kind": self.kind, "degL": self.deg_l,
-                "contact": sorted(self.contact),
+        return {"kind": self.kind, "degL": self.deg_l, "contact": sorted(self.contact),
                 "divisor": [proj_to_str(z) for z in self.divisor]}
 
 
@@ -180,7 +177,7 @@ def _cleared_normal_form(s: PQState) -> tuple:
 
     the last term from C(2,1) = -k0 (k0 + k4); p P(q) = -q sigma_1, as
     sigma_1 = -p P(q)/q.  tests/test_certificates.py proves the four
-    entries equal to `FourPoleConnection.cleared` over Q(t, kappa, q, p)."""
+    entries equal to those summed from the residues over Q(t, kappa, q, p)."""
     t, k, q = s.t, s.kappa, s.q
     a11 = lagrange_cleared(t, *(ki / 2 for ki in k.finite))
     a11[0] += s.pole_data[0][1] * q
@@ -266,7 +263,7 @@ def theta_divisor(s: PQState, sub: Subbundle):
 # Limits
 # ---------------------------------------------------------------------------
 
-def higgs_limit(s: PQState, w: Weights) -> HiggsLimit:
+def higgs_limit(s: PQState, w: Weights) -> ThetaZeroLimit | GradedLimit:
     """The limit of the rescaled connection, computed structurally.
 
     Stable underlying quasiparabolic bundle: the limit keeps it with zero
@@ -277,21 +274,21 @@ def higgs_limit(s: PQState, w: Weights) -> HiggsLimit:
     qp = parabolic_from_connection(s)
     sub = find_destabilizer(qp, w)
     if sub is None:
-        return HiggsLimit(kind=THETA_ZERO, qp=representative(phi_map(qp), s.poles))
+        return ThetaZeroLimit(qp=representative(phi_map(qp), s.poles))
     div = theta_divisor(s, sub)
-    return HiggsLimit(kind=GRADED, deg_l=sub.degree, contact=sub.contact, divisor=div)
+    return GradedLimit(deg_l=sub.degree, contact=sub.contact, divisor=div)
 
 
-def v_alpha_unstable(point: PPoint, poles) -> HiggsLimit:
+def v_alpha_unstable(point: PPoint, poles) -> GradedLimit:
     """The scaling-fixed stable Higgs bundle attached to a point of the
     non-separated line, for weights with eps sum below 1/2 (every structure
     unstable and the destabilizer is the O(1))."""
     idx = _pole_index(point, poles)
     contact = frozenset({idx + 1}) if point.sheet == Sheet.MINUS else frozenset()
-    return HiggsLimit(kind=GRADED, deg_l=1, contact=contact, divisor=(point.base,))
+    return GradedLimit(deg_l=1, contact=contact, divisor=(point.base,))
 
 
-def v_alpha_stable(point: PPoint, w: Weights, poles) -> HiggsLimit:
+def v_alpha_stable(point: PPoint, w: Weights, poles) -> ThetaZeroLimit | GradedLimit:
     """The scaling-fixed stable Higgs bundle attached to a point of the
     non-separated line, for stable-zone weights."""
     if classify_zone(w) != ZONE_STABLE:
@@ -299,13 +296,12 @@ def v_alpha_stable(point: PPoint, w: Weights, poles) -> HiggsLimit:
     poles = tuple(poles)
     idx = _pole_index(point, poles)
     if idx is None:
-        return HiggsLimit(kind=THETA_ZERO, qp=representative(point, poles))
+        return ThetaZeroLimit(qp=representative(point, poles))
     branch = stable_subzone_branch(w, idx + 1)
     if point.sheet == Sheet.MINUS and branch == Branch.ORIGIN_UNSTABLE:
-        return HiggsLimit(kind=GRADED, deg_l=1, contact=frozenset({idx + 1}),
-                          divisor=(poles[idx],))
+        return GradedLimit(deg_l=1, contact=frozenset({idx + 1}), divisor=(poles[idx],))
     if point.sheet == Sheet.PLUS and branch == Branch.COLINEAR_UNSTABLE:
         others = frozenset(j + 1 for j in range(4) if j != idx)
-        return HiggsLimit(kind=GRADED, deg_l=0, contact=others,
-                          divisor=sorted_divisor(poles[j - 1] for j in others))
-    return HiggsLimit(kind=THETA_ZERO, qp=representative(point, poles))
+        return GradedLimit(deg_l=0, contact=others,
+                           divisor=sorted_divisor(poles[j - 1] for j in others))
+    return ThetaZeroLimit(qp=representative(point, poles))

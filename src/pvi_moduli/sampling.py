@@ -1,8 +1,10 @@
 """Seeded deterministic sampling of rational parameters.
 
 Samplers produce small rationals (numerators and denominators bounded by
-`bound`) and reject special parameters by resampling; rejection counts
-are kept so reports can state them.  Same seed, same stream.
+`bound`) and reject special parameters by resampling, every rejection
+through `RationalSampler.retry`, which gives up after `RETRY_LIMIT`
+draws; rejection counts are kept so reports can state them.  Same seed,
+same stream.
 
 The exponent, state and weight samplers test candidates on integers and
 make the `Fraction`s once, for the accepted draw: four eps or exponents
@@ -52,17 +54,15 @@ class RationalSampler:
         self.rejections = 0
 
     def rat(self, nonzero: bool = False) -> Fraction:
-        return Fraction(*self._pair(nonzero))
+        return Fraction(*(self._nonzero_pair() if nonzero else self._pair()))
 
-    def _pair(self, nonzero: bool = False) -> tuple:
+    def _pair(self) -> tuple:
         """(num, den) of the rational `rat` draws, den >= 1."""
-        while True:
-            num = self.rng.randint(-self.bound, self.bound)
-            den = self.rng.randint(1, self.bound)
-            if nonzero and num == 0:
-                self.rejections += 1
-                continue
-            return num, den
+        return self.rng.randint(-self.bound, self.bound), self.rng.randint(1, self.bound)
+
+    def _nonzero_pair(self) -> tuple:
+        """A `_pair` with num != 0, a zero numerator rejected by `retry`."""
+        return self.retry(self._pair, lambda pair: pair[0] != 0)
 
     def _unit(self) -> tuple:
         """(num, den) of a rational num / den in (0, 1): 1 <= num <= den - 1."""
@@ -120,7 +120,7 @@ class RationalSampler:
         g, h = kp.k0.numerator, kp.k0.denominator
 
         def make():
-            return (self._pair(), self._pair(), self._pair(nonzero=True))
+            return (self._pair(), self._pair(), self._nonzero_pair())
 
         def accept(trip):
             (a, b), (c, d), (e, f) = trip

@@ -30,8 +30,8 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DegenerateInput, SpecialWeights
-from .exact import (HALF, Rat, Value, over_common_denominator, parse_list, pick_sums, rat_from_str,
-                    rat_to_str)
+from .exact import (HALF, Rat, Value, over_common_denominator, parse_list, pick_sums, quotient,
+                    rat_from_str, rat_to_str)
 
 ZONE_A = "A"
 ZONE_B = "B"
@@ -183,9 +183,10 @@ def stable_subzone_branch(w: Weights, i: int) -> Branch:
 # ---------------------------------------------------------------------------
 
 def parabolic_degree(sub: Subbundle, w: Weights) -> Rat:
-    inside = sum(w.eps[i - 1] for i in sub.contact)
-    outside = sum(w.eps) - inside
-    return sub.degree + inside - outside
+    """deg L + sum_{i in S} eps_i - sum_{i not in S} eps_i: the `_score` of
+    the type (deg L, S) over 2 den."""
+    nums, den = w.cleared
+    return quotient(_score(nums, den, sum(nums), sub.degree, sub.contact), 2 * den)
 
 
 def find_destabilizer(qp: QuasiPar, w: Weights) -> Optional[Subbundle]:

@@ -23,7 +23,7 @@ from .connection import (PQState, apparent_singularity, build_connection, build_
                          eigen_table, elementary_transform_residues, finite_pole, kostov_generic,
                          nonresonant, pole_gap)
 from .errors import ModuliError, NoFiniteIntersection, SamplerExhausted
-from .exact import HALF, INF, Mat2, is_inf, over_common_denominator, to_json
+from .exact import HALF, INF, Mat2, is_inf, to_json
 from .higgs import GRADED, higgs_limit, sorted_divisor, v_alpha_stable, v_alpha_unstable
 from .lattice import (C0, C1, F, L_sigma, Y, Y_RED, anticanonical_check,
                       enumerate_transversal, form_signature, intersect, sigma_label,
@@ -254,7 +254,7 @@ def backlund_identities(st: PQState) -> list:
         ("symplectic identity k0 J/(x-y)^2 = -1", sympl, {"state": st}),
         ("s0 swaps the chart coordinates", (xs, ys) == (y, x),
          {"state": st, "chart": (x, y), "chart_after": (xs, ys)}),
-        # blow-up slopes at the four diagonal points, by exact dual numbers
+        # blow-up slopes at the four diagonal points, closed forms from finite_pole and pole_gap
         ("chart slopes at the diagonal points", slopes, {"state": st}),
     ]
     return out
@@ -365,7 +365,7 @@ def oracle_destabilizer(qp: QuasiPar, w: Weights):
     Enumerates all (degree, contact-set) pairs realizable by some line
     subbundle (realizability decided by exact rank conditions) and
     maximizes the nominal parabolic degree, scored on the integer
-    numerators of the eps over one common denominator.  Returns
+    numerators of the eps over their common denominator, `w.cleared`.  Returns
     (max_score, argmax_degree, argmax_contact).
     """
     inf_set = frozenset(i + 1 for i in range(4) if is_inf(qp.u[i]))
@@ -381,7 +381,7 @@ def oracle_destabilizer(qp: QuasiPar, w: Weights):
     for sub_s in _all_subsets(range(4)):
         entries.append((-1, frozenset(i + 1 for i in sub_s)))
     # den * (deg + sum_{i in S} eps_i - sum_{i not in S} eps_i)
-    nums, den = over_common_denominator(w.eps)
+    nums, den = w.cleared
     total = sum(nums)
     best = None
     for deg, contact in entries:

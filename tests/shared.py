@@ -2,19 +2,18 @@
 Hypothesis strategies for rationals of small and of 64-bit height and for
 states on them, the check `exact_or_moduli_error` that a result holds no
 float, and the references that several modules check the package against: `matvec`
-for `Mat2` products, `matrix_at` for A(x) of a `FourPoleConnection`,
-`candidate_subbundles` for the candidates of
-`parabolic` and `destabilizer_by_enumeration` for
-`stability.find_destabilizer`."""
+for `Mat2` products, `matrix_at` and `cleared` for A(x) of a
+`FourPoleConnection`, `candidate_subbundles` for the candidates of
+`parabolic`, `parabolic_degree_by_sum` for `stability.parabolic_degree`
+and `destabilizer_by_enumeration` for `stability.find_destabilizer`."""
 from fractions import Fraction as F
 
 from hypothesis import assume, strategies as st
 
-from pvi_moduli.connection import KappaParams, PQState
+from pvi_moduli.connection import KappaParams, PQState, lagrange_cleared
 from pvi_moduli.errors import DegenerateInput, ModuliError, SpecialWeights
 from pvi_moduli.exact import HALF, INF, Value, is_inf
 from pvi_moduli.parabolic import candidate_types, section_type, subbundle_of
-from pvi_moduli.stability import parabolic_degree
 
 H = 2 ** 64
 
@@ -71,6 +70,14 @@ def matrix_at(conn, x):
             + conn.a3.scale(1 / (x - conn.t)) + conn.c)
 
 
+def cleared(conn, entry: str) -> tuple:
+    """Coefficients, constant term first, of A(x)[entry] * x(x-1)(x-t) of
+    a `FourPoleConnection`, entry one of "a11", "a12", "a21", "a22", by
+    `connection.lagrange_cleared` on that entry of A1, A2, A3 and C."""
+    return tuple(lagrange_cleared(conn.t, *(getattr(m, entry)
+                                            for m in (conn.a1, conn.a2, conn.a3, conn.c))))
+
+
 def worked_state():
     """t = 2, kappa = (1/4; 1/8, 1/8, 1/8, 1/8), q = 3, p = 5."""
     return PQState(t=F(2), kappa=KappaParams.from_strs(["1/4", "1/8", "1/8", "1/8", "1/8"]),
@@ -90,13 +97,21 @@ def candidate_subbundles(qp):
     return [subbundle_of(*cand) for cand in cands]
 
 
+def parabolic_degree_by_sum(sub, w):
+    """deg L + sum_{i in S} eps_i - sum_{i not in S} eps_i, S the contact
+    set, summed on the Fraction eps: no common denominator, no `_score`."""
+    inside = sum(w.eps[i - 1] for i in sub.contact)
+    return sub.degree + inside - (sum(w.eps) - inside)
+
+
 def destabilizer_by_enumeration(qp, w):
-    """`find_destabilizer` by full enumeration: the (parabolic_degree,
+    """`find_destabilizer` by full enumeration: the (parabolic degree,
     degree, contact) maximizer over every candidate of
     `candidate_subbundles`, section included, if it exceeds 1/2, else
     None; (SpecialWeights, message), naming the first such candidate, when
-    any candidate scores exactly 1/2."""
-    scored = [(parabolic_degree(sub, w), sub.degree, tuple(sorted(sub.contact)), sub)
+    any candidate scores exactly 1/2.  The degree is
+    `parabolic_degree_by_sum`, independent of the package's rule."""
+    scored = [(parabolic_degree_by_sum(sub, w), sub.degree, tuple(sorted(sub.contact)), sub)
               for sub in candidate_subbundles(qp)]
     on_wall = [sub for score, _, _, sub in scored if score == HALF]
     if on_wall:

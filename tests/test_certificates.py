@@ -34,7 +34,7 @@ that sum, over Q(r+, r-, lam).
 
 The Higgs layer reads the normal form's entries in closed form from the
 pole data (`higgs._cleared_normal_form`); each is proved equal to
-`FourPoleConnection.cleared`, which sums the residue matrices, and the
+`shared.cleared`, which sums the residue matrices, and the
 structure `parabolic_from_connection` reads from the pole data is proved
 to be the eigen table's.
 
@@ -91,7 +91,7 @@ from pvi_moduli.sampling import RationalSampler  # noqa: E402
 from pvi_moduli.stability import (ALL_ZONE_LABELS, ZONE_A, ZONE_B, ZONE_STABLE,  # noqa: E402
                                   Branch, _score, czone, stable_subzone_branch)
 from records import passes  # noqa: E402
-from shared import matvec  # noqa: E402
+from shared import cleared, matvec  # noqa: E402
 
 K, t, k1, k2, k3, k4, q, p = sympy.field("t k1 k2 k3 k4 q p", sympy.QQ)
 k0 = (1 - k1 - k2 - k3 - k4) / 2
@@ -158,9 +158,9 @@ CLEARED = dict(zip(("a11", "a12", "a21"), ENTRIES), a22=[-c for c in ENTRIES[0]]
 @pytest.mark.parametrize("entry", ["a11", "a12", "a21", "a22"])
 def test_closed_form_entry_is_the_normal_forms_cleared_entry(entry):
     """`higgs._cleared_normal_form` reads the pole data, not the residues:
-    each entry, and a22 = -a11, equals `FourPoleConnection.cleared` of the
-    normal form, which sums the residue matrices."""
-    assert poly_trim(CLEARED[entry]) == poly_trim(STATE.normal_form.cleared(entry))
+    each entry, and a22 = -a11, equals the normal form's entry cleared
+    by `shared.cleared`, which sums the residue matrices."""
+    assert poly_trim(CLEARED[entry]) == poly_trim(cleared(STATE.normal_form, entry))
 
 
 def test_closed_form_clears_by_the_polynomial_of_the_finite_poles():

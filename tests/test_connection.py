@@ -15,7 +15,7 @@ from pvi_moduli.sampling import RationalSampler
 from pvi_moduli.verify import connection_identities, run_suite
 
 from records import passes
-from shared import matrix_at, worked_state
+from shared import cleared, matrix_at, worked_state
 
 
 class TestKappa:
@@ -107,11 +107,22 @@ class TestOncePerState:
             run_suite(suite, seed=1)
             assert len(states) == len({id(s) for s in states}) == distinct
 
-    def test_values_are_made_once_and_never_shared(self):
+    def test_values_are_made_once_and_never_shared(self, monkeypatch):
         s = worked_state()
         conn = build_connection(s)
         assert build_connection(s) is conn and eigen_table(s) is eigen_table(s)
-        assert conn.cleared("a21") is conn.cleared("a21")
+        # the three invariants read one cleared (1,2) entry, made once
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return lagrange_cleared(*args)
+
+        lagrange_cleared = connection.lagrange_cleared
+        monkeypatch.setattr(connection, "lagrange_cleared", counted)
+        assert (conn.apparent_singularity_base(), conn.p_invariant()) == (s.q, s.p)
+        assert conn.infinity_residue() == conn.a4
+        assert len(made) == 1
         # an equal state is another object, with values of its own
         twin = PQState(t=s.t, kappa=s.kappa, q=s.q, p=s.p)
         assert twin == s and build_connection(twin) == conn and build_connection(twin) is not conn
@@ -209,7 +220,7 @@ class TestCleared:
         for x in (F(9), F(-1, 2), F(7, 3)):
             a = matrix_at(conn, x)
             for entry in ("a11", "a12", "a21", "a22"):
-                value = sum(c * x ** k for k, c in enumerate(conn.cleared(entry)))
+                value = sum(c * x ** k for k, c in enumerate(cleared(conn, entry)))
                 assert value == getattr(a, entry) * x * (x - 1) * (x - s.t)
 
 

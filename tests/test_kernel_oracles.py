@@ -11,7 +11,7 @@ poles, `in_general_position` (one cross product per triple) with
 versions (`line_through`, the five coefficients of `conic_subbundle` and
 Horner's `section_value` at the pole), `theta_divisor` (closed-form entries
 read from the state) with its Wronskian on Fraction polynomials of the
-normal form's residues (`FourPoleConnection.cleared`), its W = q - x for
+normal form's residues (`shared.cleared`), its W = q - x for
 the O(1) with `_wronskian` of the sections (0, 1), `poly_divide_root` with the long division
 `poly_divmod` below, `check_relations` with one
 `apply_word` per side of each relation, the shift and Schlesinger words
@@ -22,7 +22,8 @@ closed-form k0 with `KappaParams.from_k1234`, `classify_zone` with the
 written-out "pair minus the other two" combinations, the integer
 convolution and zone labels of `mc_exponents`/`zone_interchange_check`
 with their former Fraction formulas, and the integer scores of
-`find_destabilizer` with `parabolic_degree`, and the residues of both
+`find_destabilizer` and `parabolic_degree` with the Fraction sum
+`shared.parabolic_degree_by_sum`, and the residues of both
 normal-form gauges and the eigen table, all written by one rule, with
 the per-gauge formulas they replace.  Heights go up to 2^64.
 
@@ -61,10 +62,10 @@ from pvi_moduli.parabolic import (QuasiPar, Subbundle, conic_subbundle, in_gener
                                   section_value, subbundle_of)
 from pvi_moduli.stability import (ZONE_A, ZONE_B, ZONE_STABLE, Branch, Weights, classify_zone,
                                   czone, et_pair, find_destabilizer, nonspecial_numerators,
-                                  stable_subzone_branch)
+                                  parabolic_degree, stable_subzone_branch)
 
-from shared import (H, candidate_subbundles, destabilizer_by_enumeration, rationals, tiny,
-                    worked_state)
+from shared import (H, candidate_subbundles, cleared, destabilizer_by_enumeration,
+                    parabolic_degree_by_sum, rationals, tiny, worked_state)
 
 # non-integer exponents, so that few kappa are special
 fractional = st.one_of(st.builds(F, st.integers(-48, 48), st.sampled_from([3, 5, 7, 8])),
@@ -495,7 +496,7 @@ def _oracle_theta(conn, sub):
     t = conn.t
     s1, s2 = sub.sections()
     pi = [F(0), t, -(1 + t), F(1)]
-    a11, a12, a21, a22 = (conn.cleared(entry) for entry in ("a11", "a12", "a21", "a22"))
+    a11, a12, a21, a22 = (cleared(conn, entry) for entry in ("a11", "a12", "a21", "a22"))
     w = poly_trim(poly_add(
         poly_mul(pi, poly_add(poly_mul(s1, poly_deriv(s2)),
                               [-c for c in poly_mul(s2, poly_deriv(s1))])),
@@ -1017,6 +1018,8 @@ class TestDestabilizerScores:
     def test_matches_the_parabolic_degree_maximizer(self, problem):
         qp, w = problem
         assert _outcome(find_destabilizer, qp, w) == destabilizer_by_enumeration(qp, w)
+        for sub in candidate_subbundles(qp):
+            assert parabolic_degree(sub, w) == parabolic_degree_by_sum(sub, w)
 
     @given(destabilizer_problems())
     def test_builds_coefficients_only_for_the_candidate_it_names(self, problem):

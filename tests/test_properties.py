@@ -58,8 +58,8 @@ from pvi_moduli.connection import KappaParams, PPoint, PQState, Sheet
 from pvi_moduli.errors import ModuliError, NotSimple
 from pvi_moduli.exact import HALF, INF, is_inf, over_common_denominator
 from pvi_moduli.mconv import mc_exponents, odd_degree_weights, sigma_text, zone_interchange_check
-from pvi_moduli.higgs import (GRADED, THETA_ZERO, HiggsLimit, higgs_limit, representative,
-                              sorted_divisor, theta_divisor)
+from pvi_moduli.higgs import (THETA_ZERO, GradedLimit, ThetaZeroLimit, higgs_limit,
+                              representative, sorted_divisor, theta_divisor)
 from pvi_moduli.parabolic import (QuasiPar, Subbundle, in_general_position, is_simple,
                                   line_through, parabolic_from_connection, parabolic_structures,
                                   phi_map, q_map, q_map_parabolic)
@@ -198,7 +198,7 @@ def test_higgs_limit_gives_a_limit_or_a_moduli_error(s, w):
     limit = outcome(higgs_limit, s, w)
     if isinstance(limit, ModuliError):
         return
-    assert isinstance(limit, HiggsLimit) and limit.kind in (THETA_ZERO, GRADED)
+    assert isinstance(limit, (ThetaZeroLimit, GradedLimit))
     if limit.kind == THETA_ZERO:
         assert phi_map(limit.qp) == phi_map(parabolic_from_connection(s))
 

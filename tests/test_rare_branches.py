@@ -57,10 +57,6 @@ RAISES = [
     (lambda: build_connection_qp(F(2), KAPPA, F(3), F(1, 16)).p_invariant(),
      NormalFormDegenerate, "p-invariant needs q away from the poles"),
     # higgs
-    (lambda: higgs.HiggsLimit(kind=higgs.THETA_ZERO), DegenerateInput, "needs a representative"),
-    (lambda: higgs.HiggsLimit(kind=higgs.GRADED, deg_l=1), DegenerateInput,
-     "needs degree, contact and divisor"),
-    (lambda: higgs.HiggsLimit(kind="other"), DegenerateInput, "unknown limit kind"),
     (lambda: higgs.v_alpha_stable(PPoint(base=F(3), sheet=Sheet.GENERIC),
                                   Weights.of_eps([F(1, 10)] * 4), POLES),
      SpecialWeights, "stable-zone weights required"),
@@ -129,11 +125,6 @@ def test_representative_off_the_poles_with_the_first_pole_at_infinity():
     poles, point = (INF, F(0), F(1), F(2)), PPoint(base=F(3), sheet=Sheet.GENERIC)
     qp = higgs.representative(point, poles)
     assert qp.u == (F(1, 2), F(1), F(2), F(4)) and par.phi_map(qp) == point
-
-
-def test_quotient_contact_of_a_theta_zero_limit():
-    qp = par.QuasiPar(poles=POLES, u=(F(1), F(2), F(5), F(7)))
-    assert higgs.HiggsLimit(kind=higgs.THETA_ZERO, qp=qp).quotient_contact is None
 
 
 SIGMAS = ["".join(p) for p in product("+-", repeat=4)]

@@ -19,6 +19,8 @@ their draws, and `kappa` and `pq_state` raise at once, drawing nothing.
 A reference draw there is one of 7^4 = 2,401 exponent tuples, and
 `SHORT_LIMIT` draws per seed over the 40 seeds meet every one of them, so
 the retry limit is lowered to that at bound 2 to keep tier-1 fast.
+`ref_rat` is the former `rat`, whose nonzero draw rejected zero
+numerators in a loop of its own; `rat` now rejects them through `retry`.
 """
 import random
 from fractions import Fraction as F
@@ -157,6 +159,14 @@ def test_eps_nonspecial_matches_the_fraction_sampler(bound):
         new = run(lambda rs: rs.eps_nonspecial(), seed, bound)
         assert new == run(ref_eps_nonspecial, seed, bound), seed
         assert all(type(e) is F for eps in new[0] if eps[0] != "exhausted" for e in eps)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("nonzero", [False, True])
+def test_rat_matches_the_fraction_sampler(bound, nonzero):
+    for seed in SEEDS:
+        new = run(lambda rs: rs.rat(nonzero), seed, bound)
+        assert new == run(lambda rs: ref_rat(rs, nonzero), seed, bound), seed
 
 
 def kappa_fields(kappa):
